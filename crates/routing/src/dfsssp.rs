@@ -220,22 +220,15 @@ impl RoutingEngine for Dfsssp {
     /// their prior lanes, repaired paths start on the base lane, and the
     /// usual cycle-lifting restores per-lane acyclicity or errors out when
     /// lanes are exhausted (the SM then falls back to a full sweep).
-    fn incremental_repair(&self) -> bool {
-        true
-    }
-
     fn repair_with_graph(
         &self,
-        subnet: &Subnet,
         g: &SwitchGraph,
         opts: RoutingOptions,
         prior: &RoutingTables,
         dirty_dests: &[ib_types::Lid],
         observer: &Observer,
     ) -> IbResult<RoutingTables> {
-        if g.is_empty() || (0..g.len()).any(|s| !prior.lfts.contains_key(&g.node_id(s))) {
-            return self.compute_with(subnet, opts, observer);
-        }
+        prior.check_covers(g)?;
         let _span = observer.span("routing.dfsssp.repair");
         let n = g.len();
         let dirty: rustc_hash::FxHashSet<u16> = dirty_dests.iter().map(|l| l.raw()).collect();

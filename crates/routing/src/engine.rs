@@ -82,100 +82,56 @@ pub trait RoutingEngine: Send + Sync {
     ) -> IbResult<RoutingTables>;
 
     /// Incrementally repairs `prior` tables after a fault: re-routes only
-    /// the `dirty_dests` destination columns and splices them into a copy
-    /// of `prior`, leaving every clean column byte-identical. The SM can
-    /// then distribute just the dirty LFT blocks instead of a full-fabric
-    /// rewrite — reconfiguration cost scales with the damage, not the
-    /// fabric.
+    /// the `dirty_dests` destination columns on `graph` and splices them
+    /// into a copy of `prior`, leaving every clean column byte-identical.
+    /// The SM can then distribute just the dirty LFT blocks instead of a
+    /// full-fabric rewrite — reconfiguration cost scales with the damage,
+    /// not the fabric.
+    ///
+    /// **Splice or `Err`:** a returned `Ok` is always a column splice of
+    /// `prior`, never a full recompute in disguise — callers maintain
+    /// per-column derived state (the SM's reverse route index) on that
+    /// promise. A baseline that does not cover `graph`
+    /// (`RoutingTables::check_covers`) or damage a column rewrite cannot
+    /// absorb is an `Err`; the caller's answer to it is a full
+    /// [`RoutingEngine::compute_with`].
+    ///
+    /// `graph` must be [`SwitchGraph::build`]'s output for the subnet in
+    /// its *current* fault state — the SM caches it across repair sweeps in
+    /// a quiet topology epoch and rebuilds only when
+    /// `Subnet::topology_epoch` moves.
     ///
     /// Callers must treat the result as *untrusted* until it passes
     /// `FabricVerifier` — the splice preserves per-column correctness, but
     /// global properties (deadlock freedom across mixed old/new columns)
     /// need the gate.
-    ///
-    /// The default implementation builds the CSR [`SwitchGraph`] once and
-    /// delegates to [`RoutingEngine::repair_with_graph`]; engines override
-    /// that method, not this one. Callers that already hold a current
-    /// graph (the SM's quiet-epoch cache) call `repair_with_graph`
-    /// directly and skip the rebuild.
-    fn repair_with(
-        &self,
-        subnet: &Subnet,
-        opts: RoutingOptions,
-        prior: &RoutingTables,
-        dirty_dests: &[ib_types::Lid],
-        observer: &Observer,
-    ) -> IbResult<RoutingTables> {
-        let g = SwitchGraph::build(subnet)?;
-        self.repair_with_graph(subnet, &g, opts, prior, dirty_dests, observer)
-    }
-
-    /// [`RoutingEngine::repair_with`] against a caller-supplied CSR graph.
-    /// `graph` must be [`SwitchGraph::build`]'s output for `subnet` in its
-    /// *current* fault state — the SM caches it across repair sweeps in a
-    /// quiet topology epoch and rebuilds only when
-    /// `Subnet::topology_epoch` moves.
-    ///
-    /// The default implementation ignores the graph and the incremental
-    /// inputs and falls back to a full [`RoutingEngine::compute_with`];
-    /// engines with a real incremental path override it.
     fn repair_with_graph(
         &self,
-        subnet: &Subnet,
         graph: &SwitchGraph,
         opts: RoutingOptions,
         prior: &RoutingTables,
         dirty_dests: &[ib_types::Lid],
         observer: &Observer,
-    ) -> IbResult<RoutingTables> {
-        let _ = (graph, prior, dirty_dests);
-        self.compute_with(subnet, opts, observer)
-    }
-
-    /// Whether [`RoutingEngine::repair_with`] is genuinely incremental:
-    /// re-routing only the dirty columns and leaving every other column
-    /// of `prior` byte-identical. Engines on the default full-recompute
-    /// fallback return `false`, telling callers that track derived state
-    /// per column (the SM's reverse route index) that a "repair" may
-    /// have rewritten *any* column.
-    fn incremental_repair(&self) -> bool {
-        false
-    }
+    ) -> IbResult<RoutingTables>;
 
     /// Repairs a *burst* of faults in one call: folds
-    /// [`RoutingEngine::repair_with`] over the per-fault dirty groups in
-    /// order, each repair splicing into the previous result. Groups must be
-    /// disjoint and every faulted link must already be down in `subnet`
-    /// before the call — then each fold step sees exactly the columns the
-    /// corresponding serial repair sweep would have re-routed, and the final
-    /// tables are **byte-identical** to running the k repairs one trap at a
-    /// time.
+    /// [`RoutingEngine::repair_with_graph`] over the per-fault dirty groups
+    /// in order, each repair splicing into the previous result and all of
+    /// them sharing `graph`. Groups must be disjoint and every faulted link
+    /// must already be down in `graph` before the call — then each fold
+    /// step sees exactly the columns the corresponding serial repair sweep
+    /// would have re-routed, and the final tables are **byte-identical** to
+    /// running the k repairs one trap at a time.
     ///
-    /// Deliberately *not* a single `repair_with` over the union: engines
-    /// with load-balancing state (Min-Hop's least-loaded port seeding) give
+    /// Deliberately *not* a single repair over the union: engines with
+    /// load-balancing state (Min-Hop's least-loaded port seeding) give
     /// different — equally valid but not identical — answers when columns
     /// are re-routed together versus one fault at a time, and the batched
     /// path's contract is "same tables, fewer SMPs and verifier passes".
     /// Empty groups (faults fully subsumed by earlier repairs) are skipped,
     /// matching the serial path's clean no-op.
-    fn repair_batch_with(
-        &self,
-        subnet: &Subnet,
-        opts: RoutingOptions,
-        prior: &RoutingTables,
-        dirty_groups: &[Vec<ib_types::Lid>],
-        observer: &Observer,
-    ) -> IbResult<RoutingTables> {
-        let g = SwitchGraph::build(subnet)?;
-        self.repair_batch_with_graph(subnet, &g, opts, prior, dirty_groups, observer)
-    }
-
-    /// [`RoutingEngine::repair_batch_with`] against a caller-supplied CSR
-    /// graph, sharing one graph across every fold step (and with the SM's
-    /// quiet-epoch cache). Same contract as `repair_batch_with`.
     fn repair_batch_with_graph(
         &self,
-        subnet: &Subnet,
         graph: &SwitchGraph,
         opts: RoutingOptions,
         prior: &RoutingTables,
@@ -185,7 +141,7 @@ pub trait RoutingEngine: Send + Sync {
         let mut cur: Option<RoutingTables> = None;
         for group in dirty_groups.iter().filter(|g| !g.is_empty()) {
             let base = cur.as_ref().unwrap_or(prior);
-            cur = Some(self.repair_with_graph(subnet, graph, opts, base, group, observer)?);
+            cur = Some(self.repair_with_graph(graph, opts, base, group, observer)?);
         }
         Ok(cur.unwrap_or_else(|| prior.clone()))
     }
@@ -357,7 +313,7 @@ mod tests {
             .collect()
     }
 
-    /// `repair_batch_with` over baseline-derived dirty groups (earlier
+    /// `repair_batch_with_graph` over baseline-derived dirty groups (earlier
     /// groups subtracted) must produce tables byte-identical to repairing
     /// the faults one trap at a time, each serial step re-scanning against
     /// the tables the previous repair produced. Valid because every faulted
@@ -392,6 +348,7 @@ mod tests {
             }
 
             // Serial arm: re-scan against the evolving tables.
+            let g = SwitchGraph::build(&t.subnet).unwrap();
             let opts = RoutingOptions::default();
             let obs = ib_observe::Observer::disabled();
             let mut serial = t0.clone();
@@ -401,7 +358,7 @@ mod tests {
                     continue;
                 }
                 serial = engine
-                    .repair_with(&t.subnet, opts, &serial, &dirty, &obs)
+                    .repair_with_graph(&g, opts, &serial, &dirty, &obs)
                     .unwrap();
             }
 
@@ -418,7 +375,7 @@ mod tests {
                 })
                 .collect();
             let batch = engine
-                .repair_batch_with(&t.subnet, opts, &t0, &groups, &obs)
+                .repair_batch_with_graph(&g, opts, &t0, &groups, &obs)
                 .unwrap();
 
             assert_eq!(batch.lfts, serial.lfts, "{kind}");

@@ -229,13 +229,8 @@ impl RoutingEngine for Lash {
     /// the budget, and only errors out (a *counted* fallback at the SM)
     /// when the budget is exhausted — the whole fabric is never
     /// re-layered.
-    fn incremental_repair(&self) -> bool {
-        true
-    }
-
     fn repair_with_graph(
         &self,
-        subnet: &Subnet,
         g: &SwitchGraph,
         opts: RoutingOptions,
         prior: &RoutingTables,
@@ -244,14 +239,14 @@ impl RoutingEngine for Lash {
     ) -> IbResult<RoutingTables> {
         // A usable baseline needs every switch's LFT *and* a per-pair (or
         // single-lane) assignment to re-seed the layers from.
-        if g.is_empty()
-            || (0..g.len()).any(|s| !prior.lfts.contains_key(&g.node_id(s)))
-            || !matches!(
-                prior.vls,
-                VlAssignment::SingleVl | VlAssignment::PerSwitchPair(_)
-            )
-        {
-            return self.compute_with(subnet, opts, observer);
+        prior.check_covers(g)?;
+        if !matches!(
+            prior.vls,
+            VlAssignment::SingleVl | VlAssignment::PerSwitchPair(_)
+        ) {
+            return Err(IbError::Management(
+                "LASH repair baseline carries a foreign VL assignment".into(),
+            ));
         }
         let _span = observer.span("routing.lash.repair");
         let n = g.len();
@@ -273,7 +268,7 @@ impl RoutingEngine for Lash {
         // pair's path is read back from (all pairs toward one delivery
         // switch ride the same in-tree, so one column per switch
         // suffices). A switch with no LID leaves its pairs' paths
-        // unreconstructable — recompute instead (never the case once the
+        // unreconstructable — nothing to splice (never the case once the
         // SM has assigned switch LIDs).
         let first_dest: Vec<Destination> = {
             let mut fd: Vec<Option<Destination>> = vec![None; n];
@@ -283,7 +278,9 @@ impl RoutingEngine for Lash {
                 }
             }
             if fd.iter().any(Option::is_none) {
-                return self.compute_with(subnet, opts, observer);
+                return Err(IbError::Management(
+                    "LASH repair needs a LID on every switch".into(),
+                ));
             }
             fd.into_iter().flatten().collect()
         };

@@ -133,24 +133,15 @@ impl RoutingEngine for MinHop {
     /// result approximates (it is not byte-equal to) a full recompute —
     /// which is exactly why the SM gates every repair behind the fabric
     /// verifier before trusting it.
-    fn incremental_repair(&self) -> bool {
-        true
-    }
-
     fn repair_with_graph(
         &self,
-        subnet: &Subnet,
         g: &SwitchGraph,
         opts: RoutingOptions,
         prior: &RoutingTables,
         dirty_dests: &[ib_types::Lid],
         observer: &Observer,
     ) -> IbResult<RoutingTables> {
-        // No usable baseline (or nothing to route): not an error, just no
-        // savings to be had — do the full compute.
-        if g.is_empty() || (0..g.len()).any(|s| !prior.lfts.contains_key(&g.node_id(s))) {
-            return self.compute_with(subnet, opts, observer);
-        }
+        prior.check_covers(g)?;
         let _span = observer.span("routing.minhop.repair");
         let dirty: rustc_hash::FxHashSet<u16> = dirty_dests.iter().map(|l| l.raw()).collect();
         // Destination order is preserved from the full compute, so the

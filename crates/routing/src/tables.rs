@@ -134,6 +134,19 @@ impl RoutingTables {
         }
     }
 
+    /// The precondition every engine's incremental repair shares: these
+    /// tables are a splice baseline for `g` only if they hold an LFT for
+    /// each of its switches. `Err` otherwise (and for an empty graph, which
+    /// has nothing to splice) — the caller's answer is a full compute.
+    pub(crate) fn check_covers(&self, g: &SwitchGraph) -> IbResult<()> {
+        if g.is_empty() || (0..g.len()).any(|s| !self.lfts.contains_key(&g.node_id(s))) {
+            return Err(ib_types::IbError::Management(
+                "repair baseline does not cover the switch graph".into(),
+            ));
+        }
+        Ok(())
+    }
+
     /// Installs every LFT into the subnet directly (no SMP accounting —
     /// the subnet manager is the component that distributes with SMPs).
     pub fn install(&self, subnet: &mut Subnet) -> IbResult<()> {

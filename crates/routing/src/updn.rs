@@ -299,23 +299,15 @@ impl RoutingEngine for UpDown {
     /// inflate the dirty-block diff past the full sweep's. The result
     /// approximates (it is not byte-equal to) a full recompute, which is
     /// why the SM gates every repair behind the fabric verifier.
-    fn incremental_repair(&self) -> bool {
-        true
-    }
-
     fn repair_with_graph(
         &self,
-        subnet: &Subnet,
         g: &SwitchGraph,
         opts: RoutingOptions,
         prior: &RoutingTables,
         dirty_dests: &[ib_types::Lid],
         observer: &Observer,
     ) -> IbResult<RoutingTables> {
-        // No usable baseline: fall back to the full compute.
-        if g.is_empty() || (0..g.len()).any(|s| !prior.lfts.contains_key(&g.node_id(s))) {
-            return self.compute_with(subnet, opts, observer);
-        }
+        prior.check_covers(g)?;
         let _span = observer.span("routing.up-down.repair");
         let n = g.len();
         // The orientation state is recomputed from scratch on the degraded

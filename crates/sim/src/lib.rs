@@ -1,7 +1,7 @@
 //! # ib-sim
 //!
 //! Discrete-event simulation on top of the subnet model — the ibsim analog
-//! of the reproduction. Three instruments:
+//! of the reproduction. Its instruments:
 //!
 //! * [`des`] — a small deterministic event queue with logical time.
 //! * [`smp_sim`] — replays an [`ib_mad::SmpLedger`] through a per-hop
@@ -9,9 +9,6 @@
 //!   configurable SM pipelining, turning SMP *counts* into reconfiguration
 //!   *time* (equations 2–5 of the paper, including footnote 4's
 //!   switches-nearer-the-SM-are-faster effect).
-//! * [`flows`] — walks flow sets through the installed LFTs to verify
-//!   connectivity (and count hops / observe drops) before, during, and
-//!   after reconfigurations.
 //! * [`downtime`] — the end-to-end live-migration timeline (detach, memory
 //!   copy, reconfiguration, attach) that lets the three architectures be
 //!   compared on VM downtime.
@@ -29,7 +26,6 @@ pub mod des;
 pub mod downtime;
 pub mod fairness;
 pub mod faults;
-pub mod flows;
 pub mod smp_sim;
 
 pub use credit::{CreditSimConfig, CreditSimReport, Flow};
@@ -37,5 +33,4 @@ pub use des::{EventQueue, SimTime};
 pub use downtime::{DowntimeModel, MigrationTimeline};
 pub use fairness::{max_min_fair, FairFlow, FairnessReport};
 pub use faults::{FaultDriver, FaultEvent, FaultPlan, TimedFault};
-pub use flows::{FlowReport, FlowSet};
 pub use smp_sim::{SmpLatencyModel, SmpReplay};

@@ -27,9 +27,13 @@ pub mod distribution;
 pub mod failover;
 pub mod lids;
 pub mod quarantine;
+pub mod repair;
 pub mod report;
+pub mod resweep;
 pub mod sa;
 pub mod sm;
+#[cfg(test)]
+mod testutil;
 pub mod traps;
 
 pub use distribution::{FailedBlock, ResumeAccounting};

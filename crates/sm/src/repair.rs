@@ -1,0 +1,561 @@
+//! The incremental repair pipeline: the SM's answer to link-down traps.
+//!
+//! One pipeline serves a single trap (a one-element fault list) and a
+//! coalesced burst (k elements) alike: guards → splice baseline → per-fault
+//! dirty groups → cached switch graph → engine fold → dirty-block
+//! distribution → column-scoped verifier gate → reverse-index maintenance.
+//! Whatever the pipeline cannot absorb leaves through **one** counted
+//! fallback into [`SubnetManager::light_sweep`]. The engine side is
+//! splice-or-`Err` ([`ib_routing::RoutingEngine::repair_with_graph`]), so
+//! an `Ok` here always means "only the dirty columns moved".
+
+use std::collections::HashSet;
+
+use ib_mad::fault::{SmpChannel, SmpTransport};
+use ib_routing::RoutingTables;
+use ib_subnet::{NodeId, Subnet};
+use ib_types::{IbResult, Lid, PortNum};
+
+use crate::resweep::{ResweepReport, SweepKind};
+use crate::sm::SubnetManager;
+
+/// Why a repair was handed to the full sweep instead.
+enum Fallback {
+    /// A fault's link is live: the trap is an *up* event, and folding a
+    /// link back in rebalances paths fabric-wide — a recompute by design,
+    /// so it is counted but not as a `repair.fallback`.
+    LinkUp,
+    /// No tables computed yet (adopted fabric): nothing to splice into.
+    NoBaseline,
+    /// Stranded blocks dropped the reverse index: what the switches hold is
+    /// no longer the baseline, so a dirty set read off either misses
+    /// columns only the other routes across the fault. Only a full
+    /// distribution brings the two back in step.
+    IndexMiss,
+    /// The degraded subnet cannot express a switch graph, or the engine
+    /// refused the splice — e.g. a destination became unreachable and
+    /// needs pruning, which only the full path does.
+    EngineError,
+    /// The splice broke an invariant on a column it touched (or a
+    /// fabric-global one); the full sweep recomputes from scratch and
+    /// overwrites whatever the repair installed.
+    VerifyRejected,
+}
+
+impl SubnetManager {
+    /// One batched repair sweep over a burst of link-down faults: unions
+    /// the per-fault dirty destination sets (earlier faults' columns
+    /// subtracted — each group is exactly what the corresponding serial
+    /// repair would have re-routed, since every faulted link is already
+    /// down), folds them through the engine's `repair_batch_with_graph`,
+    /// then runs **one** dirty-block distribution and **one** verifier gate
+    /// for the whole burst. Final tables are byte-identical to repairing
+    /// the traps one at a time; the savings are the shared LFT blocks sent
+    /// once instead of per fault and the k-1 elided verifier passes.
+    /// Emits `repair.batched` / `repair.batch_size` and a `resweep.batch`
+    /// span; a single link-down trap runs the same pipeline under
+    /// `repair.attempts` / `resweep.repair`.
+    pub fn repair_sweep_batch<C: SmpChannel>(
+        &mut self,
+        subnet: &mut Subnet,
+        faults: &[(NodeId, PortNum)],
+        transport: &mut SmpTransport<C>,
+    ) -> IbResult<ResweepReport> {
+        let observer = self.ledger.observer();
+        observer.incr("repair.batched");
+        observer.add("repair.batch_size", faults.len() as u64);
+        self.repair_faults(subnet, faults, "resweep.batch", transport)
+    }
+
+    /// The repair pipeline for the downed links `faults`: finds the
+    /// destination LIDs whose installed paths crossed them, asks the engine
+    /// to re-route only those columns spliced into the last computed
+    /// tables, distributes the dirty blocks, and gates the result behind
+    /// the fabric verifier — black holes and forwarding loops always, the
+    /// CDG deadlock check when `config.verify` asks for it. Every obstacle
+    /// ([`Fallback`]) is counted and answered by the full sweep; the repair
+    /// itself emits `repair.*` counters and a `span_name` span that closes
+    /// before any fallback sweep starts.
+    ///
+    /// The baseline is moved out of `last_tables` for the engine to borrow
+    /// and moved back — repaired on success, untouched otherwise — before
+    /// anything else can look at it.
+    pub(crate) fn repair_faults<C: SmpChannel>(
+        &mut self,
+        subnet: &mut Subnet,
+        faults: &[(NodeId, PortNum)],
+        span_name: &str,
+        transport: &mut SmpTransport<C>,
+    ) -> IbResult<ResweepReport> {
+        let mut span = None;
+        let outcome = if faults.iter().any(|&(n, p)| subnet.neighbor(n, p).is_some()) {
+            Err(Fallback::LinkUp)
+        } else if let Some(mut baseline) = self.last_tables.take() {
+            span = Some(self.ledger.observer().span(span_name));
+            let outcome = self.splice_faults(subnet, faults, &mut baseline, transport);
+            self.last_tables = Some(baseline);
+            outcome?
+        } else {
+            Err(Fallback::NoBaseline)
+        };
+        outcome.or_else(|reason| {
+            drop(span);
+            self.count_repair_fallback(reason);
+            self.light_sweep(subnet, transport)
+        })
+    }
+
+    /// The pipeline past its guards. On a converged or merely unconverged
+    /// repair `baseline` is replaced by the spliced tables; on every other
+    /// exit it is left as it was.
+    fn splice_faults<C: SmpChannel>(
+        &mut self,
+        subnet: &mut Subnet,
+        faults: &[(NodeId, PortNum)],
+        baseline: &mut RoutingTables,
+        transport: &mut SmpTransport<C>,
+    ) -> IbResult<Result<ResweepReport, Fallback>> {
+        let Some(index) = self.route_index.as_ref() else {
+            return Ok(Err(Fallback::IndexMiss));
+        };
+        let observer = self.ledger.observer();
+        // Disjoint per-fault dirty groups off the shared baseline: a column
+        // already claimed by an earlier fault will be re-routed around
+        // *all* downed links in one go, so later faults must not re-route
+        // it again (and serially repaired columns never re-cross a downed
+        // link, which is why baseline-minus-earlier equals the serial
+        // arm's per-step scan). Each group is an O(dirty) index read,
+        // cross-checked in debug builds against the two-row fabric scan —
+        // the index is derived state and never silently trusted.
+        let mut touched = HashSet::new();
+        let groups: Vec<Vec<Lid>> = faults
+            .iter()
+            .map(|&(node, port)| {
+                observer.incr("repair.index_hits");
+                let mut group = index.affected(subnet, node, port);
+                debug_assert_eq!(
+                    group,
+                    ib_verify::affected_destinations(subnet, node, port),
+                    "reverse route index diverged from the two-row scan at ({node:?}, {port})"
+                );
+                group.retain(|&lid| touched.insert(lid));
+                group
+            })
+            .collect();
+        observer.add("repair.dirty_dests", touched.len() as u64);
+        if touched.is_empty() {
+            // No installed path crossed the links: the tables are already
+            // correct and there is nothing to distribute.
+            observer.incr("repair.clean_noop");
+            return Ok(Ok(ResweepReport::idle(SweepKind::Repair)));
+        }
+        let Ok(tables) = self.reroute_dirty(subnet, baseline, &groups) else {
+            return Ok(Err(Fallback::EngineError));
+        };
+        let healed = self.refresh_partition_state(subnet);
+        let (distribution, retry_passes, failed_blocks) =
+            self.distribute_resumably(subnet, &tables, transport)?;
+        if failed_blocks.is_empty() {
+            let report = ib_verify::FabricVerifier::new()
+                .with_deadlock(self.config().verify)
+                .with_viewpoint(self.sm_node)
+                .verify_observed(subnet, &tables.vls, self.ledger.observer())?;
+            if self.repair_gate_rejects(&report, &touched) {
+                return Ok(Err(Fallback::VerifyRejected));
+            }
+            self.count_repair_success();
+            match self.route_index.as_mut() {
+                Some(index) if self.lost_nodes.is_empty() => {
+                    for &lid in groups.iter().flatten() {
+                        index.apply_column_update(lid, baseline, &tables);
+                    }
+                }
+                // A repair on a split fabric rewrote columns on switches
+                // the SM no longer serves, which per-column splicing cannot
+                // track: rebuild from what is now installed.
+                _ => self.route_index = Some(ib_verify::ReverseRouteIndex::from_installed(subnet)),
+            }
+            self.verify_healed(subnet, &healed)?;
+        } else {
+            // Mirrors `verify_converged`: tables with stranded blocks are
+            // expected to be inconsistent, so the gate is deferred — and
+            // the index no longer mirrors what is installed.
+            self.ledger.observer().incr("repair.unconverged");
+            self.route_index = None;
+        }
+        *baseline = tables;
+        Ok(Ok(ResweepReport {
+            distribution,
+            retry_passes,
+            failed_blocks,
+            ..ResweepReport::idle(SweepKind::Repair)
+        }))
+    }
+
+    /// The engine step: one fold of the dirty `groups` into a copy of
+    /// `baseline`, over the CSR switch graph cached by an earlier repair in
+    /// the same topology epoch — a quiet burst of traps between mutations
+    /// pays for one construction (`repair.graph_reused`) — or rebuilt from
+    /// the subnet (`repair.graph_rebuilt`). An unbuildable graph (e.g. an
+    /// HCA whose only uplink went down but still carries a LID) is an
+    /// `Err` exactly like the engine's own.
+    fn reroute_dirty(
+        &mut self,
+        subnet: &Subnet,
+        baseline: &RoutingTables,
+        groups: &[Vec<Lid>],
+    ) -> IbResult<RoutingTables> {
+        let epoch = subnet.topology_epoch();
+        let observer = self.ledger.observer();
+        let graph = match self.cached_graph.take() {
+            Some((cached_epoch, graph)) if cached_epoch == epoch => {
+                observer.incr("repair.graph_reused");
+                graph
+            }
+            _ => {
+                observer.incr("repair.graph_rebuilt");
+                ib_routing::SwitchGraph::build(subnet)?
+            }
+        };
+        let tables = self.config().engine.build().repair_batch_with_graph(
+            &graph,
+            self.config().routing,
+            baseline,
+            groups,
+            observer,
+        );
+        self.cached_graph = Some((epoch, graph));
+        tables
+    }
+
+    /// Counts one fallback three ways: the named reason, the aggregate
+    /// `repair.fallback`, and the per-engine `repair.fallback.<engine>` tag
+    /// BENCH and soak output key on — a grid run over the full engine
+    /// matrix must show *which* engine degraded to the full sweep, not
+    /// just that one did.
+    fn count_repair_fallback(&self, reason: Fallback) {
+        let observer = self.ledger.observer();
+        let name = match reason {
+            Fallback::LinkUp => return observer.incr("repair.skipped_up"),
+            Fallback::NoBaseline => "repair.no_baseline",
+            Fallback::IndexMiss => "repair.index_misses",
+            Fallback::EngineError => "repair.engine_error",
+            Fallback::VerifyRejected => "repair.verify_rejected",
+        };
+        observer.incr(name);
+        observer.incr("repair.fallback");
+        observer.incr(&format!("repair.fallback.{}", self.config().engine.name()));
+    }
+
+    /// Counts one gated, converged repair — aggregate plus per-engine tag.
+    fn count_repair_success(&self) {
+        let observer = self.ledger.observer();
+        observer.incr("repair.success");
+        observer.incr(&format!("repair.success.{}", self.config().engine.name()));
+    }
+
+    /// The repair acceptance gate, scoped to the columns this repair
+    /// touched. The verifier's forwarding check walks *every* destination
+    /// column globally, so mid-burst a repair sees black holes on columns
+    /// crossing other still-downed links — pre-existing damage the splice
+    /// cannot have caused (it only rewrites the dirty columns) and that
+    /// belongs to traps not yet handled. Those are tolerated but counted
+    /// (`repair.tolerated_preexisting`). A violation on a column the
+    /// repair touched, or a fabric-global one no column owns (`lid: None`
+    /// — addressing clashes, deadlock cycles), still rejects the repair.
+    fn repair_gate_rejects(
+        &self,
+        report: &ib_verify::VerifyReport,
+        touched: &HashSet<Lid>,
+    ) -> bool {
+        let mut tolerated = 0u64;
+        let mut rejects = false;
+        for v in &report.violations {
+            match v.lid {
+                Some(lid) if !touched.contains(&lid) => tolerated += 1,
+                _ => rejects = true,
+            }
+        }
+        if tolerated > 0 {
+            self.ledger
+                .observer()
+                .add("repair.tolerated_preexisting", tolerated);
+        }
+        rejects
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sm::SmConfig;
+    use crate::testutil::*;
+    use crate::traps::Trap;
+    use ib_subnet::topology::fattree::two_level;
+
+    #[test]
+    fn repair_sweep_fixes_link_down_and_counts_success() {
+        let mut t = two_level(3, 2, 2);
+        let mut sm = SubnetManager::new(
+            t.hosts[0],
+            SmConfig {
+                repair: true,
+                ..SmConfig::default()
+            },
+        );
+        sm.set_observer(ib_observe::Observer::metrics());
+        sm.bring_up(&mut t.subnet).unwrap();
+        let trap = down_first_uplink(&mut t);
+        let mut transport = SmpTransport::perfect(sm.sm_node);
+        let report = sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
+        assert_eq!(report.kind, SweepKind::Repair);
+        assert!(report.failed_blocks.is_empty());
+        assert!(report.distribution.lft_smps > 0, "dirty blocks were sent");
+        assert_all_pairs_connected(&t, &[]);
+        t.subnet.validate_degraded().unwrap();
+        let snap = sm.observer().snapshot().unwrap();
+        assert_eq!(snap.counter("repair.attempts"), 1);
+        assert_eq!(snap.counter("repair.success"), 1);
+        assert_eq!(snap.counter("repair.success.minhop"), 1);
+        assert_eq!(snap.counter("repair.fallback"), 0);
+        assert_eq!(snap.counter("repair.fallback.minhop"), 0);
+        assert!(snap.counter("repair.dirty_dests") > 0);
+        assert_eq!(snap.counter("repair.graph_rebuilt"), 1);
+        assert_eq!(snap.counter("repair.graph_reused"), 0);
+        assert_eq!(snap.spans_named("resweep.repair").len(), 1);
+    }
+
+    #[test]
+    fn repair_sends_no_more_smps_than_a_full_sweep_on_a_twin_fabric() {
+        // Same fault on two identical fabrics: the incremental repair must
+        // not exceed the light sweep's LFT traffic.
+        let run = |repair: bool| {
+            let mut t = two_level(3, 2, 2);
+            let mut sm = SubnetManager::new(
+                t.hosts[0],
+                SmConfig {
+                    repair,
+                    ..SmConfig::default()
+                },
+            );
+            sm.bring_up(&mut t.subnet).unwrap();
+            let trap = down_first_uplink(&mut t);
+            let mut transport = SmpTransport::perfect(sm.sm_node);
+            let report = sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
+            assert!(report.failed_blocks.is_empty());
+            assert_all_pairs_connected(&t, &[]);
+            report.distribution.lft_smps
+        };
+        assert!(run(true) <= run(false));
+    }
+
+    #[test]
+    fn repair_without_baseline_falls_back_to_light_sweep() {
+        // An SM that never computed tables (adopted fabric) has no splice
+        // baseline: the repair request must degrade to the full path.
+        let (mut t, sm0) = bring_up();
+        let mut sm = SubnetManager::new(
+            t.hosts[0],
+            SmConfig {
+                repair: true,
+                ..SmConfig::default()
+            },
+        );
+        drop(sm0);
+        sm.set_observer(ib_observe::Observer::metrics());
+        let trap = down_first_uplink(&mut t);
+        let mut transport = SmpTransport::perfect(sm.sm_node);
+        let report = sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
+        assert_eq!(report.kind, SweepKind::Light);
+        assert_all_pairs_connected(&t, &[]);
+        let snap = sm.observer().snapshot().unwrap();
+        assert_eq!(snap.counter("repair.no_baseline"), 1);
+        assert_eq!(snap.counter("repair.fallback"), 1);
+        assert_eq!(snap.counter("repair.fallback.minhop"), 1);
+    }
+
+    #[test]
+    fn repair_skips_link_up_events() {
+        let mut t = two_level(3, 2, 2);
+        let mut sm = SubnetManager::new(
+            t.hosts[0],
+            SmConfig {
+                repair: true,
+                ..SmConfig::default()
+            },
+        );
+        sm.set_observer(ib_observe::Observer::metrics());
+        sm.bring_up(&mut t.subnet).unwrap();
+        let mut transport = SmpTransport::perfect(sm.sm_node);
+        let trap = down_first_uplink(&mut t);
+        sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
+        // The link comes back: folding it in is a rebalance, not a repair.
+        let Trap::LinkStateChange { node, port } = trap else {
+            unreachable!()
+        };
+        t.subnet.set_link_up(node, port).unwrap();
+        let report = sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
+        assert_eq!(report.kind, SweepKind::Light);
+        assert_all_pairs_connected(&t, &[]);
+        let snap = sm.observer().snapshot().unwrap();
+        assert_eq!(snap.counter("repair.skipped_up"), 1);
+        assert_eq!(snap.counter("repair.fallback"), 0);
+    }
+
+    #[test]
+    fn serial_repairs_of_an_all_down_burst_pass_the_scoped_gate() {
+        // Both links of a burst go down before any repair runs (the trap
+        // queue drained late). Repairing them one at a time, the first
+        // verifier pass sees the second fault's pre-existing black holes —
+        // on columns the first repair never touched. The scoped gate must
+        // tolerate those (counted) instead of rejecting into a full sweep.
+        let mut t = two_level(3, 2, 2);
+        let mut sm = SubnetManager::new(
+            t.hosts[0],
+            SmConfig {
+                repair: true,
+                ..SmConfig::default()
+            },
+        );
+        sm.set_observer(ib_observe::Observer::metrics());
+        sm.bring_up(&mut t.subnet).unwrap();
+        let mut transport = SmpTransport::perfect(sm.sm_node);
+
+        let traps = [down_uplink(&mut t, 0, 0), down_uplink(&mut t, 1, 0)];
+        for trap in traps {
+            let report = sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
+            assert_eq!(report.kind, SweepKind::Repair);
+            assert!(report.failed_blocks.is_empty());
+        }
+        assert_all_pairs_connected(&t, &[]);
+        t.subnet.validate_degraded().unwrap();
+        assert!(sm.verify_route_index(&t.subnet).is_empty());
+
+        let snap = sm.observer().snapshot().unwrap();
+        assert_eq!(snap.counter("repair.success"), 2);
+        assert_eq!(snap.counter("repair.success.minhop"), 2);
+        assert_eq!(snap.counter("repair.verify_rejected"), 0);
+        assert_eq!(snap.counter("repair.fallback"), 0);
+        // The first gate saw (and tolerated) fault 2's damage.
+        assert!(snap.counter("repair.tolerated_preexisting") > 0);
+        assert_eq!(snap.counter("verify.runs"), 2);
+        // Both links were already down before the first repair, so the
+        // topology epoch never moved between sweeps: one graph build,
+        // reused by the second repair.
+        assert_eq!(snap.counter("repair.graph_rebuilt"), 1);
+        assert_eq!(snap.counter("repair.graph_reused"), 1);
+    }
+
+    /// Satellite regression: a link-up trap takes the `repair.skipped_up`
+    /// light sweep, which must refresh the repair baseline — a later
+    /// link-down repair has to splice against the rebalanced tables, not
+    /// the pre-up ones. Pinned against a twin fabric that only ever sees
+    /// the second fault: same SMP count, byte-identical tables.
+    #[test]
+    fn link_up_light_sweep_refreshes_the_repair_baseline() {
+        let config = SmConfig {
+            repair: true,
+            ..SmConfig::default()
+        };
+
+        // Fabric A: down L (repair), L back up (light sweep), down M.
+        let mut ta = two_level(3, 2, 2);
+        let mut sma = SubnetManager::new(ta.hosts[0], config);
+        sma.bring_up(&mut ta.subnet).unwrap();
+        let mut transport = SmpTransport::perfect(sma.sm_node);
+        let trap_l = down_uplink(&mut ta, 0, 0);
+        sma.handle_trap(&mut ta.subnet, trap_l, &mut transport)
+            .unwrap();
+        let Trap::LinkStateChange { node, port } = trap_l else {
+            unreachable!()
+        };
+        ta.subnet.set_link_up(node, port).unwrap();
+        let up = sma
+            .handle_trap(&mut ta.subnet, trap_l, &mut transport)
+            .unwrap();
+        assert_eq!(up.kind, SweepKind::Light);
+        let trap_m = down_uplink(&mut ta, 1, 0);
+        let repair_a = sma
+            .handle_trap(&mut ta.subnet, trap_m, &mut transport)
+            .unwrap();
+        assert_eq!(repair_a.kind, SweepKind::Repair);
+
+        // Fabric B: only ever sees fault M.
+        let mut tb = two_level(3, 2, 2);
+        let mut smb = SubnetManager::new(tb.hosts[0], config);
+        smb.bring_up(&mut tb.subnet).unwrap();
+        let mut transport_b = SmpTransport::perfect(smb.sm_node);
+        let trap_m_b = down_uplink(&mut tb, 1, 0);
+        let repair_b = smb
+            .handle_trap(&mut tb.subnet, trap_m_b, &mut transport_b)
+            .unwrap();
+        assert_eq!(repair_b.kind, SweepKind::Repair);
+
+        // A stale baseline would splice against pre-up tables and diff
+        // extra blocks; a fresh one makes the repairs indistinguishable.
+        assert_eq!(
+            repair_a.distribution.lft_smps,
+            repair_b.distribution.lft_smps
+        );
+        assert_eq!(
+            sma.last_tables.as_ref().unwrap().lfts,
+            smb.last_tables.as_ref().unwrap().lfts
+        );
+        for sw in ta.subnet.switches().map(|n| n.id).collect::<Vec<_>>() {
+            assert_eq!(ta.subnet.lft(sw), tb.subnet.lft(sw), "{sw:?}");
+        }
+        assert!(sma.verify_route_index(&ta.subnet).is_empty());
+    }
+
+    /// A sweep that strands blocks leaves switches holding rows that are
+    /// not the baseline's, and drops the reverse index to say so. Splicing
+    /// the next fault into that baseline would re-route only the columns
+    /// the *installed* rows sent across it and install the baseline's other
+    /// crossings as black holes the scoped gate waves through as
+    /// pre-existing — so the next link-down is a counted fallback whose
+    /// full distribution brings fabric, baseline and index back in step,
+    /// and the fault after that is an ordinary indexed repair again.
+    #[test]
+    fn stranded_blocks_send_the_next_link_down_to_a_full_sweep_that_revives_the_index() {
+        let mut t = two_level(3, 2, 3);
+        let mut sm = SubnetManager::new(
+            t.hosts[0],
+            SmConfig {
+                repair: true,
+                ..SmConfig::default()
+            },
+        );
+        sm.set_observer(ib_observe::Observer::metrics());
+        sm.bring_up(&mut t.subnet).unwrap();
+
+        down_uplink(&mut t, 0, 0);
+        let mut black_hole =
+            SmpTransport::with_channel(sm.sm_node, ib_mad::fault::LossyChannel::black_hole());
+        let report = sm.light_sweep(&mut t.subnet, &mut black_hole).unwrap();
+        assert!(!report.failed_blocks.is_empty(), "every Set SMP vanished");
+        assert!(sm.route_index().is_none());
+
+        let mut transport = SmpTransport::perfect(sm.sm_node);
+        let trap = down_uplink(&mut t, 1, 0);
+        let report = sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
+        assert_eq!(report.kind, SweepKind::Light);
+        assert!(report.failed_blocks.is_empty());
+        assert!(sm.route_index().is_some(), "index is live again");
+        assert!(sm.verify_route_index(&t.subnet).is_empty());
+        assert_all_pairs_connected(&t, &[]);
+
+        let trap = down_uplink(&mut t, 2, 1);
+        let report = sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
+        assert_eq!(report.kind, SweepKind::Repair);
+        assert!(sm.verify_route_index(&t.subnet).is_empty());
+        assert_all_pairs_connected(&t, &[]);
+
+        let snap = sm.observer().snapshot().unwrap();
+        assert_eq!(snap.counter("repair.attempts"), 2);
+        assert_eq!(snap.counter("repair.index_misses"), 1);
+        assert_eq!(snap.counter("repair.fallback"), 1);
+        assert_eq!(snap.counter("repair.index_hits"), 1);
+        assert_eq!(snap.counter("repair.success"), 1);
+        assert_eq!(snap.counter("repair.tolerated_preexisting"), 0);
+    }
+}

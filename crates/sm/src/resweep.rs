@@ -1,0 +1,498 @@
+//! Full re-sweeps: the SM's answer when the whole table set is recomputed.
+//!
+//! OpenSM reacts to a fault with a *light sweep* — reroute and redistribute
+//! over the topology it already knows — and escalates to a *heavy sweep*
+//! (full rediscovery) when the light sweep finds the topology itself
+//! changed underneath it.
+//!
+//! The implementation here keeps the paper's central invariant: a re-sweep
+//! **adopts** the surviving LID and LFT state rather than renumbering. LIDs
+//! of nodes that fell off the fabric are pruned and released; every
+//! surviving node keeps its LID, so live connections (§II-C: "the LID is
+//! part of the connection state") are undisturbed. Distribution is
+//! resumable: blocks whose `Set` SMPs exhaust their retries are retried in
+//! follow-up passes without resending what already landed.
+//!
+//! Discovery `Get`s are modeled fault-free: the SM retries discovery
+//! indefinitely in practice, and the interesting accounting — extra `Set`
+//! SMPs, retries, rollbacks — is all on the configuration side.
+
+use ib_mad::fault::{SmpChannel, SmpTransport};
+use ib_subnet::{NodeId, Subnet};
+use ib_types::{IbResult, Lid};
+
+use crate::discovery;
+use crate::distribution::{self, FailedBlock, ResumeAccounting};
+use crate::report::DistributionReport;
+use crate::sm::SubnetManager;
+
+/// Maximum resume passes over failed blocks before a sweep gives up. With
+/// the default 4-attempt retry policy this bounds the per-block attempt
+/// budget at 68 sends — plenty for any loss rate the harness sweeps, while
+/// still terminating against a structurally unreachable switch.
+const MAX_RETRY_PASSES: usize = 16;
+
+/// How deep a re-sweep went.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SweepKind {
+    /// Reroute + redistribute over the known topology.
+    Light,
+    /// Full rediscovery, pruning of vanished nodes, then reroute.
+    Heavy,
+    /// Incremental repair: only the destination columns whose installed
+    /// paths crossed the failed link were re-routed and redistributed.
+    Repair,
+    /// Nothing yet: the trap was queued by coalescing
+    /// ([`crate::CoalesceOptions`]) and will be answered, together with
+    /// every other trap in its window, by one batched repair sweep when
+    /// the driver calls [`SubnetManager::flush_coalesced`].
+    Deferred,
+}
+
+/// What a trap-driven re-sweep did.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ResweepReport {
+    /// How the trap was answered.
+    pub kind: SweepKind,
+    /// True if a light sweep found stale topology and escalated to heavy.
+    pub escalated: bool,
+    /// LIDs pruned (cleared and released) because their owners fell off
+    /// the fabric. Always empty for a pure light sweep — surviving LIDs
+    /// are never renumbered.
+    pub pruned_lids: Vec<Lid>,
+    /// Nodes dropped from the active fabric.
+    pub removed_nodes: usize,
+    /// Accumulated distribution accounting across all resume passes.
+    pub distribution: DistributionReport,
+    /// Resume passes over failed blocks (0 = everything landed first try).
+    pub retry_passes: usize,
+    /// Blocks still undelivered when the sweep gave up (empty on success).
+    pub failed_blocks: Vec<FailedBlock>,
+}
+
+impl ResweepReport {
+    /// The report of a trap answered without sending anything: absorbed,
+    /// deferred, or a repair that found no dirty column.
+    pub(crate) fn idle(kind: SweepKind) -> Self {
+        Self {
+            kind,
+            escalated: false,
+            pruned_lids: Vec::new(),
+            removed_nodes: 0,
+            distribution: DistributionReport::default(),
+            retry_passes: 0,
+            failed_blocks: Vec::new(),
+        }
+    }
+}
+
+impl SubnetManager {
+    /// Light sweep: recompute routes over the currently known topology and
+    /// push the dirty blocks. LIDs are not touched. A fabric split is *not*
+    /// an error here: the engines route each component on its own and clear
+    /// the cross-component columns, the SM enters counted degraded mode
+    /// (`sm.partitioned`) and keeps serving its own side. Escalation to a
+    /// heavy sweep remains for genuine engine failures — topology the
+    /// engine cannot even express (e.g. a LID stranded on a switchless
+    /// endpoint), which only rediscovery-plus-pruning repairs.
+    pub fn light_sweep<C: SmpChannel>(
+        &mut self,
+        subnet: &mut Subnet,
+        transport: &mut SmpTransport<C>,
+    ) -> IbResult<ResweepReport> {
+        let span = self.ledger.observer().span("resweep.light");
+        let engine = self.config().engine.build();
+        let routing = self.config().routing;
+        match engine.compute_with(subnet, routing, self.ledger.observer()) {
+            Ok(tables) => {
+                self.ledger.observer().incr("resweep.light");
+                self.install_full_tables(subnet, tables, SweepKind::Light, transport)
+            }
+            Err(_) => {
+                span.end();
+                self.ledger.observer().incr("resweep.escalated");
+                let mut report = self.heavy_sweep(subnet, transport)?;
+                report.escalated = true;
+                Ok(report)
+            }
+        }
+    }
+
+    /// Heavy sweep: rediscover the fabric from the SM node, drop every
+    /// previously active node the sweep no longer reaches *and cannot come
+    /// back on its own* (pruning and releasing its LIDs — *without*
+    /// renumbering any survivor), then recompute and redistribute routes.
+    ///
+    /// Partition tolerance narrows the prune set: a node that is alive and
+    /// still holds live cables merely sits beyond a split — its LIDs are
+    /// kept so the heal sweep restores it in place. What is pruned: dead
+    /// nodes' LID registrations, and live nodes whose every cable went down
+    /// with a dead neighbor (nothing short of recabling reconnects those).
+    pub fn heavy_sweep<C: SmpChannel>(
+        &mut self,
+        subnet: &mut Subnet,
+        transport: &mut SmpTransport<C>,
+    ) -> IbResult<ResweepReport> {
+        let _span = self.ledger.observer().span("resweep.heavy");
+        self.ledger.observer().incr("resweep.heavy");
+        let disc = discovery::sweep(subnet, self.sm_node, &mut self.ledger)?;
+        let mut reached = vec![false; subnet.num_nodes()];
+        for &n in &disc.nodes {
+            reached[n.index()] = true;
+        }
+
+        // Prune what the sweep lost for good. Nodes that never joined —
+        // e.g. dormant dynamic-mode VFs with no cable and no LID — are
+        // left alone, as are nodes already processed by an earlier sweep
+        // and live nodes beyond a split (they keep their LIDs for the
+        // heal).
+        let mut pruned_lids = Vec::new();
+        let mut removed_nodes = 0;
+        let lost: Vec<NodeId> = subnet
+            .nodes()
+            .filter(|n| !reached[n.id.index()])
+            .filter(|n| {
+                if n.is_alive() {
+                    n.connected_ports().next().is_none()
+                        && (n.lids().next().is_some() || n.cabled_ports().next().is_some())
+                } else {
+                    n.lids().next().is_some()
+                }
+            })
+            .map(|n| n.id)
+            .collect();
+        for id in lost {
+            let lids: Vec<Lid> = subnet.node(id).lids().collect();
+            for lid in lids {
+                subnet.clear_lid(lid)?;
+                let _ = self.lid_space.release(lid);
+                pruned_lids.push(lid);
+            }
+            if subnet.is_alive(id) {
+                subnet.remove_node(id)?;
+            }
+            removed_nodes += 1;
+        }
+        if !pruned_lids.is_empty() {
+            let observer = self.ledger.observer();
+            observer.add("resweep.pruned_lids", pruned_lids.len() as u64);
+            observer.add("resweep.removed_nodes", removed_nodes as u64);
+        }
+
+        let engine = self.config().engine.build();
+        let routing = self.config().routing;
+        let tables = engine.compute_with(subnet, routing, self.ledger.observer())?;
+        Ok(ResweepReport {
+            pruned_lids,
+            removed_nodes,
+            ..self.install_full_tables(subnet, tables, SweepKind::Heavy, transport)?
+        })
+    }
+
+    /// The tail every full sweep shares once fresh `tables` exist: refresh
+    /// the partition ledger, distribute resumably, verify what converged,
+    /// rebuild the reverse route index, prove a heal, and keep `tables` as
+    /// the next repair's splice baseline.
+    fn install_full_tables<C: SmpChannel>(
+        &mut self,
+        subnet: &mut Subnet,
+        tables: ib_routing::RoutingTables,
+        kind: SweepKind,
+        transport: &mut SmpTransport<C>,
+    ) -> IbResult<ResweepReport> {
+        let healed = self.refresh_partition_state(subnet);
+        let (distribution, retry_passes, failed_blocks) =
+            self.distribute_resumably(subnet, &tables, transport)?;
+        self.verify_converged(subnet, &tables.vls, &failed_blocks)?;
+        // A full distribution covers every fault a deferred trap reported.
+        // The reverse index mirrors the freshly installed rows or — when
+        // blocks were stranded — nothing trustworthy, so it is dropped
+        // until the next converged sweep rebuilds it.
+        self.subsume_pending();
+        self.route_index = failed_blocks
+            .is_empty()
+            .then(|| ib_verify::ReverseRouteIndex::from_installed(subnet));
+        if failed_blocks.is_empty() {
+            self.verify_healed(subnet, &healed)?;
+        }
+        self.last_tables = Some(tables);
+        Ok(ResweepReport {
+            distribution,
+            retry_passes,
+            failed_blocks,
+            ..ResweepReport::idle(kind)
+        })
+    }
+
+    /// Runs the fabric verifier after a re-sweep when `config.verify` is
+    /// set — but only once distribution converged: tables with stranded
+    /// blocks are *expected* to be inconsistent, so verification is
+    /// deferred (and counted) rather than failed.
+    fn verify_converged(
+        &mut self,
+        subnet: &Subnet,
+        vls: &ib_routing::VlAssignment,
+        failed_blocks: &[FailedBlock],
+    ) -> IbResult<()> {
+        if !self.config().verify {
+            return Ok(());
+        }
+        if failed_blocks.is_empty() {
+            self.verify_installed(subnet, vls)
+        } else {
+            self.ledger.observer().incr("verify.skipped_unconverged");
+            Ok(())
+        }
+    }
+
+    /// Distribution with bounded resume passes: failed blocks are retried
+    /// until they land, progress stops, or the pass budget runs out.
+    ///
+    /// Accounting merges per-switch across passes ([`ResumeAccounting`]),
+    /// so the returned report equals the fault-free report once every block
+    /// has landed — a switch split across passes is counted once in
+    /// `switches_updated` and its blocks sum in `max_blocks_per_switch`.
+    ///
+    /// On a split fabric, switches beyond the cut are excluded up front
+    /// ([`SubnetManager::served_tables`]) instead of burning all
+    /// [`MAX_RETRY_PASSES`] against links no SMP can cross.
+    pub(crate) fn distribute_resumably<C: SmpChannel>(
+        &mut self,
+        subnet: &mut Subnet,
+        tables: &ib_routing::RoutingTables,
+        transport: &mut SmpTransport<C>,
+    ) -> IbResult<(DistributionReport, usize, Vec<FailedBlock>)> {
+        let served = self.served_tables(tables);
+        let tables = served.as_ref().unwrap_or(tables);
+        let mode = self.config().smp_mode;
+        let sweep = self.config().sweep;
+        let mut acct = ResumeAccounting::new();
+        self.ledger.begin_phase("lft-distribution");
+        let (first, mut failed) = distribution::push_blocks(
+            subnet,
+            self.sm_node,
+            tables,
+            mode,
+            transport,
+            &mut self.ledger,
+            None,
+            sweep,
+        )?;
+        acct.merge(first);
+        let mut passes = 0;
+        while !failed.is_empty() && passes < MAX_RETRY_PASSES {
+            self.ledger.begin_phase("lft-distribution-retry");
+            let (more, still_failed) = distribution::push_blocks(
+                subnet,
+                self.sm_node,
+                tables,
+                mode,
+                transport,
+                &mut self.ledger,
+                Some(&failed),
+                sweep,
+            )?;
+            acct.merge(more);
+            passes += 1;
+            failed = still_failed;
+        }
+        let observer = self.ledger.observer();
+        if observer.is_enabled() {
+            observer.record("resweep.retry_passes", passes as u64);
+            observer.add("resweep.stranded_blocks", failed.len() as u64);
+        }
+        Ok((acct.report(), passes, failed))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::*;
+    use crate::traps::Trap;
+
+    #[test]
+    fn link_down_trap_triggers_light_sweep_without_renumbering() {
+        let (mut t, mut sm) = bring_up();
+        let lids_before = all_lids(&t.subnet);
+
+        // Down one of the two uplinks of leaf 0 (leaf -> spine 0). The
+        // fat tree has a redundant spine, so a light sweep suffices.
+        let leaf0 = t.switch_levels[0][0];
+        let spine0 = t.switch_levels[1][0];
+        let (port, _) = t
+            .subnet
+            .node(leaf0)
+            .connected_ports()
+            .find(|(_, r)| r.node == spine0)
+            .unwrap();
+        t.subnet.set_link_down(leaf0, port).unwrap();
+
+        let mut transport = SmpTransport::perfect(sm.sm_node);
+        let report = sm
+            .handle_trap(
+                &mut t.subnet,
+                Trap::LinkStateChange { node: leaf0, port },
+                &mut transport,
+            )
+            .unwrap();
+        assert_eq!(report.kind, SweepKind::Light);
+        assert!(!report.escalated);
+        assert!(report.pruned_lids.is_empty());
+        assert!(report.failed_blocks.is_empty());
+        assert!(report.distribution.lft_smps > 0);
+        // No LID moved.
+        assert_eq!(all_lids(&t.subnet), lids_before);
+        assert_all_pairs_connected(&t, &[]);
+        t.subnet.validate_degraded().unwrap();
+    }
+
+    #[test]
+    fn switch_death_heavy_sweep_prunes_only_the_dead() {
+        let (mut t, mut sm) = bring_up();
+        let spine1 = t.switch_levels[1][1];
+        let spine_lid = match &t.subnet.node(spine1).kind {
+            ib_subnet::NodeKind::Switch { lid, .. } => lid.unwrap(),
+            ib_subnet::NodeKind::Hca => unreachable!(),
+        };
+        let lids_before = all_lids(&t.subnet);
+
+        let mut transport = SmpTransport::perfect(sm.sm_node);
+        let report = sm
+            .handle_trap(
+                &mut t.subnet,
+                Trap::SwitchDeath { node: spine1 },
+                &mut transport,
+            )
+            .unwrap();
+        assert_eq!(report.kind, SweepKind::Heavy);
+        assert_eq!(report.pruned_lids, vec![spine_lid]);
+        assert_eq!(report.removed_nodes, 1);
+        assert!(report.failed_blocks.is_empty());
+        // Exactly one LID gone; every survivor kept its number.
+        let lids_after = all_lids(&t.subnet);
+        assert_eq!(
+            lids_after,
+            lids_before
+                .iter()
+                .copied()
+                .filter(|&l| l != spine_lid)
+                .collect::<Vec<_>>()
+        );
+        // The freed LID is reusable.
+        assert!(!sm.lid_space.is_allocated(spine_lid));
+        assert_all_pairs_connected(&t, &[]);
+        t.subnet.validate_degraded().unwrap();
+    }
+
+    #[test]
+    fn isolating_a_leaf_enters_degraded_mode_without_pruning() {
+        let (mut t, mut sm) = bring_up();
+        // Kill every uplink of leaf 2 (the SM host is on leaf 0): its two
+        // hosts sit beyond the split but stay alive.
+        isolate_leaf(&mut t, 2);
+        let lids_before = all_lids(&t.subnet);
+
+        let mut transport = SmpTransport::perfect(sm.sm_node);
+        let report = sm.light_sweep(&mut t.subnet, &mut transport).unwrap();
+        // Degraded mode, not escalation: the sweep serves the master's
+        // component and leaves the lost one for the heal.
+        assert_eq!(report.kind, SweepKind::Light);
+        assert!(!report.escalated);
+        assert!(report.pruned_lids.is_empty());
+        assert_eq!(report.removed_nodes, 0);
+        assert!(report.failed_blocks.is_empty());
+        // No LID moved or vanished — a reconnect restores the lost side
+        // in place.
+        assert_eq!(all_lids(&t.subnet), lids_before);
+        assert!(sm.is_degraded());
+        // Leaf 2 + its 2 hosts were stranded.
+        assert_eq!(sm.unreachable_lids().len(), 3);
+        let survivors: Vec<NodeId> = t.hosts[4..6].to_vec();
+        assert_all_pairs_connected(&t, &survivors);
+        t.subnet.validate_degraded().unwrap();
+    }
+
+    #[test]
+    fn heal_after_split_restores_columns_and_counts() {
+        let (mut t, mut sm) = bring_up();
+        sm.set_observer(ib_observe::Observer::metrics());
+        let leaf2 = t.switch_levels[0][2];
+        let uplinks = isolate_leaf(&mut t, 2);
+        let mut transport = SmpTransport::perfect(sm.sm_node);
+        sm.light_sweep(&mut t.subnet, &mut transport).unwrap();
+        assert!(sm.is_degraded());
+
+        // A trap from beyond the split is absorbed without a sweep: no MAD
+        // from the lost component can physically reach the master.
+        let report = sm
+            .handle_trap(
+                &mut t.subnet,
+                Trap::LinkStateChange {
+                    node: leaf2,
+                    port: uplinks[1],
+                },
+                &mut transport,
+            )
+            .unwrap();
+        assert_eq!(report.distribution.lft_smps, 0);
+
+        // One uplink comes back: the boundary link-up trap gets through
+        // and the heal sweep restores every stranded column.
+        t.subnet.set_link_up(leaf2, uplinks[0]).unwrap();
+        let report = sm
+            .handle_trap(
+                &mut t.subnet,
+                Trap::LinkStateChange {
+                    node: leaf2,
+                    port: uplinks[0],
+                },
+                &mut transport,
+            )
+            .unwrap();
+        assert_eq!(report.kind, SweepKind::Light);
+        assert!(report.failed_blocks.is_empty());
+        assert!(!sm.is_degraded());
+        assert_all_pairs_connected(&t, &[]);
+        assert!(sm.verify_route_index(&t.subnet).is_empty());
+        t.subnet.validate_degraded().unwrap();
+
+        let snap = sm.observer().snapshot().unwrap();
+        assert_eq!(snap.counter("sm.partitioned"), 1);
+        assert_eq!(snap.counter("sm.unreachable_lids"), 3);
+        assert_eq!(snap.counter("sm.trap_absorbed_lost"), 1);
+        assert_eq!(snap.counter("sm.healed"), 1);
+        // The stranded leaf's rows were refreshed by the heal sweep.
+        let leaf2_lft = t.subnet.lft(leaf2).unwrap();
+        for lid in all_lids(&t.subnet) {
+            assert!(leaf2_lft.get(lid).is_some(), "leaf2 routes LID {lid}");
+        }
+    }
+
+    #[test]
+    fn lossy_transport_still_converges() {
+        let (mut t, mut sm) = bring_up();
+        let leaf0 = t.switch_levels[0][0];
+        let spine0 = t.switch_levels[1][0];
+        let (port, _) = t
+            .subnet
+            .node(leaf0)
+            .connected_ports()
+            .find(|(_, r)| r.node == spine0)
+            .unwrap();
+        t.subnet.set_link_down(leaf0, port).unwrap();
+
+        let mut transport = SmpTransport::lossy(sm.sm_node, 0x5EED, 0.2, 500);
+        let baseline = sm.ledger.total();
+        let report = sm
+            .handle_trap(
+                &mut t.subnet,
+                Trap::LinkStateChange { node: leaf0, port },
+                &mut transport,
+            )
+            .unwrap();
+        assert!(report.failed_blocks.is_empty(), "did not converge");
+        assert!(sm.ledger.total() > baseline);
+        assert_all_pairs_connected(&t, &[]);
+    }
+}

@@ -131,12 +131,13 @@ pub struct SmConfig {
     pub quarantine: QuarantineOptions,
     /// Answer link-down traps with an *incremental repair* sweep: re-route
     /// only the destination columns whose installed paths crossed the
-    /// failed link (via [`ib_verify::affected_destinations`] and the
-    /// engine's `repair_with`), splice them into the last computed tables,
-    /// and distribute just the dirty blocks. Every repair is gated by the
-    /// fabric verifier; any rejection (or an engine without a baseline)
-    /// falls back to the usual full sweep and counts `sm.repair.fallback`.
-    /// Off by default — the traditional full-recompute path.
+    /// failed link (read off the [`ib_verify::ReverseRouteIndex`], re-routed
+    /// by the engine's `repair_with_graph`), splice them into the last
+    /// computed tables, and distribute just the dirty blocks. Every repair
+    /// is gated by the fabric verifier; any rejection (or a missing
+    /// baseline, or an engine `Err`) falls back to the usual full sweep and
+    /// counts `repair.fallback`. Off by default — the traditional
+    /// full-recompute path.
     pub repair: bool,
     /// Batch link-down traps arriving within a damping window into one
     /// repair sweep (see [`CoalesceOptions`]). Only consulted when
@@ -178,9 +179,9 @@ pub struct SubnetManager {
     pub(crate) last_tables: Option<ib_routing::RoutingTables>,
     /// Reverse (switch, port) -> destination-set index over `last_tables`,
     /// kept in lock-step with it: rebuilt after full sweeps, spliced
-    /// per-column after repairs, invalidated whenever the installed state
-    /// diverges (failed distribution blocks). `None` means "fall back to
-    /// the two-row scan".
+    /// per-column after repairs, dropped whenever the installed state
+    /// diverges (failed distribution blocks). `None` means "the fabric is
+    /// not `last_tables`: no repair until a full sweep converges".
     pub(crate) route_index: Option<ib_verify::ReverseRouteIndex>,
     /// The CSR switch graph cached across consecutive repair sweeps in a
     /// quiet epoch, keyed by [`Subnet::topology_epoch`]: a repair burst
@@ -303,24 +304,15 @@ impl SubnetManager {
         let path_computation = started.elapsed();
 
         let healed = self.refresh_partition_state(subnet);
-        let dist = match self.served_tables(&tables) {
-            Some(served) => distribution::distribute_opts(
-                subnet,
-                self.sm_node,
-                &served,
-                self.config.smp_mode,
-                &mut self.ledger,
-                self.config.sweep,
-            )?,
-            None => distribution::distribute_opts(
-                subnet,
-                self.sm_node,
-                &tables,
-                self.config.smp_mode,
-                &mut self.ledger,
-                self.config.sweep,
-            )?,
-        };
+        let served = self.served_tables(&tables);
+        let dist = distribution::distribute_opts(
+            subnet,
+            self.sm_node,
+            served.as_ref().unwrap_or(&tables),
+            self.config.smp_mode,
+            &mut self.ledger,
+            self.config.sweep,
+        )?;
 
         if self.config.verify {
             self.verify_installed(subnet, &tables.vls)?;
@@ -394,7 +386,9 @@ impl SubnetManager {
 
     /// The live reverse route index, when one mirrors the installed LFTs
     /// (rebuilt by converged full sweeps, spliced per column by repairs).
-    /// `None` after an unconverged distribution until the next full sweep.
+    /// `None` after an unconverged distribution until the next full sweep
+    /// converges — which the next link-down trap forces, since a repair
+    /// refuses to splice without it (`repair.index_misses`).
     #[must_use]
     pub fn route_index(&self) -> Option<&ib_verify::ReverseRouteIndex> {
         self.route_index.as_ref()

@@ -48,19 +48,6 @@ impl ReverseRouteIndex {
         idx
     }
 
-    /// Builds the index from a routing engine's computed tables — the view
-    /// the SM keeps in sync with its splice baseline (`last_tables`).
-    #[must_use]
-    pub fn from_tables(tables: &RoutingTables) -> Self {
-        let mut idx = Self::default();
-        for (&sw, lft) in &tables.lfts {
-            for (lid, port) in lft.iter() {
-                idx.insert(sw, port, lid);
-            }
-        }
-        idx
-    }
-
     fn insert(&mut self, sw: NodeId, port: PortNum, lid: Lid) {
         let sets = self.ports.entry(sw).or_default();
         let slot = port.raw() as usize;
@@ -232,11 +219,10 @@ mod tests {
 
     #[test]
     fn fresh_index_equals_the_scan_on_a_fat_tree() {
-        let (t, tables) = installed(EngineKind::MinHop);
-        assert_agrees(&ReverseRouteIndex::from_installed(&t.subnet), &t.subnet);
-        let from_tables = ReverseRouteIndex::from_tables(&tables);
-        assert_agrees(&from_tables, &t.subnet);
-        assert!(from_tables.mismatches(&t.subnet).is_empty());
+        let (t, _) = installed(EngineKind::MinHop);
+        let idx = ReverseRouteIndex::from_installed(&t.subnet);
+        assert_agrees(&idx, &t.subnet);
+        assert!(idx.mismatches(&t.subnet).is_empty());
     }
 
     #[test]
@@ -251,7 +237,7 @@ mod tests {
     #[test]
     fn column_splice_keeps_the_index_in_sync() {
         let (mut t, before) = installed(EngineKind::MinHop);
-        let mut idx = ReverseRouteIndex::from_tables(&before);
+        let mut idx = ReverseRouteIndex::from_installed(&t.subnet);
         // Re-route one destination column with a degraded recompute and
         // splice it, updating the index incrementally.
         let (node, port) = t
@@ -266,8 +252,8 @@ mod tests {
         t.subnet.set_link_down(node, port).unwrap();
         let after = EngineKind::MinHop
             .build()
-            .repair_with(
-                &t.subnet,
+            .repair_with_graph(
+                &ib_routing::SwitchGraph::build(&t.subnet).unwrap(),
                 ib_routing::RoutingOptions::default(),
                 &before,
                 &dirty,
@@ -284,8 +270,8 @@ mod tests {
 
     #[test]
     fn refresh_column_follows_out_of_band_row_edits() {
-        let (mut t, tables) = installed(EngineKind::MinHop);
-        let mut idx = ReverseRouteIndex::from_tables(&tables);
+        let (mut t, _) = installed(EngineKind::MinHop);
+        let mut idx = ReverseRouteIndex::from_installed(&t.subnet);
         // Mutate one row behind the index's back (what a migration's
         // direct LFT SMPs do), then refresh just that column.
         let lid = t.subnet.lids()[0];
@@ -304,8 +290,8 @@ mod tests {
 
     #[test]
     fn released_lids_never_resurface_in_affected_sets() {
-        let (mut t, tables) = installed(EngineKind::MinHop);
-        let idx = ReverseRouteIndex::from_tables(&tables);
+        let (mut t, _) = installed(EngineKind::MinHop);
+        let idx = ReverseRouteIndex::from_installed(&t.subnet);
         // Deregister a LID while its rows are still installed: the scan
         // skips it (it only walks registered LIDs), so the index must too.
         let lid = t.subnet.lids()[0];

@@ -42,7 +42,7 @@
 //! | [`routing`] | `ib-routing` | Min-Hop, Fat-Tree, Up*/Down*, DFSSSP, LASH, CDG |
 //! | [`sm`] | `ib-sm` | discovery, LID assignment, LFT distribution |
 //! | [`core`] | `ib-core` | **the paper**: vSwitch architectures + reconfiguration |
-//! | [`sim`] | `ib-sim` | event queue, SMP replay, flows, downtime |
+//! | [`sim`] | `ib-sim` | event queue, SMP replay, downtime |
 //! | [`cloud`] | `ib-cloud` | placement, §VII-B workflow, scenarios |
 //! | [`verify`] | `ib-verify` | fabric invariant verifier over installed LFTs |
 

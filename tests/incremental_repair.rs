@@ -11,7 +11,7 @@
 
 use ib_mad::SmpTransport;
 use ib_observe::Observer;
-use ib_routing::{EngineKind, RoutingOptions};
+use ib_routing::{EngineKind, RoutingOptions, SwitchGraph, VlAssignment};
 use ib_sm::{SmConfig, SubnetManager, SweepKind, Trap};
 use ib_subnet::topology::fattree::{paper_324, paper_648, two_level};
 use ib_subnet::topology::torus::torus_2d;
@@ -239,15 +239,61 @@ fn every_engine_survives_repair_schedules_deterministically() {
     }
 }
 
-/// Every routing engine in the matrix now repairs natively — none rides
-/// the default full-recompute shim.
+/// Splice-or-`Err`, the contract the SM's per-column index maintenance
+/// rests on, for every engine in the matrix: an `Ok` repair leaves every
+/// clean column of the baseline byte-identical, and a baseline that cannot
+/// be spliced — one of the graph's switches missing, or (LASH) a foreign
+/// `VlAssignment` shape — is an `Err`, never tables from a full recompute
+/// in disguise. (That all five engines repair natively is now a
+/// compile-time fact: `repair_with_graph` has no default body.)
 #[test]
-fn every_engine_reports_native_incremental_repair() {
+fn every_engine_repair_is_splice_or_err() {
+    let opts = RoutingOptions::default();
+    let obs = Observer::disabled();
     for kind in EngineKind::all() {
+        let mut t = two_level(4, 4, 2);
+        let config = SmConfig {
+            engine: kind,
+            ..SmConfig::default()
+        };
+        SubnetManager::new(t.hosts[0], config)
+            .bring_up(&mut t.subnet)
+            .unwrap();
+        let engine = kind.build();
+        let prior = engine.compute(&t.subnet).unwrap();
+        let (node, port, _) = core_links(&t.subnet)[0];
+        let dirty = ib_verify::affected_destinations(&t.subnet, node, port);
+        assert!(!dirty.is_empty(), "{kind:?}");
+        t.subnet.set_link_down(node, port).unwrap();
+        let graph = SwitchGraph::build(&t.subnet).unwrap();
+
+        let repaired = engine
+            .repair_with_graph(&graph, opts, &prior, &dirty, &obs)
+            .unwrap();
+        for (sw, lft) in &prior.lfts {
+            for lid in t.subnet.lids().into_iter().filter(|l| !dirty.contains(l)) {
+                assert_eq!(repaired.lfts[sw].get(lid), lft.get(lid), "{kind:?} {sw:?}");
+            }
+        }
+
+        let mut holed = prior.clone();
+        holed.lfts.remove(&node);
         assert!(
-            kind.build().incremental_repair(),
-            "{kind:?} must implement native incremental repair"
+            engine
+                .repair_with_graph(&graph, opts, &holed, &dirty, &obs)
+                .is_err(),
+            "{kind:?}: a baseline missing a switch must not yield tables"
         );
+        if kind == EngineKind::Lash {
+            let mut foreign = prior.clone();
+            foreign.vls = VlAssignment::PerDestination(Default::default());
+            assert!(
+                engine
+                    .repair_with_graph(&graph, opts, &foreign, &dirty, &obs)
+                    .is_err(),
+                "LASH cannot re-seed its layers from a per-destination assignment"
+            );
+        }
     }
 }
 
