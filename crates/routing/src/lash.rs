@@ -615,23 +615,16 @@ impl MatrixCdg {
 /// the CDG from the per-pair assignment and check acyclicity.
 pub fn verify_pair_layers_acyclic(subnet: &Subnet, tables: &RoutingTables) -> IbResult<()> {
     let g = SwitchGraph::build(subnet)?;
-    let lanes_in_use: Vec<u8> = match &tables.vls {
-        VlAssignment::SingleVl => vec![0],
-        VlAssignment::PerSwitchPair(map) => {
-            let mut v: Vec<u8> = map.values().map(|l| l.raw()).collect();
-            v.push(0);
-            v.sort_unstable();
-            v.dedup();
-            v
-        }
-        VlAssignment::PerDestination(_) | VlAssignment::PerSourceDestination(_) => {
-            return Err(IbError::Topology(
-                "expected a per-pair assignment from LASH".into(),
-            ))
-        }
-    };
+    if matches!(
+        tables.vls,
+        VlAssignment::PerDestination(_) | VlAssignment::PerSourceDestination(_)
+    ) {
+        return Err(IbError::Topology(
+            "expected a per-pair assignment from LASH".into(),
+        ));
+    }
 
-    for lane in lanes_in_use {
+    for lane in tables.vls.lanes() {
         let mut cdg = Cdg::new();
         // Walk every pair on this lane and absorb its path dependencies.
         for dsw in 0..g.len() {
@@ -642,7 +635,7 @@ pub fn verify_pair_layers_acyclic(subnet: &Subnet, tables: &RoutingTables) -> Ib
                 if src == dsw {
                     continue;
                 }
-                if tables.vls.lane_for(src as u32, dsw as u32, dest.lid).raw() != lane {
+                if tables.vls.lane_for(src as u32, dsw as u32, dest.lid) != lane {
                     continue;
                 }
                 let mut cur = src;
@@ -674,7 +667,8 @@ pub fn verify_pair_layers_acyclic(subnet: &Subnet, tables: &RoutingTables) -> Ib
         }
         if let Some(cycle) = cdg.find_cycle() {
             return Err(IbError::Topology(format!(
-                "LASH lane {lane} has a {}-channel cycle",
+                "LASH lane {} has a {}-channel cycle",
+                lane.raw(),
                 cycle.len()
             )));
         }

@@ -58,31 +58,27 @@ impl VlAssignment {
         }
     }
 
+    /// The lanes in use, ascending and distinct. VL0 is always among them:
+    /// every destination, pair or path the assignment does not list rides
+    /// it ([`Self::lane_for`]'s default).
+    #[must_use]
+    pub fn lanes(&self) -> Vec<VirtualLane> {
+        let mut lanes: Vec<VirtualLane> = match self {
+            Self::SingleVl => Vec::new(),
+            Self::PerDestination(map) => map.values().copied().collect(),
+            Self::PerSwitchPair(map) => map.values().copied().collect(),
+            Self::PerSourceDestination(map) => map.values().copied().collect(),
+        };
+        lanes.push(VirtualLane::VL0);
+        lanes.sort_unstable();
+        lanes.dedup();
+        lanes
+    }
+
     /// Number of distinct lanes in use.
     #[must_use]
     pub fn lanes_used(&self) -> usize {
-        match self {
-            Self::SingleVl => 1,
-            Self::PerDestination(map) => {
-                let mut lanes: Vec<u8> = map.values().map(|v| v.raw()).collect();
-                lanes.sort_unstable();
-                lanes.dedup();
-                lanes.len().max(1)
-            }
-            Self::PerSwitchPair(map) => {
-                let mut lanes: Vec<u8> = map.values().map(|v| v.raw()).collect();
-                lanes.sort_unstable();
-                lanes.dedup();
-                lanes.len().max(1)
-            }
-            Self::PerSourceDestination(map) => {
-                let mut lanes: Vec<u8> = map.values().map(|v| v.raw()).collect();
-                lanes.push(0);
-                lanes.sort_unstable();
-                lanes.dedup();
-                lanes.len()
-            }
-        }
+        self.lanes().len()
     }
 }
 
@@ -220,7 +216,7 @@ mod tests {
         let vls = VlAssignment::PerDestination(map);
         assert_eq!(vls.lane_for(0, 1, Lid::from_raw(5)).raw(), 2);
         assert_eq!(vls.lane_for(0, 1, Lid::from_raw(6)).raw(), 0);
-        assert_eq!(vls.lanes_used(), 1);
+        assert_eq!(vls.lanes_used(), 2);
     }
 
     #[test]
@@ -230,6 +226,6 @@ mod tests {
         map.insert((1u32, 0u32), VirtualLane::new(3).unwrap());
         let vls = VlAssignment::PerSwitchPair(map);
         assert_eq!(vls.lane_for(0, 1, Lid::from_raw(9)).raw(), 1);
-        assert_eq!(vls.lanes_used(), 2);
+        assert_eq!(vls.lanes_used(), 3);
     }
 }

@@ -38,8 +38,9 @@ enum Fallback {
     EngineError,
     /// The splice broke an invariant on a column it touched (or a
     /// fabric-global one); the full sweep recomputes from scratch and
-    /// overwrites whatever the repair installed.
-    VerifyRejected,
+    /// overwrites whatever the repair installed. Carries the class of the
+    /// first rejecting violation, so the fallback counter says *why*.
+    VerifyRejected(ib_verify::InvariantClass),
 }
 
 impl SubnetManager {
@@ -160,8 +161,8 @@ impl SubnetManager {
                 .with_deadlock(self.config().verify)
                 .with_viewpoint(self.sm_node)
                 .verify_observed(subnet, &tables.vls, self.ledger.observer())?;
-            if self.repair_gate_rejects(&report, &touched) {
-                return Ok(Err(Fallback::VerifyRejected));
+            if let Some(class) = self.repair_gate_rejects(&report, &touched) {
+                return Ok(Err(Fallback::VerifyRejected(class)));
             }
             self.count_repair_success();
             match self.route_index.as_mut() {
@@ -232,7 +233,8 @@ impl SubnetManager {
     /// `repair.fallback`, and the per-engine `repair.fallback.<engine>` tag
     /// BENCH and soak output key on — a grid run over the full engine
     /// matrix must show *which* engine degraded to the full sweep, not
-    /// just that one did.
+    /// just that one did. A gate rejection also names the invariant class
+    /// that rejected (`repair.verify_rejected.<class>`).
     fn count_repair_fallback(&self, reason: Fallback) {
         let observer = self.ledger.observer();
         let name = match reason {
@@ -240,7 +242,10 @@ impl SubnetManager {
             Fallback::NoBaseline => "repair.no_baseline",
             Fallback::IndexMiss => "repair.index_misses",
             Fallback::EngineError => "repair.engine_error",
-            Fallback::VerifyRejected => "repair.verify_rejected",
+            Fallback::VerifyRejected(class) => {
+                observer.incr(&format!("repair.verify_rejected.{}", class.name()));
+                "repair.verify_rejected"
+            }
         };
         observer.incr(name);
         observer.incr("repair.fallback");
@@ -262,18 +267,19 @@ impl SubnetManager {
     /// belongs to traps not yet handled. Those are tolerated but counted
     /// (`repair.tolerated_preexisting`). A violation on a column the
     /// repair touched, or a fabric-global one no column owns (`lid: None`
-    /// — addressing clashes, deadlock cycles), still rejects the repair.
+    /// — addressing clashes, deadlock cycles), still rejects the repair:
+    /// the class of the first such violation is returned.
     fn repair_gate_rejects(
         &self,
         report: &ib_verify::VerifyReport,
         touched: &HashSet<Lid>,
-    ) -> bool {
+    ) -> Option<ib_verify::InvariantClass> {
         let mut tolerated = 0u64;
-        let mut rejects = false;
+        let mut rejects = None;
         for v in &report.violations {
             match v.lid {
                 Some(lid) if !touched.contains(&lid) => tolerated += 1,
-                _ => rejects = true,
+                _ => rejects = rejects.or(Some(v.class)),
             }
         }
         if tolerated > 0 {

@@ -73,6 +73,14 @@ impl Lft {
         self.entries.len() / LFT_BLOCK_SIZE
     }
 
+    /// The whole table as one row indexed by raw LID (block-padded; LIDs
+    /// past its end are unset) — what the verifier's flat kernels scan.
+    #[inline]
+    #[must_use]
+    pub fn entries(&self) -> &[Option<PortNum>] {
+        &self.entries
+    }
+
     /// The forwarding port for `lid`, or `None` if unreachable/unset.
     #[must_use]
     pub fn get(&self, lid: Lid) -> Option<PortNum> {

@@ -24,18 +24,21 @@ impl PortNum {
     }
 
     /// Raw value.
+    #[inline]
     #[must_use]
     pub const fn raw(self) -> u8 {
         self.0
     }
 
     /// Whether this is the management port.
+    #[inline]
     #[must_use]
     pub const fn is_management(self) -> bool {
         self.0 == 0
     }
 
     /// Whether this is the drop pseudo-port.
+    #[inline]
     #[must_use]
     pub const fn is_drop(self) -> bool {
         self.0 == crate::DROP_PORT

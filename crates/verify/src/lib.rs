@@ -16,10 +16,15 @@
 //!    destination LID;
 //! 3. **Deadlock-freedom** — the channel dependency graph induced by the
 //!    installed tables (per virtual lane, when the engine layered them) is
-//!    acyclic, reusing the `ib-routing` CDG machinery;
+//!    acyclic;
 //! 4. **vSwitch addressing** — no LID is owned by two endpoints, every
 //!    registered LID resolves to a live port, and (via [`LftSnapshot`])
 //!    a swap/copy touches only the rows of the LIDs it was asked to move.
+//!
+//! Invariants 1–3 run as flat array kernels over one dense view of the
+//! installed state built per pass (`view.rs`): no table is cloned, each
+//! (switch, LID) cell is classified once, and the channel dependency graph
+//! is a per-lane bitset keyed by `(switch, out-port)`.
 //!
 //! Verification is read-only and deterministic: the same subnet state
 //! produces the same [`VerifyReport`], byte for byte, regardless of worker
@@ -35,6 +40,7 @@ mod affected;
 mod rindex;
 mod snapshot;
 mod verifier;
+mod view;
 
 pub use affected::affected_destinations;
 pub use rindex::ReverseRouteIndex;

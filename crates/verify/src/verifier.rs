@@ -2,11 +2,13 @@
 //! installed LFTs.
 
 use ib_observe::Observer;
-use ib_routing::cdg::Cdg;
-use ib_routing::{RoutingTables, SwitchGraph, VlAssignment};
+use ib_routing::{Destination, SwitchGraph, VlAssignment};
 use ib_subnet::{NodeId, Subnet};
 use ib_types::{IbResult, Lid};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashMap;
+
+use crate::view::DeadEnd::{Drop, MissingRow, NoLft};
+use crate::view::{Column, FabricView, NextHop, NO_CHANNEL};
 
 /// Which invariant a violation breaks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -129,16 +131,6 @@ impl std::fmt::Display for VerifyReport {
     }
 }
 
-/// Where one switch's LFT sends a packet for one destination.
-enum NextHop {
-    /// Arrives at the destination endpoint.
-    Deliver,
-    /// Forwards to another switch (by dense index).
-    To(usize),
-    /// Terminal failure, with the reason.
-    Dead(String),
-}
-
 /// Checks the four fabric invariants against a subnet's *installed* LFTs.
 ///
 /// Construction is free; every check is read-only. The verifier is
@@ -224,43 +216,49 @@ impl FabricVerifier {
         observer: &Observer,
     ) -> IbResult<VerifyReport> {
         let _span = observer.span("verify.run");
-        let switches: Vec<NodeId> = subnet.switches().map(|n| n.id).collect();
-        let index_of: FxHashMap<NodeId, usize> = switches
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
+        let view = FabricView::new(subnet);
         let lids = subnet.lids();
-
-        // Reachability awareness: label the live switch components once,
-        // so a missing LFT row can be judged legal (the destination is
-        // genuinely beyond a split) or a violation (it is reachable and
-        // the row should exist) — and a *present* row toward an
-        // unreachable destination becomes a stale-route finding.
-        let comp = switch_components(subnet, &switches, &index_of);
-        let scope = self
-            .viewpoint
-            .and_then(|vp| component_of(subnet, vp, &index_of, &comp));
+        let scope = self.viewpoint.and_then(|vp| view.component_of(vp));
+        // Invariant 3 keeps `SwitchGraph::build`'s error contract: an HCA
+        // holding a LID without a live uplink fails the pass outright.
+        let graph = self
+            .deadlock
+            .then(|| SwitchGraph::build(subnet))
+            .transpose()?;
 
         let mut violations = Vec::new();
-        self.check_addressing(subnet, &mut violations);
-        for &lid in &lids {
-            self.check_forwarding(
-                subnet,
-                &switches,
-                &index_of,
-                &comp,
-                scope,
-                lid,
-                &mut violations,
-            );
+        {
+            let _span = observer.span("verify.addressing");
+            self.check_addressing(subnet, &mut violations);
         }
-        if self.deadlock {
-            self.check_deadlock(subnet, vls, &mut violations)?;
+        // One pass over the destination columns, each gathered and
+        // classified once: the forwarding walks read it, and — with the
+        // deadlock check on — so do the channel dependencies it induces.
+        let mut deps = graph
+            .as_ref()
+            .map(|g| ChannelDeps::new(&view, vls, g.destinations()));
+        {
+            let _span = observer.span("verify.forwarding");
+            let mut col = view.column();
+            let mut walk = WalkScratch::new(view.len(), scope);
+            for (i, &lid) in lids.iter().enumerate() {
+                let Some(target) = subnet.endpoint_of(lid) else {
+                    continue; // Already reported by the addressing check.
+                };
+                view.gather(lid, target.node, &mut col);
+                self.check_forwarding(&view, lid, target.node, &col, &mut walk, &mut violations);
+                if let Some(deps) = &mut deps {
+                    deps.absorb(&view, i, &col, self.max_hops);
+                }
+            }
+        }
+        if let Some(deps) = &deps {
+            let _span = observer.span("verify.deadlock");
+            deps.report_cycles(&view, &mut violations);
         }
 
         let report = VerifyReport {
-            switches: switches.len(),
+            switches: view.len(),
             lids: lids.len(),
             violations,
         };
@@ -363,65 +361,61 @@ impl FabricVerifier {
         }
     }
 
-    /// Invariants 1 + 2 for one destination: every switch that can still
-    /// reach the LID's endpoint must deliver without revisiting a switch;
-    /// every switch that *cannot* (the fabric is split) must hold an
-    /// **empty or drop** row — one toward a real port is a stale route
+    /// Invariants 1 + 2 for one destination column: every switch that can
+    /// still reach the LID's endpoint must deliver without revisiting a
+    /// switch; every switch that *cannot* (the fabric is split) must hold
+    /// an **empty or drop** row — one toward a real port is a stale route
     /// into the lost component.
-    #[allow(clippy::too_many_arguments)]
     fn check_forwarding(
         &self,
-        subnet: &Subnet,
-        switches: &[NodeId],
-        index_of: &FxHashMap<NodeId, usize>,
-        comp: &[u32],
-        scope: Option<u32>,
+        view: &FabricView<'_>,
         lid: Lid,
+        target: NodeId,
+        col: &Column,
+        walk: &mut WalkScratch,
         out: &mut Vec<Violation>,
     ) {
-        let Some(target) = subnet.endpoint_of(lid) else {
-            return; // Already reported by the addressing check.
-        };
+        let subnet = view.subnet;
+        let name = |s: usize| subnet.name_of(view.switches[s]);
         // The component the destination is delivered in; `None` when no
         // live delivery switch exists (the endpoint itself is gone), which
         // makes the LID unreachable from everywhere.
-        let dest_comp = component_of(subnet, target.node, index_of, comp);
+        let dest_comp = view.component_of(target);
         // One bounded table walk per switch, memoized through `outcome` so
         // shared suffixes are walked once; terminal failures and loops are
         // reported once per destination, not once per upstream switch.
-        let next: Vec<NextHop> = switches
-            .iter()
-            .map(|&sw| self.next_hop(subnet, index_of, sw, lid, target.node))
-            .collect();
-
         const UNKNOWN: u8 = 0;
         const ON_PATH: u8 = 1;
         const OK: u8 = 2;
         const BAD: u8 = 3;
-        let mut outcome = vec![UNKNOWN; switches.len()];
-        let mut reported: FxHashSet<usize> = FxHashSet::default();
+        let WalkScratch {
+            scope,
+            outcome,
+            reported,
+            path,
+        } = walk;
+        outcome.fill(UNKNOWN);
+        reported.fill(false);
+        let mut report = |s: usize| !std::mem::replace(&mut reported[s], true);
 
-        for start in 0..switches.len() {
-            if scope.is_some_and(|sc| comp[start] != sc) {
+        for start in 0..view.len() {
+            let comp = view.component(start);
+            if scope.is_some_and(|sc| comp != sc) {
                 // Beyond the viewpoint's split: not governable, not judged.
                 continue;
             }
-            if dest_comp != Some(comp[start]) {
+            if dest_comp != Some(comp) {
                 // The destination is unreachable from this switch: the
                 // legal degraded states are an empty row or an explicit
                 // drop (distribution pads cleared rows to the drop port,
                 // OpenSM-style). A row toward a *port* points into the
                 // lost component and is stale.
-                if subnet
-                    .lft(switches[start])
-                    .and_then(|lft| lft.get(lid))
-                    .is_some_and(|p| !p.is_drop())
-                {
+                if !matches!(col.next[start], NextHop::Dead(NoLft | MissingRow | Drop)) {
                     out.push(Violation {
                         class: InvariantClass::StaleRoute,
                         detail: format!(
                             "LID {lid} at {}: stale route toward an unreachable destination",
-                            subnet.name_of(switches[start])
+                            name(start)
                         ),
                         lid: Some(lid),
                     });
@@ -431,36 +425,37 @@ impl FabricVerifier {
             if outcome[start] != UNKNOWN {
                 continue;
             }
-            let mut path = vec![start];
+            path.clear();
+            path.push(start);
             outcome[start] = ON_PATH;
             let verdict = loop {
                 let cur = *path.last().unwrap_or(&start);
-                match &next[cur] {
+                match col.next[cur] {
                     NextHop::Deliver => break OK,
-                    NextHop::Dead(reason) => {
-                        if reported.insert(cur) {
+                    NextHop::Dead(why) => {
+                        if report(cur) {
                             out.push(Violation {
                                 class: InvariantClass::BlackHole,
                                 detail: format!(
-                                    "LID {lid} at {}: {reason}",
-                                    subnet.name_of(switches[cur])
+                                    "LID {lid} at {}: {}",
+                                    name(cur),
+                                    why.reason(subnet)
                                 ),
                                 lid: Some(lid),
                             });
                         }
                         break BAD;
                     }
-                    &NextHop::To(v) => match outcome[v] {
+                    NextHop::To(v) => match outcome[v as usize] {
                         OK => break OK,
                         BAD => break BAD,
                         ON_PATH => {
                             // The walk re-entered its own path: a cycle.
+                            let v = v as usize;
                             let from = path.iter().position(|&s| s == v).unwrap_or(0);
-                            if reported.insert(v) {
-                                let names: Vec<&str> = path[from..]
-                                    .iter()
-                                    .map(|&s| subnet.name_of(switches[s]))
-                                    .collect();
+                            if report(v) {
+                                let names: Vec<&str> =
+                                    path[from..].iter().map(|&s| name(s)).collect();
                                 out.push(Violation {
                                     class: InvariantClass::ForwardingLoop,
                                     detail: format!(
@@ -474,12 +469,12 @@ impl FabricVerifier {
                         }
                         _ => {
                             if path.len() > self.max_hops {
-                                if reported.insert(cur) {
+                                if report(cur) {
                                     out.push(Violation {
                                         class: InvariantClass::ForwardingLoop,
                                         detail: format!(
                                             "LID {lid}: walk from {} exceeded {} hops",
-                                            subnet.name_of(switches[start]),
+                                            name(start),
                                             self.max_hops
                                         ),
                                         lid: Some(lid),
@@ -487,240 +482,212 @@ impl FabricVerifier {
                                 }
                                 break BAD;
                             }
-                            outcome[v] = ON_PATH;
-                            path.push(v);
+                            outcome[v as usize] = ON_PATH;
+                            path.push(v as usize);
                         }
                     },
                 }
             };
-            for s in path {
+            for &s in path.iter() {
                 outcome[s] = verdict;
             }
         }
     }
+}
 
-    /// Resolves one switch's LFT entry for `lid` into a [`NextHop`].
-    fn next_hop(
-        &self,
-        subnet: &Subnet,
-        index_of: &FxHashMap<NodeId, usize>,
-        sw: NodeId,
-        lid: Lid,
-        target: NodeId,
-    ) -> NextHop {
-        if sw == target {
-            return NextHop::Deliver;
+/// The forwarding walk's state, allocated once per pass.
+struct WalkScratch {
+    /// The viewpoint's component, when verification is scoped to it.
+    scope: Option<u32>,
+    /// Memoized verdict per switch.
+    outcome: Vec<u8>,
+    /// Switches a violation was already reported at for this column.
+    reported: Vec<bool>,
+    /// The walk in progress.
+    path: Vec<usize>,
+}
+
+impl WalkScratch {
+    fn new(switches: usize, scope: Option<u32>) -> Self {
+        Self {
+            scope,
+            outcome: vec![0; switches],
+            reported: vec![false; switches],
+            path: Vec::new(),
         }
-        let Some(lft) = subnet.lft(sw) else {
-            return NextHop::Dead("no LFT installed".into());
-        };
-        let Some(port) = lft.get(lid) else {
-            return NextHop::Dead("missing LFT row".into());
-        };
-        if port.is_drop() {
-            return NextHop::Dead("row is an explicit drop".into());
+    }
+}
+
+/// Invariant 3's store: the channel dependency graph of the installed
+/// tables, per lane, as bitsets. A channel is `(switch, out-port)` with
+/// dense id `switch * stride + port`; it determines the next switch, so
+/// its successors are a mask over *that* switch's ports —
+/// `stride.div_ceil(64)` words per channel and lane, no interning.
+struct ChannelDeps<'a> {
+    vls: &'a VlAssignment,
+    /// Every registered LID's delivery switch, in ascending LID order.
+    dests: &'a [Destination],
+    /// Lanes in use, ascending.
+    lanes: Vec<u8>,
+    /// Raw lane → index into `lanes`.
+    slot_of: Vec<usize>,
+    stride: usize,
+    /// Mask words per channel.
+    words: usize,
+    /// Channels per lane (`switches * stride`).
+    channels: usize,
+    /// `masks[(slot * channels + channel) * words ..][..words]`.
+    masks: Vec<u64>,
+}
+
+impl<'a> ChannelDeps<'a> {
+    fn new(view: &FabricView<'_>, vls: &'a VlAssignment, dests: &'a [Destination]) -> Self {
+        let lanes: Vec<u8> = vls.lanes().iter().map(|l| l.raw()).collect();
+        let mut slot_of = vec![0; lanes.last().map_or(0, |&l| l as usize) + 1];
+        for (slot, &lane) in lanes.iter().enumerate() {
+            slot_of[lane as usize] = slot;
         }
-        if port.is_management() {
-            return NextHop::Dead("row terminates at the wrong switch".into());
-        }
-        let Some(remote) = subnet.neighbor(sw, port) else {
-            return NextHop::Dead(format!("row forwards into downed/uncabled port {port}"));
-        };
-        if remote.node == target {
-            return NextHop::Deliver;
-        }
-        if subnet.node(remote.node).is_hca() {
-            return NextHop::Dead(format!(
-                "delivered to wrong endpoint {}",
-                subnet.name_of(remote.node)
-            ));
-        }
-        match index_of.get(&remote.node) {
-            Some(&j) => NextHop::To(j),
-            None => NextHop::Dead(format!(
-                "forwards into non-switch {}",
-                subnet.name_of(remote.node)
-            )),
+        let words = view.stride.div_ceil(64);
+        let channels = view.len() * view.stride;
+        Self {
+            vls,
+            dests,
+            masks: vec![0; lanes.len() * channels * words],
+            lanes,
+            slot_of,
+            stride: view.stride,
+            words,
+            channels,
         }
     }
 
-    /// Invariant 3: the CDG of the installed tables is acyclic per lane.
-    fn check_deadlock(
-        &self,
-        subnet: &Subnet,
-        vls: &VlAssignment,
-        out: &mut Vec<Violation>,
-    ) -> IbResult<()> {
-        let g = SwitchGraph::build(subnet)?;
-        let tables = RoutingTables::from_installed(subnet);
+    /// Records "a packet may hold `from` while requesting `to`" on a lane;
+    /// `to` leaves the switch `from` leads to.
+    #[inline]
+    fn add(&mut self, slot: usize, from: u32, to: u32) {
+        let port = to as usize % self.stride;
+        self.masks[(slot * self.channels + from as usize) * self.words + port / 64] |=
+            1 << (port % 64);
+    }
+
+    /// Adds the dependencies the `i`-th destination's column induces. Lane shapes
+    /// that are a function of the destination take every (switch, next
+    /// switch) cell pair; path-granular shapes walk each source's path and
+    /// book its channel chain on *its* lane only.
+    fn absorb(&mut self, view: &FabricView<'_>, i: usize, col: &Column, max_hops: usize) {
+        let (vls, dest) = (self.vls, self.dests[i]);
         match vls {
-            VlAssignment::SingleVl => {
-                let cdg = Cdg::from_tables(&g, &tables, |_| true);
-                Self::report_cdg_cycle(subnet, &g, &cdg, 0, out);
-            }
-            VlAssignment::PerDestination(map) => {
-                let mut lanes: Vec<u8> = map.values().map(|v| v.raw()).collect();
-                lanes.push(0);
-                lanes.sort_unstable();
-                lanes.dedup();
-                for lane in lanes {
-                    let cdg =
-                        Cdg::from_tables(&g, &tables, |d| vls.lane_for(0, 0, d.lid).raw() == lane);
-                    Self::report_cdg_cycle(subnet, &g, &cdg, lane, out);
+            VlAssignment::SingleVl | VlAssignment::PerDestination(_) => {
+                let slot = self.slot_of[vls.lane_for(0, 0, dest.lid).raw() as usize];
+                for &held in &col.chan {
+                    if held == NO_CHANNEL {
+                        continue;
+                    }
+                    let wanted = col.chan[view.channel_head(held)];
+                    if wanted != NO_CHANNEL {
+                        self.add(slot, held, wanted);
+                    }
                 }
             }
             VlAssignment::PerSwitchPair(_) | VlAssignment::PerSourceDestination(_) => {
-                self.check_deadlock_per_path(subnet, &g, &tables, vls, out);
-            }
-        }
-        Ok(())
-    }
-
-    /// Per-path CDG construction for path-granular lane assignments: each
-    /// (source switch, destination) path contributes its channel chain to
-    /// the CDG of *its* lane only.
-    fn check_deadlock_per_path(
-        &self,
-        subnet: &Subnet,
-        g: &SwitchGraph,
-        tables: &RoutingTables,
-        vls: &VlAssignment,
-        out: &mut Vec<Violation>,
-    ) {
-        // Per-switch port -> neighbor-switch map, as in Cdg::absorb_tables.
-        let port_to_switch: Vec<FxHashMap<u8, usize>> = (0..g.len())
-            .map(|s| {
-                g.neighbors(s)
-                    .iter()
-                    .map(|&(v, p)| (p.raw(), v as usize))
-                    .collect()
-            })
-            .collect();
-        let mut lanes: FxHashMap<u8, Cdg> = FxHashMap::default();
-        for dest in g.destinations() {
-            let mut next: Vec<Option<(u8, usize)>> = vec![None; g.len()];
-            for (s, n) in next.iter_mut().enumerate() {
-                let Some(lft) = tables.lfts.get(&g.node_id(s)) else {
-                    continue;
-                };
-                if let Some(p) = lft.get(dest.lid) {
-                    if !p.is_management() {
-                        if let Some(&v) = port_to_switch[s].get(&p.raw()) {
-                            *n = Some((p.raw(), v));
+                for src in (0..view.len()).filter(|&s| s != dest.switch) {
+                    let lane = vls.lane_for(src as u32, dest.switch as u32, dest.lid);
+                    let slot = self.slot_of[lane.raw() as usize];
+                    let mut cur = src;
+                    let mut held = NO_CHANNEL;
+                    for _ in 0..max_hops {
+                        let wanted = col.chan[cur];
+                        if wanted == NO_CHANNEL {
+                            break;
+                        }
+                        if held != NO_CHANNEL {
+                            self.add(slot, held, wanted);
+                        }
+                        held = wanted;
+                        cur = view.channel_head(wanted);
+                        if cur == dest.switch {
+                            break;
                         }
                     }
                 }
             }
-            for s in 0..g.len() {
-                if s == dest.switch {
-                    continue;
-                }
-                let lane = vls.lane_for(s as u32, dest.switch as u32, dest.lid).raw();
-                let cdg = lanes.entry(lane).or_default();
-                let mut cur = s;
-                let mut prev: Option<usize> = None;
-                for _ in 0..self.max_hops {
-                    let Some((p, v)) = next[cur] else { break };
-                    let ch = cdg.intern((cur as u32, p));
-                    if let Some(pc) = prev {
-                        cdg.add_edge(pc, ch, dest.lid.raw());
-                    }
-                    prev = Some(ch);
-                    cur = v;
-                    if cur == dest.switch {
-                        break;
-                    }
-                }
+        }
+    }
+
+    /// One dependency cycle per lane (ascending), if any, as a violation.
+    fn report_cycles(&self, view: &FabricView<'_>, out: &mut Vec<Violation>) {
+        for (slot, lane) in self.lanes.iter().enumerate() {
+            if let Some(cycle) = self.find_cycle(view, slot) {
+                let chain: Vec<String> = cycle
+                    .iter()
+                    .map(|&c| {
+                        let (s, p) = (c as usize / self.stride, c as usize % self.stride);
+                        format!("{}:p{p}", view.subnet.name_of(view.switches[s]))
+                    })
+                    .collect();
+                out.push(Violation {
+                    class: InvariantClass::DeadlockCycle,
+                    detail: format!("VL{lane} channel dependency cycle: {}", chain.join(" -> ")),
+                    lid: None,
+                });
             }
         }
-        let mut ordered: Vec<(u8, Cdg)> = lanes.into_iter().collect();
-        ordered.sort_unstable_by_key(|&(lane, _)| lane);
-        for (lane, cdg) in &ordered {
-            Self::report_cdg_cycle(subnet, g, cdg, *lane, out);
-        }
     }
 
-    /// Renders one CDG cycle (if any) as a deadlock violation.
-    fn report_cdg_cycle(
-        subnet: &Subnet,
-        g: &SwitchGraph,
-        cdg: &Cdg,
-        lane: u8,
-        out: &mut Vec<Violation>,
-    ) {
-        if let Some(cycle) = cdg.find_cycle() {
-            let chain: Vec<String> = cycle
-                .iter()
-                .map(|&id| {
-                    let (s, p) = cdg.channel(id);
-                    format!("{}:p{}", subnet.name_of(g.node_id(s as usize)), p)
-                })
-                .collect();
-            out.push(Violation {
-                class: InvariantClass::DeadlockCycle,
-                detail: format!("VL{lane} channel dependency cycle: {}", chain.join(" -> ")),
-                lid: None,
-            });
-        }
-    }
-}
-
-/// Labels the live switch components: BFS over switch-switch cables that
-/// are up on both ends, in switch-list order (deterministic labels).
-fn switch_components(
-    subnet: &Subnet,
-    switches: &[NodeId],
-    index_of: &FxHashMap<NodeId, usize>,
-) -> Vec<u32> {
-    let mut label = vec![u32::MAX; switches.len()];
-    let mut queue: Vec<usize> = Vec::new();
-    let mut count = 0u32;
-    for root in 0..switches.len() {
-        if label[root] != u32::MAX {
-            continue;
-        }
-        label[root] = count;
-        queue.clear();
-        queue.push(root);
-        let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
-            head += 1;
-            for (_, remote) in subnet.node(switches[u]).connected_ports() {
-                let Some(&v) = index_of.get(&remote.node) else {
+    /// Iterative three-colour DFS over one lane's masks. Returns a channel
+    /// sequence where each element depends on the next and the last on the
+    /// first, or `None` when the lane is acyclic.
+    fn find_cycle(&self, view: &FabricView<'_>, slot: usize) -> Option<Vec<u32>> {
+        const WHITE: u8 = 0;
+        const GRAY: u8 = 1;
+        const BLACK: u8 = 2;
+        let lane = &self.masks[slot * self.channels * self.words..][..self.channels * self.words];
+        let mask = |c: usize| &lane[c * self.words..][..self.words];
+        let mut color = vec![WHITE; self.channels];
+        // (channel, next successor port to try); the stack is the gray path.
+        let mut stack: Vec<(u32, usize)> = Vec::new();
+        for start in 0..self.channels {
+            if color[start] != WHITE || mask(start).iter().all(|&w| w == 0) {
+                continue;
+            }
+            color[start] = GRAY;
+            stack.push((start as u32, 0));
+            while let Some((held, from)) = stack.last_mut() {
+                let Some(port) = next_set_bit(mask(*held as usize), *from) else {
+                    color[*held as usize] = BLACK;
+                    stack.pop();
                     continue;
                 };
-                if label[v] == u32::MAX {
-                    label[v] = count;
-                    queue.push(v);
+                *from = port + 1;
+                let wanted = view.channel_head(*held) * self.stride + port;
+                match color[wanted] {
+                    WHITE => {
+                        color[wanted] = GRAY;
+                        stack.push((wanted as u32, 0));
+                    }
+                    GRAY => {
+                        let at = stack.iter().position(|&(c, _)| c as usize == wanted)?;
+                        return Some(stack[at..].iter().map(|&(c, _)| c).collect());
+                    }
+                    _ => {}
                 }
             }
         }
-        count += 1;
+        None
     }
-    label
 }
 
-/// The component a node's traffic is delivered in: a switch's own label,
-/// or — for an HCA — the label of its live attached switch. `None` when
-/// the node is dead or has no live switch uplink (unreachable from
-/// everywhere).
-fn component_of(
-    subnet: &Subnet,
-    node: NodeId,
-    index_of: &FxHashMap<NodeId, usize>,
-    comp: &[u32],
-) -> Option<u32> {
-    if !subnet.is_alive(node) {
-        return None;
+/// The lowest set bit at or above `from` in a little-endian word mask.
+fn next_set_bit(words: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut word = *words.get(w)? & (!0 << (from % 64));
+    loop {
+        if word != 0 {
+            return Some(w * 64 + word.trailing_zeros() as usize);
+        }
+        w += 1;
+        word = *words.get(w)?;
     }
-    if let Some(&i) = index_of.get(&node) {
-        return Some(comp[i]);
-    }
-    subnet
-        .node(node)
-        .connected_ports()
-        .find_map(|(_, remote)| index_of.get(&remote.node).map(|&i| comp[i]))
 }
 
 #[cfg(test)]
@@ -953,5 +920,16 @@ mod tests {
             snap.counter("verify.black_holes"),
             report.count(InvariantClass::BlackHole) as u64
         );
+        // One child span per invariant, in order, nested inside the run.
+        let run = snap.spans_named("verify.run");
+        assert_eq!(run.len(), 1);
+        let mut at = run[0].start_ns;
+        for name in ["verify.addressing", "verify.forwarding", "verify.deadlock"] {
+            let child = snap.spans_named(name);
+            assert_eq!(child.len(), 1, "{name}");
+            assert!(child[0].start_ns >= at, "{name} starts after its sibling");
+            at = child[0].start_ns + child[0].duration_ns;
+        }
+        assert!(at <= run[0].start_ns + run[0].duration_ns);
     }
 }

@@ -13,7 +13,7 @@ use ib_mad::SmpTransport;
 use ib_observe::Observer;
 use ib_routing::{EngineKind, RoutingOptions, SwitchGraph, VlAssignment};
 use ib_sm::{SmConfig, SubnetManager, SweepKind, Trap};
-use ib_subnet::topology::fattree::{paper_324, paper_648, two_level};
+use ib_subnet::topology::fattree::{paper_324, paper_648, three_level, two_level};
 use ib_subnet::topology::torus::torus_2d;
 use ib_subnet::topology::BuiltTopology;
 use ib_subnet::{NodeId, Subnet};
@@ -565,4 +565,139 @@ fn batched_repair_beats_serial_on_a_648_tree_burst() {
         "batch must verify strictly fewer times: {batch_verifies} vs {serial_verifies}"
     );
     assert_eq!(batch_lfts, serial_lfts, "byte-identical final tables");
+}
+
+/// Answers the link-state trap of `(node, port)` over a perfect transport.
+fn answer_trap(
+    t: &mut BuiltTopology,
+    sm: &mut SubnetManager,
+    node: NodeId,
+    port: PortNum,
+) -> ib_sm::ResweepReport {
+    let mut transport = SmpTransport::perfect(sm.sm_node);
+    sm.handle_trap(
+        &mut t.subnet,
+        Trap::LinkStateChange { node, port },
+        &mut transport,
+    )
+    .expect("trap handled")
+}
+
+/// Downs `(node, port)` and answers the trap.
+fn down_and_trap(
+    t: &mut BuiltTopology,
+    sm: &mut SubnetManager,
+    node: NodeId,
+    port: PortNum,
+) -> ib_sm::ResweepReport {
+    t.subnet.set_link_down(node, port).expect("link down");
+    answer_trap(t, sm, node, port)
+}
+
+/// The installed tables verify clean under the installed VL layering and
+/// the reverse route index mirrors them.
+fn assert_converged(t: &BuiltTopology, sm: &SubnetManager, tag: &str) {
+    let vls = sm.installed_vls().expect("tables installed");
+    let report = FabricVerifier::new()
+        .verify_with_vls(&t.subnet, vls)
+        .expect("verifier");
+    assert!(report.is_clean(), "{tag}: {report}");
+    assert_eq!(
+        sm.verify_route_index(&t.subnet),
+        Vec::<String>::new(),
+        "{tag}"
+    );
+}
+
+/// The `VerifyRejected` fallback, pinned on a 48-switch reproducer: on
+/// `three_level(4,4,4,4)` with the fat-tree engine, downing a leaf's
+/// *last* uplink makes the sticky switch-column picks close a VL1 channel
+/// dependency cycle. The gate must reject the splice, say why, and the
+/// light sweep it falls back to must leave a clean fabric — at fewer SMPs
+/// than the neighbouring uplink's accepted repair, so nothing is lost but
+/// the wall time. (The same thing happens on leaf port 36 of the 5832-node
+/// tree; fixing the sticky pick is a ROADMAP item.)
+#[test]
+fn a_leafs_last_uplink_down_is_rejected_by_the_gate_and_swept_clean() {
+    let config = SmConfig {
+        engine: EngineKind::FatTree,
+        repair: true,
+        verify: true,
+        ..SmConfig::default()
+    };
+    let run = |port: u8| {
+        let (mut t, mut sm) = bring_up(three_level(4, 4, 4, 4), config);
+        let leaf = t.switch_levels[0][1];
+        let report = down_and_trap(&mut t, &mut sm, leaf, PortNum::new(port));
+        assert!(report.failed_blocks.is_empty());
+        assert_converged(&t, &sm, &format!("leaf-0-1 port {port}"));
+        let snap = sm.observer().snapshot().expect("metrics on");
+        (report, snap)
+    };
+
+    let (last, snap) = run(8);
+    assert_eq!(last.kind, SweepKind::Light, "the gate rejected the splice");
+    assert_eq!(snap.counter("repair.attempts"), 1);
+    assert_eq!(snap.counter("repair.verify_rejected"), 1);
+    assert_eq!(snap.counter("repair.verify_rejected.deadlock-cycle"), 1);
+    assert_eq!(snap.counter("repair.fallback.fat-tree"), 1);
+    assert_eq!(snap.counter("repair.success"), 0);
+
+    let (neighbour, snap) = run(7);
+    assert_eq!(neighbour.kind, SweepKind::Repair);
+    assert_eq!(snap.counter("repair.verify_rejected"), 0);
+    assert_eq!(snap.counter("repair.success"), 1);
+    assert!(last.distribution.lft_smps > 0);
+    assert!(last.distribution.lft_smps <= neighbour.distribution.lft_smps);
+}
+
+/// Three-level fabrics in tier-1: on `three_level(6,6,6,6)` (216 hosts,
+/// 108 switches) the tree-shaped engines bring up clean, answer a mid-core
+/// and a leaf-mid link-down with a `Repair` sweep no costlier than the
+/// full sweep of a twin fabric, and stay verifier-clean with a faithful
+/// route index after the repair and after the link-up heal.
+#[test]
+fn three_level_fabrics_repair_and_heal_clean() {
+    for engine in [EngineKind::FatTree, EngineKind::MinHop, EngineKind::UpDown] {
+        let config = |repair| SmConfig {
+            engine,
+            repair,
+            verify: true,
+            ..SmConfig::default()
+        };
+        // (level, switch within the level, port): a mid's first core
+        // uplink and a leaf's first mid uplink.
+        for (level, port) in [(1usize, 7u8), (0, 7)] {
+            let tag = format!("{} level {level}", engine.name());
+            let port = PortNum::new(port);
+            let (mut t, mut sm) = bring_up(three_level(6, 6, 6, 6), config(true));
+            assert_converged(&t, &sm, &tag);
+            let node = t.switch_levels[level][2];
+            let remote = t.subnet.neighbor(node, port).expect("cabled");
+            assert!(t.subnet.node(remote.node).is_physical_switch(), "{tag}");
+
+            let repair = down_and_trap(&mut t, &mut sm, node, port);
+            assert_eq!(repair.kind, SweepKind::Repair, "{tag}");
+            assert!(repair.failed_blocks.is_empty(), "{tag}");
+            assert_converged(&t, &sm, &format!("{tag} repaired"));
+
+            let (mut twin, mut twin_sm) = bring_up(three_level(6, 6, 6, 6), config(false));
+            let full = down_and_trap(&mut twin, &mut twin_sm, node, port);
+            assert_eq!(full.kind, SweepKind::Light, "{tag}");
+            assert!(
+                repair.distribution.lft_smps <= full.distribution.lft_smps,
+                "{tag}: repair {} vs full {} SMPs",
+                repair.distribution.lft_smps,
+                full.distribution.lft_smps
+            );
+
+            t.subnet.set_link_up(node, port).expect("link up");
+            let heal = answer_trap(&mut t, &mut sm, node, port);
+            assert_eq!(heal.kind, SweepKind::Light, "{tag}");
+            assert_converged(&t, &sm, &format!("{tag} healed"));
+            let snap = sm.observer().snapshot().expect("metrics on");
+            assert_eq!(snap.counter("repair.success"), 1, "{tag}");
+            assert_eq!(snap.counter("repair.fallback"), 0, "{tag}");
+        }
+    }
 }

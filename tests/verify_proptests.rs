@@ -12,12 +12,17 @@ use rand::{Rng, SeedableRng};
 
 use ib_core::migration::{swap_on_fabric, MigrationOptions};
 use ib_mad::SmpLedger;
+use std::collections::HashSet;
+
+use ib_routing::cdg::{Cdg, Channel};
 use ib_routing::testutil::{assign_lids, host_lid};
-use ib_routing::EngineKind;
+use ib_routing::{EngineKind, RoutingTables, SwitchGraph, VlAssignment};
 use ib_sm::{SmConfig, SubnetManager};
-use ib_subnet::topology::fattree::{self, two_level};
+use ib_subnet::topology::fattree::{self, three_level, two_level};
 use ib_subnet::topology::torus::torus_2d;
 use ib_subnet::topology::BuiltTopology;
+use ib_subnet::{NodeId, Subnet};
+use ib_types::{Lid, PortNum};
 use ib_verify::{FabricVerifier, InvariantClass, LftSnapshot};
 
 /// Computes and installs `engine`'s tables on `t`, returning the VL
@@ -306,5 +311,285 @@ fn algorithm1_swap_touches_only_the_swapped_columns() {
         swap_on_fabric(&mut t.subnet, sm_node, a, b, &opts, None, &mut ledger).unwrap();
         let restored = LftSnapshot::capture(&t.subnet);
         assert!(before.diff(&restored).is_empty());
+    }
+}
+
+// ---------------------------------------------------------------------
+// The verifier's flat kernels against an oracle built from public APIs
+// ---------------------------------------------------------------------
+
+/// Every channel dependency the installed tables induce, as
+/// `(lane, held, wanted)`, read cell by cell through `Subnet::neighbor`.
+/// Destination-granular lanes take the (cell, next cell) pair of every
+/// switch; path-granular ones the whole walk of each source.
+fn dependencies(
+    subnet: &Subnet,
+    g: &SwitchGraph,
+    vls: &VlAssignment,
+) -> HashSet<(u8, Channel, Channel)> {
+    let per_path = matches!(
+        vls,
+        VlAssignment::PerSwitchPair(_) | VlAssignment::PerSourceDestination(_)
+    );
+    let mut deps = HashSet::new();
+    for dest in g.destinations() {
+        let channel = |s: usize| {
+            let sw = g.node_id(s);
+            let port = subnet.lft(sw)?.get(dest.lid)?;
+            let far = g.index(subnet.neighbor(sw, port)?.node)?;
+            Some(((s as u32, port.raw()), far))
+        };
+        for src in (0..g.len()).filter(|&s| !per_path || s != dest.switch) {
+            let lane = vls.lane_for(src as u32, dest.switch as u32, dest.lid).raw();
+            let (mut cur, mut held) = (src, None);
+            for _ in 0..if per_path { 64 } else { 2 } {
+                let Some((wanted, far)) = channel(cur) else {
+                    break;
+                };
+                if let Some(held) = held {
+                    deps.insert((lane, held, wanted));
+                }
+                (cur, held) = (far, Some(wanted));
+                if per_path && cur == dest.switch {
+                    break;
+                }
+            }
+        }
+    }
+    deps
+}
+
+/// What the verifier must report as `(class, lid)`, derived the slow way:
+/// one `Subnet::neighbor` walk per (switch, LID) cell for invariants 1 + 2,
+/// and one `Cdg` per lane for invariant 3.
+fn oracle(subnet: &Subnet, vls: &VlAssignment) -> Vec<(InvariantClass, Option<Lid>)> {
+    let g = SwitchGraph::build(subnet).unwrap();
+    let comps = g.components();
+    let mut out = Vec::new();
+    for dest in g.destinations() {
+        let lid = dest.lid;
+        let target = subnet.endpoint_of(lid).unwrap().node;
+        let row = |s: usize| subnet.lft(g.node_id(s)).and_then(|lft| lft.get(lid));
+        // Ok(None) delivers, Ok(Some(j)) forwards to switch j, Err drops.
+        let cell = |s: usize| -> Result<Option<usize>, ()> {
+            if g.node_id(s) == target {
+                return Ok(None);
+            }
+            let port = row(s).filter(|p| !p.is_drop() && !p.is_management());
+            let far = subnet.neighbor(g.node_id(s), port.ok_or(())?).ok_or(())?;
+            if far.node == target {
+                return Ok(None);
+            }
+            g.index(far.node).map(Some).ok_or(())
+        };
+        let mut walked_by = vec![usize::MAX; g.len()];
+        for s in 0..g.len() {
+            if !comps.same(s, dest.switch) {
+                if row(s).is_some_and(|p| !p.is_drop()) {
+                    out.push((InvariantClass::StaleRoute, Some(lid)));
+                }
+                continue;
+            }
+            if cell(s).is_err() {
+                out.push((InvariantClass::BlackHole, Some(lid)));
+            }
+            // A forwarding cycle counts once: for the walk that closes it.
+            let mut cur = s;
+            let closes_a_cycle = loop {
+                if walked_by[cur] != usize::MAX {
+                    break walked_by[cur] == s;
+                }
+                walked_by[cur] = s;
+                match cell(cur) {
+                    Ok(Some(next)) => cur = next,
+                    _ => break false,
+                }
+            };
+            if closes_a_cycle {
+                out.push((InvariantClass::ForwardingLoop, Some(lid)));
+            }
+        }
+    }
+    let tables = RoutingTables::from_installed(subnet);
+    let deps = dependencies(subnet, &g, vls);
+    for lane in vls.lanes() {
+        let cdg = match vls {
+            VlAssignment::SingleVl | VlAssignment::PerDestination(_) => {
+                Cdg::from_tables(&g, &tables, |d| vls.lane_for(0, 0, d.lid) == lane)
+            }
+            _ => {
+                let mut cdg = Cdg::new();
+                for &(_, held, wanted) in deps.iter().filter(|d| d.0 == lane.raw()) {
+                    let (held, wanted) = (cdg.intern(held), cdg.intern(wanted));
+                    cdg.add_edge(held, wanted, 0);
+                }
+                cdg
+            }
+        };
+        if cdg.find_cycle().is_some() {
+            out.push((InvariantClass::DeadlockCycle, None));
+        }
+    }
+    out
+}
+
+/// Verifier == oracle as a `(class, lid)` multiset, and every deadlock
+/// cycle the verifier names is a genuine one: each consecutive channel
+/// pair, and last -> first, is induced by an installed column on that lane.
+fn assert_matches_oracle(
+    subnet: &Subnet,
+    vls: &VlAssignment,
+    tag: &str,
+    seen: &mut HashSet<&'static str>,
+) {
+    let report = FabricVerifier::new().verify_with_vls(subnet, vls).unwrap();
+    let key = |(class, lid): (InvariantClass, Option<Lid>)| (class.name(), lid.map(Lid::raw));
+    let mut got: Vec<_> = report
+        .violations
+        .iter()
+        .map(|v| key((v.class, v.lid)))
+        .collect();
+    let mut want: Vec<_> = oracle(subnet, vls).into_iter().map(key).collect();
+    got.sort_unstable();
+    want.sort_unstable();
+    assert_eq!(got, want, "{tag}: {report}");
+    seen.extend(got.iter().map(|&(class, _)| class));
+
+    let g = SwitchGraph::build(subnet).unwrap();
+    let deps = dependencies(subnet, &g, vls);
+    let by_name = |name: &str| (0..g.len()).find(|&s| subnet.name_of(g.node_id(s)) == name);
+    for v in &report.violations {
+        if v.class != InvariantClass::DeadlockCycle {
+            continue;
+        }
+        // "VL{lane} channel dependency cycle: name:pN -> name:pN -> ..."
+        let (head, chain) = v.detail.split_once(": ").unwrap();
+        let lane: u8 = head[2..head.find(' ').unwrap()].parse().unwrap();
+        let cycle: Vec<Channel> = chain
+            .split(" -> ")
+            .map(|hop| {
+                let (name, port) = hop.rsplit_once(":p").unwrap();
+                (by_name(name).unwrap() as u32, port.parse().unwrap())
+            })
+            .collect();
+        for (i, &held) in cycle.iter().enumerate() {
+            let wanted = cycle[(i + 1) % cycle.len()];
+            assert!(
+                deps.contains(&(lane, held, wanted)),
+                "{tag}: {held:?} -> {wanted:?} is not a VL{lane} dependency: {}",
+                v.detail
+            );
+        }
+    }
+}
+
+/// A random switch-to-switch cable end: `(switch, port, far end)`.
+fn random_switch_link(
+    t: &BuiltTopology,
+    rng: &mut StdRng,
+) -> (NodeId, PortNum, ib_subnet::Endpoint) {
+    let switches = t.all_switches();
+    let sw = switches[rng.gen_range(0..switches.len())];
+    let links: Vec<_> = t
+        .subnet
+        .node(sw)
+        .connected_ports()
+        .filter(|(_, r)| t.subnet.node(r.node).is_switch())
+        .collect();
+    let (port, far) = links[rng.gen_range(0..links.len())];
+    (sw, port, far)
+}
+
+/// Downs every switch-facing port of `sw` (the rows toward it stay).
+fn sever(t: &mut BuiltTopology, sw: NodeId) {
+    let uplinks: Vec<PortNum> = t
+        .subnet
+        .node(sw)
+        .connected_ports()
+        .filter(|(_, r)| t.subnet.node(r.node).is_switch())
+        .map(|(p, _)| p)
+        .collect();
+    for p in uplinks {
+        t.subnet.set_link_down(sw, p).unwrap();
+    }
+}
+
+/// All five engines on the 324 tree, a three-level tree and a 4x4 torus,
+/// clean and under seeded corruptions of every kind the verifier
+/// classifies: the report equals the oracle's, whatever the lane shape.
+#[test]
+fn verifier_matches_a_public_api_oracle_clean_and_corrupted() {
+    let mut rng = StdRng::seed_from_u64(0xFB_07);
+    let mut seen = HashSet::new();
+    let fabrics: [fn() -> BuiltTopology; 3] = [
+        fattree::paper_324,
+        || three_level(4, 4, 4, 4),
+        || torus_2d(4, 4, 2, true),
+    ];
+    for build in fabrics {
+        for engine in EngineKind::all() {
+            let mut base = build();
+            let torus = base.name.starts_with("torus");
+            if torus && engine == EngineKind::FatTree {
+                continue; // Not a layered tree: the engine refuses it.
+            }
+            let vls = install(&mut base, engine);
+            let tag = |case: &str| format!("{} on {}, {case}", engine.name(), base.name);
+            assert_matches_oracle(&base.subnet, &vls, &tag("clean"), &mut seen);
+            if torus {
+                let single = VlAssignment::SingleVl;
+                assert_matches_oracle(
+                    &base.subnet,
+                    &single,
+                    &tag("vls swapped for SingleVl"),
+                    &mut seen,
+                );
+            }
+            let victim = host_lid(&base, rng.gen_range(0..base.hosts.len()));
+            let leaf = base.leaves()[rng.gen_range(0..base.leaves().len())];
+
+            // Misroute: a host's row on its own leaf points at a sibling.
+            let mut t = base.clone();
+            let owner = t.subnet.endpoint_of(victim).unwrap().node;
+            let edge = t.subnet.neighbor(owner, PortNum::new(1)).unwrap().node;
+            let (sibling, _) = (t.subnet.node(edge).connected_ports())
+                .find(|(_, r)| r.node != owner && t.subnet.node(r.node).is_hca())
+                .unwrap();
+            t.subnet.lft_mut(edge).unwrap().set(victim, sibling);
+            assert_matches_oracle(&t.subnet, &vls, &tag("misroute"), &mut seen);
+
+            // Cross-pointing rows across one cable.
+            let mut t = base.clone();
+            let (a, to_b, b) = random_switch_link(&t, &mut rng);
+            t.subnet.lft_mut(a).unwrap().set(victim, to_b);
+            t.subnet.lft_mut(b.node).unwrap().set(victim, b.port);
+            assert_matches_oracle(&t.subnet, &vls, &tag("cross-pointing rows"), &mut seen);
+
+            // A cleared row.
+            let mut t = base.clone();
+            let (sw, _, _) = random_switch_link(&t, &mut rng);
+            t.subnet.lft_mut(sw).unwrap().clear(victim);
+            assert_matches_oracle(&t.subnet, &vls, &tag("cleared row"), &mut seen);
+
+            // Rows into a downed port.
+            let mut t = base.clone();
+            let (sw, port, _) = random_switch_link(&t, &mut rng);
+            t.subnet.set_link_down(sw, port).unwrap();
+            assert_matches_oracle(&t.subnet, &vls, &tag("downed port"), &mut seen);
+
+            // Stale rows on both sides of a severed leaf.
+            let mut t = base.clone();
+            sever(&mut t, leaf);
+            assert_matches_oracle(&t.subnet, &vls, &tag("severed leaf"), &mut seen);
+        }
+    }
+    // The corruptions exercised every class they can produce.
+    for class in [
+        "black-hole",
+        "forwarding-loop",
+        "deadlock-cycle",
+        "stale-route",
+    ] {
+        assert!(seen.contains(class), "no case produced a {class}");
     }
 }
