@@ -29,8 +29,8 @@ use rustc_hash::FxHashMap;
 
 use crate::cdg::{Cdg, Channel};
 use crate::engine::{RoutingEngine, RoutingOptions};
-use crate::graph::{parallel_for_each, SwitchGraph};
-use crate::tables::{stages_to_lfts, RoutingTables, VlAssignment};
+use crate::graph::{parallel_for_each, Destination, SwitchGraph};
+use crate::tables::{stages_to_lfts, RoutingTables, Splice, SpliceLog, VlAssignment};
 
 /// The DFSSSP engine.
 #[derive(Clone, Copy, Debug)]
@@ -214,33 +214,29 @@ impl RoutingEngine for Dfsssp {
     }
 
     /// Incremental repair: Dijkstra only from the dirty destinations'
-    /// delivery switches (weights seeded from the clean columns kept from
-    /// `prior`), splice the dirty columns into `prior`, then re-run the
-    /// layer assignment over the spliced tables — clean paths start on
-    /// their prior lanes, repaired paths start on the base lane, and the
-    /// usual cycle-lifting restores per-lane acyclicity or errors out when
-    /// lanes are exhausted (the SM then falls back to a full sweep).
+    /// delivery switches (weights seeded from the clean columns), write the
+    /// dirty columns over `tables` in place, then re-run the layer
+    /// assignment over the spliced tables — clean paths start on their
+    /// prior lanes, repaired paths start on the base lane, and the usual
+    /// cycle-lifting restores per-lane acyclicity or errors out when lanes
+    /// are exhausted (the columns are put back and the SM falls back to a
+    /// full sweep).
     fn repair_with_graph(
         &self,
         g: &SwitchGraph,
         opts: RoutingOptions,
-        prior: &RoutingTables,
+        tables: &mut RoutingTables,
         dirty_dests: &[ib_types::Lid],
         observer: &Observer,
-    ) -> IbResult<RoutingTables> {
-        prior.check_covers(g)?;
+    ) -> IbResult<SpliceLog> {
+        let mut splice = Splice::begin(g, tables)?;
         let _span = observer.span("routing.dfsssp.repair");
         let n = g.len();
         let dirty: rustc_hash::FxHashSet<u16> = dirty_dests.iter().map(|l| l.raw()).collect();
-        let mut out = prior.clone();
-        out.engine = self.name();
-        out.decisions = 0;
-        if !g
-            .destinations()
-            .iter()
-            .any(|d| dirty.contains(&d.lid.raw()))
-        {
-            return Ok(out);
+        let is_dirty = |d: &Destination| dirty.contains(&d.lid.raw());
+        if !g.destinations().iter().any(is_dirty) {
+            let vls = splice.vls().clone();
+            return Ok(splice.commit(vls, self.name(), 0));
         }
 
         let mut in_edges: Vec<Vec<(usize, PortNum)>> = vec![Vec::new(); n];
@@ -255,28 +251,24 @@ impl RoutingEngine for Dfsssp {
         // repaired destinations balance against the traffic that stays
         // put — the same feedback a full recompute would have applied.
         let mut weight: Vec<u64> = vec![1; stride * n];
-        for dest in g.destinations() {
-            if dirty.contains(&dest.lid.raw()) {
-                continue;
-            }
-            for s in 0..n {
-                if s == dest.switch {
+        for s in 0..n {
+            let row = splice.row(s);
+            for dest in g.destinations() {
+                if is_dirty(dest) || s == dest.switch {
                     continue;
                 }
-                if let Some(p) = prior.lfts[&g.node_id(s)].get(dest.lid) {
-                    let idx = widx(s, p);
-                    if idx < weight.len() {
-                        weight[idx] += 1;
-                    }
+                if let Some(w) = row.get(dest.lid).and_then(|p| weight.get_mut(widx(s, p))) {
+                    *w += 1;
                 }
             }
         }
 
         // Dirty destinations grouped by delivery switch, in switch order —
-        // the same serial weight-feedback discipline as the full compute.
+        // the same serial weight-feedback discipline as the full compute,
+        // so the columns are re-routed column-major.
         let mut by_switch: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
         for (i, d) in g.destinations().iter().enumerate() {
-            if dirty.contains(&d.lid.raw()) {
+            if is_dirty(d) {
                 by_switch.entry(d.switch).or_default().push(i);
             }
         }
@@ -287,7 +279,6 @@ impl RoutingEngine for Dfsssp {
         let mut dist: Vec<(u32, u64)> = vec![(u32::MAX, u64::MAX); n];
         let mut heap = BinaryHeap::new();
         let mut candidates: Vec<PortNum> = Vec::new();
-        let mut column: Vec<Option<PortNum>> = vec![None; n];
         for (dsw, dest_indices) in &groups {
             let dsw = *dsw;
             let snapshot = weight.clone();
@@ -310,17 +301,17 @@ impl RoutingEngine for Dfsssp {
             for &di in dest_indices {
                 let dest = g.destinations()[di];
                 let lid_idx = dest.lid.raw() as usize;
-                for (s, slot) in column.iter_mut().enumerate() {
+                for s in 0..n {
                     decisions += 1;
                     if s == dsw {
-                        *slot = Some(dest.port);
+                        splice.set(s, dest.lid, Some(dest.port));
                         continue;
                     }
                     if dist[s].0 == u32::MAX {
                         // The fault split the fabric: clear this row
                         // instead of leaving it pointing at the lost
                         // component.
-                        *slot = None;
+                        splice.set(s, dest.lid, None);
                         continue;
                     }
                     candidates.clear();
@@ -343,14 +334,13 @@ impl RoutingEngine for Dfsssp {
                     // a lexicographically-shortest path — the repair's
                     // diff stays minimal and only rows the fault actually
                     // invalidated get rewritten.
-                    let installed = prior.lfts[&g.node_id(s)].get(dest.lid);
-                    let pick = installed
+                    let pick = splice
+                        .get(s, dest.lid)
                         .filter(|p| candidates.contains(p))
                         .unwrap_or_else(|| candidates[lid_idx % candidates.len()]);
                     weight[widx(s, pick)] += 1;
-                    *slot = Some(pick);
+                    splice.set(s, dest.lid, Some(pick));
                 }
-                out.set_column(dest.lid, |sw| g.index(sw).and_then(|s| column[s]));
             }
         }
 
@@ -360,30 +350,22 @@ impl RoutingEngine for Dfsssp {
         let nexts = build_nexts(
             g,
             opts.effective_workers(g.destinations().len()),
-            |s, lid| out.lfts.get(&g.node_id(s)).and_then(|lft| lft.get(lid)),
+            |s, lid| splice.get(s, lid),
         );
         let mut lane_pairs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.max_vls as usize];
         for (di, dest) in g.destinations().iter().enumerate() {
             let start_lane = usize::from(self.max_vls > 1 && dest.port.is_management());
             for src in 0..n {
-                if src == dest.switch {
-                    continue;
-                }
                 // Cross-component pairs were cleared by the splice: no
                 // path, no dependencies, no lane.
-                if out
-                    .lfts
-                    .get(&g.node_id(src))
-                    .and_then(|lft| lft.get(dest.lid))
-                    .is_none()
-                {
+                if src == dest.switch || splice.get(src, dest.lid).is_none() {
                     continue;
                 }
-                let lane = if dirty.contains(&dest.lid.raw()) {
+                let lane = if is_dirty(dest) {
                     start_lane
                 } else {
-                    (prior
-                        .vls
+                    (splice
+                        .vls()
                         .lane_for(src as u32, dest.switch as u32, dest.lid)
                         .raw() as usize)
                         .min(self.max_vls as usize - 1)
@@ -392,9 +374,7 @@ impl RoutingEngine for Dfsssp {
             }
         }
         let lane_of = lift_lanes(g, &nexts, &mut lane_pairs, self.max_vls)?;
-        out.vls = lanes_to_assignment(lane_of);
-        out.decisions = decisions;
-        Ok(out)
+        Ok(splice.commit(lanes_to_assignment(lane_of), self.name(), decisions))
     }
 }
 

@@ -5,7 +5,7 @@ use ib_subnet::Subnet;
 use ib_types::IbResult;
 
 use crate::graph::SwitchGraph;
-use crate::tables::RoutingTables;
+use crate::tables::{RoutingTables, SpliceLog};
 
 /// Parallelism knobs for one routing computation, mirroring `ib-sm`'s
 /// `SweepOptions`: `workers` bounds how many scoped threads the engine may
@@ -81,19 +81,20 @@ pub trait RoutingEngine: Send + Sync {
         observer: &Observer,
     ) -> IbResult<RoutingTables>;
 
-    /// Incrementally repairs `prior` tables after a fault: re-routes only
-    /// the `dirty_dests` destination columns on `graph` and splices them
-    /// into a copy of `prior`, leaving every clean column byte-identical.
-    /// The SM can then distribute just the dirty LFT blocks instead of a
-    /// full-fabric rewrite — reconfiguration cost scales with the damage,
+    /// Incrementally repairs `tables` **in place** after a fault: re-routes
+    /// only the `dirty_dests` destination columns on `graph`, writes them
+    /// over the baseline, and returns every cell it actually changed. The
+    /// SM plans distribution, maintains its reverse route index and — when
+    /// its verifier gate rejects the result — undoes the repair from that
+    /// [`SpliceLog`] alone, so reconfiguration cost scales with the damage,
     /// not the fabric.
     ///
-    /// **Splice or `Err`:** a returned `Ok` is always a column splice of
-    /// `prior`, never a full recompute in disguise — callers maintain
-    /// per-column derived state (the SM's reverse route index) on that
-    /// promise. A baseline that does not cover `graph`
-    /// (`RoutingTables::check_covers`) or damage a column rewrite cannot
-    /// absorb is an `Err`; the caller's answer to it is a full
+    /// **Splice or `Err`:** on `Ok` only the dirty columns of `tables`
+    /// moved and the log lists each cell whose value differs from before
+    /// (plus the VL assignment the repair displaced) — never a full
+    /// recompute in disguise. On `Err` `tables` is exactly what it was. A
+    /// baseline that does not cover `graph` or damage a column rewrite
+    /// cannot absorb is an `Err`; the caller's answer to it is a full
     /// [`RoutingEngine::compute_with`].
     ///
     /// `graph` must be [`SwitchGraph::build`]'s output for the subnet in
@@ -109,19 +110,20 @@ pub trait RoutingEngine: Send + Sync {
         &self,
         graph: &SwitchGraph,
         opts: RoutingOptions,
-        prior: &RoutingTables,
+        tables: &mut RoutingTables,
         dirty_dests: &[ib_types::Lid],
         observer: &Observer,
-    ) -> IbResult<RoutingTables>;
+    ) -> IbResult<SpliceLog>;
 
     /// Repairs a *burst* of faults in one call: folds
     /// [`RoutingEngine::repair_with_graph`] over the per-fault dirty groups
-    /// in order, each repair splicing into the previous result and all of
-    /// them sharing `graph`. Groups must be disjoint and every faulted link
-    /// must already be down in `graph` before the call — then each fold
-    /// step sees exactly the columns the corresponding serial repair sweep
-    /// would have re-routed, and the final tables are **byte-identical** to
-    /// running the k repairs one trap at a time.
+    /// in order, each repair splicing into the previous result, all of them
+    /// sharing `graph` and one log. Groups must be disjoint (so no cell is
+    /// logged twice) and every faulted link must already be down in `graph`
+    /// before the call — then each fold step sees exactly the columns the
+    /// corresponding serial repair sweep would have re-routed, and the
+    /// final tables are **byte-identical** to running the k repairs one
+    /// trap at a time. An `Err` from any step undoes the earlier ones.
     ///
     /// Deliberately *not* a single repair over the union: engines with
     /// load-balancing state (Min-Hop's least-loaded port seeding) give
@@ -134,16 +136,21 @@ pub trait RoutingEngine: Send + Sync {
         &self,
         graph: &SwitchGraph,
         opts: RoutingOptions,
-        prior: &RoutingTables,
+        tables: &mut RoutingTables,
         dirty_groups: &[Vec<ib_types::Lid>],
         observer: &Observer,
-    ) -> IbResult<RoutingTables> {
-        let mut cur: Option<RoutingTables> = None;
+    ) -> IbResult<SpliceLog> {
+        let mut log = SpliceLog::default();
         for group in dirty_groups.iter().filter(|g| !g.is_empty()) {
-            let base = cur.as_ref().unwrap_or(prior);
-            cur = Some(self.repair_with_graph(graph, opts, base, group, observer)?);
+            match self.repair_with_graph(graph, opts, tables, group, observer) {
+                Ok(step) => log.absorb(step),
+                Err(e) => {
+                    log.undo(tables);
+                    return Err(e);
+                }
+            }
         }
-        Ok(cur.unwrap_or_else(|| prior.clone()))
+        Ok(log)
     }
 }
 
@@ -352,14 +359,16 @@ mod tests {
             let opts = RoutingOptions::default();
             let obs = ib_observe::Observer::disabled();
             let mut serial = t0.clone();
+            let mut serial_cells = Vec::new();
             for &(n, p) in &faults {
                 let dirty = affected(&t.subnet, &serial, n, p);
                 if dirty.is_empty() {
                     continue;
                 }
-                serial = engine
-                    .repair_with_graph(&g, opts, &serial, &dirty, &obs)
+                let log = engine
+                    .repair_with_graph(&g, opts, &mut serial, &dirty, &obs)
                     .unwrap();
+                serial_cells.extend(log.cells);
             }
 
             // Batch arm: groups precomputed from the T0 baseline, earlier
@@ -374,10 +383,18 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let batch = engine
-                .repair_batch_with_graph(&g, opts, &t0, &groups, &obs)
+            let mut batch = t0.clone();
+            let log = engine
+                .repair_batch_with_graph(&g, opts, &mut batch, &groups, &obs)
                 .unwrap();
 
+            // One log for the whole burst: the serial steps' cells, in
+            // order — and undoing it is undoing all of them.
+            assert_eq!(log.cells, serial_cells, "{kind}");
+            let mut undone = batch.clone();
+            log.undo(&mut undone);
+            assert_eq!(undone.lfts, t0.lfts, "{kind}");
+            assert_eq!(undone.vls, t0.vls, "{kind}");
             assert_eq!(batch.lfts, serial.lfts, "{kind}");
             assert_eq!(batch.vls, serial.vls, "{kind}");
         }

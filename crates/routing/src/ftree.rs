@@ -26,7 +26,7 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use crate::engine::{RoutingEngine, RoutingOptions};
 use crate::graph::{parallel_for_each, Destination, DistanceMatrix, SwitchGraph};
 use crate::swcols::{switch_dest_vls, SwitchColumns};
-use crate::tables::{stages_to_lfts, RoutingTables, VlAssignment};
+use crate::tables::{stages_to_lfts, RoutingTables, Splice, SpliceLog, VlAssignment};
 
 /// The fat-tree engine.
 #[derive(Clone, Copy, Debug, Default)]
@@ -83,7 +83,7 @@ impl RoutingEngine for FatTree {
         // their own lane instead of d-mod-k: a spine-to-spine route
         // must dip through a leaf, and two such valleys through
         // different leaves close a credit loop (see `swcols`).
-        let swcols = SwitchColumns::new(&g, workers);
+        let swcols = SwitchColumns::new(&g, workers, g.destinations());
 
         // Per-switch neighbor lists sorted by port, so d-mod-k picks are
         // deterministic without per-destination allocation.
@@ -161,7 +161,7 @@ impl RoutingEngine for FatTree {
     /// Incremental repair: re-rank the degraded graph (one BFS — the tree
     /// structure is what the engine exploits, so it must be revalidated),
     /// then rerun the per-delivery-switch sweep for the dirty destination
-    /// columns only and splice them into `prior`.
+    /// columns only and write them over `tables` in place.
     ///
     /// The pick is *sticky*: the installed port is kept wherever it is
     /// still a minimal candidate on the degraded graph, and the d-mod-k
@@ -176,11 +176,11 @@ impl RoutingEngine for FatTree {
         &self,
         g: &SwitchGraph,
         opts: RoutingOptions,
-        prior: &RoutingTables,
+        tables: &mut RoutingTables,
         dirty_dests: &[ib_types::Lid],
         observer: &Observer,
-    ) -> IbResult<RoutingTables> {
-        prior.check_covers(g)?;
+    ) -> IbResult<SpliceLog> {
+        let mut splice = Splice::begin(g, tables)?;
         let _span = observer.span("routing.fat-tree.repair");
         // A fault cannot un-layer a fat tree, but it can disconnect a
         // switch — revalidate so a broken tree errors out to the SM's
@@ -195,118 +195,56 @@ impl RoutingEngine for FatTree {
             .copied()
             .filter(|d| dirty.contains(&d.lid.raw()))
             .collect();
-        let mut out = prior.clone();
-        out.engine = self.name();
-        out.vls = switch_dest_vls(g);
-        out.decisions = 0;
-        if dirty_dests.is_empty() {
-            return Ok(out);
-        }
 
         // Switch-destined dirty columns rebuild their valley routes on
-        // the degraded graph; hub BFS is fault-stable, so the sticky
-        // splice below churns only near the lost link.
-        let swcols = dirty_dests
-            .iter()
-            .any(|d| d.port == PortNum::MANAGEMENT)
-            .then(|| SwitchColumns::new(g, opts.effective_workers(g.len())));
+        // the degraded graph — rows for their delivery switches only; hub
+        // BFS is fault-stable, so the sticky splice below churns only near
+        // the lost link.
+        let swcols = SwitchColumns::new(g, opts.effective_workers(g.len()), &dirty_dests);
 
-        // One BFS per dirty HCA-destined delivery switch — the
-        // repair-sized slice of the full compute's per-delivery sweep.
-        let mut dirty_switches: Vec<usize> = dirty_dests
-            .iter()
-            .filter(|d| d.port != PortNum::MANAGEMENT)
-            .map(|d| d.switch)
-            .collect();
-        dirty_switches.sort_unstable();
-        dirty_switches.dedup();
-        let row_of: FxHashMap<usize, usize> = dirty_switches
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i))
-            .collect();
-        let dist = DistanceMatrix::for_sources(
-            g,
-            &dirty_switches,
-            opts.effective_workers(dirty_switches.len()),
-        );
+        let (dist, dist_row) = DistanceMatrix::for_host_dests(g, &dirty_dests, opts.workers);
 
-        let sorted_adj: Vec<Vec<(u32, PortNum)>> = (0..g.len())
-            .map(|s| {
-                let mut v = g.neighbors(s).to_vec();
-                v.sort_unstable_by_key(|&(_, p)| p);
-                v
-            })
-            .collect();
-
-        let mut decisions = 0u64;
-        let mut column: Vec<Option<PortNum>> = vec![None; g.len()];
-        for dest in &dirty_dests {
-            if dest.port == PortNum::MANAGEMENT {
-                for (s, slot) in column.iter_mut().enumerate() {
-                    decisions += 1;
-                    *slot = if s == dest.switch {
-                        Some(dest.port)
-                    } else {
-                        // Sticky: keep the installed port while it is
-                        // still valley-legal on the degraded graph, so
-                        // the splice rewrites only what the fault broke.
-                        let installed = prior.lfts[&g.node_id(s)].get(dest.lid);
-                        swcols
-                            .as_ref()
-                            .and_then(|sw| sw.sticky_pick(dest.switch, dest.lid, s, installed))
-                    };
-                }
-                out.set_column(dest.lid, |sw| g.index(sw).and_then(|s| column[s]));
-                continue;
-            }
-            let drow = dist.row(row_of[&dest.switch]);
-            for (s, slot) in column.iter_mut().enumerate() {
-                decisions += 1;
-                if s == dest.switch {
-                    *slot = Some(dest.port);
-                    continue;
-                }
-                if drow[s] == u32::MAX {
-                    // The fault split the fabric: this switch can no
-                    // longer reach the destination. Clear the row rather
-                    // than leave it pointing into the lost component.
-                    *slot = None;
-                    continue;
-                }
-                let minimal =
-                    |&&(v, _): &&(u32, PortNum)| drow[v as usize].wrapping_add(1) == drow[s];
-                // Sticky selection: keep the installed port whenever it is
-                // still minimal (a port into the failed link never is —
-                // the link is gone from the graph), so the splice touches
-                // only the entries the fault invalidated. Fall back to the
-                // d-mod-k spread over the degraded candidate set.
-                let installed = prior.lfts[&g.node_id(s)].get(dest.lid);
-                if let Some(p) = installed {
-                    if sorted_adj[s]
-                        .iter()
-                        .any(|&(v, q)| q == p && drow[v as usize].wrapping_add(1) == drow[s])
-                    {
-                        *slot = Some(p);
-                        continue;
+        // Switch-major: no pick depends on another switch's, so each LFT
+        // row is visited once.
+        let mut adj: Vec<(u32, PortNum)> = Vec::new();
+        for s in 0..g.len() {
+            adj.clear();
+            adj.extend_from_slice(g.neighbors(s));
+            adj.sort_unstable_by_key(|&(_, p)| p);
+            for (dest, &dist_row) in dirty_dests.iter().zip(&dist_row) {
+                // Sticky: keep the installed port while it is still legal
+                // on the degraded graph (a port into the failed link never
+                // is — the link is gone from the graph), so the splice
+                // rewrites only what the fault broke.
+                let installed = splice.get(s, dest.lid);
+                let pick = if s == dest.switch {
+                    Some(dest.port)
+                } else if dest.port == PortNum::MANAGEMENT {
+                    swcols.sticky_pick(dest.switch, dest.lid, s, installed)
+                } else {
+                    let drow = dist.row(dist_row);
+                    let minimal = |v: u32| drow[v as usize].wrapping_add(1) == drow[s];
+                    match installed {
+                        // The fault split the fabric: this switch can no
+                        // longer reach the destination. Clear the row
+                        // rather than leave it pointing into the lost
+                        // component.
+                        _ if drow[s] == u32::MAX => None,
+                        Some(p) if adj.iter().any(|&(v, q)| q == p && minimal(v)) => Some(p),
+                        // Fall back to the d-mod-k spread over the
+                        // degraded candidate set.
+                        _ => {
+                            let candidates = || adj.iter().filter(|&&(v, _)| minimal(v));
+                            let want = (dest.lid.raw() as usize + s) % candidates().count().max(1);
+                            candidates().nth(want).map(|&(_, p)| p)
+                        }
                     }
-                }
-                let count = sorted_adj[s].iter().filter(minimal).count();
-                if count == 0 {
-                    *slot = None;
-                    continue;
-                }
-                let want = (dest.lid.raw() as usize + s) % count;
-                *slot = sorted_adj[s]
-                    .iter()
-                    .filter(minimal)
-                    .nth(want)
-                    .map(|&(_, p)| p);
+                };
+                splice.set(s, dest.lid, pick);
             }
-            out.set_column(dest.lid, |sw| g.index(sw).and_then(|s| column[s]));
         }
-        out.decisions = decisions;
-        Ok(out)
+        let decisions = (g.len() * dirty_dests.len()) as u64;
+        Ok(splice.commit(switch_dest_vls(g), self.name(), decisions))
     }
 }
 

@@ -465,6 +465,31 @@ impl DistanceMatrix {
         Self { cols, data }
     }
 
+    /// Distances for the HCA-destined columns among `dests` — one BFS per
+    /// distinct delivery switch, the repair-sized slice of a full compute's
+    /// sweep — plus, per entry of `dests`, the index of its row
+    /// (distances are symmetric: `row[s]` = hops from `s` to the delivery
+    /// switch). Switch-destined entries get no row (`usize::MAX`): those
+    /// columns route by `swcols`.
+    pub(crate) fn for_host_dests(
+        g: &SwitchGraph,
+        dests: &[Destination],
+        workers: usize,
+    ) -> (Self, Vec<usize>) {
+        let is_host = |d: &&Destination| d.port != PortNum::MANAGEMENT;
+        let mut sources: Vec<usize> = dests.iter().filter(is_host).map(|d| d.switch).collect();
+        sources.sort_unstable();
+        sources.dedup();
+        let row_of = dests
+            .iter()
+            .map(|d| match sources.binary_search(&d.switch) {
+                Ok(i) if is_host(&d) => i,
+                _ => usize::MAX,
+            })
+            .collect();
+        (Self::for_sources(g, &sources, workers), row_of)
+    }
+
     /// Number of rows (sources).
     #[must_use]
     pub fn rows(&self) -> usize {

@@ -23,7 +23,7 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use crate::cdg::{Cdg, Channel};
 use crate::engine::{RoutingEngine, RoutingOptions};
 use crate::graph::{parallel_for_each, Destination, SwitchGraph};
-use crate::tables::{stages_to_lfts, RoutingTables, VlAssignment};
+use crate::tables::{stages_to_lfts, RoutingTables, Splice, SpliceLog, VlAssignment};
 
 /// The LASH engine.
 #[derive(Clone, Copy, Debug)]
@@ -219,29 +219,29 @@ impl RoutingEngine for Lash {
     }
 
     /// Incremental repair: recompute BFS in-trees only for the dirty
-    /// delivery switches and splice their columns into `prior`, then
-    /// re-place just the re-routed switch pairs into the lane structure.
-    /// Each layer's CDG is re-seeded from the clean pairs' installed
-    /// paths — they coexisted acyclically under `prior`, so no cycle
+    /// delivery switches and write their columns over `tables` in place,
+    /// then re-place just the re-routed switch pairs into the lane
+    /// structure. Each layer's CDG is re-seeded from the clean pairs'
+    /// installed paths — they coexisted acyclically before, so no cycle
     /// check is run (or wanted: the O(channels²) check is LASH's cost).
     /// A dirty pair first tries its prior lane, escalates to the
     /// CDG-checked first-fit search on conflict, opens a new lane within
-    /// the budget, and only errors out (a *counted* fallback at the SM)
-    /// when the budget is exhausted — the whole fabric is never
-    /// re-layered.
+    /// the budget, and only errors out (a *counted* fallback at the SM,
+    /// the columns put back) when the budget is exhausted — the whole
+    /// fabric is never re-layered.
     fn repair_with_graph(
         &self,
         g: &SwitchGraph,
         opts: RoutingOptions,
-        prior: &RoutingTables,
+        tables: &mut RoutingTables,
         dirty_dests: &[ib_types::Lid],
         observer: &Observer,
-    ) -> IbResult<RoutingTables> {
+    ) -> IbResult<SpliceLog> {
         // A usable baseline needs every switch's LFT *and* a per-pair (or
         // single-lane) assignment to re-seed the layers from.
-        prior.check_covers(g)?;
+        let mut splice = Splice::begin(g, tables)?;
         if !matches!(
-            prior.vls,
+            splice.vls(),
             VlAssignment::SingleVl | VlAssignment::PerSwitchPair(_)
         ) {
             return Err(IbError::Management(
@@ -257,11 +257,9 @@ impl RoutingEngine for Lash {
             .copied()
             .filter(|d| dirty.contains(&d.lid.raw()))
             .collect();
-        let mut out = prior.clone();
-        out.engine = self.name();
-        out.decisions = 0;
         if dirty_cols.is_empty() {
-            return Ok(out);
+            let vls = splice.vls().clone();
+            return Ok(splice.commit(vls, self.name(), 0));
         }
 
         // Per-switch witness destination: the installed column each clean
@@ -340,15 +338,14 @@ impl RoutingEngine for Lash {
         let mut decisions = (dirty_cols.len() * n) as u64;
         for dest in &dirty_cols {
             let tree = &trees[tree_of[&dest.switch]];
-            out.set_column(dest.lid, |sw| {
-                g.index(sw).and_then(|s| {
-                    if s == dest.switch {
-                        Some(dest.port)
-                    } else {
-                        tree[s]
-                    }
-                })
-            });
+            for (s, &toward) in tree.iter().enumerate() {
+                let port = if s == dest.switch {
+                    Some(dest.port)
+                } else {
+                    toward
+                };
+                splice.set(s, dest.lid, port);
+            }
         }
 
         // Incremental lane re-assignment.
@@ -361,7 +358,7 @@ impl RoutingEngine for Lash {
             }
         }
         let num_channels = channel_ids.len();
-        let max_lane = match &prior.vls {
+        let max_lane = match splice.vls() {
             VlAssignment::PerSwitchPair(map) => map.values().map(|l| l.raw()).max().unwrap_or(0),
             _ => 0,
         };
@@ -403,8 +400,7 @@ impl RoutingEngine for Lash {
                 let mut cur = src;
                 let mut hops = 0;
                 while cur != dsw {
-                    let Some(p) = out.lfts.get(&g.node_id(cur)).and_then(|l| l.get(dest.lid))
-                    else {
+                    let Some(p) = splice.get(cur, dest.lid) else {
                         break;
                     };
                     let Some(&cid) = channel_ids.get(&(cur as u32, p.raw())) else {
@@ -422,14 +418,17 @@ impl RoutingEngine for Lash {
                         ));
                     }
                 }
-                let lane = prior.vls.lane_for(src as u32, dsw as u32, dest.lid).raw() as usize;
+                let lane = splice
+                    .vls()
+                    .lane_for(src as u32, dsw as u32, dest.lid)
+                    .raw() as usize;
                 layers[lane].add_path(&ids);
             }
         }
 
         // Place the dirty pairs: prior lane first (most repaired paths
         // still fit where they lived), then first-fit, then a new lane.
-        let mut pair_lane: FxHashMap<(u32, u32), VirtualLane> = match &prior.vls {
+        let mut pair_lane: FxHashMap<(u32, u32), VirtualLane> = match splice.vls() {
             VlAssignment::PerSwitchPair(map) => map.clone(),
             _ => FxHashMap::default(),
         };
@@ -458,8 +457,8 @@ impl RoutingEngine for Lash {
                         .map(|&(v, _)| v as usize)
                         .expect("port leads somewhere");
                 }
-                let prior_lane = prior
-                    .vls
+                let prior_lane = splice
+                    .vls()
                     .lane_for(src as u32, dsw as u32, first_dest[dsw].lid)
                     .raw() as usize;
                 let mut placed = None;
@@ -500,13 +499,12 @@ impl RoutingEngine for Lash {
             }
         }
 
-        out.vls = if pair_lane.is_empty() {
+        let vls = if pair_lane.is_empty() {
             VlAssignment::SingleVl
         } else {
             VlAssignment::PerSwitchPair(pair_lane)
         };
-        out.decisions = decisions;
-        Ok(out)
+        Ok(splice.commit(vls, self.name(), decisions))
     }
 }
 

@@ -47,4 +47,4 @@ pub mod updn;
 
 pub use engine::{EngineKind, RoutingEngine, RoutingOptions};
 pub use graph::{BfsScratch, Components, Destination, DistanceMatrix, SwitchGraph};
-pub use tables::{RoutingTables, VlAssignment};
+pub use tables::{CellChange, RoutingTables, SpliceLog, VlAssignment};

@@ -19,9 +19,9 @@ use ib_types::{IbError, IbResult, PortNum};
 use rustc_hash::FxHashMap;
 
 use crate::engine::{RoutingEngine, RoutingOptions};
-use crate::graph::{DistanceMatrix, SwitchGraph};
+use crate::graph::{Destination, DistanceMatrix, SwitchGraph};
 use crate::swcols::{switch_dest_vls, SwitchColumns};
-use crate::tables::{stages_to_lfts, RoutingTables, VlAssignment};
+use crate::tables::{stages_to_lfts, RoutingTables, Splice, SpliceLog, VlAssignment};
 
 /// The Min-Hop engine.
 #[derive(Clone, Copy, Debug, Default)]
@@ -61,7 +61,7 @@ impl RoutingEngine for MinHop {
         // dip through a leaf, and two such valleys through different
         // leaves close a credit loop (see `swcols`). They take no part
         // in the port-load accounting below.
-        let swcols = SwitchColumns::new(&g, opts.effective_workers(g.len()));
+        let swcols = SwitchColumns::new(&g, opts.effective_workers(g.len()), g.destinations());
 
         // Serial assignment: OpenSM's destination-ordered port-load
         // balancing. Each pick reads the loads left by every earlier pick,
@@ -126,161 +126,104 @@ impl RoutingEngine for MinHop {
     }
 
     /// Incremental repair: BFS only from the dirty destinations' delivery
-    /// switches, re-assign only the dirty columns, splice into `prior`.
+    /// switches, re-assign only the dirty columns, write them over `tables`
+    /// in place.
     ///
-    /// Port loads are seeded from the clean columns kept from `prior`, so
-    /// the repaired picks balance against the traffic that stays put. The
-    /// result approximates (it is not byte-equal to) a full recompute —
-    /// which is exactly why the SM gates every repair behind the fabric
-    /// verifier before trusting it.
+    /// Port loads are seeded from the clean columns, so the repaired picks
+    /// balance against the traffic that stays put. The result approximates
+    /// (it is not byte-equal to) a full recompute — which is exactly why
+    /// the SM gates every repair behind the fabric verifier before
+    /// trusting it.
     fn repair_with_graph(
         &self,
         g: &SwitchGraph,
         opts: RoutingOptions,
-        prior: &RoutingTables,
+        tables: &mut RoutingTables,
         dirty_dests: &[ib_types::Lid],
         observer: &Observer,
-    ) -> IbResult<RoutingTables> {
-        prior.check_covers(g)?;
+    ) -> IbResult<SpliceLog> {
+        let mut splice = Splice::begin(g, tables)?;
         let _span = observer.span("routing.minhop.repair");
         let dirty: rustc_hash::FxHashSet<u16> = dirty_dests.iter().map(|l| l.raw()).collect();
         // Destination order is preserved from the full compute, so the
         // serial balancing below stays deterministic for any worker count.
-        let dirty_dests: Vec<crate::graph::Destination> = g
+        let (dirty_dests, mut clean_hosts): (Vec<Destination>, Vec<Destination>) = g
             .destinations()
             .iter()
-            .copied()
-            .filter(|d| dirty.contains(&d.lid.raw()))
-            .collect();
-        let mut out = prior.clone();
-        out.engine = self.name();
-        out.vls = switch_dest_vls(g);
-        out.decisions = 0;
-        if dirty_dests.is_empty() {
-            return Ok(out);
-        }
+            .partition(|d| dirty.contains(&d.lid.raw()));
+        // Switch-destined columns take no part in the full compute's load
+        // accounting, so they must not seed the repair's either.
+        clean_hosts.retain(|d| d.port != PortNum::MANAGEMENT);
 
         // Switch-destined dirty columns rebuild their valley routes on
-        // the degraded graph (see `swcols`); they never touch the port
-        // loads.
-        let swcols = dirty_dests
-            .iter()
-            .any(|d| d.port == PortNum::MANAGEMENT)
-            .then(|| SwitchColumns::new(g, opts.effective_workers(g.len())));
+        // the degraded graph (see `swcols`) — rows for their delivery
+        // switches only; they never touch the port loads.
+        let swcols = SwitchColumns::new(g, opts.effective_workers(g.len()), &dirty_dests);
 
+        let (dist, dist_row) = DistanceMatrix::for_host_dests(g, &dirty_dests, opts.workers);
+
+        // Switch-major: a switch's port loads depend only on its own
+        // earlier picks, so each LFT row is visited once and the columns
+        // are still assigned in destination order within it.
         let stride = 2 + g.neighbors_max_port().unwrap_or(PortNum::MANAGEMENT).raw() as usize;
-        let mut port_load: Vec<u64> = vec![0; stride * g.len()];
-        for dest in g.destinations() {
-            // Switch-destined columns take no part in the full compute's
-            // load accounting, so they must not seed the repair's either.
-            if dirty.contains(&dest.lid.raw()) || dest.port == PortNum::MANAGEMENT {
-                continue;
-            }
-            for s in 0..g.len() {
-                // Delivery rows never increment load in the full compute.
-                if s == dest.switch {
-                    continue;
-                }
-                if let Some(p) = prior.lfts[&g.node_id(s)].get(dest.lid) {
-                    let idx = s * stride + p.raw() as usize;
-                    if idx < port_load.len() {
-                        port_load[idx] += 1;
-                    }
+        let mut port_load: Vec<u64> = vec![0; stride];
+        for s in 0..g.len() {
+            // Seed the loads from the clean host columns (delivery rows
+            // never increment load in the full compute).
+            port_load.fill(0);
+            let row = splice.row(s);
+            for dest in clean_hosts.iter().filter(|d| d.switch != s) {
+                if let Some(load) = row
+                    .get(dest.lid)
+                    .and_then(|p| port_load.get_mut(p.raw() as usize))
+                {
+                    *load += 1;
                 }
             }
-        }
-
-        // BFS only from the dirty HCA-destined delivery switches
-        // (distances are symmetric: row(dsw)[s] == dist(s -> dsw)).
-        let mut dirty_switches: Vec<usize> = dirty_dests
-            .iter()
-            .filter(|d| d.port != PortNum::MANAGEMENT)
-            .map(|d| d.switch)
-            .collect();
-        dirty_switches.sort_unstable();
-        dirty_switches.dedup();
-        let row_of: FxHashMap<usize, usize> = dirty_switches
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i))
-            .collect();
-        let dist = DistanceMatrix::for_sources(
-            g,
-            &dirty_switches,
-            opts.effective_workers(dirty_switches.len()),
-        );
-
-        let mut decisions = 0u64;
-        let mut column: Vec<Option<PortNum>> = vec![None; g.len()];
-        for dest in &dirty_dests {
-            if dest.port == PortNum::MANAGEMENT {
-                for (s, slot) in column.iter_mut().enumerate() {
-                    decisions += 1;
-                    *slot = if s == dest.switch {
-                        Some(dest.port)
-                    } else {
-                        // Sticky: keep the installed port while it is
-                        // still valley-legal on the degraded graph, so
-                        // the splice rewrites only what the fault broke.
-                        let installed = prior.lfts[&g.node_id(s)].get(dest.lid);
-                        swcols
-                            .as_ref()
-                            .and_then(|sw| sw.sticky_pick(dest.switch, dest.lid, s, installed))
-                    };
-                }
-                out.set_column(dest.lid, |sw| g.index(sw).and_then(|s| column[s]));
-                continue;
-            }
-            let row = dist.row(row_of[&dest.switch]);
-            for (s, slot) in column.iter_mut().enumerate() {
-                decisions += 1;
-                if s == dest.switch {
-                    *slot = Some(dest.port);
-                    continue;
-                }
-                let d_here = row[s];
-                if d_here == u32::MAX {
+            for (dest, &dist_row) in dirty_dests.iter().zip(&dist_row) {
+                let installed = splice.get(s, dest.lid);
+                let pick = if s == dest.switch {
+                    Some(dest.port)
+                } else if dest.port == PortNum::MANAGEMENT {
+                    // Sticky: keep the installed port while it is still
+                    // valley-legal on the degraded graph, so the splice
+                    // rewrites only what the fault broke.
+                    swcols.sticky_pick(dest.switch, dest.lid, s, installed)
+                } else if dist.row(dist_row)[s] == u32::MAX {
                     // The fault split the fabric: this switch can no longer
                     // reach the destination, so its row is cleared rather
                     // than left pointing into the lost component.
-                    *slot = None;
-                    continue;
-                }
-                // Sticky selection: a repair's job is the smallest diff,
-                // not a global rebalance — keep the installed port
-                // whenever it is still on a shortest path (a port into
-                // the failed link never is: the link is gone from the
-                // graph), and fall back to least-loaded only when not.
-                let installed = prior.lfts[&g.node_id(s)].get(dest.lid);
-                let mut best: Option<(u64, PortNum)> = None;
-                let mut kept: Option<PortNum> = None;
-                for &(v, p) in g.neighbors(s) {
-                    if row[v as usize] + 1 == d_here {
-                        if installed == Some(p) {
-                            kept = Some(p);
-                            break;
-                        }
-                        let load = port_load[s * stride + p.raw() as usize];
-                        let better = match best {
-                            None => true,
-                            Some((bl, bp)) => load < bl || (load == bl && p < bp),
-                        };
-                        if better {
-                            best = Some((load, p));
+                    None
+                } else {
+                    let drow = dist.row(dist_row);
+                    // Sticky selection: a repair's job is the smallest diff,
+                    // not a global rebalance — keep the installed port
+                    // whenever it is still on a shortest path (a port into
+                    // the failed link never is: the link is gone from the
+                    // graph), and fall back to least-loaded only when not.
+                    let mut best: Option<(u64, PortNum)> = None;
+                    for &(v, p) in g.neighbors(s) {
+                        if drow[v as usize] + 1 == drow[s] {
+                            if installed == Some(p) {
+                                best = Some((0, p));
+                                break;
+                            }
+                            let load = port_load[p.raw() as usize];
+                            if best.is_none_or(|(bl, bp)| load < bl || (load == bl && p < bp)) {
+                                best = Some((load, p));
+                            }
                         }
                     }
-                }
-                let port = match (kept, best) {
-                    (Some(p), _) | (None, Some((_, p))) => p,
-                    (None, None) => return Err(IbError::Topology("distance inversion".into())),
+                    let (_, port) =
+                        best.ok_or_else(|| IbError::Topology("distance inversion".into()))?;
+                    port_load[port.raw() as usize] += 1;
+                    Some(port)
                 };
-                port_load[s * stride + port.raw() as usize] += 1;
-                *slot = Some(port);
+                splice.set(s, dest.lid, pick);
             }
-            out.set_column(dest.lid, |sw| g.index(sw).and_then(|s| column[s]));
         }
-        out.decisions = decisions;
-        Ok(out)
+        let decisions = (g.len() * dirty_dests.len()) as u64;
+        Ok(splice.commit(switch_dest_vls(g), self.name(), decisions))
     }
 }
 

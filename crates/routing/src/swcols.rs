@@ -45,7 +45,7 @@
 use ib_types::{Lid, PortNum, VirtualLane};
 use rustc_hash::FxHashMap;
 
-use crate::graph::{parallel_for_each, SwitchGraph};
+use crate::graph::{parallel_for_each, Destination, SwitchGraph};
 use crate::tables::VlAssignment;
 
 /// The data lane reserved for switch-destined LIDs (hosts stay on VL0).
@@ -69,16 +69,18 @@ pub(crate) fn switch_dest_vls(g: &SwitchGraph) -> VlAssignment {
     }
 }
 
-/// Precomputed valley-legal distances toward every switch-destined
-/// delivery switch, shared by the Min-Hop and fat-tree engines.
+/// Precomputed valley-legal distances toward the switch-destined
+/// delivery switches it was asked for, shared by the Min-Hop and fat-tree
+/// engines.
 ///
 /// One hub BFS per component plus, per delivery switch, one outbound
 /// cone sweep and one inbound relaxation — fanned across workers (rows
-/// are independent and pure functions of the graph, so the result is
-/// byte-identical for any worker count).
+/// are independent and pure functions of the graph, so a row is
+/// byte-identical for any worker count and any set of sibling rows).
 pub(crate) struct SwitchColumns {
-    /// Delivery switch -> row index into `ddist`/`full`.
-    row_of: FxHashMap<usize, usize>,
+    /// Delivery switch -> row index into `ddist`/`full`; `NO_ROW` for a
+    /// switch no row was built for.
+    row_of: Vec<u32>,
     /// Row r: length of the shortest strictly-outbound path to delivery
     /// switch r (`u32::MAX` outside its outbound cone).
     ddist: Vec<u32>,
@@ -95,12 +97,16 @@ pub(crate) struct SwitchColumns {
     n: usize,
 }
 
+const NO_ROW: u32 = u32::MAX;
+
 impl SwitchColumns {
-    /// Builds the valley-legal distance rows for every switch-destined
-    /// delivery switch of `g` (deduplicated, in index order). Splits
-    /// are not errors: cross-component entries stay `u32::MAX` and
-    /// [`Self::pick`] turns them into explicit `None` holes.
-    pub fn new(g: &SwitchGraph, workers: usize) -> Self {
+    /// Builds the valley-legal distance rows for the delivery switches of
+    /// the switch-destined LIDs among `dests` (deduplicated, in index
+    /// order): all of `g.destinations()` on a full compute, the dirty
+    /// columns on a repair. Splits are not errors: cross-component
+    /// entries stay `u32::MAX` and [`Self::pick`] turns them into
+    /// explicit `None` holes.
+    pub fn new(g: &SwitchGraph, workers: usize, dests: &[Destination]) -> Self {
         let n = g.len();
         let comps = g.components();
         let comp: Vec<u32> = (0..n).map(|s| comps.label_of(s)).collect();
@@ -142,16 +148,17 @@ impl SwitchColumns {
             order
         };
 
-        let mut dsws: Vec<usize> = g
-            .destinations()
+        let mut dsws: Vec<usize> = dests
             .iter()
             .filter(|d| d.port == PortNum::MANAGEMENT)
             .map(|d| d.switch)
             .collect();
         dsws.sort_unstable();
         dsws.dedup();
-        let row_of: FxHashMap<usize, usize> =
-            dsws.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+        let mut row_of = vec![NO_ROW; n];
+        for (i, &s) in dsws.iter().enumerate() {
+            row_of[s] = i as u32;
+        }
 
         // One work item per delivery switch: its index plus its
         // (cone-distance, full-distance) row slices.
@@ -286,17 +293,101 @@ impl SwitchColumns {
     }
 
     /// The `dsw` row slices, or `None` when `s` cannot reach `dsw` (a
-    /// split, or no registered row).
+    /// split). Asking for a delivery switch no row was built for is a bug
+    /// in the calling engine — it would otherwise read as a silent hole.
     fn row(&self, dsw: usize, s: usize) -> Option<(&[u32], &[u32])> {
-        if self.comp.get(s) != self.comp.get(dsw) {
+        let gi = self.row_of[dsw];
+        assert!(gi != NO_ROW, "no valley row was built for switch {dsw}");
+        let gi = gi as usize;
+        if self.comp[s] != self.comp[dsw] {
             return None;
         }
-        let gi = *self.row_of.get(&dsw)?;
         let ddist = &self.ddist[gi * self.n..(gi + 1) * self.n];
         let full = &self.full[gi * self.n..(gi + 1) * self.n];
         if full[s] == u32::MAX {
             return None;
         }
         Some((ddist, full))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::assign_lids;
+    use ib_subnet::topology::fattree::three_level;
+
+    /// `three_level(4,4,4,4)` with one mid-core cable down, and — when
+    /// `split` — leaf 0 cut off from every mid switch as well.
+    fn degraded_tree(split: bool) -> SwitchGraph {
+        let mut t = three_level(4, 4, 4, 4);
+        assign_lids(&mut t);
+        let mid = t.switch_levels[1][1];
+        t.subnet
+            .set_link_down(mid, PortNum::new(5))
+            .expect("a mid's first core uplink");
+        if split {
+            let leaf = t.switch_levels[0][0];
+            let uplinks: Vec<PortNum> = t
+                .subnet
+                .node(leaf)
+                .connected_ports()
+                .filter(|(_, r)| t.subnet.node(r.node).is_switch())
+                .map(|(p, _)| p)
+                .collect();
+            for p in uplinks {
+                t.subnet.set_link_down(leaf, p).unwrap();
+            }
+        }
+        let g = SwitchGraph::build(&t.subnet).unwrap();
+        assert_eq!(g.components().is_partitioned(), split);
+        g
+    }
+
+    /// Rows are pure functions of the graph: building a subset gives the
+    /// same rows — and so the same picks — as building them all.
+    #[test]
+    fn subset_rows_equal_the_full_builds() {
+        for split in [false, true] {
+            let g = degraded_tree(split);
+            let full = SwitchColumns::new(&g, 1, g.destinations());
+            let subset: Vec<Destination> = g
+                .destinations()
+                .iter()
+                .copied()
+                .filter(|d| d.port == PortNum::MANAGEMENT && d.switch % 5 == 0)
+                .collect();
+            assert!(subset.len() > 2);
+            let some = SwitchColumns::new(&g, 2, &subset);
+            for d in &subset {
+                for s in 0..g.len() {
+                    assert_eq!(
+                        some.row(d.switch, s),
+                        full.row(d.switch, s),
+                        "split={split}"
+                    );
+                    assert_eq!(
+                        some.pick(d.switch, d.lid, s),
+                        full.pick(d.switch, d.lid, s),
+                        "split={split} dsw={} s={s}",
+                        d.switch
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no valley row was built")]
+    fn asking_for_an_unbuilt_row_is_not_a_silent_hole() {
+        let g = degraded_tree(false);
+        let only: Vec<Destination> = g
+            .destinations()
+            .iter()
+            .copied()
+            .filter(|d| d.port == PortNum::MANAGEMENT && d.switch == 0)
+            .collect();
+        let cols = SwitchColumns::new(&g, 1, &only);
+        let _ = cols.pick(1, Lid::from_raw(2), 0);
     }
 }

@@ -97,6 +97,150 @@ pub struct RoutingTables {
     pub decisions: u64,
 }
 
+/// One LFT cell an in-place repair changed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CellChange {
+    /// The switch whose row changed.
+    pub switch: NodeId,
+    /// The destination column.
+    pub lid: Lid,
+    /// The entry before the repair.
+    pub old: Option<PortNum>,
+    /// The entry after it (never equal to `old`).
+    pub new: Option<PortNum>,
+}
+
+/// What an in-place repair did to a table set — the currency the SM plans
+/// distribution with, maintains its reverse route index from, and undoes a
+/// rejected splice by.
+#[derive(Clone, Debug, Default)]
+pub struct SpliceLog {
+    /// Every cell whose value differs from before the repair, each listed
+    /// once. Nothing else in the LFTs moved.
+    pub cells: Vec<CellChange>,
+    /// The `(vls, engine, decisions)` the first splice of this log
+    /// displaced; `None` when no splice ran.
+    displaced: Option<(VlAssignment, &'static str, u64)>,
+}
+
+impl SpliceLog {
+    /// Appends a later splice of the same tables (over disjoint columns):
+    /// its cells join the list, the originally displaced header is kept.
+    pub(crate) fn absorb(&mut self, later: SpliceLog) {
+        self.cells.extend(later.cells);
+        self.displaced = self.displaced.take().or(later.displaced);
+    }
+
+    /// Reverts the logged repair: `tables` are again what they were before
+    /// it, VL assignment included.
+    pub fn undo(self, tables: &mut RoutingTables) {
+        for cell in self.cells.iter().rev() {
+            if let Some(lft) = tables.lfts.get_mut(&cell.switch) {
+                lft.assign(cell.lid, cell.old);
+            }
+        }
+        if let Some((vls, engine, decisions)) = self.displaced {
+            tables.vls = vls;
+            tables.engine = engine;
+            tables.decisions = decisions;
+        }
+    }
+}
+
+/// An engine's handle on the tables it repairs in place: the LFT rows
+/// resolved once into switch-index order (no per-cell hashing), every write
+/// that changes a cell logged. Dropping it without [`Splice::commit`] — an
+/// engine bailing out with `?` after its columns are written — puts every
+/// written cell back, so an `Err` repair leaves the tables untouched.
+pub(crate) struct Splice<'a> {
+    g: &'a SwitchGraph,
+    rows: Vec<&'a mut Lft>,
+    vls: &'a mut VlAssignment,
+    engine: &'a mut &'static str,
+    decisions: &'a mut u64,
+    cells: Vec<CellChange>,
+}
+
+impl<'a> Splice<'a> {
+    /// Opens `tables` for an in-place repair over `g`. The precondition
+    /// every engine's repair shares is checked here: the tables must hold
+    /// an LFT for each of the graph's switches. `Err` otherwise (and for an
+    /// empty graph, which has nothing to splice) — the caller's answer is a
+    /// full compute.
+    pub fn begin(g: &'a SwitchGraph, tables: &'a mut RoutingTables) -> IbResult<Self> {
+        let mut slots: Vec<Option<&mut Lft>> = (0..g.len()).map(|_| None).collect();
+        for (&id, lft) in &mut tables.lfts {
+            if let Some(s) = g.index(id) {
+                slots[s] = Some(lft);
+            }
+        }
+        match slots.into_iter().collect::<Option<Vec<_>>>() {
+            Some(rows) if !rows.is_empty() => Ok(Self {
+                g,
+                rows,
+                vls: &mut tables.vls,
+                engine: &mut tables.engine,
+                decisions: &mut tables.decisions,
+                cells: Vec::new(),
+            }),
+            _ => Err(ib_types::IbError::Management(
+                "repair baseline does not cover the switch graph".into(),
+            )),
+        }
+    }
+
+    /// The VL assignment the tables carried into the repair.
+    pub fn vls(&self) -> &VlAssignment {
+        self.vls
+    }
+
+    /// The current LFT of switch index `s`.
+    pub fn row(&self, s: usize) -> &Lft {
+        self.rows[s]
+    }
+
+    /// The current entry of switch index `s` for `lid`.
+    pub fn get(&self, s: usize, lid: Lid) -> Option<PortNum> {
+        self.rows[s].get(lid)
+    }
+
+    /// Writes one cell, logging it if the value changes.
+    pub fn set(&mut self, s: usize, lid: Lid, new: Option<PortNum>) {
+        let old = self.rows[s].get(lid);
+        if old != new {
+            self.rows[s].assign(lid, new);
+            self.cells.push(CellChange {
+                switch: self.g.node_id(s),
+                lid,
+                old,
+                new,
+            });
+        }
+    }
+
+    /// Seals the repair: installs the new header and hands back the log.
+    pub fn commit(mut self, vls: VlAssignment, engine: &'static str, decisions: u64) -> SpliceLog {
+        SpliceLog {
+            cells: std::mem::take(&mut self.cells),
+            displaced: Some((
+                std::mem::replace(self.vls, vls),
+                std::mem::replace(self.engine, engine),
+                std::mem::replace(self.decisions, decisions),
+            )),
+        }
+    }
+}
+
+impl Drop for Splice<'_> {
+    fn drop(&mut self) {
+        while let Some(cell) = self.cells.pop() {
+            if let Some(s) = self.g.index(cell.switch) {
+                self.rows[s].assign(cell.lid, cell.old);
+            }
+        }
+    }
+}
+
 impl RoutingTables {
     /// Snapshots the LFTs *currently installed* in the subnet — the tables
     /// packets would actually follow, as opposed to the ones an engine just
@@ -114,33 +258,6 @@ impl RoutingTables {
             engine: "installed",
             decisions: 0,
         }
-    }
-
-    /// Overwrites one destination column across every switch's LFT: switch
-    /// `sw`'s row for `lid` becomes `f(sw)` (cleared on `None`). The splice
-    /// primitive of incremental repair — every other column is untouched,
-    /// so a later block-diff against the installed tables only sees the
-    /// repaired destinations' blocks.
-    pub fn set_column(&mut self, lid: Lid, f: impl Fn(NodeId) -> Option<PortNum>) {
-        for (&sw, lft) in &mut self.lfts {
-            match f(sw) {
-                Some(p) => lft.set(lid, p),
-                None => lft.clear(lid),
-            }
-        }
-    }
-
-    /// The precondition every engine's incremental repair shares: these
-    /// tables are a splice baseline for `g` only if they hold an LFT for
-    /// each of its switches. `Err` otherwise (and for an empty graph, which
-    /// has nothing to splice) — the caller's answer is a full compute.
-    pub(crate) fn check_covers(&self, g: &SwitchGraph) -> IbResult<()> {
-        if g.is_empty() || (0..g.len()).any(|s| !self.lfts.contains_key(&g.node_id(s))) {
-            return Err(ib_types::IbError::Management(
-                "repair baseline does not cover the switch graph".into(),
-            ));
-        }
-        Ok(())
     }
 
     /// Installs every LFT into the subnet directly (no SMP accounting —

@@ -19,8 +19,8 @@ use ib_types::{IbError, IbResult, PortNum};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::engine::{RoutingEngine, RoutingOptions};
-use crate::graph::{parallel_for_each, Components, SwitchGraph};
-use crate::tables::{stages_to_lfts, RoutingTables, VlAssignment};
+use crate::graph::{parallel_for_each, Components, Destination, SwitchGraph};
+use crate::tables::{stages_to_lfts, RoutingTables, Splice, SpliceLog, VlAssignment};
 
 /// The Up*/Down* engine.
 #[derive(Clone, Copy, Debug, Default)]
@@ -137,84 +137,16 @@ impl RoutingEngine for UpDown {
         } else {
             labels(&g, self.pick_root(&g))
         };
-        // Relaxation order for the up-phase: increasing label, so every
-        // up-move goes to an already-finalized switch. Identical for every
-        // delivery switch, so it is computed once, outside the fan-out.
-        let order = {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_unstable_by_key(|&s| lab[s]);
-            order
-        };
-
         // Group destinations by delivery switch; legal distances are
         // computed once per delivery switch.
-        let mut by_switch: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
-        for (i, d) in g.destinations().iter().enumerate() {
-            by_switch.entry(d.switch).or_default().push(i);
-        }
-        let mut groups: Vec<(usize, Vec<usize>)> = by_switch.into_iter().collect();
-        groups.sort_unstable_by_key(|(s, _)| *s);
-
+        let groups = delivery_groups(&g, |_| true);
         let workers = opts.effective_workers(n);
 
-        // Phase 1, fanned per delivery switch: row gi of `down_data` holds
-        // the shortest all-down distances to groups[gi]'s switch, row gi of
-        // `full_data` the shortest legal up*/down* distances. Rows depend
-        // only on the shared labels, never on other rows.
-        let mut down_data = vec![u32::MAX; groups.len() * n];
-        let mut full_data = vec![u32::MAX; groups.len() * n];
-        {
+        // Phase 1, fanned per delivery switch.
+        let (down_data, full_data) = {
             let _span = observer.span("routing.up-down.distances");
-            let mut rows: Vec<(&mut [u32], &mut [u32])> = down_data
-                .chunks_mut(n)
-                .zip(full_data.chunks_mut(n))
-                .collect();
-            parallel_for_each(
-                &mut rows,
-                workers,
-                || Vec::<u32>::with_capacity(n),
-                |queue, gi, (down, full)| {
-                    let dsw = groups[gi].0;
-                    down[dsw] = 0;
-                    // Reverse BFS along down edges: expand y where y->x is
-                    // down, so the path y..dsw stays all-down.
-                    queue.clear();
-                    queue.push(dsw as u32);
-                    let mut head = 0;
-                    while head < queue.len() {
-                        let x = queue[head] as usize;
-                        head += 1;
-                        for &(y, _) in g.neighbors(x) {
-                            let y = y as usize;
-                            if !is_up(&lab, y, x) && down[y] == u32::MAX {
-                                down[y] = down[x] + 1;
-                                queue.push(y as u32);
-                            }
-                        }
-                    }
-                    full.copy_from_slice(down);
-                    for &s in &order {
-                        for &(v, _) in g.neighbors(s) {
-                            let v = v as usize;
-                            if is_up(&lab, s, v) && full[v] != u32::MAX {
-                                full[s] = full[s].min(full[v].saturating_add(1));
-                            }
-                        }
-                    }
-                },
-            );
-        }
-        for (gi, (dsw, _)) in groups.iter().enumerate() {
-            let full = &full_data[gi * n..(gi + 1) * n];
-            // Legality is required only within the delivery switch's
-            // component: a cross-component MAX is an honest hole (the
-            // column entry stays `None`), not a broken orientation.
-            if (0..n).any(|s| comps.same(s, *dsw) && full[s] == u32::MAX) {
-                return Err(IbError::Topology(format!(
-                    "no legal up*/down* path to switch {dsw}"
-                )));
-            }
-        }
+            legal_distances(&g, &comps, &lab, &groups, workers)?
+        };
 
         // Phase 2, fanned per switch: each switch fills its own staging row
         // from the read-only distance matrices. The candidate set for a
@@ -243,32 +175,7 @@ impl RoutingEngine for UpDown {
                         // `None` — explicit holes, not stale routes.
                         continue;
                     }
-                    // The rule must compose: a packet that descended into
-                    // `s` follows the same LFT row as one that just
-                    // arrived climbing, so the row itself must never turn
-                    // a descent back upward. Hence: **descend whenever the
-                    // destination is down-reachable** (every switch on the
-                    // down chain is then also down-reachable and keeps
-                    // descending), and climb toward the root otherwise
-                    // (the root down-reaches everything, so the climb
-                    // terminates).
-                    candidates.clear();
-                    if down[s] != u32::MAX {
-                        for &(v, p) in g.neighbors(s) {
-                            let v = v as usize;
-                            if !is_up(&lab, s, v) && down[v] != u32::MAX && down[v] + 1 == down[s] {
-                                candidates.push(p);
-                            }
-                        }
-                    } else {
-                        for &(v, p) in g.neighbors(s) {
-                            let v = v as usize;
-                            if is_up(&lab, s, v) && full[v] != u32::MAX && full[v] + 1 == full[s] {
-                                candidates.push(p);
-                            }
-                        }
-                    }
-                    candidates.sort_unstable();
+                    legal_candidates(&g, &lab, down, full, s, candidates);
                     for &di in dest_indices {
                         let dest = g.destinations()[di];
                         let pick = candidates[dest.lid.raw() as usize % candidates.len()];
@@ -290,7 +197,7 @@ impl RoutingEngine for UpDown {
     /// Incremental repair: recompute the root, labels, and relaxation
     /// order on the degraded graph (cheap — one ranks pass plus one BFS),
     /// then run the legal-distance sweep for the dirty delivery-switch
-    /// groups only, splicing the columns into `prior`.
+    /// groups only, writing their columns over `tables` in place.
     ///
     /// The pick is *sticky*: the installed port is kept wherever it is
     /// still a legal minimal candidate, and the modular spread decides
@@ -303,11 +210,11 @@ impl RoutingEngine for UpDown {
         &self,
         g: &SwitchGraph,
         opts: RoutingOptions,
-        prior: &RoutingTables,
+        tables: &mut RoutingTables,
         dirty_dests: &[ib_types::Lid],
         observer: &Observer,
-    ) -> IbResult<RoutingTables> {
-        prior.check_covers(g)?;
+    ) -> IbResult<SpliceLog> {
+        let mut splice = Splice::begin(g, tables)?;
         let _span = observer.span("routing.up-down.repair");
         let n = g.len();
         // The orientation state is recomputed from scratch on the degraded
@@ -320,131 +227,47 @@ impl RoutingEngine for UpDown {
         } else {
             labels(g, self.pick_root(g))
         };
-        let order = {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_unstable_by_key(|&s| lab[s]);
-            order
-        };
-
-        let dirty: FxHashSet<u16> = dirty_dests.iter().map(|l| l.raw()).collect();
-        let mut out = prior.clone();
-        out.engine = self.name();
-        out.vls = VlAssignment::SingleVl;
-        out.decisions = 0;
 
         // Dirty destinations grouped by delivery switch, in switch order —
         // legal distances are computed once per dirty group instead of
         // once per delivery switch of the whole fabric.
-        let mut by_switch: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
-        for (i, d) in g.destinations().iter().enumerate() {
-            if dirty.contains(&d.lid.raw()) {
-                by_switch.entry(d.switch).or_default().push(i);
-            }
-        }
-        let mut groups: Vec<(usize, Vec<usize>)> = by_switch.into_iter().collect();
-        groups.sort_unstable_by_key(|(s, _)| *s);
-        if groups.is_empty() {
-            return Ok(out);
-        }
-
+        let dirty: FxHashSet<u16> = dirty_dests.iter().map(|l| l.raw()).collect();
+        let groups = delivery_groups(g, |d| dirty.contains(&d.lid.raw()));
         let workers = opts.effective_workers(groups.len());
-        let mut down_data = vec![u32::MAX; groups.len() * n];
-        let mut full_data = vec![u32::MAX; groups.len() * n];
-        {
+        let (down_data, full_data) = {
             let _span = observer.span("routing.up-down.distances");
-            let mut rows: Vec<(&mut [u32], &mut [u32])> = down_data
-                .chunks_mut(n)
-                .zip(full_data.chunks_mut(n))
-                .collect();
-            parallel_for_each(
-                &mut rows,
-                workers,
-                || Vec::<u32>::with_capacity(n),
-                |queue, gi, (down, full)| {
-                    let dsw = groups[gi].0;
-                    down[dsw] = 0;
-                    queue.clear();
-                    queue.push(dsw as u32);
-                    let mut head = 0;
-                    while head < queue.len() {
-                        let x = queue[head] as usize;
-                        head += 1;
-                        for &(y, _) in g.neighbors(x) {
-                            let y = y as usize;
-                            if !is_up(&lab, y, x) && down[y] == u32::MAX {
-                                down[y] = down[x] + 1;
-                                queue.push(y as u32);
-                            }
-                        }
-                    }
-                    full.copy_from_slice(down);
-                    for &s in &order {
-                        for &(v, _) in g.neighbors(s) {
-                            let v = v as usize;
-                            if is_up(&lab, s, v) && full[v] != u32::MAX {
-                                full[s] = full[s].min(full[v].saturating_add(1));
-                            }
-                        }
-                    }
-                },
-            );
-        }
-        for (gi, (dsw, _)) in groups.iter().enumerate() {
-            let full = &full_data[gi * n..(gi + 1) * n];
-            // As in the full compute: legality is only required within
-            // the delivery switch's component.
-            if (0..n).any(|s| comps.same(s, *dsw) && full[s] == u32::MAX) {
-                return Err(IbError::Topology(format!(
-                    "no legal up*/down* path to switch {dsw}"
-                )));
-            }
-        }
+            legal_distances(g, &comps, &lab, &groups, workers)?
+        };
 
+        // Switch-major, like the full compute's fill: no pick depends on
+        // another switch's, so each LFT row is visited once and the
+        // candidate set of a (switch, group) pair is built once.
         let mut decisions = 0u64;
-        let mut column: Vec<Option<PortNum>> = vec![None; n];
-        let mut cand: Vec<Vec<PortNum>> = vec![Vec::new(); n];
-        for (gi, (dsw, dest_indices)) in groups.iter().enumerate() {
-            let down = &down_data[gi * n..(gi + 1) * n];
-            let full = &full_data[gi * n..(gi + 1) * n];
-            // Candidate sets are shared by every LID the group delivers —
-            // built once per (switch, group) pair, as in the full compute.
-            for (s, c) in cand.iter_mut().enumerate() {
-                c.clear();
-                if s == *dsw || full[s] == u32::MAX {
-                    // Delivery rows need no candidates; cross-component
-                    // rows legitimately have none (the fault cut them off
-                    // and their columns are cleared below).
-                    continue;
-                }
-                if down[s] != u32::MAX {
-                    for &(v, p) in g.neighbors(s) {
-                        let v = v as usize;
-                        if !is_up(&lab, s, v) && down[v] != u32::MAX && down[v] + 1 == down[s] {
-                            c.push(p);
-                        }
-                    }
-                } else {
-                    for &(v, p) in g.neighbors(s) {
-                        let v = v as usize;
-                        if is_up(&lab, s, v) && full[v] != u32::MAX && full[v] + 1 == full[s] {
-                            c.push(p);
-                        }
+        let mut candidates: Vec<PortNum> = Vec::new();
+        for s in 0..n {
+            for (gi, (dsw, dest_indices)) in groups.iter().enumerate() {
+                decisions += dest_indices.len() as u64;
+                let full = &full_data[gi * n..(gi + 1) * n];
+                if s != *dsw && full[s] != u32::MAX {
+                    legal_candidates(
+                        g,
+                        &lab,
+                        &down_data[gi * n..(gi + 1) * n],
+                        full,
+                        s,
+                        &mut candidates,
+                    );
+                    if candidates.is_empty() {
+                        // Unreachable once the full-row MAX check passed; be
+                        // defensive rather than panic on the modular pick.
+                        return Err(IbError::Topology(format!(
+                            "no legal up*/down* candidate at switch {s} toward switch {dsw}"
+                        )));
                     }
                 }
-                c.sort_unstable();
-                if c.is_empty() {
-                    // Unreachable once the full-row MAX check passed; be
-                    // defensive rather than panic on the modular pick.
-                    return Err(IbError::Topology(format!(
-                        "no legal up*/down* candidate at switch {s} toward switch {dsw}"
-                    )));
-                }
-            }
-            for &di in dest_indices {
-                let dest = g.destinations()[di];
-                for (s, slot) in column.iter_mut().enumerate() {
-                    decisions += 1;
-                    *slot = if s == *dsw {
+                for &di in dest_indices {
+                    let dest = g.destinations()[di];
+                    let pick = if s == *dsw {
                         Some(dest.port)
                     } else if full[s] == u32::MAX {
                         // The fault split the fabric: this switch can no
@@ -458,19 +281,145 @@ impl RoutingEngine for UpDown {
                         // (a port into the failed link never is), so only
                         // the entries the fault invalidated move; the
                         // modular spread decides the rest.
-                        let installed = prior.lfts[&g.node_id(s)].get(dest.lid);
-                        match installed.filter(|p| cand[s].binary_search(p).is_ok()) {
-                            Some(p) => Some(p),
-                            None => Some(cand[s][dest.lid.raw() as usize % cand[s].len()]),
-                        }
+                        splice
+                            .get(s, dest.lid)
+                            .filter(|p| candidates.binary_search(p).is_ok())
+                            .or(Some(candidates[dest.lid.raw() as usize % candidates.len()]))
                     };
+                    splice.set(s, dest.lid, pick);
                 }
-                out.set_column(dest.lid, |sw| g.index(sw).and_then(|s| column[s]));
             }
         }
-        out.decisions = decisions;
-        Ok(out)
+        Ok(splice.commit(VlAssignment::SingleVl, self.name(), decisions))
     }
+}
+
+/// Destinations accepted by `keep`, grouped by delivery switch in switch
+/// order (as indices into `g.destinations()`): legal distances are computed
+/// once per group.
+fn delivery_groups(
+    g: &SwitchGraph,
+    keep: impl Fn(&Destination) -> bool,
+) -> Vec<(usize, Vec<usize>)> {
+    let mut by_switch: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
+    for (i, d) in g.destinations().iter().enumerate() {
+        if keep(d) {
+            by_switch.entry(d.switch).or_default().push(i);
+        }
+    }
+    let mut groups: Vec<(usize, Vec<usize>)> = by_switch.into_iter().collect();
+    groups.sort_unstable_by_key(|(s, _)| *s);
+    groups
+}
+
+/// The per-group legal distance rows, fanned per delivery switch: row gi of
+/// the first matrix holds the shortest all-down distances to `groups[gi]`'s
+/// switch, row gi of the second the shortest legal up*/down* distances.
+/// Rows depend only on the shared labels, never on other rows. `Err` when
+/// some switch of a delivery switch's own component has no legal path to
+/// it — a cross-component `MAX` is an honest hole (the column entry stays
+/// `None`), not a broken orientation.
+fn legal_distances(
+    g: &SwitchGraph,
+    comps: &Components,
+    lab: &[(u32, usize)],
+    groups: &[(usize, Vec<usize>)],
+    workers: usize,
+) -> IbResult<(Vec<u32>, Vec<u32>)> {
+    let n = g.len();
+    // Relaxation order for the up-phase: increasing label, so every
+    // up-move goes to an already-finalized switch. Identical for every
+    // delivery switch, so it is computed once, outside the fan-out.
+    let order = {
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by_key(|&s| lab[s]);
+        order
+    };
+    let mut down_data = vec![u32::MAX; groups.len() * n];
+    let mut full_data = vec![u32::MAX; groups.len() * n];
+    let mut rows: Vec<(&mut [u32], &mut [u32])> = down_data
+        .chunks_mut(n)
+        .zip(full_data.chunks_mut(n))
+        .collect();
+    parallel_for_each(
+        &mut rows,
+        workers,
+        || Vec::<u32>::with_capacity(n),
+        |queue, gi, (down, full)| {
+            let dsw = groups[gi].0;
+            down[dsw] = 0;
+            // Reverse BFS along down edges: expand y where y->x is
+            // down, so the path y..dsw stays all-down.
+            queue.clear();
+            queue.push(dsw as u32);
+            let mut head = 0;
+            while head < queue.len() {
+                let x = queue[head] as usize;
+                head += 1;
+                for &(y, _) in g.neighbors(x) {
+                    let y = y as usize;
+                    if !is_up(lab, y, x) && down[y] == u32::MAX {
+                        down[y] = down[x] + 1;
+                        queue.push(y as u32);
+                    }
+                }
+            }
+            full.copy_from_slice(down);
+            for &s in &order {
+                for &(v, _) in g.neighbors(s) {
+                    let v = v as usize;
+                    if is_up(lab, s, v) && full[v] != u32::MAX {
+                        full[s] = full[s].min(full[v].saturating_add(1));
+                    }
+                }
+            }
+        },
+    );
+    for (gi, (dsw, _)) in groups.iter().enumerate() {
+        let full = &full_data[gi * n..(gi + 1) * n];
+        if (0..n).any(|s| comps.same(s, *dsw) && full[s] == u32::MAX) {
+            return Err(IbError::Topology(format!(
+                "no legal up*/down* path to switch {dsw}"
+            )));
+        }
+    }
+    Ok((down_data, full_data))
+}
+
+/// Fills `candidates` (sorted) with the legal minimal egress ports of
+/// switch `s` toward the delivery switch the `down`/`full` rows belong to.
+///
+/// The rule must compose: a packet that descended into `s` follows the
+/// same LFT row as one that just arrived climbing, so the row itself must
+/// never turn a descent back upward. Hence: **descend whenever the
+/// destination is down-reachable** (every switch on the down chain is then
+/// also down-reachable and keeps descending), and climb toward the root
+/// otherwise (the root down-reaches everything, so the climb terminates).
+fn legal_candidates(
+    g: &SwitchGraph,
+    lab: &[(u32, usize)],
+    down: &[u32],
+    full: &[u32],
+    s: usize,
+    candidates: &mut Vec<PortNum>,
+) {
+    candidates.clear();
+    if down[s] != u32::MAX {
+        for &(v, p) in g.neighbors(s) {
+            let v = v as usize;
+            if !is_up(lab, s, v) && down[v] != u32::MAX && down[v] + 1 == down[s] {
+                candidates.push(p);
+            }
+        }
+    } else {
+        for &(v, p) in g.neighbors(s) {
+            let v = v as usize;
+            if is_up(lab, s, v) && full[v] != u32::MAX && full[v] + 1 == full[s] {
+                candidates.push(p);
+            }
+        }
+    }
+    candidates.sort_unstable();
 }
 
 #[cfg(test)]

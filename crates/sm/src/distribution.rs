@@ -9,9 +9,13 @@
 //! Distribution runs in two phases. **Planning** is read-only over the
 //! subnet: per switch, compute SMP addressing and diff the installed LFT
 //! against a borrowed padded view of the target ([`PaddedLftView`]),
-//! materializing one payload per dirty block. Planning fans out across
-//! scoped worker threads when [`SweepOptions::workers`] asks for it and the
-//! per-chunk results are merged back in ascending switch order.
+//! materializing one payload per dirty block. A caller that knows where
+//! the changes are — a repair holding its changed cells, a retry pass
+//! holding its failed blocks — hands the planner those `(switch, block)`s
+//! and only they are diffed; everyone else diffs every block of every
+//! switch. Planning fans out across scoped worker threads when
+//! [`SweepOptions::workers`] asks for it and the per-chunk results are
+//! merged back in ascending switch order.
 //! **Applying** is serial and deterministic: the merged plans emit the SMP
 //! stream (ledger records, transport sends, installed-LFT writes) in
 //! exactly the order the sequential implementation used, so ledgers and
@@ -28,13 +32,24 @@ use rustc_hash::FxHashMap;
 use crate::report::DistributionReport;
 use crate::sm::{SmpMode, SweepOptions};
 
-/// A dirty LFT block whose `Set` SMP could not be delivered.
+/// A dirty LFT block whose `Set` SMP could not be delivered — and, handed
+/// back to the planner, one `(switch, block)` candidate to diff (a retry's
+/// failed blocks; the blocks a repair's changed cells fall in).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FailedBlock {
     /// The switch the block was destined for.
     pub switch: NodeId,
     /// The 64-entry block index.
     pub block: usize,
+}
+
+/// Sorts and deduplicates planner candidates into the order planning
+/// expects: by switch index, then block.
+pub(crate) fn sorted_blocks(blocks: impl IntoIterator<Item = FailedBlock>) -> Vec<FailedBlock> {
+    let mut blocks: Vec<FailedBlock> = blocks.into_iter().collect();
+    blocks.sort_unstable_by_key(|b| (b.switch.index(), b.block));
+    blocks.dedup();
+    blocks
 }
 
 /// One switch's fully computed update: SMP addressing plus every dirty
@@ -48,7 +63,7 @@ struct SwitchPlan {
 
 /// What planning decided for one switch.
 enum PlanOutcome {
-    /// Nothing dirty (or nothing dirty within the restrict set).
+    /// Nothing dirty (or nothing dirty among the candidate blocks).
     Clean,
     /// Dirty blocks with a live route to the switch.
     Update(SwitchPlan),
@@ -62,27 +77,26 @@ enum PlanOutcome {
     },
 }
 
-/// Plans one switch: diff, filter by `restrict`, resolve addressing.
+/// Plans one switch: diff (every block, or only its `candidates`), resolve
+/// addressing.
 ///
 /// Returns `Err` only for a structural problem (the node is not a switch);
 /// unreachable switches come back as [`PlanOutcome::Unreachable`].
 fn plan_switch(
     subnet: &Subnet,
     sm_node: NodeId,
-    sw: NodeId,
-    target: &Lft,
+    (sw, target, candidates): PlanJob<'_>,
     topmost: Option<Lid>,
     mode: SmpMode,
-    restrict: Option<&[FailedBlock]>,
 ) -> IbResult<PlanOutcome> {
     let current = subnet
         .lft(sw)
         .ok_or_else(|| IbError::Management(format!("{} is not a switch", subnet.name_of(sw))))?;
     let view = target.padded_view(topmost);
-    let mut dirty = view.dirty_blocks_against(current);
-    if let Some(only) = restrict {
-        dirty.retain(|&block| only.contains(&FailedBlock { switch: sw, block }));
-    }
+    let dirty = match candidates {
+        None => view.dirty_blocks_against(current),
+        Some(blocks) => view.dirty_among(current, blocks.iter().map(|b| b.block)),
+    };
     if dirty.is_empty() {
         return Ok(PlanOutcome::Clean);
     }
@@ -114,21 +128,47 @@ fn plan_switch(
     }))
 }
 
-/// Plans every switch of `tables`, in ascending switch order, fanning the
-/// work across `opts` worker threads. The returned vector is ordered and
-/// complete regardless of the worker count.
+/// One planning job: a switch, its target LFT, and — when the caller named
+/// candidates — the run of them that falls on this switch.
+type PlanJob<'a> = (NodeId, &'a Lft, Option<&'a [FailedBlock]>);
+
+/// Plans the switches of `tables` in ascending switch order, fanning the
+/// work across `opts` worker threads: every switch, all blocks diffed, or —
+/// given `candidates`, sorted by switch index then block — only the
+/// switches and blocks named there (candidates on a switch `tables` does
+/// not hold are skipped). The returned vector is ordered regardless of the
+/// worker count.
 fn plan_all(
     subnet: &Subnet,
     sm_node: NodeId,
     tables: &RoutingTables,
     mode: SmpMode,
-    restrict: Option<&[FailedBlock]>,
+    candidates: Option<&[FailedBlock]>,
     opts: SweepOptions,
     observer: &Observer,
 ) -> IbResult<Vec<PlanOutcome>> {
     let _span = observer.span("sweep.plan");
-    let mut targets: Vec<(&NodeId, &Lft)> = tables.lfts.iter().collect();
-    targets.sort_unstable_by_key(|(id, _)| id.index());
+    let jobs: Vec<PlanJob> = match candidates {
+        None => {
+            let mut jobs: Vec<PlanJob> = tables
+                .lfts
+                .iter()
+                .map(|(&sw, lft)| (sw, lft, None))
+                .collect();
+            jobs.sort_unstable_by_key(|(sw, ..)| sw.index());
+            jobs
+        }
+        Some(blocks) => {
+            debug_assert!(blocks.is_sorted_by_key(|b| (b.switch.index(), b.block)));
+            blocks
+                .chunk_by(|a, b| a.switch == b.switch)
+                .filter_map(|run| {
+                    let sw = run[0].switch;
+                    Some((sw, tables.lfts.get(&sw)?, Some(run)))
+                })
+                .collect()
+        }
+    };
 
     // OpenSM populates every LFT entry up to the topmost assigned LID
     // (unreachable ones to the drop port) and pushes all covered blocks —
@@ -136,34 +176,31 @@ fn plan_all(
     // entries actually route anywhere.
     let topmost = subnet.topmost_lid();
 
-    let workers = opts.effective_workers(targets.len());
+    let workers = opts.effective_workers(jobs.len());
     if observer.is_enabled() {
-        observer.add("planner.jobs", targets.len() as u64);
+        observer.add("planner.jobs", jobs.len() as u64);
         observer.record("planner.workers", workers as u64);
     }
     if workers <= 1 {
-        return targets
+        return jobs
             .iter()
-            .map(|&(&sw, target)| plan_switch(subnet, sm_node, sw, target, topmost, mode, restrict))
+            .map(|&job| plan_switch(subnet, sm_node, job, topmost, mode))
             .collect();
     }
 
     // Contiguous chunks keep the merge a plain concatenation: chunk `i`
     // holds the plans for the `i`-th slice of the sorted switch list.
-    let chunk_len = targets.len().div_ceil(workers);
-    let chunks: Vec<&[(&NodeId, &Lft)]> = targets.chunks(chunk_len).collect();
+    let chunk_len = jobs.len().div_ceil(workers);
     let per_chunk: Vec<IbResult<Vec<PlanOutcome>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
+        let handles: Vec<_> = jobs
+            .chunks(chunk_len)
             .map(|chunk| {
                 let worker_obs = observer.clone();
                 scope.spawn(move || {
                     let started_ns = worker_obs.now_ns();
                     let plans: IbResult<Vec<PlanOutcome>> = chunk
                         .iter()
-                        .map(|&(&sw, target)| {
-                            plan_switch(subnet, sm_node, sw, target, topmost, mode, restrict)
-                        })
+                        .map(|&job| plan_switch(subnet, sm_node, job, topmost, mode))
                         .collect();
                     if worker_obs.is_enabled() {
                         worker_obs.record("planner.chunk_switches", chunk.len() as u64);
@@ -187,11 +224,31 @@ fn plan_all(
             .collect()
     });
 
-    let mut plans = Vec::with_capacity(targets.len());
+    let mut plans = Vec::with_capacity(jobs.len());
     for chunk in per_chunk {
         plans.extend(chunk?);
     }
     Ok(plans)
+}
+
+/// Whether every block a full installed-vs-target diff of `tables` would
+/// send is among `candidates` — the repair pipeline's debug cross-check
+/// that planning from its changed cells misses nothing.
+pub(crate) fn covers_full_diff(
+    subnet: &Subnet,
+    tables: &RoutingTables,
+    candidates: &[FailedBlock],
+) -> bool {
+    let topmost = subnet.topmost_lid();
+    tables.lfts.iter().all(|(&switch, target)| {
+        subnet.lft(switch).is_none_or(|installed| {
+            target
+                .padded_view(topmost)
+                .dirty_blocks_against(installed)
+                .into_iter()
+                .all(|block| candidates.contains(&FailedBlock { switch, block }))
+        })
+    })
 }
 
 /// A reusable `SubnSet(LinearForwardingTable)` SMP: the routing is cloned
@@ -357,6 +414,7 @@ pub fn retry_failed_blocks<C: SmpChannel>(
     failed: &[FailedBlock],
 ) -> IbResult<(DistributionReport, Vec<FailedBlock>)> {
     ledger.begin_phase("lft-distribution-retry");
+    let candidates = sorted_blocks(failed.iter().copied());
     let (acct, still_failed) = push_blocks(
         subnet,
         sm_node,
@@ -364,7 +422,7 @@ pub fn retry_failed_blocks<C: SmpChannel>(
         mode,
         transport,
         ledger,
-        Some(failed),
+        Some(&candidates),
         SweepOptions::default(),
     )?;
     Ok((acct.report(), still_failed))
@@ -416,10 +474,11 @@ impl ResumeAccounting {
     }
 }
 
-/// Shared engine behind [`distribute_with`] and [`retry_failed_blocks`]:
-/// plans (possibly in parallel), then applies serially through the
-/// transport. Returns per-switch accounting for this call only — blocks
-/// actually attempted and applied here, never blocks from earlier passes.
+/// Shared engine behind [`distribute_with`], [`retry_failed_blocks`] and the
+/// repair pipeline: plans (possibly in parallel, every block or only
+/// `candidates`), then applies serially through the transport. Returns
+/// per-switch accounting for this call only — blocks actually attempted and
+/// applied here, never blocks from earlier passes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn push_blocks<C: SmpChannel>(
     subnet: &mut Subnet,
@@ -428,11 +487,11 @@ pub(crate) fn push_blocks<C: SmpChannel>(
     mode: SmpMode,
     transport: &mut SmpTransport<C>,
     ledger: &mut SmpLedger,
-    restrict: Option<&[FailedBlock]>,
+    candidates: Option<&[FailedBlock]>,
     opts: SweepOptions,
 ) -> IbResult<(ResumeAccounting, Vec<FailedBlock>)> {
     let observer = ledger.observer().clone();
-    let plans = plan_all(subnet, sm_node, tables, mode, restrict, opts, &observer)?;
+    let plans = plan_all(subnet, sm_node, tables, mode, candidates, opts, &observer)?;
     let _apply_span = observer.span("sweep.apply");
     let mut acct = ResumeAccounting::new();
     let mut failed = Vec::new();

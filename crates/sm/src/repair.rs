@@ -1,21 +1,26 @@
 //! The incremental repair pipeline: the SM's answer to link-down traps.
 //!
 //! One pipeline serves a single trap (a one-element fault list) and a
-//! coalesced burst (k elements) alike: guards → splice baseline → per-fault
-//! dirty groups → cached switch graph → engine fold → dirty-block
-//! distribution → column-scoped verifier gate → reverse-index maintenance.
+//! coalesced burst (k elements) alike: guards → per-fault dirty groups →
+//! cached switch graph → engine fold over the baseline *in place* →
+//! distribution of the blocks the changed cells fall in → column-scoped
+//! verifier gate → reverse-index maintenance. The engine's list of changed
+//! cells ([`ib_routing::SpliceLog`]) is the currency of every stage after
+//! it, so a repair costs what it changes, not what the fabric holds.
 //! Whatever the pipeline cannot absorb leaves through **one** counted
-//! fallback into [`SubnetManager::light_sweep`]. The engine side is
-//! splice-or-`Err` ([`ib_routing::RoutingEngine::repair_with_graph`]), so
-//! an `Ok` here always means "only the dirty columns moved".
+//! fallback into [`SubnetManager::light_sweep`], the baseline put back as
+//! it was. The engine side is splice-or-`Err`
+//! ([`ib_routing::RoutingEngine::repair_with_graph`]), so an `Ok` here
+//! always means "only the dirty columns moved".
 
 use std::collections::HashSet;
 
 use ib_mad::fault::{SmpChannel, SmpTransport};
-use ib_routing::RoutingTables;
+use ib_routing::{RoutingTables, SpliceLog};
 use ib_subnet::{NodeId, Subnet};
 use ib_types::{IbResult, Lid, PortNum};
 
+use crate::distribution::{self, FailedBlock};
 use crate::resweep::{ResweepReport, SweepKind};
 use crate::sm::SubnetManager;
 
@@ -78,9 +83,9 @@ impl SubnetManager {
     /// itself emits `repair.*` counters and a `span_name` span that closes
     /// before any fallback sweep starts.
     ///
-    /// The baseline is moved out of `last_tables` for the engine to borrow
-    /// and moved back — repaired on success, untouched otherwise — before
-    /// anything else can look at it.
+    /// The baseline is moved out of `last_tables` for the engine to repair
+    /// in place and moved back — repaired on success, as it was otherwise —
+    /// before anything else can look at it.
     pub(crate) fn repair_faults<C: SmpChannel>(
         &mut self,
         subnet: &mut Subnet,
@@ -107,8 +112,9 @@ impl SubnetManager {
     }
 
     /// The pipeline past its guards. On a converged or merely unconverged
-    /// repair `baseline` is replaced by the spliced tables; on every other
-    /// exit it is left as it was.
+    /// repair `baseline` holds the spliced tables; on every other exit it
+    /// is what it was (an engine `Err` never touched it, anything later is
+    /// undone from the splice log).
     fn splice_faults<C: SmpChannel>(
         &mut self,
         subnet: &mut Subnet,
@@ -129,20 +135,23 @@ impl SubnetManager {
         // cross-checked in debug builds against the two-row fabric scan —
         // the index is derived state and never silently trusted.
         let mut touched = HashSet::new();
-        let groups: Vec<Vec<Lid>> = faults
-            .iter()
-            .map(|&(node, port)| {
-                observer.incr("repair.index_hits");
-                let mut group = index.affected(subnet, node, port);
-                debug_assert_eq!(
-                    group,
-                    ib_verify::affected_destinations(subnet, node, port),
-                    "reverse route index diverged from the two-row scan at ({node:?}, {port})"
-                );
-                group.retain(|&lid| touched.insert(lid));
-                group
-            })
-            .collect();
+        let groups: Vec<Vec<Lid>> = {
+            let _span = observer.span("repair.dirty_set");
+            faults
+                .iter()
+                .map(|&(node, port)| {
+                    observer.incr("repair.index_hits");
+                    let mut group = index.affected(subnet, node, port);
+                    debug_assert_eq!(
+                        group,
+                        ib_verify::affected_destinations(subnet, node, port),
+                        "reverse route index diverged from the two-row scan at ({node:?}, {port})"
+                    );
+                    group.retain(|&lid| touched.insert(lid));
+                    group
+                })
+                .collect()
+        };
         observer.add("repair.dirty_dests", touched.len() as u64);
         if touched.is_empty() {
             // No installed path crossed the links: the tables are already
@@ -150,32 +159,60 @@ impl SubnetManager {
             observer.incr("repair.clean_noop");
             return Ok(Ok(ResweepReport::idle(SweepKind::Repair)));
         }
-        let Ok(tables) = self.reroute_dirty(subnet, baseline, &groups) else {
+        let Ok(log) = self.reroute_dirty(subnet, baseline, &groups) else {
             return Ok(Err(Fallback::EngineError));
         };
+        self.ledger
+            .observer()
+            .add("repair.changed_cells", log.cells.len() as u64);
+        let outcome = self.install_splice(subnet, baseline, &log, &touched, transport);
+        if !matches!(outcome, Ok(Ok(_))) {
+            log.undo(baseline);
+        }
+        outcome
+    }
+
+    /// The back half of the pipeline, sized by the splice log: distributes
+    /// the blocks its changed cells fall in, gates the installed result and
+    /// moves the reverse index's entries for exactly those cells.
+    fn install_splice<C: SmpChannel>(
+        &mut self,
+        subnet: &mut Subnet,
+        tables: &RoutingTables,
+        log: &SpliceLog,
+        touched: &HashSet<Lid>,
+        transport: &mut SmpTransport<C>,
+    ) -> IbResult<Result<ResweepReport, Fallback>> {
         let healed = self.refresh_partition_state(subnet);
+        // The switches hold the padded baseline (the live index vouches for
+        // it), so only blocks containing a changed cell can be dirty.
+        let candidates = distribution::sorted_blocks(log.cells.iter().map(|c| FailedBlock {
+            switch: c.switch,
+            block: c.lid.lft_block(),
+        }));
+        self.ledger
+            .observer()
+            .add("repair.planned_blocks", candidates.len() as u64);
         let (distribution, retry_passes, failed_blocks) =
-            self.distribute_resumably(subnet, &tables, transport)?;
+            self.distribute_resumably(subnet, tables, Some(&candidates), transport)?;
         if failed_blocks.is_empty() {
             let report = ib_verify::FabricVerifier::new()
                 .with_deadlock(self.config().verify)
                 .with_viewpoint(self.sm_node)
                 .verify_observed(subnet, &tables.vls, self.ledger.observer())?;
-            if let Some(class) = self.repair_gate_rejects(&report, &touched) {
+            if let Some(class) = self.repair_gate_rejects(&report, touched) {
                 return Ok(Err(Fallback::VerifyRejected(class)));
             }
             self.count_repair_success();
+            let span = self.ledger.observer().span("repair.index_splice");
             match self.route_index.as_mut() {
-                Some(index) if self.lost_nodes.is_empty() => {
-                    for &lid in groups.iter().flatten() {
-                        index.apply_column_update(lid, baseline, &tables);
-                    }
-                }
+                Some(index) if self.lost_nodes.is_empty() => index.apply_changes(&log.cells),
                 // A repair on a split fabric rewrote columns on switches
-                // the SM no longer serves, which per-column splicing cannot
+                // the SM no longer serves, which per-cell splicing cannot
                 // track: rebuild from what is now installed.
                 _ => self.route_index = Some(ib_verify::ReverseRouteIndex::from_installed(subnet)),
             }
+            span.end();
             self.verify_healed(subnet, &healed)?;
         } else {
             // Mirrors `verify_converged`: tables with stranded blocks are
@@ -184,7 +221,6 @@ impl SubnetManager {
             self.ledger.observer().incr("repair.unconverged");
             self.route_index = None;
         }
-        *baseline = tables;
         Ok(Ok(ResweepReport {
             distribution,
             retry_passes,
@@ -193,19 +229,19 @@ impl SubnetManager {
         }))
     }
 
-    /// The engine step: one fold of the dirty `groups` into a copy of
-    /// `baseline`, over the CSR switch graph cached by an earlier repair in
-    /// the same topology epoch — a quiet burst of traps between mutations
-    /// pays for one construction (`repair.graph_reused`) — or rebuilt from
-    /// the subnet (`repair.graph_rebuilt`). An unbuildable graph (e.g. an
-    /// HCA whose only uplink went down but still carries a LID) is an
-    /// `Err` exactly like the engine's own.
+    /// The engine step: one fold of the dirty `groups` over `baseline` in
+    /// place, over the CSR switch graph cached by an earlier repair in the
+    /// same topology epoch — a quiet burst of traps between mutations pays
+    /// for one construction (`repair.graph_reused`) — or rebuilt from the
+    /// subnet (`repair.graph_rebuilt`). An unbuildable graph (e.g. an HCA
+    /// whose only uplink went down but still carries a LID) is an `Err`
+    /// exactly like the engine's own; either leaves `baseline` untouched.
     fn reroute_dirty(
         &mut self,
         subnet: &Subnet,
-        baseline: &RoutingTables,
+        baseline: &mut RoutingTables,
         groups: &[Vec<Lid>],
-    ) -> IbResult<RoutingTables> {
+    ) -> IbResult<SpliceLog> {
         let epoch = subnet.topology_epoch();
         let observer = self.ledger.observer();
         let graph = match self.cached_graph.take() {
@@ -218,7 +254,7 @@ impl SubnetManager {
                 ib_routing::SwitchGraph::build(subnet)?
             }
         };
-        let tables = self.config().engine.build().repair_batch_with_graph(
+        let log = self.config().engine.build().repair_batch_with_graph(
             &graph,
             self.config().routing,
             baseline,
@@ -226,7 +262,7 @@ impl SubnetManager {
             observer,
         );
         self.cached_graph = Some((epoch, graph));
-        tables
+        log
     }
 
     /// Counts one fallback three ways: the named reason, the aggregate
@@ -311,6 +347,11 @@ mod tests {
         );
         sm.set_observer(ib_observe::Observer::metrics());
         sm.bring_up(&mut t.subnet).unwrap();
+        let bring_up_blocks = sm
+            .observer()
+            .snapshot()
+            .unwrap()
+            .counter("sweep.dirty_blocks");
         let trap = down_first_uplink(&mut t);
         let mut transport = SmpTransport::perfect(sm.sm_node);
         let report = sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
@@ -328,7 +369,39 @@ mod tests {
         assert!(snap.counter("repair.dirty_dests") > 0);
         assert_eq!(snap.counter("repair.graph_rebuilt"), 1);
         assert_eq!(snap.counter("repair.graph_reused"), 0);
-        assert_eq!(snap.spans_named("resweep.repair").len(), 1);
+        // The cost of the stages between engine and wire is attributable:
+        // what the engine changed, and the blocks planned from it.
+        assert!(snap.counter("repair.changed_cells") > 0);
+        assert!(snap.counter("repair.planned_blocks") > 0);
+        assert!(snap.counter("repair.planned_blocks") <= snap.counter("repair.changed_cells"));
+        assert_eq!(
+            snap.counter("sweep.dirty_blocks"),
+            snap.counter("repair.planned_blocks") + bring_up_blocks,
+            "on a converged fabric every planned block was dirty"
+        );
+        // One child span per stage, in pipeline order, nested inside the
+        // repair's own span.
+        let repair = snap.spans_named("resweep.repair");
+        assert_eq!(repair.len(), 1);
+        let mut at = repair[0].start_ns;
+        for name in [
+            "repair.dirty_set",
+            "routing.minhop.repair",
+            "sweep.plan",
+            "sweep.apply",
+            "verify.run",
+            "repair.index_splice",
+        ] {
+            let child = snap
+                .spans_named(name)
+                .into_iter()
+                .filter(|c| c.start_ns >= repair[0].start_ns)
+                .collect::<Vec<_>>();
+            assert_eq!(child.len(), 1, "{name}");
+            assert!(child[0].start_ns >= at, "{name} starts after its sibling");
+            at = child[0].start_ns + child[0].duration_ns;
+        }
+        assert!(at <= repair[0].start_ns + repair[0].duration_ns);
     }
 
     #[test]

@@ -201,13 +201,16 @@ impl SubnetManager {
         transport: &mut SmpTransport<C>,
     ) -> IbResult<ResweepReport> {
         let healed = self.refresh_partition_state(subnet);
+        // The rows the reverse index mirrors are about to be rewritten
+        // wholesale: drop it now. It comes back from the freshly installed
+        // rows once they converge and verify — on any earlier exit there is
+        // nothing trustworthy to mirror — and the sweep never holds two
+        // indexes at once (that was its memory peak).
+        self.route_index = None;
         let (distribution, retry_passes, failed_blocks) =
-            self.distribute_resumably(subnet, &tables, transport)?;
+            self.distribute_resumably(subnet, &tables, None, transport)?;
         self.verify_converged(subnet, &tables.vls, &failed_blocks)?;
         // A full distribution covers every fault a deferred trap reported.
-        // The reverse index mirrors the freshly installed rows or — when
-        // blocks were stranded — nothing trustworthy, so it is dropped
-        // until the next converged sweep rebuilds it.
         self.subsume_pending();
         self.route_index = failed_blocks
             .is_empty()
@@ -256,16 +259,28 @@ impl SubnetManager {
     /// On a split fabric, switches beyond the cut are excluded up front
     /// ([`SubnetManager::served_tables`]) instead of burning all
     /// [`MAX_RETRY_PASSES`] against links no SMP can cross.
+    ///
+    /// `candidates` narrows the first pass's diff to the blocks a repair
+    /// changed (`None`: every block of every switch); the retry passes
+    /// narrow theirs to what failed — already in planning order — by the
+    /// same mechanism.
     pub(crate) fn distribute_resumably<C: SmpChannel>(
         &mut self,
         subnet: &mut Subnet,
         tables: &ib_routing::RoutingTables,
+        candidates: Option<&[FailedBlock]>,
         transport: &mut SmpTransport<C>,
     ) -> IbResult<(DistributionReport, usize, Vec<FailedBlock>)> {
         let served = self.served_tables(tables);
         let tables = served.as_ref().unwrap_or(tables);
         let mode = self.config().smp_mode;
         let sweep = self.config().sweep;
+        // Candidates are trusted only as far as the next debug build: the
+        // full diff must find nothing outside them.
+        debug_assert!(
+            candidates.is_none_or(|some| distribution::covers_full_diff(subnet, tables, some)),
+            "a dirty block lies outside the candidate blocks"
+        );
         let mut acct = ResumeAccounting::new();
         self.ledger.begin_phase("lft-distribution");
         let (first, mut failed) = distribution::push_blocks(
@@ -275,7 +290,7 @@ impl SubnetManager {
             mode,
             transport,
             &mut self.ledger,
-            None,
+            candidates,
             sweep,
         )?;
         acct.merge(first);

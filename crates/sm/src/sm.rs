@@ -179,7 +179,7 @@ pub struct SubnetManager {
     pub(crate) last_tables: Option<ib_routing::RoutingTables>,
     /// Reverse (switch, port) -> destination-set index over `last_tables`,
     /// kept in lock-step with it: rebuilt after full sweeps, spliced
-    /// per-column after repairs, dropped whenever the installed state
+    /// per changed cell after repairs, dropped whenever the installed state
     /// diverges (failed distribution blocks). `None` means "the fabric is
     /// not `last_tables`: no repair until a full sweep converges".
     pub(crate) route_index: Option<ib_verify::ReverseRouteIndex>,
@@ -305,6 +305,9 @@ impl SubnetManager {
 
         let healed = self.refresh_partition_state(subnet);
         let served = self.served_tables(&tables);
+        // Rebuilt below from what this distribution installs; until then it
+        // mirrors nothing (and two indexes never coexist).
+        self.route_index = None;
         let dist = distribution::distribute_opts(
             subnet,
             self.sm_node,
@@ -361,8 +364,10 @@ impl SubnetManager {
     /// A no-op for columns the SM has no baseline for.
     pub fn note_columns_changed(&mut self, subnet: &Subnet, lids: &[ib_types::Lid]) {
         if let Some(tables) = self.last_tables.as_mut() {
-            for &lid in lids {
-                tables.set_column(lid, |sw| subnet.lft(sw).and_then(|l| l.get(lid)));
+            for (&sw, lft) in &mut tables.lfts {
+                for &lid in lids {
+                    lft.assign(lid, subnet.lft(sw).and_then(|l| l.get(lid)));
+                }
             }
         }
         if let Some(idx) = self.route_index.as_mut() {
@@ -385,7 +390,8 @@ impl SubnetManager {
     }
 
     /// The live reverse route index, when one mirrors the installed LFTs
-    /// (rebuilt by converged full sweeps, spliced per column by repairs).
+    /// (rebuilt by converged full sweeps, spliced per changed cell by
+    /// repairs).
     /// `None` after an unconverged distribution until the next full sweep
     /// converges — which the next link-down trap forces, since a repair
     /// refuses to splice without it (`repair.index_misses`).

@@ -53,9 +53,11 @@ impl SubnetManager {
     /// Time-aware trap handling with flap damping: link state-change traps
     /// are first fed to the [`crate::LinkQuarantine`]. A trap on a link
     /// already inside its hold-down window is absorbed without a re-sweep
-    /// (the damper re-asserts the administrative down state); every other
-    /// trap proceeds to the usual sweep over the — possibly
-    /// just-quarantined — topology, unless coalescing defers it.
+    /// (the damper re-asserts the administrative down state) — unless
+    /// installed rows still forward across the held link, which only a
+    /// sweep can fix (`quarantine.held_rerouted`); every other trap
+    /// proceeds to the usual sweep over the — possibly just-quarantined —
+    /// topology, unless coalescing defers it.
     pub fn handle_trap_at<C: SmpChannel>(
         &mut self,
         subnet: &mut Subnet,
@@ -79,7 +81,14 @@ impl SubnetManager {
                     "quarantine.bridge_refused",
                     self.quarantine.bridge_refusals() - refusals_before,
                 );
-                if absorbed {
+                // Absorbing assumes nothing routes over the held link. A
+                // sweep that ran while it was physically up (a heal raises
+                // several cables, the first one's trap sweeps) installed
+                // rows across it, and the damper just re-downed it under
+                // them: that trap needs its sweep after all.
+                if absorbed && self.held_link_strands_routes(subnet, node, port) {
+                    observer.incr("quarantine.held_rerouted");
+                } else if absorbed {
                     observer.incr("quarantine.absorbed");
                     return Ok(ResweepReport::idle(SweepKind::Light));
                 }
@@ -97,6 +106,27 @@ impl SubnetManager {
             }
         }
         self.answer_trap(subnet, trap, transport)
+    }
+
+    /// Whether the cable at `(node, port)` is down while a switch the SM
+    /// serves still forwards some registered LID into it — the two-row
+    /// scan of [`ib_verify::affected_destinations`], minus rows stranded
+    /// beyond a split (no sweep can reach those; the heal rewrites them).
+    fn held_link_strands_routes(&self, subnet: &Subnet, node: NodeId, port: PortNum) -> bool {
+        if subnet.neighbor(node, port).is_some() {
+            return false;
+        }
+        let far = subnet.cabled_neighbor(node, port).map(|r| (r.node, r.port));
+        let lids = subnet.lids();
+        [Some((node, port)), far]
+            .into_iter()
+            .flatten()
+            .any(|(n, p)| {
+                !self.lost_nodes.contains(&n)
+                    && subnet
+                        .lft(n)
+                        .is_some_and(|lft| lids.iter().any(|&lid| lft.get(lid) == Some(p)))
+            })
     }
 
     /// Counts the trap (`trap.received`, exactly once per trap) and decides
@@ -412,6 +442,70 @@ mod tests {
         assert_eq!(snap.counter("repair.fallback"), 0);
     }
 
+    /// A trap the damper would absorb must still be swept when installed
+    /// rows cross the link it just re-downed. A held cable comes back up
+    /// (its trap still in flight), another trap's sweep folds it into the
+    /// routes, then its own trap arrives: the damper re-asserts the
+    /// hold-down under those routes, and absorbing the trap would leave
+    /// them as black holes.
+    #[test]
+    fn absorbed_trap_on_a_link_the_routes_still_cross_is_swept() {
+        let mut t = two_level(3, 2, 2);
+        let mut sm = SubnetManager::new(
+            t.hosts[0],
+            SmConfig {
+                quarantine: crate::QuarantineOptions::enabled(),
+                ..SmConfig::default()
+            },
+        );
+        sm.set_observer(ib_observe::Observer::metrics());
+        sm.bring_up(&mut t.subnet).unwrap();
+        let mut transport = SmpTransport::perfect(sm.sm_node);
+
+        // Hold leaf0 -> spine0 down: the third flap event trips the damper.
+        let held = down_uplink(&mut t, 0, 0);
+        let Trap::LinkStateChange { node, port } = held else {
+            unreachable!()
+        };
+        for now in 0..3 {
+            sm.handle_trap_at(&mut t.subnet, held, &mut transport, now)
+                .unwrap();
+        }
+        assert!(sm.quarantine.is_quarantined(&t.subnet, node, port, 3));
+
+        // The cable rises; before its trap lands, a trap about another
+        // live link sweeps — and routes over the risen cable.
+        t.subnet.set_link_up(node, port).unwrap();
+        let leaf2 = t.switch_levels[0][2];
+        let (other_port, _) = t.subnet.node(leaf2).connected_ports().next().unwrap();
+        let other = Trap::LinkStateChange {
+            node: leaf2,
+            port: other_port,
+        };
+        sm.handle_trap_at(&mut t.subnet, other, &mut transport, 3)
+            .unwrap();
+        assert!(!ib_verify::affected_destinations(&t.subnet, node, port).is_empty());
+
+        // Its own trap: still inside the hold-down, so the damper re-downs
+        // the link — and the SM must route around it again.
+        let report = sm
+            .handle_trap_at(&mut t.subnet, held, &mut transport, 4)
+            .unwrap();
+        assert!(!t.subnet.is_link_up(node, port), "damper re-downed it");
+        assert!(report.distribution.lft_smps > 0, "the trap was swept");
+        let verdict = ib_verify::FabricVerifier::new()
+            .with_deadlock(false)
+            .verify(&t.subnet)
+            .unwrap();
+        assert!(verdict.is_clean(), "{verdict}");
+        assert!(sm.quarantine.verify_absent(&t.subnet, 4).is_empty());
+        assert_all_pairs_connected(&t, &[]);
+
+        let snap = sm.observer().snapshot().unwrap();
+        assert_eq!(snap.counter("quarantine.held_rerouted"), 1);
+        assert_eq!(snap.counter("quarantine.absorbed"), 0);
+    }
+
     /// One trap of each intake fate through `handle_trap_at` — absorbed by
     /// flap damping, deferred by coalescing, swept, and lost beyond a split
     /// — is counted `trap.received` exactly once, and only its own fate's
@@ -434,8 +528,8 @@ mod tests {
         let flaps = sm.config().quarantine.flap_threshold;
 
         // Quarantined: the damper already holds leaf0 -> spine0 down (fed
-        // directly, so no trap was involved); a trap inside the hold-down
-        // is absorbed.
+        // directly, so no trap was involved) and the routes already avoid
+        // it; a trap inside the hold-down is absorbed.
         let held = down_uplink(&mut t, 0, 0);
         let Trap::LinkStateChange { node, port } = held else {
             unreachable!()
@@ -445,6 +539,7 @@ mod tests {
                 .note_link_event(&mut t.subnet, node, port, now)
                 .unwrap();
         }
+        sm.light_sweep(&mut t.subnet, &mut transport).unwrap();
         let now = u64::from(flaps);
         let report = sm
             .handle_trap_at(&mut t.subnet, held, &mut transport, now)
@@ -492,6 +587,8 @@ mod tests {
         assert_eq!(snap.counter("sm.trap_absorbed_lost"), 1);
         // The lost trap never reached the damper; the other three did.
         assert_eq!(snap.counter("quarantine.events"), 3);
-        assert_eq!(snap.counter("resweep.light"), 2);
+        assert_eq!(snap.counter("quarantine.held_rerouted"), 0);
+        // The fixture's own sweep, the swept trap, the split's sweep.
+        assert_eq!(snap.counter("resweep.light"), 3);
     }
 }

@@ -101,6 +101,15 @@ impl Lft {
         }
     }
 
+    /// Writes the entry for `lid`: [`Lft::set`] for a port, [`Lft::clear`]
+    /// for `None`.
+    pub fn assign(&mut self, lid: Lid, port: Option<PortNum>) {
+        match port {
+            Some(p) => self.set(lid, p),
+            None => self.clear(lid),
+        }
+    }
+
     /// Swaps the entries of two LIDs in place.
     ///
     /// This is the primitive of the prepopulated-LID reconfiguration
@@ -258,17 +267,27 @@ impl PaddedLftView<'_> {
     /// building the padded copy.
     #[must_use]
     pub fn dirty_blocks_against(&self, installed: &Lft) -> Vec<usize> {
-        let max_blocks = installed.num_blocks().max(self.num_blocks());
+        self.dirty_among(installed, 0..installed.num_blocks().max(self.num_blocks()))
+    }
+
+    /// The subset of `blocks` (kept in order) where `installed` differs
+    /// from this view: the diff restricted to candidate blocks, for callers
+    /// that know where the changes are.
+    #[must_use]
+    pub fn dirty_among(
+        &self,
+        installed: &Lft,
+        blocks: impl IntoIterator<Item = usize>,
+    ) -> Vec<usize> {
         let empty = [None; LFT_BLOCK_SIZE];
         let mut buf = [None; LFT_BLOCK_SIZE];
-        let mut dirty = Vec::new();
-        for b in 0..max_blocks {
-            self.copy_block_into(b, &mut buf);
-            if installed.block(b).unwrap_or(&empty) != buf.as_slice() {
-                dirty.push(b);
-            }
-        }
-        dirty
+        blocks
+            .into_iter()
+            .filter(|&b| {
+                self.copy_block_into(b, &mut buf);
+                installed.block(b).unwrap_or(&empty) != buf.as_slice()
+            })
+            .collect()
     }
 }
 

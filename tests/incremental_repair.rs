@@ -239,60 +239,131 @@ fn every_engine_survives_repair_schedules_deterministically() {
     }
 }
 
-/// Splice-or-`Err`, the contract the SM's per-column index maintenance
-/// rests on, for every engine in the matrix: an `Ok` repair leaves every
-/// clean column of the baseline byte-identical, and a baseline that cannot
-/// be spliced — one of the graph's switches missing, or (LASH) a foreign
-/// `VlAssignment` shape — is an `Err`, never tables from a full recompute
-/// in disguise. (That all five engines repair natively is now a
-/// compile-time fact: `repair_with_graph` has no default body.)
+/// The in-place repair contract the SM's pipeline rests on, as a property
+/// over engines x fabrics x fault shapes (single faults and two-fault
+/// batches), each repair checked against a clone taken before the call:
+///
+/// * the splice log is the exact cell diff — nothing missed, nothing
+///   listed that did not change — so clean columns are byte-identical;
+/// * undoing the log restores the clone, VL assignment included;
+/// * every `Err` path — a baseline missing one of the graph's switches,
+///   (LASH) a foreign `VlAssignment` shape, (DFSSSP) lanes exhausted
+///   *after* its columns are written — leaves the tables equal to the
+///   clone, never half-spliced and never a full recompute in disguise.
+///
+/// (That all five engines repair natively is a compile-time fact:
+/// `repair_with_graph` has no default body.)
 #[test]
 fn every_engine_repair_is_splice_or_err() {
+    use EngineKind::{Dfsssp, FatTree, Lash, MinHop, UpDown};
     let opts = RoutingOptions::default();
     let obs = Observer::disabled();
-    for kind in EngineKind::all() {
-        let mut t = two_level(4, 4, 2);
-        let config = SmConfig {
-            engine: kind,
-            ..SmConfig::default()
-        };
-        SubnetManager::new(t.hosts[0], config)
-            .bring_up(&mut t.subnet)
-            .unwrap();
-        let engine = kind.build();
-        let prior = engine.compute(&t.subnet).unwrap();
-        let (node, port, _) = core_links(&t.subnet)[0];
-        let dirty = ib_verify::affected_destinations(&t.subnet, node, port);
-        assert!(!dirty.is_empty(), "{kind:?}");
-        t.subnet.set_link_down(node, port).unwrap();
-        let graph = SwitchGraph::build(&t.subnet).unwrap();
+    type Fabric = (&'static str, fn() -> BuiltTopology, &'static [EngineKind]);
+    let fabrics: [Fabric; 3] = [
+        ("paper_324", paper_324, &[FatTree, MinHop, UpDown]),
+        (
+            "three_level(4,4,4,4)",
+            || three_level(4, 4, 4, 4),
+            &[FatTree, MinHop, UpDown, Dfsssp, Lash],
+        ),
+        (
+            "torus 4x4",
+            || torus_2d(4, 4, 1, true),
+            &[MinHop, UpDown, Dfsssp, Lash],
+        ),
+    ];
+    for (fabric, build, engines) in fabrics {
+        for &kind in engines {
+            let tag = format!("{} on {fabric}", kind.name());
+            let mut t = build();
+            ib_routing::testutil::assign_lids(&mut t);
+            let engine = kind.build();
+            let prior = engine.compute(&t.subnet).unwrap();
+            prior.install(&mut t.subnet).unwrap();
 
-        let repaired = engine
-            .repair_with_graph(&graph, opts, &prior, &dirty, &obs)
-            .unwrap();
-        for (sw, lft) in &prior.lfts {
-            for lid in t.subnet.lids().into_iter().filter(|l| !dirty.contains(l)) {
-                assert_eq!(repaired.lfts[sw].get(lid), lft.get(lid), "{kind:?} {sw:?}");
+            // Two connectivity-preserving cables that carry routes; their
+            // dirty groups read off the installed baseline, the second
+            // minus the first's.
+            let links = core_links(&t.subnet);
+            let mut groups: Vec<Vec<ib_types::Lid>> = Vec::new();
+            let mut first_fault = None;
+            while groups.len() < 2 {
+                let (node, port, group) = safe_to_down(&t.subnet, &links)
+                    .into_iter()
+                    .skip(groups.len() * 3)
+                    .find_map(|(node, port, _)| {
+                        let mut group = ib_verify::affected_destinations(&t.subnet, node, port);
+                        group.retain(|lid| !groups.iter().flatten().any(|l| l == lid));
+                        (!group.is_empty()).then_some((node, port, group))
+                    })
+                    .unwrap_or_else(|| panic!("{tag}: no second cable carries routes"));
+                first_fault.get_or_insert(node);
+                groups.push(group);
+                t.subnet.set_link_down(node, port).unwrap();
             }
-        }
+            let graph = SwitchGraph::build(&t.subnet).unwrap();
+            let lids = t.subnet.lids();
 
-        let mut holed = prior.clone();
-        holed.lfts.remove(&node);
-        assert!(
-            engine
-                .repair_with_graph(&graph, opts, &holed, &dirty, &obs)
-                .is_err(),
-            "{kind:?}: a baseline missing a switch must not yield tables"
-        );
-        if kind == EngineKind::Lash {
-            let mut foreign = prior.clone();
-            foreign.vls = VlAssignment::PerDestination(Default::default());
-            assert!(
-                engine
-                    .repair_with_graph(&graph, opts, &foreign, &dirty, &obs)
-                    .is_err(),
-                "LASH cannot re-seed its layers from a per-destination assignment"
-            );
+            for batch in [&groups[..1], &groups[..]] {
+                let mut tables = prior.clone();
+                let log = engine
+                    .repair_batch_with_graph(&graph, opts, &mut tables, batch, &obs)
+                    .unwrap();
+                let mut diff = Vec::new();
+                for (sw, lft) in &prior.lfts {
+                    for &lid in &lids {
+                        let (old, new) = (lft.get(lid), tables.lfts[sw].get(lid));
+                        if old != new {
+                            assert!(
+                                batch.iter().flatten().any(|&l| l == lid),
+                                "{tag}: clean {lid}"
+                            );
+                            diff.push((*sw, lid, old, new));
+                        }
+                    }
+                }
+                let mut logged: Vec<_> = log
+                    .cells
+                    .iter()
+                    .map(|c| (c.switch, c.lid, c.old, c.new))
+                    .collect();
+                assert!(!logged.is_empty(), "{tag}: the fault moved something");
+                diff.sort_unstable();
+                logged.sort_unstable();
+                assert_eq!(logged, diff, "{tag}: log is the exact cell diff");
+                log.undo(&mut tables);
+                assert_eq!(tables.lfts, prior.lfts, "{tag}: undo");
+                assert_eq!(tables.vls, prior.vls, "{tag}: undo restores the lanes");
+                assert_eq!(tables.decisions, prior.decisions, "{tag}");
+            }
+
+            // `Err` leaves the tables as they were.
+            let mut refused: Vec<(&str, Box<dyn ib_routing::RoutingEngine>, _)> = Vec::new();
+            let mut holed = prior.clone();
+            holed.lfts.remove(&first_fault.unwrap());
+            refused.push(("a baseline missing a switch", kind.build(), holed));
+            if kind == Lash {
+                let mut foreign = prior.clone();
+                foreign.vls = VlAssignment::PerDestination(Default::default());
+                refused.push(("a foreign VL assignment", kind.build(), foreign));
+            }
+            if kind == Dfsssp {
+                // One lane holds neither fabric's switch-LID paths:
+                // lifting fails after the dirty columns were written.
+                let starved = ib_routing::dfsssp::Dfsssp { max_vls: 1 };
+                refused.push(("exhausted lanes", Box::new(starved), prior.clone()));
+            }
+            for (why, engine, baseline) in refused {
+                let mut tables = baseline.clone();
+                assert!(
+                    engine
+                        .repair_batch_with_graph(&graph, opts, &mut tables, &groups, &obs)
+                        .is_err(),
+                    "{tag}: {why} must not yield tables"
+                );
+                assert_eq!(tables.lfts, baseline.lfts, "{tag}: {why}");
+                assert_eq!(tables.vls, baseline.vls, "{tag}: {why}");
+            }
         }
     }
 }
