@@ -7,7 +7,7 @@ use std::hint::black_box;
 use ib_bench::manage;
 use ib_core::deadlock::{analyze_transition, LftSnapshot};
 use ib_core::migration::{swap_on_fabric, MigrationOptions};
-use ib_mad::SmpLedger;
+use ib_mad::{RouteTree, SmpLedger};
 use ib_routing::cdg::Cdg;
 use ib_routing::graph::SwitchGraph;
 use ib_routing::EngineKind;
@@ -55,9 +55,10 @@ fn deadlock(c: &mut Criterion) {
         let before = LftSnapshot::capture(&subnet);
         let a = subnet.node(fabric.hosts[1]).ports[1].lid.unwrap();
         let b_lid = subnet.node(fabric.hosts[200]).ports[1].lid.unwrap();
+        let tree = RouteTree::build(&subnet, fabric.hosts[0]);
         swap_on_fabric(
             &mut subnet,
-            fabric.hosts[0],
+            &tree,
             a,
             b_lid,
             &MigrationOptions::default(),

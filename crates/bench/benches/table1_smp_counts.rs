@@ -7,7 +7,7 @@ use std::hint::black_box;
 use ib_bench::manage;
 use ib_core::cost::Table1Row;
 use ib_core::migration::{swap_on_fabric, MigrationOptions};
-use ib_mad::SmpLedger;
+use ib_mad::{RouteTree, SmpLedger};
 use ib_routing::EngineKind;
 use ib_sm::{distribution, SmpMode};
 use ib_subnet::topology::fattree;
@@ -71,9 +71,10 @@ fn table1(c: &mut Criterion) {
         b.iter_batched(
             || (routed.clone(), SmpLedger::new()),
             |(mut subnet, mut ledger)| {
-                let stats = swap_on_fabric(
+                let tree = RouteTree::build(&subnet, fabric.hosts[0]);
+                let (stats, _) = swap_on_fabric(
                     &mut subnet,
-                    fabric.hosts[0],
+                    &tree,
                     black_box(a),
                     black_box(b_lid),
                     &MigrationOptions::default(),

@@ -70,6 +70,7 @@ pub fn max_concurrent_intra_leaf(subnet: &Subnet) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ib_mad::RouteTree;
     use ib_sm::{SmConfig, SubnetManager};
     use ib_subnet::topology::fattree::two_level;
     use ib_types::PortNum;
@@ -111,9 +112,10 @@ mod tests {
         let a = host_lid(&t, 1);
         let b = host_lid(&t, 4);
         let predicted = affected_by_swap(&t.subnet, a, b).unwrap();
-        let stats = crate::migration::swap_on_fabric(
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        let (stats, _) = crate::migration::swap_on_fabric(
             &mut t.subnet,
-            sm.sm_node,
+            &tree,
             a,
             b,
             &crate::migration::MigrationOptions::default(),
@@ -130,9 +132,10 @@ mod tests {
         let pf = host_lid(&t, 4);
         let vm = Lid::from_raw(40);
         let predicted = affected_by_copy(&t.subnet, pf, vm).unwrap();
-        let stats = crate::migration::copy_on_fabric(
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        let (stats, _) = crate::migration::copy_on_fabric(
             &mut t.subnet,
-            sm.sm_node,
+            &tree,
             pf,
             vm,
             &crate::migration::MigrationOptions::default(),
@@ -156,9 +159,10 @@ mod tests {
         let predicted = affected_by_swap(&t.subnet, a, b).unwrap();
         let before = snapshot(&t.subnet);
         let mut transport = ib_mad::SmpTransport::perfect(sm.sm_node);
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
         crate::migration::swap_on_fabric_tx(
             &mut t.subnet,
-            sm.sm_node,
+            &tree,
             a,
             b,
             &crate::migration::MigrationOptions::default(),
@@ -176,9 +180,10 @@ mod tests {
         let predicted = affected_by_copy(&t.subnet, pf, vm).unwrap();
         let before = snapshot(&t.subnet);
         let mut transport = ib_mad::SmpTransport::perfect(sm.sm_node);
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
         crate::migration::copy_on_fabric_tx(
             &mut t.subnet,
-            sm.sm_node,
+            &tree,
             pf,
             vm,
             &crate::migration::MigrationOptions::default(),
@@ -209,9 +214,10 @@ mod tests {
         }
         t.subnet.lft_mut(switches[0]).unwrap().clear(pf);
         assert!(affected_by_copy(&t.subnet, pf, vm).is_err());
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
         assert!(crate::migration::copy_on_fabric(
             &mut t.subnet,
-            sm.sm_node,
+            &tree,
             pf,
             vm,
             &crate::migration::MigrationOptions::default(),

@@ -2,10 +2,10 @@
 //! VM lifecycle.
 
 use ib_mad::fault::{SmpChannel, SmpTransport};
-use ib_mad::Smp;
+use ib_mad::{RouteTree, Routes, Smp};
 use ib_observe::Observer;
-use ib_routing::{EngineKind, RoutingOptions, VlAssignment};
-use ib_sm::distribution::{hops_of, routing_for};
+use ib_routing::{CellChange, EngineKind, RoutingOptions, VlAssignment};
+use ib_sm::distribution::{address, route_tree};
 use ib_sm::{BringUpReport, QuarantineOptions, SmConfig, SmpMode, SubnetManager};
 use ib_subnet::topology::BuiltTopology;
 use ib_subnet::{NodeId, Subnet};
@@ -174,13 +174,15 @@ impl DataCenter {
         let vguid = self.subnet.mint_vguid();
         let pf = self.hypervisors[hyp].pf;
 
+        // One SMP: an early-exit search to the PF beats a whole route tree.
+        let search = Routes::Search(self.sm.sm_node);
         let lid = match self.config.arch {
             VirtArch::SharedPort => {
-                self.hypervisor_smp_vguid(pf, Some(vguid))?;
+                self.hypervisor_smp_vguid(search, pf, Some(vguid))?;
                 self.hypervisors[hyp].pf_lid(&self.subnet)?
             }
             VirtArch::VSwitchPrepopulated => {
-                self.hypervisor_smp_vguid(pf, Some(vguid))?;
+                self.hypervisor_smp_vguid(search, pf, Some(vguid))?;
                 self.hypervisors[hyp]
                     .vf_lid(&self.subnet, slot)
                     .ok_or_else(|| {
@@ -198,19 +200,22 @@ impl DataCenter {
                     .connect(vsw, vswitch_vf_port(slot), vf, PortNum::new(1))?;
                 let lid = self.sm.lid_space.allocate()?;
                 self.subnet.assign_port_lid(vf, PortNum::new(1), lid)?;
-                self.hypervisor_smp_set_lid(pf, Some(lid))?;
-                self.hypervisor_smp_vguid(pf, Some(vguid))?;
+                let tree = self.route_tree();
+                self.hypervisor_smp_set_lid(Routes::Tree(&tree), pf, Some(lid))?;
+                self.hypervisor_smp_vguid(Routes::Tree(&tree), pf, Some(vguid))?;
                 let pf_lid = self.hypervisors[hyp].pf_lid(&self.subnet)?;
-                copy_on_fabric(
+                let (_, mut cells) = copy_on_fabric(
                     &mut self.subnet,
-                    self.sm.sm_node,
+                    &tree,
                     pf_lid,
                     lid,
                     &self.config.migration,
                     None,
                     &mut self.sm.ledger,
                 )?;
-                self.set_vswitch_routes(lid, Some((hyp, slot)));
+                // A brand-new column: every vSwitch learns it.
+                self.set_vswitch_routes(lid, (hyp, slot), 0..self.hypervisors.len(), &mut cells);
+                self.note_cells(&cells);
                 lid
             }
         };
@@ -244,11 +249,12 @@ impl DataCenter {
         let hyp = vm.hypervisor;
         let pf = self.hypervisors[hyp].pf;
         self.hypervisors[hyp].vfs[vm.vf_slot].attached = None;
-        self.hypervisor_smp_vguid(pf, None)?;
+        let search = Routes::Search(self.sm.sm_node);
+        self.hypervisor_smp_vguid(search, pf, None)?;
 
         if self.config.arch == VirtArch::VSwitchDynamic {
             let vf = vf_node_of(&self.hypervisors[hyp], hyp, vm.vf_slot)?;
-            self.hypervisor_smp_set_lid(pf, None)?;
+            self.hypervisor_smp_set_lid(search, pf, None)?;
             self.subnet.clear_lid(vm.lid)?;
             self.sm.lid_space.release(vm.lid)?;
             self.subnet.disconnect(vf, PortNum::new(1))?;
@@ -279,31 +285,31 @@ impl DataCenter {
         let restrict: Option<Vec<NodeId>> = use_shortcut.then(|| vec![self.hypervisors[src].leaf]);
 
         self.sm.ledger.begin_phase(format!("migrate-{id}"));
+        // Every SMP of the migration — three to the hypervisors, one or two
+        // per updated switch — is addressed off this one search.
+        let tree = self.route_tree();
 
         // Step V-C(a): detach the VF, signal both hypervisors, move vGUID.
         self.hypervisors[src].vfs[vm.vf_slot].attached = None;
         let src_pf = self.hypervisors[src].pf;
         let dest_pf = self.hypervisors[dest].pf;
-        self.hypervisor_smp_set_lid(src_pf, None)?;
-        self.hypervisor_smp_set_lid(dest_pf, Some(vm.lid))?;
-        self.hypervisor_smp_vguid(dest_pf, Some(vm.vguid))?;
+        self.hypervisor_smp_set_lid(Routes::Tree(&tree), src_pf, None)?;
+        self.hypervisor_smp_set_lid(Routes::Tree(&tree), dest_pf, Some(vm.lid))?;
+        self.hypervisor_smp_vguid(Routes::Tree(&tree), dest_pf, Some(vm.vguid))?;
         let hypervisor_smps = 3;
 
         // Step V-C(b): LFT updates.
-        let (lft, lid_after) = match self.config.arch {
+        let restrict = restrict.as_deref();
+        let lft = match self.config.arch {
             VirtArch::VSwitchPrepopulated => {
-                let stats = self.migrate_prepopulated(&vm, dest, dest_slot, restrict.as_deref())?;
-                (stats, vm.lid)
+                self.migrate_prepopulated(&vm, dest, dest_slot, restrict, &tree)?
             }
             VirtArch::VSwitchDynamic => {
-                let stats = self.migrate_dynamic(&vm, dest, dest_slot, restrict.as_deref())?;
-                (stats, vm.lid)
+                self.migrate_dynamic(&vm, dest, dest_slot, restrict, &tree)?
             }
-            VirtArch::SharedPort => {
-                let stats = self.migrate_shared_port(&vm, src, dest)?;
-                (stats, vm.lid)
-            }
+            VirtArch::SharedPort => self.migrate_shared_port(src, dest, &tree)?,
         };
+        let lid_after = vm.lid;
 
         // Bookkeeping.
         self.hypervisors[dest].vfs[dest_slot].attached = Some(id);
@@ -335,37 +341,37 @@ impl DataCenter {
         dest: usize,
         dest_slot: usize,
         restrict: Option<&[NodeId]>,
+        tree: &RouteTree,
     ) -> IbResult<LftUpdateStats> {
         let dest_vf_lid = self.hypervisors[dest]
             .vf_lid(&self.subnet, dest_slot)
             .ok_or_else(|| IbError::Virtualization("destination VF has no LID".into()))?;
 
-        let stats = swap_on_fabric(
+        let (stats, mut cells) = swap_on_fabric(
             &mut self.subnet,
-            self.sm.sm_node,
+            tree,
             vm.lid,
             dest_vf_lid,
             &self.config.migration,
             restrict,
             &mut self.sm.ledger,
         )?;
-        self.commit_prepopulated_registrations(vm, dest, dest_slot, dest_vf_lid)?;
-        // The swap rewrote two destination columns with direct SMPs; keep
-        // the SM's repair baseline and reverse index in step.
-        self.sm
-            .note_columns_changed(&self.subnet, &[vm.lid, dest_vf_lid]);
+        self.commit_prepopulated_registrations(vm, dest, dest_slot, dest_vf_lid, &mut cells)?;
+        self.note_cells(&cells);
         Ok(stats)
     }
 
     /// Endpoint bookkeeping after a committed prepopulated-mode swap: the
     /// VM's LID lands on the destination VF; the destination VF's old LID
-    /// falls back to the source VF.
+    /// falls back to the source VF. The vSwitch cells this re-homes join
+    /// `cells`.
     fn commit_prepopulated_registrations(
         &mut self,
         vm: &VmRecord,
         dest: usize,
         dest_slot: usize,
         dest_vf_lid: Lid,
+        cells: &mut Vec<CellChange>,
     ) -> IbResult<()> {
         let src = vm.hypervisor;
         let src_vf = vf_node_of(&self.hypervisors[src], src, vm.vf_slot)?;
@@ -379,8 +385,8 @@ impl DataCenter {
 
         // vSwitch-internal forwarding (HCA hardware, no SMPs counted): the
         // two vSwitches re-home the swapped LIDs.
-        self.set_vswitch_routes(vm.lid, Some((dest, dest_slot)));
-        self.set_vswitch_routes(dest_vf_lid, Some((src, vm.vf_slot)));
+        self.set_vswitch_routes(vm.lid, (dest, dest_slot), [src, dest], cells);
+        self.set_vswitch_routes(dest_vf_lid, (src, vm.vf_slot), [src, dest], cells);
         Ok(())
     }
 
@@ -391,29 +397,32 @@ impl DataCenter {
         dest: usize,
         dest_slot: usize,
         restrict: Option<&[NodeId]>,
+        tree: &RouteTree,
     ) -> IbResult<LftUpdateStats> {
         let pf_lid = self.hypervisors[dest].pf_lid(&self.subnet)?;
-        let stats = copy_on_fabric(
+        let (stats, mut cells) = copy_on_fabric(
             &mut self.subnet,
-            self.sm.sm_node,
+            tree,
             pf_lid,
             vm.lid,
             &self.config.migration,
             restrict,
             &mut self.sm.ledger,
         )?;
-        self.commit_dynamic_registrations(vm, dest, dest_slot)?;
-        self.sm.note_columns_changed(&self.subnet, &[vm.lid]);
+        self.commit_dynamic_registrations(vm, dest, dest_slot, &mut cells)?;
+        self.note_cells(&cells);
         Ok(stats)
     }
 
     /// Endpoint bookkeeping after a committed dynamic-mode copy: the VF
-    /// cable and the LID move with the VM.
+    /// cable and the LID move with the VM. The vSwitch cells this re-homes
+    /// join `cells`.
     fn commit_dynamic_registrations(
         &mut self,
         vm: &VmRecord,
         dest: usize,
         dest_slot: usize,
+        cells: &mut Vec<CellChange>,
     ) -> IbResult<()> {
         let src = vm.hypervisor;
         let src_vf = vf_node_of(&self.hypervisors[src], src, vm.vf_slot)?;
@@ -425,7 +434,7 @@ impl DataCenter {
             .connect(vsw, vswitch_vf_port(dest_slot), dest_vf, PortNum::new(1))?;
         self.subnet
             .assign_port_lid(dest_vf, PortNum::new(1), vm.lid)?;
-        self.set_vswitch_routes(vm.lid, Some((dest, dest_slot)));
+        self.set_vswitch_routes(vm.lid, (dest, dest_slot), [src, dest], cells);
         Ok(())
     }
 
@@ -436,9 +445,9 @@ impl DataCenter {
     /// had to impose because every VM on a node shares its LID.
     fn migrate_shared_port(
         &mut self,
-        _vm: &VmRecord,
         src: usize,
         dest: usize,
+        tree: &RouteTree,
     ) -> IbResult<LftUpdateStats> {
         if self.hypervisors[src].active_vms() > 0 {
             // (The migrating VM was already detached from its slot.)
@@ -454,9 +463,9 @@ impl DataCenter {
         }
         let src_lid = self.hypervisors[src].pf_lid(&self.subnet)?;
         let dest_lid = self.hypervisors[dest].pf_lid(&self.subnet)?;
-        let stats = swap_on_fabric(
+        let (stats, cells) = swap_on_fabric(
             &mut self.subnet,
-            self.sm.sm_node,
+            tree,
             src_lid,
             dest_lid,
             &self.config.migration,
@@ -472,8 +481,7 @@ impl DataCenter {
         self.subnet.clear_lid(dest_lid)?;
         self.subnet.assign_port_lid(src_pf, src_port, dest_lid)?;
         self.subnet.assign_port_lid(dest_pf, dest_port, src_lid)?;
-        self.sm
-            .note_columns_changed(&self.subnet, &[src_lid, dest_lid]);
+        self.note_cells(&cells);
         Ok(stats)
     }
 
@@ -594,9 +602,12 @@ impl DataCenter {
 
         // Step V-C(a): detach the VF, signal both hypervisors, move vGUID.
         // Each signal that fails persistently triggers compensation of the
-        // ones already delivered, in reverse.
+        // ones already delivered, in reverse. Every SMP from here on is
+        // addressed off one search from the SM.
+        let tree = self.route_tree();
+        let routes = Routes::Tree(&tree);
         self.hypervisors[src].vfs[vm.vf_slot].attached = None;
-        match self.hypervisor_smp_set_lid_tx(src_pf, None, transport) {
+        match self.hypervisor_smp_set_lid_tx(routes, src_pf, None, transport) {
             Ok(attempt) => {
                 tx.count_delivery(attempt);
                 hypervisor_smps += 1;
@@ -613,9 +624,9 @@ impl DataCenter {
         }
         for dest_lid_is_set in [false, true] {
             let sent = if dest_lid_is_set {
-                self.hypervisor_smp_vguid_tx(dest_pf, Some(vm.vguid), transport)
+                self.hypervisor_smp_vguid_tx(routes, dest_pf, Some(vm.vguid), transport)
             } else {
-                self.hypervisor_smp_set_lid_tx(dest_pf, Some(vm.lid), transport)
+                self.hypervisor_smp_set_lid_tx(routes, dest_pf, Some(vm.lid), transport)
             };
             match sent {
                 Ok(attempt) => {
@@ -628,10 +639,10 @@ impl DataCenter {
                     if dest_lid_is_set {
                         // The destination already holds the LID: take it back.
                         tx.rollback_smps += 1;
-                        let _ = self.hypervisor_smp_set_lid_tx(dest_pf, None, transport);
+                        let _ = self.hypervisor_smp_set_lid_tx(routes, dest_pf, None, transport);
                     }
                     tx.rollback_smps += 1;
-                    let _ = self.hypervisor_smp_set_lid_tx(src_pf, Some(vm.lid), transport);
+                    let _ = self.hypervisor_smp_set_lid_tx(routes, src_pf, Some(vm.lid), transport);
                     self.hypervisors[src].vfs[vm.vf_slot].attached = Some(id);
                     self.verify_after_migration(snapshot.as_ref(), &[])?;
                     return Ok(aborted(tx, hypervisor_smps, LftUpdateStats::default()));
@@ -652,10 +663,10 @@ impl DataCenter {
         };
         let missing_vf_lid =
             || IbError::Virtualization("destination VF LID vanished mid-migration".into());
-        let (lft, tx_b) = match self.config.arch {
+        let (lft, tx_b, mut cells) = match self.config.arch {
             VirtArch::VSwitchPrepopulated => swap_on_fabric_tx(
                 &mut self.subnet,
-                self.sm.sm_node,
+                &tree,
                 vm.lid,
                 dest_vf_lid.ok_or_else(missing_vf_lid)?,
                 &self.config.migration,
@@ -667,7 +678,7 @@ impl DataCenter {
                 let pf_lid = self.hypervisors[dest].pf_lid(&self.subnet)?;
                 copy_on_fabric_tx(
                     &mut self.subnet,
-                    self.sm.sm_node,
+                    &tree,
                     pf_lid,
                     vm.lid,
                     &self.config.migration,
@@ -687,16 +698,13 @@ impl DataCenter {
             // hypervisor signals and re-attach the VF at the source.
             tx.committed = false;
             tx.rollback_smps += 2;
-            let _ = self.hypervisor_smp_set_lid_tx(dest_pf, None, transport);
-            let _ = self.hypervisor_smp_set_lid_tx(src_pf, Some(vm.lid), transport);
+            let _ = self.hypervisor_smp_set_lid_tx(routes, dest_pf, None, transport);
+            let _ = self.hypervisor_smp_set_lid_tx(routes, src_pf, Some(vm.lid), transport);
             self.hypervisors[src].vfs[vm.vf_slot].attached = Some(id);
-            // A rollback must leave every forwarding column untouched.
+            // A rollback must leave every forwarding column untouched — the
+            // pass restored each row it wrote and reports no changed cell,
+            // so the SM's baseline and index have nothing to learn.
             self.verify_after_migration(snapshot.as_ref(), &[])?;
-            // Best-effort compensating SMPs may still have perturbed the
-            // touched columns: re-read them into the SM's baseline/index.
-            let mut touched = vec![vm.lid];
-            touched.extend(dest_vf_lid);
-            self.sm.note_columns_changed(&self.subnet, &touched);
             return Ok(aborted(tx, hypervisor_smps, lft));
         }
 
@@ -707,9 +715,10 @@ impl DataCenter {
                 dest,
                 dest_slot,
                 dest_vf_lid.ok_or_else(missing_vf_lid)?,
+                &mut cells,
             )?,
             VirtArch::VSwitchDynamic => {
-                self.commit_dynamic_registrations(&vm, dest, dest_slot)?;
+                self.commit_dynamic_registrations(&vm, dest, dest_slot, &mut cells)?;
             }
             VirtArch::SharedPort => unreachable!("rejected above"),
         }
@@ -726,7 +735,7 @@ impl DataCenter {
         let mut allowed = vec![vm.lid];
         allowed.extend(dest_vf_lid);
         self.verify_after_migration(snapshot.as_ref(), &allowed)?;
-        self.sm.note_columns_changed(&self.subnet, &allowed);
+        self.note_cells(&cells);
 
         Ok(TxMigrationReport {
             committed: true,
@@ -821,46 +830,80 @@ impl DataCenter {
         }
     }
 
-    /// Installs the vSwitch-internal route for `lid` on every hypervisor:
-    /// the owner's vSwitch delivers to the VF port, every other vSwitch
-    /// forwards out its uplink. Models vHCA hardware behaviour; sends no
-    /// SMPs (the paper's accounting covers physical switches only).
-    fn set_vswitch_routes(&mut self, lid: Lid, owner: Option<(usize, usize)>) {
-        for h in 0..self.hypervisors.len() {
+    /// The route tree of one multi-SMP operation, from the SM's node.
+    fn route_tree(&self) -> RouteTree {
+        route_tree(&self.subnet, self.sm.sm_node, self.sm.observer())
+    }
+
+    /// Hands the SM the cells an operation wrote behind its sweeps, so its
+    /// repair baseline and reverse index follow (`migration.note_cells`).
+    fn note_cells(&mut self, cells: &[CellChange]) {
+        let observer = self.sm.observer().clone();
+        let _span = observer.span("migration.note_cells");
+        observer.add("migration.changed_cells", cells.len() as u64);
+        self.sm.note_cells_changed(&self.subnet, cells);
+    }
+
+    /// Installs the vSwitch-internal route for `lid` on the vSwitches of
+    /// `hyps`: the owner's delivers to the VF port, every other one
+    /// forwards out its uplink. A re-homed LID names its old and its new
+    /// owner — every other vSwitch already forwards it up — a new LID names
+    /// everyone. Models vHCA hardware behaviour; sends no SMPs (the paper's
+    /// accounting covers physical switches only). Each cell that actually
+    /// changed is appended to `cells`.
+    fn set_vswitch_routes(
+        &mut self,
+        lid: Lid,
+        (owner, slot): (usize, usize),
+        hyps: impl IntoIterator<Item = usize>,
+        cells: &mut Vec<CellChange>,
+    ) {
+        for h in hyps {
             let Some(vsw) = self.hypervisors[h].vswitch else {
                 continue;
             };
-            let port = match owner {
-                Some((oh, slot)) if oh == h => vswitch_vf_port(slot),
-                _ => VSWITCH_UPLINK,
+            let port = if h == owner {
+                vswitch_vf_port(slot)
+            } else {
+                VSWITCH_UPLINK
             };
             if let Some(lft) = self.subnet.lft_mut(vsw) {
-                lft.set(lid, port);
+                let old = lft.get(lid);
+                if old != Some(port) {
+                    lft.set(lid, port);
+                    cells.push(CellChange {
+                        switch: vsw,
+                        lid,
+                        old,
+                        new: Some(port),
+                    });
+                }
             }
         }
     }
 
-    /// One `SubnSet(PortInfo)` SMP to a hypervisor (step V-C(a)).
-    fn hypervisor_smp_set_lid(&mut self, pf: NodeId, lid: Option<Lid>) -> IbResult<()> {
-        let routing = routing_for(
-            &self.subnet,
-            self.sm.sm_node,
-            pf,
-            // PortInfo SMPs to HCAs are directed unless the PF holds a LID
-            // we can address; keep it simple and faithful: directed, as
-            // OpenSM does for host configuration.
-            SmpMode::Directed,
-        )?;
-        let hops = hops_of(&self.subnet, self.sm.sm_node, pf, &routing)?;
+    /// One `SubnSet(PortInfo)` SMP to a hypervisor (step V-C(a)). PortInfo
+    /// SMPs to HCAs are directed, as OpenSM does for host configuration.
+    fn hypervisor_smp_set_lid(
+        &mut self,
+        routes: Routes<'_>,
+        pf: NodeId,
+        lid: Option<Lid>,
+    ) -> IbResult<()> {
+        let (routing, hops) = address(&self.subnet, routes, pf, SmpMode::Directed)?;
         let smp = Smp::set_port_lid(pf, routing, PortNum::new(1), lid);
         self.sm.ledger.record(&smp, hops);
         Ok(())
     }
 
     /// One `SubnSet(GUIDInfo)` SMP to a hypervisor (vGUID install/remove).
-    fn hypervisor_smp_vguid(&mut self, pf: NodeId, vguid: Option<ib_types::Guid>) -> IbResult<()> {
-        let routing = routing_for(&self.subnet, self.sm.sm_node, pf, SmpMode::Directed)?;
-        let hops = hops_of(&self.subnet, self.sm.sm_node, pf, &routing)?;
+    fn hypervisor_smp_vguid(
+        &mut self,
+        routes: Routes<'_>,
+        pf: NodeId,
+        vguid: Option<ib_types::Guid>,
+    ) -> IbResult<()> {
+        let (routing, hops) = address(&self.subnet, routes, pf, SmpMode::Directed)?;
         let smp = Smp::set_vguid(pf, routing, 0, vguid);
         self.sm.ledger.record(&smp, hops);
         Ok(())
@@ -872,13 +915,13 @@ impl DataCenter {
     /// instead of crashing).
     fn hypervisor_smp_set_lid_tx<C: SmpChannel>(
         &mut self,
+        routes: Routes<'_>,
         pf: NodeId,
         lid: Option<Lid>,
         transport: &mut SmpTransport<C>,
     ) -> IbResult<u32> {
-        let routing = routing_for(&self.subnet, self.sm.sm_node, pf, SmpMode::Directed)
+        let (routing, hops) = address(&self.subnet, routes, pf, SmpMode::Directed)
             .map_err(|e| IbError::Transport(format!("no route to hypervisor: {e}")))?;
-        let hops = hops_of(&self.subnet, self.sm.sm_node, pf, &routing).unwrap_or(0);
         let smp = Smp::set_port_lid(pf, routing, PortNum::new(1), lid);
         transport.send(&self.subnet, &smp, hops, &mut self.sm.ledger)
     }
@@ -886,13 +929,13 @@ impl DataCenter {
     /// The transactional counterpart of [`Self::hypervisor_smp_vguid`].
     fn hypervisor_smp_vguid_tx<C: SmpChannel>(
         &mut self,
+        routes: Routes<'_>,
         pf: NodeId,
         vguid: Option<ib_types::Guid>,
         transport: &mut SmpTransport<C>,
     ) -> IbResult<u32> {
-        let routing = routing_for(&self.subnet, self.sm.sm_node, pf, SmpMode::Directed)
+        let (routing, hops) = address(&self.subnet, routes, pf, SmpMode::Directed)
             .map_err(|e| IbError::Transport(format!("no route to hypervisor: {e}")))?;
-        let hops = hops_of(&self.subnet, self.sm.sm_node, pf, &routing).unwrap_or(0);
         let smp = Smp::set_vguid(pf, routing, 0, vguid);
         transport.send(&self.subnet, &smp, hops, &mut self.sm.ledger)
     }
@@ -1285,6 +1328,74 @@ mod tests {
         let vm = dc.create_vm("vm", 0).unwrap();
         let mut transport = SmpTransport::perfect(dc.sm.sm_node);
         assert!(dc.migrate_vm_resilient(vm, 4, &mut transport).is_err());
+    }
+
+    /// The ledger pin behind the route tree: over a stream of creations and
+    /// migrations, every record's `hops` is the hop count of a route
+    /// searched independently for that one target, and its `directed` flag
+    /// is the mode's (hypervisor SMPs are always directed).
+    #[test]
+    fn ledger_hops_equal_independently_searched_routes() {
+        use ib_mad::{AttributeKind, DirectedRoute};
+
+        let archs = [
+            VirtArch::SharedPort,
+            VirtArch::VSwitchPrepopulated,
+            VirtArch::VSwitchDynamic,
+        ];
+        for arch in archs {
+            for smp_mode in [SmpMode::Directed, SmpMode::Destination] {
+                let mut dc = DataCenter::from_topology(
+                    two_level(3, 3, 2),
+                    DataCenterConfig {
+                        arch,
+                        vfs_per_hypervisor: 2,
+                        migration: MigrationOptions {
+                            smp_mode,
+                            ..MigrationOptions::default()
+                        },
+                        ..DataCenterConfig::default()
+                    },
+                )
+                .unwrap();
+                let mut checked = dc.sm.ledger.total();
+                let mut check = |dc: &DataCenter| {
+                    let fresh = &dc.sm.ledger.records()[checked..];
+                    assert!(!fresh.is_empty());
+                    for r in fresh {
+                        let route = DirectedRoute::compute(&dc.subnet, dc.sm.sm_node, r.target)
+                            .expect("reachable");
+                        assert_eq!(r.hops, route.hop_count(), "{arch} {smp_mode:?} {r:?}");
+                        let lft_update = r.attribute == AttributeKind::LftBlock;
+                        let directed = !lft_update || smp_mode == SmpMode::Directed;
+                        assert_eq!(r.directed, directed, "{arch} {smp_mode:?} {r:?}");
+                    }
+                    checked = dc.sm.ledger.total();
+                };
+
+                // Shared Port may only move a node's single VM to an empty
+                // node, so the stream keeps every VM on a node of its own.
+                let a = dc.create_vm("a", 0).unwrap();
+                check(&dc);
+                let b = dc.create_vm("b", 4).unwrap();
+                check(&dc);
+                for (vm, dest) in [(a, 8), (b, 1), (a, 5), (b, 6), (a, 0)] {
+                    dc.migrate_vm(vm, dest).unwrap();
+                    check(&dc);
+                }
+                if arch.has_vswitch() {
+                    let mut transport = SmpTransport::perfect(dc.sm.sm_node);
+                    for (vm, dest) in [(a, 7), (b, 2)] {
+                        let report = dc.migrate_vm_resilient(vm, dest, &mut transport).unwrap();
+                        assert!(report.committed);
+                        check(&dc);
+                    }
+                }
+                dc.destroy_vm(a).unwrap();
+                check(&dc);
+                dc.verify_connectivity().unwrap();
+            }
+        }
     }
 
     #[test]

@@ -91,6 +91,7 @@ pub fn analyze_transition(subnet: &Subnet, before: &LftSnapshot) -> IbResult<Tra
 mod tests {
     use super::*;
     use crate::migration::{swap_on_fabric, MigrationOptions};
+    use ib_mad::RouteTree;
     use ib_sm::{SmConfig, SubnetManager};
     use ib_subnet::topology::fattree::two_level;
     use ib_types::Lid;
@@ -107,9 +108,10 @@ mod tests {
         let before = LftSnapshot::capture(&t.subnet);
         let a = t.subnet.node(t.hosts[1]).ports[1].lid.unwrap();
         let b = t.subnet.node(t.hosts[4]).ports[1].lid.unwrap();
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
         swap_on_fabric(
             &mut t.subnet,
-            sm.sm_node,
+            &tree,
             a,
             b,
             &MigrationOptions::default(),

@@ -13,14 +13,19 @@
 //!     row with the destination PF's row — always one SMP (`m' = 1`).
 //!
 //! No path is ever recomputed: `PCt` is eliminated outright, which is the
-//! entire point of the paper.
+//! entire point of the paper. Nor is anything here sized by the fabric:
+//! every pass addresses its SMPs off one [`RouteTree`] searched from the SM
+//! and returns the [`CellChange`]s it made, so whoever keeps state derived
+//! from the installed tables (the SM's repair baseline and reverse index)
+//! follows at the cost of the `n'·m'` cells that moved.
 
 use ib_mad::fault::{SmpChannel, SmpTransport};
-use ib_mad::{Smp, SmpLedger};
-use ib_sm::distribution::{hops_of, routing_for};
+use ib_mad::{lft_smp_for, retarget_lft_smp, RouteTree, Routes, Smp, SmpLedger, SmpRouting};
+use ib_routing::CellChange;
+use ib_sm::distribution::{address, lid_routing};
 use ib_sm::SmpMode;
 use ib_subnet::{Lft, NodeId, Subnet};
-use ib_types::{IbError, IbResult, Lid, PortNum};
+use ib_types::{IbError, IbResult, Lid, PortNum, LFT_BLOCK_SIZE};
 
 use crate::vm::VmId;
 
@@ -98,14 +103,19 @@ impl MigrationReport {
     }
 }
 
-/// The installed LFT of a switch the update pass already vetted, as an
-/// error instead of a panic: with a degraded subnet (a fault event landing
-/// mid-operation) the caller must get a chance to roll back.
-fn lft_mut_or_err(subnet: &mut Subnet, sw: NodeId) -> IbResult<&mut Lft> {
-    let name = subnet.name_of(sw).to_string();
-    subnet
-        .lft_mut(sw)
-        .ok_or(IbError::Management(format!("{name} has no LFT")))
+/// The error for a switch the pass must update that holds no LFT: not a
+/// switch, or degraded mid-operation — the caller gets to roll back.
+fn no_lft(subnet: &Subnet, sw: NodeId) -> IbError {
+    IbError::Management(format!("{} has no LFT", subnet.name_of(sw)))
+}
+
+fn cell(switch: NodeId, lid: Lid, old: Option<PortNum>, new: Option<PortNum>) -> CellChange {
+    CellChange {
+        switch,
+        lid,
+        old,
+        new,
+    }
 }
 
 /// The switches Algorithm 1 iterates for one update pass: every physical
@@ -121,114 +131,136 @@ fn targets(subnet: &Subnet, restrict: Option<&[NodeId]>) -> Vec<NodeId> {
     }
 }
 
+/// The LFT blocks a swap of `a` and `b` rewrites per switch: one when the
+/// LIDs share a block, two otherwise (`m'`).
+fn swap_blocks(a: Lid, b: Lid) -> Vec<usize> {
+    if a.same_block(b) {
+        vec![a.lft_block()]
+    } else {
+        vec![a.lft_block(), b.lft_block()]
+    }
+}
+
 /// §V-C1 step (b): swap the LFT rows of `a` and `b` on every switch whose
 /// rows differ. Exactly the paper's cost: `m' = 1` SMP per switch when the
 /// LIDs share an LFT block, `m' = 2` otherwise, and `n'` = the number of
 /// switches whose two rows are not already equal.
+///
+/// Every SMP is addressed off `tree` (rooted at the SM's node). Returns the
+/// accounting and the cells the pass changed — one entry per cell whose
+/// value differs afterwards, in switch order.
 pub fn swap_on_fabric(
     subnet: &mut Subnet,
-    sm_node: NodeId,
+    tree: &RouteTree,
     a: Lid,
     b: Lid,
     opts: &MigrationOptions,
     restrict: Option<&[NodeId]>,
     ledger: &mut SmpLedger,
-) -> IbResult<LftUpdateStats> {
+) -> IbResult<(LftUpdateStats, Vec<CellChange>)> {
     if a == b {
         return Err(IbError::Virtualization(
             "cannot swap a LID with itself".into(),
         ));
     }
+    let _span = ledger.observer().span("migration.step_b.swap");
     let mut stats = LftUpdateStats::default();
-    let blocks_for_swap: Vec<usize> = if a.same_block(b) {
-        vec![a.lft_block()]
-    } else {
-        vec![a.lft_block(), b.lft_block()]
-    };
+    let mut cells = Vec::new();
+    let blocks = swap_blocks(a, b);
 
     for sw in targets(subnet, restrict) {
-        let lft = subnet
-            .lft(sw)
-            .ok_or_else(|| IbError::Management(format!("{} has no LFT", subnet.name_of(sw))))?;
+        let lft = subnet.lft(sw).ok_or_else(|| no_lft(subnet, sw))?;
         let (pa, pb) = (lft.get(a), lft.get(b));
         if pa == pb {
             // §VI-B: the initial routing already forwards both LIDs the
             // same way from here — nothing to update on this switch.
             continue;
         }
-        let routing = routing_for(subnet, sm_node, sw, opts.smp_mode)?;
-        let hops = hops_of(subnet, sm_node, sw, &routing)?;
+        let (routing, hops) = address(subnet, Routes::Tree(tree), sw, opts.smp_mode)?;
+        let mut smp = lft_smp_for(sw, routing);
         if opts.invalidate_first {
-            record_block_smp(subnet, sw, a.lft_block(), &routing, hops, ledger);
-            lft_mut_or_err(subnet, sw)?.set(a, PortNum::DROP);
+            record_block_smp(subnet, &mut smp, a.lft_block(), hops, ledger);
+            let Some(lft) = subnet.lft_mut(sw) else {
+                return Err(no_lft(subnet, sw));
+            };
+            lft.set(a, PortNum::DROP);
             stats.invalidation_smps += 1;
         }
-        {
-            let lft = lft_mut_or_err(subnet, sw)?;
-            match pb {
-                Some(p) => lft.set(a, p),
-                None => lft.clear(a),
-            }
-            match pa {
-                Some(p) => lft.set(b, p),
-                None => lft.clear(b),
-            }
+        let Some(lft) = subnet.lft_mut(sw) else {
+            return Err(no_lft(subnet, sw));
+        };
+        lft.assign(a, pb);
+        lft.assign(b, pa);
+        cells.extend([cell(sw, a, pa, pb), cell(sw, b, pb, pa)]);
+        for &block in &blocks {
+            record_block_smp(subnet, &mut smp, block, hops, ledger);
         }
-        for &block in &blocks_for_swap {
-            record_block_smp(subnet, sw, block, &routing, hops, ledger);
-        }
-        stats.lft_smps += blocks_for_swap.len();
+        stats.lft_smps += blocks.len();
         stats.switches_updated += 1;
-        stats.max_blocks_per_switch = stats.max_blocks_per_switch.max(blocks_for_swap.len());
+        stats.max_blocks_per_switch = stats.max_blocks_per_switch.max(blocks.len());
     }
-    Ok(stats)
+    Ok((stats, cells))
+}
+
+/// The row `vm_lid` must copy on `sw`, or the "no row" error.
+fn pf_row(subnet: &Subnet, sw: NodeId, lft: &Lft, pf_lid: Lid) -> IbResult<PortNum> {
+    lft.get(pf_lid).ok_or_else(|| {
+        IbError::Management(format!(
+            "{} has no row for PF LID {pf_lid}",
+            subnet.name_of(sw)
+        ))
+    })
 }
 
 /// §V-C2 step (b): make `vm_lid`'s row a copy of `pf_lid`'s row on every
-/// switch where they differ. One SMP per updated switch, always.
+/// switch where they differ. One SMP per updated switch, always. Addressing
+/// and the returned cell list are as for [`swap_on_fabric`].
 pub fn copy_on_fabric(
     subnet: &mut Subnet,
-    sm_node: NodeId,
+    tree: &RouteTree,
     pf_lid: Lid,
     vm_lid: Lid,
     opts: &MigrationOptions,
     restrict: Option<&[NodeId]>,
     ledger: &mut SmpLedger,
-) -> IbResult<LftUpdateStats> {
+) -> IbResult<(LftUpdateStats, Vec<CellChange>)> {
     if pf_lid == vm_lid {
         return Err(IbError::Virtualization(
             "VM LID cannot equal the PF LID it copies".into(),
         ));
     }
+    let _span = ledger.observer().span("migration.step_b.copy");
     let mut stats = LftUpdateStats::default();
+    let mut cells = Vec::new();
 
     for sw in targets(subnet, restrict) {
-        let lft = subnet
-            .lft(sw)
-            .ok_or_else(|| IbError::Management(format!("{} has no LFT", subnet.name_of(sw))))?;
-        let target = lft.get(pf_lid).ok_or_else(|| {
-            IbError::Management(format!(
-                "{} has no row for PF LID {pf_lid}",
-                subnet.name_of(sw)
-            ))
-        })?;
-        if lft.get(vm_lid) == Some(target) {
+        let lft = subnet.lft(sw).ok_or_else(|| no_lft(subnet, sw))?;
+        let target = pf_row(subnet, sw, lft, pf_lid)?;
+        let old = lft.get(vm_lid);
+        if old == Some(target) {
             continue;
         }
-        let routing = routing_for(subnet, sm_node, sw, opts.smp_mode)?;
-        let hops = hops_of(subnet, sm_node, sw, &routing)?;
+        let (routing, hops) = address(subnet, Routes::Tree(tree), sw, opts.smp_mode)?;
+        let mut smp = lft_smp_for(sw, routing);
         if opts.invalidate_first {
-            record_block_smp(subnet, sw, vm_lid.lft_block(), &routing, hops, ledger);
-            lft_mut_or_err(subnet, sw)?.set(vm_lid, PortNum::DROP);
+            record_block_smp(subnet, &mut smp, vm_lid.lft_block(), hops, ledger);
+            let Some(lft) = subnet.lft_mut(sw) else {
+                return Err(no_lft(subnet, sw));
+            };
+            lft.set(vm_lid, PortNum::DROP);
             stats.invalidation_smps += 1;
         }
-        lft_mut_or_err(subnet, sw)?.set(vm_lid, target);
-        record_block_smp(subnet, sw, vm_lid.lft_block(), &routing, hops, ledger);
+        let Some(lft) = subnet.lft_mut(sw) else {
+            return Err(no_lft(subnet, sw));
+        };
+        lft.set(vm_lid, target);
+        cells.push(cell(sw, vm_lid, old, Some(target)));
+        record_block_smp(subnet, &mut smp, vm_lid.lft_block(), hops, ledger);
         stats.lft_smps += 1;
         stats.switches_updated += 1;
         stats.max_blocks_per_switch = 1;
     }
-    Ok(stats)
+    Ok((stats, cells))
 }
 
 // ----------------------------------------------------------------------
@@ -296,12 +328,23 @@ pub struct TxMigrationReport {
     pub tx: TxStats,
 }
 
-/// One journaled LFT row: enough to undo a swap/copy on one switch.
-#[derive(Clone, Copy, Debug)]
-struct JournalRow {
+/// Addressing for a transactional pass: an unroutable switch (e.g. cut off
+/// by a mid-migration link failure) is a delivery failure, not a
+/// programming error. `None` means no SMP can even be addressed; a switch
+/// that has a LID but no live path is still addressed (0 hops) and the
+/// transport finds the break, so its attempts land on the ledger.
+fn address_tx(
+    subnet: &Subnet,
+    tree: &RouteTree,
     sw: NodeId,
-    lid: Lid,
-    old: Option<PortNum>,
+    mode: SmpMode,
+) -> Option<(SmpRouting, usize)> {
+    address(subnet, Routes::Tree(tree), sw, mode)
+        .or_else(|e| match mode {
+            SmpMode::Destination => lid_routing(subnet, sw).map(|routing| (routing, 0)),
+            SmpMode::Directed => Err(e),
+        })
+        .ok()
 }
 
 /// §V-C1 step (b) under a faulty fabric: the row swap of
@@ -311,17 +354,20 @@ struct JournalRow {
 /// back (locally unconditionally, remotely via best-effort compensating
 /// SMPs) and the pass reports `committed = false` instead of leaving the
 /// fabric half-swapped.
+///
+/// The changed-cell list doubles as the undo journal: a committed pass
+/// returns it, a rolled-back pass changed nothing and returns none.
 #[allow(clippy::too_many_arguments)]
 pub fn swap_on_fabric_tx<C: SmpChannel>(
     subnet: &mut Subnet,
-    sm_node: NodeId,
+    tree: &RouteTree,
     a: Lid,
     b: Lid,
     opts: &MigrationOptions,
     restrict: Option<&[NodeId]>,
     transport: &mut SmpTransport<C>,
     ledger: &mut SmpLedger,
-) -> IbResult<(LftUpdateStats, TxStats)> {
+) -> IbResult<(LftUpdateStats, TxStats, Vec<CellChange>)> {
     if a == b {
         return Err(IbError::Virtualization(
             "cannot swap a LID with itself".into(),
@@ -333,77 +379,47 @@ pub fn swap_on_fabric_tx<C: SmpChannel>(
         committed: true,
         ..TxStats::default()
     };
-    let mut journal: Vec<JournalRow> = Vec::new();
-    let blocks_for_swap: Vec<usize> = if a.same_block(b) {
-        vec![a.lft_block()]
-    } else {
-        vec![a.lft_block(), b.lft_block()]
-    };
+    let mut journal: Vec<CellChange> = Vec::new();
+    let blocks = swap_blocks(a, b);
 
     for sw in targets(subnet, restrict) {
-        let lft = subnet
-            .lft(sw)
-            .ok_or_else(|| IbError::Management(format!("{} has no LFT", subnet.name_of(sw))))?;
+        let lft = subnet.lft(sw).ok_or_else(|| no_lft(subnet, sw))?;
         let (pa, pb) = (lft.get(a), lft.get(b));
         if pa == pb {
             continue;
         }
-        // An unroutable switch (e.g. cut off by a mid-migration link
-        // failure) is a delivery failure, not a programming error.
-        let Ok(routing) = routing_for(subnet, sm_node, sw, opts.smp_mode) else {
-            rollback(subnet, sm_node, opts, &journal, transport, ledger, &mut tx);
-            return Ok((stats, tx));
+        let Some((routing, hops)) = address_tx(subnet, tree, sw, opts.smp_mode) else {
+            rollback(subnet, tree, opts, &journal, transport, ledger, &mut tx);
+            return Ok((stats, tx, Vec::new()));
         };
-        let hops = hops_of(subnet, sm_node, sw, &routing).unwrap_or(0);
-        journal.push(JournalRow {
-            sw,
-            lid: a,
-            old: pa,
-        });
-        journal.push(JournalRow {
-            sw,
-            lid: b,
-            old: pb,
-        });
-        {
-            let Some(lft) = subnet.lft_mut(sw) else {
-                // The switch degraded between the read and the write: treat
-                // it as a delivery failure and roll the pass back.
-                rollback(subnet, sm_node, opts, &journal, transport, ledger, &mut tx);
-                return Ok((stats, tx));
-            };
-            match pb {
-                Some(p) => lft.set(a, p),
-                None => lft.clear(a),
-            }
-            match pa {
-                Some(p) => lft.set(b, p),
-                None => lft.clear(b),
-            }
-        }
-        let mut failed = false;
-        for &block in &blocks_for_swap {
-            match send_block_smp(subnet, sw, block, &routing, hops, transport, ledger) {
+        journal.extend([cell(sw, a, pa, pb), cell(sw, b, pb, pa)]);
+        let Some(lft) = subnet.lft_mut(sw) else {
+            // The switch degraded between the read and the write: treat
+            // it as a delivery failure and roll the pass back.
+            rollback(subnet, tree, opts, &journal, transport, ledger, &mut tx);
+            return Ok((stats, tx, Vec::new()));
+        };
+        lft.assign(a, pb);
+        lft.assign(b, pa);
+        let mut smp = lft_smp_for(sw, routing);
+        for &block in &blocks {
+            match send_block_smp(subnet, &mut smp, block, hops, transport, ledger) {
                 Ok(attempt) => {
                     tx.count_delivery(attempt);
                     stats.lft_smps += 1;
                 }
                 Err(IbError::Transport(_)) => {
-                    failed = true;
-                    break;
+                    rollback(subnet, tree, opts, &journal, transport, ledger, &mut tx);
+                    return Ok((stats, tx, Vec::new()));
                 }
                 Err(e) => return Err(e),
             }
         }
-        if failed {
-            rollback(subnet, sm_node, opts, &journal, transport, ledger, &mut tx);
-            return Ok((stats, tx));
-        }
         stats.switches_updated += 1;
-        stats.max_blocks_per_switch = stats.max_blocks_per_switch.max(blocks_for_swap.len());
+        stats.max_blocks_per_switch = stats.max_blocks_per_switch.max(blocks.len());
     }
     observe_commit(ledger, &tx);
-    Ok((stats, tx))
+    Ok((stats, tx, journal))
 }
 
 /// §V-C2 step (b) under a faulty fabric: the row copy of
@@ -412,14 +428,14 @@ pub fn swap_on_fabric_tx<C: SmpChannel>(
 #[allow(clippy::too_many_arguments)]
 pub fn copy_on_fabric_tx<C: SmpChannel>(
     subnet: &mut Subnet,
-    sm_node: NodeId,
+    tree: &RouteTree,
     pf_lid: Lid,
     vm_lid: Lid,
     opts: &MigrationOptions,
     restrict: Option<&[NodeId]>,
     transport: &mut SmpTransport<C>,
     ledger: &mut SmpLedger,
-) -> IbResult<(LftUpdateStats, TxStats)> {
+) -> IbResult<(LftUpdateStats, TxStats, Vec<CellChange>)> {
     if pf_lid == vm_lid {
         return Err(IbError::Virtualization(
             "VM LID cannot equal the PF LID it copies".into(),
@@ -431,42 +447,30 @@ pub fn copy_on_fabric_tx<C: SmpChannel>(
         committed: true,
         ..TxStats::default()
     };
-    let mut journal: Vec<JournalRow> = Vec::new();
+    let mut journal: Vec<CellChange> = Vec::new();
 
     for sw in targets(subnet, restrict) {
-        let lft = subnet
-            .lft(sw)
-            .ok_or_else(|| IbError::Management(format!("{} has no LFT", subnet.name_of(sw))))?;
-        let target = lft.get(pf_lid).ok_or_else(|| {
-            IbError::Management(format!(
-                "{} has no row for PF LID {pf_lid}",
-                subnet.name_of(sw)
-            ))
-        })?;
+        let lft = subnet.lft(sw).ok_or_else(|| no_lft(subnet, sw))?;
+        let target = pf_row(subnet, sw, lft, pf_lid)?;
         let old = lft.get(vm_lid);
         if old == Some(target) {
             continue;
         }
-        let Ok(routing) = routing_for(subnet, sm_node, sw, opts.smp_mode) else {
-            rollback(subnet, sm_node, opts, &journal, transport, ledger, &mut tx);
-            return Ok((stats, tx));
+        let Some((routing, hops)) = address_tx(subnet, tree, sw, opts.smp_mode) else {
+            rollback(subnet, tree, opts, &journal, transport, ledger, &mut tx);
+            return Ok((stats, tx, Vec::new()));
         };
-        let hops = hops_of(subnet, sm_node, sw, &routing).unwrap_or(0);
-        journal.push(JournalRow {
-            sw,
-            lid: vm_lid,
-            old,
-        });
+        journal.push(cell(sw, vm_lid, old, Some(target)));
         let Some(lft) = subnet.lft_mut(sw) else {
-            rollback(subnet, sm_node, opts, &journal, transport, ledger, &mut tx);
-            return Ok((stats, tx));
+            rollback(subnet, tree, opts, &journal, transport, ledger, &mut tx);
+            return Ok((stats, tx, Vec::new()));
         };
         lft.set(vm_lid, target);
+        let mut smp = lft_smp_for(sw, routing);
         match send_block_smp(
             subnet,
-            sw,
+            &mut smp,
             vm_lid.lft_block(),
-            &routing,
             hops,
             transport,
             ledger,
@@ -478,14 +482,14 @@ pub fn copy_on_fabric_tx<C: SmpChannel>(
                 stats.max_blocks_per_switch = 1;
             }
             Err(IbError::Transport(_)) => {
-                rollback(subnet, sm_node, opts, &journal, transport, ledger, &mut tx);
-                return Ok((stats, tx));
+                rollback(subnet, tree, opts, &journal, transport, ledger, &mut tx);
+                return Ok((stats, tx, Vec::new()));
             }
             Err(e) => return Err(e),
         }
     }
     observe_commit(ledger, &tx);
-    Ok((stats, tx))
+    Ok((stats, tx, journal))
 }
 
 /// Mirrors a committed pass's transactional accounting into the observer.
@@ -498,7 +502,7 @@ fn observe_commit(ledger: &SmpLedger, tx: &TxStats) {
     }
 }
 
-/// Restores every journaled row (newest first) and pushes best-effort
+/// Undoes every journaled cell (newest first) and pushes best-effort
 /// compensating SMPs for the touched blocks.
 ///
 /// The local restore is unconditional: the installed LFT models the state
@@ -508,9 +512,9 @@ fn observe_commit(ledger: &SmpLedger, tx: &TxStats) {
 /// on it.
 fn rollback<C: SmpChannel>(
     subnet: &mut Subnet,
-    sm_node: NodeId,
+    tree: &RouteTree,
     opts: &MigrationOptions,
-    journal: &[JournalRow],
+    journal: &[CellChange],
     transport: &mut SmpTransport<C>,
     ledger: &mut SmpLedger,
     tx: &mut TxStats,
@@ -519,28 +523,25 @@ fn rollback<C: SmpChannel>(
     let mut switches: Vec<NodeId> = Vec::new();
     let mut blocks: Vec<(NodeId, usize)> = Vec::new();
     for row in journal.iter().rev() {
-        if let Some(lft) = subnet.lft_mut(row.sw) {
-            match row.old {
-                Some(p) => lft.set(row.lid, p),
-                None => lft.clear(row.lid),
-            }
+        if let Some(lft) = subnet.lft_mut(row.switch) {
+            lft.assign(row.lid, row.old);
         }
-        if !switches.contains(&row.sw) {
-            switches.push(row.sw);
+        if !switches.contains(&row.switch) {
+            switches.push(row.switch);
         }
-        let key = (row.sw, row.lid.lft_block());
+        let key = (row.switch, row.lid.lft_block());
         if !blocks.contains(&key) {
             blocks.push(key);
         }
     }
     tx.rolled_back_switches = switches.len();
     for (sw, block) in blocks {
-        let Ok(routing) = routing_for(subnet, sm_node, sw, opts.smp_mode) else {
+        let Some((routing, hops)) = address_tx(subnet, tree, sw, opts.smp_mode) else {
             continue; // unreachable switch: the re-sweep will repair it
         };
-        let hops = hops_of(subnet, sm_node, sw, &routing).unwrap_or(0);
         tx.rollback_smps += 1;
-        let _ = send_block_smp(subnet, sw, block, &routing, hops, transport, ledger);
+        let mut smp = lft_smp_for(sw, routing);
+        let _ = send_block_smp(subnet, &mut smp, block, hops, transport, ledger);
     }
     let observer = ledger.observer();
     if observer.is_enabled() {
@@ -549,41 +550,38 @@ fn rollback<C: SmpChannel>(
     }
 }
 
-/// Builds the `SubnSet(LinearForwardingTable)` SMP for `block` from the
-/// currently-installed LFT and pushes it through the retrying transport.
+/// Points `smp` (the switch's reusable LFT SMP) at `block` as currently
+/// installed on its target.
+fn load_block(subnet: &Subnet, smp: &mut Smp, block: usize) {
+    match subnet.lft(smp.target).and_then(|l| l.block(block)) {
+        Some(data) => retarget_lft_smp(smp, block, data),
+        None => retarget_lft_smp(smp, block, &[None; LFT_BLOCK_SIZE]),
+    }
+}
+
+/// Sends the `SubnSet(LinearForwardingTable)` SMP for `block` of the
+/// currently-installed LFT through the retrying transport.
 fn send_block_smp<C: SmpChannel>(
     subnet: &Subnet,
-    sw: NodeId,
+    smp: &mut Smp,
     block: usize,
-    routing: &ib_mad::SmpRouting,
     hops: usize,
     transport: &mut SmpTransport<C>,
     ledger: &mut SmpLedger,
 ) -> IbResult<u32> {
-    let empty = vec![None; ib_types::LFT_BLOCK_SIZE];
-    let payload = subnet
-        .lft(sw)
-        .and_then(|l| l.block(block))
-        .map_or(empty, <[_]>::to_vec);
-    let smp = Smp::set_lft_block(sw, routing.clone(), block, &payload);
-    transport.send(subnet, &smp, hops, ledger)
+    load_block(subnet, smp, block);
+    transport.send(subnet, smp, hops, ledger)
 }
 
 fn record_block_smp(
     subnet: &Subnet,
-    sw: NodeId,
+    smp: &mut Smp,
     block: usize,
-    routing: &ib_mad::SmpRouting,
     hops: usize,
     ledger: &mut SmpLedger,
 ) {
-    let empty = vec![None; ib_types::LFT_BLOCK_SIZE];
-    let payload = subnet
-        .lft(sw)
-        .and_then(|l| l.block(block))
-        .map_or(empty.clone(), <[_]>::to_vec);
-    let smp = Smp::set_lft_block(sw, routing.clone(), block, &payload);
-    ledger.record(&smp, hops);
+    load_block(subnet, smp, block);
+    ledger.record(smp, hops);
 }
 
 #[cfg(test)]
@@ -612,8 +610,9 @@ mod tests {
         let a = host_lid(&t, 1); // on leaf 0
         let b = host_lid(&t, 4); // on leaf 1
         let opts = MigrationOptions::default();
-        let stats =
-            swap_on_fabric(&mut t.subnet, sm.sm_node, a, b, &opts, None, &mut sm.ledger).unwrap();
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        let (stats, _) =
+            swap_on_fabric(&mut t.subnet, &tree, a, b, &opts, None, &mut sm.ledger).unwrap();
         // All LIDs < 64: every updated switch takes exactly one SMP.
         assert_eq!(stats.max_blocks_per_switch, 1);
         assert!(stats.switches_updated >= 1);
@@ -634,9 +633,10 @@ mod tests {
         sm.full_reconfiguration(&mut t.subnet).unwrap();
 
         let a = host_lid(&t, 1);
-        let stats = swap_on_fabric(
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        let (stats, _) = swap_on_fabric(
             &mut t.subnet,
-            sm.sm_node,
+            &tree,
             a,
             Lid::from_raw(70),
             &MigrationOptions::default(),
@@ -656,9 +656,10 @@ mod tests {
         let a = host_lid(&t, 1);
         let b = host_lid(&t, 2);
         let total_switches = t.subnet.num_physical_switches();
-        let stats = swap_on_fabric(
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        let (stats, _) = swap_on_fabric(
             &mut t.subnet,
-            sm.sm_node,
+            &tree,
             a,
             b,
             &MigrationOptions::default(),
@@ -685,8 +686,10 @@ mod tests {
             .map(|n| (n.id, n.lft().unwrap().clone()))
             .collect();
         let opts = MigrationOptions::default();
-        swap_on_fabric(&mut t.subnet, sm.sm_node, a, b, &opts, None, &mut sm.ledger).unwrap();
-        swap_on_fabric(&mut t.subnet, sm.sm_node, a, b, &opts, None, &mut sm.ledger).unwrap();
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        swap_on_fabric(&mut t.subnet, &tree, a, b, &opts, None, &mut sm.ledger).unwrap();
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        swap_on_fabric(&mut t.subnet, &tree, a, b, &opts, None, &mut sm.ledger).unwrap();
         for (id, before) in snapshot {
             assert_eq!(t.subnet.lft(id).unwrap(), &before);
         }
@@ -700,9 +703,10 @@ mod tests {
         let vm_lid = Lid::from_raw(40);
         // Register the LID on a scratch endpoint so tracing works: reuse
         // host 5's port (multi-LID endpoints are what vSwitches do).
-        let stats = copy_on_fabric(
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        let (stats, _) = copy_on_fabric(
             &mut t.subnet,
-            sm.sm_node,
+            &tree,
             pf,
             vm_lid,
             &MigrationOptions::default(),
@@ -725,9 +729,10 @@ mod tests {
         let pf = host_lid(&t, 4);
         let vm_lid = Lid::from_raw(40);
         let opts = MigrationOptions::default();
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
         copy_on_fabric(
             &mut t.subnet,
-            sm.sm_node,
+            &tree,
             pf,
             vm_lid,
             &opts,
@@ -735,9 +740,10 @@ mod tests {
             &mut sm.ledger,
         )
         .unwrap();
-        let again = copy_on_fabric(
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        let (again, _) = copy_on_fabric(
             &mut t.subnet,
-            sm.sm_node,
+            &tree,
             pf,
             vm_lid,
             &opts,
@@ -758,8 +764,9 @@ mod tests {
             invalidate_first: true,
             ..MigrationOptions::default()
         };
-        let stats =
-            swap_on_fabric(&mut t.subnet, sm.sm_node, a, b, &opts, None, &mut sm.ledger).unwrap();
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        let (stats, _) =
+            swap_on_fabric(&mut t.subnet, &tree, a, b, &opts, None, &mut sm.ledger).unwrap();
         assert_eq!(stats.invalidation_smps, stats.switches_updated);
     }
 
@@ -769,9 +776,10 @@ mod tests {
         let a = host_lid(&t, 1);
         let b = host_lid(&t, 2); // same leaf
         let leaf0 = t.switch_levels[0][0];
-        let stats = swap_on_fabric(
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        let (stats, _) = swap_on_fabric(
             &mut t.subnet,
-            sm.sm_node,
+            &tree,
             a,
             b,
             &MigrationOptions::default(),
@@ -806,12 +814,65 @@ mod tests {
         let (mut t, mut sm) = fabric();
         let a = host_lid(&t, 1);
         let opts = MigrationOptions::default();
-        assert!(
-            swap_on_fabric(&mut t.subnet, sm.sm_node, a, a, &opts, None, &mut sm.ledger).is_err()
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        assert!(swap_on_fabric(&mut t.subnet, &tree, a, a, &opts, None, &mut sm.ledger).is_err());
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        assert!(copy_on_fabric(&mut t.subnet, &tree, a, a, &opts, None, &mut sm.ledger).is_err());
+    }
+
+    /// The cell list is the exact diff of the pass: one entry per cell
+    /// whose installed value differs afterwards — the transient DROP of
+    /// `invalidate_first` is not a change, switches outside `restrict` and
+    /// switches already aligned contribute nothing.
+    #[test]
+    fn passes_report_exactly_the_cells_that_differ() {
+        let diff = |before: &Subnet, after: &Subnet, lids: &[Lid]| {
+            let mut cells = Vec::new();
+            for sw in before.physical_switches() {
+                for &lid in lids {
+                    let old = sw.lft().unwrap().get(lid);
+                    let new = after.lft(sw.id).unwrap().get(lid);
+                    if old != new {
+                        cells.push(cell(sw.id, lid, old, new));
+                    }
+                }
+            }
+            cells
+        };
+        let opts = MigrationOptions {
+            invalidate_first: true,
+            ..MigrationOptions::default()
+        };
+
+        let (mut t, mut sm) = fabric();
+        let (a, b) = (host_lid(&t, 1), host_lid(&t, 2)); // same leaf
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        let before = t.subnet.clone();
+        let (stats, cells) =
+            swap_on_fabric(&mut t.subnet, &tree, a, b, &opts, None, &mut sm.ledger).unwrap();
+        assert!(stats.switches_updated < t.subnet.num_physical_switches());
+        assert_eq!(cells.len(), 2 * stats.switches_updated);
+        assert_eq!(cells, diff(&before, &t.subnet, &[a, b]));
+
+        let leaf1 = t.switch_levels[0][1];
+        let (pf, vm) = (host_lid(&t, 4), Lid::from_raw(40));
+        let before = t.subnet.clone();
+        let (stats, cells) = copy_on_fabric(
+            &mut t.subnet,
+            &tree,
+            pf,
+            vm,
+            &opts,
+            Some(&[leaf1]),
+            &mut sm.ledger,
+        )
+        .unwrap();
+        assert_eq!(stats.switches_updated, 1);
+        assert_eq!(
+            cells,
+            vec![cell(leaf1, vm, None, t.subnet.lft(leaf1).unwrap().get(pf))]
         );
-        assert!(
-            copy_on_fabric(&mut t.subnet, sm.sm_node, a, a, &opts, None, &mut sm.ledger).is_err()
-        );
+        assert_eq!(cells, diff(&before, &t.subnet, &[vm]));
     }
 
     #[test]
@@ -821,12 +882,14 @@ mod tests {
         let a = host_lid(&t, 1);
         let b = host_lid(&t, 4);
         let opts = MigrationOptions::default();
-        let classic =
-            swap_on_fabric(&mut t.subnet, sm.sm_node, a, b, &opts, None, &mut sm.ledger).unwrap();
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        let (classic, classic_cells) =
+            swap_on_fabric(&mut t.subnet, &tree, a, b, &opts, None, &mut sm.ledger).unwrap();
         let mut transport = SmpTransport::perfect(sm2.sm_node);
-        let (stats, tx) = swap_on_fabric_tx(
+        let tree = RouteTree::build(&t2.subnet, sm2.sm_node);
+        let (stats, tx, cells) = swap_on_fabric_tx(
             &mut t2.subnet,
-            sm2.sm_node,
+            &tree,
             a,
             b,
             &opts,
@@ -839,6 +902,7 @@ mod tests {
         assert_eq!(tx.retries, 0);
         assert_eq!(tx.rollback_smps, 0);
         assert_eq!(stats, classic);
+        assert_eq!(cells, classic_cells);
         assert_eq!(sm.ledger.records(), sm2.ledger.records());
         for sw in t.subnet.physical_switches() {
             assert_eq!(t2.subnet.lft(sw.id).unwrap(), sw.lft().unwrap());
@@ -857,9 +921,10 @@ mod tests {
             .collect();
         let mut transport =
             SmpTransport::with_channel(sm.sm_node, ib_mad::LossyChannel::black_hole());
-        let (_, tx) = swap_on_fabric_tx(
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        let (_, tx, cells) = swap_on_fabric_tx(
             &mut t.subnet,
-            sm.sm_node,
+            &tree,
             a,
             b,
             &MigrationOptions::default(),
@@ -869,6 +934,7 @@ mod tests {
         )
         .unwrap();
         assert!(!tx.committed);
+        assert!(cells.is_empty(), "a rolled-back pass changed nothing");
         // The very first switch fails, so exactly its rows were journaled.
         assert_eq!(tx.rolled_back_switches, 1);
         assert!(tx.rollback_smps >= 1);
@@ -890,9 +956,10 @@ mod tests {
             .collect();
         let mut transport =
             SmpTransport::with_channel(sm.sm_node, ib_mad::LossyChannel::black_hole());
-        let (_, tx) = copy_on_fabric_tx(
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        let (_, tx, cells) = copy_on_fabric_tx(
             &mut t.subnet,
-            sm.sm_node,
+            &tree,
             pf,
             vm_lid,
             &MigrationOptions::default(),
@@ -902,6 +969,7 @@ mod tests {
         )
         .unwrap();
         assert!(!tx.committed);
+        assert!(cells.is_empty(), "a rolled-back pass changed nothing");
         for (id, before) in snapshot {
             assert_eq!(t.subnet.lft(id).unwrap(), &before);
         }
@@ -914,9 +982,10 @@ mod tests {
         let a = host_lid(&t, 1);
         let b = host_lid(&t, 4);
         let opts = MigrationOptions::default();
+        let tree = RouteTree::build(&base.subnet, sm_base.sm_node);
         swap_on_fabric(
             &mut base.subnet,
-            sm_base.sm_node,
+            &tree,
             a,
             b,
             &opts,
@@ -926,9 +995,10 @@ mod tests {
         .unwrap();
         let mut transport = SmpTransport::lossy(sm.sm_node, 7, 0.10, 0);
         transport.retry.max_attempts = 8;
-        let (_, tx) = swap_on_fabric_tx(
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        let (_, tx, cells) = swap_on_fabric_tx(
             &mut t.subnet,
-            sm.sm_node,
+            &tree,
             a,
             b,
             &opts,
@@ -938,6 +1008,7 @@ mod tests {
         )
         .unwrap();
         assert!(tx.committed, "8 attempts at 10% per-hop loss must converge");
+        assert!(!cells.is_empty());
         for sw in base.subnet.physical_switches() {
             assert_eq!(
                 t.subnet.lft(sw.id).unwrap(),
@@ -957,7 +1028,8 @@ mod tests {
             smp_mode: SmpMode::Destination,
             ..MigrationOptions::default()
         };
-        swap_on_fabric(&mut t.subnet, sm.sm_node, a, b, &opts, None, &mut sm.ledger).unwrap();
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        swap_on_fabric(&mut t.subnet, &tree, a, b, &opts, None, &mut sm.ledger).unwrap();
         assert!(sm.ledger.records().iter().all(|r| !r.directed));
 
         let opts = MigrationOptions {
@@ -965,7 +1037,8 @@ mod tests {
             ..MigrationOptions::default()
         };
         sm.ledger.reset();
-        swap_on_fabric(&mut t.subnet, sm.sm_node, b, a, &opts, None, &mut sm.ledger).unwrap();
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        swap_on_fabric(&mut t.subnet, &tree, b, a, &opts, None, &mut sm.ledger).unwrap();
         assert!(sm.ledger.records().iter().all(|r| r.directed));
         let _ = EngineKind::MinHop;
         let _ = assign_lids;

@@ -13,8 +13,8 @@
 
 use rustc_hash::FxHashMap;
 
-use ib_mad::Smp;
-use ib_sm::distribution::{hops_of, routing_for};
+use ib_mad::{Routes, Smp};
+use ib_sm::distribution::address;
 use ib_sm::SmpMode;
 use ib_types::{IbError, IbResult, PKey, PortNum};
 
@@ -178,8 +178,8 @@ impl Tenancy {
         let key = self
             .pkey_of(vm)
             .ok_or_else(|| IbError::Virtualization(format!("{vm} is not enrolled")))?;
-        let routing = routing_for(&dc.subnet, dc.sm.sm_node, pf, SmpMode::Directed)?;
-        let hops = hops_of(&dc.subnet, dc.sm.sm_node, pf, &routing)?;
+        let routes = Routes::Search(dc.sm.sm_node);
+        let (routing, hops) = address(&dc.subnet, routes, pf, SmpMode::Directed)?;
         let smp = Smp::set_pkey_table(
             pf,
             routing,

@@ -25,5 +25,5 @@ pub use fault::{
     SmpTransport,
 };
 pub use ledger::{SmpLedger, SmpRecord};
-pub use route::{DirectedRoute, SmpRouting};
-pub use smp::{AttributeKind, Smp, SmpAttribute, SmpMethod};
+pub use route::{DirectedRoute, RouteTree, Routes, SmpRouting};
+pub use smp::{lft_smp_for, retarget_lft_smp, AttributeKind, Smp, SmpAttribute, SmpMethod};

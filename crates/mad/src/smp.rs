@@ -180,6 +180,39 @@ impl Smp {
     }
 }
 
+/// A reusable `SubnSet(LinearForwardingTable)` SMP for one switch: the
+/// routing is taken once and the payload buffer is recycled across blocks
+/// by [`retarget_lft_smp`], so a per-block loop allocates nothing.
+#[must_use]
+pub fn lft_smp_for(target: NodeId, routing: SmpRouting) -> Smp {
+    Smp {
+        method: SmpMethod::Set,
+        attribute: SmpAttribute::LftBlock {
+            block: 0,
+            payload: vec![None; LFT_BLOCK_SIZE],
+        },
+        routing,
+        target,
+    }
+}
+
+/// Points a reusable LFT SMP at one block.
+///
+/// # Panics
+/// Panics if `smp` does not carry an LFT block or `data` is not exactly 64
+/// entries long.
+pub fn retarget_lft_smp(smp: &mut Smp, block: usize, data: &[Option<PortNum>]) {
+    match &mut smp.attribute {
+        SmpAttribute::LftBlock {
+            block: b, payload, ..
+        } => {
+            *b = block;
+            payload.copy_from_slice(data);
+        }
+        _ => unreachable!("a reusable LFT SMP is always an LFT block"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,7 +7,8 @@
 //! RC" column.
 //!
 //! Distribution runs in two phases. **Planning** is read-only over the
-//! subnet: per switch, compute SMP addressing and diff the installed LFT
+//! subnet: per switch, read SMP addressing off one route tree searched from
+//! the SM ([`route_tree`], built per plan) and diff the installed LFT
 //! against a borrowed padded view of the target ([`PaddedLftView`]),
 //! materializing one payload per dirty block. A caller that knows where
 //! the changes are — a repair holding its changed cells, a retry pass
@@ -22,7 +23,7 @@
 //! installed tables are byte-identical for any worker count.
 
 use ib_mad::fault::{SmpChannel, SmpTransport};
-use ib_mad::{DirectedRoute, Smp, SmpAttribute, SmpLedger, SmpMethod, SmpRouting};
+use ib_mad::{lft_smp_for, retarget_lft_smp, RouteTree, Routes, SmpLedger, SmpRouting};
 use ib_observe::Observer;
 use ib_routing::RoutingTables;
 use ib_subnet::{Lft, NodeId, Subnet};
@@ -84,7 +85,7 @@ enum PlanOutcome {
 /// unreachable switches come back as [`PlanOutcome::Unreachable`].
 fn plan_switch(
     subnet: &Subnet,
-    sm_node: NodeId,
+    tree: &RouteTree,
     (sw, target, candidates): PlanJob<'_>,
     topmost: Option<Lid>,
     mode: SmpMode,
@@ -100,13 +101,7 @@ fn plan_switch(
     if dirty.is_empty() {
         return Ok(PlanOutcome::Clean);
     }
-    let Ok(routing) = routing_for(subnet, sm_node, sw, mode) else {
-        return Ok(PlanOutcome::Unreachable {
-            switch: sw,
-            blocks: dirty,
-        });
-    };
-    let Ok(hops) = hops_of(subnet, sm_node, sw, &routing) else {
+    let Ok((routing, hops)) = address(subnet, Routes::Tree(tree), sw, mode) else {
         return Ok(PlanOutcome::Unreachable {
             switch: sw,
             blocks: dirty,
@@ -181,10 +176,13 @@ fn plan_all(
         observer.add("planner.jobs", jobs.len() as u64);
         observer.record("planner.workers", workers as u64);
     }
+    // One search from the SM answers every switch's addressing; the workers
+    // share it by reference.
+    let tree = &route_tree(subnet, sm_node, observer);
     if workers <= 1 {
         return jobs
             .iter()
-            .map(|&job| plan_switch(subnet, sm_node, job, topmost, mode))
+            .map(|&job| plan_switch(subnet, tree, job, topmost, mode))
             .collect();
     }
 
@@ -200,7 +198,7 @@ fn plan_all(
                     let started_ns = worker_obs.now_ns();
                     let plans: IbResult<Vec<PlanOutcome>> = chunk
                         .iter()
-                        .map(|&job| plan_switch(subnet, sm_node, job, topmost, mode))
+                        .map(|&job| plan_switch(subnet, tree, job, topmost, mode))
                         .collect();
                     if worker_obs.is_enabled() {
                         worker_obs.record("planner.chunk_switches", chunk.len() as u64);
@@ -251,34 +249,6 @@ pub(crate) fn covers_full_diff(
     })
 }
 
-/// A reusable `SubnSet(LinearForwardingTable)` SMP: the routing is cloned
-/// once per switch and the payload buffer is recycled across blocks, so the
-/// per-block inner loop allocates nothing new.
-fn lft_smp_for(plan: &SwitchPlan) -> Smp {
-    Smp {
-        method: SmpMethod::Set,
-        attribute: SmpAttribute::LftBlock {
-            block: 0,
-            payload: vec![None; LFT_BLOCK_SIZE],
-        },
-        routing: plan.routing.clone(),
-        target: plan.switch,
-    }
-}
-
-/// Points the reusable SMP at one dirty block.
-fn retarget_lft_smp(smp: &mut Smp, block: usize, data: &[Option<PortNum>; LFT_BLOCK_SIZE]) {
-    match &mut smp.attribute {
-        SmpAttribute::LftBlock {
-            block: b, payload, ..
-        } => {
-            *b = block;
-            payload.copy_from_slice(data);
-        }
-        _ => unreachable!("reusable distribution SMP is always an LFT block"),
-    }
-}
-
 /// Distributes `tables` into the subnet, sending one SMP per dirty block
 /// per switch, and applying each block to the switch's installed LFT.
 pub fn distribute(
@@ -320,8 +290,7 @@ pub fn distribute_opts(
             PlanOutcome::Unreachable { switch, .. } => {
                 // The classic path has no resume story: an unaddressable
                 // switch is an error, exactly as before the plan/apply split.
-                let routing = routing_for(subnet, sm_node, switch, mode)?;
-                hops_of(subnet, sm_node, switch, &routing)?;
+                address(subnet, Routes::Search(sm_node), switch, mode)?;
                 return Err(IbError::Topology(format!(
                     "{} unreachable from SM",
                     subnet.name_of(switch)
@@ -329,7 +298,7 @@ pub fn distribute_opts(
             }
             PlanOutcome::Update(plan) => plan,
         };
-        let mut smp = lft_smp_for(&plan);
+        let mut smp = lft_smp_for(plan.switch, plan.routing);
         for (block, payload) in &plan.blocks {
             retarget_lft_smp(&mut smp, *block, payload);
             ledger.record(&smp, plan.hops);
@@ -512,7 +481,7 @@ pub(crate) fn push_blocks<C: SmpChannel>(
             }
             PlanOutcome::Update(plan) => plan,
         };
-        let mut smp = lft_smp_for(&plan);
+        let mut smp = lft_smp_for(plan.switch, plan.routing);
         let mut sent = 0;
         if observer.is_enabled() {
             observer.add("sweep.dirty_blocks", plan.blocks.len() as u64);
@@ -541,45 +510,52 @@ pub(crate) fn push_blocks<C: SmpChannel>(
     Ok((acct, failed))
 }
 
-/// Chooses SMP addressing for a switch under the given mode.
-pub fn routing_for(
+/// The route tree of one multi-target operation, searched from the SM's
+/// node and counted as `sm.route_tree_builds`. Built per operation and
+/// dropped with it: the topology epoch moves on every LID-registry edit, so
+/// a tree kept across operations would never be current.
+#[must_use]
+pub fn route_tree(subnet: &Subnet, sm_node: NodeId, observer: &Observer) -> RouteTree {
+    observer.incr("sm.route_tree_builds");
+    RouteTree::build(subnet, sm_node)
+}
+
+/// SMP addressing for `target` under `mode`: the routing header and the
+/// link traversals the packet takes from the SM, the route read off
+/// `routes`.
+pub fn address(
     subnet: &Subnet,
-    sm_node: NodeId,
-    switch: NodeId,
+    routes: Routes<'_>,
+    target: NodeId,
     mode: SmpMode,
-) -> IbResult<SmpRouting> {
+) -> IbResult<(SmpRouting, usize)> {
     match mode {
         SmpMode::Directed => {
-            let route = DirectedRoute::compute(subnet, sm_node, switch).ok_or_else(|| {
-                IbError::Topology(format!("{} unreachable from SM", subnet.name_of(switch)))
+            let route = routes.directed(subnet, target).ok_or_else(|| {
+                IbError::Topology(format!("{} unreachable from SM", subnet.name_of(target)))
             })?;
-            Ok(SmpRouting::Directed(route))
+            let hops = route.hop_count();
+            Ok((SmpRouting::Directed(route), hops))
         }
         SmpMode::Destination => {
-            let lid = subnet.node(switch).lids().next().ok_or_else(|| {
-                IbError::Management(format!(
-                    "{} has no LID for destination-routed SMPs",
-                    subnet.name_of(switch)
-                ))
-            })?;
-            Ok(SmpRouting::Destination(lid))
+            let routing = lid_routing(subnet, target)?;
+            let hops = routes
+                .hops(subnet, target)
+                .ok_or_else(|| IbError::Topology("switch unreachable".into()))?;
+            Ok((routing, hops))
         }
     }
 }
 
-/// Link traversals an SMP takes from the SM to the switch.
-pub fn hops_of(
-    subnet: &Subnet,
-    sm_node: NodeId,
-    switch: NodeId,
-    routing: &SmpRouting,
-) -> IbResult<usize> {
-    match routing {
-        SmpRouting::Directed(r) => Ok(r.hop_count()),
-        SmpRouting::Destination(_) => DirectedRoute::compute(subnet, sm_node, switch)
-            .map(|r| r.hop_count())
-            .ok_or_else(|| IbError::Topology("switch unreachable".into())),
-    }
+/// Destination-routed addressing for `target`: its first LID.
+pub fn lid_routing(subnet: &Subnet, target: NodeId) -> IbResult<SmpRouting> {
+    let lid = subnet.node(target).lids().next().ok_or_else(|| {
+        IbError::Management(format!(
+            "{} has no LID for destination-routed SMPs",
+            subnet.name_of(target)
+        ))
+    })?;
+    Ok(SmpRouting::Destination(lid))
 }
 
 #[cfg(test)]

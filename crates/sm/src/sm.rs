@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use ib_mad::SmpLedger;
 use ib_observe::Observer;
-use ib_routing::{EngineKind, RoutingOptions};
+use ib_routing::{CellChange, EngineKind, RoutingOptions};
 use ib_subnet::{lft::min_blocks_for, NodeId, Subnet};
 use ib_types::{IbResult, Lid, LidSpace};
 use std::collections::HashSet;
@@ -355,26 +355,54 @@ impl SubnetManager {
         self.batch_deadline_ns = None;
     }
 
-    /// Tells the SM that `lids`' destination columns were rewritten on the
-    /// fabric *behind its back* — an Algorithm-1 LID swap/copy or a vSwitch
-    /// route update issues direct LFT SMPs without a sweep. Re-reads those
-    /// columns from the installed tables into the repair baseline and the
+    /// Tells the SM which cells were rewritten on the fabric *behind its
+    /// back* — an Algorithm-1 LID swap/copy or a vSwitch route update writes
+    /// LFT rows without a sweep. Each cell's new value goes into the repair
+    /// baseline (on the switches the baseline holds) and moves in the
     /// reverse index, so a later incremental repair splices against what is
-    /// actually on the switches instead of silently reverting the move.
-    /// A no-op for columns the SM has no baseline for.
-    pub fn note_columns_changed(&mut self, subnet: &Subnet, lids: &[ib_types::Lid]) {
+    /// actually on the switches instead of silently reverting the move —
+    /// at the cost of the cells that moved, not of the fabric.
+    ///
+    /// The list must be exact (one entry per cell whose installed value
+    /// changed): debug builds cross-check every column it names against
+    /// `subnet`'s installed rows.
+    pub fn note_cells_changed(&mut self, subnet: &Subnet, cells: &[CellChange]) {
         if let Some(tables) = self.last_tables.as_mut() {
-            for (&sw, lft) in &mut tables.lfts {
-                for &lid in lids {
-                    lft.assign(lid, subnet.lft(sw).and_then(|l| l.get(lid)));
+            for cell in cells {
+                if let Some(lft) = tables.lfts.get_mut(&cell.switch) {
+                    lft.assign(cell.lid, cell.new);
                 }
             }
         }
         if let Some(idx) = self.route_index.as_mut() {
-            for &lid in lids {
-                idx.refresh_column_from_installed(subnet, lid);
-            }
+            idx.apply_changes(cells);
         }
+        debug_assert_eq!(self.stale_baseline_cell(subnet, cells), None);
+    }
+
+    /// The debug oracle behind [`Self::note_cells_changed`]: the first
+    /// `(switch, lid)` among the columns `cells` names where the repair
+    /// baseline — read as distribution would send it, padded to the topmost
+    /// LID — is not what `subnet` has installed. Only meaningful while the
+    /// fabric *is* the baseline: a live index and nothing beyond a split.
+    fn stale_baseline_cell(&self, subnet: &Subnet, cells: &[CellChange]) -> Option<(NodeId, Lid)> {
+        let tables = self.last_tables.as_ref()?;
+        if self.route_index.is_none() || !self.lost_nodes.is_empty() {
+            return None;
+        }
+        let topmost = subnet.topmost_lid();
+        let mut lids: Vec<Lid> = cells.iter().map(|c| c.lid).collect();
+        lids.sort_unstable();
+        lids.dedup();
+        tables.lfts.iter().find_map(|(&sw, lft)| {
+            let installed = subnet.lft(sw)?;
+            lids.iter().copied().find_map(|lid| {
+                let padding = topmost
+                    .is_some_and(|top| lid <= top)
+                    .then_some(ib_types::PortNum::DROP);
+                (lft.get(lid).or(padding) != installed.get(lid)).then_some((sw, lid))
+            })
+        })
     }
 
     /// Audits the reverse route index against the installed tables,

@@ -6,8 +6,9 @@
 //! The [`ReverseRouteIndex`] inverts the installed tables once —
 //! `(switch, out-port) -> { destination LIDs forwarded there }` — so a
 //! link-down trap reads its dirty set off two hash-set lookups, O(dirty),
-//! and the index is maintained incrementally, cell by changed cell, as
-//! repair sweeps splice dirty columns.
+//! and the index is maintained incrementally, cell by changed cell
+//! ([`ReverseRouteIndex::apply_changes`]), as repair sweeps splice dirty
+//! columns and live migrations swap or copy theirs.
 //!
 //! What that buys, measured on the 5832-node tree (972 switches, 6804
 //! LIDs, a mid–core cable with 684 dirty columns): the two-row scan takes
@@ -114,9 +115,10 @@ impl ReverseRouteIndex {
         out
     }
 
-    /// Incremental maintenance for an in-place repair: moves each changed
-    /// cell's destination from its old out-port set to its new one —
-    /// O(changed cells), whatever the fabric's size.
+    /// Incremental maintenance for an in-place repair or a migration's
+    /// direct LFT writes: moves each changed cell's destination from its old
+    /// out-port set to its new one — O(changed cells), whatever the
+    /// fabric's size.
     pub fn apply_changes(&mut self, cells: &[CellChange]) {
         for cell in cells {
             if let Some(p) = cell.old {
@@ -124,25 +126,6 @@ impl ReverseRouteIndex {
             }
             if let Some(p) = cell.new {
                 self.insert(cell.switch, p, cell.lid);
-            }
-        }
-    }
-
-    /// Re-derives one destination column from the *installed* tables:
-    /// purges `lid` everywhere, then re-inserts it per the rows currently
-    /// on the switches. The hook for mutations that bypass the SM's sweep
-    /// pipeline — an Algorithm-1 LID swap/copy rewrites a couple of
-    /// columns with direct SMPs, and the SM is told via
-    /// `note_columns_changed` which calls this.
-    pub fn refresh_column_from_installed(&mut self, subnet: &Subnet, lid: Lid) {
-        for sets in self.ports.values_mut() {
-            for set in sets.iter_mut() {
-                set.remove(&lid);
-            }
-        }
-        for node in subnet.nodes() {
-            if let Some(p) = node.lft().and_then(|l| l.get(lid)) {
-                self.insert(node.id, p, lid);
             }
         }
     }
@@ -268,11 +251,11 @@ mod tests {
     }
 
     #[test]
-    fn refresh_column_follows_out_of_band_row_edits() {
+    fn apply_changes_follows_out_of_band_row_edits() {
         let (mut t, _) = installed(EngineKind::MinHop);
         let mut idx = ReverseRouteIndex::from_installed(&t.subnet);
         // Mutate one row behind the index's back (what a migration's
-        // direct LFT SMPs do), then refresh just that column.
+        // direct LFT SMPs do), then hand the index just that cell.
         let lid = t.subnet.lids()[0];
         let sw = t.subnet.switches().next().unwrap().id;
         let old = t.subnet.lft(sw).unwrap().get(lid).unwrap();
@@ -282,7 +265,12 @@ mod tests {
             .unwrap();
         t.subnet.lft_mut(sw).unwrap().set(lid, other);
         assert!(!idx.mismatches(&t.subnet).is_empty(), "index is now stale");
-        idx.refresh_column_from_installed(&t.subnet, lid);
+        idx.apply_changes(&[CellChange {
+            switch: sw,
+            lid,
+            old: Some(old),
+            new: Some(other),
+        }]);
         assert!(idx.mismatches(&t.subnet).is_empty());
         assert_agrees(&idx, &t.subnet);
     }

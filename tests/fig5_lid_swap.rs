@@ -4,7 +4,7 @@
 
 use ib_core::migration::{swap_on_fabric, MigrationOptions};
 use ib_core::{DataCenter, DataCenterConfig, VirtArch};
-use ib_mad::SmpLedger;
+use ib_mad::{RouteTree, SmpLedger};
 use ib_subnet::topology::basic::fig5_fabric;
 use ib_types::{Lid, PortNum};
 
@@ -88,9 +88,10 @@ fn fig5_swap_updates_ports_exactly_as_printed() {
     assert_eq!(s.lft(leaf0).unwrap().get(lid(2)), Some(PortNum::new(2)));
     assert_eq!(s.lft(leaf0).unwrap().get(lid(12)), Some(PortNum::new(4)));
 
-    let stats = swap_on_fabric(
+    let tree = RouteTree::build(&s, hyps[0]);
+    let (stats, _) = swap_on_fabric(
         &mut s,
-        hyps[0],
+        &tree,
         lid(2),
         lid(12),
         &MigrationOptions::default(),
@@ -128,9 +129,10 @@ fn fig5_cross_block_variant_needs_two_smps() {
     s.lft_mut(leaf1).unwrap().set(lid(70), PortNum::new(2));
 
     let mut ledger = SmpLedger::new();
-    let stats = swap_on_fabric(
+    let tree = RouteTree::build(&s, hyps[0]);
+    let (stats, _) = swap_on_fabric(
         &mut s,
-        hyps[0],
+        &tree,
         lid(2),
         lid(70),
         &MigrationOptions::default(),
@@ -150,9 +152,10 @@ fn fig5_swap_to_same_leaf_lid_skips_remote_switch() {
     let (mut s, _leaf0, leaf1, hyps) = fig3_subnet();
     let before_leaf1 = s.lft(leaf1).unwrap().clone();
     let mut ledger = SmpLedger::new();
-    let stats = swap_on_fabric(
+    let tree = RouteTree::build(&s, hyps[0]);
+    let (stats, _) = swap_on_fabric(
         &mut s,
-        hyps[0],
+        &tree,
         lid(2),
         lid(6),
         &MigrationOptions::default(),

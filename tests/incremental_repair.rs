@@ -9,6 +9,7 @@
 //! a verifier-clean fabric (or an accounted fallback) every single time,
 //! deterministically across worker counts.
 
+use ib_core::{DataCenter, DataCenterConfig, VirtArch};
 use ib_mad::SmpTransport;
 use ib_observe::Observer;
 use ib_routing::{EngineKind, RoutingOptions, SwitchGraph, VlAssignment};
@@ -771,4 +772,60 @@ fn three_level_fabrics_repair_and_heal_clean() {
             assert_eq!(snap.counter("repair.fallback"), 0, "{tag}");
         }
     }
+}
+
+/// Dynamic LID assignment writes a whole new column at `create_vm` with
+/// direct LFT SMPs, outside any sweep. The SM must hear of those cells: a
+/// repair sends blocks built from its baseline, so a baseline that never
+/// learned the VM's LID would black-hole it on every switch the repair
+/// touches — and the column-scoped gate would wave that through as damage
+/// that was there before, because the repair never *re-routed* that column.
+#[test]
+fn a_vm_created_under_dynamic_lids_survives_the_next_repair() {
+    let mut dc = DataCenter::from_topology_observed(
+        two_level(3, 3, 2),
+        DataCenterConfig {
+            arch: VirtArch::VSwitchDynamic,
+            vfs_per_hypervisor: 2,
+            ..DataCenterConfig::default()
+        },
+        Observer::metrics(),
+    )
+    .expect("bring-up");
+    dc.sm.set_repair(true);
+    let vm = dc.create_vm("vm", 4).expect("create");
+    let lid = dc.vm(vm).expect("vm").lid;
+    assert_eq!(
+        dc.sm.verify_route_index(&dc.subnet),
+        Vec::<String>::new(),
+        "the index learned the new column"
+    );
+
+    // Down the uplink the SM's own leaf forwards the VM's LID over.
+    let leaf = dc.hypervisors[0].leaf;
+    let uplink = dc.subnet.lft(leaf).and_then(|l| l.get(lid)).expect("row");
+    let peer = dc.subnet.neighbor(leaf, uplink).expect("cabled").node;
+    assert!(dc.subnet.node(peer).is_physical_switch());
+    dc.subnet.set_link_down(leaf, uplink).expect("link down");
+    let mut transport = SmpTransport::perfect(dc.sm.sm_node);
+    let trap = Trap::LinkStateChange {
+        node: leaf,
+        port: uplink,
+    };
+    let report = dc
+        .sm
+        .handle_trap(&mut dc.subnet, trap, &mut transport)
+        .expect("trap handled");
+
+    assert_eq!(report.kind, SweepKind::Repair);
+    let snap = dc.sm.observer().snapshot().expect("metrics on");
+    assert_eq!(snap.counter("repair.success"), 1);
+    assert_eq!(snap.counter("repair.tolerated_preexisting"), 0);
+    let vls = dc.sm.installed_vls().expect("tables installed");
+    let verdict = FabricVerifier::new()
+        .verify_with_vls(&dc.subnet, vls)
+        .expect("verifier");
+    assert!(verdict.is_clean(), "{verdict}");
+    assert_eq!(dc.sm.verify_route_index(&dc.subnet), Vec::<String>::new());
+    dc.verify_connectivity().expect("the VM stays reachable");
 }

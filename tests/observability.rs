@@ -204,3 +204,68 @@ fn migration_commit_metrics_count_each_migration() {
     assert_eq!(retries.sum, 0, "perfect transport retries nothing");
     assert_eq!(snap.spans_named("migration.step_b.swap").len(), 2);
 }
+
+#[test]
+fn one_migration_is_attributable_from_its_spans_and_counters() {
+    // A migration's cost splits into the LFT pass and the hand-over of its
+    // changed cells to the SM; both spans — and the one route-tree search
+    // and the changed-cell count — must be claimable by the single
+    // migration that emitted them, classic or transactional.
+    for (arch, pass) in [
+        (VirtArch::VSwitchPrepopulated, "migration.step_b.swap"),
+        (VirtArch::VSwitchDynamic, "migration.step_b.copy"),
+    ] {
+        let observer = Observer::metrics();
+        let mut dc = dc_observed(arch, observer.clone());
+        let vm = dc.create_vm("vm", 0).expect("create");
+        let mut transport = SmpTransport::perfect(dc.sm.sm_node);
+        for (dest, resilient) in [(4, false), (2, true)] {
+            let before = observer.snapshot().expect("enabled");
+            let opened = observer.now_ns();
+            let switches_updated = if resilient {
+                let report = dc.migrate_vm_resilient(vm, dest, &mut transport);
+                report.expect("migrate").lft.switches_updated
+            } else {
+                dc.migrate_vm(vm, dest)
+                    .expect("migrate")
+                    .lft
+                    .switches_updated
+            };
+            let closed = observer.now_ns();
+            let after = observer.snapshot().expect("enabled");
+            let tag = format!("{arch} resilient={resilient}");
+
+            let delta = |name: &str| after.counter(name) - before.counter(name);
+            assert_eq!(delta("sm.route_tree_builds"), 1, "{tag}");
+            // A swap moves two cells per updated switch and re-homes two
+            // LIDs on the two vSwitches; a copy moves one and re-homes one.
+            let lids = if arch == VirtArch::VSwitchPrepopulated {
+                2
+            } else {
+                1
+            };
+            assert_eq!(
+                delta("migration.changed_cells"),
+                (lids * (switches_updated + 2)) as u64,
+                "{tag}"
+            );
+
+            let inside = |name: &str| {
+                let spans: Vec<_> = after
+                    .spans_named(name)
+                    .into_iter()
+                    .filter(|s| s.start_ns >= opened)
+                    .collect();
+                assert_eq!(spans.len(), 1, "{tag}: one {name} span per migration");
+                assert!(spans[0].start_ns + spans[0].duration_ns <= closed, "{tag}");
+                (spans[0].start_ns, spans[0].start_ns + spans[0].duration_ns)
+            };
+            let (_, pass_end) = inside(pass);
+            let (note_start, _) = inside("migration.note_cells");
+            assert!(
+                pass_end <= note_start,
+                "{tag}: the pass precedes the hand-over"
+            );
+        }
+    }
+}

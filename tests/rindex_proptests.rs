@@ -1,7 +1,8 @@
 //! Property-style tests over the reverse route index: after random
 //! sequences of connectivity-preserving link faults (answered by the
-//! incremental repair sweep), link restorations, live migrations, and
-//! full sweeps, the index must agree with the two-row fabric scan
+//! incremental repair sweep), link restorations, VM creations and
+//! destructions, live migrations (committed and rolled back), and full
+//! sweeps, the index must agree with the two-row fabric scan
 //! ([`ib_verify::affected_destinations`]) for **every** (switch, port) —
 //! on the paper's 324-node fat tree under every tree engine and on a
 //! wrapped torus under the VL-layering engines.
@@ -10,8 +11,8 @@
 //! cannot fetch it, so these are seeded randomized tests driven by the
 //! vendored `rand` stub.
 
-use ib_core::{DataCenter, DataCenterConfig};
-use ib_mad::SmpTransport;
+use ib_core::{DataCenter, DataCenterConfig, VirtArch, VmId};
+use ib_mad::{LossyChannel, SmpTransport};
 use ib_routing::EngineKind;
 use ib_sm::{SmConfig, SubnetManager, Trap};
 use ib_subnet::topology::fattree::paper_324;
@@ -108,16 +109,21 @@ fn sample_pairs(rng: &mut StdRng, all: &[(NodeId, PortNum)], n: usize) -> Vec<(N
 }
 
 /// The tree arm: a virtualized 324-node fat tree under each tree-capable
-/// engine, driven through random link-downs (repair sweeps), link-ups
-/// (fold-back sweeps), live migrations (out-of-band column edits the SM
-/// must be told about), and plain light sweeps.
+/// engine and both vSwitch architectures, driven through random link-downs
+/// (repair sweeps), link-ups (fold-back sweeps), VM creations and
+/// destructions, live migrations — classic and transactional, committed and
+/// rolled back — all of which edit installed columns outside any sweep and
+/// must reach the SM as the exact list of changed cells, and plain light
+/// sweeps.
 #[test]
 fn index_tracks_random_event_sequences_on_the_324_tree() {
+    let archs = [VirtArch::VSwitchPrepopulated, VirtArch::VSwitchDynamic];
     for engine in [EngineKind::FatTree, EngineKind::MinHop, EngineKind::UpDown] {
-        for seed in [11u64, 42] {
+        for (arch, seed) in archs.into_iter().flat_map(|a| [(a, 11u64), (a, 42)]) {
             let mut dc = DataCenter::from_topology(
                 paper_324(),
                 DataCenterConfig {
+                    arch,
                     engine,
                     ..DataCenterConfig::default()
                 },
@@ -125,7 +131,7 @@ fn index_tracks_random_event_sequences_on_the_324_tree() {
             .expect("bring-up");
             dc.sm.set_repair(true);
             let hyps = dc.hypervisors.len();
-            let vms: Vec<_> = (0..3)
+            let mut vms: Vec<_> = (0..3)
                 .map(|i| {
                     dc.create_vm(format!("vm{i}"), i * 7 % hyps)
                         .expect("create")
@@ -138,8 +144,9 @@ fn index_tracks_random_event_sequences_on_the_324_tree() {
             let mut transport = SmpTransport::perfect(dc.sm.sm_node);
             let mut downed: Vec<(NodeId, PortNum)> = Vec::new();
 
-            for _ in 0..10 {
-                match rng.gen_range(0..4u8) {
+            for event in 0..12 {
+                let tag = format!("{} {arch} seed {seed} event {event}", engine.name());
+                match rng.gen_range(0..7u8) {
                     // Connectivity-preserving link-down, answered by the
                     // incremental repair sweep.
                     0 => {
@@ -178,9 +185,45 @@ fn index_tracks_random_event_sequences_on_the_324_tree() {
                     // columns behind the SM's routing pass.
                     2 => {
                         let vm = vms[rng.gen_range(0..vms.len())];
-                        let cur = dc.vm(vm).expect("vm").hypervisor;
-                        let dest = (cur + 1 + rng.gen_range(0..hyps - 1)) % hyps;
+                        let dest = other_hypervisor(&mut rng, &dc, vm);
                         dc.migrate_vm(vm, dest).expect("migrate");
+                    }
+                    // The same move as a transaction: over a perfect
+                    // channel it commits; into a black hole it rolls back
+                    // and must leave index and baseline as they were.
+                    3 => {
+                        let vm = vms[rng.gen_range(0..vms.len())];
+                        let dest = other_hypervisor(&mut rng, &dc, vm);
+                        let committed = if rng.gen_bool(0.5) {
+                            dc.migrate_vm_resilient(vm, dest, &mut transport)
+                        } else {
+                            let mut void = SmpTransport::with_channel(
+                                dc.sm.sm_node,
+                                LossyChannel::black_hole(),
+                            );
+                            void.retry.max_attempts = 1;
+                            dc.migrate_vm_resilient(vm, dest, &mut void)
+                        }
+                        .expect("resilient migrate")
+                        .committed;
+                        let now = dc.vm(vm).expect("vm").hypervisor;
+                        assert_eq!(now == dest, committed, "{tag}");
+                    }
+                    // A VM boots: under dynamic assignment a whole new
+                    // column is written with direct SMPs.
+                    4 => {
+                        let hyp = rng.gen_range(0..hyps);
+                        if dc.hypervisors[hyp].free_slot().is_some() {
+                            let name = format!("vm{}", dc.num_vms() + event);
+                            vms.push(dc.create_vm(name, hyp).expect("create"));
+                        }
+                    }
+                    // A VM shuts down (its rows stay behind, unregistered).
+                    5 => {
+                        if vms.len() > 1 {
+                            let vm = vms.swap_remove(rng.gen_range(0..vms.len()));
+                            dc.destroy_vm(vm).expect("destroy");
+                        }
                     }
                     // A routine full sweep rebuilds the index outright.
                     _ => {
@@ -193,6 +236,19 @@ fn index_tracks_random_event_sequences_on_the_324_tree() {
                 assert_index_matches_scan(&dc.sm, &dc.subnet, &spots);
             }
             assert_index_matches_scan(&dc.sm, &dc.subnet, &all_pairs);
+            dc.verify_connectivity().expect("every VM reachable");
+        }
+    }
+}
+
+/// A hypervisor other than the one `vm` runs on, with a free VF.
+fn other_hypervisor(rng: &mut StdRng, dc: &DataCenter, vm: VmId) -> usize {
+    let cur = dc.vm(vm).expect("vm").hypervisor;
+    let hyps = dc.hypervisors.len();
+    loop {
+        let dest = (cur + 1 + rng.gen_range(0..hyps - 1)) % hyps;
+        if dc.hypervisors[dest].free_slot().is_some() {
+            return dest;
         }
     }
 }

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ib_core::migration::{swap_on_fabric, MigrationOptions};
-use ib_mad::SmpLedger;
+use ib_mad::{RouteTree, SmpLedger};
 use std::collections::HashSet;
 
 use ib_routing::cdg::{Cdg, Channel};
@@ -285,7 +285,7 @@ fn algorithm1_swap_touches_only_the_swapped_columns() {
     let mut rng = StdRng::seed_from_u64(0xFB_06);
     for _ in 0..8 {
         let mut t = minhop_fabric(4, 3, 2);
-        let sm_node = t.hosts[0];
+        let tree = RouteTree::build(&t.subnet, t.hosts[0]);
         // Two hosts on different leaves, so their rows genuinely differ
         // somewhere and the swap is not a no-op.
         let ha = rng.gen_range(0usize..3);
@@ -295,7 +295,7 @@ fn algorithm1_swap_touches_only_the_swapped_columns() {
         let mut ledger = SmpLedger::new();
 
         let before = LftSnapshot::capture(&t.subnet);
-        swap_on_fabric(&mut t.subnet, sm_node, a, b, &opts, None, &mut ledger).unwrap();
+        swap_on_fabric(&mut t.subnet, &tree, a, b, &opts, None, &mut ledger).unwrap();
         let after = LftSnapshot::capture(&t.subnet);
 
         let changed = before.diff(&after);
@@ -308,7 +308,7 @@ fn algorithm1_swap_touches_only_the_swapped_columns() {
             .all(|v| v.class == InvariantClass::Addressing));
 
         // Swap back: the fabric fingerprint is restored exactly.
-        swap_on_fabric(&mut t.subnet, sm_node, a, b, &opts, None, &mut ledger).unwrap();
+        swap_on_fabric(&mut t.subnet, &tree, a, b, &opts, None, &mut ledger).unwrap();
         let restored = LftSnapshot::capture(&t.subnet);
         assert!(before.diff(&restored).is_empty());
     }
