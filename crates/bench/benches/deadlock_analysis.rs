@@ -7,11 +7,11 @@ use std::hint::black_box;
 use ib_bench::manage;
 use ib_core::deadlock::{analyze_transition, LftSnapshot};
 use ib_core::migration::{swap_on_fabric, MigrationOptions};
-use ib_mad::{RouteTree, SmpLedger};
+use ib_mad::{RouteTree, SmpLedger, SmpTransport};
 use ib_routing::cdg::Cdg;
 use ib_routing::graph::SwitchGraph;
 use ib_routing::EngineKind;
-use ib_sm::{distribution, SmpMode};
+use ib_sm::{distribution, SmpMode, SweepOptions};
 use ib_subnet::topology::{fattree, torus};
 
 fn deadlock(c: &mut Criterion) {
@@ -44,12 +44,13 @@ fn deadlock(c: &mut Criterion) {
             .compute(&subnet)
             .expect("routing");
         let mut ledger = SmpLedger::new();
-        distribution::distribute(
+        distribution::distribute_opts(
             &mut subnet,
             fabric.hosts[0],
             &tables,
             SmpMode::Directed,
             &mut ledger,
+            SweepOptions::default(),
         )
         .expect("distribute");
         let before = LftSnapshot::capture(&subnet);
@@ -63,6 +64,7 @@ fn deadlock(c: &mut Criterion) {
             b_lid,
             &MigrationOptions::default(),
             None,
+            &mut SmpTransport::assumed(fabric.hosts[0]),
             &mut ledger,
         )
         .expect("swap");

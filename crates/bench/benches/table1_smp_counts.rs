@@ -7,9 +7,9 @@ use std::hint::black_box;
 use ib_bench::manage;
 use ib_core::cost::Table1Row;
 use ib_core::migration::{swap_on_fabric, MigrationOptions};
-use ib_mad::{RouteTree, SmpLedger};
+use ib_mad::{RouteTree, SmpLedger, SmpTransport};
 use ib_routing::EngineKind;
-use ib_sm::{distribution, SmpMode};
+use ib_sm::{distribution, SmpMode, SweepOptions};
 use ib_subnet::topology::fattree;
 use ib_types::Lid;
 
@@ -39,12 +39,13 @@ fn table1(c: &mut Criterion) {
         b.iter_batched(
             || (fabric.subnet.clone(), SmpLedger::new()),
             |(mut subnet, mut ledger)| {
-                let report = distribution::distribute(
+                let report = distribution::distribute_opts(
                     &mut subnet,
                     fabric.hosts[0],
                     &tables,
                     SmpMode::Directed,
                     &mut ledger,
+                    SweepOptions::default(),
                 )
                 .expect("distribute");
                 assert_eq!(report.lft_smps, 216);
@@ -57,12 +58,13 @@ fn table1(c: &mut Criterion) {
     // The vSwitch swap on the same fabric: at most 2 SMPs per switch.
     let mut routed = fabric.subnet.clone();
     let mut ledger = SmpLedger::new();
-    distribution::distribute(
+    distribution::distribute_opts(
         &mut routed,
         fabric.hosts[0],
         &tables,
         SmpMode::Directed,
         &mut ledger,
+        SweepOptions::default(),
     )
     .expect("distribute");
     let a = routed.node(fabric.hosts[1]).ports[1].lid.unwrap();
@@ -72,13 +74,14 @@ fn table1(c: &mut Criterion) {
             || (routed.clone(), SmpLedger::new()),
             |(mut subnet, mut ledger)| {
                 let tree = RouteTree::build(&subnet, fabric.hosts[0]);
-                let (stats, _) = swap_on_fabric(
+                let (stats, _, _) = swap_on_fabric(
                     &mut subnet,
                     &tree,
                     black_box(a),
                     black_box(b_lid),
                     &MigrationOptions::default(),
                     None,
+                    &mut SmpTransport::assumed(fabric.hosts[0]),
                     &mut ledger,
                 )
                 .expect("swap");

@@ -25,4 +25,4 @@ pub mod workflow;
 pub use inventory::{Inventory, NodeResources, VmFlavor};
 pub use placement::{PackPolicy, PlacementPolicy, RoundRobinPolicy, SpreadPolicy};
 pub use topology_aware::{migrate_cheapest, rank_destinations, MigrationCandidate};
-pub use workflow::{LiveMigrationWorkflow, ResilientWorkflowTrace, WorkflowTrace};
+pub use workflow::{LiveMigrationWorkflow, WorkflowTrace};

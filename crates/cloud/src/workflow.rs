@@ -10,9 +10,11 @@
 //!
 //! [`LiveMigrationWorkflow::execute`] runs exactly those steps against a
 //! [`DataCenter`], pulls the reconfiguration SMPs out of the SM's ledger,
-//! and replays them through the latency model to produce a timeline.
+//! and replays them through the latency model to produce a timeline;
+//! [`LiveMigrationWorkflow::execute_resilient`] is the same workflow over a
+//! caller-supplied transport.
 
-use ib_core::{DataCenter, MigrationReport, TxMigrationReport, VmId};
+use ib_core::{DataCenter, MigrationReport, VmId};
 use ib_mad::fault::{SmpChannel, SmpTransport};
 use ib_sim::downtime::{DowntimeModel, MigrationTimeline};
 use ib_sim::SimTime;
@@ -30,13 +32,15 @@ pub struct WorkflowStep {
 /// The complete trace of one orchestrated migration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkflowTrace {
-    /// The four steps with durations.
+    /// The four steps with durations; step 4 names the compensation when
+    /// the network side rolled back.
     pub steps: Vec<WorkflowStep>,
-    /// The network-side migration report (SMP counts, `n'`, `m'`).
+    /// The network-side migration report (SMP counts, `n'`, `m'`, and
+    /// whether it committed).
     pub report: MigrationReport,
-    /// The composed downtime timeline.
+    /// The composed downtime timeline (includes retry/timeout SMPs).
     pub timeline: MigrationTimeline,
-    /// VM addresses preserved across the move?
+    /// VM addresses preserved across the move (or the rollback)?
     pub addresses_preserved: bool,
 }
 
@@ -48,8 +52,35 @@ pub struct LiveMigrationWorkflow {
 }
 
 impl LiveMigrationWorkflow {
-    /// Runs the four-step workflow, migrating `vm` to hypervisor `dest`.
+    /// Runs the four-step workflow, migrating `vm` to hypervisor `dest`
+    /// over the assumed channel ([`DataCenter::migrate_vm`]).
     pub fn execute(&self, dc: &mut DataCenter, vm: VmId, dest: usize) -> IbResult<WorkflowTrace> {
+        self.run(dc, vm, |dc| dc.migrate_vm(vm, dest))
+    }
+
+    /// The fault-aware §VII-B workflow: step 3 runs the reconfiguration
+    /// over `transport` ([`DataCenter::migrate_vm_resilient`]), and when
+    /// the network side rolls back, step 4 becomes **re-attach the VF at
+    /// the source** — the orchestrator's compensation — instead of
+    /// attaching at the destination. Either way the VM ends up attached
+    /// somewhere with its addresses intact; `report.committed` says where.
+    pub fn execute_resilient<C: SmpChannel>(
+        &self,
+        dc: &mut DataCenter,
+        vm: VmId,
+        dest: usize,
+        transport: &mut SmpTransport<C>,
+    ) -> IbResult<WorkflowTrace> {
+        self.run(dc, vm, |dc| dc.migrate_vm_resilient(vm, dest, transport))
+    }
+
+    /// The workflow around one network-side `migrate` call.
+    fn run(
+        &self,
+        dc: &mut DataCenter,
+        vm: VmId,
+        migrate: impl FnOnce(&mut DataCenter) -> IbResult<MigrationReport>,
+    ) -> IbResult<WorkflowTrace> {
         let (lid_before, vguid_before): (Lid, _) = dc
             .vm(vm)
             .map(|r| (r.lid, r.vguid))
@@ -57,10 +88,12 @@ impl LiveMigrationWorkflow {
 
         // Steps 1+2 happen on the orchestration plane; step 3 is the SM
         // reconfiguration we actually execute; step 4 re-attaches.
-        let report = dc.migrate_vm(vm, dest)?;
+        let report = migrate(dc)?;
 
         // Pull the reconfiguration SMPs from the ledger phase the
-        // migration recorded, and replay them for the timeline.
+        // migration recorded, and replay them for the timeline — every
+        // attempt, including dropped and timed-out ones, which is precisely
+        // the extra reconfiguration time that faults cost.
         let phase = format!("migrate-{vm}");
         let smps: Vec<(usize, bool)> = dc
             .sm
@@ -76,6 +109,11 @@ impl LiveMigrationWorkflow {
         })?;
         let addresses_preserved = rec.lid == lid_before && rec.vguid == vguid_before;
 
+        let last = if report.committed {
+            "4-attach-vf-with-guid"
+        } else {
+            "4-reattach-vf-at-source"
+        };
         let steps = vec![
             WorkflowStep {
                 name: "1-detach-vf-and-start-migration".into(),
@@ -90,7 +128,7 @@ impl LiveMigrationWorkflow {
                 duration: timeline.reconfiguration,
             },
             WorkflowStep {
-                name: "4-attach-vf-with-guid".into(),
+                name: last.into(),
                 duration: self.model.attach,
             },
         ];
@@ -101,96 +139,6 @@ impl LiveMigrationWorkflow {
             addresses_preserved,
         })
     }
-
-    /// The fault-aware §VII-B workflow: step 3 runs the *transactional*
-    /// reconfiguration over `transport`, and when the network side rolls
-    /// back, step 4 becomes **re-attach the VF at the source** — the
-    /// orchestrator's compensation — instead of attaching at the
-    /// destination. Either way the VM ends up attached somewhere with its
-    /// addresses intact; `ResilientWorkflowTrace::committed` says where.
-    pub fn execute_resilient<C: SmpChannel>(
-        &self,
-        dc: &mut DataCenter,
-        vm: VmId,
-        dest: usize,
-        transport: &mut SmpTransport<C>,
-    ) -> IbResult<ResilientWorkflowTrace> {
-        let (lid_before, vguid_before): (Lid, _) = dc
-            .vm(vm)
-            .map(|r| (r.lid, r.vguid))
-            .ok_or_else(|| ib_types::IbError::Virtualization(format!("{vm} does not exist")))?;
-
-        let report = dc.migrate_vm_resilient(vm, dest, transport)?;
-
-        // Replay every SMP of the phase — including dropped and timed-out
-        // attempts, which is precisely the extra reconfiguration time that
-        // faults cost.
-        let phase = format!("migrate-{vm}");
-        let smps: Vec<(usize, bool)> = dc
-            .sm
-            .ledger
-            .phase_records(&phase)
-            .iter()
-            .map(|r| (r.hops, r.directed))
-            .collect();
-        let timeline = MigrationTimeline::compose(&self.model, &smps);
-
-        let rec = dc.vm(vm).ok_or_else(|| {
-            ib_types::IbError::Virtualization(format!("{vm} vanished during migration"))
-        })?;
-        let addresses_preserved = rec.lid == lid_before && rec.vguid == vguid_before;
-
-        let final_step = if report.committed {
-            WorkflowStep {
-                name: "4-attach-vf-with-guid".into(),
-                duration: self.model.attach,
-            }
-        } else {
-            WorkflowStep {
-                name: "4-reattach-vf-at-source".into(),
-                duration: self.model.attach,
-            }
-        };
-        let steps = vec![
-            WorkflowStep {
-                name: "1-detach-vf-and-start-migration".into(),
-                duration: self.model.detach + self.model.stop_and_copy,
-            },
-            WorkflowStep {
-                name: "2-signal-opensm".into(),
-                duration: SimTime::from_us(50.0),
-            },
-            WorkflowStep {
-                name: "3-opensm-reconfigures-transactionally".into(),
-                duration: timeline.reconfiguration,
-            },
-            final_step,
-        ];
-        Ok(ResilientWorkflowTrace {
-            committed: report.committed,
-            steps,
-            report,
-            timeline,
-            addresses_preserved,
-        })
-    }
-}
-
-/// The trace of one fault-aware orchestrated migration.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ResilientWorkflowTrace {
-    /// Whether the migration committed (`false`: compensated, VM stayed at
-    /// the source).
-    pub committed: bool,
-    /// The four steps with durations; step 4 names the compensation when
-    /// rolled back.
-    pub steps: Vec<WorkflowStep>,
-    /// The transactional migration report.
-    pub report: TxMigrationReport,
-    /// The composed downtime timeline (includes retry/timeout SMPs).
-    pub timeline: MigrationTimeline,
-    /// VM addresses preserved across the move (or the rollback)?
-    pub addresses_preserved: bool,
 }
 
 #[cfg(test)]
@@ -245,7 +193,7 @@ mod tests {
         let trace = LiveMigrationWorkflow::default()
             .execute_resilient(&mut dc, vm, 4, &mut transport)
             .unwrap();
-        assert!(trace.committed);
+        assert!(trace.report.committed);
         assert!(trace.addresses_preserved);
         assert_eq!(trace.steps[3].name, "4-attach-vf-with-guid");
         dc.verify_connectivity().unwrap();
@@ -260,7 +208,7 @@ mod tests {
         let trace = LiveMigrationWorkflow::default()
             .execute_resilient(&mut dc, vm, 4, &mut transport)
             .unwrap();
-        assert!(!trace.committed);
+        assert!(!trace.report.committed);
         assert!(
             trace.addresses_preserved,
             "rollback keeps the addresses too"

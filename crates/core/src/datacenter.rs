@@ -14,8 +14,7 @@ use ib_verify::{FabricVerifier, LftSnapshot};
 use rustc_hash::FxHashMap;
 
 use crate::migration::{
-    copy_on_fabric, copy_on_fabric_tx, swap_on_fabric, swap_on_fabric_tx, LftUpdateStats,
-    MigrationOptions, MigrationReport, TxMigrationReport, TxStats,
+    copy_on_fabric, swap_on_fabric, LftUpdateStats, MigrationOptions, MigrationReport, TxStats,
 };
 use crate::virtualize::{virtualize_host, vswitch_vf_port, Hypervisor, VirtArch, VSWITCH_UPLINK};
 use crate::vm::{VmId, VmRecord};
@@ -36,8 +35,8 @@ pub struct DataCenterConfig {
     /// Reconfiguration options for migrations and dynamic VM creation.
     pub migration: MigrationOptions,
     /// Run the fabric invariant verifier after every SM sweep and after
-    /// every resilient migration commit/rollback, failing the operation on
-    /// any violation. Off by default.
+    /// every migration commit/rollback, failing the operation on any
+    /// violation. Off by default.
     pub verify: bool,
     /// Link flap damping policy for the data center's SM. Disabled by
     /// default.
@@ -178,11 +177,11 @@ impl DataCenter {
         let search = Routes::Search(self.sm.sm_node);
         let lid = match self.config.arch {
             VirtArch::SharedPort => {
-                self.hypervisor_smp_vguid(search, pf, Some(vguid))?;
+                self.record(self.vguid_smp(search, pf, Some(vguid))?);
                 self.hypervisors[hyp].pf_lid(&self.subnet)?
             }
             VirtArch::VSwitchPrepopulated => {
-                self.hypervisor_smp_vguid(search, pf, Some(vguid))?;
+                self.record(self.vguid_smp(search, pf, Some(vguid))?);
                 self.hypervisors[hyp]
                     .vf_lid(&self.subnet, slot)
                     .ok_or_else(|| {
@@ -201,18 +200,24 @@ impl DataCenter {
                 let lid = self.sm.lid_space.allocate()?;
                 self.subnet.assign_port_lid(vf, PortNum::new(1), lid)?;
                 let tree = self.route_tree();
-                self.hypervisor_smp_set_lid(Routes::Tree(&tree), pf, Some(lid))?;
-                self.hypervisor_smp_vguid(Routes::Tree(&tree), pf, Some(vguid))?;
+                self.record(self.set_lid_smp(Routes::Tree(&tree), pf, Some(lid))?);
+                self.record(self.vguid_smp(Routes::Tree(&tree), pf, Some(vguid))?);
                 let pf_lid = self.hypervisors[hyp].pf_lid(&self.subnet)?;
-                let (_, mut cells) = copy_on_fabric(
+                let (_, tx, mut cells) = copy_on_fabric(
                     &mut self.subnet,
                     &tree,
                     pf_lid,
                     lid,
                     &self.config.migration,
                     None,
+                    &mut SmpTransport::assumed(self.sm.sm_node),
                     &mut self.sm.ledger,
                 )?;
+                if !tx.committed {
+                    return Err(IbError::Topology(format!(
+                        "{id}: a switch that must learn LID {lid} is unreachable from the SM"
+                    )));
+                }
                 // A brand-new column: every vSwitch learns it.
                 self.set_vswitch_routes(lid, (hyp, slot), 0..self.hypervisors.len(), &mut cells);
                 self.note_cells(&cells);
@@ -250,11 +255,11 @@ impl DataCenter {
         let pf = self.hypervisors[hyp].pf;
         self.hypervisors[hyp].vfs[vm.vf_slot].attached = None;
         let search = Routes::Search(self.sm.sm_node);
-        self.hypervisor_smp_vguid(search, pf, None)?;
+        self.record(self.vguid_smp(search, pf, None)?);
 
         if self.config.arch == VirtArch::VSwitchDynamic {
             let vf = vf_node_of(&self.hypervisors[hyp], hyp, vm.vf_slot)?;
-            self.hypervisor_smp_set_lid(search, pf, None)?;
+            self.record(self.set_lid_smp(search, pf, None)?);
             self.subnet.clear_lid(vm.lid)?;
             self.sm.lid_space.release(vm.lid)?;
             self.subnet.disconnect(vf, PortNum::new(1))?;
@@ -262,8 +267,72 @@ impl DataCenter {
         Ok(())
     }
 
-    /// Live-migrates a VM (Algorithm 1).
+    /// Live-migrates a VM (Algorithm 1) over the assumed channel: every SMP
+    /// addressed off the migration's route tree is taken as delivered.
+    ///
+    /// This is [`Self::migrate_vm_resilient`]'s transaction with nothing to
+    /// retry. On a split fabric the pass is confined to the SM's component
+    /// and commits; a migration that cannot commit (a hypervisor beyond the
+    /// split) is an `Err`, returned after compensation with every LFT row
+    /// and the VF attachment as before the call.
     pub fn migrate_vm(&mut self, id: VmId, dest: usize) -> IbResult<MigrationReport> {
+        let mut transport = SmpTransport::assumed(self.sm.sm_node);
+        let report = self.migrate(id, dest, &mut transport)?;
+        if report.committed {
+            Ok(report)
+        } else {
+            Err(IbError::Topology(format!(
+                "{id} stays on hypervisor {}: the SM cannot reach it or hypervisor {dest}",
+                report.from_hypervisor
+            )))
+        }
+    }
+
+    /// Live-migrates a VM (Algorithm 1) over a faulty fabric, as a
+    /// transaction.
+    ///
+    /// Every SMP — the step (a) hypervisor signals and the step (b) LFT
+    /// updates — goes through `transport`, which retries with backoff and
+    /// reports persistent failure. On persistent failure the migration is
+    /// **rolled back**: every LFT row already swapped/copied is restored
+    /// (best-effort compensating SMPs, unconditional local state), the
+    /// hypervisors are signalled to restore the source attachment, and the
+    /// VM keeps running at the source with its registrations untouched.
+    /// The returned report says which way it went via `committed`.
+    ///
+    /// Partition tolerance: a pre-flight reachability check aborts the
+    /// migration (counted as `migration.abort.unreachable`) before a
+    /// single SMP is sent when either hypervisor sits beyond a fabric
+    /// split, and a migration that does run confines its LFT pass to the
+    /// switches the SM can still reach.
+    ///
+    /// Only the two vSwitch architectures are supported — the Shared Port
+    /// baseline has no per-VM fabric state to protect transactionally.
+    pub fn migrate_vm_resilient<C: SmpChannel>(
+        &mut self,
+        id: VmId,
+        dest: usize,
+        transport: &mut SmpTransport<C>,
+    ) -> IbResult<MigrationReport> {
+        if self.config.arch == VirtArch::SharedPort {
+            return Err(IbError::Virtualization(
+                "resilient migration models the vSwitch architectures only".into(),
+            ));
+        }
+        self.migrate(id, dest, transport)
+    }
+
+    /// The one migration body, behind [`Self::migrate_vm`] and
+    /// [`Self::migrate_vm_resilient`]. Whatever refuses the migration does
+    /// so with no LFT row written and the VF attached at the source: the
+    /// preconditions are checked before the first SMP, and step (b) plans
+    /// before it writes.
+    fn migrate<C: SmpChannel>(
+        &mut self,
+        id: VmId,
+        dest: usize,
+        transport: &mut SmpTransport<C>,
+    ) -> IbResult<MigrationReport> {
         let vm = self
             .vms
             .get(&id)
@@ -279,39 +348,167 @@ impl DataCenter {
         let dest_slot = self.hypervisors[dest]
             .free_slot()
             .ok_or_else(|| IbError::Capacity(format!("hypervisor {dest} has no free VF")))?;
-
+        let arch = self.config.arch;
+        // Step (b)'s operands: the LID whose rows move and the LID it swaps
+        // with (§V-C1) or whose rows it copies (§V-C2).
+        let (mover, other) = match arch {
+            VirtArch::VSwitchPrepopulated => {
+                let dest_vf_lid = self.hypervisors[dest]
+                    .vf_lid(&self.subnet, dest_slot)
+                    .ok_or_else(|| IbError::Virtualization("destination VF has no LID".into()))?;
+                (vm.lid, dest_vf_lid)
+            }
+            VirtArch::VSwitchDynamic => (vm.lid, self.hypervisors[dest].pf_lid(&self.subnet)?),
+            // The §VII-B emulation swaps the *hypervisor* LIDs of the two
+            // compute nodes so the VM's LID value survives. Only legal when
+            // the source runs exactly this one VM and the destination runs
+            // none, because every VM on a node shares its LID.
+            VirtArch::SharedPort => {
+                if self.hypervisors[src].active_vms() > 1 {
+                    return Err(IbError::Virtualization(
+                        "shared-port migration: source hypervisor hosts other VMs that share its LID"
+                            .into(),
+                    ));
+                }
+                if self.hypervisors[dest].active_vms() > 0 {
+                    return Err(IbError::Virtualization(
+                        "shared-port migration: destination hypervisor already hosts a VM".into(),
+                    ));
+                }
+                (
+                    self.hypervisors[src].pf_lid(&self.subnet)?,
+                    self.hypervisors[dest].pf_lid(&self.subnet)?,
+                )
+            }
+        };
         let intra_leaf = self.hypervisors[src].leaf == self.hypervisors[dest].leaf;
         let use_shortcut = self.config.migration.intra_leaf_shortcut && intra_leaf;
-        let restrict: Option<Vec<NodeId>> = use_shortcut.then(|| vec![self.hypervisors[src].leaf]);
+        let src_pf = self.hypervisors[src].pf;
+        let dest_pf = self.hypervisors[dest].pf;
 
         self.sm.ledger.begin_phase(format!("migrate-{id}"));
         // Every SMP of the migration — three to the hypervisors, one or two
-        // per updated switch — is addressed off this one search.
+        // per updated switch — is addressed off this one search, and what
+        // it did not reach is beyond a fabric split.
         let tree = self.route_tree();
+        let routes = Routes::Tree(&tree);
+        let mut report = MigrationReport {
+            committed: false,
+            vm: id,
+            from_hypervisor: src,
+            to_hypervisor: dest,
+            lid_before: vm.lid,
+            lid_after: vm.lid,
+            hypervisor_smps: 0,
+            lft: LftUpdateStats::default(),
+            tx: TxStats::default(),
+            intra_leaf,
+            used_leaf_shortcut: use_shortcut,
+        };
+
+        // Pre-flight (partition tolerance): a hypervisor the fabric split
+        // has carried away would detach the VM at the source and then time
+        // out on every SMP toward it. Abort before a single SMP is spent;
+        // the journal never opens, so there is nothing to roll back or to
+        // verify — the stale rows a fresh split leaves behind are the next
+        // sweep's business, not this migration's.
+        if tree.hops(src_pf).is_none() || tree.hops(dest_pf).is_none() {
+            self.sm.observer().incr("migration.abort.unreachable");
+            return Ok(report);
+        }
+        // Step (b) confines itself to the switches the SM can still reach
+        // (every physical switch, on a whole fabric): rows beyond a split
+        // cannot be updated by any SMP and are rewritten wholesale when the
+        // heal sweep runs. `physical_switches` is in ascending node order.
+        let targets: Vec<NodeId> = if use_shortcut {
+            vec![self.hypervisors[src].leaf]
+        } else {
+            let switches = self.subnet.physical_switches().map(|n| n.id);
+            switches.filter(|&sw| tree.hops(sw).is_some()).collect()
+        };
+        // Pre-migration fingerprint of every forwarding column: after the
+        // commit (or rollback) only the LIDs the migration was allowed to
+        // move may have changed anywhere in the fabric (§V-C's locality
+        // claim, checked rather than assumed).
+        let snapshot = self
+            .config
+            .verify
+            .then(|| LftSnapshot::capture(&self.subnet));
 
         // Step V-C(a): detach the VF, signal both hypervisors, move vGUID.
+        // A signal that fails persistently triggers compensation of the
+        // ones already delivered.
         self.hypervisors[src].vfs[vm.vf_slot].attached = None;
-        let src_pf = self.hypervisors[src].pf;
-        let dest_pf = self.hypervisors[dest].pf;
-        self.hypervisor_smp_set_lid(Routes::Tree(&tree), src_pf, None)?;
-        self.hypervisor_smp_set_lid(Routes::Tree(&tree), dest_pf, Some(vm.lid))?;
-        self.hypervisor_smp_vguid(Routes::Tree(&tree), dest_pf, Some(vm.vguid))?;
-        let hypervisor_smps = 3;
+        for signal in 0..3 {
+            let smp = match signal {
+                0 => self.set_lid_smp(routes, src_pf, None),
+                1 => self.set_lid_smp(routes, dest_pf, Some(vm.lid)),
+                _ => self.vguid_smp(routes, dest_pf, Some(vm.vguid)),
+            };
+            let Ok(attempt) = self.send(smp, transport) else {
+                self.sm.observer().incr("migration.abort.step_a");
+                self.undo_step_a(&vm, dest_pf, routes, transport, &mut report);
+                self.verify_after_migration(snapshot.as_ref(), &[])?;
+                return Ok(report);
+            };
+            report.tx.count_delivery(attempt);
+            report.hypervisor_smps += 1;
+        }
 
-        // Step V-C(b): LFT updates.
-        let restrict = restrict.as_deref();
-        let lft = match self.config.arch {
+        // Step V-C(b): the LFT updates, as a transaction.
+        let (opts, restrict) = (&self.config.migration, Some(targets.as_slice()));
+        let (subnet, ledger) = (&mut self.subnet, &mut self.sm.ledger);
+        let pass = if arch == VirtArch::VSwitchDynamic {
+            copy_on_fabric(
+                subnet, &tree, other, mover, opts, restrict, transport, ledger,
+            )
+        } else {
+            swap_on_fabric(
+                subnet, &tree, mover, other, opts, restrict, transport, ledger,
+            )
+        };
+        let (lft, tx_b, mut cells) = match pass {
+            Ok(done) => done,
+            // A refused plan wrote nothing: hand the VM back to the source
+            // and pass the refusal on.
+            Err(refusal) => {
+                self.undo_step_a(&vm, dest_pf, routes, transport, &mut report);
+                return Err(refusal);
+            }
+        };
+        report.lft = lft;
+        report.tx.retries += tx_b.retries;
+        report.tx.attempts += tx_b.attempts;
+        report.tx.rolled_back_switches += tx_b.rolled_back_switches;
+        report.tx.rollback_smps += tx_b.rollback_smps;
+        if !tx_b.committed {
+            // The fabric is back to its pre-migration LFTs — the pass
+            // restored each row it wrote and reports no changed cell, so
+            // the SM's baseline and index have nothing to learn. Compensate
+            // the hypervisor signals and prove every column untouched.
+            self.undo_step_a(&vm, dest_pf, routes, transport, &mut report);
+            self.verify_after_migration(snapshot.as_ref(), &[])?;
+            return Ok(report);
+        }
+
+        // Commit: move the endpoint registrations and the bookkeeping.
+        match arch {
             VirtArch::VSwitchPrepopulated => {
-                self.migrate_prepopulated(&vm, dest, dest_slot, restrict, &tree)?
+                self.commit_prepopulated_registrations(&vm, dest, dest_slot, other, &mut cells)?;
             }
             VirtArch::VSwitchDynamic => {
-                self.migrate_dynamic(&vm, dest, dest_slot, restrict, &tree)?
+                self.commit_dynamic_registrations(&vm, dest, dest_slot, &mut cells)?;
             }
-            VirtArch::SharedPort => self.migrate_shared_port(src, dest, &tree)?,
-        };
-        let lid_after = vm.lid;
-
-        // Bookkeeping.
+            VirtArch::SharedPort => {
+                // Swap the endpoint registrations between the two PFs.
+                let src_port = first_lid_port(&self.subnet, src_pf);
+                let dest_port = first_lid_port(&self.subnet, dest_pf);
+                self.subnet.clear_lid(mover)?;
+                self.subnet.clear_lid(other)?;
+                self.subnet.assign_port_lid(src_pf, src_port, other)?;
+                self.subnet.assign_port_lid(dest_pf, dest_port, mover)?;
+            }
+        }
         self.hypervisors[dest].vfs[dest_slot].attached = Some(id);
         let rec = self
             .vms
@@ -319,46 +516,41 @@ impl DataCenter {
             .ok_or_else(|| IbError::Virtualization(format!("{id} vanished mid-migration")))?;
         rec.hypervisor = dest;
         rec.vf_slot = dest_slot;
-        rec.lid = lid_after;
 
-        Ok(MigrationReport {
-            vm: id,
-            from_hypervisor: src,
-            to_hypervisor: dest,
-            lid_before: vm.lid,
-            lid_after,
-            hypervisor_smps,
-            lft,
-            intra_leaf,
-            used_leaf_shortcut: use_shortcut,
-        })
+        // A committed swap may move exactly the two swapped LIDs; a
+        // committed copy exactly the VM's.
+        let swapped = (arch != VirtArch::VSwitchDynamic).then_some(other);
+        let allowed: Vec<Lid> = std::iter::once(mover).chain(swapped).collect();
+        self.verify_after_migration(snapshot.as_ref(), &allowed)?;
+        self.note_cells(&cells);
+        report.committed = true;
+        report.tx.committed = true;
+        Ok(report)
     }
 
-    /// §V-C1: swap the VM's LID with the destination VF's prepopulated LID.
-    fn migrate_prepopulated(
+    /// Compensates step (a) once `report.hypervisor_smps` of its signals
+    /// were delivered, newest first: the destination hands the LID back (if
+    /// it got it), the source is told to keep it (if it was told to drop
+    /// it), and the VF re-attaches at the source. Best effort, booked as
+    /// `rollback_smps`.
+    fn undo_step_a<C: SmpChannel>(
         &mut self,
         vm: &VmRecord,
-        dest: usize,
-        dest_slot: usize,
-        restrict: Option<&[NodeId]>,
-        tree: &RouteTree,
-    ) -> IbResult<LftUpdateStats> {
-        let dest_vf_lid = self.hypervisors[dest]
-            .vf_lid(&self.subnet, dest_slot)
-            .ok_or_else(|| IbError::Virtualization("destination VF has no LID".into()))?;
-
-        let (stats, mut cells) = swap_on_fabric(
-            &mut self.subnet,
-            tree,
-            vm.lid,
-            dest_vf_lid,
-            &self.config.migration,
-            restrict,
-            &mut self.sm.ledger,
-        )?;
-        self.commit_prepopulated_registrations(vm, dest, dest_slot, dest_vf_lid, &mut cells)?;
-        self.note_cells(&cells);
-        Ok(stats)
+        dest_pf: NodeId,
+        routes: Routes<'_>,
+        transport: &mut SmpTransport<C>,
+        report: &mut MigrationReport,
+    ) {
+        let src_pf = self.hypervisors[vm.hypervisor].pf;
+        if report.hypervisor_smps >= 2 {
+            report.tx.rollback_smps += 1;
+            let _ = self.send(self.set_lid_smp(routes, dest_pf, None), transport);
+        }
+        if report.hypervisor_smps >= 1 {
+            report.tx.rollback_smps += 1;
+            let _ = self.send(self.set_lid_smp(routes, src_pf, Some(vm.lid)), transport);
+        }
+        self.hypervisors[vm.hypervisor].vfs[vm.vf_slot].attached = Some(vm.id);
     }
 
     /// Endpoint bookkeeping after a committed prepopulated-mode swap: the
@@ -390,30 +582,6 @@ impl DataCenter {
         Ok(())
     }
 
-    /// §V-C2: the VM LID adopts the destination PF's path everywhere.
-    fn migrate_dynamic(
-        &mut self,
-        vm: &VmRecord,
-        dest: usize,
-        dest_slot: usize,
-        restrict: Option<&[NodeId]>,
-        tree: &RouteTree,
-    ) -> IbResult<LftUpdateStats> {
-        let pf_lid = self.hypervisors[dest].pf_lid(&self.subnet)?;
-        let (stats, mut cells) = copy_on_fabric(
-            &mut self.subnet,
-            tree,
-            pf_lid,
-            vm.lid,
-            &self.config.migration,
-            restrict,
-            &mut self.sm.ledger,
-        )?;
-        self.commit_dynamic_registrations(vm, dest, dest_slot, &mut cells)?;
-        self.note_cells(&cells);
-        Ok(stats)
-    }
-
     /// Endpoint bookkeeping after a committed dynamic-mode copy: the VF
     /// cable and the LID move with the VM. The vSwitch cells this re-homes
     /// join `cells`.
@@ -436,317 +604,6 @@ impl DataCenter {
             .assign_port_lid(dest_vf, PortNum::new(1), vm.lid)?;
         self.set_vswitch_routes(vm.lid, (dest, dest_slot), [src, dest], cells);
         Ok(())
-    }
-
-    /// The Shared Port emulation of §VII-B: the *hypervisor* LIDs of the
-    /// source and destination compute nodes are swapped so the VM's LID
-    /// value survives. Only legal when the source runs exactly this one VM
-    /// and the destination runs none — the emulation restriction the paper
-    /// had to impose because every VM on a node shares its LID.
-    fn migrate_shared_port(
-        &mut self,
-        src: usize,
-        dest: usize,
-        tree: &RouteTree,
-    ) -> IbResult<LftUpdateStats> {
-        if self.hypervisors[src].active_vms() > 0 {
-            // (The migrating VM was already detached from its slot.)
-            return Err(IbError::Virtualization(
-                "shared-port migration: source hypervisor hosts other VMs that share its LID"
-                    .into(),
-            ));
-        }
-        if self.hypervisors[dest].active_vms() > 0 {
-            return Err(IbError::Virtualization(
-                "shared-port migration: destination hypervisor already hosts a VM".into(),
-            ));
-        }
-        let src_lid = self.hypervisors[src].pf_lid(&self.subnet)?;
-        let dest_lid = self.hypervisors[dest].pf_lid(&self.subnet)?;
-        let (stats, cells) = swap_on_fabric(
-            &mut self.subnet,
-            tree,
-            src_lid,
-            dest_lid,
-            &self.config.migration,
-            None,
-            &mut self.sm.ledger,
-        )?;
-        // Swap the endpoint registrations between the two PFs.
-        let src_pf = self.hypervisors[src].pf;
-        let dest_pf = self.hypervisors[dest].pf;
-        let src_port = first_lid_port(&self.subnet, src_pf);
-        let dest_port = first_lid_port(&self.subnet, dest_pf);
-        self.subnet.clear_lid(src_lid)?;
-        self.subnet.clear_lid(dest_lid)?;
-        self.subnet.assign_port_lid(src_pf, src_port, dest_lid)?;
-        self.subnet.assign_port_lid(dest_pf, dest_port, src_lid)?;
-        self.note_cells(&cells);
-        Ok(stats)
-    }
-
-    /// Live-migrates a VM (Algorithm 1) over a faulty fabric, as a
-    /// transaction.
-    ///
-    /// Every SMP — the step (a) hypervisor signals and the step (b) LFT
-    /// updates — goes through `transport`, which retries with backoff and
-    /// reports persistent failure. On persistent failure the migration is
-    /// **rolled back**: every LFT row already swapped/copied is restored
-    /// (best-effort compensating SMPs, unconditional local state), the
-    /// hypervisors are signalled to restore the source attachment, and the
-    /// VM keeps running at the source with its registrations untouched.
-    /// The returned report says which way it went via `committed`.
-    ///
-    /// Partition tolerance: a pre-flight reachability check aborts the
-    /// migration (counted as `migration.abort.unreachable`) before a
-    /// single SMP is sent when either hypervisor sits beyond a fabric
-    /// split, and a migration that does run confines its LFT pass to the
-    /// switches the SM can still reach.
-    ///
-    /// Only the two vSwitch architectures are supported — the Shared Port
-    /// baseline has no per-VM fabric state to protect transactionally.
-    pub fn migrate_vm_resilient<C: SmpChannel>(
-        &mut self,
-        id: VmId,
-        dest: usize,
-        transport: &mut SmpTransport<C>,
-    ) -> IbResult<TxMigrationReport> {
-        let vm = self
-            .vms
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| IbError::Virtualization(format!("{id} does not exist")))?;
-        let src = vm.hypervisor;
-        self.check_hypervisor(dest)?;
-        if src == dest {
-            return Err(IbError::Virtualization(format!(
-                "{id} is already on hypervisor {dest}"
-            )));
-        }
-        if self.config.arch == VirtArch::SharedPort {
-            return Err(IbError::Virtualization(
-                "resilient migration models the vSwitch architectures only".into(),
-            ));
-        }
-        let dest_slot = self.hypervisors[dest]
-            .free_slot()
-            .ok_or_else(|| IbError::Capacity(format!("hypervisor {dest} has no free VF")))?;
-        let use_shortcut = self.config.migration.intra_leaf_shortcut
-            && self.hypervisors[src].leaf == self.hypervisors[dest].leaf;
-        // On a split fabric the step (b) pass must confine itself to the
-        // switches the SM can still reach: rows beyond the split cannot be
-        // updated by any SMP and are rewritten wholesale when the heal
-        // sweep runs. `None` (the common, connected case) means every
-        // physical switch.
-        let component = self.sm_component();
-        let restrict: Option<Vec<NodeId>> = if use_shortcut {
-            Some(vec![self.hypervisors[src].leaf])
-        } else {
-            let reachable: Vec<NodeId> = self
-                .subnet
-                .physical_switches()
-                .filter(|n| component[n.id.index()])
-                .map(|n| n.id)
-                .collect();
-            let total = self.subnet.physical_switches().count();
-            (reachable.len() < total).then_some(reachable)
-        };
-
-        self.sm.ledger.begin_phase(format!("migrate-{id}"));
-        // Pre-migration fingerprint of every forwarding column: after the
-        // commit (or rollback) only the LIDs the migration was allowed to
-        // move may have changed anywhere in the fabric (§V-C's locality
-        // claim, checked rather than assumed).
-        let snapshot = self
-            .config
-            .verify
-            .then(|| LftSnapshot::capture(&self.subnet));
-        let mut tx = TxStats {
-            committed: true,
-            ..TxStats::default()
-        };
-        let mut hypervisor_smps = 0usize;
-        let src_pf = self.hypervisors[src].pf;
-        let dest_pf = self.hypervisors[dest].pf;
-
-        // A rollback report: the VM stays where it was.
-        let aborted =
-            |tx: TxStats, hypervisor_smps: usize, lft: LftUpdateStats| TxMigrationReport {
-                committed: false,
-                vm: id,
-                from_hypervisor: src,
-                to_hypervisor: dest,
-                lid: vm.lid,
-                hypervisor_smps,
-                lft,
-                tx,
-            };
-
-        // Pre-flight (partition tolerance): a destination hypervisor the
-        // fabric split has carried away would detach the VM at the source
-        // and then time out on every SMP toward it. Check live-link
-        // reachability from the SM first and abort before a single
-        // data-path SMP is spent; the journal never opens, so there is
-        // nothing to roll back.
-        if !component[dest_pf.index()] || !component[src_pf.index()] {
-            // No verification pass: not one column was touched, and the
-            // stale rows a fresh split leaves behind are the next sweep's
-            // business, not this migration's.
-            tx.committed = false;
-            self.sm
-                .ledger
-                .observer()
-                .incr("migration.abort.unreachable");
-            return Ok(aborted(tx, 0, LftUpdateStats::default()));
-        }
-
-        // Step V-C(a): detach the VF, signal both hypervisors, move vGUID.
-        // Each signal that fails persistently triggers compensation of the
-        // ones already delivered, in reverse. Every SMP from here on is
-        // addressed off one search from the SM.
-        let tree = self.route_tree();
-        let routes = Routes::Tree(&tree);
-        self.hypervisors[src].vfs[vm.vf_slot].attached = None;
-        match self.hypervisor_smp_set_lid_tx(routes, src_pf, None, transport) {
-            Ok(attempt) => {
-                tx.count_delivery(attempt);
-                hypervisor_smps += 1;
-            }
-            Err(IbError::Transport(_)) => {
-                // Nothing was delivered anywhere: re-attach locally.
-                tx.committed = false;
-                self.sm.ledger.observer().incr("migration.abort.step_a");
-                self.hypervisors[src].vfs[vm.vf_slot].attached = Some(id);
-                self.verify_after_migration(snapshot.as_ref(), &[])?;
-                return Ok(aborted(tx, hypervisor_smps, LftUpdateStats::default()));
-            }
-            Err(e) => return Err(e),
-        }
-        for dest_lid_is_set in [false, true] {
-            let sent = if dest_lid_is_set {
-                self.hypervisor_smp_vguid_tx(routes, dest_pf, Some(vm.vguid), transport)
-            } else {
-                self.hypervisor_smp_set_lid_tx(routes, dest_pf, Some(vm.lid), transport)
-            };
-            match sent {
-                Ok(attempt) => {
-                    tx.count_delivery(attempt);
-                    hypervisor_smps += 1;
-                }
-                Err(IbError::Transport(_)) => {
-                    tx.committed = false;
-                    self.sm.ledger.observer().incr("migration.abort.step_a");
-                    if dest_lid_is_set {
-                        // The destination already holds the LID: take it back.
-                        tx.rollback_smps += 1;
-                        let _ = self.hypervisor_smp_set_lid_tx(routes, dest_pf, None, transport);
-                    }
-                    tx.rollback_smps += 1;
-                    let _ = self.hypervisor_smp_set_lid_tx(routes, src_pf, Some(vm.lid), transport);
-                    self.hypervisors[src].vfs[vm.vf_slot].attached = Some(id);
-                    self.verify_after_migration(snapshot.as_ref(), &[])?;
-                    return Ok(aborted(tx, hypervisor_smps, LftUpdateStats::default()));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-
-        // Step V-C(b): transactional LFT updates.
-        let dest_vf_lid = if self.config.arch == VirtArch::VSwitchPrepopulated {
-            Some(
-                self.hypervisors[dest]
-                    .vf_lid(&self.subnet, dest_slot)
-                    .ok_or_else(|| IbError::Virtualization("destination VF has no LID".into()))?,
-            )
-        } else {
-            None
-        };
-        let missing_vf_lid =
-            || IbError::Virtualization("destination VF LID vanished mid-migration".into());
-        let (lft, tx_b, mut cells) = match self.config.arch {
-            VirtArch::VSwitchPrepopulated => swap_on_fabric_tx(
-                &mut self.subnet,
-                &tree,
-                vm.lid,
-                dest_vf_lid.ok_or_else(missing_vf_lid)?,
-                &self.config.migration,
-                restrict.as_deref(),
-                transport,
-                &mut self.sm.ledger,
-            )?,
-            VirtArch::VSwitchDynamic => {
-                let pf_lid = self.hypervisors[dest].pf_lid(&self.subnet)?;
-                copy_on_fabric_tx(
-                    &mut self.subnet,
-                    &tree,
-                    pf_lid,
-                    vm.lid,
-                    &self.config.migration,
-                    restrict.as_deref(),
-                    transport,
-                    &mut self.sm.ledger,
-                )?
-            }
-            VirtArch::SharedPort => unreachable!("rejected above"),
-        };
-        tx.retries += tx_b.retries;
-        tx.attempts += tx_b.attempts;
-        tx.rolled_back_switches += tx_b.rolled_back_switches;
-        tx.rollback_smps += tx_b.rollback_smps;
-        if !tx_b.committed {
-            // The fabric is back to its pre-migration LFTs; compensate the
-            // hypervisor signals and re-attach the VF at the source.
-            tx.committed = false;
-            tx.rollback_smps += 2;
-            let _ = self.hypervisor_smp_set_lid_tx(routes, dest_pf, None, transport);
-            let _ = self.hypervisor_smp_set_lid_tx(routes, src_pf, Some(vm.lid), transport);
-            self.hypervisors[src].vfs[vm.vf_slot].attached = Some(id);
-            // A rollback must leave every forwarding column untouched — the
-            // pass restored each row it wrote and reports no changed cell,
-            // so the SM's baseline and index have nothing to learn.
-            self.verify_after_migration(snapshot.as_ref(), &[])?;
-            return Ok(aborted(tx, hypervisor_smps, lft));
-        }
-
-        // Commit: move the endpoint registrations and the bookkeeping.
-        match self.config.arch {
-            VirtArch::VSwitchPrepopulated => self.commit_prepopulated_registrations(
-                &vm,
-                dest,
-                dest_slot,
-                dest_vf_lid.ok_or_else(missing_vf_lid)?,
-                &mut cells,
-            )?,
-            VirtArch::VSwitchDynamic => {
-                self.commit_dynamic_registrations(&vm, dest, dest_slot, &mut cells)?;
-            }
-            VirtArch::SharedPort => unreachable!("rejected above"),
-        }
-        self.hypervisors[dest].vfs[dest_slot].attached = Some(id);
-        let rec = self
-            .vms
-            .get_mut(&id)
-            .ok_or_else(|| IbError::Virtualization(format!("{id} vanished mid-migration")))?;
-        rec.hypervisor = dest;
-        rec.vf_slot = dest_slot;
-
-        // A committed swap may move exactly the two swapped LIDs; a
-        // committed copy exactly the VM's.
-        let mut allowed = vec![vm.lid];
-        allowed.extend(dest_vf_lid);
-        self.verify_after_migration(snapshot.as_ref(), &allowed)?;
-        self.note_cells(&cells);
-
-        Ok(TxMigrationReport {
-            committed: true,
-            vm: id,
-            from_hypervisor: src,
-            to_hypervisor: dest,
-            lid: vm.lid,
-            hypervisor_smps,
-            lft,
-            tx,
-        })
     }
 
     // ------------------------------------------------------------------
@@ -792,29 +649,6 @@ impl DataCenter {
                 shown.join("; ")
             )))
         }
-    }
-
-    /// The SM's connected component over live links through alive nodes,
-    /// as one flag per node index.
-    ///
-    /// Depth-first over `connected_ports` (live cables only). The
-    /// resilient migration uses it twice: as the pre-flight that rejects
-    /// a hypervisor beyond a fabric split before any SMP is spent toward
-    /// it, and to confine the step (b) LFT pass to updatable switches.
-    fn sm_component(&self) -> Vec<bool> {
-        let start = self.sm.sm_node;
-        let mut seen = vec![false; self.subnet.node_ids().count()];
-        seen[start.index()] = true;
-        let mut stack = vec![start];
-        while let Some(at) = stack.pop() {
-            for (_, remote) in self.subnet.node(at).connected_ports() {
-                if !seen[remote.node.index()] && self.subnet.is_alive(remote.node) {
-                    seen[remote.node.index()] = true;
-                    stack.push(remote.node);
-                }
-            }
-        }
-        seen
     }
 
     /// Bounds-check a hypervisor index (public entry points take raw
@@ -882,61 +716,46 @@ impl DataCenter {
         }
     }
 
-    /// One `SubnSet(PortInfo)` SMP to a hypervisor (step V-C(a)). PortInfo
-    /// SMPs to HCAs are directed, as OpenSM does for host configuration.
-    fn hypervisor_smp_set_lid(
-        &mut self,
+    /// One `SubnSet(PortInfo)` SMP to a hypervisor (step V-C(a)) and the
+    /// hops it takes. PortInfo SMPs to HCAs are directed, as OpenSM does
+    /// for host configuration.
+    fn set_lid_smp(
+        &self,
         routes: Routes<'_>,
         pf: NodeId,
         lid: Option<Lid>,
-    ) -> IbResult<()> {
+    ) -> IbResult<(Smp, usize)> {
         let (routing, hops) = address(&self.subnet, routes, pf, SmpMode::Directed)?;
-        let smp = Smp::set_port_lid(pf, routing, PortNum::new(1), lid);
-        self.sm.ledger.record(&smp, hops);
-        Ok(())
+        Ok((Smp::set_port_lid(pf, routing, PortNum::new(1), lid), hops))
     }
 
-    /// One `SubnSet(GUIDInfo)` SMP to a hypervisor (vGUID install/remove).
-    fn hypervisor_smp_vguid(
-        &mut self,
+    /// One `SubnSet(GUIDInfo)` SMP to a hypervisor (vGUID install/remove)
+    /// and the hops it takes.
+    fn vguid_smp(
+        &self,
         routes: Routes<'_>,
         pf: NodeId,
         vguid: Option<ib_types::Guid>,
-    ) -> IbResult<()> {
+    ) -> IbResult<(Smp, usize)> {
         let (routing, hops) = address(&self.subnet, routes, pf, SmpMode::Directed)?;
-        let smp = Smp::set_vguid(pf, routing, 0, vguid);
+        Ok((Smp::set_vguid(pf, routing, 0, vguid), hops))
+    }
+
+    /// Books one fire-and-forget hypervisor SMP (VM creation/destruction).
+    fn record(&mut self, (smp, hops): (Smp, usize)) {
         self.sm.ledger.record(&smp, hops);
-        Ok(())
     }
 
-    /// The transactional counterpart of [`Self::hypervisor_smp_set_lid`]:
-    /// the SMP goes through the retrying transport, and an unroutable
-    /// hypervisor surfaces as a transport failure (so callers compensate
-    /// instead of crashing).
-    fn hypervisor_smp_set_lid_tx<C: SmpChannel>(
+    /// Sends one hypervisor SMP of a migration through the retrying
+    /// transport. An unroutable hypervisor surfaces as a transport failure,
+    /// so callers compensate instead of crashing.
+    fn send<C: SmpChannel>(
         &mut self,
-        routes: Routes<'_>,
-        pf: NodeId,
-        lid: Option<Lid>,
+        smp: IbResult<(Smp, usize)>,
         transport: &mut SmpTransport<C>,
     ) -> IbResult<u32> {
-        let (routing, hops) = address(&self.subnet, routes, pf, SmpMode::Directed)
-            .map_err(|e| IbError::Transport(format!("no route to hypervisor: {e}")))?;
-        let smp = Smp::set_port_lid(pf, routing, PortNum::new(1), lid);
-        transport.send(&self.subnet, &smp, hops, &mut self.sm.ledger)
-    }
-
-    /// The transactional counterpart of [`Self::hypervisor_smp_vguid`].
-    fn hypervisor_smp_vguid_tx<C: SmpChannel>(
-        &mut self,
-        routes: Routes<'_>,
-        pf: NodeId,
-        vguid: Option<ib_types::Guid>,
-        transport: &mut SmpTransport<C>,
-    ) -> IbResult<u32> {
-        let (routing, hops) = address(&self.subnet, routes, pf, SmpMode::Directed)
-            .map_err(|e| IbError::Transport(format!("no route to hypervisor: {e}")))?;
-        let smp = Smp::set_vguid(pf, routing, 0, vguid);
+        let (smp, hops) =
+            smp.map_err(|e| IbError::Transport(format!("no route to hypervisor: {e}")))?;
         transport.send(&self.subnet, &smp, hops, &mut self.sm.ledger)
     }
 
@@ -1015,16 +834,28 @@ mod tests {
     use ib_subnet::topology::fattree::two_level;
 
     fn dc(arch: VirtArch) -> DataCenter {
+        dc_with(arch, MigrationOptions::default())
+    }
+
+    fn dc_with(arch: VirtArch, migration: MigrationOptions) -> DataCenter {
         let built = two_level(2, 3, 2);
         DataCenter::from_topology(
             built,
             DataCenterConfig {
                 arch,
                 vfs_per_hypervisor: 3,
+                migration,
                 ..DataCenterConfig::default()
             },
         )
         .unwrap()
+    }
+
+    fn lfts(dc: &DataCenter) -> Vec<(NodeId, ib_subnet::Lft)> {
+        dc.subnet
+            .physical_switches()
+            .map(|n| (n.id, n.lft().unwrap().clone()))
+            .collect()
     }
 
     #[test]
@@ -1154,8 +985,13 @@ mod tests {
         let mut dc = dc(VirtArch::SharedPort);
         let vm0 = dc.create_vm("vm0", 0).unwrap();
         let _vm1 = dc.create_vm("vm1", 1).unwrap();
-        // Destination hosts a VM: refused.
+        // Destination hosts a VM: refused, before the VF is detached or an
+        // SMP sent.
+        let sent = dc.sm.ledger.total();
         assert!(dc.migrate_vm(vm0, 1).is_err());
+        assert_eq!(dc.sm.ledger.total(), sent);
+        let slot = dc.vm(vm0).unwrap().vf_slot;
+        assert_eq!(dc.hypervisors[0].vfs[slot].attached, Some(vm0));
         // Destination empty: allowed, LID value preserved via the node-LID
         // swap of the §VII-B emulation.
         let lid = dc.vm(vm0).unwrap().lid;
@@ -1202,23 +1038,35 @@ mod tests {
     #[test]
     fn resilient_migration_commits_like_classic_when_fault_free() {
         for arch in [VirtArch::VSwitchPrepopulated, VirtArch::VSwitchDynamic] {
-            let mut classic = dc(arch);
-            let mut resilient = dc(arch);
-            let vm_c = classic.create_vm("vm", 0).unwrap();
-            let vm_r = resilient.create_vm("vm", 0).unwrap();
-            let report_c = classic.migrate_vm(vm_c, 4).unwrap();
-            let mut transport = SmpTransport::perfect(resilient.sm.sm_node);
-            let report_r = resilient
-                .migrate_vm_resilient(vm_r, 4, &mut transport)
-                .unwrap();
-            assert!(report_r.committed, "{arch}");
-            assert_eq!(report_r.tx.retries, 0);
-            assert_eq!(report_r.lft, report_c.lft, "{arch}");
-            assert_eq!(report_r.hypervisor_smps, report_c.hypervisor_smps);
-            for sw in classic.subnet.physical_switches() {
-                assert_eq!(resilient.subnet.lft(sw.id).unwrap(), sw.lft().unwrap());
+            for invalidate_first in [false, true] {
+                let opts = MigrationOptions {
+                    invalidate_first,
+                    ..MigrationOptions::default()
+                };
+                let tag = format!("{arch} invalidate_first={invalidate_first}");
+                let mut classic = dc_with(arch, opts);
+                let mut resilient = dc_with(arch, opts);
+                let vm_c = classic.create_vm("vm", 0).unwrap();
+                let vm_r = resilient.create_vm("vm", 0).unwrap();
+                let report_c = classic.migrate_vm(vm_c, 4).unwrap();
+                let mut transport = SmpTransport::perfect(resilient.sm.sm_node);
+                let report_r = resilient
+                    .migrate_vm_resilient(vm_r, 4, &mut transport)
+                    .unwrap();
+                assert!(report_r.committed, "{tag}");
+                assert_eq!(report_r.tx.retries, 0);
+                assert_eq!(report_r, report_c, "{tag}");
+                let n_prime = report_c.lft.switches_updated;
+                let invalidations = if invalidate_first { n_prime } else { 0 };
+                assert_eq!(report_c.lft.invalidation_smps, invalidations, "{tag}");
+                assert_eq!(
+                    classic.sm.ledger.records(),
+                    resilient.sm.ledger.records(),
+                    "{tag}"
+                );
+                assert_eq!(lfts(&classic), lfts(&resilient), "{tag}");
+                resilient.verify_connectivity().unwrap();
             }
-            resilient.verify_connectivity().unwrap();
         }
     }
 
@@ -1251,6 +1099,88 @@ mod tests {
             }
             dc.verify_connectivity().unwrap();
         }
+    }
+
+    /// A migration on a fabric with an unswept fault either commits inside
+    /// the SM's component or is refused with the fabric as it was — it never
+    /// stops half-way. Both uplinks of leaf 2 are down and no sweep ran, so
+    /// leaf 2 still holds rows every pass would want to rewrite.
+    #[test]
+    fn migration_on_an_unswept_split_commits_or_is_refused_whole() {
+        for arch in [VirtArch::VSwitchPrepopulated, VirtArch::VSwitchDynamic] {
+            // Hypervisors 0-2, 3-5 and 6-8 sit on leaves 0, 1 and 2.
+            for (from, to, commits) in [(2, 5, true), (0, 3, true), (1, 4, true), (0, 6, false)] {
+                let tag = format!("{arch} {from}->{to}");
+                let mut dc = DataCenter::from_topology(
+                    two_level(3, 3, 2),
+                    DataCenterConfig {
+                        arch,
+                        vfs_per_hypervisor: 2,
+                        ..DataCenterConfig::default()
+                    },
+                )
+                .unwrap();
+                let vm = dc.create_vm("vm", from).unwrap();
+                let leaf2 = dc.hypervisors[6].leaf;
+                let uplinks: Vec<PortNum> = dc
+                    .subnet
+                    .node(leaf2)
+                    .connected_ports()
+                    .filter(|(_, r)| dc.subnet.node(r.node).is_physical_switch())
+                    .map(|(p, _)| p)
+                    .collect();
+                assert_eq!(uplinks.len(), 2);
+                for port in uplinks {
+                    dc.subnet.set_link_down(leaf2, port).unwrap();
+                }
+
+                let before = lfts(&dc);
+                let outcome = dc.migrate_vm(vm, to);
+                assert_eq!(outcome.is_ok(), commits, "{tag}: {outcome:?}");
+                let rec = dc.vm(vm).unwrap().clone();
+                if commits {
+                    assert_eq!(rec.hypervisor, to, "{tag}");
+                    assert_ne!(lfts(&dc), before, "{tag}: reachable switches updated");
+                    let cut_off = before.iter().find(|(id, _)| *id == leaf2).unwrap();
+                    assert_eq!(dc.subnet.lft(leaf2), Some(&cut_off.1), "{tag}");
+                } else {
+                    assert_eq!(rec.hypervisor, from, "{tag}");
+                    assert_eq!(lfts(&dc), before, "{tag}: every LFT as before the call");
+                }
+                assert_eq!(dc.sm.verify_route_index(&dc.subnet), Vec::<String>::new());
+                // Exactly the slot the record names holds the VM.
+                for (h, hyp) in dc.hypervisors.iter().enumerate() {
+                    for (slot, vf) in hyp.vfs.iter().enumerate() {
+                        let holds = (h, slot) == (rec.hypervisor, rec.vf_slot);
+                        assert_eq!(vf.attached == Some(vm), holds, "{tag}: slot {h}/{slot}");
+                    }
+                }
+                // Everyone in the SM's component still reaches the VM.
+                let home = dc.subnet.endpoint_of(rec.lid).unwrap().node;
+                for hyp in &dc.hypervisors[..6] {
+                    let path = dc.subnet.trace_route(hyp.pf, rec.lid, 64);
+                    assert_eq!(path.unwrap().last(), Some(&home), "{tag}");
+                }
+            }
+        }
+    }
+
+    /// A pass refused by its planner (here: a switch without a row for the
+    /// destination PF to copy) is an `Err` with the VM still attached at
+    /// the source and no row written.
+    #[test]
+    fn a_refused_step_b_hands_the_vm_back() {
+        let mut dc = dc(VirtArch::VSwitchDynamic);
+        let vm = dc.create_vm("vm", 0).unwrap();
+        let pf_lid = dc.hypervisors[4].pf_lid(&dc.subnet).unwrap();
+        let spine = dc.subnet.physical_switches().last().unwrap().id;
+        dc.subnet.lft_mut(spine).unwrap().clear(pf_lid);
+        let before = lfts(&dc);
+        assert!(dc.migrate_vm(vm, 4).is_err());
+        assert_eq!(lfts(&dc), before);
+        let rec = dc.vm(vm).unwrap();
+        assert_eq!(rec.hypervisor, 0);
+        assert_eq!(dc.hypervisors[0].vfs[rec.vf_slot].attached, Some(vm));
     }
 
     #[test]
@@ -1400,26 +1330,29 @@ mod tests {
 
     #[test]
     fn intra_leaf_shortcut_updates_one_switch() {
-        let built = two_level(2, 3, 2);
-        let mut dc = DataCenter::from_topology(
-            built,
-            DataCenterConfig {
-                arch: VirtArch::VSwitchPrepopulated,
-                vfs_per_hypervisor: 2,
-                migration: MigrationOptions {
-                    intra_leaf_shortcut: true,
-                    ..MigrationOptions::default()
-                },
-                ..DataCenterConfig::default()
-            },
-        )
-        .unwrap();
-        // Hypervisors 0..3 share leaf 0 (3 hosts per leaf).
-        let vm = dc.create_vm("vm0", 0).unwrap();
-        let report = dc.migrate_vm(vm, 1).unwrap();
-        assert!(report.intra_leaf);
-        assert!(report.used_leaf_shortcut);
-        assert!(report.lft.switches_updated <= 1, "§VI-D: only the leaf");
-        dc.verify_connectivity().unwrap();
+        let shortcut = MigrationOptions {
+            intra_leaf_shortcut: true,
+            ..MigrationOptions::default()
+        };
+        // Whatever the pass swaps or copies, an intra-leaf move needs only
+        // the leaf (Shared Port swaps the two PF LIDs).
+        let archs = [
+            VirtArch::SharedPort,
+            VirtArch::VSwitchPrepopulated,
+            VirtArch::VSwitchDynamic,
+        ];
+        for arch in archs {
+            let mut dc = dc_with(arch, shortcut);
+            // Hypervisors 0..3 share leaf 0 (3 hosts per leaf).
+            let vm = dc.create_vm("vm0", 0).unwrap();
+            let report = dc.migrate_vm(vm, 1).unwrap();
+            assert!(report.intra_leaf);
+            assert!(report.used_leaf_shortcut);
+            assert!(
+                report.lft.switches_updated <= 1,
+                "{arch} §VI-D: only the leaf"
+            );
+            dc.verify_connectivity().unwrap();
+        }
     }
 }

@@ -91,7 +91,7 @@ pub fn analyze_transition(subnet: &Subnet, before: &LftSnapshot) -> IbResult<Tra
 mod tests {
     use super::*;
     use crate::migration::{swap_on_fabric, MigrationOptions};
-    use ib_mad::RouteTree;
+    use ib_mad::{RouteTree, SmpTransport};
     use ib_sm::{SmConfig, SubnetManager};
     use ib_subnet::topology::fattree::two_level;
     use ib_types::Lid;
@@ -116,6 +116,7 @@ mod tests {
             b,
             &MigrationOptions::default(),
             None,
+            &mut SmpTransport::assumed(sm.sm_node),
             &mut sm.ledger,
         )
         .unwrap();

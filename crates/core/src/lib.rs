@@ -42,7 +42,7 @@ pub mod virtualize;
 pub mod vm;
 
 pub use datacenter::{DataCenter, DataCenterConfig};
-pub use migration::{MigrationOptions, MigrationReport, TxMigrationReport, TxStats};
+pub use migration::{MigrationOptions, MigrationReport, TxStats};
 pub use partition::{Membership, Partition, Tenancy};
 pub use virtualize::{Hypervisor, VfSlot, VirtArch};
 pub use vm::{VmId, VmRecord};

@@ -18,13 +18,23 @@
 //! and returns the [`CellChange`]s it made, so whoever keeps state derived
 //! from the installed tables (the SM's repair baseline and reverse index)
 //! follows at the cost of the `n'·m'` cells that moved.
+//!
+//! Step (b) is **plan, then apply**. A read-only planner per variant states
+//! which cells change ([`plan_swap`], [`plan_copy`] — also what
+//! [`crate::affected`] predicts from); one `apply` installs any plan switch
+//! by switch through an [`SmpTransport`], journaling as it goes and rolling
+//! the fabric back from the journal when an SMP persistently fails. Which
+//! channel the transport rides — assumed, perfect, lossy — is the only
+//! thing that tells a classic migration from a fault-aware one.
+
+use std::borrow::Cow;
 
 use ib_mad::fault::{SmpChannel, SmpTransport};
-use ib_mad::{lft_smp_for, retarget_lft_smp, RouteTree, Routes, Smp, SmpLedger, SmpRouting};
+use ib_mad::{lft_smp_for, retarget_lft_smp, RouteTree, Routes, Smp, SmpLedger};
 use ib_routing::CellChange;
-use ib_sm::distribution::{address, lid_routing};
+use ib_sm::distribution::address;
 use ib_sm::SmpMode;
-use ib_subnet::{Lft, NodeId, Subnet};
+use ib_subnet::{NodeId, Subnet};
 use ib_types::{IbError, IbResult, Lid, PortNum, LFT_BLOCK_SIZE};
 
 use crate::vm::VmId;
@@ -73,6 +83,10 @@ pub struct LftUpdateStats {
 /// Everything one migration did.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MigrationReport {
+    /// Whether the migration committed. `false` means every touched LFT
+    /// row was rolled back and the VM still runs at the source, its LID
+    /// unchanged — the invariant the transaction protects.
+    pub committed: bool,
     /// The migrated VM.
     pub vm: VmId,
     /// Source hypervisor index.
@@ -84,11 +98,14 @@ pub struct MigrationReport {
     /// VM LID after migration (identical under both vSwitch architectures;
     /// different only under the Shared Port baseline).
     pub lid_after: Lid,
-    /// Step (a) SMPs: set/unset LID on the participating hypervisors plus
-    /// the vGUID install.
+    /// Step (a) SMPs delivered: set/unset LID on the participating
+    /// hypervisors plus the vGUID install.
     pub hypervisor_smps: usize,
-    /// Step (b) accounting.
+    /// Step (b) accounting for whatever was applied before commit or
+    /// rollback.
     pub lft: LftUpdateStats,
+    /// Transactional accounting (retries, rollback cost).
+    pub tx: TxStats,
     /// Whether source and destination share a leaf switch.
     pub intra_leaf: bool,
     /// Whether the intra-leaf shortcut actually restricted the update.
@@ -103,8 +120,7 @@ impl MigrationReport {
     }
 }
 
-/// The error for a switch the pass must update that holds no LFT: not a
-/// switch, or degraded mid-operation — the caller gets to roll back.
+/// The error for a switch the pass must update that holds no LFT.
 fn no_lft(subnet: &Subnet, sw: NodeId) -> IbError {
     IbError::Management(format!("{} has no LFT", subnet.name_of(sw)))
 }
@@ -118,156 +134,70 @@ fn cell(switch: NodeId, lid: Lid, old: Option<PortNum>, new: Option<PortNum>) ->
     }
 }
 
-/// The switches Algorithm 1 iterates for one update pass: every physical
-/// switch, or an explicit restriction (the §VI-D leaf-only case).
-fn targets(subnet: &Subnet, restrict: Option<&[NodeId]>) -> Vec<NodeId> {
+/// The switches Algorithm 1 iterates for one update pass, in ascending
+/// order: every physical switch, or an explicit restriction (the §VI-D
+/// leaf-only case; the switches the SM can reach on a split fabric).
+fn targets<'a>(subnet: &Subnet, restrict: Option<&'a [NodeId]>) -> Cow<'a, [NodeId]> {
     match restrict {
-        Some(r) => r.to_vec(),
+        Some(r) => Cow::Borrowed(r),
         None => {
             let mut v: Vec<NodeId> = subnet.physical_switches().map(|n| n.id).collect();
             v.sort_unstable_by_key(|n| n.index());
-            v
+            Cow::Owned(v)
         }
     }
 }
 
-/// The LFT blocks a swap of `a` and `b` rewrites per switch: one when the
-/// LIDs share a block, two otherwise (`m'`).
-fn swap_blocks(a: Lid, b: Lid) -> Vec<usize> {
-    if a.same_block(b) {
-        vec![a.lft_block()]
-    } else {
-        vec![a.lft_block(), b.lft_block()]
-    }
-}
-
-/// §V-C1 step (b): swap the LFT rows of `a` and `b` on every switch whose
-/// rows differ. Exactly the paper's cost: `m' = 1` SMP per switch when the
-/// LIDs share an LFT block, `m' = 2` otherwise, and `n'` = the number of
-/// switches whose two rows are not already equal.
-///
-/// Every SMP is addressed off `tree` (rooted at the SM's node). Returns the
-/// accounting and the cells the pass changed — one entry per cell whose
-/// value differs afterwards, in switch order.
-pub fn swap_on_fabric(
-    subnet: &mut Subnet,
-    tree: &RouteTree,
+/// The cells a swap of `a` and `b` changes, in switch order: both rows of
+/// every target switch whose two rows differ (`n'` switches; where the
+/// initial routing already forwards both LIDs the same way there is
+/// nothing to update, §VI-B). Errors when a target switch has no LFT.
+pub(crate) fn plan_swap(
+    subnet: &Subnet,
     a: Lid,
     b: Lid,
-    opts: &MigrationOptions,
     restrict: Option<&[NodeId]>,
-    ledger: &mut SmpLedger,
-) -> IbResult<(LftUpdateStats, Vec<CellChange>)> {
-    if a == b {
-        return Err(IbError::Virtualization(
-            "cannot swap a LID with itself".into(),
-        ));
-    }
-    let _span = ledger.observer().span("migration.step_b.swap");
-    let mut stats = LftUpdateStats::default();
+) -> IbResult<Vec<CellChange>> {
     let mut cells = Vec::new();
-    let blocks = swap_blocks(a, b);
-
-    for sw in targets(subnet, restrict) {
+    for &sw in targets(subnet, restrict).iter() {
         let lft = subnet.lft(sw).ok_or_else(|| no_lft(subnet, sw))?;
         let (pa, pb) = (lft.get(a), lft.get(b));
-        if pa == pb {
-            // §VI-B: the initial routing already forwards both LIDs the
-            // same way from here — nothing to update on this switch.
-            continue;
+        if pa != pb {
+            cells.extend([cell(sw, a, pa, pb), cell(sw, b, pb, pa)]);
         }
-        let (routing, hops) = address(subnet, Routes::Tree(tree), sw, opts.smp_mode)?;
-        let mut smp = lft_smp_for(sw, routing);
-        if opts.invalidate_first {
-            record_block_smp(subnet, &mut smp, a.lft_block(), hops, ledger);
-            let Some(lft) = subnet.lft_mut(sw) else {
-                return Err(no_lft(subnet, sw));
-            };
-            lft.set(a, PortNum::DROP);
-            stats.invalidation_smps += 1;
-        }
-        let Some(lft) = subnet.lft_mut(sw) else {
-            return Err(no_lft(subnet, sw));
-        };
-        lft.assign(a, pb);
-        lft.assign(b, pa);
-        cells.extend([cell(sw, a, pa, pb), cell(sw, b, pb, pa)]);
-        for &block in &blocks {
-            record_block_smp(subnet, &mut smp, block, hops, ledger);
-        }
-        stats.lft_smps += blocks.len();
-        stats.switches_updated += 1;
-        stats.max_blocks_per_switch = stats.max_blocks_per_switch.max(blocks.len());
     }
-    Ok((stats, cells))
+    Ok(cells)
 }
 
-/// The row `vm_lid` must copy on `sw`, or the "no row" error.
-fn pf_row(subnet: &Subnet, sw: NodeId, lft: &Lft, pf_lid: Lid) -> IbResult<PortNum> {
-    lft.get(pf_lid).ok_or_else(|| {
-        IbError::Management(format!(
-            "{} has no row for PF LID {pf_lid}",
-            subnet.name_of(sw)
-        ))
-    })
-}
-
-/// §V-C2 step (b): make `vm_lid`'s row a copy of `pf_lid`'s row on every
-/// switch where they differ. One SMP per updated switch, always. Addressing
-/// and the returned cell list are as for [`swap_on_fabric`].
-pub fn copy_on_fabric(
-    subnet: &mut Subnet,
-    tree: &RouteTree,
+/// The cells a copy of `pf_lid`'s row onto `vm_lid` changes, in switch
+/// order: `vm_lid`'s row on every target switch where it is not already
+/// that copy. Errors when a target switch has no LFT or no row for the PF
+/// LID — the copy has no source row there, and skipping the switch could
+/// leave the VM a stale row on it.
+pub(crate) fn plan_copy(
+    subnet: &Subnet,
     pf_lid: Lid,
     vm_lid: Lid,
-    opts: &MigrationOptions,
     restrict: Option<&[NodeId]>,
-    ledger: &mut SmpLedger,
-) -> IbResult<(LftUpdateStats, Vec<CellChange>)> {
-    if pf_lid == vm_lid {
-        return Err(IbError::Virtualization(
-            "VM LID cannot equal the PF LID it copies".into(),
-        ));
-    }
-    let _span = ledger.observer().span("migration.step_b.copy");
-    let mut stats = LftUpdateStats::default();
+) -> IbResult<Vec<CellChange>> {
     let mut cells = Vec::new();
-
-    for sw in targets(subnet, restrict) {
+    for &sw in targets(subnet, restrict).iter() {
         let lft = subnet.lft(sw).ok_or_else(|| no_lft(subnet, sw))?;
-        let target = pf_row(subnet, sw, lft, pf_lid)?;
+        let target = lft.get(pf_lid).ok_or_else(|| {
+            IbError::Management(format!(
+                "{} has no row for PF LID {pf_lid}",
+                subnet.name_of(sw)
+            ))
+        })?;
         let old = lft.get(vm_lid);
-        if old == Some(target) {
-            continue;
+        if old != Some(target) {
+            cells.push(cell(sw, vm_lid, old, Some(target)));
         }
-        let (routing, hops) = address(subnet, Routes::Tree(tree), sw, opts.smp_mode)?;
-        let mut smp = lft_smp_for(sw, routing);
-        if opts.invalidate_first {
-            record_block_smp(subnet, &mut smp, vm_lid.lft_block(), hops, ledger);
-            let Some(lft) = subnet.lft_mut(sw) else {
-                return Err(no_lft(subnet, sw));
-            };
-            lft.set(vm_lid, PortNum::DROP);
-            stats.invalidation_smps += 1;
-        }
-        let Some(lft) = subnet.lft_mut(sw) else {
-            return Err(no_lft(subnet, sw));
-        };
-        lft.set(vm_lid, target);
-        cells.push(cell(sw, vm_lid, old, Some(target)));
-        record_block_smp(subnet, &mut smp, vm_lid.lft_block(), hops, ledger);
-        stats.lft_smps += 1;
-        stats.switches_updated += 1;
-        stats.max_blocks_per_switch = 1;
     }
-    Ok((stats, cells))
+    Ok(cells)
 }
 
-// ----------------------------------------------------------------------
-// Transactional variants
-// ----------------------------------------------------------------------
-
-/// Accounting of one transactional LFT-update pass.
+/// Accounting of one LFT-update pass as a transaction.
 ///
 /// The attempts-versus-retries convention, pinned by regression tests and
 /// reconciled against the [`SmpLedger`]'s per-attempt records: for every
@@ -303,62 +233,19 @@ impl TxStats {
     }
 }
 
-/// Everything one resilient (transactional) migration did — the
-/// fault-aware counterpart of [`MigrationReport`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TxMigrationReport {
-    /// Whether the migration committed. `false` means every touched LFT
-    /// row was rolled back and the VM still runs at the source.
-    pub committed: bool,
-    /// The VM the migration was for.
-    pub vm: VmId,
-    /// Source hypervisor index.
-    pub from_hypervisor: usize,
-    /// Destination hypervisor index.
-    pub to_hypervisor: usize,
-    /// The VM's LID (unchanged whether the migration commits or rolls
-    /// back — that is the invariant the transaction protects).
-    pub lid: Lid,
-    /// Step (a) SMPs actually delivered to hypervisors.
-    pub hypervisor_smps: usize,
-    /// Step (b) accounting for whatever was applied before commit or
-    /// rollback.
-    pub lft: LftUpdateStats,
-    /// Transactional accounting (retries, rollback cost).
-    pub tx: TxStats,
-}
-
-/// Addressing for a transactional pass: an unroutable switch (e.g. cut off
-/// by a mid-migration link failure) is a delivery failure, not a
-/// programming error. `None` means no SMP can even be addressed; a switch
-/// that has a LID but no live path is still addressed (0 hops) and the
-/// transport finds the break, so its attempts land on the ledger.
-fn address_tx(
-    subnet: &Subnet,
-    tree: &RouteTree,
-    sw: NodeId,
-    mode: SmpMode,
-) -> Option<(SmpRouting, usize)> {
-    address(subnet, Routes::Tree(tree), sw, mode)
-        .or_else(|e| match mode {
-            SmpMode::Destination => lid_routing(subnet, sw).map(|routing| (routing, 0)),
-            SmpMode::Directed => Err(e),
-        })
-        .ok()
-}
-
-/// §V-C1 step (b) under a faulty fabric: the row swap of
-/// [`swap_on_fabric`], executed transactionally. Rows are applied switch
-/// by switch and confirmed with retried SMPs through `transport`; on the
-/// first persistent delivery failure every already-applied row is rolled
-/// back (locally unconditionally, remotely via best-effort compensating
-/// SMPs) and the pass reports `committed = false` instead of leaving the
-/// fabric half-swapped.
+/// §V-C1 step (b): swap the LFT rows of `a` and `b` on every switch whose
+/// rows differ. Exactly the paper's cost: `m' = 1` SMP per switch when the
+/// LIDs share an LFT block, `m' = 2` otherwise, and `n'` = the number of
+/// switches whose two rows are not already equal.
 ///
-/// The changed-cell list doubles as the undo journal: a committed pass
-/// returns it, a rolled-back pass changed nothing and returns none.
+/// Every SMP is addressed off `tree` (rooted at the SM's node) and sent
+/// through `transport`. The pass is a transaction: on the first persistent
+/// delivery failure every row already written is rolled back and it reports
+/// `committed = false` instead of leaving the fabric half-swapped. Returns
+/// the accounting and the cells the pass changed — one entry per cell whose
+/// value differs afterwards, in switch order; none after a rollback.
 #[allow(clippy::too_many_arguments)]
-pub fn swap_on_fabric_tx<C: SmpChannel>(
+pub fn swap_on_fabric<C: SmpChannel>(
     subnet: &mut Subnet,
     tree: &RouteTree,
     a: Lid,
@@ -374,59 +261,16 @@ pub fn swap_on_fabric_tx<C: SmpChannel>(
         ));
     }
     let _span = ledger.observer().span("migration.step_b.swap");
-    let mut stats = LftUpdateStats::default();
-    let mut tx = TxStats {
-        committed: true,
-        ..TxStats::default()
-    };
-    let mut journal: Vec<CellChange> = Vec::new();
-    let blocks = swap_blocks(a, b);
-
-    for sw in targets(subnet, restrict) {
-        let lft = subnet.lft(sw).ok_or_else(|| no_lft(subnet, sw))?;
-        let (pa, pb) = (lft.get(a), lft.get(b));
-        if pa == pb {
-            continue;
-        }
-        let Some((routing, hops)) = address_tx(subnet, tree, sw, opts.smp_mode) else {
-            rollback(subnet, tree, opts, &journal, transport, ledger, &mut tx);
-            return Ok((stats, tx, Vec::new()));
-        };
-        journal.extend([cell(sw, a, pa, pb), cell(sw, b, pb, pa)]);
-        let Some(lft) = subnet.lft_mut(sw) else {
-            // The switch degraded between the read and the write: treat
-            // it as a delivery failure and roll the pass back.
-            rollback(subnet, tree, opts, &journal, transport, ledger, &mut tx);
-            return Ok((stats, tx, Vec::new()));
-        };
-        lft.assign(a, pb);
-        lft.assign(b, pa);
-        let mut smp = lft_smp_for(sw, routing);
-        for &block in &blocks {
-            match send_block_smp(subnet, &mut smp, block, hops, transport, ledger) {
-                Ok(attempt) => {
-                    tx.count_delivery(attempt);
-                    stats.lft_smps += 1;
-                }
-                Err(IbError::Transport(_)) => {
-                    rollback(subnet, tree, opts, &journal, transport, ledger, &mut tx);
-                    return Ok((stats, tx, Vec::new()));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        stats.switches_updated += 1;
-        stats.max_blocks_per_switch = stats.max_blocks_per_switch.max(blocks.len());
-    }
-    observe_commit(ledger, &tx);
-    Ok((stats, tx, journal))
+    let plan = plan_swap(subnet, a, b, restrict)?;
+    Ok(apply(subnet, tree, plan, a, opts, transport, ledger))
 }
 
-/// §V-C2 step (b) under a faulty fabric: the row copy of
-/// [`copy_on_fabric`], executed transactionally with the same
-/// journal/rollback discipline as [`swap_on_fabric_tx`].
+/// §V-C2 step (b): make `vm_lid`'s row a copy of `pf_lid`'s row on every
+/// switch where they differ. One SMP per updated switch, always. Addressing,
+/// the transaction and the returned cell list are as for
+/// [`swap_on_fabric`].
 #[allow(clippy::too_many_arguments)]
-pub fn copy_on_fabric_tx<C: SmpChannel>(
+pub fn copy_on_fabric<C: SmpChannel>(
     subnet: &mut Subnet,
     tree: &RouteTree,
     pf_lid: Lid,
@@ -442,63 +286,92 @@ pub fn copy_on_fabric_tx<C: SmpChannel>(
         ));
     }
     let _span = ledger.observer().span("migration.step_b.copy");
-    let mut stats = LftUpdateStats::default();
-    let mut tx = TxStats {
-        committed: true,
-        ..TxStats::default()
-    };
-    let mut journal: Vec<CellChange> = Vec::new();
-
-    for sw in targets(subnet, restrict) {
-        let lft = subnet.lft(sw).ok_or_else(|| no_lft(subnet, sw))?;
-        let target = pf_row(subnet, sw, lft, pf_lid)?;
-        let old = lft.get(vm_lid);
-        if old == Some(target) {
-            continue;
-        }
-        let Some((routing, hops)) = address_tx(subnet, tree, sw, opts.smp_mode) else {
-            rollback(subnet, tree, opts, &journal, transport, ledger, &mut tx);
-            return Ok((stats, tx, Vec::new()));
-        };
-        journal.push(cell(sw, vm_lid, old, Some(target)));
-        let Some(lft) = subnet.lft_mut(sw) else {
-            rollback(subnet, tree, opts, &journal, transport, ledger, &mut tx);
-            return Ok((stats, tx, Vec::new()));
-        };
-        lft.set(vm_lid, target);
-        let mut smp = lft_smp_for(sw, routing);
-        match send_block_smp(
-            subnet,
-            &mut smp,
-            vm_lid.lft_block(),
-            hops,
-            transport,
-            ledger,
-        ) {
-            Ok(attempt) => {
-                tx.count_delivery(attempt);
-                stats.lft_smps += 1;
-                stats.switches_updated += 1;
-                stats.max_blocks_per_switch = 1;
-            }
-            Err(IbError::Transport(_)) => {
-                rollback(subnet, tree, opts, &journal, transport, ledger, &mut tx);
-                return Ok((stats, tx, Vec::new()));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    observe_commit(ledger, &tx);
-    Ok((stats, tx, journal))
+    let plan = plan_copy(subnet, pf_lid, vm_lid, restrict)?;
+    Ok(apply(subnet, tree, plan, vm_lid, opts, transport, ledger))
 }
 
-/// Mirrors a committed pass's transactional accounting into the observer.
-fn observe_commit(ledger: &SmpLedger, tx: &TxStats) {
+/// Installs a planner's cells, switch by switch — the one loop that sends
+/// Algorithm 1's LFT SMPs. Per switch: address it off `tree`, forward
+/// `mover` (the migrating LID, which every planned switch holds a cell of)
+/// to port 255 first when §VI-C's invalidation is on, write the planned
+/// rows, and confirm with one SMP per touched block, in cell order.
+///
+/// The cells of every switch written so far are the undo journal. A switch
+/// that cannot be addressed, or an SMP that exhausts its retries, rolls the
+/// journal back (see [`rollback`]); the pass then reports `committed =
+/// false` and no changed cell.
+fn apply<C: SmpChannel>(
+    subnet: &mut Subnet,
+    tree: &RouteTree,
+    plan: Vec<CellChange>,
+    mover: Lid,
+    opts: &MigrationOptions,
+    transport: &mut SmpTransport<C>,
+    ledger: &mut SmpLedger,
+) -> (LftUpdateStats, TxStats, Vec<CellChange>) {
+    let mut stats = LftUpdateStats::default();
+    let mut tx = TxStats::default();
+    let mut journaled = 0;
+    tx.committed = 'pass: {
+        for run in plan.chunk_by(|x, y| x.switch == y.switch) {
+            let sw = run[0].switch;
+            let Ok((routing, hops)) = address(subnet, Routes::Tree(tree), sw, opts.smp_mode) else {
+                break 'pass false;
+            };
+            journaled += run.len();
+            let mut smp = lft_smp_for(sw, routing);
+            if opts.invalidate_first {
+                write_row(subnet, sw, mover, Some(PortNum::DROP));
+                let Ok(attempt) =
+                    send_block_smp(subnet, &mut smp, mover.lft_block(), hops, transport, ledger)
+                else {
+                    break 'pass false;
+                };
+                tx.count_delivery(attempt);
+                stats.invalidation_smps += 1;
+            }
+            for c in run {
+                write_row(subnet, sw, c.lid, c.new);
+            }
+            let mut blocks = 0;
+            for (i, c) in run.iter().enumerate() {
+                let block = c.lid.lft_block();
+                if run[..i].iter().any(|sent| sent.lid.lft_block() == block) {
+                    continue;
+                }
+                let Ok(attempt) = send_block_smp(subnet, &mut smp, block, hops, transport, ledger)
+                else {
+                    break 'pass false;
+                };
+                tx.count_delivery(attempt);
+                stats.lft_smps += 1;
+                blocks += 1;
+            }
+            stats.switches_updated += 1;
+            stats.max_blocks_per_switch = stats.max_blocks_per_switch.max(blocks);
+        }
+        true
+    };
+
+    if !tx.committed {
+        let journal = &plan[..journaled];
+        rollback(subnet, tree, opts, journal, transport, ledger, &mut tx);
+        return (stats, tx, Vec::new());
+    }
     let observer = ledger.observer();
     if observer.is_enabled() {
         observer.incr("migration.tx.committed");
         observer.record("migration.tx.retries", tx.retries as u64);
         observer.record("migration.tx.attempts", tx.attempts as u64);
+    }
+    (stats, tx, plan)
+}
+
+/// Writes one LFT row of the SM's intended state. A switch that lost its
+/// LFT since it was planned has nothing to write — or to restore.
+fn write_row(subnet: &mut Subnet, sw: NodeId, lid: Lid, port: Option<PortNum>) {
+    if let Some(lft) = subnet.lft_mut(sw) {
+        lft.assign(lid, port);
     }
 }
 
@@ -519,13 +392,10 @@ fn rollback<C: SmpChannel>(
     ledger: &mut SmpLedger,
     tx: &mut TxStats,
 ) {
-    tx.committed = false;
     let mut switches: Vec<NodeId> = Vec::new();
     let mut blocks: Vec<(NodeId, usize)> = Vec::new();
     for row in journal.iter().rev() {
-        if let Some(lft) = subnet.lft_mut(row.switch) {
-            lft.assign(row.lid, row.old);
-        }
+        write_row(subnet, row.switch, row.lid, row.old);
         if !switches.contains(&row.switch) {
             switches.push(row.switch);
         }
@@ -536,7 +406,7 @@ fn rollback<C: SmpChannel>(
     }
     tx.rolled_back_switches = switches.len();
     for (sw, block) in blocks {
-        let Some((routing, hops)) = address_tx(subnet, tree, sw, opts.smp_mode) else {
+        let Ok((routing, hops)) = address(subnet, Routes::Tree(tree), sw, opts.smp_mode) else {
             continue; // unreachable switch: the re-sweep will repair it
         };
         tx.rollback_smps += 1;
@@ -550,17 +420,9 @@ fn rollback<C: SmpChannel>(
     }
 }
 
-/// Points `smp` (the switch's reusable LFT SMP) at `block` as currently
-/// installed on its target.
-fn load_block(subnet: &Subnet, smp: &mut Smp, block: usize) {
-    match subnet.lft(smp.target).and_then(|l| l.block(block)) {
-        Some(data) => retarget_lft_smp(smp, block, data),
-        None => retarget_lft_smp(smp, block, &[None; LFT_BLOCK_SIZE]),
-    }
-}
-
 /// Sends the `SubnSet(LinearForwardingTable)` SMP for `block` of the
-/// currently-installed LFT through the retrying transport.
+/// currently-installed LFT of `smp`'s target (the switch's reusable LFT
+/// SMP) through the retrying transport.
 fn send_block_smp<C: SmpChannel>(
     subnet: &Subnet,
     smp: &mut Smp,
@@ -569,50 +431,125 @@ fn send_block_smp<C: SmpChannel>(
     transport: &mut SmpTransport<C>,
     ledger: &mut SmpLedger,
 ) -> IbResult<u32> {
-    load_block(subnet, smp, block);
+    match subnet.lft(smp.target).and_then(|l| l.block(block)) {
+        Some(data) => retarget_lft_smp(smp, block, data),
+        None => retarget_lft_smp(smp, block, &[None; LFT_BLOCK_SIZE]),
+    }
     transport.send(subnet, smp, hops, ledger)
 }
-
-fn record_block_smp(
-    subnet: &Subnet,
-    smp: &mut Smp,
-    block: usize,
-    hops: usize,
-    ledger: &mut SmpLedger,
-) {
-    load_block(subnet, smp, block);
-    ledger.record(smp, hops);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ib_routing::testutil::assign_lids;
-    use ib_routing::EngineKind;
+    use ib_mad::LossyChannel;
     use ib_sm::{SmConfig, SubnetManager};
     use ib_subnet::topology::fattree::two_level;
+    use ib_subnet::topology::BuiltTopology;
 
     /// Bring up a 2-level fat tree with the default SM.
-    fn fabric() -> (ib_subnet::topology::BuiltTopology, SubnetManager) {
+    fn fabric() -> (BuiltTopology, SubnetManager) {
         let mut t = two_level(2, 3, 2);
         let mut sm = SubnetManager::new(t.hosts[0], SmConfig::default());
         sm.bring_up(&mut t.subnet).unwrap();
         (t, sm)
     }
 
-    fn host_lid(t: &ib_subnet::topology::BuiltTopology, i: usize) -> Lid {
+    fn host_lid(t: &BuiltTopology, i: usize) -> Lid {
         t.subnet.node(t.hosts[i]).ports[1].lid.unwrap()
     }
 
+    type Pass = IbResult<(LftUpdateStats, TxStats, Vec<CellChange>)>;
+
+    /// [`swap_on_fabric`] off a fresh route tree, over `transport`.
+    fn swap_over<C: SmpChannel>(
+        (t, sm): &mut (BuiltTopology, SubnetManager),
+        (a, b): (Lid, Lid),
+        opts: &MigrationOptions,
+        restrict: Option<&[NodeId]>,
+        transport: &mut SmpTransport<C>,
+    ) -> Pass {
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        swap_on_fabric(
+            &mut t.subnet,
+            &tree,
+            a,
+            b,
+            opts,
+            restrict,
+            transport,
+            &mut sm.ledger,
+        )
+    }
+
+    /// [`copy_on_fabric`] off a fresh route tree, over `transport`.
+    fn copy_over<C: SmpChannel>(
+        (t, sm): &mut (BuiltTopology, SubnetManager),
+        (pf, vm): (Lid, Lid),
+        opts: &MigrationOptions,
+        restrict: Option<&[NodeId]>,
+        transport: &mut SmpTransport<C>,
+    ) -> Pass {
+        let tree = RouteTree::build(&t.subnet, sm.sm_node);
+        copy_on_fabric(
+            &mut t.subnet,
+            &tree,
+            pf,
+            vm,
+            opts,
+            restrict,
+            transport,
+            &mut sm.ledger,
+        )
+    }
+
+    /// The swap over the assumed channel, which always commits.
+    fn swap(
+        f: &mut (BuiltTopology, SubnetManager),
+        lids: (Lid, Lid),
+        opts: &MigrationOptions,
+        restrict: Option<&[NodeId]>,
+    ) -> IbResult<(LftUpdateStats, Vec<CellChange>)> {
+        let mut transport = SmpTransport::assumed(f.1.sm_node);
+        let (stats, tx, cells) = swap_over(f, lids, opts, restrict, &mut transport)?;
+        assert!(tx.committed);
+        Ok((stats, cells))
+    }
+
+    /// The copy over the assumed channel, which always commits.
+    fn copy(
+        f: &mut (BuiltTopology, SubnetManager),
+        lids: (Lid, Lid),
+        opts: &MigrationOptions,
+        restrict: Option<&[NodeId]>,
+    ) -> IbResult<(LftUpdateStats, Vec<CellChange>)> {
+        let mut transport = SmpTransport::assumed(f.1.sm_node);
+        let (stats, tx, cells) = copy_over(f, lids, opts, restrict, &mut transport)?;
+        assert!(tx.committed);
+        Ok((stats, cells))
+    }
+
+    fn black_hole(sm: &SubnetManager) -> SmpTransport<LossyChannel> {
+        SmpTransport::with_channel(sm.sm_node, LossyChannel::black_hole())
+    }
+
+    fn lfts(subnet: &Subnet) -> Vec<(NodeId, ib_subnet::Lft)> {
+        subnet
+            .physical_switches()
+            .map(|n| (n.id, n.lft().unwrap().clone()))
+            .collect()
+    }
+
+    const INVALIDATE: MigrationOptions = MigrationOptions {
+        smp_mode: SmpMode::Destination,
+        invalidate_first: true,
+        intra_leaf_shortcut: false,
+    };
+
     #[test]
     fn swap_costs_one_smp_per_switch_same_block() {
-        let (mut t, mut sm) = fabric();
-        let a = host_lid(&t, 1); // on leaf 0
-        let b = host_lid(&t, 4); // on leaf 1
-        let opts = MigrationOptions::default();
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        let (stats, _) =
-            swap_on_fabric(&mut t.subnet, &tree, a, b, &opts, None, &mut sm.ledger).unwrap();
+        let mut f = fabric();
+        let a = host_lid(&f.0, 1); // on leaf 0
+        let b = host_lid(&f.0, 4); // on leaf 1
+        let (stats, _) = swap(&mut f, (a, b), &MigrationOptions::default(), None).unwrap();
         // All LIDs < 64: every updated switch takes exactly one SMP.
         assert_eq!(stats.max_blocks_per_switch, 1);
         assert!(stats.switches_updated >= 1);
@@ -622,51 +559,32 @@ mod tests {
 
     #[test]
     fn swap_across_blocks_costs_two() {
-        let (mut t, mut sm) = fabric();
+        let mut f = fabric();
         // Re-home host 5 onto LID 70 (block 1) to force the 2-SMP case.
-        let h5 = t.hosts[5];
-        let old = host_lid(&t, 5);
-        t.subnet.clear_lid(old).unwrap();
-        t.subnet
+        let h5 = f.0.hosts[5];
+        let old = host_lid(&f.0, 5);
+        f.0.subnet.clear_lid(old).unwrap();
+        f.0.subnet
             .assign_port_lid(h5, PortNum::new(1), Lid::from_raw(70))
             .unwrap();
-        sm.full_reconfiguration(&mut t.subnet).unwrap();
+        f.1.full_reconfiguration(&mut f.0.subnet).unwrap();
 
-        let a = host_lid(&t, 1);
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        let (stats, _) = swap_on_fabric(
-            &mut t.subnet,
-            &tree,
-            a,
-            Lid::from_raw(70),
-            &MigrationOptions::default(),
-            None,
-            &mut sm.ledger,
-        )
-        .unwrap();
+        let a = host_lid(&f.0, 1);
+        let opts = MigrationOptions::default();
+        let (stats, _) = swap(&mut f, (a, Lid::from_raw(70)), &opts, None).unwrap();
         assert_eq!(stats.max_blocks_per_switch, 2);
         assert_eq!(stats.lft_smps, stats.switches_updated * 2);
     }
 
     #[test]
     fn swap_skips_switches_already_aligned() {
-        let (mut t, mut sm) = fabric();
+        let mut f = fabric();
         // Hosts 1 and 2 share leaf 0: from leaf 1's perspective both are
         // reached over (possibly) the same uplink; from leaf 0 they differ.
-        let a = host_lid(&t, 1);
-        let b = host_lid(&t, 2);
-        let total_switches = t.subnet.num_physical_switches();
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        let (stats, _) = swap_on_fabric(
-            &mut t.subnet,
-            &tree,
-            a,
-            b,
-            &MigrationOptions::default(),
-            None,
-            &mut sm.ledger,
-        )
-        .unwrap();
+        let a = host_lid(&f.0, 1);
+        let b = host_lid(&f.0, 2);
+        let total_switches = f.0.subnet.num_physical_switches();
+        let (stats, _) = swap(&mut f, (a, b), &MigrationOptions::default(), None).unwrap();
         assert!(
             stats.switches_updated < total_switches,
             "n' must be < n when some switches already route both LIDs alike"
@@ -677,47 +595,29 @@ mod tests {
 
     #[test]
     fn swap_is_involution_on_the_fabric() {
-        let (mut t, mut sm) = fabric();
-        let a = host_lid(&t, 1);
-        let b = host_lid(&t, 4);
-        let snapshot: Vec<_> = t
-            .subnet
-            .physical_switches()
-            .map(|n| (n.id, n.lft().unwrap().clone()))
-            .collect();
+        let mut f = fabric();
+        let a = host_lid(&f.0, 1);
+        let b = host_lid(&f.0, 4);
+        let snapshot = lfts(&f.0.subnet);
         let opts = MigrationOptions::default();
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        swap_on_fabric(&mut t.subnet, &tree, a, b, &opts, None, &mut sm.ledger).unwrap();
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        swap_on_fabric(&mut t.subnet, &tree, a, b, &opts, None, &mut sm.ledger).unwrap();
+        swap(&mut f, (a, b), &opts, None).unwrap();
+        swap(&mut f, (a, b), &opts, None).unwrap();
         for (id, before) in snapshot {
-            assert_eq!(t.subnet.lft(id).unwrap(), &before);
+            assert_eq!(f.0.subnet.lft(id).unwrap(), &before);
         }
     }
 
     #[test]
     fn copy_costs_at_most_one_smp_per_switch() {
-        let (mut t, mut sm) = fabric();
+        let mut f = fabric();
         // Add a fresh VM LID and copy host 4's path onto it.
-        let pf = host_lid(&t, 4);
+        let pf = host_lid(&f.0, 4);
         let vm_lid = Lid::from_raw(40);
-        // Register the LID on a scratch endpoint so tracing works: reuse
-        // host 5's port (multi-LID endpoints are what vSwitches do).
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        let (stats, _) = copy_on_fabric(
-            &mut t.subnet,
-            &tree,
-            pf,
-            vm_lid,
-            &MigrationOptions::default(),
-            None,
-            &mut sm.ledger,
-        )
-        .unwrap();
+        let (stats, _) = copy(&mut f, (pf, vm_lid), &MigrationOptions::default(), None).unwrap();
         assert_eq!(stats.max_blocks_per_switch, 1);
         assert_eq!(stats.lft_smps, stats.switches_updated);
         // Every physical switch now forwards the VM LID like the PF LID.
-        for sw in t.subnet.physical_switches() {
+        for sw in f.0.subnet.physical_switches() {
             let lft = sw.lft().unwrap();
             assert_eq!(lft.get(vm_lid), lft.get(pf));
         }
@@ -725,69 +625,35 @@ mod tests {
 
     #[test]
     fn copy_is_idempotent() {
-        let (mut t, mut sm) = fabric();
-        let pf = host_lid(&t, 4);
+        let mut f = fabric();
+        let pf = host_lid(&f.0, 4);
         let vm_lid = Lid::from_raw(40);
         let opts = MigrationOptions::default();
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        copy_on_fabric(
-            &mut t.subnet,
-            &tree,
-            pf,
-            vm_lid,
-            &opts,
-            None,
-            &mut sm.ledger,
-        )
-        .unwrap();
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        let (again, _) = copy_on_fabric(
-            &mut t.subnet,
-            &tree,
-            pf,
-            vm_lid,
-            &opts,
-            None,
-            &mut sm.ledger,
-        )
-        .unwrap();
+        copy(&mut f, (pf, vm_lid), &opts, None).unwrap();
+        let (again, _) = copy(&mut f, (pf, vm_lid), &opts, None).unwrap();
         assert_eq!(again.lft_smps, 0);
         assert_eq!(again.switches_updated, 0);
     }
 
     #[test]
     fn invalidate_first_adds_n_prime_smps() {
-        let (mut t, mut sm) = fabric();
-        let a = host_lid(&t, 1);
-        let b = host_lid(&t, 4);
-        let opts = MigrationOptions {
-            invalidate_first: true,
-            ..MigrationOptions::default()
-        };
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        let (stats, _) =
-            swap_on_fabric(&mut t.subnet, &tree, a, b, &opts, None, &mut sm.ledger).unwrap();
+        let mut f = fabric();
+        let a = host_lid(&f.0, 1);
+        let b = host_lid(&f.0, 4);
+        let (stats, _) = swap(&mut f, (a, b), &INVALIDATE, None).unwrap();
         assert_eq!(stats.invalidation_smps, stats.switches_updated);
     }
 
     #[test]
     fn restriction_limits_the_update() {
-        let (mut t, mut sm) = fabric();
-        let a = host_lid(&t, 1);
-        let b = host_lid(&t, 2); // same leaf
-        let leaf0 = t.switch_levels[0][0];
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        let (stats, _) = swap_on_fabric(
-            &mut t.subnet,
-            &tree,
-            a,
-            b,
-            &MigrationOptions::default(),
-            Some(&[leaf0]),
-            &mut sm.ledger,
-        )
-        .unwrap();
+        let mut f = fabric();
+        let a = host_lid(&f.0, 1);
+        let b = host_lid(&f.0, 2); // same leaf
+        let leaf0 = f.0.switch_levels[0][0];
+        let opts = MigrationOptions::default();
+        let (stats, _) = swap(&mut f, (a, b), &opts, Some(&[leaf0])).unwrap();
         assert!(stats.switches_updated <= 1);
+        let (t, _) = &mut f;
         // The LFT swap moves the LIDs between the two hosts; move the
         // endpoint registrations accordingly (the caller's step (a)).
         t.subnet.clear_lid(a).unwrap();
@@ -811,19 +677,18 @@ mod tests {
 
     #[test]
     fn self_swap_and_self_copy_rejected() {
-        let (mut t, mut sm) = fabric();
-        let a = host_lid(&t, 1);
+        let mut f = fabric();
+        let a = host_lid(&f.0, 1);
         let opts = MigrationOptions::default();
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        assert!(swap_on_fabric(&mut t.subnet, &tree, a, a, &opts, None, &mut sm.ledger).is_err());
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        assert!(copy_on_fabric(&mut t.subnet, &tree, a, a, &opts, None, &mut sm.ledger).is_err());
+        assert!(swap(&mut f, (a, a), &opts, None).is_err());
+        assert!(copy(&mut f, (a, a), &opts, None).is_err());
     }
 
     /// The cell list is the exact diff of the pass: one entry per cell
     /// whose installed value differs afterwards — the transient DROP of
     /// `invalidate_first` is not a change, switches outside `restrict` and
-    /// switches already aligned contribute nothing.
+    /// switches already aligned contribute nothing. It is also exactly what
+    /// the planners said beforehand.
     #[test]
     fn passes_report_exactly_the_cells_that_differ() {
         let diff = |before: &Subnet, after: &Subnet, lids: &[Lid]| {
@@ -839,208 +704,173 @@ mod tests {
             }
             cells
         };
-        let opts = MigrationOptions {
-            invalidate_first: true,
-            ..MigrationOptions::default()
-        };
 
-        let (mut t, mut sm) = fabric();
-        let (a, b) = (host_lid(&t, 1), host_lid(&t, 2)); // same leaf
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        let before = t.subnet.clone();
-        let (stats, cells) =
-            swap_on_fabric(&mut t.subnet, &tree, a, b, &opts, None, &mut sm.ledger).unwrap();
-        assert!(stats.switches_updated < t.subnet.num_physical_switches());
+        let mut f = fabric();
+        let (a, b) = (host_lid(&f.0, 1), host_lid(&f.0, 2)); // same leaf
+        let before = f.0.subnet.clone();
+        let plan = plan_swap(&before, a, b, None).unwrap();
+        let mut transport = SmpTransport::perfect(f.1.sm_node);
+        let (stats, tx, cells) =
+            swap_over(&mut f, (a, b), &INVALIDATE, None, &mut transport).unwrap();
+        assert!(tx.committed);
+        assert_eq!(tx.attempts, stats.lft_smps + stats.invalidation_smps);
+        assert!(stats.switches_updated < f.0.subnet.num_physical_switches());
         assert_eq!(cells.len(), 2 * stats.switches_updated);
-        assert_eq!(cells, diff(&before, &t.subnet, &[a, b]));
+        assert_eq!(cells, diff(&before, &f.0.subnet, &[a, b]));
+        assert_eq!(cells, plan);
 
-        let leaf1 = t.switch_levels[0][1];
-        let (pf, vm) = (host_lid(&t, 4), Lid::from_raw(40));
-        let before = t.subnet.clone();
-        let (stats, cells) = copy_on_fabric(
-            &mut t.subnet,
-            &tree,
-            pf,
-            vm,
-            &opts,
-            Some(&[leaf1]),
-            &mut sm.ledger,
-        )
-        .unwrap();
+        let leaf1 = f.0.switch_levels[0][1];
+        let (pf, vm) = (host_lid(&f.0, 4), Lid::from_raw(40));
+        let before = f.0.subnet.clone();
+        let plan = plan_copy(&before, pf, vm, Some(&[leaf1])).unwrap();
+        let (stats, cells) = copy(&mut f, (pf, vm), &INVALIDATE, Some(&[leaf1])).unwrap();
         assert_eq!(stats.switches_updated, 1);
         assert_eq!(
             cells,
-            vec![cell(leaf1, vm, None, t.subnet.lft(leaf1).unwrap().get(pf))]
+            vec![cell(
+                leaf1,
+                vm,
+                None,
+                f.0.subnet.lft(leaf1).unwrap().get(pf)
+            )]
         );
-        assert_eq!(cells, diff(&before, &t.subnet, &[vm]));
+        assert_eq!(cells, diff(&before, &f.0.subnet, &[vm]));
+        assert_eq!(cells, plan);
     }
 
+    /// The channel is the only difference: over the assumed, the perfect
+    /// and a zero-loss lossy channel the pass sends the same SMPs, writes
+    /// the same rows and reports the same numbers, with and without §VI-C's
+    /// invalidation.
     #[test]
     fn tx_swap_under_perfect_transport_matches_classic() {
-        let (mut t, mut sm) = fabric();
-        let (mut t2, mut sm2) = fabric();
-        let a = host_lid(&t, 1);
-        let b = host_lid(&t, 4);
-        let opts = MigrationOptions::default();
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        let (classic, classic_cells) =
-            swap_on_fabric(&mut t.subnet, &tree, a, b, &opts, None, &mut sm.ledger).unwrap();
-        let mut transport = SmpTransport::perfect(sm2.sm_node);
-        let tree = RouteTree::build(&t2.subnet, sm2.sm_node);
-        let (stats, tx, cells) = swap_on_fabric_tx(
-            &mut t2.subnet,
-            &tree,
-            a,
-            b,
-            &opts,
-            None,
-            &mut transport,
-            &mut sm2.ledger,
-        )
-        .unwrap();
-        assert!(tx.committed);
-        assert_eq!(tx.retries, 0);
-        assert_eq!(tx.rollback_smps, 0);
-        assert_eq!(stats, classic);
-        assert_eq!(cells, classic_cells);
-        assert_eq!(sm.ledger.records(), sm2.ledger.records());
-        for sw in t.subnet.physical_switches() {
-            assert_eq!(t2.subnet.lft(sw.id).unwrap(), sw.lft().unwrap());
+        for opts in [MigrationOptions::default(), INVALIDATE] {
+            let mut classic = fabric();
+            let a = host_lid(&classic.0, 1);
+            let b = host_lid(&classic.0, 4);
+            let mut assumed = SmpTransport::assumed(classic.1.sm_node);
+            let reference = swap_over(&mut classic, (a, b), &opts, None, &mut assumed).unwrap();
+            assert_eq!(
+                reference.0.invalidation_smps,
+                if opts.invalidate_first {
+                    reference.0.switches_updated
+                } else {
+                    0
+                }
+            );
+
+            let mut perfect = fabric();
+            let mut transport = SmpTransport::perfect(perfect.1.sm_node);
+            let checked = swap_over(&mut perfect, (a, b), &opts, None, &mut transport).unwrap();
+            let mut lossless = fabric();
+            let mut transport = SmpTransport::lossy(lossless.1.sm_node, 9, 0.0, 0);
+            let seeded = swap_over(&mut lossless, (a, b), &opts, None, &mut transport).unwrap();
+
+            for (other, (stats, tx, cells)) in [(&perfect, checked), (&lossless, seeded)] {
+                assert!(tx.committed);
+                assert_eq!(tx.retries, 0);
+                assert_eq!(tx.rollback_smps, 0);
+                assert_eq!(
+                    (stats, tx, &cells),
+                    (reference.0, reference.1, &reference.2)
+                );
+                assert_eq!(classic.1.ledger.records(), other.1.ledger.records());
+                assert_eq!(lfts(&classic.0.subnet), lfts(&other.0.subnet));
+            }
         }
     }
 
     #[test]
     fn tx_swap_rolls_back_on_black_hole() {
-        let (mut t, mut sm) = fabric();
-        let a = host_lid(&t, 1);
-        let b = host_lid(&t, 4);
-        let snapshot: Vec<_> = t
-            .subnet
-            .physical_switches()
-            .map(|n| (n.id, n.lft().unwrap().clone()))
-            .collect();
-        let mut transport =
-            SmpTransport::with_channel(sm.sm_node, ib_mad::LossyChannel::black_hole());
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        let (_, tx, cells) = swap_on_fabric_tx(
-            &mut t.subnet,
-            &tree,
-            a,
-            b,
-            &MigrationOptions::default(),
-            None,
-            &mut transport,
-            &mut sm.ledger,
-        )
-        .unwrap();
-        assert!(!tx.committed);
-        assert!(cells.is_empty(), "a rolled-back pass changed nothing");
-        // The very first switch fails, so exactly its rows were journaled.
-        assert_eq!(tx.rolled_back_switches, 1);
-        assert!(tx.rollback_smps >= 1);
-        for (id, before) in snapshot {
-            assert_eq!(t.subnet.lft(id).unwrap(), &before, "rows must be restored");
+        for opts in [MigrationOptions::default(), INVALIDATE] {
+            let mut f = fabric();
+            let a = host_lid(&f.0, 1);
+            let b = host_lid(&f.0, 4);
+            let snapshot = lfts(&f.0.subnet);
+            let mut transport = black_hole(&f.1);
+            let (stats, tx, cells) =
+                swap_over(&mut f, (a, b), &opts, None, &mut transport).unwrap();
+            assert!(!tx.committed);
+            assert!(cells.is_empty(), "a rolled-back pass changed nothing");
+            // The very first switch fails, so exactly its rows were journaled
+            // — under invalidation, after the port-255 write.
+            assert_eq!(tx.rolled_back_switches, 1);
+            assert!(tx.rollback_smps >= 1);
+            assert_eq!(stats.invalidation_smps, 0);
+            // Every row is restored: the mover's to its port, not to DROP.
+            assert_eq!(lfts(&f.0.subnet), snapshot, "rows must be restored");
+            assert!(f.1.ledger.dropped() > 0);
         }
-        assert!(sm.ledger.dropped() > 0);
     }
 
     #[test]
     fn tx_copy_rolls_back_on_black_hole() {
-        let (mut t, mut sm) = fabric();
-        let pf = host_lid(&t, 4);
+        let mut f = fabric();
+        let pf = host_lid(&f.0, 4);
         let vm_lid = Lid::from_raw(40);
-        let snapshot: Vec<_> = t
-            .subnet
-            .physical_switches()
-            .map(|n| (n.id, n.lft().unwrap().clone()))
-            .collect();
-        let mut transport =
-            SmpTransport::with_channel(sm.sm_node, ib_mad::LossyChannel::black_hole());
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        let (_, tx, cells) = copy_on_fabric_tx(
-            &mut t.subnet,
-            &tree,
-            pf,
-            vm_lid,
-            &MigrationOptions::default(),
-            None,
-            &mut transport,
-            &mut sm.ledger,
-        )
-        .unwrap();
+        let snapshot = lfts(&f.0.subnet);
+        let mut transport = black_hole(&f.1);
+        let opts = MigrationOptions::default();
+        let (_, tx, cells) = copy_over(&mut f, (pf, vm_lid), &opts, None, &mut transport).unwrap();
         assert!(!tx.committed);
         assert!(cells.is_empty(), "a rolled-back pass changed nothing");
-        for (id, before) in snapshot {
-            assert_eq!(t.subnet.lft(id).unwrap(), &before);
-        }
+        assert_eq!(lfts(&f.0.subnet), snapshot);
+    }
+
+    /// A planner error refuses the pass before a row is written or an SMP
+    /// sent, whatever the channel.
+    #[test]
+    fn a_refused_plan_writes_nothing() {
+        let mut f = fabric();
+        let (pf, vm) = (host_lid(&f.0, 4), Lid::from_raw(40));
+        let last = f.0.subnet.physical_switches().last().unwrap().id;
+        f.0.subnet.lft_mut(last).unwrap().clear(pf);
+        let snapshot = lfts(&f.0.subnet);
+        let sent = f.1.ledger.total();
+        assert!(copy(&mut f, (pf, vm), &MigrationOptions::default(), None).is_err());
+        assert_eq!(lfts(&f.0.subnet), snapshot);
+        assert_eq!(f.1.ledger.total(), sent);
     }
 
     #[test]
     fn tx_swap_survives_moderate_loss() {
-        let (mut t, mut sm) = fabric();
-        let (mut base, mut sm_base) = fabric();
-        let a = host_lid(&t, 1);
-        let b = host_lid(&t, 4);
+        let mut f = fabric();
+        let mut base = fabric();
+        let a = host_lid(&f.0, 1);
+        let b = host_lid(&f.0, 4);
         let opts = MigrationOptions::default();
-        let tree = RouteTree::build(&base.subnet, sm_base.sm_node);
-        swap_on_fabric(
-            &mut base.subnet,
-            &tree,
-            a,
-            b,
-            &opts,
-            None,
-            &mut sm_base.ledger,
-        )
-        .unwrap();
-        let mut transport = SmpTransport::lossy(sm.sm_node, 7, 0.10, 0);
+        swap(&mut base, (a, b), &opts, None).unwrap();
+        let mut transport = SmpTransport::lossy(f.1.sm_node, 7, 0.10, 0);
         transport.retry.max_attempts = 8;
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        let (_, tx, cells) = swap_on_fabric_tx(
-            &mut t.subnet,
-            &tree,
-            a,
-            b,
-            &opts,
-            None,
-            &mut transport,
-            &mut sm.ledger,
-        )
-        .unwrap();
+        let (_, tx, cells) = swap_over(&mut f, (a, b), &opts, None, &mut transport).unwrap();
         assert!(tx.committed, "8 attempts at 10% per-hop loss must converge");
         assert!(!cells.is_empty());
-        for sw in base.subnet.physical_switches() {
-            assert_eq!(
-                t.subnet.lft(sw.id).unwrap(),
-                sw.lft().unwrap(),
-                "lossy commit must equal the fault-free result"
-            );
-        }
+        assert_eq!(
+            lfts(&f.0.subnet),
+            lfts(&base.0.subnet),
+            "lossy commit must equal the fault-free result"
+        );
     }
 
     #[test]
     fn destination_mode_smps_avoid_directed_overhead() {
-        let (mut t, mut sm) = fabric();
-        let a = host_lid(&t, 1);
-        let b = host_lid(&t, 4);
-        sm.ledger.reset();
+        let mut f = fabric();
+        let a = host_lid(&f.0, 1);
+        let b = host_lid(&f.0, 4);
+        f.1.ledger.reset();
         let opts = MigrationOptions {
             smp_mode: SmpMode::Destination,
             ..MigrationOptions::default()
         };
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        swap_on_fabric(&mut t.subnet, &tree, a, b, &opts, None, &mut sm.ledger).unwrap();
-        assert!(sm.ledger.records().iter().all(|r| !r.directed));
+        swap(&mut f, (a, b), &opts, None).unwrap();
+        assert!(f.1.ledger.records().iter().all(|r| !r.directed));
 
         let opts = MigrationOptions {
             smp_mode: SmpMode::Directed,
             ..MigrationOptions::default()
         };
-        sm.ledger.reset();
-        let tree = RouteTree::build(&t.subnet, sm.sm_node);
-        swap_on_fabric(&mut t.subnet, &tree, b, a, &opts, None, &mut sm.ledger).unwrap();
-        assert!(sm.ledger.records().iter().all(|r| r.directed));
-        let _ = EngineKind::MinHop;
-        let _ = assign_lids;
+        f.1.ledger.reset();
+        swap(&mut f, (b, a), &opts, None).unwrap();
+        assert!(f.1.ledger.records().iter().all(|r| r.directed));
     }
 }

@@ -7,14 +7,18 @@
 //! flow control, and OpenSM resends after a response timeout. This module
 //! supplies the fault plumbing: an [`SmpStatus`] per attempt, a
 //! [`RetryPolicy`] with exponential backoff, pluggable [`SmpChannel`]s
-//! (perfect or seeded-lossy), and an [`SmpTransport`] that retries, keeps a
-//! virtual clock, and writes per-attempt ground truth into the
+//! (assumed, perfect or seeded-lossy), and an [`SmpTransport`] that retries,
+//! keeps a virtual clock, and writes per-attempt ground truth into the
 //! [`SmpLedger`].
 //!
-//! The transport also consults the subnet itself: an SMP whose path crosses
-//! a downed link or a dead switch is *deterministically* lost, independent
-//! of the random drop probability. That is what lets the resilient SM and
-//! the transactional migration observe mid-operation topology failures.
+//! Delivery is decided in one place, the channel, and every multi-SMP
+//! operation is written once over a transport. The checked channels consult
+//! the subnet itself: an SMP whose path crosses a downed link or a dead
+//! switch is *deterministically* lost, independent of the random drop
+//! probability — that is what lets a sweep or a migration observe
+//! mid-operation topology failures. [`AssumedChannel`] states the opposite,
+//! classic assumption (what was addressed arrives) for the entry points
+//! that take no transport.
 
 use ib_subnet::{NodeId, Subnet};
 use ib_types::{IbError, IbResult};
@@ -110,13 +114,57 @@ pub fn one_way_latency_ns(k_hop_ns: u64, r_hop_ns: u64, hops: usize, directed: b
 
 /// Decides the fate of individual SMP attempts.
 pub trait SmpChannel {
-    /// Outcome of one attempt that would traverse `hops` links (path
-    /// liveness has already been checked by the transport).
+    /// Outcome of one attempt that would traverse `hops` links (the path
+    /// has already passed [`SmpChannel::path_break`]).
     fn attempt(&mut self, smp: &Smp, hops: usize) -> SmpStatus;
 
     /// Extra delivery jitter, in nanoseconds, added to a successful RTT.
     fn jitter_ns(&mut self) -> u64 {
         0
+    }
+
+    /// Where the packet's path from `source` is broken by the current
+    /// topology, if anywhere: the hop index of the first downed link or
+    /// dead node. The default walks the path against the live subnet.
+    fn path_break(&self, subnet: &Subnet, source: NodeId, smp: &Smp) -> Option<usize> {
+        match &smp.routing {
+            SmpRouting::Directed(route) => {
+                let mut cur = source;
+                for (i, &port) in route.hops().iter().enumerate() {
+                    match subnet.neighbor(cur, port) {
+                        Some(ep) if subnet.is_alive(ep.node) => cur = ep.node,
+                        _ => return Some(i),
+                    }
+                }
+                None
+            }
+            SmpRouting::Destination(lid) => {
+                // Destination routing rides the installed LFTs; any break
+                // (missing entry, downed link, dead hop) surfaces as a
+                // trace failure. The exact hop is not needed upstream.
+                match subnet.trace_route(source, *lid, 64) {
+                    Ok(path) if path.iter().all(|&n| subnet.is_alive(n)) => None,
+                    _ => Some(0),
+                }
+            }
+        }
+    }
+}
+
+/// The classic assumption as a channel: an SMP addressed off a route tree
+/// searched over the live fabric arrives, first try. No path is walked, so
+/// an operation over it costs what recording its SMPs costs — and cannot
+/// see a fault that strikes after the tree was built.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AssumedChannel;
+
+impl SmpChannel for AssumedChannel {
+    fn attempt(&mut self, _smp: &Smp, _hops: usize) -> SmpStatus {
+        SmpStatus::Delivered
+    }
+
+    fn path_break(&self, _subnet: &Subnet, _source: NodeId, _smp: &Smp) -> Option<usize> {
+        None
     }
 }
 
@@ -193,13 +241,13 @@ impl SmpChannel for LossyChannel {
 
 /// A retrying SMP sender with a virtual clock.
 ///
-/// `send` walks the packet's path against the *current* subnet (so downed
-/// links and dead switches deterministically kill delivery), asks the
-/// channel about random loss, records every attempt in the ledger, and
-/// advances the clock by the RTT on success or the response timeout on
-/// failure. After `retry.max_attempts` consecutive failures it returns
-/// [`IbError::Transport`], which is the signal the resilient SM pipeline
-/// and the transactional migration react to.
+/// `send` asks the channel whether the packet's path is live on the
+/// *current* subnet (so downed links and dead switches deterministically
+/// kill delivery) and about random loss, records every attempt in the
+/// ledger, and advances the clock by the RTT on success or the response
+/// timeout on failure. After `retry.max_attempts` consecutive failures it
+/// returns [`IbError::Transport`], which is the signal the SM's sweeps and
+/// the migration transaction react to.
 #[derive(Clone, Debug)]
 pub struct SmpTransport<C: SmpChannel = PerfectChannel> {
     /// The node SMPs originate from (the SM's HCA).
@@ -213,6 +261,16 @@ pub struct SmpTransport<C: SmpChannel = PerfectChannel> {
     /// Directed-route per-hop processing cost.
     pub r_hop_ns: u64,
     clock_ns: u64,
+}
+
+impl SmpTransport<AssumedChannel> {
+    /// A transport whose every SMP is assumed delivered: what the entry
+    /// points that take no transport (`bring_up`, `migrate_vm`, ...) run
+    /// over.
+    #[must_use]
+    pub fn assumed(source: NodeId) -> Self {
+        Self::with_channel(source, AssumedChannel)
+    }
 }
 
 impl SmpTransport<PerfectChannel> {
@@ -261,32 +319,6 @@ impl<C: SmpChannel> SmpTransport<C> {
         self.clock_ns = 0;
     }
 
-    /// Where the packet's path is broken by the current topology, if
-    /// anywhere: the hop index of the first downed link or dead node.
-    fn path_break(&self, subnet: &Subnet, smp: &Smp) -> Option<usize> {
-        match &smp.routing {
-            SmpRouting::Directed(route) => {
-                let mut cur = self.source;
-                for (i, &port) in route.hops().iter().enumerate() {
-                    match subnet.neighbor(cur, port) {
-                        Some(ep) if subnet.is_alive(ep.node) => cur = ep.node,
-                        _ => return Some(i),
-                    }
-                }
-                None
-            }
-            SmpRouting::Destination(lid) => {
-                // Destination routing rides the installed LFTs; any break
-                // (missing entry, downed link, dead hop) surfaces as a
-                // trace failure. The exact hop is not needed upstream.
-                match subnet.trace_route(self.source, *lid, 64) {
-                    Ok(path) if path.iter().all(|&n| subnet.is_alive(n)) => None,
-                    _ => Some(0),
-                }
-            }
-        }
-    }
-
     /// Sends one SMP with retries. Returns the 0-based attempt number that
     /// succeeded, or [`IbError::Transport`] after exhausting the policy.
     /// Every attempt lands in the ledger with its ground-truth status.
@@ -300,7 +332,7 @@ impl<C: SmpChannel> SmpTransport<C> {
         let attempts = self.retry.max_attempts.max(1);
         let mut last = SmpStatus::TimedOut;
         for attempt in 0..attempts {
-            let status = match self.path_break(subnet, smp) {
+            let status = match self.channel.path_break(subnet, self.source, smp) {
                 Some(hop) => SmpStatus::Dropped { hop },
                 None => self.channel.attempt(smp, hops),
             };
@@ -314,11 +346,9 @@ impl<C: SmpChannel> SmpTransport<C> {
                 );
                 let jitter = self.channel.jitter_ns();
                 self.clock_ns = self.clock_ns.saturating_add(rtt).saturating_add(jitter);
-                let observer = ledger.observer();
-                if observer.is_enabled() {
-                    observer.incr("transport.sends");
-                    observer.record("transport.rtt_ns", rtt.saturating_add(jitter));
-                }
+                ledger
+                    .observer()
+                    .record("transport.rtt_ns", rtt.saturating_add(jitter));
                 return Ok(attempt);
             }
             let timeout = self.retry.timeout_ns(attempt);
@@ -326,11 +356,7 @@ impl<C: SmpChannel> SmpTransport<C> {
             ledger.observer().add("transport.timeout_wait_ns", timeout);
             last = status;
         }
-        let observer = ledger.observer();
-        if observer.is_enabled() {
-            observer.incr("transport.sends");
-            observer.incr("transport.exhausted");
-        }
+        ledger.observer().incr("transport.exhausted");
         Err(IbError::Transport(format!(
             "SMP to {} failed after {attempts} attempts (last outcome: {last:?})",
             subnet.name_of(smp.target),
@@ -425,6 +451,33 @@ mod tests {
             .iter()
             .skip(1)
             .all(|r| r.status == SmpStatus::Dropped { hop: 1 }));
+    }
+
+    /// The assumed channel walks nothing: what the checked channels lose to
+    /// a downed link it books as delivered, first try, at the same RTT.
+    #[test]
+    fn assumed_channel_delivers_without_walking_the_path() {
+        let (mut s, sm, sw0, sw1) = fabric();
+        s.set_link_down(sw0, PortNum::new(1)).unwrap();
+        let directed = directed_smp(sw1, vec![PortNum::new(1), PortNum::new(1)]);
+        let by_lid = Smp::set_lft_block(
+            sw1,
+            SmpRouting::Destination(Lid::from_raw(11)),
+            0,
+            &[None; 64],
+        );
+        let mut t = SmpTransport::assumed(sm);
+        let mut ledger = SmpLedger::new();
+        for smp in [&directed, &by_lid] {
+            assert!(SmpTransport::perfect(sm)
+                .send(&s, smp, 2, &mut SmpLedger::new())
+                .is_err());
+            assert_eq!(t.send(&s, smp, 2, &mut ledger).unwrap(), 0);
+        }
+        assert_eq!(ledger.delivered(), 2);
+        assert_eq!(ledger.retries(), 0);
+        // 2 hops each: directed 2 * 2 * (1000 + 800), by LID 2 * 2 * 1000.
+        assert_eq!(t.clock_ns(), 7_200 + 4_000);
     }
 
     #[test]

@@ -21,8 +21,8 @@ pub mod smp;
 
 pub use cost::CostModel;
 pub use fault::{
-    one_way_latency_ns, LossyChannel, PerfectChannel, RetryPolicy, SmpChannel, SmpStatus,
-    SmpTransport,
+    one_way_latency_ns, AssumedChannel, LossyChannel, PerfectChannel, RetryPolicy, SmpChannel,
+    SmpStatus, SmpTransport,
 };
 pub use ledger::{SmpLedger, SmpRecord};
 pub use route::{DirectedRoute, RouteTree, Routes, SmpRouting};

@@ -249,28 +249,15 @@ pub(crate) fn covers_full_diff(
     })
 }
 
-/// Distributes `tables` into the subnet, sending one SMP per dirty block
-/// per switch, and applying each block to the switch's installed LFT.
-pub fn distribute(
-    subnet: &mut Subnet,
-    sm_node: NodeId,
-    tables: &RoutingTables,
-    mode: SmpMode,
-    ledger: &mut SmpLedger,
-) -> IbResult<DistributionReport> {
-    distribute_opts(
-        subnet,
-        sm_node,
-        tables,
-        mode,
-        ledger,
-        SweepOptions::default(),
-    )
-}
-
-/// [`distribute`] with explicit [`SweepOptions`]: planning fans out across
-/// worker threads, the SMP stream stays byte-identical to the sequential
-/// path.
+/// Distributes `tables` into the subnet over the assumed channel: one SMP
+/// per dirty block per switch, each block applied to the switch's installed
+/// LFT. Planning fans out across `opts` worker threads; the SMP stream stays
+/// byte-identical to the sequential path.
+///
+/// This entry point has no resume story: a dirty switch no SMP can be
+/// addressed to is an error. It is raised once the pass is over, so what is
+/// installed at that point is the update of every reachable switch, not
+/// only of the switches ahead of the first unreachable one.
 pub fn distribute_opts(
     subnet: &mut Subnet,
     sm_node: NodeId,
@@ -280,41 +267,37 @@ pub fn distribute_opts(
     opts: SweepOptions,
 ) -> IbResult<DistributionReport> {
     ledger.begin_phase("lft-distribution");
-    let observer = ledger.observer().clone();
-    let plans = plan_all(subnet, sm_node, tables, mode, None, opts, &observer)?;
-    let _apply_span = observer.span("sweep.apply");
-    let mut report = DistributionReport::default();
-    for outcome in plans {
-        let plan = match outcome {
-            PlanOutcome::Clean => continue,
-            PlanOutcome::Unreachable { switch, .. } => {
-                // The classic path has no resume story: an unaddressable
-                // switch is an error, exactly as before the plan/apply split.
-                address(subnet, Routes::Search(sm_node), switch, mode)?;
-                return Err(IbError::Topology(format!(
-                    "{} unreachable from SM",
-                    subnet.name_of(switch)
-                )));
-            }
-            PlanOutcome::Update(plan) => plan,
-        };
-        let mut smp = lft_smp_for(plan.switch, plan.routing);
-        for (block, payload) in &plan.blocks {
-            retarget_lft_smp(&mut smp, *block, payload);
-            ledger.record(&smp, plan.hops);
-            // Apply the block to the installed LFT (the "switch firmware"
-            // side of the Set).
-            lft_mut_checked(subnet, plan.switch)?.write_block(*block, payload);
-        }
-        if observer.is_enabled() {
-            observer.add("sweep.dirty_blocks", plan.blocks.len() as u64);
-            observer.incr("sweep.switches_updated");
-        }
-        report.lft_smps += plan.blocks.len();
-        report.switches_updated += 1;
-        report.max_blocks_per_switch = report.max_blocks_per_switch.max(plan.blocks.len());
-    }
-    Ok(report)
+    let mut transport = SmpTransport::assumed(sm_node);
+    let (acct, stranded) = push_blocks(
+        subnet,
+        sm_node,
+        tables,
+        mode,
+        &mut transport,
+        ledger,
+        None,
+        opts,
+    )?;
+    refuse_stranded(subnet, sm_node, mode, &stranded)?;
+    Ok(acct.report())
+}
+
+/// What a caller that assumes delivery makes of blocks left undelivered:
+/// the addressing error of the first switch they were destined for.
+pub(crate) fn refuse_stranded(
+    subnet: &Subnet,
+    sm_node: NodeId,
+    mode: SmpMode,
+    stranded: &[FailedBlock],
+) -> IbResult<()> {
+    let Some(first) = stranded.first() else {
+        return Ok(());
+    };
+    address(subnet, Routes::Search(sm_node), first.switch, mode)?;
+    Err(IbError::Topology(format!(
+        "{} unreachable from SM",
+        subnet.name_of(first.switch)
+    )))
 }
 
 /// The installed LFT of a planned switch. Planning only emits updates for
@@ -327,85 +310,15 @@ fn lft_mut_checked(subnet: &mut Subnet, switch: NodeId) -> IbResult<&mut Lft> {
     )))
 }
 
-/// Like [`distribute`], but every `Set` goes through a fault-aware
-/// [`SmpTransport`]. Blocks whose SMP exhausts its retries are *not*
-/// applied to the installed LFT; they are returned as [`FailedBlock`]s so
-/// the caller can resume with [`retry_failed_blocks`] instead of resending
-/// everything. A switch that is currently unreachable (no directed route,
-/// no LID route) fails all of its dirty blocks without consuming attempts.
-pub fn distribute_with<C: SmpChannel>(
-    subnet: &mut Subnet,
-    sm_node: NodeId,
-    tables: &RoutingTables,
-    mode: SmpMode,
-    transport: &mut SmpTransport<C>,
-    ledger: &mut SmpLedger,
-) -> IbResult<(DistributionReport, Vec<FailedBlock>)> {
-    distribute_with_opts(
-        subnet,
-        sm_node,
-        tables,
-        mode,
-        transport,
-        ledger,
-        SweepOptions::default(),
-    )
-}
-
-/// [`distribute_with`] with explicit [`SweepOptions`].
-pub fn distribute_with_opts<C: SmpChannel>(
-    subnet: &mut Subnet,
-    sm_node: NodeId,
-    tables: &RoutingTables,
-    mode: SmpMode,
-    transport: &mut SmpTransport<C>,
-    ledger: &mut SmpLedger,
-    opts: SweepOptions,
-) -> IbResult<(DistributionReport, Vec<FailedBlock>)> {
-    ledger.begin_phase("lft-distribution");
-    let (acct, failed) = push_blocks(subnet, sm_node, tables, mode, transport, ledger, None, opts)?;
-    Ok((acct.report(), failed))
-}
-
-/// Resumes an interrupted distribution: only the listed failed blocks are
-/// re-derived from `tables` and resent. Blocks that became clean in the
-/// meantime (installed LFT already matches the target) cost nothing. The
-/// returned report counts exactly the blocks this call applied, so summing
-/// it into the original report via [`ResumeAccounting`] reproduces the
-/// fault-free totals once everything has landed.
-pub fn retry_failed_blocks<C: SmpChannel>(
-    subnet: &mut Subnet,
-    sm_node: NodeId,
-    tables: &RoutingTables,
-    mode: SmpMode,
-    transport: &mut SmpTransport<C>,
-    ledger: &mut SmpLedger,
-    failed: &[FailedBlock],
-) -> IbResult<(DistributionReport, Vec<FailedBlock>)> {
-    ledger.begin_phase("lft-distribution-retry");
-    let candidates = sorted_blocks(failed.iter().copied());
-    let (acct, still_failed) = push_blocks(
-        subnet,
-        sm_node,
-        tables,
-        mode,
-        transport,
-        ledger,
-        Some(&candidates),
-        SweepOptions::default(),
-    )?;
-    Ok((acct.report(), still_failed))
-}
-
 /// Exact cross-pass accounting for a resumable distribution.
 ///
 /// Per-call [`DistributionReport`]s cannot be summed field-wise: a switch
 /// that needed a retry pass would be counted in `switches_updated` once per
 /// pass, and `max_blocks_per_switch` would see only each pass's fragment.
 /// This accumulator tracks applied blocks *per switch* across the initial
-/// [`distribute_with`] and every [`retry_failed_blocks`] pass, so the final
-/// report is identical to what a fault-free run would have produced once
-/// every block has landed.
+/// pass and every retry pass over its failed blocks, so the final report is
+/// identical to what a fault-free run would have produced once every block
+/// has landed.
 #[derive(Clone, Debug, Default)]
 pub struct ResumeAccounting {
     applied: FxHashMap<NodeId, usize>,
@@ -443,11 +356,16 @@ impl ResumeAccounting {
     }
 }
 
-/// Shared engine behind [`distribute_with`], [`retry_failed_blocks`] and the
+/// The one apply loop, behind [`distribute_opts`], the full sweeps and the
 /// repair pipeline: plans (possibly in parallel, every block or only
-/// `candidates`), then applies serially through the transport. Returns
-/// per-switch accounting for this call only — blocks actually attempted and
-/// applied here, never blocks from earlier passes.
+/// `candidates`), then sends serially through the transport. A block whose
+/// SMP exhausts its retries is *not* applied to the installed LFT; it comes
+/// back as a [`FailedBlock`] so the caller can resume with just those as
+/// `candidates` instead of resending everything. A switch that is currently
+/// unreachable (no directed route, no LID route) fails all of its dirty
+/// blocks without consuming attempts. Returns per-switch accounting for this
+/// call only — blocks actually attempted and applied here, never blocks
+/// from earlier passes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn push_blocks<C: SmpChannel>(
     subnet: &mut Subnet,
@@ -566,6 +484,46 @@ mod tests {
     use ib_subnet::topology::fattree::two_level;
     use ib_types::Lid;
 
+    /// [`distribute_opts`] with the default options.
+    fn distribute(
+        subnet: &mut Subnet,
+        sm_node: NodeId,
+        tables: &RoutingTables,
+        mode: SmpMode,
+        ledger: &mut SmpLedger,
+    ) -> IbResult<DistributionReport> {
+        distribute_opts(
+            subnet,
+            sm_node,
+            tables,
+            mode,
+            ledger,
+            SweepOptions::default(),
+        )
+    }
+
+    /// One directed [`push_blocks`] pass from host 0: every block, or only
+    /// the `failed` ones of an earlier pass.
+    fn push<C: SmpChannel>(
+        t: &mut ib_subnet::topology::BuiltTopology,
+        tables: &RoutingTables,
+        transport: &mut SmpTransport<C>,
+        ledger: &mut SmpLedger,
+        failed: Option<&[FailedBlock]>,
+    ) -> (ResumeAccounting, Vec<FailedBlock>) {
+        push_blocks(
+            &mut t.subnet,
+            t.hosts[0],
+            tables,
+            SmpMode::Directed,
+            transport,
+            ledger,
+            failed,
+            SweepOptions::default(),
+        )
+        .unwrap()
+    }
+
     fn setup() -> (ib_subnet::topology::BuiltTopology, RoutingTables) {
         let mut t = two_level(2, 3, 2);
         assign_lids(&mut t);
@@ -669,21 +627,53 @@ mod tests {
 
         let mut transport = SmpTransport::perfect(t.hosts[0]);
         let mut ledger_b = SmpLedger::new();
-        let (report_b, failed) = distribute_with(
-            &mut t.subnet,
-            t.hosts[0],
-            &tables,
-            SmpMode::Directed,
-            &mut transport,
-            &mut ledger_b,
-        )
-        .unwrap();
+        ledger_b.begin_phase("lft-distribution");
+        let (acct, failed) = push(&mut t, &tables, &mut transport, &mut ledger_b, None);
         assert!(failed.is_empty());
-        assert_eq!(report_a, report_b);
-        // Byte-identical ledgers: the fault-free transport is invisible.
+        assert_eq!(report_a, acct.report());
+        // Byte-identical ledgers: the channel is invisible when fault-free.
         assert_eq!(ledger_a.records(), ledger_b.records());
+        assert_eq!(
+            ledger_a.phase_total("lft-distribution"),
+            ledger_b.phase_total("lft-distribution")
+        );
         for sw in classic.physical_switches() {
             assert_eq!(sw.lft(), t.subnet.lft(sw.id), "{}", sw.name);
+        }
+    }
+
+    /// No resume story: a dirty switch nothing can be addressed to is the
+    /// addressing error, raised with every reachable switch installed.
+    #[test]
+    fn unaddressable_switch_is_an_error_after_the_reachable_ones_are_installed() {
+        for mode in [SmpMode::Directed, SmpMode::Destination] {
+            let (mut t, tables) = setup();
+            // Leaf 1 sorts between leaf 0 and the spines; cut it off.
+            let leaf1 = t.switch_levels[0][1];
+            let uplinks: Vec<PortNum> = t
+                .subnet
+                .node(leaf1)
+                .connected_ports()
+                .filter(|(_, r)| t.subnet.node(r.node).is_switch())
+                .map(|(p, _)| p)
+                .collect();
+            for port in uplinks {
+                t.subnet.set_link_down(leaf1, port).unwrap();
+            }
+            let mut ledger = SmpLedger::new();
+            let err = distribute(&mut t.subnet, t.hosts[0], &tables, mode, &mut ledger)
+                .unwrap_err()
+                .to_string();
+            let expected = match mode {
+                SmpMode::Directed => "topology error: leaf-1 unreachable from SM",
+                SmpMode::Destination => "topology error: switch unreachable",
+            };
+            assert_eq!(err, expected);
+            assert_eq!(ledger.lft_updates(), 3, "{mode:?}");
+            for sw in t.subnet.physical_switches() {
+                let installed = sw.lft().unwrap().get(Lid::from_raw(1)).is_some();
+                assert_eq!(installed, sw.id != leaf1, "{mode:?} {}", sw.name);
+            }
         }
     }
 
@@ -698,15 +688,8 @@ mod tests {
         let mut transport =
             SmpTransport::with_channel(t.hosts[0], ib_mad::LossyChannel::black_hole());
         let mut ledger = SmpLedger::new();
-        let (report, failed) = distribute_with(
-            &mut t.subnet,
-            t.hosts[0],
-            &tables,
-            SmpMode::Directed,
-            &mut transport,
-            &mut ledger,
-        )
-        .unwrap();
+        let (acct, failed) = push(&mut t, &tables, &mut transport, &mut ledger, None);
+        let report = acct.report();
         assert_eq!(report.lft_smps, 0);
         assert_eq!(report.switches_updated, 0);
         assert_eq!(failed.len(), 4); // 4 switches x 1 block
@@ -723,31 +706,15 @@ mod tests {
         let mut transport = SmpTransport::lossy(t.hosts[0], 0xBAD, 0.4, 0);
         transport.retry.max_attempts = 2;
         let mut ledger = SmpLedger::new();
-        let (mut report, mut failed) = distribute_with(
-            &mut t.subnet,
-            t.hosts[0],
-            &tables,
-            SmpMode::Directed,
-            &mut transport,
-            &mut ledger,
-        )
-        .unwrap();
+        let (acct, mut failed) = push(&mut t, &tables, &mut transport, &mut ledger, None);
+        let mut report = acct.report();
         // Keep retrying failed blocks until done (the channel is lossy but
         // fair, so this terminates with overwhelming probability).
         let mut passes = 0;
         while !failed.is_empty() && passes < 64 {
-            let (r2, f2) = retry_failed_blocks(
-                &mut t.subnet,
-                t.hosts[0],
-                &tables,
-                SmpMode::Directed,
-                &mut transport,
-                &mut ledger,
-                &failed,
-            )
-            .unwrap();
-            report.lft_smps += r2.lft_smps;
-            failed = f2;
+            let (more, still) = push(&mut t, &tables, &mut transport, &mut ledger, Some(&failed));
+            report.lft_smps += more.report().lft_smps;
+            failed = still;
             passes += 1;
         }
         assert!(failed.is_empty(), "did not converge");
@@ -828,7 +795,7 @@ mod tests {
         }
     }
 
-    /// Regression: a `distribute_with` + `retry_failed_blocks` sequence,
+    /// Regression: a first pass plus retry passes over its failed blocks,
     /// merged through [`ResumeAccounting`], reproduces the fault-free
     /// report exactly — per-call reports count only blocks applied in that
     /// call, and switches split across passes are neither double-counted in
@@ -839,15 +806,8 @@ mod tests {
         let (mut clean, tables) = multi_block_setup();
         let mut ledger0 = SmpLedger::new();
         let mut perfect = SmpTransport::perfect(clean.hosts[0]);
-        let (fault_free, none_failed) = distribute_with(
-            &mut clean.subnet,
-            clean.hosts[0],
-            &tables,
-            SmpMode::Directed,
-            &mut perfect,
-            &mut ledger0,
-        )
-        .unwrap();
+        let (acct0, none_failed) = push(&mut clean, &tables, &mut perfect, &mut ledger0, None);
+        let fault_free = acct0.report();
         assert!(none_failed.is_empty());
         assert!(
             fault_free.max_blocks_per_switch >= 4,
@@ -860,32 +820,12 @@ mod tests {
         transport.retry.max_attempts = 2;
         let mut ledger = SmpLedger::new();
         let mut acct = ResumeAccounting::new();
-        let (acct0, mut failed) = push_blocks(
-            &mut t.subnet,
-            t.hosts[0],
-            &tables,
-            SmpMode::Directed,
-            &mut transport,
-            &mut ledger,
-            None,
-            SweepOptions::default(),
-        )
-        .unwrap();
+        let (acct0, mut failed) = push(&mut t, &tables, &mut transport, &mut ledger, None);
         acct.merge(acct0);
         assert!(!failed.is_empty(), "seed must inject at least one drop");
         let mut passes = 0;
         while !failed.is_empty() && passes < 64 {
-            let (more, still) = push_blocks(
-                &mut t.subnet,
-                t.hosts[0],
-                &tables,
-                SmpMode::Directed,
-                &mut transport,
-                &mut ledger,
-                Some(&failed),
-                SweepOptions::default(),
-            )
-            .unwrap();
+            let (more, still) = push(&mut t, &tables, &mut transport, &mut ledger, Some(&failed));
             acct.merge(more);
             failed = still;
             passes += 1;

@@ -189,11 +189,12 @@ impl SubnetManager {
         })
     }
 
-    /// The tail every full sweep shares once fresh `tables` exist: refresh
+    /// The tail every full sweep shares once fresh `tables` exist — bring-up
+    /// and full reconfiguration over the assumed channel included: refresh
     /// the partition ledger, distribute resumably, verify what converged,
     /// rebuild the reverse route index, prove a heal, and keep `tables` as
     /// the next repair's splice baseline.
-    fn install_full_tables<C: SmpChannel>(
+    pub(crate) fn install_full_tables<C: SmpChannel>(
         &mut self,
         subnet: &mut Subnet,
         tables: ib_routing::RoutingTables,
@@ -212,6 +213,10 @@ impl SubnetManager {
         self.verify_converged(subnet, &tables.vls, &failed_blocks)?;
         // A full distribution covers every fault a deferred trap reported.
         self.subsume_pending();
+        // Derived from the *installed* rows rather than `tables`: the two
+        // are equal on live switches after distribution, but dead switches
+        // keep stale rows the dirty-set scan still reads, and the index
+        // must agree with that scan exactly.
         self.route_index = failed_blocks
             .is_empty()
             .then(|| ib_verify::ReverseRouteIndex::from_installed(subnet));

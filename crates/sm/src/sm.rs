@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-use ib_mad::SmpLedger;
+use ib_mad::{SmpLedger, SmpTransport};
 use ib_observe::Observer;
 use ib_routing::{CellChange, EngineKind, RoutingOptions};
 use ib_subnet::{lft::min_blocks_for, NodeId, Subnet};
@@ -14,6 +14,7 @@ use crate::distribution;
 use crate::lids;
 use crate::quarantine::{LinkQuarantine, QuarantineOptions};
 use crate::report::BringUpReport;
+use crate::resweep::SweepKind;
 
 /// How the SM addresses its SMPs.
 ///
@@ -278,7 +279,7 @@ impl SubnetManager {
             lids::assign_all(subnet, &disc, &mut self.lid_space, &mut self.ledger)?
         };
 
-        let report = self.reroute_and_distribute(subnet)?;
+        let report = self.full_reconfiguration(subnet)?;
         Ok(BringUpReport {
             discovery_smps,
             lid_smps,
@@ -290,11 +291,10 @@ impl SubnetManager {
     /// recompute every path (`PCt`) and redistribute dirty LFT blocks
     /// (`LFTDt`). This is what a live migration would trigger without the
     /// vSwitch reconfiguration method.
+    ///
+    /// It is a light sweep over the assumed channel with nothing to resume:
+    /// a dirty switch no SMP can be addressed to is an error.
     pub fn full_reconfiguration(&mut self, subnet: &mut Subnet) -> IbResult<BringUpReport> {
-        self.reroute_and_distribute(subnet)
-    }
-
-    fn reroute_and_distribute(&mut self, subnet: &mut Subnet) -> IbResult<BringUpReport> {
         let engine = self.config.engine.build();
         let started = Instant::now();
         let tables = {
@@ -302,45 +302,26 @@ impl SubnetManager {
             engine.compute_with(subnet, self.config.routing, self.ledger.observer())?
         };
         let path_computation = started.elapsed();
+        let decisions = tables.decisions;
 
-        let healed = self.refresh_partition_state(subnet);
-        let served = self.served_tables(&tables);
-        // Rebuilt below from what this distribution installs; until then it
-        // mirrors nothing (and two indexes never coexist).
-        self.route_index = None;
-        let dist = distribution::distribute_opts(
+        let mut transport = SmpTransport::assumed(self.sm_node);
+        let sweep = self.install_full_tables(subnet, tables, SweepKind::Light, &mut transport)?;
+        distribution::refuse_stranded(
             subnet,
             self.sm_node,
-            served.as_ref().unwrap_or(&tables),
             self.config.smp_mode,
-            &mut self.ledger,
-            self.config.sweep,
+            &sweep.failed_blocks,
         )?;
-
-        if self.config.verify {
-            self.verify_installed(subnet, &tables.vls)?;
-        }
-        self.verify_healed(subnet, &healed)?;
-
-        let report = BringUpReport {
+        Ok(BringUpReport {
             discovery_smps: 0,
             lid_smps: 0,
             path_computation,
-            decisions: tables.decisions,
-            distribution: dist,
+            decisions,
+            distribution: sweep.distribution,
             lids: subnet.num_lids(),
             min_blocks_per_switch: subnet.topmost_lid().map_or(0, min_blocks_for),
             engine: engine.name().to_string(),
-        };
-        // A full distribution covers every fault a deferred trap reported.
-        self.subsume_pending();
-        // Derive the index from the *installed* rows rather than `tables`:
-        // the two are equal on live switches after distribution, but dead
-        // switches keep stale rows the dirty-set scan still reads, and the
-        // index must agree with that scan exactly.
-        self.route_index = Some(ib_verify::ReverseRouteIndex::from_installed(subnet));
-        self.last_tables = Some(tables);
-        Ok(report)
+        })
     }
 
     /// Drops every deferred link-down trap because a full-table

@@ -4,7 +4,7 @@
 
 use ib_core::migration::{swap_on_fabric, MigrationOptions};
 use ib_core::{DataCenter, DataCenterConfig, VirtArch};
-use ib_mad::{RouteTree, SmpLedger};
+use ib_mad::{RouteTree, SmpLedger, SmpTransport};
 use ib_subnet::topology::basic::fig5_fabric;
 use ib_types::{Lid, PortNum};
 
@@ -89,13 +89,14 @@ fn fig5_swap_updates_ports_exactly_as_printed() {
     assert_eq!(s.lft(leaf0).unwrap().get(lid(12)), Some(PortNum::new(4)));
 
     let tree = RouteTree::build(&s, hyps[0]);
-    let (stats, _) = swap_on_fabric(
+    let (stats, _, _) = swap_on_fabric(
         &mut s,
         &tree,
         lid(2),
         lid(12),
         &MigrationOptions::default(),
         None,
+        &mut SmpTransport::assumed(hyps[0]),
         &mut ledger,
     )
     .unwrap();
@@ -130,13 +131,14 @@ fn fig5_cross_block_variant_needs_two_smps() {
 
     let mut ledger = SmpLedger::new();
     let tree = RouteTree::build(&s, hyps[0]);
-    let (stats, _) = swap_on_fabric(
+    let (stats, _, _) = swap_on_fabric(
         &mut s,
         &tree,
         lid(2),
         lid(70),
         &MigrationOptions::default(),
         None,
+        &mut SmpTransport::assumed(hyps[0]),
         &mut ledger,
     )
     .unwrap();
@@ -153,13 +155,14 @@ fn fig5_swap_to_same_leaf_lid_skips_remote_switch() {
     let before_leaf1 = s.lft(leaf1).unwrap().clone();
     let mut ledger = SmpLedger::new();
     let tree = RouteTree::build(&s, hyps[0]);
-    let (stats, _) = swap_on_fabric(
+    let (stats, _, _) = swap_on_fabric(
         &mut s,
         &tree,
         lid(2),
         lid(6),
         &MigrationOptions::default(),
         None,
+        &mut SmpTransport::assumed(hyps[0]),
         &mut ledger,
     )
     .unwrap();

@@ -111,10 +111,11 @@ fn sample_pairs(rng: &mut StdRng, all: &[(NodeId, PortNum)], n: usize) -> Vec<(N
 /// The tree arm: a virtualized 324-node fat tree under each tree-capable
 /// engine and both vSwitch architectures, driven through random link-downs
 /// (repair sweeps), link-ups (fold-back sweeps), VM creations and
-/// destructions, live migrations — classic and transactional, committed and
-/// rolled back — all of which edit installed columns outside any sweep and
-/// must reach the SM as the exact list of changed cells, and plain light
-/// sweeps.
+/// destructions, live migrations — over the assumed channel and as explicit
+/// transactions, committed and rolled back, one racing a link fault the SM
+/// has not heard of yet — all of which edit installed columns outside any
+/// sweep and must reach the SM as the exact list of changed cells, and plain
+/// light sweeps.
 #[test]
 fn index_tracks_random_event_sequences_on_the_324_tree() {
     let archs = [VirtArch::VSwitchPrepopulated, VirtArch::VSwitchDynamic];
@@ -146,7 +147,7 @@ fn index_tracks_random_event_sequences_on_the_324_tree() {
 
             for event in 0..12 {
                 let tag = format!("{} {arch} seed {seed} event {event}", engine.name());
-                match rng.gen_range(0..7u8) {
+                match rng.gen_range(0..8u8) {
                     // Connectivity-preserving link-down, answered by the
                     // incremental repair sweep.
                     0 => {
@@ -208,6 +209,31 @@ fn index_tracks_random_event_sequences_on_the_324_tree() {
                         .committed;
                         let now = dc.vm(vm).expect("vm").hypervisor;
                         assert_eq!(now == dest, committed, "{tag}");
+                    }
+                    // A migration races a link fault: the link is down but
+                    // its trap has not arrived, so the pass runs on stale
+                    // tables and must still leave index == scan — before
+                    // the late trap's repair and after it.
+                    6 => {
+                        let cands = safe_to_down(&dc.subnet, &links);
+                        if cands.is_empty() {
+                            continue;
+                        }
+                        let (a, p, _) = cands[rng.gen_range(0..cands.len())];
+                        dc.subnet.set_link_down(a, p).expect("down");
+                        let vm = vms[rng.gen_range(0..vms.len())];
+                        let dest = other_hypervisor(&mut rng, &dc, vm);
+                        dc.migrate_vm(vm, dest).expect("migrate, unswept fault");
+                        let spots = sample_pairs(&mut rng, &all_pairs, 8);
+                        assert_index_matches_scan(&dc.sm, &dc.subnet, &spots);
+                        dc.sm
+                            .handle_trap(
+                                &mut dc.subnet,
+                                Trap::LinkStateChange { node: a, port: p },
+                                &mut transport,
+                            )
+                            .expect("late repair");
+                        downed.push((a, p));
                     }
                     // A VM boots: under dynamic assignment a whole new
                     // column is written with direct SMPs.

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ib_core::migration::{swap_on_fabric, MigrationOptions};
-use ib_mad::{RouteTree, SmpLedger};
+use ib_mad::{RouteTree, SmpLedger, SmpTransport};
 use std::collections::HashSet;
 
 use ib_routing::cdg::{Cdg, Channel};
@@ -295,7 +295,17 @@ fn algorithm1_swap_touches_only_the_swapped_columns() {
         let mut ledger = SmpLedger::new();
 
         let before = LftSnapshot::capture(&t.subnet);
-        swap_on_fabric(&mut t.subnet, &tree, a, b, &opts, None, &mut ledger).unwrap();
+        swap_on_fabric(
+            &mut t.subnet,
+            &tree,
+            a,
+            b,
+            &opts,
+            None,
+            &mut SmpTransport::assumed(t.hosts[0]),
+            &mut ledger,
+        )
+        .unwrap();
         let after = LftSnapshot::capture(&t.subnet);
 
         let changed = before.diff(&after);
@@ -308,7 +318,17 @@ fn algorithm1_swap_touches_only_the_swapped_columns() {
             .all(|v| v.class == InvariantClass::Addressing));
 
         // Swap back: the fabric fingerprint is restored exactly.
-        swap_on_fabric(&mut t.subnet, &tree, a, b, &opts, None, &mut ledger).unwrap();
+        swap_on_fabric(
+            &mut t.subnet,
+            &tree,
+            a,
+            b,
+            &opts,
+            None,
+            &mut SmpTransport::assumed(t.hosts[0]),
+            &mut ledger,
+        )
+        .unwrap();
         let restored = LftSnapshot::capture(&t.subnet);
         assert!(before.diff(&restored).is_empty());
     }
