@@ -60,7 +60,7 @@ fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let level: u8 = flag_value(&args, "--level").unwrap_or_else(ib_bench::bench_level);
+    let level: u8 = flag_value(&args, "--level").unwrap_or(0);
     let force_lash = args.iter().any(|a| a == "--lash" || a == "--force-engines");
     let workers: usize = flag_value(&args, "--workers").unwrap_or_else(|| {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)

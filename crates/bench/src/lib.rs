@@ -252,15 +252,6 @@ where
     indexed.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Reads a benchmark scale level from `IB_BENCH_LEVEL` (default 0).
-#[must_use]
-pub fn bench_level() -> u8 {
-    std::env::var("IB_BENCH_LEVEL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

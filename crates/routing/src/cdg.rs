@@ -10,8 +10,6 @@
 
 use rustc_hash::{FxHashMap, FxHashSet};
 
-use ib_types::PortNum;
-
 use crate::graph::{Destination, SwitchGraph};
 use crate::tables::RoutingTables;
 
@@ -305,32 +303,12 @@ impl Cdg {
         tables: &RoutingTables,
         filter: impl Fn(&Destination) -> bool,
     ) {
-        // Per-switch port -> neighbor-switch map.
-        let port_to_switch: Vec<FxHashMap<u8, usize>> = (0..g.len())
-            .map(|s| {
-                g.neighbors(s)
-                    .iter()
-                    .map(|&(v, p)| (p.raw(), v as usize))
-                    .collect()
-            })
-            .collect();
-
         for dest in g.destinations().iter().filter(|d| filter(d)) {
-            // next_port[s]: the out-port switch s uses for this LID, if it
-            // leads to another switch.
-            let mut next: Vec<Option<(u8, usize)>> = vec![None; g.len()];
-            for (s, n) in next.iter_mut().enumerate() {
-                let Some(lft) = tables.lfts.get(&g.node_id(s)) else {
-                    continue;
-                };
-                if let Some(p) = lft.get(dest.lid) {
-                    if p != PortNum::MANAGEMENT {
-                        if let Some(&v) = port_to_switch[s].get(&p.raw()) {
-                            *n = Some((p.raw(), v));
-                        }
-                    }
-                }
-            }
+            // next[s]: the out-port switch s uses for this LID and the
+            // switch it leads to, if it stays in the switch fabric.
+            let next: Vec<Option<(u8, usize)>> = (0..g.len())
+                .map(|s| g.next_hop(s, tables.lfts.get(&g.node_id(s))?.get(dest.lid)))
+                .collect();
             for s in 0..g.len() {
                 let Some((p, v)) = next[s] else { continue };
                 let Some((p2, _)) = next[v] else { continue };

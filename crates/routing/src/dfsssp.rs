@@ -29,8 +29,8 @@ use rustc_hash::FxHashMap;
 
 use crate::cdg::{Cdg, Channel};
 use crate::engine::{RoutingEngine, RoutingOptions};
-use crate::graph::{parallel_for_each, Destination, SwitchGraph};
-use crate::tables::{stages_to_lfts, RoutingTables, Splice, SpliceLog, VlAssignment};
+use crate::graph::{parallel_for_each, SwitchGraph};
+use crate::tables::{RoutingTables, Splice, VlAssignment};
 
 /// The DFSSSP engine.
 #[derive(Clone, Copy, Debug)]
@@ -54,22 +54,26 @@ impl RoutingEngine for Dfsssp {
         "dfsssp"
     }
 
-    fn compute_with(
+    /// Dijkstra from the dirty destinations' delivery switches (weights
+    /// seeded from the clean columns), the dirty columns written, then the
+    /// layer assignment over the resulting tables — clean paths start on
+    /// their prior lanes, dirty paths on the base lane, and the usual
+    /// cycle-lifting restores per-lane acyclicity or errors out when lanes
+    /// are exhausted (a repair's columns are then put back and the SM falls
+    /// back to a full sweep).
+    fn route(
         &self,
-        subnet: &Subnet,
+        splice: &mut Splice<'_>,
         opts: RoutingOptions,
         observer: &Observer,
-    ) -> IbResult<RoutingTables> {
-        let g = SwitchGraph::build(subnet)?;
-        if g.is_empty() {
-            return Ok(RoutingTables {
-                lfts: FxHashMap::default(),
-                vls: VlAssignment::SingleVl,
-                engine: self.name(),
-                decisions: 0,
-            });
-        }
+    ) -> IbResult<(VlAssignment, u64)> {
+        let g = splice.graph();
         let n = g.len();
+
+        // Phase 1 is the order-sensitive serial spine of DFSSSP: each
+        // group's snapshot must reflect exactly the weight increments of
+        // every earlier group, in group order.
+        let phase1 = observer.span("routing.dfsssp.distances");
 
         // Incoming adjacency: in_edges[v] = (source switch s, s's port to v).
         let mut in_edges: Vec<Vec<(usize, PortNum)>> = vec![Vec::new(); n];
@@ -81,31 +85,27 @@ impl RoutingEngine for Dfsssp {
 
         // Directed link weights in a flat array keyed (switch, out-port):
         // every slot starts at the implicit weight 1, so `weight[idx] += 1`
-        // is the `or_insert(1) += 1` of a map without the hashing.
+        // is the `or_insert(1) += 1` of a map without the hashing. Seeded
+        // with the clean columns' picks, so the dirty destinations balance
+        // against the traffic that stays put — the same feedback routing
+        // those columns would have applied.
         let stride = 1 + g.neighbors_max_port().unwrap_or(PortNum::MANAGEMENT).raw() as usize;
         let widx = move |s: usize, p: PortNum| s * stride + p.raw() as usize;
         let mut weight: Vec<u64> = vec![1; stride * n];
-
-        // Destinations grouped by delivery switch, in switch order.
-        let mut by_switch: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
-        for (i, d) in g.destinations().iter().enumerate() {
-            by_switch.entry(d.switch).or_default().push(i);
+        let clean_dests = splice.clean_dests();
+        for (s, row) in splice.rows().iter().enumerate() {
+            for dest in clean_dests.iter().filter(|d| d.switch != s) {
+                if let Some(w) = row.get(dest.lid).and_then(|p| weight.get_mut(widx(s, p))) {
+                    *w += 1;
+                }
+            }
         }
-        let mut groups: Vec<(usize, Vec<usize>)> = by_switch.into_iter().collect();
-        groups.sort_unstable_by_key(|(s, _)| *s);
 
-        let mut stages: Vec<Vec<Option<PortNum>>> = vec![vec![None; g.lid_bound()]; n];
         let mut decisions = 0u64;
-
-        // Phase 1 is the order-sensitive serial spine of DFSSSP: each
-        // group's snapshot must reflect exactly the weight increments of
-        // every earlier group, in group order.
-        let phase1 = observer.span("routing.dfsssp.distances");
         let mut dist: Vec<(u32, u64)> = vec![(u32::MAX, u64::MAX); n];
         let mut heap = BinaryHeap::new();
         let mut candidates: Vec<PortNum> = Vec::new();
-        for (dsw, dest_indices) in &groups {
-            let dsw = *dsw;
+        for (dsw, dest_indices) in splice.dirty_groups() {
             // Distances are computed against a snapshot of the weights;
             // updates made while routing this group's destinations only
             // influence later groups (OpenSM's dfsssp updates weights per
@@ -132,19 +132,21 @@ impl RoutingEngine for Dfsssp {
                     }
                 }
             }
-            for &di in dest_indices {
+            for di in dest_indices {
                 let dest = g.destinations()[di];
                 let lid_idx = dest.lid.raw() as usize;
-                for s in 0..n {
+                for (s, row) in splice.rows().iter_mut().enumerate() {
                     decisions += 1;
                     if s == dsw {
-                        stages[s][lid_idx] = Some(dest.port);
+                        row.set(dest.lid, Some(dest.port));
                         continue;
                     }
                     if dist[s].0 == u32::MAX {
                         // Split fabric: `s` sits in another component. Its
-                        // column entry stays `None` — an explicit hole —
-                        // and every reachable pair still gets routed.
+                        // entry is cleared — an explicit hole, not a route
+                        // into the lost component — and every reachable
+                        // pair still gets routed.
+                        row.set(dest.lid, None);
                         continue;
                     }
                     candidates.clear();
@@ -161,9 +163,16 @@ impl RoutingEngine for Dfsssp {
                     if candidates.is_empty() {
                         return Err(IbError::Topology("distance inversion in dfsssp".into()));
                     }
-                    let pick = candidates[lid_idx % candidates.len()];
-                    stages[s][lid_idx] = Some(pick);
+                    // Sticky: keep the installed port when it is still on
+                    // a lexicographically-shortest path — a repair's diff
+                    // stays minimal and only rows the fault actually
+                    // invalidated get rewritten.
+                    let pick = row
+                        .get(dest.lid)
+                        .filter(|p| candidates.contains(p))
+                        .unwrap_or_else(|| candidates[lid_idx % candidates.len()]);
                     weight[widx(s, pick)] += 1;
+                    row.set(dest.lid, Some(pick));
                 }
             }
         }
@@ -184,184 +193,21 @@ impl RoutingEngine for Dfsssp {
         // the fewest contributing paths (Domke's edge weight), preferring
         // edges carrying switch-LID paths.
         let _phase2 = observer.span("routing.dfsssp.vl_partition");
-        let nexts = build_nexts(
-            &g,
-            opts.effective_workers(g.destinations().len()),
-            |s, lid| stages[s][lid.raw() as usize],
-        );
+        let nexts = build_nexts(g, opts.effective_workers(g.destinations().len()), splice);
 
-        // Per-lane worklists of (source switch, destination index).
-        let mut lane_pairs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.max_vls as usize];
-        for (di, dest) in g.destinations().iter().enumerate() {
-            let start_lane = usize::from(self.max_vls > 1 && dest.port.is_management());
-            for (src, row) in stages.iter().enumerate().take(n) {
-                // Unroutable cross-component pairs have no path and hence
-                // no channel dependencies: they never enter the layering.
-                if src != dest.switch && row[dest.lid.raw() as usize].is_some() {
-                    lane_pairs[start_lane].push((src as u32, di as u32));
-                }
-            }
-        }
-        let lane_of = lift_lanes(&g, &nexts, &mut lane_pairs, self.max_vls)?;
-
-        let vls = lanes_to_assignment(lane_of);
-        Ok(RoutingTables {
-            lfts: stages_to_lfts(&g, stages),
-            vls,
-            engine: self.name(),
-            decisions,
-        })
-    }
-
-    /// Incremental repair: Dijkstra only from the dirty destinations'
-    /// delivery switches (weights seeded from the clean columns), write the
-    /// dirty columns over `tables` in place, then re-run the layer
-    /// assignment over the spliced tables — clean paths start on their
-    /// prior lanes, repaired paths start on the base lane, and the usual
-    /// cycle-lifting restores per-lane acyclicity or errors out when lanes
-    /// are exhausted (the columns are put back and the SM falls back to a
-    /// full sweep).
-    fn repair_with_graph(
-        &self,
-        g: &SwitchGraph,
-        opts: RoutingOptions,
-        tables: &mut RoutingTables,
-        dirty_dests: &[ib_types::Lid],
-        observer: &Observer,
-    ) -> IbResult<SpliceLog> {
-        let mut splice = Splice::begin(g, tables)?;
-        let _span = observer.span("routing.dfsssp.repair");
-        let n = g.len();
-        let dirty: rustc_hash::FxHashSet<u16> = dirty_dests.iter().map(|l| l.raw()).collect();
-        let is_dirty = |d: &Destination| dirty.contains(&d.lid.raw());
-        if !g.destinations().iter().any(is_dirty) {
-            let vls = splice.vls().clone();
-            return Ok(splice.commit(vls, self.name(), 0));
-        }
-
-        let mut in_edges: Vec<Vec<(usize, PortNum)>> = vec![Vec::new(); n];
-        for s in 0..n {
-            for &(v, p) in g.neighbors(s) {
-                in_edges[v as usize].push((s, p));
-            }
-        }
-        let stride = 1 + g.neighbors_max_port().unwrap_or(PortNum::MANAGEMENT).raw() as usize;
-        let widx = move |s: usize, p: PortNum| s * stride + p.raw() as usize;
-        // Seed the link weights with the clean columns' picks, so the
-        // repaired destinations balance against the traffic that stays
-        // put — the same feedback a full recompute would have applied.
-        let mut weight: Vec<u64> = vec![1; stride * n];
-        for s in 0..n {
-            let row = splice.row(s);
-            for dest in g.destinations() {
-                if is_dirty(dest) || s == dest.switch {
-                    continue;
-                }
-                if let Some(w) = row.get(dest.lid).and_then(|p| weight.get_mut(widx(s, p))) {
-                    *w += 1;
-                }
-            }
-        }
-
-        // Dirty destinations grouped by delivery switch, in switch order —
-        // the same serial weight-feedback discipline as the full compute,
-        // so the columns are re-routed column-major.
-        let mut by_switch: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
-        for (i, d) in g.destinations().iter().enumerate() {
-            if is_dirty(d) {
-                by_switch.entry(d.switch).or_default().push(i);
-            }
-        }
-        let mut groups: Vec<(usize, Vec<usize>)> = by_switch.into_iter().collect();
-        groups.sort_unstable_by_key(|(s, _)| *s);
-
-        let mut decisions = 0u64;
-        let mut dist: Vec<(u32, u64)> = vec![(u32::MAX, u64::MAX); n];
-        let mut heap = BinaryHeap::new();
-        let mut candidates: Vec<PortNum> = Vec::new();
-        for (dsw, dest_indices) in &groups {
-            let dsw = *dsw;
-            let snapshot = weight.clone();
-            dist.fill((u32::MAX, u64::MAX));
-            dist[dsw] = (0, 0);
-            heap.clear();
-            heap.push(Reverse(((0u32, 0u64), dsw)));
-            while let Some(Reverse((d, v))) = heap.pop() {
-                if d > dist[v] {
-                    continue;
-                }
-                for &(s, p) in &in_edges[v] {
-                    let nd = (d.0 + 1, d.1 + snapshot[widx(s, p)]);
-                    if nd < dist[s] {
-                        dist[s] = nd;
-                        heap.push(Reverse((nd, s)));
-                    }
-                }
-            }
-            for &di in dest_indices {
-                let dest = g.destinations()[di];
-                let lid_idx = dest.lid.raw() as usize;
-                for s in 0..n {
-                    decisions += 1;
-                    if s == dsw {
-                        splice.set(s, dest.lid, Some(dest.port));
-                        continue;
-                    }
-                    if dist[s].0 == u32::MAX {
-                        // The fault split the fabric: clear this row
-                        // instead of leaving it pointing at the lost
-                        // component.
-                        splice.set(s, dest.lid, None);
-                        continue;
-                    }
-                    candidates.clear();
-                    candidates.extend(
-                        g.neighbors(s)
-                            .iter()
-                            .filter(|&&(v, p)| {
-                                dist[v as usize].0 + 1 == dist[s].0
-                                    && dist[v as usize].1 + snapshot[widx(s, p)] == dist[s].1
-                            })
-                            .map(|&(_, p)| p),
-                    );
-                    candidates.sort_unstable();
-                    if candidates.is_empty() {
-                        return Err(IbError::Topology(
-                            "distance inversion in dfsssp repair".into(),
-                        ));
-                    }
-                    // Sticky: keep the installed port when it is still on
-                    // a lexicographically-shortest path — the repair's
-                    // diff stays minimal and only rows the fault actually
-                    // invalidated get rewritten.
-                    let pick = splice
-                        .get(s, dest.lid)
-                        .filter(|p| candidates.contains(p))
-                        .unwrap_or_else(|| candidates[lid_idx % candidates.len()]);
-                    weight[widx(s, pick)] += 1;
-                    splice.set(s, dest.lid, Some(pick));
-                }
-            }
-        }
-
-        // Re-layer the spliced tables: clean pairs keep their prior lane,
-        // repaired pairs restart on the base lane; lifting then repairs any
-        // cycle the splice introduced.
-        let nexts = build_nexts(
-            g,
-            opts.effective_workers(g.destinations().len()),
-            |s, lid| splice.get(s, lid),
-        );
+        // Per-lane worklists of (source switch, destination index): clean
+        // pairs keep their prior lane, dirty pairs start on the base lane;
+        // lifting then repairs any cycle the new columns introduced.
         let mut lane_pairs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.max_vls as usize];
         for (di, dest) in g.destinations().iter().enumerate() {
             let start_lane = usize::from(self.max_vls > 1 && dest.port.is_management());
             for src in 0..n {
-                // Cross-component pairs were cleared by the splice: no
-                // path, no dependencies, no lane.
+                // Unroutable cross-component pairs have no path and hence
+                // no channel dependencies: they never enter the layering.
                 if src == dest.switch || splice.get(src, dest.lid).is_none() {
                     continue;
                 }
-                let lane = if is_dirty(dest) {
+                let lane = if splice.is_dirty(di) {
                     start_lane
                 } else {
                     (splice
@@ -374,25 +220,18 @@ impl RoutingEngine for Dfsssp {
             }
         }
         let lane_of = lift_lanes(g, &nexts, &mut lane_pairs, self.max_vls)?;
-        Ok(splice.commit(lanes_to_assignment(lane_of), self.name(), decisions))
+        Ok((lanes_to_assignment(lane_of), decisions))
     }
 }
 
 /// Precomputes per-destination next-hop tables (`nexts[di][s]` = (out port,
-/// neighbor switch) for destination `di` at switch `s`), fanned across
-/// workers; `row` supplies the LFT row to read (staging or spliced tables).
-fn build_nexts<F>(g: &SwitchGraph, workers: usize, row: F) -> Vec<Vec<Option<(u8, usize)>>>
-where
-    F: Fn(usize, ib_types::Lid) -> Option<PortNum> + Sync,
-{
-    let port_to_switch: Vec<FxHashMap<u8, usize>> = (0..g.len())
-        .map(|s| {
-            g.neighbors(s)
-                .iter()
-                .map(|&(v, p)| (p.raw(), v as usize))
-                .collect()
-        })
-        .collect();
+/// neighbor switch) for destination `di` at switch `s`, if it stays in the
+/// switch fabric) from the splice's rows, fanned across workers.
+fn build_nexts(
+    g: &SwitchGraph,
+    workers: usize,
+    splice: &Splice<'_>,
+) -> Vec<Vec<Option<(u8, usize)>>> {
     let mut nexts: Vec<Vec<Option<(u8, usize)>>> =
         vec![vec![None; g.len()]; g.destinations().len()];
     parallel_for_each(
@@ -402,13 +241,7 @@ where
         |(), di, next| {
             let dest = &g.destinations()[di];
             for (s, slot) in next.iter_mut().enumerate() {
-                if let Some(p) = row(s, dest.lid) {
-                    if !p.is_management() {
-                        if let Some(&v) = port_to_switch[s].get(&p.raw()) {
-                            *slot = Some((p.raw(), v));
-                        }
-                    }
-                }
+                *slot = g.next_hop(s, splice.get(s, dest.lid));
             }
         },
     );
@@ -427,7 +260,6 @@ fn lift_lanes(
     max_vls: u8,
 ) -> IbResult<FxHashMap<(u32, u16), u8>> {
     let n = g.len();
-    let debug = std::env::var_os("IB_DFSSSP_DEBUG").is_some();
 
     // Walks a pair's channel path, feeding each consecutive channel
     // pair to `visit`; stops early when `visit` returns false.
@@ -472,15 +304,6 @@ fn lift_lanes(
                 });
             }
             let cycles = cdg.find_cycles();
-            if debug {
-                eprintln!(
-                    "dfsssp: lane {lane}: {} pairs, {} channels, {} edges, {} cycles",
-                    lane_pairs[lane].len(),
-                    cdg.num_channels(),
-                    cdg.num_edges(),
-                    cycles.len(),
-                );
-            }
             if cycles.is_empty() {
                 break;
             }
@@ -566,32 +389,14 @@ fn build_lane_cdg(
     lane_of: &FxHashMap<(u32, u16), u8>,
     lane: u8,
 ) -> IbResult<Cdg> {
-    // Per-switch port -> neighbor-switch map.
-    let port_to_switch: Vec<FxHashMap<u8, usize>> = (0..g.len())
-        .map(|s| {
-            g.neighbors(s)
-                .iter()
-                .map(|&(v, p)| (p.raw(), v as usize))
-                .collect()
-        })
-        .collect();
     let mut cdg = Cdg::new();
     for dest in g.destinations() {
-        // next[s] = (port, neighbor switch) for this LID, if it stays in
-        // the switch fabric.
-        let mut next: Vec<Option<(u8, usize)>> = vec![None; g.len()];
-        for (s, n) in next.iter_mut().enumerate() {
-            let Some(lft) = tables.lfts.get(&g.node_id(s)) else {
-                continue;
-            };
-            if let Some(p) = lft.get(dest.lid) {
-                if !p.is_management() {
-                    if let Some(&v) = port_to_switch[s].get(&p.raw()) {
-                        *n = Some((p.raw(), v));
-                    }
-                }
-            }
-        }
+        let next: Vec<Option<(u8, usize)>> = (0..g.len())
+            .map(|s| {
+                let lft = tables.lfts.get(&g.node_id(s))?;
+                g.next_hop(s, lft.get(dest.lid))
+            })
+            .collect();
         for src in 0..g.len() {
             if src == dest.switch {
                 continue;

@@ -5,12 +5,12 @@ use ib_subnet::Subnet;
 use ib_types::IbResult;
 
 use crate::graph::SwitchGraph;
-use crate::tables::{RoutingTables, SpliceLog};
+use crate::tables::{RoutingTables, Splice, SpliceLog, VlAssignment};
 
 /// Parallelism knobs for one routing computation, mirroring `ib-sm`'s
 /// `SweepOptions`: `workers` bounds how many scoped threads the engine may
-/// fan its embarrassingly parallel phases across (all-pairs/per-delivery
-/// BFS, per-switch LFT staging). `0` means "use the machine's available
+/// fan its embarrassingly parallel phases across (per-delivery-switch BFS,
+/// per-switch LFT fill). `0` means "use the machine's available
 /// parallelism". The order-sensitive serial phases (port-load balancing,
 /// weight updates, VL lifting) never parallelize, so the produced
 /// [`RoutingTables`] are identical for every worker count.
@@ -57,37 +57,71 @@ impl RoutingOptions {
 /// [`RoutingEngine::compute`] is precisely the `PCt` term of the paper's
 /// equation 1 — what Fig. 7 measures and what the vSwitch reconfiguration
 /// eliminates.
+///
+/// An engine is its [`name`](RoutingEngine::name) and **one kernel**,
+/// [`route`](RoutingEngine::route); computing and repairing are the two
+/// ways this trait runs it.
 pub trait RoutingEngine: Send + Sync {
     /// Engine name as it appears in reports (`"fat-tree"`, `"minhop"`, ...).
     fn name(&self) -> &'static str;
 
+    /// The kernel: routes the dirty destination columns of `splice` —
+    /// for each (switch, dirty destination) pick an egress port, *keeping
+    /// the installed port while it is still a candidate* — and returns the
+    /// VL assignment of the result plus the number of route decisions
+    /// made. On fresh tables nothing is installed and every column is
+    /// dirty, so the same code is the full compute; there is no second
+    /// copy to keep in step. Emits the per-phase spans
+    /// (`routing.<engine>.distances`, `.assign`, and VL-partition phases
+    /// where they exist) into `observer` and fans its parallel phases
+    /// across at most `opts` workers; output — log included — is invariant
+    /// under the worker count. Only this crate can open a [`Splice`], so
+    /// only [`RoutingEngine::compute_with`] and
+    /// [`RoutingEngine::repair_with_graph`] ever call it.
+    fn route(
+        &self,
+        splice: &mut Splice<'_>,
+        opts: RoutingOptions,
+        observer: &Observer,
+    ) -> IbResult<(VlAssignment, u64)>;
+
     /// Computes routing tables for every switch in the subnet:
-    /// single-threaded and unobserved. Provided so the trait stays
-    /// object-safe and existing callers are untouched; it delegates to
-    /// [`RoutingEngine::compute_with`].
+    /// single-threaded and unobserved.
     fn compute(&self, subnet: &Subnet) -> IbResult<RoutingTables> {
         self.compute_with(subnet, RoutingOptions::default(), &Observer::disabled())
     }
 
     /// Computes routing tables with explicit parallelism and a metrics
-    /// sink. Engines emit per-phase spans (`routing.<engine>.distances`,
-    /// `routing.<engine>.assign`, and VL-partition phases where they
-    /// exist) into `observer`, and fan parallel phases across at most
-    /// `opts` workers. Output is invariant under the worker count.
+    /// sink: the kernel over every destination of a fresh, unlogged table
+    /// set.
     fn compute_with(
         &self,
         subnet: &Subnet,
         opts: RoutingOptions,
         observer: &Observer,
-    ) -> IbResult<RoutingTables>;
+    ) -> IbResult<RoutingTables> {
+        let g = SwitchGraph::build(subnet)?;
+        let mut tables = RoutingTables {
+            lfts: Default::default(),
+            vls: VlAssignment::SingleVl,
+            engine: self.name(),
+            decisions: 0,
+        };
+        if !g.is_empty() {
+            let mut splice = Splice::fresh(&g, &mut tables);
+            let (vls, decisions) = self.route(&mut splice, opts, observer)?;
+            splice.commit(vls, self.name(), decisions);
+        }
+        Ok(tables)
+    }
 
-    /// Incrementally repairs `tables` **in place** after a fault: re-routes
-    /// only the `dirty_dests` destination columns on `graph`, writes them
-    /// over the baseline, and returns every cell it actually changed. The
-    /// SM plans distribution, maintains its reverse route index and — when
-    /// its verifier gate rejects the result — undoes the repair from that
-    /// [`SpliceLog`] alone, so reconfiguration cost scales with the damage,
-    /// not the fabric.
+    /// Incrementally repairs `tables` **in place** after a fault: the
+    /// kernel over only the `dirty_dests` destination columns on `graph`,
+    /// written over the baseline, every cell it actually changed returned.
+    /// The SM plans distribution, maintains its reverse route index and —
+    /// when its verifier gate rejects the result — undoes the repair from
+    /// that [`SpliceLog`] alone, so reconfiguration cost scales with the
+    /// damage, not the fabric.
     ///
     /// **Splice or `Err`:** on `Ok` only the dirty columns of `tables`
     /// moved and the log lists each cell whose value differs from before
@@ -96,6 +130,10 @@ pub trait RoutingEngine: Send + Sync {
     /// baseline that does not cover `graph` or damage a column rewrite
     /// cannot absorb is an `Err`; the caller's answer to it is a full
     /// [`RoutingEngine::compute_with`].
+    ///
+    /// The picks are *sticky*: a repair's job is the smallest diff, not a
+    /// rebalance, so the result approximates (it is not byte-equal to) a
+    /// full recompute of the degraded fabric.
     ///
     /// `graph` must be [`SwitchGraph::build`]'s output for the subnet in
     /// its *current* fault state — the SM caches it across repair sweeps in
@@ -113,7 +151,18 @@ pub trait RoutingEngine: Send + Sync {
         tables: &mut RoutingTables,
         dirty_dests: &[ib_types::Lid],
         observer: &Observer,
-    ) -> IbResult<SpliceLog>;
+    ) -> IbResult<SpliceLog> {
+        let mut splice = Splice::begin(graph, tables, dirty_dests)?;
+        let _span = observer.span(&format!("routing.{}.repair", self.name()));
+        // No dirty column is registered on `graph`: nothing moves, and the
+        // lanes the clean columns ride must not be re-settled either.
+        let (vls, decisions) = if splice.is_clean() {
+            (splice.vls().clone(), 0)
+        } else {
+            self.route(&mut splice, opts, observer)?
+        };
+        Ok(splice.commit(vls, self.name(), decisions))
+    }
 
     /// Repairs a *burst* of faults in one call: folds
     /// [`RoutingEngine::repair_with_graph`] over the per-fault dirty groups
@@ -217,7 +266,7 @@ impl EngineKind {
         match self {
             Self::MinHop => Box::new(crate::minhop::MinHop),
             Self::FatTree => Box::new(crate::ftree::FatTree),
-            Self::UpDown => Box::new(crate::updn::UpDown::default()),
+            Self::UpDown => Box::new(crate::updn::UpDown),
             Self::Dfsssp => Box::new(crate::dfsssp::Dfsssp::default()),
             Self::Lash => Box::new(crate::lash::Lash::default()),
         }

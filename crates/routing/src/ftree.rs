@@ -7,7 +7,7 @@
 //! fastest engine in the paper's Fig. 7 — a property this implementation
 //! reproduces by construction. Both phases — the per-delivery-switch BFS
 //! sweep and the per-switch LFT fill — are independent per unit of work
-//! and fan across the configured workers.
+//! and fan across the configured workers, on a repair as on a full compute.
 //!
 //! Like OpenSM's engine, it refuses topologies that are not layered
 //! fat trees (edges must connect adjacent ranks, endpoints must live on
@@ -19,14 +19,12 @@
 //! ftree documents for switch-to-switch paths.
 
 use ib_observe::Observer;
-use ib_subnet::Subnet;
 use ib_types::{IbError, IbResult, PortNum};
-use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::engine::{RoutingEngine, RoutingOptions};
-use crate::graph::{parallel_for_each, Destination, DistanceMatrix, SwitchGraph};
+use crate::graph::{parallel_for_each, DistanceMatrix, SwitchGraph};
 use crate::swcols::{switch_dest_vls, SwitchColumns};
-use crate::tables::{stages_to_lfts, RoutingTables, Splice, SpliceLog, VlAssignment};
+use crate::tables::{Splice, VlAssignment};
 
 /// The fat-tree engine.
 #[derive(Clone, Copy, Debug, Default)]
@@ -37,214 +35,103 @@ impl RoutingEngine for FatTree {
         "fat-tree"
     }
 
-    fn compute_with(
+    /// Rank the graph (one BFS — the tree structure is what the engine
+    /// exploits, so it is validated on every run), then the
+    /// per-delivery-switch sweep and the d-mod-k fill of the dirty columns.
+    ///
+    /// The pick is *sticky*: the installed port is kept wherever it is
+    /// still a minimal candidate, and the d-mod-k spread decides only the
+    /// entries with nothing (still) valid installed. On a repair, a plain
+    /// re-run of the formula would rotate every pick whose candidate
+    /// *count* shrank — churning entries whose installed path never crossed
+    /// the failed link and inflating the dirty-block diff past the full
+    /// sweep's.
+    fn route(
         &self,
-        subnet: &Subnet,
+        splice: &mut Splice<'_>,
         opts: RoutingOptions,
         observer: &Observer,
-    ) -> IbResult<RoutingTables> {
-        let g = SwitchGraph::build(subnet)?;
-        if g.is_empty() {
-            return Ok(RoutingTables {
-                lfts: FxHashMap::default(),
-                vls: VlAssignment::SingleVl,
-                engine: self.name(),
-                decisions: 0,
-            });
-        }
-        let ranks = g.ranks();
-        validate_fat_tree(&g, &ranks)?;
+    ) -> IbResult<(VlAssignment, u64)> {
+        let g = splice.graph();
+        // A fault cannot un-layer a fat tree, but it can disconnect a
+        // switch — a broken tree errors out to the SM's fallback instead
+        // of producing silent holes.
+        validate_fat_tree(g, &g.ranks())?;
+        let dirty_dests = splice.dirty_dests();
 
-        // Delivery switches of HCA-destined LIDs, deduplicated and
-        // ordered (switch-destined columns use the legal sweep below and
-        // need no distance row here).
-        let mut delivery: Vec<usize> = g
-            .destinations()
-            .iter()
-            .filter(|d| d.port != PortNum::MANAGEMENT)
-            .map(|d| d.switch)
-            .collect();
-        delivery.sort_unstable();
-        delivery.dedup();
-        let dist_index: FxHashMap<usize, usize> =
-            delivery.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-
-        // Phase 1: one BFS per *delivery* switch (typically only the
-        // leaves), fanned across workers — far fewer sweeps than Min-Hop's
-        // all-switches matrix, which is the structural shortcut that makes
-        // fat-tree routing the cheapest engine in Fig. 7.
+        // Phase 1: one BFS per *delivery* switch of an HCA-destined column
+        // (typically only the leaves), fanned across workers — the
+        // structural shortcut that makes fat-tree routing the cheapest
+        // engine in Fig. 7.
         let workers = opts.effective_workers(g.len());
-        let dist = {
+        let (dist, dist_row) = {
             let _span = observer.span("routing.fat-tree.distances");
-            DistanceMatrix::for_sources(&g, &delivery, workers)
+            DistanceMatrix::for_host_dests(g, &dirty_dests, workers)
         };
 
         // Switch-destined columns are valley-routed via the hub on
         // their own lane instead of d-mod-k: a spine-to-spine route
         // must dip through a leaf, and two such valleys through
-        // different leaves close a credit loop (see `swcols`).
-        let swcols = SwitchColumns::new(&g, workers, g.destinations());
+        // different leaves close a credit loop (see `swcols`). The hub
+        // BFS is fault-stable, so the sticky picks churn only near a
+        // lost link.
+        let swcols = SwitchColumns::new(g, workers, &dirty_dests);
 
-        // Per-switch neighbor lists sorted by port, so d-mod-k picks are
-        // deterministic without per-destination allocation.
-        let sorted_adj: Vec<Vec<(u32, PortNum)>> = (0..g.len())
-            .map(|s| {
-                let mut v = g.neighbors(s).to_vec();
-                v.sort_unstable_by_key(|&(_, p)| p);
-                v
-            })
-            .collect();
-
-        // Phase 2: every switch fills its own staging row independently —
-        // no sequential load-balancing state, so this parallelizes
+        // Phase 2: every switch fills its own row independently — no
+        // sequential load-balancing state, so this parallelizes
         // perfectly (each worker writes only its own rows).
         let _span = observer.span("routing.fat-tree.assign");
-        let mut stages: Vec<Vec<Option<PortNum>>> = vec![vec![None; g.lid_bound()]; g.len()];
         parallel_for_each(
-            &mut stages,
+            splice.rows(),
             workers,
             || (),
-            |(), s, stage| {
-                for dest in g.destinations() {
-                    if s == dest.switch {
-                        stage[dest.lid.raw() as usize] = Some(dest.port);
-                        continue;
-                    }
-                    if dest.port == PortNum::MANAGEMENT {
-                        // Switch LID: legal pick (None across a split).
-                        stage[dest.lid.raw() as usize] = swcols.pick(dest.switch, dest.lid, s);
-                        continue;
-                    }
-                    let drow = dist.row(dist_index[&dest.switch]);
-                    if drow[s] == u32::MAX {
-                        // Split fabric: the destination lives in another
-                        // component. The stage entry stays `None`.
-                        continue;
-                    }
-                    // Two passes over the (small) neighbor list: count the
-                    // minimal candidates, then take the (lid + switch mod
-                    // count)-th. The switch stagger keeps the spread but
-                    // breaks the fabric-wide symmetry of pure d-mod-k:
-                    // without it, uniformly-cabled switches all point the
-                    // same destination at the same spine, so one lost
-                    // cable breaks that column at every switch at once
-                    // and an incremental repair can never beat a full
-                    // sweep's block diff.
-                    let minimal =
-                        |&&(v, _): &&(u32, PortNum)| drow[v as usize].wrapping_add(1) == drow[s];
-                    let count = sorted_adj[s].iter().filter(minimal).count();
-                    if count == 0 {
-                        // Caught by layering validation for real fat
-                        // trees; be defensive anyway.
-                        continue;
-                    }
-                    let want = (dest.lid.raw() as usize + s) % count;
-                    let pick = sorted_adj[s]
-                        .iter()
-                        .filter(minimal)
-                        .nth(want)
-                        .map(|&(_, p)| p);
-                    stage[dest.lid.raw() as usize] = pick;
+            |(), s, row| {
+                // Neighbors in port order, so d-mod-k picks are
+                // deterministic.
+                let adj = swcols.neighbors_by_port(s);
+                for (dest, &dist_row) in dirty_dests.iter().zip(&dist_row) {
+                    let installed = row.get(dest.lid);
+                    let pick = if s == dest.switch {
+                        Some(dest.port)
+                    } else if dest.port == PortNum::MANAGEMENT {
+                        swcols.sticky_pick(dest.switch, dest.lid, s, installed)
+                    } else {
+                        let drow = dist.row(dist_row);
+                        let minimal = |&&(v, _): &&(u32, PortNum)| {
+                            drow[v as usize].wrapping_add(1) == drow[s]
+                        };
+                        match installed {
+                            // Split fabric: the destination lives in
+                            // another component. The entry is cleared
+                            // rather than left pointing into it.
+                            _ if drow[s] == u32::MAX => None,
+                            // Still minimal (a port into a failed link
+                            // never is — the link is gone from the graph).
+                            Some(p) if adj.iter().filter(minimal).any(|&(_, q)| q == p) => Some(p),
+                            // The (lid + switch mod count)-th minimal
+                            // candidate. The switch stagger keeps the
+                            // spread but breaks the fabric-wide symmetry of
+                            // pure d-mod-k: without it, uniformly-cabled
+                            // switches all point the same destination at
+                            // the same spine, so one lost cable breaks that
+                            // column at every switch at once and an
+                            // incremental repair can never beat a full
+                            // sweep's block diff. (No candidate is caught
+                            // by layering validation for real fat trees;
+                            // be defensive anyway.)
+                            _ => {
+                                let count = adj.iter().filter(minimal).count().max(1);
+                                let want = (dest.lid.raw() as usize + s) % count;
+                                adj.iter().filter(minimal).nth(want).map(|&(_, p)| p)
+                            }
+                        }
+                    };
+                    row.set(dest.lid, pick);
                 }
             },
         );
-        let decisions = (g.len() * g.destinations().len()) as u64;
-
-        Ok(RoutingTables {
-            lfts: stages_to_lfts(&g, stages),
-            vls: switch_dest_vls(&g),
-            engine: self.name(),
-            decisions,
-        })
-    }
-
-    /// Incremental repair: re-rank the degraded graph (one BFS — the tree
-    /// structure is what the engine exploits, so it must be revalidated),
-    /// then rerun the per-delivery-switch sweep for the dirty destination
-    /// columns only and write them over `tables` in place.
-    ///
-    /// The pick is *sticky*: the installed port is kept wherever it is
-    /// still a minimal candidate on the degraded graph, and the d-mod-k
-    /// spread decides only the entries the fault actually invalidated. A
-    /// plain re-run of the d-mod-k formula would rotate every pick whose
-    /// candidate *count* shrank — churning entries whose installed path
-    /// never crossed the failed link and inflating the dirty-block diff
-    /// past the full sweep's. The result approximates (it is not
-    /// byte-equal to) a full recompute, which is why the SM gates every
-    /// repair behind the fabric verifier.
-    fn repair_with_graph(
-        &self,
-        g: &SwitchGraph,
-        opts: RoutingOptions,
-        tables: &mut RoutingTables,
-        dirty_dests: &[ib_types::Lid],
-        observer: &Observer,
-    ) -> IbResult<SpliceLog> {
-        let mut splice = Splice::begin(g, tables)?;
-        let _span = observer.span("routing.fat-tree.repair");
-        // A fault cannot un-layer a fat tree, but it can disconnect a
-        // switch — revalidate so a broken tree errors out to the SM's
-        // fallback instead of producing silent holes.
-        let ranks = g.ranks();
-        validate_fat_tree(g, &ranks)?;
-
-        let dirty: FxHashSet<u16> = dirty_dests.iter().map(|l| l.raw()).collect();
-        let dirty_dests: Vec<Destination> = g
-            .destinations()
-            .iter()
-            .copied()
-            .filter(|d| dirty.contains(&d.lid.raw()))
-            .collect();
-
-        // Switch-destined dirty columns rebuild their valley routes on
-        // the degraded graph — rows for their delivery switches only; hub
-        // BFS is fault-stable, so the sticky splice below churns only near
-        // the lost link.
-        let swcols = SwitchColumns::new(g, opts.effective_workers(g.len()), &dirty_dests);
-
-        let (dist, dist_row) = DistanceMatrix::for_host_dests(g, &dirty_dests, opts.workers);
-
-        // Switch-major: no pick depends on another switch's, so each LFT
-        // row is visited once.
-        let mut adj: Vec<(u32, PortNum)> = Vec::new();
-        for s in 0..g.len() {
-            adj.clear();
-            adj.extend_from_slice(g.neighbors(s));
-            adj.sort_unstable_by_key(|&(_, p)| p);
-            for (dest, &dist_row) in dirty_dests.iter().zip(&dist_row) {
-                // Sticky: keep the installed port while it is still legal
-                // on the degraded graph (a port into the failed link never
-                // is — the link is gone from the graph), so the splice
-                // rewrites only what the fault broke.
-                let installed = splice.get(s, dest.lid);
-                let pick = if s == dest.switch {
-                    Some(dest.port)
-                } else if dest.port == PortNum::MANAGEMENT {
-                    swcols.sticky_pick(dest.switch, dest.lid, s, installed)
-                } else {
-                    let drow = dist.row(dist_row);
-                    let minimal = |v: u32| drow[v as usize].wrapping_add(1) == drow[s];
-                    match installed {
-                        // The fault split the fabric: this switch can no
-                        // longer reach the destination. Clear the row
-                        // rather than leave it pointing into the lost
-                        // component.
-                        _ if drow[s] == u32::MAX => None,
-                        Some(p) if adj.iter().any(|&(v, q)| q == p && minimal(v)) => Some(p),
-                        // Fall back to the d-mod-k spread over the
-                        // degraded candidate set.
-                        _ => {
-                            let candidates = || adj.iter().filter(|&&(v, _)| minimal(v));
-                            let want = (dest.lid.raw() as usize + s) % candidates().count().max(1);
-                            candidates().nth(want).map(|&(_, p)| p)
-                        }
-                    }
-                };
-                splice.set(s, dest.lid, pick);
-            }
-        }
         let decisions = (g.len() * dirty_dests.len()) as u64;
-        Ok(splice.commit(switch_dest_vls(g), self.name(), decisions))
+        Ok((switch_dest_vls(g), decisions))
     }
 }
 

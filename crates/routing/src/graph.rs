@@ -41,8 +41,14 @@ pub struct SwitchGraph {
     /// (neighbor switch index, output port on `s`) pairs of switch `s`.
     edges: Vec<(u32, PortNum)>,
     offsets: Vec<u32>,
+    /// `peer[s * peer_stride + port]`: the switch index the port leads to,
+    /// `NO_PEER` for a port that leaves the switch fabric.
+    peer: Vec<u32>,
+    peer_stride: usize,
     destinations: Vec<Destination>,
 }
+
+const NO_PEER: u32 = u32::MAX;
 
 impl SwitchGraph {
     /// Extracts the switch graph and the destination list from a subnet.
@@ -79,6 +85,18 @@ impl SwitchGraph {
             }
         }
 
+        let peer_stride = 1 + edges
+            .iter()
+            .map(|&(_, p)| p.raw() as usize)
+            .max()
+            .unwrap_or(0);
+        let mut peer = vec![NO_PEER; peer_stride * switches.len()];
+        for s in 0..switches.len() {
+            for &(v, p) in &edges[offsets[s] as usize..offsets[s + 1] as usize] {
+                peer[s * peer_stride + p.raw() as usize] = v;
+            }
+        }
+
         let mut destinations = Vec::with_capacity(subnet.num_lids());
         for lid in subnet.lids() {
             destinations.push(resolve_destination(subnet, &index_of, lid)?);
@@ -89,6 +107,8 @@ impl SwitchGraph {
             index_of,
             edges,
             offsets,
+            peer,
+            peer_stride,
             destinations,
         })
     }
@@ -130,15 +150,25 @@ impl SwitchGraph {
         self.edges.iter().map(|&(_, p)| p).max()
     }
 
-    /// One past the highest destination LID (`0` when there are none):
-    /// the row length of the flat per-switch LFT staging engines fill.
+    /// The switch index port `port` of switch `s` leads to; `None` for a
+    /// port that leaves the switch fabric (an HCA, nothing, a downed link).
     #[must_use]
-    pub fn lid_bound(&self) -> usize {
-        self.destinations
-            .iter()
-            .map(|d| d.lid.raw() as usize + 1)
-            .max()
-            .unwrap_or(0)
+    pub(crate) fn peer(&self, s: usize, port: PortNum) -> Option<usize> {
+        let p = port.raw() as usize;
+        if p >= self.peer_stride {
+            return None;
+        }
+        let v = self.peer[s * self.peer_stride + p];
+        (v != NO_PEER).then_some(v as usize)
+    }
+
+    /// Where an LFT entry of switch `s` forwards to inside the switch
+    /// fabric: (out port, neighbor switch), `None` for an unset entry or
+    /// one that delivers or drops.
+    #[must_use]
+    pub(crate) fn next_hop(&self, s: usize, entry: Option<PortNum>) -> Option<(u8, usize)> {
+        let p = entry?;
+        Some((p.raw(), self.peer(s, p)?))
     }
 
     /// All destinations (every registered LID).
@@ -439,18 +469,10 @@ pub struct DistanceMatrix {
 }
 
 impl DistanceMatrix {
-    /// All-pairs distances: row `s` = distances from switch `s`, fanned
-    /// across up to `workers` scoped threads. Row contents depend only on
-    /// the source, so the matrix is identical for every worker count.
-    #[must_use]
-    pub fn all_pairs(g: &SwitchGraph, workers: usize) -> Self {
-        let sources: Vec<usize> = (0..g.len()).collect();
-        Self::for_sources(g, &sources, workers)
-    }
-
-    /// Distances from an arbitrary source list: row `i` = distances from
-    /// `sources[i]` (the per-delivery-switch form fat-tree and Up*/Down*
-    /// sweeps use).
+    /// Distances from a source list: row `i` = distances from `sources[i]`,
+    /// fanned across up to `workers` scoped threads. Row contents depend
+    /// only on the source, so the matrix is identical for every worker
+    /// count.
     #[must_use]
     pub fn for_sources(g: &SwitchGraph, sources: &[usize], workers: usize) -> Self {
         let cols = g.len();
@@ -466,8 +488,8 @@ impl DistanceMatrix {
     }
 
     /// Distances for the HCA-destined columns among `dests` — one BFS per
-    /// distinct delivery switch, the repair-sized slice of a full compute's
-    /// sweep — plus, per entry of `dests`, the index of its row
+    /// distinct delivery switch — plus, per entry of `dests`, the index of
+    /// its row
     /// (distances are symmetric: `row[s]` = hops from `s` to the delivery
     /// switch). Switch-destined entries get no row (`usize::MAX`): those
     /// columns route by `swcols`.
@@ -580,7 +602,6 @@ mod tests {
         assert_eq!(g.destinations().len(), 6);
         assert_eq!(g.neighbors(1).len(), 2);
         assert_eq!(g.index(t.switch_levels[0][2]), Some(2));
-        assert_eq!(g.lid_bound(), 7);
     }
 
     #[test]
@@ -592,6 +613,20 @@ mod tests {
         let d4 = g.destinations().iter().find(|d| d.lid == lid(4)).unwrap();
         assert_eq!(d4.switch, 0);
         assert_eq!(d4.port, PortNum::new(3));
+    }
+
+    #[test]
+    fn peer_agrees_with_the_adjacency_and_nothing_else() {
+        let (_, g) = managed_linear();
+        for s in 0..g.len() {
+            for raw in 0..=u8::MAX {
+                let port = PortNum::new(raw);
+                let listed = g.neighbors(s).iter().find(|&&(_, p)| p == port);
+                assert_eq!(g.peer(s, port), listed.map(|&(v, _)| v as usize));
+            }
+        }
+        // The host-facing port of `destination_ports_resolved`.
+        assert_eq!(g.peer(0, PortNum::new(3)), None);
     }
 
     #[test]
@@ -617,8 +652,9 @@ mod tests {
         let mut t = two_level(4, 3, 2);
         crate::testutil::assign_lids(&mut t);
         let g = SwitchGraph::build(&t.subnet).unwrap();
+        let all: Vec<usize> = (0..g.len()).collect();
         for workers in [1, 2, 0] {
-            let m = DistanceMatrix::all_pairs(&g, workers);
+            let m = DistanceMatrix::for_sources(&g, &all, workers);
             assert_eq!(m.rows(), g.len());
             for s in 0..g.len() {
                 assert_eq!(m.row(s), g.bfs_distances(s).as_slice(), "row {s}");

@@ -18,12 +18,12 @@
 use ib_observe::Observer;
 use ib_subnet::Subnet;
 use ib_types::{IbError, IbResult, PortNum, VirtualLane};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashMap;
 
 use crate::cdg::{Cdg, Channel};
 use crate::engine::{RoutingEngine, RoutingOptions};
 use crate::graph::{parallel_for_each, Destination, SwitchGraph};
-use crate::tables::{stages_to_lfts, RoutingTables, Splice, SpliceLog, VlAssignment};
+use crate::tables::{RoutingTables, Splice, VlAssignment};
 
 /// The LASH engine.
 #[derive(Clone, Copy, Debug)]
@@ -38,41 +38,85 @@ impl Default for Lash {
     }
 }
 
+const NO_TREE: usize = usize::MAX;
+
 impl RoutingEngine for Lash {
     fn name(&self) -> &'static str {
         "lash"
     }
 
-    fn compute_with(
+    /// BFS in-trees for the dirty delivery switches, their columns
+    /// written, then just the re-routed switch pairs placed into the lane
+    /// structure. Each layer's CDG is first re-seeded from the clean
+    /// pairs' installed paths — they coexisted acyclically before, so no
+    /// cycle check is run (or wanted: the O(channels²) check is LASH's
+    /// cost). A dirty pair first tries its prior lane, escalates to the
+    /// CDG-checked first-fit search on conflict, opens a new lane within
+    /// the budget, and only errors out (for a repair: a *counted* fallback
+    /// at the SM, the columns put back) when the budget is exhausted — a
+    /// repair never re-layers the whole fabric. With no clean pair and no
+    /// prior lane that is exactly first-fit packing from lane 0.
+    fn route(
         &self,
-        subnet: &Subnet,
+        splice: &mut Splice<'_>,
         opts: RoutingOptions,
         observer: &Observer,
-    ) -> IbResult<RoutingTables> {
-        let g = SwitchGraph::build(subnet)?;
-        if g.is_empty() {
-            return Ok(RoutingTables {
-                lfts: FxHashMap::default(),
-                vls: VlAssignment::SingleVl,
-                engine: self.name(),
-                decisions: 0,
-            });
+    ) -> IbResult<(VlAssignment, u64)> {
+        // A usable baseline carries a per-pair (or single-lane) assignment
+        // to re-seed the layers from.
+        if !matches!(
+            splice.vls(),
+            VlAssignment::SingleVl | VlAssignment::PerSwitchPair(_)
+        ) {
+            return Err(IbError::Management(
+                "LASH repair baseline carries a foreign VL assignment".into(),
+            ));
         }
+        let g = splice.graph();
         let n = g.len();
         let workers = opts.effective_workers(n);
+        let dirty_cols = splice.dirty_dests();
 
-        // One deterministic BFS in-tree per switch: tree[dsw][s] = the port
-        // s uses toward dsw (lowest-index parent wins ties). Trees are
-        // independent, so the extraction fans across workers; each worker
-        // reuses one distance buffer and one queue for all its trees.
-        let mut trees: Vec<Vec<Option<PortNum>>> = vec![vec![None; n]; n];
+        // Per-switch witness destination: the installed column each clean
+        // pair's path is read back from (all pairs toward one delivery
+        // switch ride the same in-tree, so one column per switch
+        // suffices).
+        let mut first_dest: Vec<Option<Destination>> = vec![None; n];
+        for d in g.destinations() {
+            first_dest[d.switch].get_or_insert(*d);
+        }
+
+        // The switches whose pairs are (re-)placed: the dirty columns'
+        // delivery switches, plus every switch that delivers no column at
+        // all — its pairs' paths live in no LFT to read them back from, so
+        // they are re-derived every time. `tree_of[dsw]` indexes `trees`.
+        let mut delivers_dirty = vec![false; n];
+        for d in &dirty_cols {
+            delivers_dirty[d.switch] = true;
+        }
+        let dirty_switches: Vec<usize> = (0..n)
+            .filter(|&s| delivers_dirty[s] || first_dest[s].is_none())
+            .collect();
+        let mut tree_of = vec![NO_TREE; n];
+        for (ti, &s) in dirty_switches.iter().enumerate() {
+            tree_of[s] = ti;
+        }
+
+        // One deterministic BFS in-tree per dirty switch, row-major:
+        // trees[ti * n + s] = the port s uses toward dirty_switches[ti]
+        // (lowest-index parent wins ties). Trees are independent, so the
+        // extraction fans across workers; each worker reuses one distance
+        // buffer and one queue for all its trees.
+        let mut trees: Vec<Option<PortNum>> = vec![None; dirty_switches.len() * n];
         {
             let _span = observer.span("routing.lash.distances");
+            let mut rows: Vec<&mut [Option<PortNum>]> = trees.chunks_mut(n).collect();
             parallel_for_each(
-                &mut trees,
+                &mut rows,
                 workers,
                 || (vec![u32::MAX; n], Vec::<u32>::with_capacity(n)),
-                |(dist, queue), dsw, port_toward| {
+                |(dist, queue), ti, port_toward| {
+                    let dsw = dirty_switches[ti];
                     dist.fill(u32::MAX);
                     dist[dsw] = 0;
                     queue.clear();
@@ -104,36 +148,35 @@ impl RoutingEngine for Lash {
             );
         }
         // A `None` tree entry for s != dsw means the fabric is split and s
-        // cannot reach dsw: the stage fill below leaves that LFT row empty
-        // (an explicit hole) and the pair packing skips the pair — every
-        // reachable pair still gets a path and a lane.
+        // cannot reach dsw: the fill below *clears* that entry (an explicit
+        // hole, no stale route into the lost component) and the lane
+        // placement drops the pair — every reachable pair still gets a
+        // path and a lane.
 
-        // LFTs straight from the trees: each switch's staging row is
+        // The dirty columns straight from the trees: each switch's row is
         // independent, so the fill fans across workers too.
-        let mut stages: Vec<Vec<Option<PortNum>>> = vec![vec![None; g.lid_bound()]; n];
         parallel_for_each(
-            &mut stages,
+            splice.rows(),
             workers,
             || (),
-            |(), s, stage| {
-                for dest in g.destinations() {
-                    stage[dest.lid.raw() as usize] = if s == dest.switch {
+            |(), s, row| {
+                for dest in &dirty_cols {
+                    let port = if s == dest.switch {
                         Some(dest.port)
                     } else {
-                        trees[dest.switch][s]
+                        trees[tree_of[dest.switch] * n + s]
                     };
+                    row.set(dest.lid, port);
                 }
             },
         );
-        let mut decisions = (g.destinations().len() * n) as u64;
+        let mut decisions = (dirty_cols.len() * n) as u64;
 
-        // Pack each ordered switch pair into the first lane that stays
+        // Pack each dirty ordered switch pair into a lane that stays
         // acyclic. Strictly serial: whether a pair fits lane l depends on
-        // every pair placed before it. (The `dsw` index doubles as the
-        // tree id, so a range loop reads clearer than enumerate here.)
-        // Layers use the classic dense-matrix CDG representation
-        // (see [`MatrixCdg`]) so the per-pair cycle check carries LASH's
-        // characteristic quadratic-in-channels cost.
+        // every pair placed before it. Layers use the classic dense-matrix
+        // CDG representation (see [`MatrixCdg`]) so the per-pair cycle
+        // check carries LASH's characteristic quadratic-in-channels cost.
         let _span = observer.span("routing.lash.vl_partition");
         let mut channel_ids: FxHashMap<Channel, usize> = FxHashMap::default();
         for s in 0..n {
@@ -143,237 +186,14 @@ impl RoutingEngine for Lash {
             }
         }
         let num_channels = channel_ids.len();
-        let mut layers: Vec<MatrixCdg> = vec![MatrixCdg::new(num_channels)];
-        let mut pair_lane: FxHashMap<(u32, u32), VirtualLane> = FxHashMap::default();
-        let mut ids: Vec<usize> = Vec::new();
-        #[allow(clippy::needless_range_loop)]
-        for dsw in 0..n {
-            for src in 0..n {
-                if src == dsw {
-                    continue;
-                }
-                if trees[dsw][src].is_none() {
-                    // Split fabric: src cannot reach dsw, so the pair has
-                    // no path and needs no lane.
-                    continue;
-                }
-                // Materialize the channel-id path src -> dsw along the tree.
-                // (Every switch on the walk is reachable once src is: the
-                // in-tree is connected toward dsw.)
-                ids.clear();
-                let mut cur = src;
-                while cur != dsw {
-                    let p = trees[dsw][cur].expect("on the in-tree toward dsw");
-                    ids.push(channel_ids[&(cur as u32, p.raw())]);
-                    decisions += 1;
-                    cur = g
-                        .neighbors(cur)
-                        .iter()
-                        .find(|&&(_, q)| q == p)
-                        .map(|&(v, _)| v as usize)
-                        .expect("port leads somewhere");
-                }
-                let mut placed = None;
-                for (l, layer) in layers.iter_mut().enumerate() {
-                    if layer.try_add_path(&ids) {
-                        placed = Some(l as u8);
-                        break;
-                    }
-                }
-                let lane = match placed {
-                    Some(l) => l,
-                    None => {
-                        if layers.len() >= self.max_vls as usize {
-                            return Err(IbError::Topology(format!(
-                                "lash: virtual lanes exhausted ({})",
-                                self.max_vls
-                            )));
-                        }
-                        let mut fresh = MatrixCdg::new(num_channels);
-                        let ok = fresh.try_add_path(&ids);
-                        debug_assert!(ok, "single path cannot be cyclic");
-                        layers.push(fresh);
-                        (layers.len() - 1) as u8
-                    }
-                };
-                if lane != 0 {
-                    pair_lane.insert(
-                        (src as u32, dsw as u32),
-                        VirtualLane::new(lane).expect("lane < 15"),
-                    );
-                }
-            }
-        }
-
-        let vls = if pair_lane.is_empty() {
-            VlAssignment::SingleVl
-        } else {
-            VlAssignment::PerSwitchPair(pair_lane)
+        let mut pair_lane: FxHashMap<(u32, u32), VirtualLane> = match splice.vls() {
+            VlAssignment::PerSwitchPair(map) => map.clone(),
+            _ => FxHashMap::default(),
         };
-        Ok(RoutingTables {
-            lfts: stages_to_lfts(&g, stages),
-            vls,
-            engine: self.name(),
-            decisions,
-        })
-    }
-
-    /// Incremental repair: recompute BFS in-trees only for the dirty
-    /// delivery switches and write their columns over `tables` in place,
-    /// then re-place just the re-routed switch pairs into the lane
-    /// structure. Each layer's CDG is re-seeded from the clean pairs'
-    /// installed paths — they coexisted acyclically before, so no cycle
-    /// check is run (or wanted: the O(channels²) check is LASH's cost).
-    /// A dirty pair first tries its prior lane, escalates to the
-    /// CDG-checked first-fit search on conflict, opens a new lane within
-    /// the budget, and only errors out (a *counted* fallback at the SM,
-    /// the columns put back) when the budget is exhausted — the whole
-    /// fabric is never re-layered.
-    fn repair_with_graph(
-        &self,
-        g: &SwitchGraph,
-        opts: RoutingOptions,
-        tables: &mut RoutingTables,
-        dirty_dests: &[ib_types::Lid],
-        observer: &Observer,
-    ) -> IbResult<SpliceLog> {
-        // A usable baseline needs every switch's LFT *and* a per-pair (or
-        // single-lane) assignment to re-seed the layers from.
-        let mut splice = Splice::begin(g, tables)?;
-        if !matches!(
-            splice.vls(),
-            VlAssignment::SingleVl | VlAssignment::PerSwitchPair(_)
-        ) {
-            return Err(IbError::Management(
-                "LASH repair baseline carries a foreign VL assignment".into(),
-            ));
-        }
-        let _span = observer.span("routing.lash.repair");
-        let n = g.len();
-        let dirty: FxHashSet<u16> = dirty_dests.iter().map(|l| l.raw()).collect();
-        let dirty_cols: Vec<Destination> = g
-            .destinations()
-            .iter()
-            .copied()
-            .filter(|d| dirty.contains(&d.lid.raw()))
-            .collect();
-        if dirty_cols.is_empty() {
-            let vls = splice.vls().clone();
-            return Ok(splice.commit(vls, self.name(), 0));
-        }
-
-        // Per-switch witness destination: the installed column each clean
-        // pair's path is read back from (all pairs toward one delivery
-        // switch ride the same in-tree, so one column per switch
-        // suffices). A switch with no LID leaves its pairs' paths
-        // unreconstructable — nothing to splice (never the case once the
-        // SM has assigned switch LIDs).
-        let first_dest: Vec<Destination> = {
-            let mut fd: Vec<Option<Destination>> = vec![None; n];
-            for d in g.destinations() {
-                if fd[d.switch].is_none() {
-                    fd[d.switch] = Some(*d);
-                }
-            }
-            if fd.iter().any(Option::is_none) {
-                return Err(IbError::Management(
-                    "LASH repair needs a LID on every switch".into(),
-                ));
-            }
-            fd.into_iter().flatten().collect()
-        };
-
-        let mut dirty_switches: Vec<usize> = dirty_cols.iter().map(|d| d.switch).collect();
-        dirty_switches.sort_unstable();
-        dirty_switches.dedup();
-        let tree_of: FxHashMap<usize, usize> = dirty_switches
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i))
-            .collect();
-
-        // Fresh BFS in-trees for the dirty delivery switches only — the
-        // repair-sized slice of the full compute's per-switch sweep.
-        let mut trees: Vec<Vec<Option<PortNum>>> = vec![vec![None; n]; dirty_switches.len()];
-        {
-            let _span = observer.span("routing.lash.distances");
-            parallel_for_each(
-                &mut trees,
-                opts.effective_workers(dirty_switches.len()),
-                || (vec![u32::MAX; n], Vec::<u32>::with_capacity(n)),
-                |(dist, queue), ti, port_toward| {
-                    let dsw = dirty_switches[ti];
-                    dist.fill(u32::MAX);
-                    dist[dsw] = 0;
-                    queue.clear();
-                    queue.push(dsw as u32);
-                    let mut head = 0;
-                    while head < queue.len() {
-                        let v = queue[head] as usize;
-                        head += 1;
-                        for &(s, _) in g.neighbors(v) {
-                            let s = s as usize;
-                            if dist[s] == u32::MAX {
-                                dist[s] = dist[v] + 1;
-                                let p = g
-                                    .neighbors(s)
-                                    .iter()
-                                    .find(|&&(x, _)| x as usize == v)
-                                    .map(|&(_, p)| p)
-                                    .expect("symmetric adjacency");
-                                port_toward[s] = Some(p);
-                                queue.push(s as u32);
-                            }
-                        }
-                    }
-                },
-            );
-        }
-        // A `None` tree entry means the fault split the fabric: the splice
-        // below *clears* that row (no stale route into the lost component)
-        // and the lane re-placement drops the pair.
-
-        // Splice the dirty columns: identical to what the full compute's
-        // stage fill would produce from the same trees.
-        let mut decisions = (dirty_cols.len() * n) as u64;
-        for dest in &dirty_cols {
-            let tree = &trees[tree_of[&dest.switch]];
-            for (s, &toward) in tree.iter().enumerate() {
-                let port = if s == dest.switch {
-                    Some(dest.port)
-                } else {
-                    toward
-                };
-                splice.set(s, dest.lid, port);
-            }
-        }
-
-        // Incremental lane re-assignment.
-        let _span2 = observer.span("routing.lash.vl_partition");
-        let mut channel_ids: FxHashMap<Channel, usize> = FxHashMap::default();
-        for s in 0..n {
-            for &(_, p) in g.neighbors(s) {
-                let next = channel_ids.len();
-                channel_ids.entry((s as u32, p.raw())).or_insert(next);
-            }
-        }
-        let num_channels = channel_ids.len();
-        let max_lane = match splice.vls() {
-            VlAssignment::PerSwitchPair(map) => map.values().map(|l| l.raw()).max().unwrap_or(0),
-            _ => 0,
-        };
+        let max_lane = pair_lane.values().map(|l| l.raw()).max().unwrap_or(0);
         let mut layers: Vec<MatrixCdg> = (0..=max_lane)
             .map(|_| MatrixCdg::new(num_channels))
             .collect();
-        let port_to_switch: Vec<FxHashMap<u8, usize>> = (0..n)
-            .map(|s| {
-                g.neighbors(s)
-                    .iter()
-                    .map(|&(v, p)| (p.raw(), v as usize))
-                    .collect()
-            })
-            .collect();
-        let dirty_set: FxHashSet<usize> = dirty_switches.iter().copied().collect();
 
         // Re-seed the layers from the clean pairs' installed paths. A walk
         // that dead-ends — the entry is cleared, or the port leads into a
@@ -388,14 +208,9 @@ impl RoutingEngine for Lash {
         // rebuilds from scratch (keeping the reverse route index honest —
         // a silent internal recompute here would be misread as a splice).
         let mut ids: Vec<usize> = Vec::new();
-        for (dsw, &dest) in first_dest.iter().enumerate() {
-            if dirty_set.contains(&dsw) {
-                continue;
-            }
-            for src in 0..n {
-                if src == dsw {
-                    continue;
-                }
+        for dsw in (0..n).filter(|&dsw| tree_of[dsw] == NO_TREE) {
+            let dest = first_dest[dsw].expect("a switch with no column is dirty");
+            for src in (0..n).filter(|&src| src != dsw) {
                 ids.clear();
                 let mut cur = src;
                 let mut hops = 0;
@@ -406,7 +221,7 @@ impl RoutingEngine for Lash {
                     let Some(&cid) = channel_ids.get(&(cur as u32, p.raw())) else {
                         break;
                     };
-                    let Some(&next_sw) = port_to_switch[cur].get(&p.raw()) else {
+                    let Some(next_sw) = g.peer(cur, p) else {
                         break;
                     };
                     ids.push(cid);
@@ -418,66 +233,44 @@ impl RoutingEngine for Lash {
                         ));
                     }
                 }
-                let lane = splice
-                    .vls()
-                    .lane_for(src as u32, dsw as u32, dest.lid)
-                    .raw() as usize;
-                layers[lane].add_path(&ids);
+                let lane = splice.vls().lane_for(src as u32, dsw as u32, dest.lid);
+                layers[lane.raw() as usize].add_path(&ids);
             }
         }
 
         // Place the dirty pairs: prior lane first (most repaired paths
         // still fit where they lived), then first-fit, then a new lane.
-        let mut pair_lane: FxHashMap<(u32, u32), VirtualLane> = match splice.vls() {
-            VlAssignment::PerSwitchPair(map) => map.clone(),
-            _ => FxHashMap::default(),
-        };
-        for &dsw in &dirty_switches {
-            let tree = &trees[tree_of[&dsw]];
-            for src in 0..n {
-                if src == dsw {
-                    continue;
-                }
+        for (tree, &dsw) in trees.chunks(n).zip(&dirty_switches) {
+            for src in (0..n).filter(|&src| src != dsw) {
+                let pair = (src as u32, dsw as u32);
+                let prior_lane = pair_lane.remove(&pair).map_or(0, |l| l.raw() as usize);
                 if tree[src].is_none() {
-                    // The fault cut src off from dsw: the pair no longer
-                    // has a path, so it holds no lane either.
-                    pair_lane.remove(&(src as u32, dsw as u32));
+                    // Split fabric: src cannot reach dsw, so the pair has
+                    // no path and holds no lane.
                     continue;
                 }
+                // Materialize the channel-id path src -> dsw along the tree.
+                // (Every switch on the walk is reachable once src is: the
+                // in-tree is connected toward dsw.)
                 ids.clear();
                 let mut cur = src;
                 while cur != dsw {
                     let p = tree[cur].expect("on the in-tree toward dsw");
                     ids.push(channel_ids[&(cur as u32, p.raw())]);
                     decisions += 1;
-                    cur = g
-                        .neighbors(cur)
-                        .iter()
-                        .find(|&&(_, q)| q == p)
-                        .map(|&(v, _)| v as usize)
-                        .expect("port leads somewhere");
+                    cur = g.peer(cur, p).expect("port leads somewhere");
                 }
-                let prior_lane = splice
-                    .vls()
-                    .lane_for(src as u32, dsw as u32, first_dest[dsw].lid)
-                    .raw() as usize;
-                let mut placed = None;
-                if layers[prior_lane].try_add_path(&ids) {
-                    placed = Some(prior_lane as u8);
+                let placed = if layers[prior_lane].try_add_path(&ids) {
+                    Some(prior_lane)
                 } else {
-                    for (l, layer) in layers.iter_mut().enumerate() {
-                        if l != prior_lane && layer.try_add_path(&ids) {
-                            placed = Some(l as u8);
-                            break;
-                        }
-                    }
-                }
+                    (0..layers.len()).find(|&l| l != prior_lane && layers[l].try_add_path(&ids))
+                };
                 let lane = match placed {
                     Some(l) => l,
                     None => {
                         if layers.len() >= self.max_vls as usize {
                             return Err(IbError::Topology(format!(
-                                "lash: virtual lanes exhausted ({}) during repair",
+                                "lash: virtual lanes exhausted ({})",
                                 self.max_vls
                             )));
                         }
@@ -485,16 +278,11 @@ impl RoutingEngine for Lash {
                         let ok = fresh.try_add_path(&ids);
                         debug_assert!(ok, "single path cannot be cyclic");
                         layers.push(fresh);
-                        (layers.len() - 1) as u8
+                        layers.len() - 1
                     }
                 };
                 if lane != 0 {
-                    pair_lane.insert(
-                        (src as u32, dsw as u32),
-                        VirtualLane::new(lane).expect("lane < 15"),
-                    );
-                } else {
-                    pair_lane.remove(&(src as u32, dsw as u32));
+                    pair_lane.insert(pair, VirtualLane::new(lane as u8).expect("lane < 15"));
                 }
             }
         }
@@ -504,7 +292,7 @@ impl RoutingEngine for Lash {
         } else {
             VlAssignment::PerSwitchPair(pair_lane)
         };
-        Ok(splice.commit(vls, self.name(), decisions))
+        Ok((vls, decisions))
     }
 }
 
@@ -650,12 +438,7 @@ pub fn verify_pair_layers_acyclic(subnet: &Subnet, tables: &RoutingTables) -> Ib
                         cdg.add_edge(pr, ch, dest.lid.raw());
                     }
                     prev = Some(ch);
-                    cur = g
-                        .neighbors(cur)
-                        .iter()
-                        .find(|&&(_, q)| q == p)
-                        .map(|&(v, _)| v as usize)
-                        .expect("port leads to a switch");
+                    cur = g.peer(cur, p).expect("port leads to a switch");
                     hops += 1;
                     if hops > g.len() {
                         return Err(IbError::Topology("routing loop".into()));

@@ -4,8 +4,8 @@
 //! the paper benchmarks in Fig. 7, plus the machinery to reason about
 //! deadlock freedom:
 //!
-//! * [`minhop`] — OpenSM's default Min-Hop engine: all-pairs shortest paths
-//!   with per-port load balancing.
+//! * [`minhop`] — OpenSM's default Min-Hop engine: shortest paths (one BFS
+//!   per delivery switch) with per-port load balancing.
 //! * [`ftree`] — structured fat-tree routing: fast, exploits tree ranks.
 //! * [`updn`] — Up*/Down*: deadlock-free by link direction restriction.
 //! * [`dfsssp`] — deadlock-free SSSP routing: shortest paths, then cycles in
@@ -19,7 +19,10 @@
 //! Every engine is a pure function `&Subnet -> RoutingTables`; nothing here
 //! mutates the subnet. The subnet manager (crate `ib-sm`) applies tables and
 //! accounts the SMPs; the engines only *compute* — which is exactly the
-//! `PCt` term of the paper's equation 1.
+//! `PCt` term of the paper's equation 1. Each engine is written once, as
+//! [`RoutingEngine::route`]: a full compute is that kernel over every
+//! destination column of fresh, empty tables, an incremental repair the
+//! same kernel over the dirty columns of the installed ones.
 //!
 //! Engines run single-threaded by default; [`RoutingOptions`] (threaded
 //! through [`RoutingEngine::compute_with`]) fans the embarrassingly

@@ -104,7 +104,7 @@ impl SwitchColumns {
     /// the switch-destined LIDs among `dests` (deduplicated, in index
     /// order): all of `g.destinations()` on a full compute, the dirty
     /// columns on a repair. Splits are not errors: cross-component
-    /// entries stay `u32::MAX` and [`Self::pick`] turns them into
+    /// entries stay `u32::MAX` and [`Self::sticky_pick`] turns them into
     /// explicit `None` holes.
     pub fn new(g: &SwitchGraph, workers: usize, dests: &[Destination]) -> Self {
         let n = g.len();
@@ -247,33 +247,13 @@ impl SwitchColumns {
     }
 
     /// The legal egress at `s` toward the switch LID `lid` delivered at
-    /// `dsw`: the ((lid + s) mod candidates)-th legal port in port
-    /// order — the host columns' modular spread, staggered by source so
-    /// uniformly-cabled switches don't all break the same column when
-    /// one cable dies. `None` when `s` sits across a split from `dsw`
-    /// (an explicit hole). Callers handle the `s == dsw` delivery row
-    /// themselves.
-    pub fn pick(&self, dsw: usize, lid: Lid, s: usize) -> Option<PortNum> {
-        let (ddist, full) = self.row(dsw, s)?;
-        let legal = |&&(v, _): &&(u32, PortNum)| self.legal(ddist, full, s, v as usize);
-        let count = self.sorted_adj[s].iter().filter(legal).count();
-        if count == 0 {
-            // Unreachable on a connected component; be defensive — the
-            // verifier reports the hole if it ever happens.
-            return None;
-        }
-        let want = (lid.raw() as usize + s) % count;
-        self.sorted_adj[s]
-            .iter()
-            .filter(legal)
-            .nth(want)
-            .map(|&(_, p)| p)
-    }
-
-    /// The repair-path pick: keeps `installed` whenever it is still a
-    /// legal candidate on the degraded graph, falling back to
-    /// [`Self::pick`] otherwise — so a splice rewrites only the entries
-    /// the fault actually broke.
+    /// `dsw`: `installed` whenever it is still a legal candidate — so a
+    /// splice rewrites only the entries a fault actually broke — else the
+    /// ((lid + s) mod candidates)-th legal port in port order: the host
+    /// columns' modular spread, staggered by source so uniformly-cabled
+    /// switches don't all break the same column when one cable dies.
+    /// `None` when `s` sits across a split from `dsw` (an explicit hole).
+    /// Callers handle the `s == dsw` delivery row themselves.
     pub fn sticky_pick(
         &self,
         dsw: usize,
@@ -281,15 +261,23 @@ impl SwitchColumns {
         s: usize,
         installed: Option<PortNum>,
     ) -> Option<PortNum> {
-        if let (Some(p), Some((ddist, full))) = (installed, self.row(dsw, s)) {
-            if self.sorted_adj[s]
-                .iter()
-                .any(|&(v, q)| q == p && self.legal(ddist, full, s, v as usize))
-            {
-                return Some(p);
-            }
+        let (ddist, full) = self.row(dsw, s)?;
+        let legal = || {
+            let ok = |&&(v, _): &&(u32, PortNum)| self.legal(ddist, full, s, v as usize);
+            self.sorted_adj[s].iter().filter(ok).map(|&(_, p)| p)
+        };
+        if let Some(p) = installed.filter(|&p| legal().any(|q| q == p)) {
+            return Some(p);
         }
-        self.pick(dsw, lid, s)
+        // No legal port is unreachable on a connected component; be
+        // defensive — the verifier reports the hole if it ever happens.
+        let want = (lid.raw() as usize + s) % legal().count().max(1);
+        legal().nth(want)
+    }
+
+    /// The neighbors of `s` in port order.
+    pub fn neighbors_by_port(&self, s: usize) -> &[(u32, PortNum)] {
+        &self.sorted_adj[s]
     }
 
     /// The `dsw` row slices, or `None` when `s` cannot reach `dsw` (a
@@ -367,8 +355,8 @@ mod tests {
                         "split={split}"
                     );
                     assert_eq!(
-                        some.pick(d.switch, d.lid, s),
-                        full.pick(d.switch, d.lid, s),
+                        some.sticky_pick(d.switch, d.lid, s, None),
+                        full.sticky_pick(d.switch, d.lid, s, None),
                         "split={split} dsw={} s={s}",
                         d.switch
                     );
@@ -388,6 +376,6 @@ mod tests {
             .filter(|d| d.port == PortNum::MANAGEMENT && d.switch == 0)
             .collect();
         let cols = SwitchColumns::new(&g, 1, &only);
-        let _ = cols.pick(1, Lid::from_raw(2), 0);
+        let _ = cols.sticky_pick(1, Lid::from_raw(2), 0, None);
     }
 }

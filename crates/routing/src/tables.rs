@@ -2,24 +2,9 @@
 
 use ib_subnet::{Lft, NodeId, Subnet};
 use ib_types::{IbResult, Lid, PortNum, VirtualLane};
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet};
 
-use crate::graph::SwitchGraph;
-
-/// Converts per-switch flat staging rows (indexed by raw LID) into the
-/// block-structured LFT map routing engines return. One conversion at the
-/// end of a compute replaces per-entry `Lft::set` bookkeeping in the hot
-/// loops; `stages[s]` becomes the table of switch `s`.
-pub(crate) fn stages_to_lfts(
-    g: &SwitchGraph,
-    stages: Vec<Vec<Option<PortNum>>>,
-) -> FxHashMap<NodeId, Lft> {
-    stages
-        .into_iter()
-        .enumerate()
-        .map(|(s, stage)| (g.node_id(s), Lft::from_dense(stage)))
-        .collect()
-}
+use crate::graph::{Destination, SwitchGraph};
 
 /// How flows are spread across virtual lanes for deadlock freedom.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -147,81 +132,199 @@ impl SpliceLog {
     }
 }
 
-/// An engine's handle on the tables it repairs in place: the LFT rows
-/// resolved once into switch-index order (no per-cell hashing), every write
-/// that changes a cell logged. Dropping it without [`Splice::commit`] — an
-/// engine bailing out with `?` after its columns are written — puts every
-/// written cell back, so an `Err` repair leaves the tables untouched.
-pub(crate) struct Splice<'a> {
-    g: &'a SwitchGraph,
-    rows: Vec<&'a mut Lft>,
-    vls: &'a mut VlAssignment,
-    engine: &'a mut &'static str,
-    decisions: &'a mut u64,
-    cells: Vec<CellChange>,
+/// One switch's LFT as an engine's kernel writes it: the row cursor. A
+/// logged row (a repair of installed tables) records every write that
+/// changes a cell; an unlogged one (a fresh table, nothing to undo) just
+/// stores. Rows are disjoint, so a kernel may fan them across workers.
+pub(crate) struct Row<'a> {
+    switch: NodeId,
+    lft: &'a mut Lft,
+    log: Option<Vec<CellChange>>,
 }
 
-impl<'a> Splice<'a> {
-    /// Opens `tables` for an in-place repair over `g`. The precondition
-    /// every engine's repair shares is checked here: the tables must hold
-    /// an LFT for each of the graph's switches. `Err` otherwise (and for an
-    /// empty graph, which has nothing to splice) — the caller's answer is a
-    /// full compute.
-    pub fn begin(g: &'a SwitchGraph, tables: &'a mut RoutingTables) -> IbResult<Self> {
-        let mut slots: Vec<Option<&mut Lft>> = (0..g.len()).map(|_| None).collect();
-        for (&id, lft) in &mut tables.lfts {
-            if let Some(s) = g.index(id) {
-                slots[s] = Some(lft);
-            }
-        }
-        match slots.into_iter().collect::<Option<Vec<_>>>() {
-            Some(rows) if !rows.is_empty() => Ok(Self {
-                g,
-                rows,
-                vls: &mut tables.vls,
-                engine: &mut tables.engine,
-                decisions: &mut tables.decisions,
-                cells: Vec::new(),
-            }),
-            _ => Err(ib_types::IbError::Management(
-                "repair baseline does not cover the switch graph".into(),
-            )),
-        }
+impl Row<'_> {
+    /// The current entry for `lid`.
+    pub fn get(&self, lid: Lid) -> Option<PortNum> {
+        self.lft.get(lid)
     }
 
-    /// The VL assignment the tables carried into the repair.
-    pub fn vls(&self) -> &VlAssignment {
-        self.vls
-    }
-
-    /// The current LFT of switch index `s`.
-    pub fn row(&self, s: usize) -> &Lft {
-        self.rows[s]
-    }
-
-    /// The current entry of switch index `s` for `lid`.
-    pub fn get(&self, s: usize, lid: Lid) -> Option<PortNum> {
-        self.rows[s].get(lid)
-    }
-
-    /// Writes one cell, logging it if the value changes.
-    pub fn set(&mut self, s: usize, lid: Lid, new: Option<PortNum>) {
-        let old = self.rows[s].get(lid);
+    /// Writes one cell, logging it if the row is logged and the value
+    /// changes.
+    pub fn set(&mut self, lid: Lid, new: Option<PortNum>) {
+        let Some(log) = &mut self.log else {
+            return self.lft.assign(lid, new);
+        };
+        let old = self.lft.get(lid);
         if old != new {
-            self.rows[s].assign(lid, new);
-            self.cells.push(CellChange {
-                switch: self.g.node_id(s),
+            self.lft.assign(lid, new);
+            log.push(CellChange {
+                switch: self.switch,
                 lid,
                 old,
                 new,
             });
         }
     }
+}
 
-    /// Seals the repair: installs the new header and hands back the log.
-    pub fn commit(mut self, vls: VlAssignment, engine: &'static str, decisions: u64) -> SpliceLog {
+/// What an engine's kernel routes: the destination columns to (re)compute —
+/// `dirty` — over the LFT rows of a table set, resolved once into
+/// switch-index order (no per-cell hashing). Every engine has one kernel,
+/// [`crate::RoutingEngine::route`], and it only ever sees a `Splice`: a
+/// full compute is the kernel over every column of fresh, empty, unlogged
+/// rows; a repair is the same kernel over the dirty columns of the installed
+/// rows, every changed cell logged.
+///
+/// Dropping it uncommitted — a kernel bailing out with `?` after its
+/// columns are written — puts every logged cell back, so an `Err` repair
+/// leaves the tables untouched.
+pub struct Splice<'a> {
+    g: &'a SwitchGraph,
+    rows: Vec<Row<'a>>,
+    vls: &'a mut VlAssignment,
+    engine: &'a mut &'static str,
+    decisions: &'a mut u64,
+    /// `dirty[di]`: whether `g.destinations()[di]` is a column to route.
+    dirty: Vec<bool>,
+}
+
+impl<'a> Splice<'a> {
+    /// Opens `tables` for an in-place repair of the `dirty` columns over
+    /// `g`. The precondition every engine's repair shares is checked here:
+    /// the tables must hold an LFT for each of the graph's switches. `Err`
+    /// otherwise (and for an empty graph, which has nothing to splice) —
+    /// the caller's answer is a full compute.
+    pub(crate) fn begin(
+        g: &'a SwitchGraph,
+        tables: &'a mut RoutingTables,
+        dirty: &[Lid],
+    ) -> IbResult<Self> {
+        let dirty: FxHashSet<Lid> = dirty.iter().copied().collect();
+        let dirty = g
+            .destinations()
+            .iter()
+            .map(|d| dirty.contains(&d.lid))
+            .collect();
+        Self::open(g, tables, dirty, true)
+            .filter(|splice| !splice.rows.is_empty())
+            .ok_or_else(|| {
+                ib_types::IbError::Management(
+                    "repair baseline does not cover the switch graph".into(),
+                )
+            })
+    }
+
+    /// Fresh tables for `g` — one empty LFT per switch, sized for the
+    /// topmost destination — opened with every column dirty and no cell
+    /// log: there is nothing to undo, an `Err` just drops the tables.
+    pub(crate) fn fresh(g: &'a SwitchGraph, tables: &'a mut RoutingTables) -> Self {
+        let row = match g.destinations().iter().map(|d| d.lid).max() {
+            Some(topmost) => Lft::with_topmost(topmost),
+            None => Lft::new(),
+        };
+        tables.lfts = (0..g.len()).map(|s| (g.node_id(s), row.clone())).collect();
+        Self::open(g, tables, vec![true; g.destinations().len()], false)
+            .expect("the tables were built from the graph")
+    }
+
+    fn open(
+        g: &'a SwitchGraph,
+        tables: &'a mut RoutingTables,
+        dirty: Vec<bool>,
+        logged: bool,
+    ) -> Option<Self> {
+        let mut slots: Vec<Option<Row>> = (0..g.len()).map(|_| None).collect();
+        for (&switch, lft) in &mut tables.lfts {
+            if let Some(s) = g.index(switch) {
+                let log = logged.then(Vec::new);
+                slots[s] = Some(Row { switch, lft, log });
+            }
+        }
+        Some(Self {
+            g,
+            rows: slots.into_iter().collect::<Option<_>>()?,
+            vls: &mut tables.vls,
+            engine: &mut tables.engine,
+            decisions: &mut tables.decisions,
+            dirty,
+        })
+    }
+
+    /// The switch graph the columns are routed on.
+    pub(crate) fn graph(&self) -> &'a SwitchGraph {
+        self.g
+    }
+
+    /// The VL assignment the tables carried in.
+    pub(crate) fn vls(&self) -> &VlAssignment {
+        self.vls
+    }
+
+    /// Whether there is no column to route.
+    pub(crate) fn is_clean(&self) -> bool {
+        !self.dirty.contains(&true)
+    }
+
+    /// Whether destination index `di` is a column to route.
+    pub(crate) fn is_dirty(&self, di: usize) -> bool {
+        self.dirty[di]
+    }
+
+    /// The destinations to route, in the graph's destination order — which
+    /// keeps the engines' order-sensitive serial phases deterministic.
+    pub(crate) fn dirty_dests(&self) -> Vec<Destination> {
+        self.dests_where(true)
+    }
+
+    /// The destinations whose columns stay as installed (none in fresh
+    /// tables): what load- and weight-balancing engines seed from.
+    pub(crate) fn clean_dests(&self) -> Vec<Destination> {
+        self.dests_where(false)
+    }
+
+    fn dests_where(&self, dirty: bool) -> Vec<Destination> {
+        let all = self.g.destinations().iter().zip(&self.dirty);
+        all.filter(|&(_, &d)| d == dirty).map(|(&d, _)| d).collect()
+    }
+
+    /// The destinations to route grouped by delivery switch, in switch
+    /// order, as indices into the graph's destination list — the unit the
+    /// engines that compute one distance field per delivery switch work in.
+    pub(crate) fn dirty_groups(&self) -> Vec<(usize, Vec<usize>)> {
+        let mut by_switch: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
+        for (di, d) in self.g.destinations().iter().enumerate() {
+            if self.dirty[di] {
+                by_switch.entry(d.switch).or_default().push(di);
+            }
+        }
+        let mut groups: Vec<(usize, Vec<usize>)> = by_switch.into_iter().collect();
+        groups.sort_unstable_by_key(|(s, _)| *s);
+        groups
+    }
+
+    /// The rows in switch-index order, each independently writable.
+    pub(crate) fn rows(&mut self) -> &mut [Row<'a>] {
+        &mut self.rows
+    }
+
+    /// The current entry of switch index `s` for `lid`.
+    pub(crate) fn get(&self, s: usize, lid: Lid) -> Option<PortNum> {
+        self.rows[s].get(lid)
+    }
+
+    /// Seals the splice: installs the new header and hands back the log —
+    /// the rows' cells in switch order, so it is the same for any worker
+    /// count the rows were fanned across.
+    pub(crate) fn commit(
+        mut self,
+        vls: VlAssignment,
+        engine: &'static str,
+        decisions: u64,
+    ) -> SpliceLog {
         SpliceLog {
-            cells: std::mem::take(&mut self.cells),
+            cells: (self.rows.iter_mut())
+                .flat_map(|row| row.log.take().unwrap_or_default())
+                .collect(),
             displaced: Some((
                 std::mem::replace(self.vls, vls),
                 std::mem::replace(self.engine, engine),
@@ -233,9 +336,9 @@ impl<'a> Splice<'a> {
 
 impl Drop for Splice<'_> {
     fn drop(&mut self) {
-        while let Some(cell) = self.cells.pop() {
-            if let Some(s) = self.g.index(cell.switch) {
-                self.rows[s].assign(cell.lid, cell.old);
+        for row in &mut self.rows {
+            for cell in row.log.take().unwrap_or_default().into_iter().rev() {
+                row.lft.assign(cell.lid, cell.old);
             }
         }
     }

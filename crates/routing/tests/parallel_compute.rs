@@ -3,12 +3,15 @@
 //! engine and a spread of topologies (the paper's Fig. 7 fat trees plus a
 //! torus, where the VL-layering engines actually have cycles to break),
 //! `compute_with` must return identical tables — LFT bytes, VL assignment,
-//! decision count — at 1 worker, 2 workers, and auto (`0`).
+//! decision count — at 1 worker, 2 workers, and auto (`0`); and, the repair
+//! being the same kernel over fewer columns, `repair_with_graph` identical
+//! tables *and* an identical cell log.
 
 use ib_observe::Observer;
 use ib_routing::testutil::assign_lids;
-use ib_routing::{EngineKind, RoutingEngine, RoutingOptions, RoutingTables};
+use ib_routing::{EngineKind, RoutingEngine, RoutingOptions, RoutingTables, SwitchGraph};
 use ib_subnet::topology::{fattree, torus, BuiltTopology};
+use ib_types::Lid;
 
 fn compute(engine: &dyn RoutingEngine, t: &BuiltTopology, workers: usize) -> RoutingTables {
     engine
@@ -48,6 +51,63 @@ fn assert_worker_count_invariant(mut t: BuiltTopology, engines: &[EngineKind]) {
                 t.name
             );
         }
+        assert_repair_worker_count_invariant(engine.as_ref(), &t, &reference);
+    }
+}
+
+/// Downs the first switch–switch cable an installed route crosses and
+/// repairs the columns crossing it (from either end) at each worker count.
+fn assert_repair_worker_count_invariant(
+    engine: &dyn RoutingEngine,
+    t: &BuiltTopology,
+    installed: &RoutingTables,
+) {
+    let mut subnet = t.subnet.clone();
+    let (node, port, dirty) = t
+        .all_switches()
+        .into_iter()
+        .flat_map(|sw| {
+            t.subnet
+                .node(sw)
+                .connected_ports()
+                .map(move |(p, r)| (sw, p, r))
+        })
+        .filter(|(_, _, far)| t.subnet.node(far.node).is_switch())
+        .find_map(|(node, port, far)| {
+            let crosses = |lid: &Lid| {
+                installed.lfts[&node].get(*lid) == Some(port)
+                    || installed.lfts[&far.node].get(*lid) == Some(far.port)
+            };
+            let dirty: Vec<Lid> = t.subnet.lids().into_iter().filter(crosses).collect();
+            (!dirty.is_empty()).then_some((node, port, dirty))
+        })
+        .expect("some cable carries a route");
+    subnet.set_link_down(node, port).unwrap();
+    let graph = SwitchGraph::build(&subnet).unwrap();
+    let repair = |workers: usize| {
+        let mut tables = installed.clone();
+        let opts = RoutingOptions::default().with_workers(workers);
+        let log = engine
+            .repair_with_graph(&graph, opts, &mut tables, &dirty, &Observer::disabled())
+            .expect("engine repairs");
+        (tables, log.cells)
+    };
+    let (reference, cells) = repair(1);
+    assert!(!cells.is_empty(), "{}: the fault moved nothing", t.name);
+    for workers in [2usize, 0] {
+        let (got, got_cells) = repair(workers);
+        let tag = format!(
+            "{} repair on {} at workers={workers}",
+            engine.name(),
+            t.name
+        );
+        assert_eq!(reference.lfts, got.lfts, "{tag}: LFTs differ");
+        assert_eq!(reference.vls, got.vls, "{tag}: VL assignment differs");
+        assert_eq!(
+            reference.decisions, got.decisions,
+            "{tag}: decisions differ"
+        );
+        assert_eq!(cells, got_cells, "{tag}: cell log differs");
     }
 }
 

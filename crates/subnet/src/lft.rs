@@ -51,22 +51,6 @@ impl Lft {
         }
     }
 
-    /// Adopts a dense entry vector indexed by raw LID, rounding the
-    /// allocation up to a block boundary.
-    ///
-    /// This is the conversion step for routing-engine staging: engines fill
-    /// a flat `Vec<Option<PortNum>>` per switch in their hot loops and turn
-    /// it into a block-structured table once at the end, instead of paying
-    /// [`Lft::set`]'s block bookkeeping per entry. Index 0 must be `None`
-    /// (LID 0 is unconstructible).
-    #[must_use]
-    pub fn from_dense(mut entries: Vec<Option<PortNum>>) -> Self {
-        debug_assert!(entries.first().is_none_or(Option::is_none));
-        let blocks = entries.len().div_ceil(LFT_BLOCK_SIZE);
-        entries.resize(blocks * LFT_BLOCK_SIZE, None);
-        Self { entries }
-    }
-
     /// Number of 64-entry blocks currently allocated.
     #[must_use]
     pub fn num_blocks(&self) -> usize {
@@ -90,6 +74,12 @@ impl Lft {
     /// Sets the forwarding port for `lid`, growing the table to the
     /// containing block if needed.
     pub fn set(&mut self, lid: Lid, port: PortNum) {
+        // A covered LID is one bounds-checked store: routing engines fill
+        // pre-sized tables ([`Lft::with_topmost`]) cell by cell.
+        if let Some(e) = self.entries.get_mut(lid.raw() as usize) {
+            *e = Some(port);
+            return;
+        }
         self.ensure_block(lid.lft_block());
         self.entries[lid.raw() as usize] = Some(port);
     }
@@ -459,25 +449,6 @@ mod tests {
         assert_eq!(min_blocks_for(lid(13284)), 208);
         // §VII-C: topmost unicast LID forces the full 768-block table.
         assert_eq!(min_blocks_for(lid(0xBFFF)), 768);
-    }
-
-    #[test]
-    fn from_dense_matches_incremental_set() {
-        // A dense staging vector converts to exactly the table that
-        // per-entry `set` calls would have built.
-        let mut dense = vec![None; 131];
-        dense[2] = Some(port(2));
-        dense[70] = Some(port(4));
-        dense[130] = Some(port(9));
-        let from_dense = Lft::from_dense(dense);
-        let mut incremental = Lft::new();
-        incremental.set(lid(2), port(2));
-        incremental.set(lid(70), port(4));
-        incremental.set(lid(130), port(9));
-        assert_eq!(from_dense, incremental);
-        // Allocation is block-rounded: LID 130 lives in block 2.
-        assert_eq!(from_dense.num_blocks(), 3);
-        assert_eq!(Lft::from_dense(Vec::new()), Lft::new());
     }
 
     #[test]
