@@ -229,26 +229,6 @@ fn plan_all(
     Ok(plans)
 }
 
-/// Whether every block a full installed-vs-target diff of `tables` would
-/// send is among `candidates` — the repair pipeline's debug cross-check
-/// that planning from its changed cells misses nothing.
-pub(crate) fn covers_full_diff(
-    subnet: &Subnet,
-    tables: &RoutingTables,
-    candidates: &[FailedBlock],
-) -> bool {
-    let topmost = subnet.topmost_lid();
-    tables.lfts.iter().all(|(&switch, target)| {
-        subnet.lft(switch).is_none_or(|installed| {
-            target
-                .padded_view(topmost)
-                .dirty_blocks_against(installed)
-                .into_iter()
-                .all(|block| candidates.contains(&FailedBlock { switch, block }))
-        })
-    })
-}
-
 /// Distributes `tables` into the subnet over the assumed channel: one SMP
 /// per dirty block per switch, each block applied to the switch's installed
 /// LFT. Planning fans out across `opts` worker threads; the SMP stream stays
@@ -300,14 +280,24 @@ pub(crate) fn refuse_stranded(
     )))
 }
 
-/// The installed LFT of a planned switch. Planning only emits updates for
-/// nodes that had an LFT, so a miss here means the fabric degraded between
-/// plan and apply — an error, not a panic.
-fn lft_mut_checked(subnet: &mut Subnet, switch: NodeId) -> IbResult<&mut Lft> {
-    let name = subnet.name_of(switch).to_string();
-    subnet.lft_mut(switch).ok_or(IbError::Management(format!(
-        "{name} lost its LFT mid-sweep"
-    )))
+/// Writes one applied block into a planned switch's installed LFT.
+/// Planning only emits updates for nodes that had an LFT, so a miss here
+/// means the fabric degraded between plan and apply — an error, not a
+/// panic, and the only case that formats the switch's name.
+fn write_installed_block(
+    subnet: &mut Subnet,
+    switch: NodeId,
+    block: usize,
+    payload: &[Option<PortNum>; LFT_BLOCK_SIZE],
+) -> IbResult<()> {
+    let Some(lft) = subnet.lft_mut(switch) else {
+        return Err(IbError::Management(format!(
+            "{} lost its LFT mid-sweep",
+            subnet.name_of(switch)
+        )));
+    };
+    lft.write_block(block, payload);
+    Ok(())
 }
 
 /// Exact cross-pass accounting for a resumable distribution.
@@ -408,7 +398,7 @@ pub(crate) fn push_blocks<C: SmpChannel>(
             retarget_lft_smp(&mut smp, *block, payload);
             match transport.send(subnet, &smp, plan.hops, ledger) {
                 Ok(_) => {
-                    lft_mut_checked(subnet, plan.switch)?.write_block(*block, payload);
+                    write_installed_block(subnet, plan.switch, *block, payload)?;
                     sent += 1;
                 }
                 Err(IbError::Transport(_)) => {

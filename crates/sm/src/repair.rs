@@ -3,10 +3,11 @@
 //! One pipeline serves a single trap (a one-element fault list) and a
 //! coalesced burst (k elements) alike: guards → per-fault dirty groups →
 //! cached switch graph → engine fold over the baseline *in place* →
-//! distribution of the blocks the changed cells fall in → column-scoped
-//! verifier gate → reverse-index maintenance. The engine's list of changed
-//! cells ([`ib_routing::SpliceLog`]) is the currency of every stage after
-//! it, so a repair costs what it changes, not what the fabric holds.
+//! distribution of the blocks the changed cells fall in → verifier gate on
+//! the cells those blocks moved → reverse-index maintenance. The engine's
+//! list of changed cells ([`ib_routing::SpliceLog`]) sizes every stage up
+//! to the wire, and the installed cells the wire moved size every stage
+//! after it, so a repair costs what it changes, not what the fabric holds.
 //! Whatever the pipeline cannot absorb leaves through **one** counted
 //! fallback into [`SubnetManager::light_sweep`], the baseline put back as
 //! it was. The engine side is splice-or-`Err`
@@ -16,9 +17,9 @@
 use std::collections::HashSet;
 
 use ib_mad::fault::{SmpChannel, SmpTransport};
-use ib_routing::{RoutingTables, SpliceLog};
+use ib_routing::{CellChange, RoutingTables, SpliceLog};
 use ib_subnet::{NodeId, Subnet};
-use ib_types::{IbResult, Lid, PortNum};
+use ib_types::{IbResult, Lid, PortNum, LFT_BLOCK_SIZE};
 
 use crate::distribution::{self, FailedBlock};
 use crate::resweep::{ResweepReport, SweepKind};
@@ -41,10 +42,10 @@ enum Fallback {
     /// refused the splice — e.g. a destination became unreachable and
     /// needs pruning, which only the full path does.
     EngineError,
-    /// The splice broke an invariant on a column it touched (or a
-    /// fabric-global one); the full sweep recomputes from scratch and
+    /// The gate found a violation reachable from a cell the repair moved
+    /// (or a fabric-global one); the full sweep recomputes from scratch and
     /// overwrites whatever the repair installed. Carries the class of the
-    /// first rejecting violation, so the fallback counter says *why*.
+    /// first violation, so the fallback counter says *why*.
     VerifyRejected(ib_verify::InvariantClass),
 }
 
@@ -77,8 +78,9 @@ impl SubnetManager {
     /// destination LIDs whose installed paths crossed them, asks the engine
     /// to re-route only those columns spliced into the last computed
     /// tables, distributes the dirty blocks, and gates the result behind
-    /// the fabric verifier — black holes and forwarding loops always, the
-    /// CDG deadlock check when `config.verify` asks for it. Every obstacle
+    /// the fabric verifier, scoped to the installed cells the SMPs moved —
+    /// black holes and forwarding loops always, the CDG deadlock check
+    /// when `config.verify` asks for it. Every obstacle
     /// ([`Fallback`]) is counted and answered by the full sweep; the repair
     /// itself emits `repair.*` counters and a `span_name` span that closes
     /// before any fallback sweep starts.
@@ -134,7 +136,7 @@ impl SubnetManager {
         // arm's per-step scan). Each group is an O(dirty) index read,
         // cross-checked in debug builds against the two-row fabric scan —
         // the index is derived state and never silently trusted.
-        let mut touched = HashSet::new();
+        let mut claimed = HashSet::new();
         let groups: Vec<Vec<Lid>> = {
             let _span = observer.span("repair.dirty_set");
             faults
@@ -147,40 +149,60 @@ impl SubnetManager {
                         ib_verify::affected_destinations(subnet, node, port),
                         "reverse route index diverged from the two-row scan at ({node:?}, {port})"
                     );
-                    group.retain(|&lid| touched.insert(lid));
+                    group.retain(|&lid| claimed.insert(lid));
                     group
                 })
                 .collect()
         };
-        observer.add("repair.dirty_dests", touched.len() as u64);
-        if touched.is_empty() {
+        observer.add("repair.dirty_dests", claimed.len() as u64);
+        if claimed.is_empty() {
             // No installed path crossed the links: the tables are already
             // correct and there is nothing to distribute.
             observer.incr("repair.clean_noop");
             return Ok(Ok(ResweepReport::idle(SweepKind::Repair)));
         }
+        #[cfg(debug_assertions)]
+        let unspliced = baseline.lfts.clone();
         let Ok(log) = self.reroute_dirty(subnet, baseline, &groups) else {
             return Ok(Err(Fallback::EngineError));
         };
+        // Distribution plans from the log alone, so it is trusted only as
+        // far as the next debug build: every block the splice changed must
+        // hold one of its cells.
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            baseline.lfts.iter().all(|(&switch, lft)| {
+                unspliced.get(&switch).is_some_and(|old| {
+                    old.dirty_blocks(lft).into_iter().all(|block| {
+                        log.cells
+                            .iter()
+                            .any(|c| c.switch == switch && c.lid.lft_block() == block)
+                    })
+                })
+            }),
+            "the splice changed a block its log does not name"
+        );
         self.ledger
             .observer()
             .add("repair.changed_cells", log.cells.len() as u64);
-        let outcome = self.install_splice(subnet, baseline, &log, &touched, transport);
+        let outcome = self.install_splice(subnet, baseline, &log, faults, transport);
         if !matches!(outcome, Ok(Ok(_))) {
             log.undo(baseline);
         }
         outcome
     }
 
-    /// The back half of the pipeline, sized by the splice log: distributes
-    /// the blocks its changed cells fall in, gates the installed result and
-    /// moves the reverse index's entries for exactly those cells.
+    /// The back half of the pipeline: distributes the blocks the splice
+    /// log's cells fall in, gates exactly the installed cells those blocks
+    /// moved — normally the log's cells, plus any baseline ≠ installed
+    /// divergence a sent block carried — and moves the reverse index's
+    /// entries for them.
     fn install_splice<C: SmpChannel>(
         &mut self,
         subnet: &mut Subnet,
         tables: &RoutingTables,
         log: &SpliceLog,
-        touched: &HashSet<Lid>,
+        faults: &[(NodeId, PortNum)],
         transport: &mut SmpTransport<C>,
     ) -> IbResult<Result<ResweepReport, Fallback>> {
         let healed = self.refresh_partition_state(subnet);
@@ -193,33 +215,41 @@ impl SubnetManager {
         self.ledger
             .observer()
             .add("repair.planned_blocks", candidates.len() as u64);
+        let before = installed_blocks(subnet, &candidates);
         let (distribution, retry_passes, failed_blocks) =
             self.distribute_resumably(subnet, tables, Some(&candidates), transport)?;
         if failed_blocks.is_empty() {
-            let report = ib_verify::FabricVerifier::new()
+            let moved = moved_cells(subnet, &candidates, &before);
+            let (report, deps) = ib_verify::FabricVerifier::new()
                 .with_deadlock(self.config().verify)
                 .with_viewpoint(self.sm_node)
-                .verify_observed(subnet, &tables.vls, self.ledger.observer())?;
-            if let Some(class) = self.repair_gate_rejects(&report, touched) {
-                return Ok(Err(Fallback::VerifyRejected(class)));
+                .verify_moved(
+                    subnet,
+                    &tables.vls,
+                    &moved,
+                    faults,
+                    self.channel_deps.take(),
+                    self.ledger.observer(),
+                )?;
+            self.channel_deps = deps;
+            if let Some(v) = report.violations.first() {
+                return Ok(Err(Fallback::VerifyRejected(v.class)));
             }
             self.count_repair_success();
             let span = self.ledger.observer().span("repair.index_splice");
-            match self.route_index.as_mut() {
-                Some(index) if self.lost_nodes.is_empty() => index.apply_changes(&log.cells),
-                // A repair on a split fabric rewrote columns on switches
-                // the SM no longer serves, which per-cell splicing cannot
-                // track: rebuild from what is now installed.
-                _ => self.route_index = Some(ib_verify::ReverseRouteIndex::from_installed(subnet)),
+            if let Some(index) = self.route_index.as_mut() {
+                index.apply_changes(&moved);
             }
             span.end();
             self.verify_healed(subnet, &healed)?;
         } else {
             // Mirrors `verify_converged`: tables with stranded blocks are
             // expected to be inconsistent, so the gate is deferred — and
-            // the index no longer mirrors what is installed.
+            // neither the index nor the dependency graph mirrors what is
+            // installed any more.
             self.ledger.observer().incr("repair.unconverged");
             self.route_index = None;
+            self.channel_deps = None;
         }
         Ok(Ok(ResweepReport {
             distribution,
@@ -294,37 +324,49 @@ impl SubnetManager {
         observer.incr("repair.success");
         observer.incr(&format!("repair.success.{}", self.config().engine.name()));
     }
+}
 
-    /// The repair acceptance gate, scoped to the columns this repair
-    /// touched. The verifier's forwarding check walks *every* destination
-    /// column globally, so mid-burst a repair sees black holes on columns
-    /// crossing other still-downed links — pre-existing damage the splice
-    /// cannot have caused (it only rewrites the dirty columns) and that
-    /// belongs to traps not yet handled. Those are tolerated but counted
-    /// (`repair.tolerated_preexisting`). A violation on a column the
-    /// repair touched, or a fabric-global one no column owns (`lid: None`
-    /// — addressing clashes, deadlock cycles), still rejects the repair:
-    /// the class of the first such violation is returned.
-    fn repair_gate_rejects(
-        &self,
-        report: &ib_verify::VerifyReport,
-        touched: &HashSet<Lid>,
-    ) -> Option<ib_verify::InvariantClass> {
-        let mut tolerated = 0u64;
-        let mut rejects = None;
-        for v in &report.violations {
-            match v.lid {
-                Some(lid) if !touched.contains(&lid) => tolerated += 1,
-                _ => rejects = rejects.or(Some(v.class)),
+/// The installed contents of `blocks`, in order; a switch without an LFT
+/// reads as unset.
+fn installed_blocks(
+    subnet: &Subnet,
+    blocks: &[FailedBlock],
+) -> Vec<[Option<PortNum>; LFT_BLOCK_SIZE]> {
+    blocks
+        .iter()
+        .map(|b| {
+            let mut out = [None; LFT_BLOCK_SIZE];
+            if let Some(src) = subnet.lft(b.switch).and_then(|lft| lft.block(b.block)) {
+                out.copy_from_slice(src);
+            }
+            out
+        })
+        .collect()
+}
+
+/// Every cell by which `blocks`' installed contents moved since `before`
+/// was read — what the SMPs that were sent actually changed.
+fn moved_cells(
+    subnet: &Subnet,
+    blocks: &[FailedBlock],
+    before: &[[Option<PortNum>; LFT_BLOCK_SIZE]],
+) -> Vec<CellChange> {
+    let after = installed_blocks(subnet, blocks);
+    let mut moved = Vec::new();
+    for ((b, old), new) in blocks.iter().zip(before).zip(&after) {
+        for (i, (&old, &new)) in old.iter().zip(new).enumerate() {
+            let raw = (b.block * LFT_BLOCK_SIZE + i) as u16;
+            if let (true, Ok(lid)) = (old != new, Lid::new(raw)) {
+                moved.push(CellChange {
+                    switch: b.switch,
+                    lid,
+                    old,
+                    new,
+                });
             }
         }
-        if tolerated > 0 {
-            self.ledger
-                .observer()
-                .add("repair.tolerated_preexisting", tolerated);
-        }
-        rejects
     }
+    moved
 }
 
 #[cfg(test)]
@@ -342,6 +384,7 @@ mod tests {
             t.hosts[0],
             SmConfig {
                 repair: true,
+                verify: true,
                 ..SmConfig::default()
             },
         );
@@ -379,6 +422,28 @@ mod tests {
             snap.counter("repair.planned_blocks") + bring_up_blocks,
             "on a converged fabric every planned block was dirty"
         );
+        // The gate walked from exactly the cells the SMPs moved — here the
+        // engine's changed cells — and patched the dependency graph the
+        // bring-up audit left behind with them.
+        assert_eq!(
+            snap.counter("verify.delta_cells"),
+            snap.counter("repair.changed_cells")
+        );
+        assert_eq!(
+            snap.counter("verify.cdg_patched_cells"),
+            snap.counter("verify.delta_cells")
+        );
+        for reason in ["no-state", "topology", "vls", "split"] {
+            assert_eq!(snap.counter(&format!("verify.full_deps.{reason}")), 0);
+        }
+        assert_eq!(
+            sm.channel_deps(),
+            Some(
+                &ib_verify::FabricVerifier::new()
+                    .channel_deps(&t.subnet, sm.installed_vls().unwrap())
+                    .unwrap()
+            )
+        );
         // One child span per stage, in pipeline order, nested inside the
         // repair's own span.
         let repair = snap.spans_named("resweep.repair");
@@ -402,6 +467,83 @@ mod tests {
             at = child[0].start_ns + child[0].duration_ns;
         }
         assert!(at <= repair[0].start_ns + repair[0].duration_ns);
+
+        // The first link comes back without a trap: the next gate's fabric
+        // differs from the carried graph's by more than its own fault, so
+        // it counts a full dependency pass instead of a patch.
+        let Trap::LinkStateChange { node, port } = trap else {
+            unreachable!()
+        };
+        t.subnet.set_link_up(node, port).unwrap();
+        let trap = down_uplink(&mut t, 1, 0);
+        let report = sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
+        assert_eq!(report.kind, SweepKind::Repair);
+        let snap = sm.observer().snapshot().unwrap();
+        assert_eq!(snap.counter("verify.full_deps.topology"), 1);
+        assert_eq!(
+            sm.channel_deps(),
+            Some(
+                &ib_verify::FabricVerifier::new()
+                    .channel_deps(&t.subnet, sm.installed_vls().unwrap())
+                    .unwrap()
+            )
+        );
+    }
+
+    /// A sent block rewrites all 64 of its cells from the baseline, so a
+    /// baseline cell that is stale — here leaf 0's row toward a host on
+    /// another leaf, whose column the fault does not dirty — is installed
+    /// by the repair as an explicit drop. The gate must see that moved
+    /// cell, reject the splice and let the full sweep restore the fabric
+    /// and an exact index; a column-scoped gate waved it through because
+    /// the column was not re-routed.
+    #[test]
+    fn a_stale_baseline_cell_in_a_sent_block_is_rejected_by_the_gate() {
+        let mut t = two_level(3, 2, 2);
+        let mut sm = SubnetManager::new(
+            t.hosts[0],
+            SmConfig {
+                repair: true,
+                ..SmConfig::default()
+            },
+        );
+        sm.set_observer(ib_observe::Observer::metrics());
+        sm.bring_up(&mut t.subnet).unwrap();
+        let (leaf0, spine1) = (t.switch_levels[0][0], t.switch_levels[1][1]);
+        let lft = t.subnet.lft(leaf0).unwrap();
+        let victim = t.hosts[2..]
+            .iter()
+            .map(|&h| t.subnet.node(h).ports[1].lid.unwrap())
+            .find(|&lid| {
+                let port = lft.get(lid).unwrap();
+                t.subnet.neighbor(leaf0, port).unwrap().node == spine1
+            })
+            .expect("min-hop spreads leaf 0's remote hosts over both spines");
+        sm.last_tables
+            .as_mut()
+            .unwrap()
+            .lfts
+            .get_mut(&leaf0)
+            .unwrap()
+            .clear(victim);
+
+        let trap = down_first_uplink(&mut t);
+        let mut transport = SmpTransport::perfect(sm.sm_node);
+        let report = sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
+        assert_eq!(
+            report.kind,
+            SweepKind::Light,
+            "the gate rejected the splice"
+        );
+        let snap = sm.observer().snapshot().unwrap();
+        assert_eq!(snap.counter("repair.verify_rejected.black-hole"), 1);
+        assert_eq!(snap.counter("repair.success"), 0);
+        let verdict = ib_verify::FabricVerifier::new()
+            .verify_with_vls(&t.subnet, sm.installed_vls().unwrap())
+            .unwrap();
+        assert!(verdict.is_clean(), "{verdict}");
+        assert!(sm.verify_route_index(&t.subnet).is_empty());
+        assert_all_pairs_connected(&t, &[]);
     }
 
     #[test]
@@ -484,10 +626,11 @@ mod tests {
     #[test]
     fn serial_repairs_of_an_all_down_burst_pass_the_scoped_gate() {
         // Both links of a burst go down before any repair runs (the trap
-        // queue drained late). Repairing them one at a time, the first
-        // verifier pass sees the second fault's pre-existing black holes —
-        // on columns the first repair never touched. The scoped gate must
-        // tolerate those (counted) instead of rejecting into a full sweep.
+        // queue drained late). Repairing them one at a time, the second
+        // fault's black holes already sit in the fabric when the first
+        // repair is gated — on cells that repair never moved. The gate
+        // walks only from what the first repair moved, so it never looks
+        // at them and does not reject into a full sweep.
         let mut t = two_level(3, 2, 2);
         let mut sm = SubnetManager::new(
             t.hosts[0],
@@ -515,9 +658,11 @@ mod tests {
         assert_eq!(snap.counter("repair.success.minhop"), 2);
         assert_eq!(snap.counter("repair.verify_rejected"), 0);
         assert_eq!(snap.counter("repair.fallback"), 0);
-        // The first gate saw (and tolerated) fault 2's damage.
-        assert!(snap.counter("repair.tolerated_preexisting") > 0);
+        // Neither gate found anything: fault 2's damage lies off every
+        // walk the first gate started.
         assert_eq!(snap.counter("verify.runs"), 2);
+        assert_eq!(snap.counter("verify.violations"), 0);
+        assert!(snap.counter("verify.delta_cells") > 0);
         // Both links were already down before the first repair, so the
         // topology epoch never moved between sweeps: one graph build,
         // reused by the second repair.
@@ -590,8 +735,8 @@ mod tests {
     /// not the baseline's, and drops the reverse index to say so. Splicing
     /// the next fault into that baseline would re-route only the columns
     /// the *installed* rows sent across it and install the baseline's other
-    /// crossings as black holes the scoped gate waves through as
-    /// pre-existing — so the next link-down is a counted fallback whose
+    /// crossings wherever no sent block reaches — so the next link-down is
+    /// a counted fallback whose
     /// full distribution brings fabric, baseline and index back in step,
     /// and the fault after that is an ordinary indexed repair again.
     #[test]
@@ -635,6 +780,5 @@ mod tests {
         assert_eq!(snap.counter("repair.fallback"), 1);
         assert_eq!(snap.counter("repair.index_hits"), 1);
         assert_eq!(snap.counter("repair.success"), 1);
-        assert_eq!(snap.counter("repair.tolerated_preexisting"), 0);
     }
 }

@@ -202,12 +202,14 @@ impl SubnetManager {
         transport: &mut SmpTransport<C>,
     ) -> IbResult<ResweepReport> {
         let healed = self.refresh_partition_state(subnet);
-        // The rows the reverse index mirrors are about to be rewritten
-        // wholesale: drop it now. It comes back from the freshly installed
-        // rows once they converge and verify — on any earlier exit there is
-        // nothing trustworthy to mirror — and the sweep never holds two
-        // indexes at once (that was its memory peak).
+        // The rows the reverse index and the channel dependency graph
+        // mirror are about to be rewritten wholesale: drop both now. They
+        // come back from the freshly installed rows once they converge and
+        // verify — on any earlier exit there is nothing trustworthy to
+        // mirror — and the sweep never holds two of either at once (that
+        // was the index's memory peak).
         self.route_index = None;
+        self.channel_deps = None;
         let (distribution, retry_passes, failed_blocks) =
             self.distribute_resumably(subnet, &tables, None, transport)?;
         self.verify_converged(subnet, &tables.vls, &failed_blocks)?;
@@ -280,12 +282,6 @@ impl SubnetManager {
         let tables = served.as_ref().unwrap_or(tables);
         let mode = self.config().smp_mode;
         let sweep = self.config().sweep;
-        // Candidates are trusted only as far as the next debug build: the
-        // full diff must find nothing outside them.
-        debug_assert!(
-            candidates.is_none_or(|some| distribution::covers_full_diff(subnet, tables, some)),
-            "a dirty block lies outside the candidate blocks"
-        );
         let mut acct = ResumeAccounting::new();
         self.ledger.begin_phase("lft-distribution");
         let (first, mut failed) = distribution::push_blocks(

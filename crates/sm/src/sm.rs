@@ -184,6 +184,12 @@ pub struct SubnetManager {
     /// diverges (failed distribution blocks). `None` means "the fabric is
     /// not `last_tables`: no repair until a full sweep converges".
     pub(crate) route_index: Option<ib_verify::ReverseRouteIndex>,
+    /// The channel dependency graph of the installed rows, when
+    /// `config.verify` runs the deadlock check: left behind by every full
+    /// audit, patched by each repair gate with the cells its SMPs moved,
+    /// dropped wherever `route_index` is and whenever rows change behind
+    /// the SM's sweeps. `None` means the next gate rebuilds it.
+    pub(crate) channel_deps: Option<ib_verify::ChannelDeps>,
     /// The CSR switch graph cached across consecutive repair sweeps in a
     /// quiet epoch, keyed by [`Subnet::topology_epoch`]: a repair burst
     /// between topology mutations reuses one build instead of
@@ -220,6 +226,7 @@ impl SubnetManager {
             quarantine: LinkQuarantine::new(config.quarantine),
             last_tables: None,
             route_index: None,
+            channel_deps: None,
             cached_graph: None,
             pending_traps: Vec::new(),
             batch_deadline_ns: None,
@@ -346,8 +353,10 @@ impl SubnetManager {
     ///
     /// The list must be exact (one entry per cell whose installed value
     /// changed): debug builds cross-check every column it names against
-    /// `subnet`'s installed rows.
+    /// `subnet`'s installed rows. The carried channel dependency graph is
+    /// dropped — the next repair gate rebuilds it.
     pub fn note_cells_changed(&mut self, subnet: &Subnet, cells: &[CellChange]) {
+        self.channel_deps = None;
         if let Some(tables) = self.last_tables.as_mut() {
             for cell in cells {
                 if let Some(lft) = tables.lfts.get_mut(&cell.switch) {
@@ -409,6 +418,15 @@ impl SubnetManager {
         self.route_index.as_ref()
     }
 
+    /// The carried channel dependency graph, when one mirrors the installed
+    /// LFTs (left by a full audit, patched by repair gates). It must equal
+    /// [`ib_verify::FabricVerifier::channel_deps`] of the installed rows
+    /// under [`Self::installed_vls`].
+    #[must_use]
+    pub fn channel_deps(&self) -> Option<&ib_verify::ChannelDeps> {
+        self.channel_deps.as_ref()
+    }
+
     /// The link-down traps currently deferred by coalescing, in arrival
     /// order.
     #[must_use]
@@ -425,9 +443,11 @@ impl SubnetManager {
         self.last_tables.as_ref().map(|t| &t.vls)
     }
 
-    /// Runs the [`ib_verify::FabricVerifier`] against the installed tables
-    /// (with the VL layering the engine produced), turning any violation
-    /// into a hard error. Emits `verify.*` counters into the observer.
+    /// Runs the [`ib_verify::FabricVerifier`]'s full audit against the
+    /// installed tables (with the VL layering the engine produced), turning
+    /// any violation into a hard error and keeping the channel dependency
+    /// graph it built for the next repair gate. Emits `verify.*` counters
+    /// into the observer.
     ///
     /// Verification is scoped to the SM's own connected component: after a
     /// fabric split, switches beyond the cut keep whatever rows were last
@@ -438,9 +458,10 @@ impl SubnetManager {
         subnet: &Subnet,
         vls: &ib_routing::VlAssignment,
     ) -> IbResult<()> {
-        let report = ib_verify::FabricVerifier::new()
+        let (report, deps) = ib_verify::FabricVerifier::new()
             .with_viewpoint(self.sm_node)
-            .verify_observed(subnet, vls, self.ledger.observer())?;
+            .audit(subnet, vls, self.ledger.observer())?;
+        self.channel_deps = deps;
         if report.is_clean() {
             Ok(())
         } else {

@@ -24,7 +24,13 @@
 //! Invariants 1–3 run as flat array kernels over one dense view of the
 //! installed state built per pass (`view.rs`): no table is cloned, each
 //! (switch, LID) cell is classified once, and the channel dependency graph
-//! is a per-lane bitset keyed by `(switch, out-port)`.
+//! ([`ChannelDeps`], `deps.rs`) is a per-lane table of dependency counts
+//! keyed by `(switch, out-port)`.
+//!
+//! A full audit ([`FabricVerifier::audit`]) checks every cell. A repair
+//! gate ([`FabricVerifier::verify_moved`]) checks what one repair's SMPs
+//! changed: forwarding walks from the moved cells only, and the deadlock
+//! check on the graph an earlier pass left behind, patched by those cells.
 //!
 //! Verification is read-only and deterministic: the same subnet state
 //! produces the same [`VerifyReport`], byte for byte, regardless of worker
@@ -37,12 +43,14 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod affected;
+mod deps;
 mod rindex;
 mod snapshot;
 mod verifier;
 mod view;
 
 pub use affected::affected_destinations;
+pub use deps::ChannelDeps;
 pub use rindex::ReverseRouteIndex;
 pub use snapshot::LftSnapshot;
 pub use verifier::{FabricVerifier, InvariantClass, VerifyReport, Violation};

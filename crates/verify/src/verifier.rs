@@ -2,13 +2,14 @@
 //! installed LFTs.
 
 use ib_observe::Observer;
-use ib_routing::{Destination, SwitchGraph, VlAssignment};
+use ib_routing::{CellChange, SwitchGraph, VlAssignment};
 use ib_subnet::{NodeId, Subnet};
-use ib_types::{IbResult, Lid};
+use ib_types::{IbResult, Lid, PortNum};
 use rustc_hash::FxHashMap;
 
+use crate::deps::{Changed, ChannelDeps};
 use crate::view::DeadEnd::{Drop, MissingRow, NoLft};
-use crate::view::{Column, FabricView, NextHop, NO_CHANNEL};
+use crate::view::{FabricView, NextHop};
 
 /// Which invariant a violation breaks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -63,9 +64,7 @@ pub struct Violation {
     /// The destination column this violation is attributable to, when the
     /// check walks per-destination state (forwarding walks, snapshot
     /// diffs). `None` for fabric-global findings — LID ownership clashes
-    /// and deadlock cycles — which no single column owns. Repair gates use
-    /// this to distinguish damage on the columns a repair touched from
-    /// pre-existing damage belonging to faults not yet handled.
+    /// and deadlock cycles — which no single column owns.
     pub lid: Option<Lid>,
 }
 
@@ -215,10 +214,22 @@ impl FabricVerifier {
         vls: &VlAssignment,
         observer: &Observer,
     ) -> IbResult<VerifyReport> {
+        self.audit(subnet, vls, observer).map(|(report, _)| report)
+    }
+
+    /// The full audit behind [`Self::verify_observed`], handing back the
+    /// channel dependency graph it built when the deadlock check is on, so
+    /// a later [`Self::verify_moved`] can patch it instead of rebuilding
+    /// it.
+    pub fn audit(
+        &self,
+        subnet: &Subnet,
+        vls: &VlAssignment,
+        observer: &Observer,
+    ) -> IbResult<(VerifyReport, Option<ChannelDeps>)> {
         let _span = observer.span("verify.run");
         let view = FabricView::new(subnet);
         let lids = subnet.lids();
-        let scope = self.viewpoint.and_then(|vp| view.component_of(vp));
         // Invariant 3 keeps `SwitchGraph::build`'s error contract: an HCA
         // holding a LID without a live uplink fails the pass outright.
         let graph = self
@@ -227,10 +238,7 @@ impl FabricVerifier {
             .transpose()?;
 
         let mut violations = Vec::new();
-        {
-            let _span = observer.span("verify.addressing");
-            self.check_addressing(subnet, &mut violations);
-        }
+        self.check_addressing(subnet, observer, &mut violations);
         // One pass over the destination columns, each gathered and
         // classified once: the forwarding walks read it, and — with the
         // deadlock check on — so do the channel dependencies it induces.
@@ -240,15 +248,24 @@ impl FabricVerifier {
         {
             let _span = observer.span("verify.forwarding");
             let mut col = view.column();
-            let mut walk = WalkScratch::new(view.len(), scope);
+            let mut walk = WalkScratch::new(&view, self.viewpoint);
             for (i, &lid) in lids.iter().enumerate() {
                 let Some(target) = subnet.endpoint_of(lid) else {
                     continue; // Already reported by the addressing check.
                 };
                 view.gather(lid, target.node, &mut col);
-                self.check_forwarding(&view, lid, target.node, &col, &mut walk, &mut violations);
-                if let Some(deps) = &mut deps {
-                    deps.absorb(&view, i, &col, self.max_hops);
+                let next = |s: usize| col.next[s];
+                self.check_column(
+                    &view,
+                    lid,
+                    target.node,
+                    0..view.len(),
+                    next,
+                    &mut walk,
+                    &mut violations,
+                );
+                if let (Some(deps), Some(g)) = (&mut deps, &graph) {
+                    deps.absorb(&view, &g.destinations()[i], &col, self.max_hops);
                 }
             }
         }
@@ -256,10 +273,139 @@ impl FabricVerifier {
             let _span = observer.span("verify.deadlock");
             deps.report_cycles(&view, &mut violations);
         }
+        Ok((self.report(&view, lids.len(), violations, observer), deps))
+    }
 
+    /// The repair gate: the invariants as far as one repair can have moved
+    /// them. `moved` is every installed cell the repair's SMPs changed and
+    /// `faults` the links it repaired. Addressing is checked whole; the
+    /// forwarding walks start only at the moved cells and at cells still
+    /// forwarding into a repaired link, so every finding is the repair's
+    /// own; the deadlock check runs on `carried` — the graph an earlier
+    /// [`Self::audit`] or gate left behind — with exactly those cells'
+    /// dependencies retracted and re-added. A full dependency pass (walks
+    /// still scoped) replaces the patch, counted as
+    /// `verify.full_deps.<reason>`, when nothing is carried (`no-state`),
+    /// the fabric is split (`split`), the VL layering changed (`vls`), or
+    /// the fabric differs from the carried graph's by more than the
+    /// repaired links going down (`topology`). Returns the report and —
+    /// with the deadlock check on — the graph of the installed rows, for
+    /// the next gate to carry.
+    pub fn verify_moved(
+        &self,
+        subnet: &Subnet,
+        vls: &VlAssignment,
+        moved: &[CellChange],
+        faults: &[(NodeId, PortNum)],
+        carried: Option<ChannelDeps>,
+        observer: &Observer,
+    ) -> IbResult<(VerifyReport, Option<ChannelDeps>)> {
+        let _span = observer.span("verify.run");
+        let view = FabricView::new(subnet);
+        let lids = subnet.lids();
+        let (changed, cut) = changed_cells(&view, &lids, moved, faults);
+
+        let mut violations = Vec::new();
+        self.check_addressing(subnet, observer, &mut violations);
+        {
+            let _span = observer.span("verify.forwarding");
+            let mut walk = WalkScratch::new(&view, self.viewpoint);
+            for cells in changed.chunk_by(|a, b| a.lid == b.lid) {
+                let lid = cells[0].lid;
+                let Some(target) = subnet.endpoint_of(lid) else {
+                    continue; // Already reported by the addressing check.
+                };
+                let code = view.code_of(target.node);
+                let starts = cells.iter().map(|c| c.switch);
+                let next = |s: usize| view.cell(s, lid, code).0;
+                self.check_column(
+                    &view,
+                    lid,
+                    target.node,
+                    starts,
+                    next,
+                    &mut walk,
+                    &mut violations,
+                );
+            }
+            observer.add("verify.delta_cells", changed.len() as u64);
+        }
+        let deps = if self.deadlock {
+            let _span = observer.span("verify.deadlock");
+            let deps = self.gate_deps(&view, vls, &lids, &changed, &cut, carried, observer)?;
+            deps.report_cycles(&view, &mut violations);
+            Some(deps)
+        } else {
+            None
+        };
+        Ok((self.report(&view, lids.len(), violations, observer), deps))
+    }
+
+    /// The channel dependency graph of `subnet`'s installed rows under
+    /// `vls`, rebuilt from every column — what a carried graph must equal.
+    pub fn channel_deps(&self, subnet: &Subnet, vls: &VlAssignment) -> IbResult<ChannelDeps> {
+        self.deps_of(&FabricView::new(subnet), vls)
+    }
+
+    fn deps_of(&self, view: &FabricView<'_>, vls: &VlAssignment) -> IbResult<ChannelDeps> {
+        let graph = SwitchGraph::build(view.subnet)?;
+        let mut deps = ChannelDeps::new(view, vls, graph.destinations());
+        let mut col = view.column();
+        for dest in graph.destinations() {
+            if let Some(target) = view.subnet.endpoint_of(dest.lid) {
+                view.gather(dest.lid, target.node, &mut col);
+                deps.absorb(view, dest, &col, self.max_hops);
+            }
+        }
+        Ok(deps)
+    }
+
+    /// The gate's dependency graph: `carried` patched by `changed`, or —
+    /// when it cannot be — rebuilt, with the reason counted. The carried
+    /// graph is dropped before a rebuild allocates the next one.
+    #[allow(clippy::too_many_arguments)]
+    fn gate_deps(
+        &self,
+        view: &FabricView<'_>,
+        vls: &VlAssignment,
+        lids: &[Lid],
+        changed: &[Changed],
+        cut: &[u32],
+        carried: Option<ChannelDeps>,
+        observer: &Observer,
+    ) -> IbResult<ChannelDeps> {
+        let reason = match carried {
+            None => "no-state",
+            Some(mut deps) => match deps.blocker(view, vls, lids, cut) {
+                None => {
+                    deps.patch(view, changed, self.max_hops);
+                    observer.add("verify.cdg_patched_cells", changed.len() as u64);
+                    // Derived state is never trusted: debug builds recount
+                    // every column and demand the patch got the same graph.
+                    debug_assert!(
+                        self.deps_of(view, vls).is_ok_and(|fresh| fresh == deps),
+                        "patched channel dependencies diverged from the installed rows"
+                    );
+                    return Ok(deps);
+                }
+                Some(reason) => reason,
+            },
+        };
+        observer.incr(&format!("verify.full_deps.{reason}"));
+        self.deps_of(view, vls)
+    }
+
+    /// Assembles a pass's report and mirrors it into `verify.*` counters.
+    fn report(
+        &self,
+        view: &FabricView<'_>,
+        lids: usize,
+        violations: Vec<Violation>,
+        observer: &Observer,
+    ) -> VerifyReport {
         let report = VerifyReport {
             switches: view.len(),
-            lids: lids.len(),
+            lids,
             violations,
         };
         if observer.is_enabled() {
@@ -289,12 +435,13 @@ impl FabricVerifier {
                 observer.incr("verify.clean");
             }
         }
-        Ok(report)
+        report
     }
 
     /// Invariant 4: LID ownership. Every LID is held by exactly one node,
     /// the registry resolves it to that node, and the owner is alive.
-    fn check_addressing(&self, subnet: &Subnet, out: &mut Vec<Violation>) {
+    fn check_addressing(&self, subnet: &Subnet, observer: &Observer, out: &mut Vec<Violation>) {
+        let _span = observer.span("verify.addressing");
         // Ownership scan over every node (dead ones included: a dead node
         // still holding a LID is exactly the corruption we want to catch).
         let mut owners: FxHashMap<u16, Vec<NodeId>> = FxHashMap::default();
@@ -361,17 +508,20 @@ impl FabricVerifier {
         }
     }
 
-    /// Invariants 1 + 2 for one destination column: every switch that can
-    /// still reach the LID's endpoint must deliver without revisiting a
-    /// switch; every switch that *cannot* (the fabric is split) must hold
-    /// an **empty or drop** row — one toward a real port is a stale route
-    /// into the lost component.
-    fn check_forwarding(
+    /// Invariants 1 + 2 for one destination column, walked from the switches
+    /// in `starts` (ascending) over the cells `next` classifies: every switch
+    /// that can still reach the LID's endpoint must deliver without
+    /// revisiting a switch; every switch that *cannot* (the fabric is split)
+    /// must hold an **empty or drop** row — one toward a real port is a
+    /// stale route into the lost component.
+    #[allow(clippy::too_many_arguments)]
+    fn check_column(
         &self,
         view: &FabricView<'_>,
         lid: Lid,
         target: NodeId,
-        col: &Column,
+        starts: impl IntoIterator<Item = usize>,
+        next: impl Fn(usize) -> NextHop,
         walk: &mut WalkScratch,
         out: &mut Vec<Violation>,
     ) {
@@ -398,7 +548,7 @@ impl FabricVerifier {
         reported.fill(false);
         let mut report = |s: usize| !std::mem::replace(&mut reported[s], true);
 
-        for start in 0..view.len() {
+        for start in starts {
             let comp = view.component(start);
             if scope.is_some_and(|sc| comp != sc) {
                 // Beyond the viewpoint's split: not governable, not judged.
@@ -410,7 +560,7 @@ impl FabricVerifier {
                 // drop (distribution pads cleared rows to the drop port,
                 // OpenSM-style). A row toward a *port* points into the
                 // lost component and is stale.
-                if !matches!(col.next[start], NextHop::Dead(NoLft | MissingRow | Drop)) {
+                if !matches!(next(start), NextHop::Dead(NoLft | MissingRow | Drop)) {
                     out.push(Violation {
                         class: InvariantClass::StaleRoute,
                         detail: format!(
@@ -430,7 +580,7 @@ impl FabricVerifier {
             outcome[start] = ON_PATH;
             let verdict = loop {
                 let cur = *path.last().unwrap_or(&start);
-                match col.next[cur] {
+                match next(cur) {
                     NextHop::Deliver => break OK,
                     NextHop::Dead(why) => {
                         if report(cur) {
@@ -508,186 +658,63 @@ struct WalkScratch {
 }
 
 impl WalkScratch {
-    fn new(switches: usize, scope: Option<u32>) -> Self {
+    fn new(view: &FabricView<'_>, viewpoint: Option<NodeId>) -> Self {
         Self {
-            scope,
-            outcome: vec![0; switches],
-            reported: vec![false; switches],
+            scope: viewpoint.and_then(|vp| view.component_of(vp)),
+            outcome: vec![0; view.len()],
+            reported: vec![false; view.len()],
             path: Vec::new(),
         }
     }
 }
 
-/// Invariant 3's store: the channel dependency graph of the installed
-/// tables, per lane, as bitsets. A channel is `(switch, out-port)` with
-/// dense id `switch * stride + port`; it determines the next switch, so
-/// its successors are a mask over *that* switch's ports —
-/// `stride.div_ceil(64)` words per channel and lane, no interning.
-struct ChannelDeps<'a> {
-    vls: &'a VlAssignment,
-    /// Every registered LID's delivery switch, in ascending LID order.
-    dests: &'a [Destination],
-    /// Lanes in use, ascending.
-    lanes: Vec<u8>,
-    /// Raw lane → index into `lanes`.
-    slot_of: Vec<usize>,
-    stride: usize,
-    /// Mask words per channel.
-    words: usize,
-    /// Channels per lane (`switches * stride`).
-    channels: usize,
-    /// `masks[(slot * channels + channel) * words ..][..words]`.
-    masks: Vec<u64>,
-}
-
-impl<'a> ChannelDeps<'a> {
-    fn new(view: &FabricView<'_>, vls: &'a VlAssignment, dests: &'a [Destination]) -> Self {
-        let lanes: Vec<u8> = vls.lanes().iter().map(|l| l.raw()).collect();
-        let mut slot_of = vec![0; lanes.last().map_or(0, |&l| l as usize) + 1];
-        for (slot, &lane) in lanes.iter().enumerate() {
-            slot_of[lane as usize] = slot;
-        }
-        let words = view.stride.div_ceil(64);
-        let channels = view.len() * view.stride;
-        Self {
-            vls,
-            dests,
-            masks: vec![0; lanes.len() * channels * words],
-            lanes,
-            slot_of,
-            stride: view.stride,
-            words,
-            channels,
-        }
-    }
-
-    /// Records "a packet may hold `from` while requesting `to`" on a lane;
-    /// `to` leaves the switch `from` leads to.
-    #[inline]
-    fn add(&mut self, slot: usize, from: u32, to: u32) {
-        let port = to as usize % self.stride;
-        self.masks[(slot * self.channels + from as usize) * self.words + port / 64] |=
-            1 << (port % 64);
-    }
-
-    /// Adds the dependencies the `i`-th destination's column induces. Lane shapes
-    /// that are a function of the destination take every (switch, next
-    /// switch) cell pair; path-granular shapes walk each source's path and
-    /// book its channel chain on *its* lane only.
-    fn absorb(&mut self, view: &FabricView<'_>, i: usize, col: &Column, max_hops: usize) {
-        let (vls, dest) = (self.vls, self.dests[i]);
-        match vls {
-            VlAssignment::SingleVl | VlAssignment::PerDestination(_) => {
-                let slot = self.slot_of[vls.lane_for(0, 0, dest.lid).raw() as usize];
-                for &held in &col.chan {
-                    if held == NO_CHANNEL {
-                        continue;
-                    }
-                    let wanted = col.chan[view.channel_head(held)];
-                    if wanted != NO_CHANNEL {
-                        self.add(slot, held, wanted);
-                    }
-                }
-            }
-            VlAssignment::PerSwitchPair(_) | VlAssignment::PerSourceDestination(_) => {
-                for src in (0..view.len()).filter(|&s| s != dest.switch) {
-                    let lane = vls.lane_for(src as u32, dest.switch as u32, dest.lid);
-                    let slot = self.slot_of[lane.raw() as usize];
-                    let mut cur = src;
-                    let mut held = NO_CHANNEL;
-                    for _ in 0..max_hops {
-                        let wanted = col.chan[cur];
-                        if wanted == NO_CHANNEL {
-                            break;
-                        }
-                        if held != NO_CHANNEL {
-                            self.add(slot, held, wanted);
-                        }
-                        held = wanted;
-                        cur = view.channel_head(wanted);
-                        if cur == dest.switch {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// One dependency cycle per lane (ascending), if any, as a violation.
-    fn report_cycles(&self, view: &FabricView<'_>, out: &mut Vec<Violation>) {
-        for (slot, lane) in self.lanes.iter().enumerate() {
-            if let Some(cycle) = self.find_cycle(view, slot) {
-                let chain: Vec<String> = cycle
-                    .iter()
-                    .map(|&c| {
-                        let (s, p) = (c as usize / self.stride, c as usize % self.stride);
-                        format!("{}:p{p}", view.subnet.name_of(view.switches[s]))
-                    })
-                    .collect();
-                out.push(Violation {
-                    class: InvariantClass::DeadlockCycle,
-                    detail: format!("VL{lane} channel dependency cycle: {}", chain.join(" -> ")),
-                    lid: None,
-                });
-            }
-        }
-    }
-
-    /// Iterative three-colour DFS over one lane's masks. Returns a channel
-    /// sequence where each element depends on the next and the last on the
-    /// first, or `None` when the lane is acyclic.
-    fn find_cycle(&self, view: &FabricView<'_>, slot: usize) -> Option<Vec<u32>> {
-        const WHITE: u8 = 0;
-        const GRAY: u8 = 1;
-        const BLACK: u8 = 2;
-        let lane = &self.masks[slot * self.channels * self.words..][..self.channels * self.words];
-        let mask = |c: usize| &lane[c * self.words..][..self.words];
-        let mut color = vec![WHITE; self.channels];
-        // (channel, next successor port to try); the stack is the gray path.
-        let mut stack: Vec<(u32, usize)> = Vec::new();
-        for start in 0..self.channels {
-            if color[start] != WHITE || mask(start).iter().all(|&w| w == 0) {
+/// The cells a repair gate starts from, sorted by column then switch: every
+/// cell in `moved`, and every cell of a registered column that still
+/// forwards into a link the `faults` took down (whether or not the repair
+/// moved it, its channel went dark). Also returns the channel ids of the
+/// faults' live switch ends.
+fn changed_cells(
+    view: &FabricView<'_>,
+    lids: &[Lid],
+    moved: &[CellChange],
+    faults: &[(NodeId, PortNum)],
+) -> (Vec<Changed>, Vec<u32>) {
+    let mut changed: Vec<Changed> = moved
+        .iter()
+        .filter_map(|c| {
+            Some(Changed {
+                lid: c.lid,
+                switch: view.switch_index(c.switch)?,
+                before: c.old,
+            })
+        })
+        .collect();
+    let mut cut = Vec::new();
+    for &(node, port) in faults {
+        let far = view.subnet.node(node).ports.get(port.raw() as usize);
+        let ends = far.and_then(|p| p.remote).map(|r| (r.node, r.port));
+        for (end, port) in std::iter::once((node, port)).chain(ends) {
+            let Some(s) = view.switch_index(end) else {
                 continue;
+            };
+            if (port.raw() as usize) < view.stride {
+                cut.push((s * view.stride + port.raw() as usize) as u32);
             }
-            color[start] = GRAY;
-            stack.push((start as u32, 0));
-            while let Some((held, from)) = stack.last_mut() {
-                let Some(port) = next_set_bit(mask(*held as usize), *from) else {
-                    color[*held as usize] = BLACK;
-                    stack.pop();
-                    continue;
-                };
-                *from = port + 1;
-                let wanted = view.channel_head(*held) * self.stride + port;
-                match color[wanted] {
-                    WHITE => {
-                        color[wanted] = GRAY;
-                        stack.push((wanted as u32, 0));
-                    }
-                    GRAY => {
-                        let at = stack.iter().position(|&(c, _)| c as usize == wanted)?;
-                        return Some(stack[at..].iter().map(|&(c, _)| c).collect());
-                    }
-                    _ => {}
-                }
-            }
+            changed.extend(
+                lids.iter()
+                    .filter(|&&lid| view.entry(s, lid) == Some(port))
+                    .map(|&lid| Changed {
+                        lid,
+                        switch: s,
+                        before: Some(port),
+                    }),
+            );
         }
-        None
     }
-}
-
-/// The lowest set bit at or above `from` in a little-endian word mask.
-fn next_set_bit(words: &[u64], from: usize) -> Option<usize> {
-    let mut w = from / 64;
-    let mut word = *words.get(w)? & (!0 << (from % 64));
-    loop {
-        if word != 0 {
-            return Some(w * 64 + word.trailing_zeros() as usize);
-        }
-        w += 1;
-        word = *words.get(w)?;
-    }
+    // Stable: a moved cell keeps its own `before` over a cut duplicate.
+    changed.sort_by_key(|c| (c.lid, c.switch));
+    changed.dedup_by_key(|c| (c.lid, c.switch));
+    (changed, cut)
 }
 
 #[cfg(test)]

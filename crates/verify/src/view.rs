@@ -9,10 +9,10 @@ use ib_subnet::{NodeId, Subnet};
 use ib_types::{Lid, PortNum, LFT_BLOCK_SIZE};
 
 /// `peer` code: nothing live behind the port (downed or uncabled).
-const NO_PEER: u32 = u32::MAX;
+pub(crate) const NO_PEER: u32 = u32::MAX;
 /// `peer` flag: the far end is not a live switch; the low bits are its
 /// `NodeId` index. Codes below this flag are switch indices.
-const NODE: u32 = 1 << 31;
+pub(crate) const NODE: u32 = 1 << 31;
 /// `peer` flag (with [`NODE`]): that node is an HCA.
 const HCA: u32 = 1 << 30;
 /// `Column::chan` code: the cell does not forward onto a switch-to-switch
@@ -93,7 +93,7 @@ pub(crate) struct FabricView<'a> {
     /// `peer[s * stride + port]`: the live far end of `(s, port)` — exactly
     /// [`Subnet::neighbor`] — as a switch index, a flagged node, or
     /// [`NO_PEER`].
-    peer: Vec<u32>,
+    pub(crate) peer: Vec<u32>,
     /// Live switch component labels, in switch-list order.
     comp: Vec<u32>,
 }
@@ -141,7 +141,7 @@ impl<'a> FabricView<'a> {
     }
 
     /// The dense index of a live switch.
-    fn switch_index(&self, node: NodeId) -> Option<usize> {
+    pub(crate) fn switch_index(&self, node: NodeId) -> Option<usize> {
         match self.switch_of.get(node.index()) {
             Some(&s) if s != NO_PEER => Some(s as usize),
             _ => None,
@@ -149,7 +149,7 @@ impl<'a> FabricView<'a> {
     }
 
     /// The `peer` code of a node: its switch index, or its flagged id.
-    fn code_of(&self, node: NodeId) -> u32 {
+    pub(crate) fn code_of(&self, node: NodeId) -> u32 {
         match self.switch_index(node) {
             Some(s) => s as u32,
             None if self.subnet.node(node).is_hca() => NODE | HCA | node.index() as u32,
@@ -166,6 +166,38 @@ impl<'a> FabricView<'a> {
     /// The component label of switch `s`.
     pub(crate) fn component(&self, s: usize) -> u32 {
         self.comp[s]
+    }
+
+    /// The switch `lid` terminates at or hangs off, over a live link —
+    /// [`ib_routing::Destination::switch`] without building a graph.
+    pub(crate) fn delivery_switch(&self, lid: Lid) -> Option<usize> {
+        let ep = self.subnet.endpoint_of(lid)?;
+        self.switch_index(ep.node).or_else(|| {
+            let far = self.subnet.neighbor(ep.node, ep.port)?;
+            self.switch_index(far.node)
+        })
+    }
+
+    /// Whether the live switches fall apart into more than one component.
+    pub(crate) fn is_split(&self) -> bool {
+        self.comp.iter().any(|&c| c != 0)
+    }
+
+    /// Switch `s`'s installed entry for `lid`.
+    #[inline]
+    pub(crate) fn entry(&self, s: usize, lid: Lid) -> Option<PortNum> {
+        self.rows[s]
+            .and_then(|row| row.get(lid.raw() as usize))
+            .copied()
+            .flatten()
+    }
+
+    /// Switch `s`'s installed cell for `lid` (whose endpoint has `peer`
+    /// code `target`), classified without gathering a column: what a walk
+    /// over a handful of cells reads.
+    #[inline]
+    pub(crate) fn cell(&self, s: usize, lid: Lid, target: u32) -> (NextHop, u32) {
+        self.classify(s, self.entry(s, lid), target)
     }
 
     /// Labels the live switch components: BFS over switch-switch cables
@@ -275,11 +307,7 @@ impl<'a> FabricView<'a> {
     #[inline]
     fn follow(&self, s: usize, port: PortNum, target: u32) -> (NextHop, u32) {
         let at = s * self.stride + port.raw() as usize;
-        let far = if !port.is_management() && (port.raw() as usize) < self.stride {
-            self.peer[at]
-        } else {
-            NO_PEER
-        };
+        let far = far_end(&self.peer, self.stride, s, port);
         let chan = if far < NODE { at as u32 } else { NO_CHANNEL };
         let hop = if port.is_drop() {
             NextHop::Dead(DeadEnd::Drop)
@@ -300,5 +328,16 @@ impl<'a> FabricView<'a> {
             })
         };
         (hop, chan)
+    }
+}
+
+/// The far end of `(s, port)` in a `peer` table of width `stride`;
+/// [`NO_PEER`] for the management port and ports past the table.
+#[inline]
+pub(crate) fn far_end(peer: &[u32], stride: usize, s: usize, port: PortNum) -> u32 {
+    if !port.is_management() && (port.raw() as usize) < stride {
+        peer[s * stride + port.raw() as usize]
+    } else {
+        NO_PEER
     }
 }

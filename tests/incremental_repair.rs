@@ -778,8 +778,8 @@ fn three_level_fabrics_repair_and_heal_clean() {
 /// direct LFT SMPs, outside any sweep. The SM must hear of those cells: a
 /// repair sends blocks built from its baseline, so a baseline that never
 /// learned the VM's LID would black-hole it on every switch the repair
-/// touches — and the column-scoped gate would wave that through as damage
-/// that was there before, because the repair never *re-routed* that column.
+/// touches (the gate, which walks every cell the sent blocks moved, would
+/// then reject the repair into a full sweep).
 #[test]
 fn a_vm_created_under_dynamic_lids_survives_the_next_repair() {
     let mut dc = DataCenter::from_topology_observed(
@@ -820,7 +820,8 @@ fn a_vm_created_under_dynamic_lids_survives_the_next_repair() {
     assert_eq!(report.kind, SweepKind::Repair);
     let snap = dc.sm.observer().snapshot().expect("metrics on");
     assert_eq!(snap.counter("repair.success"), 1);
-    assert_eq!(snap.counter("repair.tolerated_preexisting"), 0);
+    // No verifier pass — bring-up audit or repair gate — saw a violation.
+    assert_eq!(snap.counter("verify.violations"), 0);
     let vls = dc.sm.installed_vls().expect("tables installed");
     let verdict = FabricVerifier::new()
         .verify_with_vls(&dc.subnet, vls)
