@@ -13,7 +13,7 @@
 //! has a cyclic channel dependency graph.
 
 use ib_routing::cdg::Cdg;
-use ib_routing::graph::SwitchGraph;
+use ib_routing::graph::{Destination, SwitchGraph};
 use ib_routing::tables::{RoutingTables, VlAssignment};
 use ib_subnet::{Lft, NodeId, Subnet};
 use ib_types::IbResult;
@@ -74,14 +74,18 @@ pub fn analyze_transition(subnet: &Subnet, before: &LftSnapshot) -> IbResult<Tra
     let old = before.as_tables("old");
     let new = LftSnapshot::capture(subnet).as_tables("new");
 
-    let old_cdg = Cdg::from_tables(&g, &old, |_| true);
-    let new_cdg = Cdg::from_tables(&g, &new, |_| true);
-    let union = Cdg::from_union(&g, &[&old, &new], |_| true);
-    let cycle = union.find_cycle();
+    // One lane, three questions: `R_old`, then `R_old ∪ R_new` by booking
+    // `R_new` on top, then `R_new` alone by retracting `R_old`.
+    let every = |_: &Destination| Some(0);
+    let mut cdg = Cdg::from_tables(&g, &old, |_| true);
+    let old_acyclic = cdg.find_cycle(0).is_none();
+    cdg.add_tables(&g, &new, every);
+    let cycle = cdg.find_cycle(0);
+    cdg.retract_tables(&g, &old, every);
 
     Ok(TransitionAnalysis {
-        old_acyclic: old_cdg.find_cycle().is_none(),
-        new_acyclic: new_cdg.find_cycle().is_none(),
+        old_acyclic,
+        new_acyclic: cdg.find_cycle(0).is_none(),
         union_acyclic: cycle.is_none(),
         union_cycle_len: cycle.map(|c| c.len()),
     })

@@ -7,267 +7,90 @@
 //! [20] of the paper); DFSSSP and LASH both enforce it constructively, and
 //! §VI-C's transition analysis asks the same question of the *union*
 //! `R_old ∪ R_new` while a live migration is in flight.
+//!
+//! The graph is dense and counted. Channel `(switch, port)` has id
+//! `switch * stride + port`; it leads to one switch, so the channels it can
+//! depend on are that switch's switch-facing ports, and each lane keeps one
+//! counter per such `(held, wanted)` slot: how many bookings (paths or
+//! destination columns) induce the dependency, and how many of those lead to
+//! a switch LID. A booking can be retracted as well as added — DFSSSP lifts
+//! paths out of a lane by retracting them instead of rebuilding the lane,
+//! and the transition analysis takes `R_old` back out of `R_old ∪ R_new`.
+//! This is the layout of `ib_verify`'s `ChannelDeps`, with `u32` counters.
 
-use rustc_hash::{FxHashMap, FxHashSet};
+use std::fmt;
+
+use ib_types::Lid;
 
 use crate::graph::{Destination, SwitchGraph};
-use crate::tables::RoutingTables;
+use crate::tables::{RoutingTables, VlAssignment};
 
-/// A directed switch-to-switch channel.
+/// A directed switch-to-switch channel: (switch index, out-port).
 pub type Channel = (u32, u8);
 
-/// A channel dependency graph with interned channels, edge witnesses, and
-/// cycle search.
-#[derive(Clone, Debug, Default)]
+/// `head` code: the port does not lead to a switch.
+const NO_SWITCH: u32 = u32::MAX;
+/// `rank` code: the port does not lead to a switch.
+const NO_RANK: u8 = u8::MAX;
+
+/// The per-lane, per-dependency booking counts of a switch graph's
+/// channels, with depth-first cycle search.
+#[derive(Clone)]
 pub struct Cdg {
-    channels: Vec<Channel>,
-    index: FxHashMap<Channel, usize>,
-    /// Adjacency sets (dedup'd).
-    out: Vec<FxHashSet<usize>>,
-    /// One destination LID that contributes each edge (first writer wins) —
-    /// the handle DFSSSP uses to lift a flow out of a cycle.
-    witness: FxHashMap<(usize, usize), u16>,
-    /// Finer-grained witness: one (source switch, destination LID) path
-    /// per edge, for per-path lifting.
-    pair_witness: FxHashMap<(usize, usize), (u32, u16)>,
-    /// A switch-LID-destination witness per edge, when one exists — the
-    /// productive kind to lift, since host in-trees are jointly acyclic on
-    /// up*-down* fabrics and only switch-LID paths close cycles there.
-    switch_witness: FxHashMap<(usize, usize), (u32, u16)>,
-    /// Number of paths contributing each edge (Domke's edge weight: the
-    /// cheapest edge of a cycle to dissolve is the least-used one).
-    edge_count: FxHashMap<(usize, usize), u32>,
-    num_edges: usize,
+    layout: Layout,
+    lanes: usize,
+    counts: Counts,
+}
+
+/// Which counter a dependency has: the channels of a switch graph and, per
+/// channel, the slots of the channels it can depend on.
+#[derive(Clone, PartialEq, Eq)]
+struct Layout {
+    stride: usize,
+    /// `head[c]`: the switch channel `c` leads to, [`NO_SWITCH`] for a port
+    /// that leaves the switch fabric (or has no cable).
+    head: Vec<u32>,
+    /// `rank[c]`: channel `c`'s index among its switch's switch-facing
+    /// ports, [`NO_RANK`] for the other ports.
+    rank: Vec<u8>,
+    /// `ports[first[t] + r]`: switch `t`'s switch-facing port of rank `r`
+    /// (ranks ascend with port numbers).
+    ports: Vec<u8>,
+    first: Vec<u32>,
+    /// `base[c]..base[c + 1]`: channel `c`'s successor slots within a lane,
+    /// one per switch-facing port of `head[c]`, by rank.
+    base: Vec<u32>,
+}
+
+#[derive(Clone)]
+struct Counts {
+    /// `count[lane * per_lane + slot]`: bookings of the dependency.
+    count: Vec<u32>,
+    /// The bookings among them made for a switch-LID destination.
+    switch_lid: Vec<u32>,
+    /// Every counter that went from zero to one since the last
+    /// [`Cdg::clear`], in that order.
+    touched: Vec<u32>,
 }
 
 impl Cdg {
-    /// An empty CDG.
+    /// An empty graph over `g`'s channels with `lanes` lanes.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Interns a channel, returning its dense id.
-    pub fn intern(&mut self, ch: Channel) -> usize {
-        if let Some(&i) = self.index.get(&ch) {
-            return i;
-        }
-        let i = self.channels.len();
-        self.channels.push(ch);
-        self.index.insert(ch, i);
-        self.out.push(FxHashSet::default());
-        i
-    }
-
-    /// The channel behind a dense id.
-    #[must_use]
-    pub fn channel(&self, id: usize) -> Channel {
-        self.channels[id]
-    }
-
-    /// Adds a dependency edge; `witness` names one destination LID whose
-    /// routes induce it. Returns true if the edge was new.
-    pub fn add_edge(&mut self, from: usize, to: usize, witness: u16) -> bool {
-        if self.out[from].insert(to) {
-            self.witness.insert((from, to), witness);
-            self.num_edges += 1;
-            true
-        } else {
-            false
+    pub fn new(g: &SwitchGraph, lanes: usize) -> Self {
+        let layout = Layout::new(g);
+        let slots = lanes * layout.per_lane();
+        Self {
+            layout,
+            lanes,
+            counts: Counts {
+                count: vec![0; slots],
+                switch_lid: vec![0; slots],
+                touched: Vec::new(),
+            },
         }
     }
 
-    /// Removes an edge (used by LASH to roll back a tentative path).
-    pub fn remove_edge(&mut self, from: usize, to: usize) {
-        if self.out[from].remove(&to) {
-            self.witness.remove(&(from, to));
-            self.pair_witness.remove(&(from, to));
-            self.switch_witness.remove(&(from, to));
-            self.edge_count.remove(&(from, to));
-            self.num_edges -= 1;
-        }
-    }
-
-    /// Number of channels.
-    #[must_use]
-    pub fn num_channels(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// Number of dependency edges.
-    #[must_use]
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// The witness LID of an edge, if recorded.
-    #[must_use]
-    pub fn witness_of(&self, from: usize, to: usize) -> Option<u16> {
-        self.witness.get(&(from, to)).copied()
-    }
-
-    /// Adds an edge witnessed by a (source switch, destination LID) path.
-    /// Returns true if the edge was new.
-    pub fn add_pair_edge(&mut self, from: usize, to: usize, pair: (u32, u16)) -> bool {
-        let fresh = self.add_edge(from, to, pair.1);
-        if fresh {
-            self.pair_witness.insert((from, to), pair);
-        }
-        *self.edge_count.entry((from, to)).or_insert(0) += 1;
-        fresh
-    }
-
-    /// Number of paths contributing an edge (only tracked for edges added
-    /// through [`Cdg::add_pair_edge`]).
-    #[must_use]
-    pub fn edge_count_of(&self, from: usize, to: usize) -> u32 {
-        self.edge_count.get(&(from, to)).copied().unwrap_or(0)
-    }
-
-    /// The (source switch, destination LID) witness of an edge.
-    #[must_use]
-    pub fn pair_witness_of(&self, from: usize, to: usize) -> Option<(u32, u16)> {
-        self.pair_witness.get(&(from, to)).copied()
-    }
-
-    /// Records a switch-LID witness for an edge.
-    pub fn add_switch_witness(&mut self, from: usize, to: usize, pair: (u32, u16)) {
-        self.switch_witness.entry((from, to)).or_insert(pair);
-    }
-
-    /// The switch-LID witness of an edge, if any path to a switch LID
-    /// contributes it.
-    #[must_use]
-    pub fn switch_pair_witness_of(&self, from: usize, to: usize) -> Option<(u32, u16)> {
-        self.switch_witness.get(&(from, to)).copied()
-    }
-
-    /// Finds a dependency cycle, returned as a channel-id sequence where
-    /// each element depends on the next and the last depends on the first.
-    /// Returns `None` when the CDG is acyclic.
-    #[must_use]
-    pub fn find_cycle(&self) -> Option<Vec<usize>> {
-        const WHITE: u8 = 0;
-        const GRAY: u8 = 1;
-        const BLACK: u8 = 2;
-        let n = self.channels.len();
-        let mut color = vec![WHITE; n];
-        let mut parent = vec![usize::MAX; n];
-
-        for start in 0..n {
-            if color[start] != WHITE {
-                continue;
-            }
-            // Iterative DFS with explicit stack of (node, iterator state).
-            let mut stack: Vec<(usize, Vec<usize>, usize)> = Vec::new();
-            color[start] = GRAY;
-            let succ: Vec<usize> = self.out[start].iter().copied().collect();
-            stack.push((start, succ, 0));
-            while let Some((u, succ, i)) = stack.last_mut() {
-                if *i >= succ.len() {
-                    color[*u] = BLACK;
-                    stack.pop();
-                    continue;
-                }
-                let v = succ[*i];
-                *i += 1;
-                let u = *u;
-                match color[v] {
-                    WHITE => {
-                        color[v] = GRAY;
-                        parent[v] = u;
-                        let next: Vec<usize> = self.out[v].iter().copied().collect();
-                        stack.push((v, next, 0));
-                    }
-                    GRAY => {
-                        // Back edge u -> v: cycle v .. u.
-                        let mut cycle = vec![u];
-                        let mut cur = u;
-                        while cur != v {
-                            cur = parent[cur];
-                            cycle.push(cur);
-                        }
-                        cycle.reverse();
-                        return Some(cycle);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        None
-    }
-
-    /// Collects every back edge found in one full DFS sweep — one edge per
-    /// reachable cycle family. Lifting one witness per back edge (rather
-    /// than one per [`Cdg::find_cycle`] invocation) lets DFSSSP converge
-    /// in a handful of passes instead of one rebuild per lifted path.
-    #[must_use]
-    pub fn find_back_edges(&self) -> Vec<(usize, usize)> {
-        self.find_cycles()
-            .into_iter()
-            .map(|c| c[c.len() - 1])
-            .collect()
-    }
-
-    /// Like [`Cdg::find_back_edges`], but returns the *full edge list* of
-    /// each detected cycle (reconstructed from the DFS parent chain; the
-    /// closing back edge is last). Callers can then pick the most
-    /// productive edge of each cycle to lift.
-    #[must_use]
-    pub fn find_cycles(&self) -> Vec<Vec<(usize, usize)>> {
-        const WHITE: u8 = 0;
-        const GRAY: u8 = 1;
-        const BLACK: u8 = 2;
-        let n = self.channels.len();
-        let mut color = vec![WHITE; n];
-        let mut parent = vec![usize::MAX; n];
-        let mut cycles = Vec::new();
-        for start in 0..n {
-            if color[start] != WHITE {
-                continue;
-            }
-            let mut stack: Vec<(usize, Vec<usize>, usize)> = Vec::new();
-            color[start] = GRAY;
-            let succ: Vec<usize> = self.out[start].iter().copied().collect();
-            stack.push((start, succ, 0));
-            while let Some((u, succ, i)) = stack.last_mut() {
-                if *i >= succ.len() {
-                    color[*u] = BLACK;
-                    stack.pop();
-                    continue;
-                }
-                let v = succ[*i];
-                *i += 1;
-                let u = *u;
-                match color[v] {
-                    WHITE => {
-                        color[v] = GRAY;
-                        parent[v] = u;
-                        let next: Vec<usize> = self.out[v].iter().copied().collect();
-                        stack.push((v, next, 0));
-                    }
-                    GRAY => {
-                        // Back edge u -> v closes the cycle v ..-> u -> v.
-                        let mut nodes = vec![u];
-                        let mut cur = u;
-                        while cur != v {
-                            cur = parent[cur];
-                            nodes.push(cur);
-                        }
-                        nodes.reverse(); // v .. u
-                        let mut edges: Vec<(usize, usize)> =
-                            nodes.windows(2).map(|w| (w[0], w[1])).collect();
-                        edges.push((u, v));
-                        cycles.push(edges);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        cycles
-    }
-
-    /// Builds the CDG induced by `tables` over the destinations passing
+    /// The one-lane CDG `tables` induce over the destinations passing
     /// `filter` (e.g. "destinations on VL 2").
     #[must_use]
     pub fn from_tables(
@@ -275,99 +98,431 @@ impl Cdg {
         tables: &RoutingTables,
         filter: impl Fn(&Destination) -> bool,
     ) -> Self {
-        let mut cdg = Self::new();
-        cdg.absorb_tables(g, tables, filter);
+        let mut cdg = Self::new(g, 1);
+        cdg.add_tables(g, tables, |d| filter(d).then_some(0));
         cdg
     }
 
-    /// Builds the CDG of the *union* of several routing functions — the
-    /// §VI-C transition analysis: `R_old ∪ R_new` may deadlock even when
-    /// each is deadlock-free alone.
-    #[must_use]
-    pub fn from_union(
-        g: &SwitchGraph,
-        tables: &[&RoutingTables],
-        filter: impl Fn(&Destination) -> bool,
-    ) -> Self {
-        let mut cdg = Self::new();
-        for t in tables {
-            cdg.absorb_tables(g, t, &filter);
-        }
-        cdg
-    }
-
-    /// Adds the dependencies induced by one routing function.
-    pub fn absorb_tables(
+    /// Books the dependencies a destination-based routing function induces:
+    /// for every destination `lane_of` places on a lane, each switch's
+    /// channel toward it and the channel the next switch forwards onto.
+    pub fn add_tables(
         &mut self,
         g: &SwitchGraph,
         tables: &RoutingTables,
-        filter: impl Fn(&Destination) -> bool,
+        lane_of: impl Fn(&Destination) -> Option<usize>,
     ) {
-        for dest in g.destinations().iter().filter(|d| filter(d)) {
-            // next[s]: the out-port switch s uses for this LID and the
-            // switch it leads to, if it stays in the switch fabric.
-            let next: Vec<Option<(u8, usize)>> = (0..g.len())
-                .map(|s| g.next_hop(s, tables.lfts.get(&g.node_id(s))?.get(dest.lid)))
-                .collect();
+        self.book_tables(g, tables, lane_of, true);
+    }
+
+    /// Retracts what [`Self::add_tables`] booked for the same arguments.
+    pub fn retract_tables(
+        &mut self,
+        g: &SwitchGraph,
+        tables: &RoutingTables,
+        lane_of: impl Fn(&Destination) -> Option<usize>,
+    ) {
+        self.book_tables(g, tables, lane_of, false);
+    }
+
+    fn book_tables(
+        &mut self,
+        g: &SwitchGraph,
+        tables: &RoutingTables,
+        lane_of: impl Fn(&Destination) -> Option<usize>,
+        up: bool,
+    ) {
+        let mut next: Vec<Option<(u8, usize)>> = Vec::with_capacity(g.len());
+        for dest in g.destinations() {
+            let Some(lane) = lane_of(dest) else { continue };
+            next_hops(&mut next, g, tables, dest);
             for s in 0..g.len() {
                 let Some((p, v)) = next[s] else { continue };
                 let Some((p2, _)) = next[v] else { continue };
                 // A packet to `dest` may hold (s, p) while requesting
                 // (v, p2).
-                let a = self.intern((s as u32, p));
-                let b = self.intern((v as u32, p2));
-                self.add_edge(a, b, dest.lid.raw());
+                let held = self.layout.id(s, p);
+                let at = self.at(lane, held, self.layout.id(v, p2));
+                self.counts.bump(at, false, up);
             }
         }
     }
 
-    /// Whether `to` is reachable from `from` along dependency edges.
-    #[must_use]
-    pub fn reachable(&self, from: usize, to: usize) -> bool {
-        if from == to {
-            return true;
-        }
-        let mut seen = FxHashSet::default();
-        let mut stack = vec![from];
-        seen.insert(from);
-        while let Some(u) = stack.pop() {
-            for &v in &self.out[u] {
-                if v == to {
-                    return true;
-                }
-                if seen.insert(v) {
-                    stack.push(v);
+    /// Books the dependencies a path-granular layering induces: the path of
+    /// every source switch toward each of `dests`, on its lane under `vls`.
+    /// Errs with the LID of a path that runs into a routing loop.
+    pub(crate) fn add_paths<'a>(
+        &mut self,
+        g: &SwitchGraph,
+        tables: &RoutingTables,
+        vls: &VlAssignment,
+        dests: impl Iterator<Item = &'a Destination>,
+    ) -> Result<(), Lid> {
+        let mut next: Vec<Option<(u8, usize)>> = Vec::with_capacity(g.len());
+        for dest in dests {
+            next_hops(&mut next, g, tables, dest);
+            for src in (0..g.len()).filter(|&s| s != dest.switch) {
+                let lane = vls.lane_for(src as u32, dest.switch as u32, dest.lid);
+                let path = (src, dest.switch);
+                if !self.book_path(lane.raw() as usize, path, |s| next[s], false, true) {
+                    return Err(dest.lid);
                 }
             }
         }
-        false
+        Ok(())
     }
 
-    /// Tentatively adds the consecutive dependencies of a channel path.
-    /// If a cycle would result, rolls back the newly-added edges and
-    /// returns `false`. (The LASH layer-packing primitive.)
+    /// Books one more packet that may hold `held` while requesting `wanted`
+    /// on `lane`.
     ///
-    /// Assumes the CDG is acyclic on entry (the invariant LASH maintains):
-    /// a new cycle must then pass through a new edge `(a, b)`, which exists
-    /// exactly when `a` was already reachable from `b`.
-    pub fn try_add_path(&mut self, path: &[Channel], witness: u16) -> bool {
-        let mut new_edges = Vec::new();
-        for pair in path.windows(2) {
-            let a = self.intern(pair[0]);
-            let b = self.intern(pair[1]);
-            if self.out[a].contains(&b) {
+    /// # Panics
+    ///
+    /// When `wanted` does not leave the switch `held` leads to.
+    pub fn add(&mut self, lane: usize, held: Channel, wanted: Channel) {
+        let at = self.checked_at(lane, held, wanted);
+        self.counts.bump(at, false, true);
+    }
+
+    /// Retracts one booking made by [`Self::add`].
+    ///
+    /// # Panics
+    ///
+    /// When `wanted` does not leave the switch `held` leads to, or the
+    /// dependency has no booking left.
+    pub fn retract(&mut self, lane: usize, held: Channel, wanted: Channel) {
+        let at = self.checked_at(lane, held, wanted);
+        self.counts.bump(at, false, false);
+    }
+
+    /// How many bookings induce `held → wanted` on `lane` (zero for a pair
+    /// that cannot depend on each other).
+    #[must_use]
+    pub fn count(&self, lane: usize, held: Channel, wanted: Channel) -> u32 {
+        let (held, wanted) = (self.layout.channel_id(held), self.layout.channel_id(wanted));
+        match (held, wanted) {
+            (Some(h), Some(w)) if self.layout.depends(h, w) => {
+                self.counts.count[self.at(lane, h, w)]
+            }
+            _ => 0,
+        }
+    }
+
+    /// Number of distinct dependencies booked on `lane`.
+    #[must_use]
+    pub fn dependencies(&self, lane: usize) -> usize {
+        self.lane(lane).iter().filter(|&&n| n != 0).count()
+    }
+
+    /// A dependency cycle on `lane` — channels each depending on the next
+    /// and the last on the first — or `None` when the lane is acyclic.
+    #[must_use]
+    pub fn find_cycle(&self, lane: usize) -> Option<Vec<Channel>> {
+        let mut found = None;
+        self.visit_cycles(lane, |cycle| {
+            found = Some(cycle.iter().map(|&c| self.layout.channel(c)).collect());
+            false
+        });
+        found
+    }
+
+    /// Hands `visit` every cycle one depth-first sweep of `lane` closes. The
+    /// sweep starts from channels in id order and tries successors in port
+    /// order; each back edge `u → v` yields the gray path `v ..= u` as
+    /// channel ids (each depends on the next, `u` on `v`). `visit` returns
+    /// false to stop the sweep.
+    pub(crate) fn visit_cycles(&self, lane: usize, mut visit: impl FnMut(&[u32]) -> bool) {
+        const WHITE: u32 = u32::MAX;
+        const BLACK: u32 = u32::MAX - 1;
+        let counts = self.lane(lane);
+        let layout = &self.layout;
+        // `state[c]`: WHITE, BLACK, or — gray — c's depth on `path`.
+        let mut state = vec![WHITE; layout.head.len()];
+        let mut path: Vec<u32> = Vec::new();
+        // `tried[d]`: the next successor rank to try from `path[d]`.
+        let mut tried: Vec<usize> = Vec::new();
+        for start in 0..layout.head.len() {
+            if state[start] != WHITE {
                 continue;
             }
-            if self.reachable(b, a) {
-                for (x, y) in new_edges {
-                    self.remove_edge(x, y);
+            state[start] = 0;
+            path.push(start as u32);
+            tried.push(0);
+            while let Some(&held) = path.last() {
+                let depth = path.len() - 1;
+                let held = held as usize;
+                let slots = &counts[layout.base[held] as usize..layout.base[held + 1] as usize];
+                let from = tried[depth];
+                let Some(k) = slots[from..].iter().position(|&n| n != 0) else {
+                    state[held] = BLACK;
+                    path.pop();
+                    tried.pop();
+                    continue;
+                };
+                tried[depth] = from + k + 1;
+                let wanted = layout.successor(held, from + k);
+                match state[wanted] {
+                    WHITE => {
+                        state[wanted] = path.len() as u32;
+                        path.push(wanted as u32);
+                        tried.push(0);
+                    }
+                    BLACK => {}
+                    at => {
+                        if !visit(&path[at as usize..]) {
+                            return;
+                        }
+                    }
                 }
+            }
+        }
+    }
+
+    /// Walks the path from switch `src` toward switch `to`, where switch `s`
+    /// forwards onto `next(s)` — (out-port, next switch), `None` once the
+    /// path leaves the switch fabric — and hands `visit` the in-lane slot of
+    /// each consecutive channel pair. Returns false when the path runs more
+    /// hops than there are switches without arriving (a routing loop).
+    pub(crate) fn path_slots(
+        &self,
+        (src, to): (usize, usize),
+        next: impl Fn(usize) -> Option<(u8, usize)>,
+        visit: impl FnMut(usize),
+    ) -> bool {
+        self.layout.path_slots((src, to), next, visit)
+    }
+
+    /// Books (`up`) or retracts the dependencies of one path on `lane` — see
+    /// [`Self::path_slots`] — counting it as a switch-LID booking when
+    /// `switch_lid`. Returns false on a routing loop (what was walked stays
+    /// booked).
+    pub(crate) fn book_path(
+        &mut self,
+        lane: usize,
+        path: (usize, usize),
+        next: impl Fn(usize) -> Option<(u8, usize)>,
+        switch_lid: bool,
+        up: bool,
+    ) -> bool {
+        let offset = lane * self.layout.per_lane();
+        let counts = &mut self.counts;
+        self.layout.path_slots(path, next, |slot| {
+            counts.bump(offset + slot, switch_lid, up);
+        })
+    }
+
+    /// The in-lane slot of `held → wanted` (channel ids; `wanted` must leave
+    /// the switch `held` leads to).
+    pub(crate) fn slot(&self, held: u32, wanted: u32) -> usize {
+        self.layout.slot(held as usize, wanted as usize)
+    }
+
+    /// Slots per lane.
+    pub(crate) fn slots_per_lane(&self) -> usize {
+        self.layout.per_lane()
+    }
+
+    /// `(bookings, switch-LID bookings)` of an in-lane slot.
+    pub(crate) fn booked(&self, lane: usize, slot: usize) -> (u32, u32) {
+        let at = lane * self.layout.per_lane() + slot;
+        (self.counts.count[at], self.counts.switch_lid[at])
+    }
+
+    /// The counters that went from zero to one since the last
+    /// [`Self::clear`] (lane-major slot indices), each once unless it fell
+    /// back to zero and rose again.
+    pub(crate) fn touched(&self) -> &[u32] {
+        &self.counts.touched
+    }
+
+    /// Zeroes every counter, visiting only the touched ones.
+    pub(crate) fn clear(&mut self) {
+        let Counts {
+            count,
+            switch_lid,
+            touched,
+        } = &mut self.counts;
+        for at in touched.drain(..) {
+            count[at as usize] = 0;
+            switch_lid[at as usize] = 0;
+        }
+    }
+
+    fn lane(&self, lane: usize) -> &[u32] {
+        let per_lane = self.layout.per_lane();
+        &self.counts.count[lane * per_lane..(lane + 1) * per_lane]
+    }
+
+    fn at(&self, lane: usize, held: usize, wanted: usize) -> usize {
+        lane * self.layout.per_lane() + self.layout.slot(held, wanted)
+    }
+
+    fn checked_at(&self, lane: usize, held: Channel, wanted: Channel) -> usize {
+        match (self.layout.channel_id(held), self.layout.channel_id(wanted)) {
+            (Some(h), Some(w)) if self.layout.depends(h, w) && lane < self.lanes => {
+                self.at(lane, h, w)
+            }
+            _ => panic!("{held:?} -> {wanted:?} on lane {lane} is not a dependency of this graph"),
+        }
+    }
+}
+
+/// Fills `next[s]`: the (out-port, next switch) switch `s` forwards `dest`'s
+/// packets onto, `None` where they leave the switch fabric or have no route.
+fn next_hops(
+    next: &mut Vec<Option<(u8, usize)>>,
+    g: &SwitchGraph,
+    tables: &RoutingTables,
+    dest: &Destination,
+) {
+    next.clear();
+    next.extend((0..g.len()).map(|s| g.next_hop(s, tables.lfts.get(&g.node_id(s))?.get(dest.lid))));
+}
+
+impl PartialEq for Cdg {
+    /// Same channels, lanes and counts, whatever was touched on the way.
+    fn eq(&self, other: &Self) -> bool {
+        self.layout == other.layout
+            && self.lanes == other.lanes
+            && self.counts.count == other.counts.count
+            && self.counts.switch_lid == other.counts.switch_lid
+    }
+}
+
+impl fmt::Debug for Cdg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let dependencies: Vec<usize> = (0..self.lanes).map(|l| self.dependencies(l)).collect();
+        f.debug_struct("Cdg")
+            .field("channels", &self.layout.head.len())
+            .field("slots_per_lane", &self.layout.per_lane())
+            .field("dependencies", &dependencies)
+            .finish()
+    }
+}
+
+impl Layout {
+    fn new(g: &SwitchGraph) -> Self {
+        let stride = 1 + g.neighbors_max_port().map_or(0, |p| p.raw() as usize);
+        let mut head = vec![NO_SWITCH; g.len() * stride];
+        for s in 0..g.len() {
+            for &(v, p) in g.neighbors(s) {
+                head[s * stride + p.raw() as usize] = v;
+            }
+        }
+        let mut rank = vec![NO_RANK; head.len()];
+        let (mut ports, mut first) = (Vec::new(), Vec::with_capacity(g.len() + 1));
+        for (t, far_ends) in head.chunks_exact(stride).enumerate() {
+            first.push(ports.len() as u32);
+            for (q, &far) in far_ends.iter().enumerate() {
+                if far != NO_SWITCH {
+                    rank[t * stride + q] = (ports.len() - first[t] as usize) as u8;
+                    ports.push(q as u8);
+                }
+            }
+        }
+        first.push(ports.len() as u32);
+        let mut base = Vec::with_capacity(head.len() + 1);
+        base.push(0u32);
+        for &far in &head {
+            let slots = if far == NO_SWITCH {
+                0
+            } else {
+                first[far as usize + 1] - first[far as usize]
+            };
+            base.push(base.last().copied().unwrap_or(0) + slots);
+        }
+        Self {
+            stride,
+            head,
+            rank,
+            ports,
+            first,
+            base,
+        }
+    }
+
+    fn per_lane(&self) -> usize {
+        self.base.last().copied().unwrap_or(0) as usize
+    }
+
+    fn id(&self, s: usize, port: u8) -> usize {
+        s * self.stride + port as usize
+    }
+
+    fn channel_id(&self, (s, port): Channel) -> Option<usize> {
+        let id = self.id(s as usize, port);
+        ((port as usize) < self.stride && id < self.head.len()).then_some(id)
+    }
+
+    fn channel(&self, id: u32) -> Channel {
+        let id = id as usize;
+        ((id / self.stride) as u32, (id % self.stride) as u8)
+    }
+
+    /// Whether `wanted` leaves the switch `held` leads to.
+    fn depends(&self, held: usize, wanted: usize) -> bool {
+        let head = self.head[held];
+        head != NO_SWITCH && wanted / self.stride == head as usize && self.rank[wanted] != NO_RANK
+    }
+
+    fn slot(&self, held: usize, wanted: usize) -> usize {
+        debug_assert!(
+            self.depends(held, wanted),
+            "dependency onto a channel the layout lacks"
+        );
+        self.base[held] as usize + self.rank[wanted] as usize
+    }
+
+    /// The channel of successor rank `r` of `held`.
+    fn successor(&self, held: usize, r: usize) -> usize {
+        let head = self.head[held] as usize;
+        self.id(head, self.ports[self.first[head] as usize + r])
+    }
+
+    /// [`Cdg::path_slots`].
+    fn path_slots(
+        &self,
+        (src, to): (usize, usize),
+        next: impl Fn(usize) -> Option<(u8, usize)>,
+        mut visit: impl FnMut(usize),
+    ) -> bool {
+        let limit = self.first.len() - 1;
+        let (mut cur, mut held, mut hops) = (src, None, 0);
+        while let Some((p, v)) = next(cur) {
+            let wanted = self.id(cur, p);
+            if let Some(held) = held {
+                visit(self.slot(held, wanted));
+            }
+            held = Some(wanted);
+            cur = v;
+            hops += 1;
+            if cur == to {
+                return true;
+            }
+            if hops > limit {
                 return false;
             }
-            self.add_edge(a, b, witness);
-            new_edges.push((a, b));
         }
         true
+    }
+}
+
+impl Counts {
+    /// Adds (`up`) or retracts one booking of the counter at `at`.
+    #[inline]
+    fn bump(&mut self, at: usize, switch_lid: bool, up: bool) {
+        let (count, lid) = (&mut self.count[at], &mut self.switch_lid[at]);
+        if up {
+            if *count == 0 {
+                self.touched.push(at as u32);
+            }
+            *count += 1;
+            *lid += u32::from(switch_lid);
+        } else {
+            *count = count
+                .checked_sub(1)
+                .expect("retracting a dependency that was never booked");
+            *lid -= u32::from(switch_lid);
+        }
     }
 }
 
@@ -379,38 +534,68 @@ mod tests {
     use crate::RoutingEngine;
     use ib_subnet::topology::fattree::two_level;
     use ib_subnet::topology::torus::torus_2d;
+    use ib_subnet::Subnet;
+    use ib_types::PortNum;
 
-    #[test]
-    fn manual_cycle_detection() {
-        let mut cdg = Cdg::new();
-        let a = cdg.intern((0, 1));
-        let b = cdg.intern((1, 1));
-        let c = cdg.intern((2, 1));
-        cdg.add_edge(a, b, 1);
-        cdg.add_edge(b, c, 2);
-        assert!(cdg.find_cycle().is_none());
-        cdg.add_edge(c, a, 3);
-        let cycle = cdg.find_cycle().unwrap();
-        assert_eq!(cycle.len(), 3);
-        // Each element must depend on the next (cyclically).
-        for i in 0..cycle.len() {
-            let from = cycle[i];
-            let to = cycle[(i + 1) % cycle.len()];
-            assert!(cdg.out[from].contains(&to));
+    /// Three switches in a ring: switch `i`'s port 1 leads to switch
+    /// `i + 1`'s port 2.
+    fn ring() -> SwitchGraph {
+        let mut s = Subnet::new();
+        let sw: Vec<_> = (0..3).map(|i| s.add_switch(format!("r{i}"), 4)).collect();
+        for i in 0..3 {
+            s.connect(sw[i], PortNum::new(1), sw[(i + 1) % 3], PortNum::new(2))
+                .unwrap();
         }
+        SwitchGraph::build(&s).unwrap()
     }
 
     #[test]
-    fn witnesses_recorded() {
-        let mut cdg = Cdg::new();
-        let a = cdg.intern((0, 1));
-        let b = cdg.intern((1, 2));
-        assert!(cdg.add_edge(a, b, 42));
-        assert!(!cdg.add_edge(a, b, 43), "duplicate edge");
-        assert_eq!(cdg.witness_of(a, b), Some(42));
-        cdg.remove_edge(a, b);
-        assert_eq!(cdg.num_edges(), 0);
-        assert_eq!(cdg.witness_of(a, b), None);
+    fn manual_cycle_detection() {
+        let mut cdg = Cdg::new(&ring(), 1);
+        let (a, b, c) = ((0, 1), (1, 1), (2, 1));
+        cdg.add(0, a, b);
+        cdg.add(0, b, c);
+        assert!(cdg.find_cycle(0).is_none());
+        cdg.add(0, c, a);
+        let cycle = cdg.find_cycle(0).unwrap();
+        assert_eq!(cycle.len(), 3);
+        // Each element must depend on the next (cyclically).
+        for i in 0..cycle.len() {
+            assert_eq!(cdg.count(0, cycle[i], cycle[(i + 1) % cycle.len()]), 1);
+        }
+        assert_eq!(cdg.dependencies(0), 3);
+    }
+
+    #[test]
+    fn retracting_the_last_booking_of_a_ring_edge_removes_the_cycle() {
+        let mut cdg = Cdg::new(&ring(), 2);
+        let (a, b, c) = ((0, 1), (1, 1), (2, 1));
+        cdg.add(1, a, b);
+        cdg.add(1, b, c);
+        cdg.add(1, c, a);
+        cdg.add(1, c, a);
+        assert!(cdg.find_cycle(0).is_none(), "lanes are separate graphs");
+        cdg.retract(1, c, a);
+        assert!(cdg.find_cycle(1).is_some(), "one booking of c -> a is left");
+        cdg.retract(1, c, a);
+        assert_eq!(cdg.count(1, c, a), 0);
+        assert!(cdg.find_cycle(1).is_none());
+        assert_eq!(cdg.dependencies(1), 2);
+    }
+
+    #[test]
+    fn clear_zeroes_what_was_touched() {
+        let g = ring();
+        let mut cdg = Cdg::new(&g, 1);
+        // Toward a switch the ring never reaches: the walk loops and stops
+        // once it has run more hops than there are switches.
+        let around = |s: usize| Some((1, (s + 1) % 3));
+        assert!(!cdg.book_path(0, (0, 3), around, true, true));
+        assert_eq!(cdg.touched().len(), 3, "the loop booked the ring once");
+        // Channel ids: stride 3, so (0, 1) is 1 and (1, 1) is 4.
+        assert_eq!(cdg.booked(0, cdg.slot(1, 4)), (1, 1));
+        cdg.clear();
+        assert_eq!(cdg, Cdg::new(&g, 1));
     }
 
     #[test]
@@ -423,12 +608,13 @@ mod tests {
         assign_lids(&mut t);
         let tables = MinHop.compute(&t.subnet).unwrap();
         let g = SwitchGraph::build(&t.subnet).unwrap();
-        for lane in [0u8, 1] {
-            let cdg = Cdg::from_tables(&g, &tables, |d| {
-                tables.vls.lane_for(0, 0, d.lid).raw() == lane
-            });
-            assert!(cdg.num_edges() > 0, "lane {lane}");
-            assert!(cdg.find_cycle().is_none(), "lane {lane}");
+        let mut cdg = Cdg::new(&g, 2);
+        cdg.add_tables(&g, &tables, |d| {
+            Some(tables.vls.lane_for(0, 0, d.lid).raw() as usize)
+        });
+        for lane in 0..2 {
+            assert!(cdg.dependencies(lane) > 0, "lane {lane}");
+            assert!(cdg.find_cycle(lane).is_none(), "lane {lane}");
         }
     }
 
@@ -440,21 +626,15 @@ mod tests {
         assign_lids(&mut t);
         let tables = MinHop.compute(&t.subnet).unwrap();
         let g = SwitchGraph::build(&t.subnet).unwrap();
-        let cdg = Cdg::from_tables(&g, &tables, |_| true);
-        assert!(
-            cdg.find_cycle().is_some(),
-            "min-hop on a 4x4 torus should produce a cyclic CDG"
-        );
-    }
-
-    #[test]
-    fn try_add_path_rolls_back() {
-        let mut cdg = Cdg::new();
-        assert!(cdg.try_add_path(&[(0, 1), (1, 1), (2, 1)], 7));
-        let edges_before = cdg.num_edges();
-        // Closing the loop must be refused and leave the CDG unchanged.
-        assert!(!cdg.try_add_path(&[(2, 1), (0, 1), (1, 1)], 8));
-        assert_eq!(cdg.num_edges(), edges_before);
-        assert!(cdg.find_cycle().is_none());
+        let mut cdg = Cdg::from_tables(&g, &tables, |_| true);
+        let cycle = cdg
+            .find_cycle(0)
+            .expect("min-hop on a 4x4 torus should produce a cyclic CDG");
+        for i in 0..cycle.len() {
+            assert!(cdg.count(0, cycle[i], cycle[(i + 1) % cycle.len()]) > 0);
+        }
+        // Retracting the same tables leaves nothing booked.
+        cdg.retract_tables(&g, &tables, |_| Some(0));
+        assert_eq!(cdg, Cdg::new(&g, 1));
     }
 }

@@ -6,10 +6,12 @@
 //! 1. **SSSP routing** — one weighted Dijkstra per delivery switch, with
 //!    link weights incremented as destinations are routed so later
 //!    destinations avoid loaded links.
-//! 2. **VL partitioning** — destinations start on VL0; while a lane's
-//!    channel dependency graph contains a cycle, one witness destination of
-//!    a cycle edge is lifted to the next lane. Each lane ends up acyclic,
-//!    hence deadlock-free.
+//! 2. **VL partitioning** — paths start on VL0; while a lane's channel
+//!    dependency graph contains a cycle, one dependency per cycle is
+//!    dissolved by lifting every path that books it to the next lane. Each
+//!    lane ends up acyclic, hence deadlock-free. A lane's dependencies are
+//!    counted once ([`Cdg`]); lifting retracts the lifted paths' bookings
+//!    instead of rebuilding the graph.
 //!
 //! Both phases cost markedly more than Min-Hop's BFS — the reason DFSSSP
 //! sits an order of magnitude above Min-Hop in Fig. 7. Phase timings land
@@ -27,7 +29,7 @@ use ib_subnet::Subnet;
 use ib_types::{IbError, IbResult, PortNum, VirtualLane};
 use rustc_hash::FxHashMap;
 
-use crate::cdg::{Cdg, Channel};
+use crate::cdg::Cdg;
 use crate::engine::{RoutingEngine, RoutingOptions};
 use crate::graph::{parallel_for_each, SwitchGraph};
 use crate::tables::{RoutingTables, Splice, VlAssignment};
@@ -71,8 +73,8 @@ impl RoutingEngine for Dfsssp {
         let n = g.len();
 
         // Phase 1 is the order-sensitive serial spine of DFSSSP: each
-        // group's snapshot must reflect exactly the weight increments of
-        // every earlier group, in group order.
+        // group must see exactly the weight increments of every earlier
+        // group, in group order.
         let phase1 = observer.span("routing.dfsssp.distances");
 
         // Incoming adjacency: in_edges[v] = (source switch s, s's port to v).
@@ -105,12 +107,14 @@ impl RoutingEngine for Dfsssp {
         let mut dist: Vec<(u32, u64)> = vec![(u32::MAX, u64::MAX); n];
         let mut heap = BinaryHeap::new();
         let mut candidates: Vec<PortNum> = Vec::new();
+        // The weight slots this group's picks load, applied once the group
+        // is routed.
+        let mut picked: Vec<usize> = Vec::new();
         for (dsw, dest_indices) in splice.dirty_groups() {
-            // Distances are computed against a snapshot of the weights;
-            // updates made while routing this group's destinations only
-            // influence later groups (OpenSM's dfsssp updates weights per
-            // routed node the same way).
-            let snapshot = weight.clone();
+            // A group routes against the weights as they stood before it:
+            // its own picks only influence later groups (OpenSM's dfsssp
+            // updates weights per routed node the same way).
+            //
             // Dijkstra from the delivery switch over reversed edges with
             // lexicographic (hops, accumulated weight) cost: paths stay
             // minimal-hop (so the per-destination trees remain cycle-lean)
@@ -125,7 +129,7 @@ impl RoutingEngine for Dfsssp {
                     continue;
                 }
                 for &(s, p) in &in_edges[v] {
-                    let nd = (d.0 + 1, d.1 + snapshot[widx(s, p)]);
+                    let nd = (d.0 + 1, d.1 + weight[widx(s, p)]);
                     if nd < dist[s] {
                         dist[s] = nd;
                         heap.push(Reverse((nd, s)));
@@ -155,7 +159,7 @@ impl RoutingEngine for Dfsssp {
                             .iter()
                             .filter(|&&(v, p)| {
                                 dist[v as usize].0 + 1 == dist[s].0
-                                    && dist[v as usize].1 + snapshot[widx(s, p)] == dist[s].1
+                                    && dist[v as usize].1 + weight[widx(s, p)] == dist[s].1
                             })
                             .map(|&(_, p)| p),
                     );
@@ -171,9 +175,12 @@ impl RoutingEngine for Dfsssp {
                         .get(dest.lid)
                         .filter(|p| candidates.contains(p))
                         .unwrap_or_else(|| candidates[lid_idx % candidates.len()]);
-                    weight[widx(s, pick)] += 1;
+                    picked.push(widx(s, pick));
                     row.set(dest.lid, Some(pick));
                 }
+            }
+            for at in picked.drain(..) {
+                weight[at] += 1;
             }
         }
         phase1.end();
@@ -253,106 +260,92 @@ fn build_nexts(
 /// path crossing it up a lane. Mutates `lane_pairs` in place and returns
 /// the final `(source switch, destination LID) -> lane` map (lane 0
 /// implicit). Errors when the lane budget is exhausted.
+///
+/// Each lane's dependencies are counted once, then a second walk indexes
+/// which of its pairs book each one ([`Bookings`]). A lifting pass is one
+/// depth-first sweep ([`Cdg::visit_cycles`]: channels in id order,
+/// successors in port order, every back-edge cycle of the sweep) plus the
+/// retraction of the paths it lifts. Per cycle not already broken this
+/// pass, the dissolved dependency is the first one with the fewest
+/// bookings, preferring those a switch-LID path books.
 fn lift_lanes(
     g: &SwitchGraph,
     nexts: &[Vec<Option<(u8, usize)>>],
     lane_pairs: &mut [Vec<(u32, u32)>],
     max_vls: u8,
 ) -> IbResult<FxHashMap<(u32, u16), u8>> {
-    let n = g.len();
-
-    // Walks a pair's channel path, feeding each consecutive channel
-    // pair to `visit`; stops early when `visit` returns false.
-    let walk = |src: u32, di: u32, visit: &mut dyn FnMut(Channel, Channel) -> bool| {
-        let dest = &g.destinations()[di as usize];
-        let next = &nexts[di as usize];
-        let mut cur = src as usize;
-        let mut prev: Option<Channel> = None;
-        let mut hops = 0;
-        while let Some((p, v)) = next[cur] {
-            let ch: Channel = (cur as u32, p);
-            if let Some(pr) = prev {
-                if !visit(pr, ch) {
-                    return;
-                }
-            }
-            prev = Some(ch);
-            cur = v;
-            hops += 1;
-            if cur == dest.switch || hops > n {
-                return;
-            }
-        }
+    let lanes = max_vls as usize;
+    // One pair's path: its endpoints and next hops.
+    let path = |(src, di): (u32, u32)| {
+        let (dest, next) = (&g.destinations()[di as usize], &nexts[di as usize]);
+        ((src as usize, dest.switch), move |s: usize| next[s])
     };
-
-    for lane in 0..max_vls as usize {
+    let book = |cdg: &mut Cdg, pair: (u32, u32), up: bool| {
+        let (ends, next) = path(pair);
+        let switch_lid = g.destinations()[pair.1 as usize].port.is_management();
+        cdg.book_path(0, ends, next, switch_lid, up);
+    };
+    let mut cdg = Cdg::new(g, 1);
+    let mut bookings = Bookings::default();
+    // `broken[slot]`: the dependency is dissolved this pass.
+    let mut broken = vec![false; cdg.slots_per_lane()];
+    let mut dissolved: Vec<usize> = Vec::new();
+    for lane in 0..lanes {
+        let pairs = std::mem::take(&mut lane_pairs[lane]);
+        for &pair in &pairs {
+            book(&mut cdg, pair, true);
+        }
+        bookings.index(&cdg, pairs.iter().map(|&pair| path(pair)));
+        let mut lifted = vec![false; pairs.len()];
         loop {
-            // Build this lane's CDG from its worklist.
-            let mut cdg = Cdg::new();
-            for &(src, di) in &lane_pairs[lane] {
-                let dest = &g.destinations()[di as usize];
-                let pair = (src, dest.lid.raw());
-                let is_switch_lid = dest.port.is_management();
-                walk(src, di, &mut |a, b| {
-                    let ia = cdg.intern(a);
-                    let ib = cdg.intern(b);
-                    cdg.add_pair_edge(ia, ib, pair);
-                    if is_switch_lid {
-                        cdg.add_switch_witness(ia, ib, pair);
-                    }
-                    true
-                });
-            }
-            let cycles = cdg.find_cycles();
-            if cycles.is_empty() {
+            cdg.visit_cycles(0, |cycle| {
+                let edges =
+                    (0..cycle.len()).map(|i| cdg.slot(cycle[i], cycle[(i + 1) % cycle.len()]));
+                if !edges.clone().any(|at| broken[at]) {
+                    let cheapest = edges
+                        .min_by_key(|&at| {
+                            let (count, switch_lid) = cdg.booked(0, at);
+                            (switch_lid == 0, count)
+                        })
+                        .expect("cycle is non-empty");
+                    broken[cheapest] = true;
+                    dissolved.push(cheapest);
+                }
+                true
+            });
+            if dissolved.is_empty() {
                 break;
             }
-            if lane + 1 >= max_vls as usize {
+            if lane + 1 >= lanes {
                 return Err(IbError::Topology(format!(
                     "dfsssp: virtual lanes exhausted ({max_vls}) breaking cycles"
                 )));
             }
-            // Dissolve the cheapest edge of every cycle not already
-            // broken by an earlier dissolution this pass; prefer edges
-            // carrying switch-LID paths.
-            let mut dissolved_ids: FxHashMap<(usize, usize), ()> = FxHashMap::default();
-            let mut dissolve: FxHashMap<(Channel, Channel), ()> = FxHashMap::default();
-            for cycle in &cycles {
-                if cycle.iter().any(|e| dissolved_ids.contains_key(e)) {
-                    continue; // already broken this pass
-                }
-                let best = cycle
-                    .iter()
-                    .min_by_key(|&&(a, b)| {
-                        (
-                            cdg.switch_pair_witness_of(a, b).is_none(),
-                            cdg.edge_count_of(a, b),
-                        )
-                    })
-                    .copied()
-                    .expect("cycle is non-empty");
-                dissolved_ids.insert(best, ());
-                dissolve.insert((cdg.channel(best.0), cdg.channel(best.1)), ());
-            }
-            // Move every path crossing a dissolved edge up one lane.
-            let pairs = std::mem::take(&mut lane_pairs[lane]);
-            for (src, di) in pairs {
-                let mut moved = false;
-                walk(src, di, &mut |a, b| {
-                    if dissolve.contains_key(&(a, b)) {
-                        moved = true;
-                        false
-                    } else {
-                        true
+            // Lift every path crossing a dissolved dependency: its
+            // bookings leave the lane.
+            for at in dissolved.drain(..) {
+                broken[at] = false;
+                for &i in bookings.of(at) {
+                    if !std::mem::replace(&mut lifted[i as usize], true) {
+                        book(&mut cdg, pairs[i as usize], false);
                     }
-                });
-                if moved {
-                    lane_pairs[lane + 1].push((src, di));
-                } else {
-                    lane_pairs[lane].push((src, di));
                 }
+            }
+            if cfg!(debug_assertions) {
+                let mut recount = Cdg::new(g, 1);
+                for (&pair, _) in pairs.iter().zip(&lifted).filter(|(_, &l)| !l) {
+                    book(&mut recount, pair, true);
+                }
+                assert!(
+                    recount == cdg,
+                    "lane {lane}: retracted counts differ from a recount of its live pairs"
+                );
             }
         }
+        for (pair, lifted) in pairs.into_iter().zip(lifted) {
+            lane_pairs[lane + usize::from(lifted)].push(pair);
+        }
+        cdg.clear();
     }
 
     // Assemble the final assignment (lane 0 stays implicit).
@@ -363,6 +356,54 @@ fn lift_lanes(
         }
     }
     Ok(lane_of)
+}
+
+/// Which of a lane's pairs book each of its dependencies: a CSR index over
+/// the slots the lane touched, filled by a second walk of the pairs once the
+/// count walk has sized it (`pairs[offsets[k]..offsets[k + 1]]` for the
+/// slot whose key is `k`).
+#[derive(Default)]
+struct Bookings {
+    key: Vec<u32>,
+    offsets: Vec<u32>,
+    pairs: Vec<u32>,
+}
+
+impl Bookings {
+    /// Indexes `paths` — the lane's pairs in order, as `(ends, next hops)`
+    /// — whose dependencies, and nothing else since the last
+    /// [`Cdg::clear`], `cdg` has counted.
+    fn index<F: Fn(usize) -> Option<(u8, usize)>>(
+        &mut self,
+        cdg: &Cdg,
+        paths: impl Iterator<Item = ((usize, usize), F)>,
+    ) {
+        self.key.resize(cdg.slots_per_lane(), 0);
+        self.offsets.clear();
+        self.offsets.push(0);
+        for (k, &at) in cdg.touched().iter().enumerate() {
+            self.key[at as usize] = k as u32;
+            self.offsets
+                .push(self.offsets[k] + cdg.booked(0, at as usize).0);
+        }
+        let mut cursor = self.offsets.clone();
+        self.pairs.clear();
+        self.pairs
+            .resize(*self.offsets.last().unwrap_or(&0) as usize, 0);
+        for (i, (ends, next)) in paths.enumerate() {
+            cdg.path_slots(ends, next, |at| {
+                let k = self.key[at] as usize;
+                self.pairs[cursor[k] as usize] = i as u32;
+                cursor[k] += 1;
+            });
+        }
+    }
+
+    /// The pairs that book the dependency in slot `at`.
+    fn of(&self, at: usize) -> &[u32] {
+        let k = self.key[at] as usize;
+        &self.pairs[self.offsets[k] as usize..self.offsets[k + 1] as usize]
+    }
 }
 
 /// Wraps a lane map into the [`VlAssignment`] DFSSSP reports.
@@ -379,123 +420,39 @@ fn lanes_to_assignment(lane_of: FxHashMap<(u32, u16), u8>) -> VlAssignment {
     }
 }
 
-/// Builds the CDG of one lane from per-path walks: for every destination
-/// riding `lane` and every source switch, the consecutive channel
-/// dependencies along the LFT walk are absorbed, witnessed by the
-/// `(source switch, destination LID)` pair.
-fn build_lane_cdg(
-    g: &SwitchGraph,
-    tables: &RoutingTables,
-    lane_of: &FxHashMap<(u32, u16), u8>,
-    lane: u8,
-) -> IbResult<Cdg> {
-    let mut cdg = Cdg::new();
-    for dest in g.destinations() {
-        let next: Vec<Option<(u8, usize)>> = (0..g.len())
-            .map(|s| {
-                let lft = tables.lfts.get(&g.node_id(s))?;
-                g.next_hop(s, lft.get(dest.lid))
-            })
-            .collect();
-        for src in 0..g.len() {
-            if src == dest.switch {
-                continue;
-            }
-            let pair = (src as u32, dest.lid.raw());
-            if lane_of.get(&pair).copied().unwrap_or(0) != lane {
-                continue;
-            }
-            // Walk the path, absorbing consecutive dependencies. Witness
-            // preference: switch-LID destinations. Host in-trees are
-            // jointly acyclic wherever shortest paths are up*-down*
-            // (fat trees), so cycles necessarily involve switch-LID
-            // paths; lifting those first converges instead of dragging
-            // thousands of innocent host paths up the lanes.
-            let is_switch_lid = dest.port.is_management();
-            let mut cur = src;
-            let mut prev: Option<usize> = None;
-            let mut hops = 0;
-            while let Some((p, v)) = next[cur] {
-                let ch = cdg.intern((cur as u32, p));
-                if let Some(pr) = prev {
-                    cdg.add_pair_edge(pr, ch, pair);
-                    if is_switch_lid {
-                        cdg.add_switch_witness(pr, ch, pair);
-                    }
-                }
-                prev = Some(ch);
-                cur = v;
-                hops += 1;
-                if cur == dest.switch {
-                    break;
-                }
-                if hops > g.len() {
-                    return Err(IbError::Topology(format!(
-                        "routing loop for LID {}",
-                        dest.lid
-                    )));
-                }
-            }
-        }
-    }
-    Ok(cdg)
-}
-
-/// Verifies that every VL layer of a DFSSSP result has an acyclic CDG by
-/// re-deriving each lane's dependencies from the tables.
+/// Verifies that every VL layer of a DFSSSP result has an acyclic CDG,
+/// re-deriving every lane's dependencies from the tables in one walk.
 pub fn verify_layers_acyclic(subnet: &Subnet, tables: &RoutingTables) -> IbResult<()> {
     let g = SwitchGraph::build(subnet)?;
-    match &tables.vls {
-        VlAssignment::SingleVl => {
-            let cdg = Cdg::from_tables(&g, tables, |_| true);
-            if let Some(cycle) = cdg.find_cycle() {
-                return Err(IbError::Topology(format!(
-                    "single-VL CDG has a {}-channel cycle",
-                    cycle.len()
-                )));
-            }
-            Ok(())
+    let vls = &tables.vls;
+    let lanes = vls.lanes();
+    let mut cdg = Cdg::new(&g, lanes.last().map_or(1, |l| l.raw() as usize + 1));
+    match vls {
+        VlAssignment::PerSwitchPair(_) => {
+            return Err(IbError::Topology(
+                "per-switch-pair assignments are verified by the LASH module".into(),
+            ));
         }
-        VlAssignment::PerSourceDestination(map) => {
-            let lane_of: FxHashMap<(u32, u16), u8> =
-                map.iter().map(|(&k, &l)| (k, l.raw())).collect();
-            let mut lanes: Vec<u8> = lane_of.values().copied().collect();
-            lanes.push(0);
-            lanes.sort_unstable();
-            lanes.dedup();
-            for lane in lanes {
-                let cdg = build_lane_cdg(&g, tables, &lane_of, lane)?;
-                if let Some(cycle) = cdg.find_cycle() {
-                    return Err(IbError::Topology(format!(
-                        "VL{lane} CDG has a {}-channel cycle",
-                        cycle.len()
-                    )));
-                }
-            }
-            Ok(())
+        VlAssignment::SingleVl | VlAssignment::PerDestination(_) => {
+            cdg.add_tables(&g, tables, |d| {
+                Some(vls.lane_for(0, 0, d.lid).raw() as usize)
+            });
         }
-        VlAssignment::PerDestination(map) => {
-            let mut lanes: Vec<u8> = map.values().map(|l| l.raw()).collect();
-            lanes.push(0);
-            lanes.sort_unstable();
-            lanes.dedup();
-            for lane in lanes {
-                let cdg = Cdg::from_tables(&g, tables, |d| {
-                    map.get(&d.lid.raw()).map_or(0, |l| l.raw()) == lane
-                });
-                if let Some(cycle) = cdg.find_cycle() {
-                    return Err(IbError::Topology(format!(
-                        "VL{lane} CDG has a {}-channel cycle",
-                        cycle.len()
-                    )));
-                }
-            }
-            Ok(())
+        VlAssignment::PerSourceDestination(_) => {
+            cdg.add_paths(&g, tables, vls, g.destinations().iter())
+                .map_err(|lid| IbError::Topology(format!("routing loop for LID {lid}")))?;
         }
-        VlAssignment::PerSwitchPair(_) => Err(IbError::Topology(
-            "per-switch-pair assignments are verified by the LASH module".into(),
-        )),
     }
+    for lane in lanes {
+        if let Some(cycle) = cdg.find_cycle(lane.raw() as usize) {
+            return Err(IbError::Topology(format!(
+                "VL{} CDG has a {}-channel cycle",
+                lane.raw(),
+                cycle.len()
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

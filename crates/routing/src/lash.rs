@@ -301,9 +301,9 @@ impl RoutingEngine for Lash {
 /// each tentative pair placement walks matrix rows, costing
 /// O(channels²) per pair. That quadratic check, run for every ordered
 /// switch pair, is precisely what makes LASH the most expensive engine in
-/// the paper's Fig. 7 (39145 s at 11664 nodes) — the incremental
-/// reachability test of [`Cdg::try_add_path`] would be algorithmically
-/// equivalent but would not reproduce that cost profile.
+/// the paper's Fig. 7 (39145 s at 11664 nodes) — an incremental
+/// reachability test from the new dependency's head would be
+/// algorithmically equivalent but would not reproduce that cost profile.
 struct MatrixCdg {
     n: usize,
     adj: Vec<bool>,
@@ -410,43 +410,15 @@ pub fn verify_pair_layers_acyclic(subnet: &Subnet, tables: &RoutingTables) -> Ib
         ));
     }
 
-    for lane in tables.vls.lanes() {
-        let mut cdg = Cdg::new();
-        // Walk every pair on this lane and absorb its path dependencies.
-        for dsw in 0..g.len() {
-            let Some(dest) = g.destinations().iter().find(|d| d.switch == dsw) else {
-                continue;
-            };
-            for src in 0..g.len() {
-                if src == dsw {
-                    continue;
-                }
-                if tables.vls.lane_for(src as u32, dsw as u32, dest.lid) != lane {
-                    continue;
-                }
-                let mut cur = src;
-                let mut prev: Option<usize> = None;
-                let mut hops = 0;
-                while cur != dsw {
-                    // A missing row means the pair is unrouted (a split
-                    // fabric): no path, no dependencies to absorb.
-                    let Some(p) = tables.lfts[&g.node_id(cur)].get(dest.lid) else {
-                        break;
-                    };
-                    let ch = cdg.intern((cur as u32, p.raw()));
-                    if let Some(pr) = prev {
-                        cdg.add_edge(pr, ch, dest.lid.raw());
-                    }
-                    prev = Some(ch);
-                    cur = g.peer(cur, p).expect("port leads to a switch");
-                    hops += 1;
-                    if hops > g.len() {
-                        return Err(IbError::Topology("routing loop".into()));
-                    }
-                }
-            }
-        }
-        if let Some(cycle) = cdg.find_cycle() {
+    let lanes = tables.vls.lanes();
+    let mut cdg = Cdg::new(&g, lanes.last().map_or(1, |l| l.raw() as usize + 1));
+    // Every switch pair once: one destination per delivery switch stands
+    // for the pair's path. An unrouted pair (a split fabric) books nothing.
+    let dests = (0..g.len()).filter_map(|dsw| g.destinations().iter().find(|d| d.switch == dsw));
+    cdg.add_paths(&g, tables, &tables.vls, dests)
+        .map_err(|lid| IbError::Topology(format!("routing loop for LID {lid}")))?;
+    for lane in lanes {
+        if let Some(cycle) = cdg.find_cycle(lane.raw() as usize) {
             return Err(IbError::Topology(format!(
                 "LASH lane {} has a {}-channel cycle",
                 lane.raw(),

@@ -33,11 +33,11 @@ fn main() {
         .compute(&t.subnet)
         .expect("routing");
     let cdg = Cdg::from_tables(&g, &tables, |_| true);
+    let cycle = cdg.find_cycle(0);
     println!(
-        "min-hop on 4x4 torus: CDG has {} channels, {} dependencies, cycle: {}",
-        cdg.num_channels(),
-        cdg.num_edges(),
-        cdg.find_cycle().is_some()
+        "min-hop on 4x4 torus: CDG has {} dependencies, cycle: {}",
+        cdg.dependencies(0),
+        cycle.map_or("none".into(), |c| format!("{} channels", c.len()))
     );
 
     // All-to-all traffic, tight buffers.

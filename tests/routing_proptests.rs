@@ -62,7 +62,7 @@ fn deadlock_free_engines_on_random_irregular() {
                 EngineKind::UpDown => {
                     let g = SwitchGraph::build(&t.subnet).unwrap();
                     let cdg = Cdg::from_tables(&g, &tables, |_| true);
-                    assert!(cdg.find_cycle().is_none(), "seed {seed}");
+                    assert!(cdg.find_cycle(0).is_none(), "seed {seed}");
                 }
                 EngineKind::Dfsssp => {
                     verify_layers_acyclic(&t.subnet, &tables).unwrap();

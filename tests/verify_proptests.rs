@@ -381,7 +381,7 @@ fn dependencies(
 
 /// What the verifier must report as `(class, lid)`, derived the slow way:
 /// one `Subnet::neighbor` walk per (switch, LID) cell for invariants 1 + 2,
-/// and one `Cdg` per lane for invariant 3.
+/// and a `Cdg` with every lane for invariant 3.
 fn oracle(subnet: &Subnet, vls: &VlAssignment) -> Vec<(InvariantClass, Option<Lid>)> {
     let g = SwitchGraph::build(subnet).unwrap();
     let comps = g.components();
@@ -431,22 +431,22 @@ fn oracle(subnet: &Subnet, vls: &VlAssignment) -> Vec<(InvariantClass, Option<Li
         }
     }
     let tables = RoutingTables::from_installed(subnet);
-    let deps = dependencies(subnet, &g, vls);
-    for lane in vls.lanes() {
-        let cdg = match vls {
-            VlAssignment::SingleVl | VlAssignment::PerDestination(_) => {
-                Cdg::from_tables(&g, &tables, |d| vls.lane_for(0, 0, d.lid) == lane)
+    let lanes = vls.lanes();
+    let mut cdg = Cdg::new(&g, lanes.last().map_or(1, |l| l.raw() as usize + 1));
+    match vls {
+        VlAssignment::SingleVl | VlAssignment::PerDestination(_) => {
+            cdg.add_tables(&g, &tables, |d| {
+                Some(vls.lane_for(0, 0, d.lid).raw() as usize)
+            });
+        }
+        _ => {
+            for (lane, held, wanted) in dependencies(subnet, &g, vls) {
+                cdg.add(lane as usize, held, wanted);
             }
-            _ => {
-                let mut cdg = Cdg::new();
-                for &(_, held, wanted) in deps.iter().filter(|d| d.0 == lane.raw()) {
-                    let (held, wanted) = (cdg.intern(held), cdg.intern(wanted));
-                    cdg.add_edge(held, wanted, 0);
-                }
-                cdg
-            }
-        };
-        if cdg.find_cycle().is_some() {
+        }
+    }
+    for lane in lanes {
+        if cdg.find_cycle(lane.raw() as usize).is_some() {
             out.push((InvariantClass::DeadlockCycle, None));
         }
     }
