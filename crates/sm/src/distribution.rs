@@ -22,6 +22,8 @@
 //! exactly the order the sequential implementation used, so ledgers and
 //! installed tables are byte-identical for any worker count.
 
+use std::collections::HashSet;
+
 use ib_mad::fault::{SmpChannel, SmpTransport};
 use ib_mad::{lft_smp_for, retarget_lft_smp, RouteTree, Routes, SmpLedger, SmpRouting};
 use ib_observe::Observer;
@@ -131,19 +133,21 @@ type PlanJob<'a> = (NodeId, &'a Lft, Option<&'a [FailedBlock]>);
 /// work across `opts` worker threads: every switch, all blocks diffed, or —
 /// given `candidates`, sorted by switch index then block — only the
 /// switches and blocks named there (candidates on a switch `tables` does
-/// not hold are skipped). The returned vector is ordered regardless of the
-/// worker count.
+/// not hold are skipped). Switches in `unserved` are never planned. The
+/// returned vector is ordered regardless of the worker count.
+#[allow(clippy::too_many_arguments)]
 fn plan_all(
     subnet: &Subnet,
     sm_node: NodeId,
     tables: &RoutingTables,
     mode: SmpMode,
     candidates: Option<&[FailedBlock]>,
+    unserved: &HashSet<NodeId>,
     opts: SweepOptions,
     observer: &Observer,
 ) -> IbResult<Vec<PlanOutcome>> {
     let _span = observer.span("sweep.plan");
-    let jobs: Vec<PlanJob> = match candidates {
+    let mut jobs: Vec<PlanJob> = match candidates {
         None => {
             let mut jobs: Vec<PlanJob> = tables
                 .lfts
@@ -164,6 +168,7 @@ fn plan_all(
                 .collect()
         }
     };
+    jobs.retain(|(sw, ..)| !unserved.contains(sw));
 
     // OpenSM populates every LFT entry up to the topmost assigned LID
     // (unreachable ones to the drop port) and pushes all covered blocks —
@@ -256,6 +261,7 @@ pub fn distribute_opts(
         &mut transport,
         ledger,
         None,
+        &HashSet::new(),
         opts,
     )?;
     refuse_stranded(subnet, sm_node, mode, &stranded)?;
@@ -353,9 +359,10 @@ impl ResumeAccounting {
 /// back as a [`FailedBlock`] so the caller can resume with just those as
 /// `candidates` instead of resending everything. A switch that is currently
 /// unreachable (no directed route, no LID route) fails all of its dirty
-/// blocks without consuming attempts. Returns per-switch accounting for this
-/// call only — blocks actually attempted and applied here, never blocks
-/// from earlier passes.
+/// blocks without consuming attempts. Switches in `unserved` (beyond a
+/// split) are skipped. Returns per-switch accounting for this call only —
+/// blocks actually attempted and applied here, never blocks from earlier
+/// passes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn push_blocks<C: SmpChannel>(
     subnet: &mut Subnet,
@@ -365,10 +372,13 @@ pub(crate) fn push_blocks<C: SmpChannel>(
     transport: &mut SmpTransport<C>,
     ledger: &mut SmpLedger,
     candidates: Option<&[FailedBlock]>,
+    unserved: &HashSet<NodeId>,
     opts: SweepOptions,
 ) -> IbResult<(ResumeAccounting, Vec<FailedBlock>)> {
     let observer = ledger.observer().clone();
-    let plans = plan_all(subnet, sm_node, tables, mode, candidates, opts, &observer)?;
+    let plans = plan_all(
+        subnet, sm_node, tables, mode, candidates, unserved, opts, &observer,
+    )?;
     let _apply_span = observer.span("sweep.apply");
     let mut acct = ResumeAccounting::new();
     let mut failed = Vec::new();
@@ -509,6 +519,7 @@ mod tests {
             transport,
             ledger,
             failed,
+            &HashSet::new(),
             SweepOptions::default(),
         )
         .unwrap()

@@ -196,6 +196,19 @@ mod tests {
             .all(|r| r.method == ib_mad::SmpMethod::Get));
         // The adopted LID space knows every assigned LID.
         assert_eq!(inst.manager.lid_space.in_use(), lids_before.len());
+
+        // A takeover carries no derived state: the new master's first
+        // link-down under repair is a counted no-baseline full sweep.
+        let sm = &mut group.master_mut().unwrap().manager;
+        sm.set_repair(true);
+        sm.set_observer(ib_observe::Observer::metrics());
+        let trap = crate::testutil::down_uplink(&mut t, 0, 0);
+        let mut transport = ib_mad::SmpTransport::perfect(sm.sm_node);
+        let report = sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
+        assert_eq!(report.kind, crate::SweepKind::Light);
+        let snap = sm.observer().snapshot().unwrap();
+        assert_eq!(snap.counter("repair.no_baseline"), 1);
+        assert_eq!(snap.counter("repair.fallback"), 1);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 // paths return `IbError` instead of panicking (tests may still unwrap).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod carried;
 pub mod discovery;
 pub mod distribution;
 pub mod failover;

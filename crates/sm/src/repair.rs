@@ -9,18 +9,19 @@
 //! to the wire, and the installed cells the wire moved size every stage
 //! after it, so a repair costs what it changes, not what the fabric holds.
 //! Whatever the pipeline cannot absorb leaves through **one** counted
-//! fallback into [`SubnetManager::light_sweep`], the baseline put back as
-//! it was. The engine side is splice-or-`Err`
+//! fallback into [`SubnetManager::light_sweep`]; once SMPs went out, it
+//! leaves the carried state diverged. The engine side is splice-or-`Err`
 //! ([`ib_routing::RoutingEngine::repair_with_graph`]), so an `Ok` here
 //! always means "only the dirty columns moved".
 
 use std::collections::HashSet;
 
 use ib_mad::fault::{SmpChannel, SmpTransport};
-use ib_routing::{CellChange, RoutingTables, SpliceLog};
+use ib_routing::CellChange;
 use ib_subnet::{NodeId, Subnet};
 use ib_types::{IbResult, Lid, PortNum, LFT_BLOCK_SIZE};
 
+use crate::carried::Mirror;
 use crate::distribution::{self, FailedBlock};
 use crate::resweep::{ResweepReport, SweepKind};
 use crate::sm::SubnetManager;
@@ -33,10 +34,11 @@ enum Fallback {
     LinkUp,
     /// No tables computed yet (adopted fabric): nothing to splice into.
     NoBaseline,
-    /// Stranded blocks dropped the reverse index: what the switches hold is
-    /// no longer the baseline, so a dirty set read off either misses
-    /// columns only the other routes across the fault. Only a full
-    /// distribution brings the two back in step.
+    /// The carried state is diverged (stranded blocks, or SMPs a failed
+    /// sweep never accounted for): what the switches hold may not be the
+    /// baseline, so a dirty set read off either misses columns only the
+    /// other routes across the fault. Only a full distribution brings the
+    /// two back in step.
     IndexMiss,
     /// The degraded subnet cannot express a switch graph, or the engine
     /// refused the splice — e.g. a destination became unreachable and
@@ -83,11 +85,8 @@ impl SubnetManager {
     /// when `config.verify` asks for it. Every obstacle
     /// ([`Fallback`]) is counted and answered by the full sweep; the repair
     /// itself emits `repair.*` counters and a `span_name` span that closes
-    /// before any fallback sweep starts.
-    ///
-    /// The baseline is moved out of `last_tables` for the engine to repair
-    /// in place and moved back — repaired on success, as it was otherwise —
-    /// before anything else can look at it.
+    /// before any fallback sweep starts. The carried state is lent to the
+    /// pipeline and settled back before anything else can look at it.
     pub(crate) fn repair_faults<C: SmpChannel>(
         &mut self,
         subnet: &mut Subnet,
@@ -98,13 +97,17 @@ impl SubnetManager {
         let mut span = None;
         let outcome = if faults.iter().any(|&(n, p)| subnet.neighbor(n, p).is_some()) {
             Err(Fallback::LinkUp)
-        } else if let Some(mut baseline) = self.last_tables.take() {
-            span = Some(self.ledger.observer().span(span_name));
-            let outcome = self.splice_faults(subnet, faults, &mut baseline, transport);
-            self.last_tables = Some(baseline);
-            outcome?
-        } else {
+        } else if self.carried.baseline().is_none() {
             Err(Fallback::NoBaseline)
+        } else {
+            span = Some(self.ledger.observer().span(span_name));
+            if let Some(mut mirror) = self.carried.lend() {
+                let outcome = self.splice_faults(subnet, faults, &mut mirror, transport);
+                self.carried.settle(subnet, mirror, faults);
+                outcome?
+            } else {
+                Err(Fallback::IndexMiss)
+            }
         };
         outcome.or_else(|reason| {
             drop(span);
@@ -113,29 +116,25 @@ impl SubnetManager {
         })
     }
 
-    /// The pipeline past its guards. On a converged or merely unconverged
-    /// repair `baseline` holds the spliced tables; on every other exit it
-    /// is what it was (an engine `Err` never touched it, anything later is
-    /// undone from the splice log).
+    /// The pipeline past its guards. After the engine's splice it
+    /// distributes the blocks the log's cells fall in, gates exactly the
+    /// installed cells those blocks moved — normally the log's cells, plus
+    /// any baseline ≠ installed divergence a sent block carried — and moves
+    /// the mirror by them.
     fn splice_faults<C: SmpChannel>(
         &mut self,
         subnet: &mut Subnet,
         faults: &[(NodeId, PortNum)],
-        baseline: &mut RoutingTables,
+        mirror: &mut Mirror,
         transport: &mut SmpTransport<C>,
     ) -> IbResult<Result<ResweepReport, Fallback>> {
-        let Some(index) = self.route_index.as_ref() else {
-            return Ok(Err(Fallback::IndexMiss));
-        };
         let observer = self.ledger.observer();
         // Disjoint per-fault dirty groups off the shared baseline: a column
         // already claimed by an earlier fault will be re-routed around
         // *all* downed links in one go, so later faults must not re-route
         // it again (and serially repaired columns never re-cross a downed
         // link, which is why baseline-minus-earlier equals the serial
-        // arm's per-step scan). Each group is an O(dirty) index read,
-        // cross-checked in debug builds against the two-row fabric scan —
-        // the index is derived state and never silently trusted.
+        // arm's per-step scan). Each group is an O(dirty) index read.
         let mut claimed = HashSet::new();
         let groups: Vec<Vec<Lid>> = {
             let _span = observer.span("repair.dirty_set");
@@ -143,12 +142,7 @@ impl SubnetManager {
                 .iter()
                 .map(|&(node, port)| {
                     observer.incr("repair.index_hits");
-                    let mut group = index.affected(subnet, node, port);
-                    debug_assert_eq!(
-                        group,
-                        ib_verify::affected_destinations(subnet, node, port),
-                        "reverse route index diverged from the two-row scan at ({node:?}, {port})"
-                    );
+                    let mut group = mirror.affected(subnet, node, port);
                     group.retain(|&lid| claimed.insert(lid));
                     group
                 })
@@ -162,137 +156,75 @@ impl SubnetManager {
             return Ok(Ok(ResweepReport::idle(SweepKind::Repair)));
         }
         #[cfg(debug_assertions)]
-        let unspliced = baseline.lfts.clone();
-        let Ok(log) = self.reroute_dirty(subnet, baseline, &groups) else {
+        let unspliced = mirror.tables.lfts.clone();
+        // One engine fold over the baseline in place, on the switch graph of
+        // this topology epoch. An unbuildable graph (an HCA whose only uplink
+        // went down but still carries a LID) is an `Err` like the engine's
+        // own; either leaves the baseline untouched.
+        let config = self.config();
+        let graph = self.carried.switch_graph(subnet);
+        observer.incr(match graph {
+            Ok((_, true)) => "repair.graph_reused",
+            _ => "repair.graph_rebuilt",
+        });
+        let log = graph.and_then(|(graph, _)| {
+            let (engine, tables) = (config.engine.build(), &mut mirror.tables);
+            engine.repair_batch_with_graph(graph, config.routing, tables, &groups, observer)
+        });
+        let Ok(log) = log else {
             return Ok(Err(Fallback::EngineError));
         };
-        // Distribution plans from the log alone, so it is trusted only as
-        // far as the next debug build: every block the splice changed must
-        // hold one of its cells.
-        #[cfg(debug_assertions)]
-        debug_assert!(
-            baseline.lfts.iter().all(|(&switch, lft)| {
-                unspliced.get(&switch).is_some_and(|old| {
-                    old.dirty_blocks(lft).into_iter().all(|block| {
-                        log.cells
-                            .iter()
-                            .any(|c| c.switch == switch && c.lid.lft_block() == block)
-                    })
-                })
-            }),
-            "the splice changed a block its log does not name"
-        );
-        self.ledger
-            .observer()
-            .add("repair.changed_cells", log.cells.len() as u64);
-        let outcome = self.install_splice(subnet, baseline, &log, faults, transport);
-        if !matches!(outcome, Ok(Ok(_))) {
-            log.undo(baseline);
-        }
-        outcome
-    }
-
-    /// The back half of the pipeline: distributes the blocks the splice
-    /// log's cells fall in, gates exactly the installed cells those blocks
-    /// moved — normally the log's cells, plus any baseline ≠ installed
-    /// divergence a sent block carried — and moves the reverse index's
-    /// entries for them.
-    fn install_splice<C: SmpChannel>(
-        &mut self,
-        subnet: &mut Subnet,
-        tables: &RoutingTables,
-        log: &SpliceLog,
-        faults: &[(NodeId, PortNum)],
-        transport: &mut SmpTransport<C>,
-    ) -> IbResult<Result<ResweepReport, Fallback>> {
-        let healed = self.refresh_partition_state(subnet);
+        observer.add("repair.changed_cells", log.cells.len() as u64);
         // The switches hold the padded baseline (the live index vouches for
         // it), so only blocks containing a changed cell can be dirty.
         let candidates = distribution::sorted_blocks(log.cells.iter().map(|c| FailedBlock {
             switch: c.switch,
             block: c.lid.lft_block(),
         }));
-        self.ledger
-            .observer()
-            .add("repair.planned_blocks", candidates.len() as u64);
-        let before = installed_blocks(subnet, &candidates);
-        let (distribution, retry_passes, failed_blocks) =
-            self.distribute_resumably(subnet, tables, Some(&candidates), transport)?;
-        if failed_blocks.is_empty() {
-            let moved = moved_cells(subnet, &candidates, &before);
-            let (report, deps) = ib_verify::FabricVerifier::new()
-                .with_deadlock(self.config().verify)
-                .with_viewpoint(self.sm_node)
-                .verify_moved(
-                    subnet,
-                    &tables.vls,
-                    &moved,
-                    faults,
-                    self.channel_deps.take(),
-                    self.ledger.observer(),
-                )?;
-            self.channel_deps = deps;
-            if let Some(v) = report.violations.first() {
-                return Ok(Err(Fallback::VerifyRejected(v.class)));
+        observer.add("repair.planned_blocks", candidates.len() as u64);
+        // Distribution plans from the log alone, so it is trusted only as
+        // far as the next debug build: every block the splice changed must
+        // be a candidate.
+        #[cfg(debug_assertions)]
+        for (&switch, lft) in &mirror.tables.lfts {
+            for block in unspliced[&switch].dirty_blocks(lft) {
+                let named = FailedBlock { switch, block };
+                debug_assert!(candidates.contains(&named), "the log misses {named:?}");
             }
-            self.count_repair_success();
-            let span = self.ledger.observer().span("repair.index_splice");
-            if let Some(index) = self.route_index.as_mut() {
-                index.apply_changes(&moved);
-            }
-            span.end();
-            self.verify_healed(subnet, &healed)?;
-        } else {
-            // Mirrors `verify_converged`: tables with stranded blocks are
-            // expected to be inconsistent, so the gate is deferred — and
-            // neither the index nor the dependency graph mirrors what is
-            // installed any more.
-            self.ledger.observer().incr("repair.unconverged");
-            self.route_index = None;
-            self.channel_deps = None;
         }
-        Ok(Ok(ResweepReport {
-            distribution,
-            retry_passes,
-            failed_blocks,
-            ..ResweepReport::idle(SweepKind::Repair)
-        }))
-    }
-
-    /// The engine step: one fold of the dirty `groups` over `baseline` in
-    /// place, over the CSR switch graph cached by an earlier repair in the
-    /// same topology epoch — a quiet burst of traps between mutations pays
-    /// for one construction (`repair.graph_reused`) — or rebuilt from the
-    /// subnet (`repair.graph_rebuilt`). An unbuildable graph (e.g. an HCA
-    /// whose only uplink went down but still carries a LID) is an `Err`
-    /// exactly like the engine's own; either leaves `baseline` untouched.
-    fn reroute_dirty(
-        &mut self,
-        subnet: &Subnet,
-        baseline: &mut RoutingTables,
-        groups: &[Vec<Lid>],
-    ) -> IbResult<SpliceLog> {
-        let epoch = subnet.topology_epoch();
+        let healed = self.refresh_partition_state(subnet);
+        let before = installed_blocks(subnet, &candidates);
+        let carried_deps = mirror.send();
+        let report = self.distribute_resumably(
+            subnet,
+            &mirror.tables,
+            Some(&candidates),
+            SweepKind::Repair,
+            transport,
+        )?;
         let observer = self.ledger.observer();
-        let graph = match self.cached_graph.take() {
-            Some((cached_epoch, graph)) if cached_epoch == epoch => {
-                observer.incr("repair.graph_reused");
-                graph
-            }
-            _ => {
-                observer.incr("repair.graph_rebuilt");
-                ib_routing::SwitchGraph::build(subnet)?
-            }
-        };
-        let log = self.config().engine.build().repair_batch_with_graph(
-            &graph,
-            self.config().routing,
-            baseline,
-            groups,
-            observer,
-        );
-        self.cached_graph = Some((epoch, graph));
-        log
+        if !report.failed_blocks.is_empty() {
+            // As after a full sweep: tables with stranded blocks are
+            // expected to be inconsistent, so the gate is deferred.
+            observer.incr("repair.unconverged");
+            return Ok(Ok(report));
+        }
+        let moved = moved_cells(subnet, &candidates, &before);
+        let vls = &mirror.tables.vls;
+        let (verdict, deps) = ib_verify::FabricVerifier::new()
+            .with_deadlock(self.config().verify)
+            .with_viewpoint(self.sm_node)
+            .verify_moved(subnet, vls, &moved, faults, carried_deps, observer)?;
+        if let Some(v) = verdict.violations.first() {
+            return Ok(Err(Fallback::VerifyRejected(v.class)));
+        }
+        observer.incr("repair.success");
+        observer.incr(&format!("repair.success.{}", self.config().engine.name()));
+        self.verify_healed(subnet, &healed)?;
+        let span = observer.span("repair.index_splice");
+        mirror.apply(&moved, deps);
+        span.end();
+        Ok(Ok(report))
     }
 
     /// Counts one fallback three ways: the named reason, the aggregate
@@ -317,31 +249,18 @@ impl SubnetManager {
         observer.incr("repair.fallback");
         observer.incr(&format!("repair.fallback.{}", self.config().engine.name()));
     }
-
-    /// Counts one gated, converged repair — aggregate plus per-engine tag.
-    fn count_repair_success(&self) {
-        let observer = self.ledger.observer();
-        observer.incr("repair.success");
-        observer.incr(&format!("repair.success.{}", self.config().engine.name()));
-    }
 }
 
-/// The installed contents of `blocks`, in order; a switch without an LFT
-/// reads as unset.
-fn installed_blocks(
-    subnet: &Subnet,
-    blocks: &[FailedBlock],
-) -> Vec<[Option<PortNum>; LFT_BLOCK_SIZE]> {
-    blocks
-        .iter()
-        .map(|b| {
-            let mut out = [None; LFT_BLOCK_SIZE];
-            if let Some(src) = subnet.lft(b.switch).and_then(|lft| lft.block(b.block)) {
-                out.copy_from_slice(src);
-            }
-            out
-        })
-        .collect()
+/// The installed contents of `blocks`, concatenated in order; a switch
+/// without an LFT reads as unset.
+fn installed_blocks(subnet: &Subnet, blocks: &[FailedBlock]) -> Vec<Option<PortNum>> {
+    let mut cells = vec![None; blocks.len() * LFT_BLOCK_SIZE];
+    for (b, out) in blocks.iter().zip(cells.chunks_mut(LFT_BLOCK_SIZE)) {
+        if let Some(src) = subnet.lft(b.switch).and_then(|lft| lft.block(b.block)) {
+            out.copy_from_slice(src);
+        }
+    }
+    cells
 }
 
 /// Every cell by which `blocks`' installed contents moved since `before`
@@ -349,21 +268,20 @@ fn installed_blocks(
 fn moved_cells(
     subnet: &Subnet,
     blocks: &[FailedBlock],
-    before: &[[Option<PortNum>; LFT_BLOCK_SIZE]],
+    before: &[Option<PortNum>],
 ) -> Vec<CellChange> {
     let after = installed_blocks(subnet, blocks);
     let mut moved = Vec::new();
-    for ((b, old), new) in blocks.iter().zip(before).zip(&after) {
-        for (i, (&old, &new)) in old.iter().zip(new).enumerate() {
-            let raw = (b.block * LFT_BLOCK_SIZE + i) as u16;
-            if let (true, Ok(lid)) = (old != new, Lid::new(raw)) {
-                moved.push(CellChange {
-                    switch: b.switch,
-                    lid,
-                    old,
-                    new,
-                });
-            }
+    for (i, (&old, &new)) in before.iter().zip(&after).enumerate() {
+        let FailedBlock { switch, block } = blocks[i / LFT_BLOCK_SIZE];
+        let raw = (block * LFT_BLOCK_SIZE + i % LFT_BLOCK_SIZE) as u16;
+        if let (true, Ok(lid)) = (old != new, Lid::new(raw)) {
+            moved.push(CellChange {
+                switch,
+                lid,
+                old,
+                new,
+            });
         }
     }
     moved
@@ -519,13 +437,19 @@ mod tests {
                 t.subnet.neighbor(leaf0, port).unwrap().node == spine1
             })
             .expect("min-hop spreads leaf 0's remote hosts over both spines");
-        sm.last_tables
-            .as_mut()
-            .unwrap()
-            .lfts
-            .get_mut(&leaf0)
-            .unwrap()
-            .clear(victim);
+        // The SM is told the row now drops, and the switch is then quietly
+        // put back: the baseline holds a drop nothing installed.
+        let good = lft.get(victim);
+        let drop = Some(PortNum::DROP);
+        t.subnet.lft_mut(leaf0).unwrap().assign(victim, drop);
+        let told = CellChange {
+            switch: leaf0,
+            lid: victim,
+            old: good,
+            new: drop,
+        };
+        sm.note_cells_changed(&t.subnet, &[told]);
+        t.subnet.lft_mut(leaf0).unwrap().assign(victim, good);
 
         let trap = down_first_uplink(&mut t);
         let mut transport = SmpTransport::perfect(sm.sm_node);
@@ -722,8 +646,8 @@ mod tests {
             repair_b.distribution.lft_smps
         );
         assert_eq!(
-            sma.last_tables.as_ref().unwrap().lfts,
-            smb.last_tables.as_ref().unwrap().lfts
+            sma.carried.baseline().unwrap().lfts,
+            smb.carried.baseline().unwrap().lfts
         );
         for sw in ta.subnet.switches().map(|n| n.id).collect::<Vec<_>>() {
             assert_eq!(ta.subnet.lft(sw), tb.subnet.lft(sw), "{sw:?}");

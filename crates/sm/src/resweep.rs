@@ -191,9 +191,11 @@ impl SubnetManager {
 
     /// The tail every full sweep shares once fresh `tables` exist — bring-up
     /// and full reconfiguration over the assumed channel included: refresh
-    /// the partition ledger, distribute resumably, verify what converged,
-    /// rebuild the reverse route index, prove a heal, and keep `tables` as
-    /// the next repair's splice baseline.
+    /// the partition ledger, distribute resumably, audit what converged
+    /// (with `config.verify`: any violation is a hard error; stranded blocks
+    /// are *expected* to leave the fabric inconsistent, so they skip the
+    /// audit and count it), prove a heal, and install `tables` — with the
+    /// audit's channel dependency graph — as the next repair's baseline.
     pub(crate) fn install_full_tables<C: SmpChannel>(
         &mut self,
         subnet: &mut Subnet,
@@ -202,57 +204,38 @@ impl SubnetManager {
         transport: &mut SmpTransport<C>,
     ) -> IbResult<ResweepReport> {
         let healed = self.refresh_partition_state(subnet);
-        // The rows the reverse index and the channel dependency graph
-        // mirror are about to be rewritten wholesale: drop both now. They
-        // come back from the freshly installed rows once they converge and
-        // verify — on any earlier exit there is nothing trustworthy to
-        // mirror — and the sweep never holds two of either at once (that
-        // was the index's memory peak).
-        self.route_index = None;
-        self.channel_deps = None;
-        let (distribution, retry_passes, failed_blocks) =
-            self.distribute_resumably(subnet, &tables, None, transport)?;
-        self.verify_converged(subnet, &tables.vls, &failed_blocks)?;
+        // The rows the index and the dependency graph mirror are about to
+        // be rewritten wholesale: both go now, so the sweep never holds two
+        // of either at once, and any early exit leaves the state diverged.
+        self.carried.diverge(None);
+        let report = self.distribute_resumably(subnet, &tables, None, kind, transport)?;
+        let converged = report.failed_blocks.is_empty();
+        let mut deps = None;
+        if self.config().verify && !converged {
+            self.ledger.observer().incr("verify.skipped_unconverged");
+        } else if self.config().verify {
+            // Scoped to the SM's own component: rows beyond a split keep
+            // what was last installed until a heal sweep rewrites them.
+            let (audit, graph) = ib_verify::FabricVerifier::new()
+                .with_viewpoint(self.sm_node)
+                .audit(subnet, &tables.vls, self.ledger.observer())?;
+            if !audit.is_clean() {
+                return Err(ib_types::IbError::Management(format!(
+                    "fabric verification failed: {}",
+                    audit.summary()
+                )));
+            }
+            deps = graph;
+        }
         // A full distribution covers every fault a deferred trap reported.
         self.subsume_pending();
-        // Derived from the *installed* rows rather than `tables`: the two
-        // are equal on live switches after distribution, but dead switches
-        // keep stale rows the dirty-set scan still reads, and the index
-        // must agree with that scan exactly.
-        self.route_index = failed_blocks
-            .is_empty()
-            .then(|| ib_verify::ReverseRouteIndex::from_installed(subnet));
-        if failed_blocks.is_empty() {
+        if converged {
             self.verify_healed(subnet, &healed)?;
-        }
-        self.last_tables = Some(tables);
-        Ok(ResweepReport {
-            distribution,
-            retry_passes,
-            failed_blocks,
-            ..ResweepReport::idle(kind)
-        })
-    }
-
-    /// Runs the fabric verifier after a re-sweep when `config.verify` is
-    /// set — but only once distribution converged: tables with stranded
-    /// blocks are *expected* to be inconsistent, so verification is
-    /// deferred (and counted) rather than failed.
-    fn verify_converged(
-        &mut self,
-        subnet: &Subnet,
-        vls: &ib_routing::VlAssignment,
-        failed_blocks: &[FailedBlock],
-    ) -> IbResult<()> {
-        if !self.config().verify {
-            return Ok(());
-        }
-        if failed_blocks.is_empty() {
-            self.verify_installed(subnet, vls)
+            self.carried.install(subnet, tables, deps);
         } else {
-            self.ledger.observer().incr("verify.skipped_unconverged");
-            Ok(())
+            self.carried.diverge(Some(tables));
         }
+        Ok(report)
     }
 
     /// Distribution with bounded resume passes: failed blocks are retried
@@ -263,61 +246,68 @@ impl SubnetManager {
     /// has landed — a switch split across passes is counted once in
     /// `switches_updated` and its blocks sum in `max_blocks_per_switch`.
     ///
-    /// On a split fabric, switches beyond the cut are excluded up front
-    /// ([`SubnetManager::served_tables`]) instead of burning all
-    /// [`MAX_RETRY_PASSES`] against links no SMP can cross.
+    /// On a split fabric, switches beyond the cut are not served (counted
+    /// as `sm.switches_unserved`) instead of burning all
+    /// [`MAX_RETRY_PASSES`] against links no SMP can cross; the heal sweep
+    /// rewrites their rows wholesale.
     ///
     /// `candidates` narrows the first pass's diff to the blocks a repair
     /// changed (`None`: every block of every switch); the retry passes
     /// narrow theirs to what failed — already in planning order — by the
-    /// same mechanism.
+    /// same mechanism. The report is the `kind` sweep's.
     pub(crate) fn distribute_resumably<C: SmpChannel>(
         &mut self,
         subnet: &mut Subnet,
         tables: &ib_routing::RoutingTables,
         candidates: Option<&[FailedBlock]>,
+        kind: SweepKind,
         transport: &mut SmpTransport<C>,
-    ) -> IbResult<(DistributionReport, usize, Vec<FailedBlock>)> {
-        let served = self.served_tables(tables);
-        let tables = served.as_ref().unwrap_or(tables);
+    ) -> IbResult<ResweepReport> {
+        if !self.lost_nodes.is_empty() {
+            let unserved = tables.lfts.keys().filter(|id| self.lost_nodes.contains(id));
+            let observer = self.ledger.observer();
+            observer.add("sm.switches_unserved", unserved.count() as u64);
+        }
         let mode = self.config().smp_mode;
         let sweep = self.config().sweep;
         let mut acct = ResumeAccounting::new();
-        self.ledger.begin_phase("lft-distribution");
-        let (first, mut failed) = distribution::push_blocks(
-            subnet,
-            self.sm_node,
-            tables,
-            mode,
-            transport,
-            &mut self.ledger,
-            candidates,
-            sweep,
-        )?;
-        acct.merge(first);
-        let mut passes = 0;
-        while !failed.is_empty() && passes < MAX_RETRY_PASSES {
-            self.ledger.begin_phase("lft-distribution-retry");
-            let (more, still_failed) = distribution::push_blocks(
+        let (mut passes, mut failed) = (0, Vec::new());
+        loop {
+            // The first pass diffs `candidates`; each retry, what failed.
+            let (phase, blocks) = match passes {
+                0 => ("lft-distribution", candidates),
+                _ => ("lft-distribution-retry", Some(failed.as_slice())),
+            };
+            self.ledger.begin_phase(phase);
+            let (pass, still_failed) = distribution::push_blocks(
                 subnet,
                 self.sm_node,
                 tables,
                 mode,
                 transport,
                 &mut self.ledger,
-                Some(&failed),
+                blocks,
+                &self.lost_nodes,
                 sweep,
             )?;
-            acct.merge(more);
-            passes += 1;
+            acct.merge(pass);
             failed = still_failed;
+            if failed.is_empty() || passes == MAX_RETRY_PASSES {
+                break;
+            }
+            passes += 1;
         }
         let observer = self.ledger.observer();
         if observer.is_enabled() {
             observer.record("resweep.retry_passes", passes as u64);
             observer.add("resweep.stranded_blocks", failed.len() as u64);
         }
-        Ok((acct.report(), passes, failed))
+        Ok(ResweepReport {
+            distribution: acct.report(),
+            retry_passes: passes,
+            failed_blocks: failed,
+            ..ResweepReport::idle(kind)
+        })
     }
 }
 

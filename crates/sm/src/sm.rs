@@ -9,6 +9,7 @@ use ib_subnet::{lft::min_blocks_for, NodeId, Subnet};
 use ib_types::{IbResult, Lid, LidSpace};
 use std::collections::HashSet;
 
+use crate::carried::Carried;
 use crate::discovery;
 use crate::distribution;
 use crate::lids;
@@ -175,27 +176,10 @@ pub struct SubnetManager {
     /// Per-link flap damping state (active when
     /// `config.quarantine.enabled`).
     pub quarantine: LinkQuarantine,
-    /// The last full set of tables this SM computed — the splice baseline
-    /// for incremental repair. `None` until the first successful sweep.
-    pub(crate) last_tables: Option<ib_routing::RoutingTables>,
-    /// Reverse (switch, port) -> destination-set index over `last_tables`,
-    /// kept in lock-step with it: rebuilt after full sweeps, spliced
-    /// per changed cell after repairs, dropped whenever the installed state
-    /// diverges (failed distribution blocks). `None` means "the fabric is
-    /// not `last_tables`: no repair until a full sweep converges".
-    pub(crate) route_index: Option<ib_verify::ReverseRouteIndex>,
-    /// The channel dependency graph of the installed rows, when
-    /// `config.verify` runs the deadlock check: left behind by every full
-    /// audit, patched by each repair gate with the cells its SMPs moved,
-    /// dropped wherever `route_index` is and whenever rows change behind
-    /// the SM's sweeps. `None` means the next gate rebuilds it.
-    pub(crate) channel_deps: Option<ib_verify::ChannelDeps>,
-    /// The CSR switch graph cached across consecutive repair sweeps in a
-    /// quiet epoch, keyed by [`Subnet::topology_epoch`]: a repair burst
-    /// between topology mutations reuses one build instead of
-    /// reconstructing per trap. Invalidated by comparing epochs, never by
-    /// mutation hooks — the subnet owns the epoch counter.
-    pub(crate) cached_graph: Option<(u64, ib_routing::SwitchGraph)>,
+    /// The state derived from the installed LFTs — repair baseline, reverse
+    /// route index, channel dependency graph, switch graph — and the one
+    /// owner of when it moves, stays or goes.
+    pub(crate) carried: Carried,
     /// Link-down traps deferred by coalescing, in arrival order,
     /// deduplicated per (node, port).
     pub(crate) pending_traps: Vec<(NodeId, ib_types::PortNum)>,
@@ -224,10 +208,7 @@ impl SubnetManager {
             lid_space: LidSpace::new(),
             ledger: SmpLedger::new(),
             quarantine: LinkQuarantine::new(config.quarantine),
-            last_tables: None,
-            route_index: None,
-            channel_deps: None,
-            cached_graph: None,
+            carried: Carried::default(),
             pending_traps: Vec::new(),
             batch_deadline_ns: None,
             unreachable_lids: Vec::new(),
@@ -356,43 +337,8 @@ impl SubnetManager {
     /// `subnet`'s installed rows. The carried channel dependency graph is
     /// dropped — the next repair gate rebuilds it.
     pub fn note_cells_changed(&mut self, subnet: &Subnet, cells: &[CellChange]) {
-        self.channel_deps = None;
-        if let Some(tables) = self.last_tables.as_mut() {
-            for cell in cells {
-                if let Some(lft) = tables.lfts.get_mut(&cell.switch) {
-                    lft.assign(cell.lid, cell.new);
-                }
-            }
-        }
-        if let Some(idx) = self.route_index.as_mut() {
-            idx.apply_changes(cells);
-        }
-        debug_assert_eq!(self.stale_baseline_cell(subnet, cells), None);
-    }
-
-    /// The debug oracle behind [`Self::note_cells_changed`]: the first
-    /// `(switch, lid)` among the columns `cells` names where the repair
-    /// baseline — read as distribution would send it, padded to the topmost
-    /// LID — is not what `subnet` has installed. Only meaningful while the
-    /// fabric *is* the baseline: a live index and nothing beyond a split.
-    fn stale_baseline_cell(&self, subnet: &Subnet, cells: &[CellChange]) -> Option<(NodeId, Lid)> {
-        let tables = self.last_tables.as_ref()?;
-        if self.route_index.is_none() || !self.lost_nodes.is_empty() {
-            return None;
-        }
-        let topmost = subnet.topmost_lid();
-        let mut lids: Vec<Lid> = cells.iter().map(|c| c.lid).collect();
-        lids.sort_unstable();
-        lids.dedup();
-        tables.lfts.iter().find_map(|(&sw, lft)| {
-            let installed = subnet.lft(sw)?;
-            lids.iter().copied().find_map(|lid| {
-                let padding = topmost
-                    .is_some_and(|top| lid <= top)
-                    .then_some(ib_types::PortNum::DROP);
-                (lft.get(lid).or(padding) != installed.get(lid)).then_some((sw, lid))
-            })
-        })
+        let whole = self.lost_nodes.is_empty();
+        self.carried.apply(subnet, whole, cells);
     }
 
     /// Audits the reverse route index against the installed tables,
@@ -401,21 +347,20 @@ impl SubnetManager {
     /// soak harness calls this after every event.
     #[must_use]
     pub fn verify_route_index(&self, subnet: &Subnet) -> Vec<String> {
-        self.route_index
-            .as_ref()
+        self.carried
+            .index()
             .map(|idx| idx.mismatches(subnet))
             .unwrap_or_default()
     }
 
     /// The live reverse route index, when one mirrors the installed LFTs
     /// (rebuilt by converged full sweeps, spliced per changed cell by
-    /// repairs).
-    /// `None` after an unconverged distribution until the next full sweep
-    /// converges — which the next link-down trap forces, since a repair
-    /// refuses to splice without it (`repair.index_misses`).
+    /// repairs). `None` after stranded blocks, or a sweep that failed once
+    /// its SMPs went out, until the next full sweep converges — which the
+    /// next link-down trap forces (`repair.index_misses`).
     #[must_use]
     pub fn route_index(&self) -> Option<&ib_verify::ReverseRouteIndex> {
-        self.route_index.as_ref()
+        self.carried.index()
     }
 
     /// The carried channel dependency graph, when one mirrors the installed
@@ -424,7 +369,7 @@ impl SubnetManager {
     /// under [`Self::installed_vls`].
     #[must_use]
     pub fn channel_deps(&self) -> Option<&ib_verify::ChannelDeps> {
-        self.channel_deps.as_ref()
+        self.carried.deps()
     }
 
     /// The link-down traps currently deferred by coalescing, in arrival
@@ -440,36 +385,7 @@ impl SubnetManager {
     /// the first sweep.
     #[must_use]
     pub fn installed_vls(&self) -> Option<&ib_routing::VlAssignment> {
-        self.last_tables.as_ref().map(|t| &t.vls)
-    }
-
-    /// Runs the [`ib_verify::FabricVerifier`]'s full audit against the
-    /// installed tables (with the VL layering the engine produced), turning
-    /// any violation into a hard error and keeping the channel dependency
-    /// graph it built for the next repair gate. Emits `verify.*` counters
-    /// into the observer.
-    ///
-    /// Verification is scoped to the SM's own connected component: after a
-    /// fabric split, switches beyond the cut keep whatever rows were last
-    /// installed — no SMP the master sends can reach them, so their stale
-    /// state is the *lost* side's problem until a heal sweep rewrites it.
-    pub(crate) fn verify_installed(
-        &mut self,
-        subnet: &Subnet,
-        vls: &ib_routing::VlAssignment,
-    ) -> IbResult<()> {
-        let (report, deps) = ib_verify::FabricVerifier::new()
-            .with_viewpoint(self.sm_node)
-            .audit(subnet, vls, self.ledger.observer())?;
-        self.channel_deps = deps;
-        if report.is_clean() {
-            Ok(())
-        } else {
-            Err(ib_types::IbError::Management(format!(
-                "fabric verification failed: {}",
-                report.summary()
-            )))
-        }
+        self.carried.baseline().map(|t| &t.vls)
     }
 
     /// Re-labels the fabric's connected components after a sweep computed
@@ -482,7 +398,10 @@ impl SubnetManager {
     pub(crate) fn refresh_partition_state(&mut self, subnet: &Subnet) -> Vec<Lid> {
         let prior = std::mem::take(&mut self.unreachable_lids);
         self.lost_nodes.clear();
-        if let Some((lost, lids)) = self.partition_scan(subnet) {
+        let graph = self.carried.switch_graph(subnet).ok();
+        if let Some((lost, lids)) =
+            graph.and_then(|(g, _)| Self::scan_lost(subnet, self.sm_node, g))
+        {
             let observer = self.ledger.observer();
             observer.incr("sm.partitioned");
             observer.add("sm.unreachable_lids", lids.len() as u64);
@@ -492,30 +411,15 @@ impl SubnetManager {
         prior
     }
 
-    /// Labels the connected components of the switch graph (reusing the
-    /// epoch-cached CSR build when one is current) and, on a split, returns
-    /// the nodes beyond the SM's component together with the LIDs stranded
-    /// there. `None` when the fabric is whole — or when no component can be
-    /// labeled at all (the SM host's own uplink is down, or the degraded
-    /// subnet cannot express a CSR graph), in which case the sweep proceeds
-    /// exactly as before this machinery existed.
-    fn partition_scan(&mut self, subnet: &Subnet) -> Option<(HashSet<NodeId>, Vec<Lid>)> {
-        let epoch = subnet.topology_epoch();
-        let graph = match self.cached_graph.take() {
-            Some((e, g)) if e == epoch => g,
-            _ => ib_routing::SwitchGraph::build(subnet).ok()?,
-        };
-        let scan = self.scan_lost(subnet, &graph);
-        self.cached_graph = Some((epoch, graph));
-        scan
-    }
-
-    /// The component walk behind [`Self::partition_scan`]: everything not
-    /// in the SM's own component is lost, and every LID registered on a
-    /// lost node is unreachable.
+    /// Labels the connected components of the switch graph and, on a split,
+    /// returns the nodes beyond the SM's component (everything not in it)
+    /// together with the LIDs registered there. `None` when the fabric is
+    /// whole — or when no component can be labeled at all (the SM host's
+    /// own uplink is down, or the degraded subnet cannot express a switch
+    /// graph), in which case the sweep proceeds as on a whole fabric.
     fn scan_lost(
-        &self,
         subnet: &Subnet,
+        sm_node: NodeId,
         graph: &ib_routing::SwitchGraph,
     ) -> Option<(HashSet<NodeId>, Vec<Lid>)> {
         let comps = graph.components();
@@ -524,11 +428,11 @@ impl SubnetManager {
         }
         // Anchor the scan at the switch the SM talks through (the SM host
         // itself when it *is* a switch).
-        let anchor = if subnet.node(self.sm_node).is_switch() {
-            self.sm_node
+        let anchor = if subnet.node(sm_node).is_switch() {
+            sm_node
         } else {
             subnet
-                .node(self.sm_node)
+                .node(sm_node)
                 .connected_ports()
                 .map(|(_, r)| r.node)
                 .find(|&n| subnet.node(n).is_switch())?
@@ -542,7 +446,7 @@ impl SubnetManager {
         let mut lost = HashSet::new();
         let mut lids = Vec::new();
         for n in subnet.nodes().filter(|n| n.is_alive()) {
-            let reachable = if n.id == self.sm_node {
+            let reachable = if n.id == sm_node {
                 true
             } else if n.is_switch() {
                 in_scope(n.id)
@@ -559,44 +463,12 @@ impl SubnetManager {
         Some((lost, lids))
     }
 
-    /// The subset of `tables` the SM can still deliver: switches beyond the
-    /// split are dropped — their `Set` SMPs would only burn the retry
-    /// budget, and the heal sweep rewrites their rows wholesale anyway.
-    /// `None` when the fabric is whole (the common case pays nothing).
-    pub(crate) fn served_tables(
-        &self,
-        tables: &ib_routing::RoutingTables,
-    ) -> Option<ib_routing::RoutingTables> {
-        if self.lost_nodes.is_empty() {
-            return None;
-        }
-        self.ledger.observer().add(
-            "sm.switches_unserved",
-            tables
-                .lfts
-                .keys()
-                .filter(|id| self.lost_nodes.contains(id))
-                .count() as u64,
-        );
-        Some(ib_routing::RoutingTables {
-            lfts: tables
-                .lfts
-                .iter()
-                .filter(|(id, _)| !self.lost_nodes.contains(id))
-                .map(|(&id, lft)| (id, lft.clone()))
-                .collect(),
-            vls: tables.vls.clone(),
-            engine: tables.engine,
-            decisions: tables.decisions,
-        })
-    }
-
     /// After a sweep on a fabric that is whole again: every LID the split
     /// had stranded — and that still exists — must have regained a full
     /// destination column on every switch, or the heal is declared broken.
     /// Counts `sm.healed` once per recovery. A no-op while still degraded
     /// or when nothing was stranded.
-    pub(crate) fn verify_healed(&mut self, subnet: &Subnet, stranded: &[Lid]) -> IbResult<()> {
+    pub(crate) fn verify_healed(&self, subnet: &Subnet, stranded: &[Lid]) -> IbResult<()> {
         if stranded.is_empty() || !self.unreachable_lids.is_empty() {
             return Ok(());
         }
@@ -704,6 +576,50 @@ mod tests {
             err.to_string().contains("fabric verification failed"),
             "{err}"
         );
+    }
+
+    /// A full sweep that fails after its SMPs went out leaves nothing
+    /// trusted: no index, no dependency graph. The next link-down is one
+    /// counted `repair.index_misses` fallback whose full sweep revives the
+    /// index, and the link-down after it is an ordinary repair again.
+    #[test]
+    fn a_failed_full_sweep_leaves_nothing_trusted() {
+        let mut t = two_level(3, 2, 2);
+        let mut sm = SubnetManager::new(
+            t.hosts[0],
+            SmConfig {
+                verify: true,
+                repair: true,
+                ..SmConfig::default()
+            },
+        );
+        sm.set_observer(ib_observe::Observer::metrics());
+        sm.bring_up(&mut t.subnet).unwrap();
+        assert!(sm.route_index().is_some() && sm.channel_deps().is_some());
+        // Duplicate LID ownership: host 5's port claims host 4's LID.
+        let own = t.subnet.node(t.hosts[5]).ports[1].lid;
+        let stolen = t.subnet.node(t.hosts[4]).ports[1].lid;
+        t.subnet.node_mut(t.hosts[5]).ports[1].lid = stolen;
+        assert!(sm.full_reconfiguration(&mut t.subnet).is_err());
+        assert!(sm.route_index().is_none());
+        assert!(sm.channel_deps().is_none());
+
+        t.subnet.node_mut(t.hosts[5]).ports[1].lid = own;
+        let mut transport = ib_mad::SmpTransport::perfect(sm.sm_node);
+        let trap = crate::testutil::down_uplink(&mut t, 0, 0);
+        let report = sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
+        assert_eq!(report.kind, SweepKind::Light);
+        assert!(sm.route_index().is_some(), "index is live again");
+        assert!(sm.verify_route_index(&t.subnet).is_empty());
+        let trap = crate::testutil::down_uplink(&mut t, 1, 0);
+        let report = sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
+        assert_eq!(report.kind, SweepKind::Repair);
+        crate::testutil::assert_all_pairs_connected(&t, &[]);
+
+        let snap = sm.observer().snapshot().unwrap();
+        assert_eq!(snap.counter("repair.index_misses"), 1);
+        assert_eq!(snap.counter("repair.fallback"), 1);
+        assert_eq!(snap.counter("repair.success"), 1);
     }
 
     #[test]

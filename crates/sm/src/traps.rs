@@ -432,8 +432,8 @@ mod tests {
         sm2.handle_trap(&mut twin.subnet, trap_m2, &mut transport2)
             .unwrap();
         assert_eq!(
-            sm.last_tables.as_ref().unwrap().lfts,
-            sm2.last_tables.as_ref().unwrap().lfts
+            sm.carried.baseline().unwrap().lfts,
+            sm2.carried.baseline().unwrap().lfts
         );
 
         let snap = sm.observer().snapshot().unwrap();

@@ -830,3 +830,102 @@ fn a_vm_created_under_dynamic_lids_survives_the_next_repair() {
     assert_eq!(dc.sm.verify_route_index(&dc.subnet), Vec::<String>::new());
     dc.verify_connectivity().expect("the VM stays reachable");
 }
+
+/// A migration between gated repairs: its cells move the SM's repair
+/// baseline and reverse index, but drop the carried channel dependency
+/// graph (`ChannelDeps::patch` cannot follow a LID that moved leaves). The
+/// first gate after it rebuilds the graph once (`verify.full_deps.no-state`)
+/// and the gate after that patches again.
+#[test]
+fn a_migration_between_gated_repairs_drops_only_the_dependency_graph() {
+    let t = two_level(3, 3, 3);
+    let (leaves, spines) = (t.switch_levels[0].clone(), t.switch_levels[1].clone());
+    let mut dc = DataCenter::from_topology_observed(
+        t,
+        DataCenterConfig {
+            engine: EngineKind::UpDown,
+            verify: true,
+            ..DataCenterConfig::default()
+        },
+        Observer::metrics(),
+    )
+    .expect("bring-up");
+    dc.sm.set_repair(true);
+    let counter = |dc: &DataCenter, name: &str| {
+        let snap = dc.sm.observer().snapshot().expect("metrics on");
+        snap.counter(name)
+    };
+    let full_deps = |dc: &DataCenter| {
+        ["no-state", "topology", "vls", "split"]
+            .map(|reason| counter(dc, &format!("verify.full_deps.{reason}")))
+    };
+    let carried_is_installed = |dc: &DataCenter| {
+        let vls = dc.sm.installed_vls().expect("tables");
+        let fresh = FabricVerifier::new()
+            .channel_deps(&dc.subnet, vls)
+            .expect("rebuild");
+        dc.sm.channel_deps() == Some(&fresh)
+    };
+    let repair = |dc: &mut DataCenter, leaf: usize, spine: usize| {
+        let node = leaves[leaf];
+        let (port, _) = dc
+            .subnet
+            .node(node)
+            .connected_ports()
+            .find(|(_, r)| r.node == spines[spine])
+            .expect("uplink");
+        dc.subnet.set_link_down(node, port).expect("link down");
+        let mut transport = SmpTransport::perfect(dc.sm.sm_node);
+        let trap = Trap::LinkStateChange { node, port };
+        let (cells, delta) = (
+            counter(dc, "repair.changed_cells"),
+            counter(dc, "verify.delta_cells"),
+        );
+        let report = dc
+            .sm
+            .handle_trap(&mut dc.subnet, trap, &mut transport)
+            .expect("trap handled");
+        assert_eq!(report.kind, SweepKind::Repair);
+        // The sent blocks moved exactly the engine's cells: a baseline that
+        // missed a migrated cell in one of them would have reverted it.
+        assert_eq!(
+            counter(dc, "verify.delta_cells") - delta,
+            counter(dc, "repair.changed_cells") - cells
+        );
+        assert!(
+            carried_is_installed(dc),
+            "the gate's graph is the installed rows'"
+        );
+        assert_eq!(dc.sm.verify_route_index(&dc.subnet), Vec::<String>::new());
+    };
+
+    repair(&mut dc, 0, 0);
+    assert_eq!(
+        full_deps(&dc),
+        [0; 4],
+        "the bring-up audit's graph is patched"
+    );
+
+    let vm = dc.create_vm("vm", 1).expect("create");
+    let moved = dc.migrate_vm(vm, 7).expect("migrate");
+    assert!(moved.committed);
+    assert!(counter(&dc, "migration.changed_cells") > 0);
+    assert_eq!(dc.sm.verify_route_index(&dc.subnet), Vec::<String>::new());
+    assert!(
+        dc.sm.channel_deps().is_none(),
+        "a migration drops the graph"
+    );
+
+    repair(&mut dc, 1, 1);
+    assert_eq!(
+        full_deps(&dc),
+        [1, 0, 0, 0],
+        "one rebuild, for want of state"
+    );
+    let patched = counter(&dc, "verify.cdg_patched_cells");
+    repair(&mut dc, 2, 2);
+    assert_eq!(full_deps(&dc), [1, 0, 0, 0], "the next gate patches");
+    assert!(counter(&dc, "verify.cdg_patched_cells") > patched);
+    assert_eq!(counter(&dc, "repair.success"), 3);
+    dc.verify_connectivity().expect("every VM reachable");
+}
