@@ -212,7 +212,7 @@ fn table1(json: Option<&Path>) {
 /// timed [`FIG7_RUNS`] times and reports min and median.
 fn fig7(level: u8, force_lash: bool, workers: usize, routing_workers: usize, json: Option<&Path>) {
     println!("\n===== FIG. 7: path computation time (this machine; paper shape: ftree < minhop << dfsssp << lash) =====");
-    println!("level {level}: 324/648 always; 5832 at --level 1; 11664 at --level 2; LASH/DFSSSP capped at scale unless --force-engines");
+    println!("level {level}: 324/648 always; 5832 at --level 1; 11664 at --level 2; LASH on the 2-level trees and DFSSSP through 5832 unless --force-engines");
     println!(
         "{workers} grid worker(s), {routing_workers} routing worker(s) per engine, min/median of {FIG7_RUNS} runs per cell; fabric construction untimed"
     );

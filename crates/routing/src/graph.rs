@@ -162,6 +162,12 @@ impl SwitchGraph {
         (v != NO_PEER).then_some(v as usize)
     }
 
+    /// The table behind [`Self::peer`]: its stride and, at
+    /// `s * stride + port`, the switch index or `NO_PEER`.
+    pub(crate) fn peer_table(&self) -> (usize, &[u32]) {
+        (self.peer_stride, &self.peer)
+    }
+
     /// Where an LFT entry of switch `s` forwards to inside the switch
     /// fabric: (out port, neighbor switch), `None` for an unset entry or
     /// one that delivers or drops.

@@ -4,28 +4,21 @@
 //! well as added, and a repair gate can patch the graph a full audit left
 //! behind instead of rebuilding it from every column.
 //!
-//! A channel is `(switch, out-port)` with dense id `switch * stride + port`;
-//! it determines the next switch, so its successors are that switch's
-//! switch-facing ports. Counts are laid out per channel over exactly those
-//! ports (`base`, `rank`): on the 5832-node tree that is 0.63 M slots per
-//! lane where a dense `stride²` block per switch would hold 1.33 M. A slot
-//! is one byte; the rare count past 254 spills into a side map (on that
-//! tree no dependency is booked by more than a few dozen columns).
+//! The graph itself is [`ib_routing::cdg::Cdg`] — its layout, counting and
+//! cycle search — over the view's far-end table, with one-byte counts
+//! ([`ByteCounts`]). What is the verifier's own lives here: which
+//! columns book which lane, the far ends the counts are up to date with,
+//! and how a repair's moved cells patch them.
 
 use std::fmt;
 
+use ib_routing::cdg::{ByteCounts, Cdg};
 use ib_routing::{Destination, VlAssignment};
 use ib_subnet::NodeId;
 use ib_types::{Lid, PortNum};
-use rustc_hash::FxHashMap;
 
 use crate::verifier::{InvariantClass, Violation};
 use crate::view::{far_end, Column, FabricView, NODE, NO_CHANNEL, NO_PEER};
-
-/// `rank` code: the port does not lead to a switch.
-const NO_RANK: u8 = u8::MAX;
-/// Count slot value: the true count (≥ this) lives in `Counts::spill`.
-const SPILLED: u8 = u8::MAX;
 
 /// One cell whose channel may differ between the rows a [`ChannelDeps`]
 /// last counted and the rows installed now: a cell a repair moved, or one
@@ -53,7 +46,8 @@ pub struct ChannelDeps {
     /// The live switches the channel ids index, in the view's order.
     switches: Vec<NodeId>,
     peers: Peers,
-    graph: Counts,
+    /// Lane `k` counts the columns on raw lane `lanes.lanes[k]`.
+    graph: Cdg<ByteCounts>,
 }
 
 /// How destination columns map onto lanes.
@@ -74,26 +68,6 @@ struct Peers {
     cut: Vec<u32>,
 }
 
-/// The counts, laid out per channel over its head switch's switch-facing
-/// ports.
-struct Counts {
-    /// `rank[t * stride + q]`: port `q`'s index among switch `t`'s
-    /// switch-facing ports, [`NO_RANK`] for the others.
-    rank: Vec<u8>,
-    /// `ports[first[t] + r]`: switch `t`'s switch-facing port of rank `r`.
-    ports: Vec<u8>,
-    first: Vec<u32>,
-    /// `base[c]..base[c + 1]`: channel `c`'s successor slots within a lane.
-    base: Vec<u32>,
-    /// Slots per lane (`base[channels]`).
-    per_lane: usize,
-    /// `counts[slot * per_lane + base[held] + rank[wanted]]`, or
-    /// [`SPILLED`].
-    counts: Vec<u8>,
-    /// The counts of [`SPILLED`] slots, by slot index.
-    spill: FxHashMap<u32, u32>,
-}
-
 impl ChannelDeps {
     /// An empty graph laid out over `view`, booking the columns of `dests`
     /// (every registered LID, ascending) under `vls`.
@@ -103,47 +77,17 @@ impl ChannelDeps {
         for (slot, &lane) in lanes.iter().enumerate() {
             slot_of[lane as usize] = slot;
         }
-        let stride = view.stride;
-        let mut rank = vec![NO_RANK; view.peer.len()];
-        let (mut ports, mut first) = (Vec::new(), Vec::with_capacity(view.len() + 1));
-        for (t, far_ends) in view.peer.chunks_exact(stride).enumerate() {
-            first.push(ports.len() as u32);
-            for (q, &far) in far_ends.iter().enumerate() {
-                if far < NODE {
-                    rank[t * stride + q] = (ports.len() - first[t] as usize) as u8;
-                    ports.push(q as u8);
-                }
-            }
-        }
-        first.push(ports.len() as u32);
-        let mut base = Vec::with_capacity(view.peer.len() + 1);
-        base.push(0u32);
-        for &far in &view.peer {
-            let slots = if far < NODE {
-                first[far as usize + 1] - first[far as usize]
-            } else {
-                0
-            };
-            base.push(base.last().copied().unwrap_or(0) + slots);
-        }
-        let per_lane = base.last().copied().unwrap_or(0) as usize;
         Self {
             lids: dests.iter().map(|d| d.lid).collect(),
             switches: view.switches.clone(),
             peers: Peers {
-                stride,
+                stride: view.stride,
                 layout: view.peer.clone(),
                 cut: Vec::new(),
             },
-            graph: Counts {
-                rank,
-                ports,
-                first,
-                base,
-                per_lane,
-                counts: vec![0; lanes.len() * per_lane],
-                spill: FxHashMap::default(),
-            },
+            // Switch indices sit below `NODE`, so the view's node and
+            // `NO_PEER` codes are all "leaves the switch fabric".
+            graph: Cdg::with_far_ends(view.stride, &view.peer, lanes.len()),
             lanes: Lanes {
                 vls: vls.clone(),
                 lanes,
@@ -168,7 +112,7 @@ impl ChannelDeps {
             |c| view.channel_head(c),
             None,
             max_hops,
-            |slot, held, wanted| graph.bump(slot, held, wanted, true),
+            |slot, held, wanted| graph.book(slot, held, wanted, true),
         );
     }
 
@@ -228,12 +172,12 @@ impl ChannelDeps {
             let tails = lanes.per_destination().then(|| peers.tails(cells, before));
             let (n, tails) = (view.len(), tails.as_deref());
             lanes.edges(dest, n, before, head, tails, max_hops, |slot, h, w| {
-                graph.bump(slot, h, w, false);
+                graph.book(slot, h, w, false);
             });
             let after = |s: usize| view.cell(s, lid, NO_PEER).1;
             let head = |c: u32| view.channel_head(c);
             lanes.edges(dest, n, after, head, tails, max_hops, |slot, h, w| {
-                graph.bump(slot, h, w, true);
+                graph.book(slot, h, w, true);
             });
         }
         self.peers.cut = (0..view.peer.len())
@@ -244,14 +188,12 @@ impl ChannelDeps {
 
     /// One dependency cycle per lane (ascending), if any, as a violation.
     pub(crate) fn report_cycles(&self, view: &FabricView<'_>, out: &mut Vec<Violation>) {
-        let stride = self.peers.stride;
         for (slot, lane) in self.lanes.lanes.iter().enumerate() {
-            if let Some(cycle) = self.find_cycle(slot) {
+            if let Some(cycle) = self.graph.find_cycle(slot) {
                 let chain: Vec<String> = cycle
                     .iter()
-                    .map(|&c| {
-                        let (s, p) = (c as usize / stride, c as usize % stride);
-                        format!("{}:p{p}", view.subnet.name_of(view.switches[s]))
+                    .map(|&(s, p)| {
+                        format!("{}:p{p}", view.subnet.name_of(view.switches[s as usize]))
                     })
                     .collect();
                 out.push(Violation {
@@ -262,71 +204,6 @@ impl ChannelDeps {
             }
         }
     }
-
-    /// Iterative three-colour DFS over one lane. Returns a channel sequence
-    /// where each element depends on the next and the last on the first,
-    /// or `None` when the lane is acyclic.
-    fn find_cycle(&self, slot: usize) -> Option<Vec<u32>> {
-        const WHITE: u8 = 0;
-        const GRAY: u8 = 1;
-        const BLACK: u8 = 2;
-        let channels = self.peers.layout.len();
-        let mut color = vec![WHITE; channels];
-        // (channel, next successor rank to try); the stack is the gray path.
-        let mut stack: Vec<(u32, usize)> = Vec::new();
-        for start in 0..channels {
-            if color[start] != WHITE || self.graph.slots(slot, start).iter().all(|&n| n == 0) {
-                continue;
-            }
-            color[start] = GRAY;
-            stack.push((start as u32, 0));
-            while let Some((held, from)) = stack.last_mut() {
-                let Some((r, wanted)) = self.next_successor(slot, *held as usize, *from) else {
-                    color[*held as usize] = BLACK;
-                    stack.pop();
-                    continue;
-                };
-                *from = r + 1;
-                match color[wanted] {
-                    WHITE => {
-                        color[wanted] = GRAY;
-                        stack.push((wanted as u32, 0));
-                    }
-                    GRAY => {
-                        let at = stack.iter().position(|&(c, _)| c as usize == wanted)?;
-                        return Some(stack[at..].iter().map(|&(c, _)| c).collect());
-                    }
-                    _ => {}
-                }
-            }
-        }
-        None
-    }
-
-    /// The first successor of rank `from` or above that `held` depends on
-    /// in lane `slot`: its rank and channel.
-    fn next_successor(&self, slot: usize, held: usize, from: usize) -> Option<(usize, usize)> {
-        let slots = self.graph.slots(slot, held);
-        let r = from + slots.get(from..)?.iter().position(|&n| n != 0)?;
-        let head = self.peers.layout[held] as usize;
-        Some((r, head * self.peers.stride + self.graph.port(head, r)))
-    }
-
-    /// Every counted dependency, `(lane slot, held, wanted, count)`, in
-    /// ascending order whatever the layout.
-    fn edges(&self) -> impl Iterator<Item = (usize, usize, usize, u32)> + '_ {
-        (0..self.lanes.lanes.len()).flat_map(move |slot| {
-            (0..self.peers.layout.len()).flat_map(move |held| {
-                let mut from = 0;
-                std::iter::from_fn(move || {
-                    let (r, wanted) = self.next_successor(slot, held, from)?;
-                    from = r + 1;
-                    let count = self.graph.count(slot, held as u32, wanted as u32)?;
-                    Some((slot, held, wanted, count))
-                })
-            })
-        })
-    }
 }
 
 impl PartialEq for ChannelDeps {
@@ -334,7 +211,7 @@ impl PartialEq for ChannelDeps {
         self.lanes.lanes == other.lanes.lanes
             && self.switches == other.switches
             && self.peers.stride == other.peers.stride
-            && self.edges().eq(other.edges())
+            && (0..self.lanes.lanes.len()).all(|k| self.graph.edges(k).eq(other.graph.edges(k)))
     }
 }
 
@@ -344,7 +221,7 @@ impl fmt::Debug for ChannelDeps {
             .field("lanes", &self.lanes.lanes)
             .field("switches", &self.switches.len())
             .field("columns", &self.lids.len())
-            .field("dependencies", &self.edges().count())
+            .field("graph", &self.graph)
             .field("cut", &self.peers.cut)
             .finish()
     }
@@ -463,113 +340,5 @@ impl Peers {
         tails.sort_unstable();
         tails.dedup();
         tails
-    }
-}
-
-impl Counts {
-    /// Channel `held`'s successor slots in lane `slot` (non-zero where a
-    /// dependency is counted).
-    fn slots(&self, slot: usize, held: usize) -> &[u8] {
-        let lane = slot * self.per_lane;
-        &self.counts[lane + self.base[held] as usize..lane + self.base[held + 1] as usize]
-    }
-
-    /// Switch `t`'s switch-facing port of rank `r`.
-    fn port(&self, t: usize, r: usize) -> usize {
-        self.ports[self.first[t] as usize + r] as usize
-    }
-
-    /// The slot index of `held → wanted` in lane `slot`; `None` when the
-    /// layout has no such pair.
-    #[inline]
-    fn at(&self, slot: usize, held: u32, wanted: u32) -> Option<usize> {
-        let r = self.rank[wanted as usize];
-        let (from, to) = (self.base[held as usize], self.base[held as usize + 1]);
-        (r != NO_RANK && from + u32::from(r) < to)
-            .then(|| slot * self.per_lane + from as usize + r as usize)
-    }
-
-    /// How many columns book `held → wanted` in lane `slot`.
-    fn count(&self, slot: usize, held: u32, wanted: u32) -> Option<u32> {
-        let at = self.at(slot, held, wanted)?;
-        Some(match self.counts[at] {
-            SPILLED => self.spill.get(&(at as u32)).copied().unwrap_or(0),
-            n => u32::from(n),
-        })
-    }
-
-    /// Adds (`up`) or retracts one booking of "a packet may hold `held`
-    /// while requesting `wanted`" on a lane.
-    #[inline]
-    fn bump(&mut self, slot: usize, held: u32, wanted: u32, up: bool) {
-        // `wanted` leaves the switch `held` leads to by construction, so a
-        // ranked port is one of `held`'s slots.
-        debug_assert!(
-            self.at(slot, held, wanted).is_some(),
-            "dependency onto a channel the layout lacks"
-        );
-        let r = self.rank[wanted as usize];
-        if r == NO_RANK {
-            return;
-        }
-        let at = slot * self.per_lane + self.base[held as usize] as usize + r as usize;
-        let count = &mut self.counts[at];
-        match (*count, up) {
-            (n, true) if n < SPILLED - 1 => *count += 1,
-            (n, false) if n != SPILLED => {
-                debug_assert!(n > 0, "retracting a dependency that was never counted");
-                *count = n.saturating_sub(1);
-            }
-            (_, true) => {
-                *count = SPILLED;
-                *self
-                    .spill
-                    .entry(at as u32)
-                    .or_insert(u32::from(SPILLED) - 1) += 1;
-            }
-            (_, false) => {
-                let spilled = self.spill.entry(at as u32).or_insert(u32::from(SPILLED));
-                *spilled -= 1;
-                if *spilled < u32::from(SPILLED) {
-                    self.spill.remove(&(at as u32));
-                    *count = SPILLED - 1;
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// One channel (0) with one successor (channel 1): a count that
-    /// outgrows its byte spills to the side map and comes back.
-    #[test]
-    fn counts_past_a_byte_spill_and_come_back() {
-        let mut graph = Counts {
-            rank: vec![NO_RANK, 0],
-            ports: vec![1],
-            first: vec![0, 0, 1],
-            base: vec![0, 1, 1],
-            per_lane: 1,
-            counts: vec![0],
-            spill: FxHashMap::default(),
-        };
-        for n in 1..=300 {
-            graph.bump(0, 0, 1, true);
-            assert_eq!(graph.count(0, 0, 1), Some(n));
-        }
-        assert_eq!(graph.counts[0], SPILLED);
-        for n in (0..300).rev() {
-            graph.bump(0, 0, 1, false);
-            assert_eq!(graph.count(0, 0, 1), Some(n));
-        }
-        assert!(graph.spill.is_empty());
-        assert_eq!(
-            graph.count(0, 1, 0),
-            None,
-            "channel 1 has no successor slots"
-        );
     }
 }

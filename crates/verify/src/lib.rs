@@ -24,8 +24,10 @@
 //! Invariants 1–3 run as flat array kernels over one dense view of the
 //! installed state built per pass (`view.rs`): no table is cloned, each
 //! (switch, LID) cell is classified once, and the channel dependency graph
-//! ([`ChannelDeps`], `deps.rs`) is a per-lane table of dependency counts
-//! keyed by `(switch, out-port)`.
+//! ([`ChannelDeps`], `deps.rs`) is the workspace's one CDG,
+//! `ib_routing::cdg::Cdg`, with byte counts: a per-lane table of dependency
+//! counts keyed by `(switch, out-port)`, searched for cycles in the same
+//! order DFSSSP's layering searches its `u32`-counted lanes.
 //!
 //! A full audit ([`FabricVerifier::audit`]) checks every cell. A repair
 //! gate ([`FabricVerifier::verify_moved`]) checks what one repair's SMPs
