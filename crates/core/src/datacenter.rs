@@ -4,7 +4,7 @@
 use ib_mad::fault::{SmpChannel, SmpTransport};
 use ib_mad::{RouteTree, Routes, Smp};
 use ib_observe::Observer;
-use ib_routing::{CellChange, EngineKind, RoutingOptions, VlAssignment};
+use ib_routing::{CellChange, EngineKind, LidMove, RoutingOptions, VlAssignment};
 use ib_sm::distribution::{address, route_tree};
 use ib_sm::{BringUpReport, QuarantineOptions, SmConfig, SmpMode, SubnetManager};
 use ib_subnet::topology::BuiltTopology;
@@ -220,7 +220,13 @@ impl DataCenter {
                 }
                 // A brand-new column: every vSwitch learns it.
                 self.set_vswitch_routes(lid, (hyp, slot), 0..self.hypervisors.len(), &mut cells);
-                self.note_cells(&cells);
+                self.note_cells(
+                    &cells,
+                    Some(LidMove::Copy {
+                        from: pf_lid,
+                        to: lid,
+                    }),
+                );
                 lid
             }
         };
@@ -522,7 +528,18 @@ impl DataCenter {
         let swapped = (arch != VirtArch::VSwitchDynamic).then_some(other);
         let allowed: Vec<Lid> = std::iter::once(mover).chain(swapped).collect();
         self.verify_after_migration(snapshot.as_ref(), &allowed)?;
-        self.note_cells(&cells);
+        // The lanes move with the columns. The intra-leaf shortcut rewrites
+        // one leaf row, whose last hop into a vSwitch closes no cycle, and
+        // every other row keeps its column — and its lanes.
+        let moved = match arch {
+            _ if use_shortcut => None,
+            VirtArch::VSwitchDynamic => Some(LidMove::Copy {
+                from: other,
+                to: mover,
+            }),
+            _ => Some(LidMove::Swap(mover, other)),
+        };
+        self.note_cells(&cells, moved);
         report.committed = true;
         report.tx.committed = true;
         Ok(report)
@@ -669,13 +686,14 @@ impl DataCenter {
         route_tree(&self.subnet, self.sm.sm_node, self.sm.observer())
     }
 
-    /// Hands the SM the cells an operation wrote behind its sweeps, so its
-    /// repair baseline and reverse index follow (`migration.note_cells`).
-    fn note_cells(&mut self, cells: &[CellChange]) {
+    /// Hands the SM the cells an operation wrote behind its sweeps, and the
+    /// LID move that wrote them, so its repair baseline, reverse index and
+    /// lanes follow (`migration.note_cells`).
+    fn note_cells(&mut self, cells: &[CellChange], moved: Option<LidMove>) {
         let observer = self.sm.observer().clone();
         let _span = observer.span("migration.note_cells");
         observer.add("migration.changed_cells", cells.len() as u64);
-        self.sm.note_cells_changed(&self.subnet, cells);
+        self.sm.note_cells_changed(&self.subnet, cells, moved);
     }
 
     /// Installs the vSwitch-internal route for `lid` on the vSwitches of

@@ -14,7 +14,7 @@
 
 use ib_routing::cdg::Cdg;
 use ib_routing::graph::{Destination, SwitchGraph};
-use ib_routing::tables::{RoutingTables, VlAssignment};
+use ib_routing::tables::RoutingTables;
 use ib_subnet::{Lft, NodeId, Subnet};
 use ib_types::IbResult;
 use rustc_hash::FxHashMap;
@@ -38,12 +38,7 @@ impl LftSnapshot {
     }
 
     fn as_tables(&self, label: &'static str) -> RoutingTables {
-        RoutingTables {
-            lfts: self.lfts.clone(),
-            vls: VlAssignment::SingleVl,
-            engine: label,
-            decisions: 0,
-        }
+        RoutingTables::from_lfts(self.lfts.clone(), label)
     }
 }
 

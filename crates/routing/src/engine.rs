@@ -101,12 +101,7 @@ pub trait RoutingEngine: Send + Sync {
         observer: &Observer,
     ) -> IbResult<RoutingTables> {
         let g = SwitchGraph::build(subnet)?;
-        let mut tables = RoutingTables {
-            lfts: Default::default(),
-            vls: VlAssignment::SingleVl,
-            engine: self.name(),
-            decisions: 0,
-        };
+        let mut tables = RoutingTables::from_lfts(Default::default(), self.name());
         if !g.is_empty() {
             let mut splice = Splice::fresh(&g, &mut tables);
             let (vls, decisions) = self.route(&mut splice, opts, observer)?;
@@ -126,7 +121,8 @@ pub trait RoutingEngine: Send + Sync {
     /// **Splice or `Err`:** on `Ok` only the dirty columns of `tables`
     /// moved and the log lists each cell whose value differs from before
     /// (plus the VL assignment the repair displaced) — never a full
-    /// recompute in disguise. On `Err` `tables` is exactly what it was. A
+    /// recompute in disguise. On `Err` the LFTs and lanes of `tables` are
+    /// exactly what they were. A
     /// baseline that does not cover `graph` or damage a column rewrite
     /// cannot absorb is an `Err`; the caller's answer to it is a full
     /// [`RoutingEngine::compute_with`].
@@ -134,6 +130,14 @@ pub trait RoutingEngine: Send + Sync {
     /// The picks are *sticky*: a repair's job is the smallest diff, not a
     /// rebalance, so the result approximates (it is not byte-equal to) a
     /// full recompute of the degraded fabric.
+    ///
+    /// Tables a fat-tree compute returned carry its distance field. Their
+    /// repair follows the field to `graph` when `graph` only lost links
+    /// since (else the field is dropped and the repair recomputes its
+    /// distances), and visits a dirty host column only at the switches
+    /// whose pick those removals can have moved — the same cells the full
+    /// visit would change. An `Err` restores the LFTs and may drop the
+    /// field (the next full compute builds a new one).
     ///
     /// `graph` must be [`SwitchGraph::build`]'s output for the subnet in
     /// its *current* fault state — the SM caches it across repair sweeps in
@@ -153,10 +157,15 @@ pub trait RoutingEngine: Send + Sync {
         observer: &Observer,
     ) -> IbResult<SpliceLog> {
         let mut splice = Splice::begin(graph, tables, dirty_dests)?;
-        let _span = observer.span(&format!("routing.{}.repair", self.name()));
+        let _span = observer.span(repair_span(self.name()));
         // No dirty column is registered on `graph`: nothing moves, and the
-        // lanes the clean columns ride must not be re-settled either.
+        // lanes the clean columns ride must not be re-settled either; a
+        // carried distance field stays as it was (the next repair follows
+        // it to its graph).
         let (vls, decisions) = if splice.is_clean() {
+            if let Some(field) = splice.take_host_distances() {
+                splice.keep_host_distances(field);
+            }
             (splice.vls().clone(), 0)
         } else {
             self.route(&mut splice, opts, observer)?
@@ -200,6 +209,20 @@ pub trait RoutingEngine: Send + Sync {
             }
         }
         Ok(log)
+    }
+}
+
+/// The `routing.<engine>.repair` span name, spelled out per engine so a
+/// repair formats nothing; an engine outside [`EngineKind`] shares
+/// `routing.repair`.
+fn repair_span(engine: &str) -> &'static str {
+    match engine {
+        "minhop" => "routing.minhop.repair",
+        "fat-tree" => "routing.fat-tree.repair",
+        "up-down" => "routing.up-down.repair",
+        "dfsssp" => "routing.dfsssp.repair",
+        "lash" => "routing.lash.repair",
+        _ => "routing.repair",
     }
 }
 
@@ -289,6 +312,14 @@ mod tests {
         assert_eq!(EngineKind::FatTree.to_string(), "fat-tree");
         assert_eq!(EngineKind::all().len(), 5);
         assert_eq!(EngineKind::fig7().len(), 4);
+    }
+
+    #[test]
+    fn repair_span_names_match_the_formatted_ones() {
+        for kind in EngineKind::all() {
+            let name = kind.build().name();
+            assert_eq!(repair_span(name), format!("routing.{name}.repair"));
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The switch-level view of a subnet that routing engines compute over,
 //! plus the flat-array compute substrate every engine's hot path runs on:
 //! a CSR adjacency, a reusable zero-allocation BFS workspace
-//! ([`BfsScratch`]), a row-major [`DistanceMatrix`], and a deterministic
-//! scoped-thread fan-out ([`parallel_for_each`]).
+//! ([`BfsScratch`]), a row-major [`DistanceMatrix`], a deterministic
+//! scoped-thread fan-out ([`parallel_for_each`]), and the fat-tree
+//! engine's host distance field, which a repair patches per lost link
+//! instead of recomputing (`HostDistances`).
 
 use std::collections::VecDeque;
 
@@ -531,6 +533,294 @@ impl DistanceMatrix {
     }
 }
 
+/// The hop distances toward the delivery switches of host (HCA-destined)
+/// LIDs — the fat-tree kernel's distance field — together with the
+/// adjacency they describe, so they can ride with the tables routed on them
+/// and follow the fabric as links go down instead of being recomputed.
+///
+/// One row per *source*. A delivery switch whose cables all lead to one
+/// switch is a *stub* (a vSwitch under its leaf): it reads that neighbour's
+/// row plus one, and zero at itself, so a vSwitch fabric keeps one row per
+/// leaf rather than one per vSwitch. Every other delivery switch is its own
+/// source.
+///
+/// Since the build, [`Self::follow`] has only ever removed links: `changed`
+/// holds, per row, exactly the switches whose distance moved, and `cut` the
+/// endpoints of every removed link. Together they bound which cells a
+/// repair can move (see `ftree`).
+#[derive(Clone)]
+pub(crate) struct HostDistances {
+    /// The switches and the port -> peer table of the adjacency the rows
+    /// describe (`SwitchGraph::peer_table`'s layout).
+    switches: Vec<NodeId>,
+    peer_stride: usize,
+    peer: Vec<u32>,
+    /// Per switch: its row (`NO_ROW` when it delivers no host LID) and
+    /// whether it is a stub of that row's source.
+    slot: Vec<(u32, bool)>,
+    rows: DistanceMatrix,
+    /// Per row: the switches whose distance moved since the build, sorted.
+    changed: Vec<Vec<u32>>,
+    /// The endpoints of every link removed since the build, sorted.
+    cut: Vec<u32>,
+}
+
+const NO_ROW: u32 = u32::MAX;
+
+impl std::fmt::Debug for HostDistances {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HostDistances")
+            .field("switches", &self.switches.len())
+            .field("rows", &self.rows.rows())
+            .field("cut", &self.cut)
+            .finish_non_exhaustive()
+    }
+}
+
+/// One delivery switch's distances, as [`HostDistances::toward`] reads them.
+#[derive(Clone, Copy)]
+pub(crate) struct HostRow<'a> {
+    row: &'a [u32],
+    /// The stub delivery switch this row is read for, if it is one.
+    stub: Option<usize>,
+}
+
+impl HostRow<'_> {
+    /// Hops from `s` to the delivery switch (`u32::MAX` = unreachable).
+    #[inline]
+    pub fn at(&self, s: usize) -> u32 {
+        match self.stub {
+            None => self.row[s],
+            Some(l) if s == l => 0,
+            // The stub's last cable is gone: nothing reaches it.
+            Some(l) if self.row[l] == u32::MAX => u32::MAX,
+            Some(_) => self.row[s].saturating_add(1),
+        }
+    }
+}
+
+impl HostDistances {
+    /// Rows for the delivery switches of the host LIDs among `dests`, one
+    /// BFS per source fanned across `workers` (rows depend only on their
+    /// source, so the result is identical for any worker count).
+    pub fn build(g: &SwitchGraph, dests: &[Destination], workers: usize) -> Self {
+        let mut delivery: Vec<usize> = dests
+            .iter()
+            .filter(|d| d.port != PortNum::MANAGEMENT)
+            .map(|d| d.switch)
+            .collect();
+        delivery.sort_unstable();
+        delivery.dedup();
+        let source_of = |l: usize| match g.neighbors(l) {
+            [(u, _), rest @ ..] if rest.iter().all(|&(v, _)| v == *u) => (*u as usize, true),
+            _ => (l, false),
+        };
+        let mut sources: Vec<usize> = delivery.iter().map(|&l| source_of(l).0).collect();
+        sources.sort_unstable();
+        sources.dedup();
+        let mut slot = vec![(NO_ROW, false); g.len()];
+        for &l in &delivery {
+            let (source, stub) = source_of(l);
+            let row = sources.binary_search(&source).expect("listed above");
+            slot[l] = (row as u32, stub);
+        }
+        let (peer_stride, peer) = g.peer_table();
+        Self {
+            switches: g.switches.clone(),
+            peer_stride,
+            peer: peer.to_vec(),
+            slot,
+            rows: DistanceMatrix::for_sources(g, &sources, workers),
+            changed: vec![Vec::new(); sources.len()],
+            cut: Vec::new(),
+        }
+    }
+
+    /// The distances toward delivery switch `l`; `None` when no row was
+    /// built for it.
+    pub fn toward(&self, l: usize) -> Option<HostRow<'_>> {
+        let (row, stub) = *self.slot.get(l)?;
+        (row != NO_ROW).then(|| HostRow {
+            row: self.rows.row(row as usize),
+            stub: stub.then_some(l),
+        })
+    }
+
+    /// The switches at which a column delivered at `l` can pick differently
+    /// from a column that was minimal on any graph between the build's and
+    /// `g`: the switches whose distance moved, their neighbours, and the
+    /// endpoints of every removed link, sorted. `None` means every switch:
+    /// `l` has no row, or is a stub whose last cable went down.
+    pub fn scope(&self, g: &SwitchGraph, l: usize) -> Option<Vec<u32>> {
+        let (row, stub) = *self.slot.get(l)?;
+        if row == NO_ROW || (stub && self.rows.row(row as usize)[l] == u32::MAX) {
+            return None;
+        }
+        let changed = &self.changed[row as usize];
+        let mut out = self.cut.clone();
+        for &x in changed {
+            out.push(x);
+            out.extend(g.neighbors(x as usize).iter().map(|&(v, _)| v));
+        }
+        out.sort_unstable();
+        out.dedup();
+        Some(out)
+    }
+
+    /// Follows the rows to `g`. When `g` differs from the adjacency they
+    /// describe by removed links only, every row is patched by a
+    /// decremental BFS and the removed links and moved switches join
+    /// `cut` / `changed`; any added link, or a different switch set, drops
+    /// the rows (`None`) — only a fresh build describes that graph.
+    pub fn follow(mut self, g: &SwitchGraph, workers: usize) -> Option<Self> {
+        if self.switches != g.switches {
+            return None;
+        }
+        let (stride, peer) = g.peer_table();
+        let at = |table: &[u32], stride: usize, s: usize, p: usize| {
+            if p < stride {
+                table[s * stride + p]
+            } else {
+                NO_PEER
+            }
+        };
+        let mut removed: Vec<(u32, u32)> = Vec::new();
+        for s in 0..g.len() {
+            for p in 0..stride.max(self.peer_stride) {
+                let (old, new) = (
+                    at(&self.peer, self.peer_stride, s, p),
+                    at(peer, stride, s, p),
+                );
+                if old == new {
+                    continue;
+                }
+                if old == NO_PEER || new != NO_PEER {
+                    return None;
+                }
+                removed.push((s as u32, old));
+            }
+        }
+        if removed.is_empty() {
+            return Some(self);
+        }
+        self.peer_stride = stride;
+        self.peer = peer.to_vec();
+        self.cut.extend(removed.iter().flat_map(|&(a, b)| [a, b]));
+        self.cut.sort_unstable();
+        self.cut.dedup();
+
+        let cols = self.rows.cols;
+        let mut work: Vec<(&mut [u32], &mut Vec<u32>)> = self
+            .rows
+            .data
+            .chunks_mut(cols.max(1))
+            .zip(&mut self.changed)
+            .collect();
+        parallel_for_each(
+            &mut work,
+            workers,
+            || PatchScratch::new(cols),
+            |scratch, _, (row, changed)| {
+                let moved = scratch.patch(g, row, &removed);
+                if !moved.is_empty() {
+                    changed.extend_from_slice(moved);
+                    changed.sort_unstable();
+                    changed.dedup();
+                }
+            },
+        );
+        Some(self)
+    }
+}
+
+/// One worker's state for [`PatchScratch::patch`].
+struct PatchScratch {
+    affected: Vec<bool>,
+    list: Vec<u32>,
+    heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, u32)>>,
+}
+
+impl PatchScratch {
+    fn new(n: usize) -> Self {
+        Self {
+            affected: vec![false; n],
+            list: Vec::new(),
+            heap: std::collections::BinaryHeap::new(),
+        }
+    }
+
+    /// Patches one BFS row `d` (exact for `g` plus the `removed` links,
+    /// listed from both ends) to `g`, and returns the switches whose
+    /// distance moved — each strictly grew.
+    ///
+    /// A decremental unit-weight BFS: the seeds are the far ends of tight
+    /// removed links; in level order a switch is *affected* when no
+    /// unaffected neighbour one level closer is left to it; affected
+    /// switches then re-settle from their unaffected neighbours. Every
+    /// unaffected switch keeps a shortest path of unaffected switches, so
+    /// only the affected ones move.
+    fn patch(&mut self, g: &SwitchGraph, d: &mut [u32], removed: &[(u32, u32)]) -> &[u32] {
+        use std::cmp::Reverse;
+        self.list.clear();
+        for &(a, b) in removed {
+            let (a, b) = (a as usize, b as usize);
+            if d[a] != u32::MAX && d[b] == d[a] + 1 {
+                self.heap.push(Reverse((d[b], b as u32)));
+            }
+        }
+        while let Some(Reverse((level, x))) = self.heap.pop() {
+            let x = x as usize;
+            let parented = |&(w, _): &(u32, PortNum)| {
+                !self.affected[w as usize] && d[w as usize].wrapping_add(1) == level
+            };
+            if self.affected[x] || g.neighbors(x).iter().any(parented) {
+                continue;
+            }
+            self.affected[x] = true;
+            self.list.push(x as u32);
+            for &(y, _) in g.neighbors(x) {
+                if d[y as usize] == level + 1 && !self.affected[y as usize] {
+                    self.heap.push(Reverse((level + 1, y)));
+                }
+            }
+        }
+        for &x in &self.list {
+            d[x as usize] = u32::MAX;
+        }
+        for &x in &self.list {
+            let x = x as usize;
+            let best = g
+                .neighbors(x)
+                .iter()
+                .filter(|&&(w, _)| !self.affected[w as usize])
+                .map(|&(w, _)| d[w as usize].saturating_add(1))
+                .min()
+                .unwrap_or(u32::MAX);
+            if best != u32::MAX {
+                d[x] = best;
+                self.heap.push(Reverse((best, x as u32)));
+            }
+        }
+        while let Some(Reverse((dx, x))) = self.heap.pop() {
+            let x = x as usize;
+            if dx > d[x] {
+                continue;
+            }
+            for &(y, _) in g.neighbors(x) {
+                let y = y as usize;
+                if self.affected[y] && dx + 1 < d[y] {
+                    d[y] = dx + 1;
+                    self.heap.push(Reverse((dx + 1, y as u32)));
+                }
+            }
+        }
+        for &x in &self.list {
+            self.affected[x as usize] = false;
+        }
+        &self.list
+    }
+}
+
 /// Runs `f(state, index, item)` over every item, fanned across up to
 /// `workers` scoped threads in contiguous chunks; `init` builds one
 /// per-worker scratch state. `workers == 0` resolves to the machine's
@@ -671,6 +961,135 @@ mod tests {
         assert_eq!(m.rows(), 2);
         assert_eq!(m.row(0), g.bfs_distances(3).as_slice());
         assert_eq!(m.row(1), g.bfs_distances(1).as_slice());
+    }
+
+    /// The fixture fabrics of the ordering and distance-field properties:
+    /// fat trees with and without vSwitch stubs, tori, a hypercube and
+    /// seeded irregular graphs, LIDs assigned.
+    fn fixtures() -> Vec<(String, ib_subnet::topology::BuiltTopology)> {
+        use crate::testutil::{assign_lids, virtualize_hosts};
+        use ib_subnet::topology::fattree::three_level;
+        use ib_subnet::topology::irregular::{irregular, IrregularSpec};
+        use ib_subnet::topology::{hypercube::hypercube, torus::torus_2d};
+        let mut out = vec![
+            ("two_level".to_string(), two_level(4, 3, 3)),
+            ("three_level".to_string(), three_level(3, 2, 2, 2)),
+            ("torus".to_string(), torus_2d(4, 4, 1, true)),
+            ("hypercube".to_string(), hypercube(3, 1)),
+        ];
+        let mut virt = two_level(4, 3, 3);
+        virtualize_hosts(&mut virt);
+        out.push(("two_level+vswitches".into(), virt));
+        let mut virt = three_level(2, 2, 2, 2);
+        virtualize_hosts(&mut virt);
+        out.push(("three_level+vswitches".into(), virt));
+        for seed in 0..4 {
+            let spec = IrregularSpec {
+                num_switches: 12,
+                num_hosts: 18,
+                extra_links: 8,
+                seed,
+            };
+            out.push((format!("irregular/{seed}"), irregular(spec)));
+        }
+        for (_, t) in &mut out {
+            assign_lids(t);
+        }
+        out
+    }
+
+    /// `SwitchGraph::build` fills each switch's CSR slice in
+    /// `connected_ports` order, so neighbour lists are strictly ascending by
+    /// port — what the engines' modular picks rely on instead of sorting.
+    #[test]
+    fn neighbours_are_in_strictly_ascending_port_order() {
+        for (name, mut t) in fixtures() {
+            let links = crate::testutil::switch_links(&t.subnet);
+            for phase in ["healthy", "degraded"] {
+                let g = SwitchGraph::build(&t.subnet).unwrap();
+                for s in 0..g.len() {
+                    let ports: Vec<PortNum> = g.neighbors(s).iter().map(|&(_, p)| p).collect();
+                    assert!(
+                        ports.windows(2).all(|w| w[0] < w[1]),
+                        "{name} ({phase}): switch {s} lists ports {ports:?}"
+                    );
+                }
+                for &(node, port) in links.iter().step_by(3) {
+                    t.subnet.set_link_down(node, port).unwrap();
+                }
+            }
+        }
+    }
+
+    /// The carried distance field over random removal sequences (splits
+    /// included): every followed row equals a fresh BFS, each row's
+    /// `changed` is exactly the switches whose distance differs from the
+    /// build's, stubs hold no row of their own, and an added link drops the
+    /// rows.
+    #[test]
+    fn followed_host_distances_equal_a_fresh_bfs() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut splits = 0;
+        for (seed, (name, mut t)) in fixtures().into_iter().enumerate() {
+            let g0 = SwitchGraph::build(&t.subnet).unwrap();
+            let mut field = HostDistances::build(&g0, g0.destinations(), 2);
+            let delivery: Vec<usize> = (0..g0.len())
+                .filter(|&l| field.slot[l].0 != NO_ROW)
+                .collect();
+            // A stub reads its neighbour's row; only the rest have their own.
+            let source = |l: usize| match field.slot[l] {
+                (_, true) => g0.neighbors(l)[0].0 as usize,
+                _ => l,
+            };
+            let mut sources: Vec<usize> = delivery.iter().map(|&l| source(l)).collect();
+            sources.sort_unstable();
+            sources.dedup();
+            assert_eq!(field.rows.rows(), sources.len(), "{name}");
+            if name.contains("vswitches") {
+                assert!(sources.len() < delivery.len(), "{name}: stubs carry no row");
+            }
+            let built: Vec<Vec<u32>> = sources.iter().map(|&src| g0.bfs_distances(src)).collect();
+
+            let mut rng = StdRng::seed_from_u64(seed as u64);
+            let mut links = crate::testutil::switch_links(&t.subnet);
+            let mut downed = Vec::new();
+            for step in 0..links.len().min(10) {
+                let (node, port) = links.swap_remove(rng.gen_range(0..links.len()));
+                t.subnet.set_link_down(node, port).unwrap();
+                downed.push((node, port));
+                let g = SwitchGraph::build(&t.subnet).unwrap();
+                field = field.follow(&g, 1 + step % 2).expect("removals only");
+                for &l in &delivery {
+                    let row = field.toward(l).unwrap();
+                    let got: Vec<u32> = (0..g.len()).map(|s| row.at(s)).collect();
+                    assert_eq!(got, g.bfs_distances(l), "{name}, step {step}, delivery {l}");
+                }
+                for (i, &src) in sources.iter().enumerate() {
+                    let now = g.bfs_distances(src);
+                    let moved: Vec<u32> = (0..g.len() as u32)
+                        .filter(|&s| now[s as usize] != built[i][s as usize])
+                        .collect();
+                    let row = field.slot[src].0;
+                    let row = if row == NO_ROW { i } else { row as usize };
+                    assert_eq!(
+                        field.changed[row], moved,
+                        "{name}, step {step}, source {src}"
+                    );
+                }
+                splits += usize::from(g.components().is_partitioned());
+            }
+            // Bringing one cable back is an added link: only a fresh build
+            // describes that graph.
+            let (node, port) = downed[0];
+            t.subnet.set_link_up(node, port).unwrap();
+            let g = SwitchGraph::build(&t.subnet).unwrap();
+            assert!(
+                field.follow(&g, 1).is_none(),
+                "{name}: an added link drops the rows"
+            );
+        }
+        assert!(splits > 0, "no removal sequence split a fabric");
     }
 
     #[test]

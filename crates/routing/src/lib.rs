@@ -50,4 +50,4 @@ pub mod updn;
 
 pub use engine::{EngineKind, RoutingEngine, RoutingOptions};
 pub use graph::{BfsScratch, Components, Destination, DistanceMatrix, SwitchGraph};
-pub use tables::{CellChange, RoutingTables, SpliceLog, VlAssignment};
+pub use tables::{CellChange, LidMove, RoutingTables, SpliceLog, VlAssignment};

@@ -77,7 +77,10 @@ pub(crate) fn switch_dest_vls(g: &SwitchGraph) -> VlAssignment {
 /// cone sweep and one inbound relaxation — fanned across workers (rows
 /// are independent and pure functions of the graph, so a row is
 /// byte-identical for any worker count and any set of sibling rows).
-pub(crate) struct SwitchColumns {
+pub(crate) struct SwitchColumns<'g> {
+    /// The graph the rows were built on; its neighbour lists are in port
+    /// order, which keeps the modular picks deterministic.
+    g: &'g SwitchGraph,
     /// Delivery switch -> row index into `ddist`/`full`; `NO_ROW` for a
     /// switch no row was built for.
     row_of: Vec<u32>,
@@ -91,22 +94,19 @@ pub(crate) struct SwitchColumns {
     dist: Vec<u32>,
     /// Component label per switch; cross-component picks are `None`.
     comp: Vec<u32>,
-    /// Per-switch neighbor lists sorted by port, for deterministic
-    /// modular picks without per-destination allocation.
-    sorted_adj: Vec<Vec<(u32, PortNum)>>,
     n: usize,
 }
 
 const NO_ROW: u32 = u32::MAX;
 
-impl SwitchColumns {
+impl<'g> SwitchColumns<'g> {
     /// Builds the valley-legal distance rows for the delivery switches of
     /// the switch-destined LIDs among `dests` (deduplicated, in index
     /// order): all of `g.destinations()` on a full compute, the dirty
     /// columns on a repair. Splits are not errors: cross-component
     /// entries stay `u32::MAX` and [`Self::sticky_pick`] turns them into
     /// explicit `None` holes.
-    pub fn new(g: &SwitchGraph, workers: usize, dests: &[Destination]) -> Self {
+    pub fn new(g: &'g SwitchGraph, workers: usize, dests: &[Destination]) -> Self {
         let n = g.len();
         let comps = g.components();
         let comp: Vec<u32> = (0..n).map(|s| comps.label_of(s)).collect();
@@ -214,20 +214,13 @@ impl SwitchColumns {
             },
         );
 
-        let sorted_adj: Vec<Vec<(u32, PortNum)>> = (0..n)
-            .map(|s| {
-                let mut v = g.neighbors(s).to_vec();
-                v.sort_unstable_by_key(|&(_, p)| p);
-                v
-            })
-            .collect();
         Self {
+            g,
             row_of,
             ddist,
             full,
             dist,
             comp,
-            sorted_adj,
             n,
         }
     }
@@ -262,22 +255,20 @@ impl SwitchColumns {
         installed: Option<PortNum>,
     ) -> Option<PortNum> {
         let (ddist, full) = self.row(dsw, s)?;
-        let legal = || {
-            let ok = |&&(v, _): &&(u32, PortNum)| self.legal(ddist, full, s, v as usize);
-            self.sorted_adj[s].iter().filter(ok).map(|&(_, p)| p)
-        };
-        if let Some(p) = installed.filter(|&p| legal().any(|q| q == p)) {
+        let legal = |v: usize| self.legal(ddist, full, s, v);
+        if let Some(p) = installed.filter(|&p| self.g.peer(s, p).is_some_and(legal)) {
             return Some(p);
         }
+        let ports = || {
+            let neighbors = self.g.neighbors(s).iter();
+            neighbors
+                .filter(|&&(v, _)| legal(v as usize))
+                .map(|&(_, p)| p)
+        };
         // No legal port is unreachable on a connected component; be
         // defensive — the verifier reports the hole if it ever happens.
-        let want = (lid.raw() as usize + s) % legal().count().max(1);
-        legal().nth(want)
-    }
-
-    /// The neighbors of `s` in port order.
-    pub fn neighbors_by_port(&self, s: usize) -> &[(u32, PortNum)] {
-        &self.sorted_adj[s]
+        let want = (lid.raw() as usize + s) % ports().count().max(1);
+        ports().nth(want)
     }
 
     /// The `dsw` row slices, or `None` when `s` cannot reach `dsw` (a

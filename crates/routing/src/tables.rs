@@ -4,7 +4,7 @@ use ib_subnet::{Lft, NodeId, Subnet};
 use ib_types::{IbResult, Lid, PortNum, VirtualLane};
 use rustc_hash::{FxHashMap, FxHashSet};
 
-use crate::graph::{Destination, SwitchGraph};
+use crate::graph::{Destination, HostDistances, SwitchGraph};
 
 /// How flows are spread across virtual lanes for deadlock freedom.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -65,6 +65,65 @@ impl VlAssignment {
     pub fn lanes_used(&self) -> usize {
         self.lanes().len()
     }
+
+    /// Moves the lanes the way a migration moved the LFT columns: a swap
+    /// exchanges the two LIDs' entries, a copy gives `to` the entries of
+    /// `from`. A per-switch-pair layering keys on the delivery switch, which
+    /// the moved LID takes with it, so it has nothing to move.
+    pub fn apply_move(&mut self, moved: LidMove) {
+        match self {
+            Self::SingleVl | Self::PerSwitchPair(_) => {}
+            Self::PerDestination(map) => move_keys(map, |&lid| lid, |_, lid| lid, moved),
+            Self::PerSourceDestination(map) => {
+                move_keys(map, |&(_, lid)| lid, |(s, _), lid| (s, lid), moved);
+            }
+        }
+    }
+}
+
+/// Re-keys the entries of `map` whose LID `moved` names.
+fn move_keys<K: Copy + Eq + std::hash::Hash>(
+    map: &mut FxHashMap<K, VirtualLane>,
+    lid_of: impl Fn(&K) -> u16,
+    with_lid: impl Fn(K, u16) -> K,
+    moved: LidMove,
+) {
+    let (from, to, swap) = match moved {
+        LidMove::Swap(a, b) => (a.raw(), b.raw(), true),
+        LidMove::Copy { from, to } => (from.raw(), to.raw(), false),
+    };
+    let hit: Vec<(K, VirtualLane)> = (map.iter())
+        .filter(|(k, _)| lid_of(k) == from || lid_of(k) == to)
+        .map(|(&k, &vl)| (k, vl))
+        .collect();
+    for (k, _) in &hit {
+        map.remove(k);
+    }
+    for (k, vl) in hit {
+        if lid_of(&k) == from {
+            map.insert(with_lid(k, to), vl);
+            if !swap {
+                map.insert(k, vl);
+            }
+        } else if swap {
+            map.insert(with_lid(k, from), vl);
+        }
+    }
+}
+
+/// How a migration moved LFT columns between two LIDs (Algorithm 1's step
+/// (b)): the lanes those columns ride move the same way.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LidMove {
+    /// The two LIDs' columns were exchanged (prepopulated vSwitch, §V-C1).
+    Swap(Lid, Lid),
+    /// `to`'s column became a copy of `from`'s (dynamic vSwitch, §V-C2).
+    Copy {
+        /// The LID whose column was copied.
+        from: Lid,
+        /// The LID that received the copy.
+        to: Lid,
+    },
 }
 
 /// The complete output of a routing computation.
@@ -80,6 +139,11 @@ pub struct RoutingTables {
     /// machine-independent proxy for `PCt` used in tests where wall-clock
     /// would flake.
     pub decisions: u64,
+    /// The distance field the engine routed these tables on, when it keeps
+    /// one (the fat-tree engine's host rows): it moves with the tables, a
+    /// repair follows it to the degraded graph instead of recomputing it,
+    /// and any engine that routes the tables without it drops it.
+    pub(crate) host_distances: Option<HostDistances>,
 }
 
 /// One LFT cell an in-place repair changed.
@@ -186,6 +250,12 @@ pub struct Splice<'a> {
     decisions: &'a mut u64,
     /// `dirty[di]`: whether `g.destinations()[di]` is a column to route.
     dirty: Vec<bool>,
+    /// The tables' distance field: lent to the kernel by
+    /// [`Self::take_host_distances`], back in the tables at commit only if
+    /// the kernel kept it ([`Self::keep_host_distances`]).
+    host_distances: &'a mut Option<HostDistances>,
+    kept: Option<HostDistances>,
+    logged: bool,
 }
 
 impl<'a> Splice<'a> {
@@ -247,7 +317,29 @@ impl<'a> Splice<'a> {
             engine: &mut tables.engine,
             decisions: &mut tables.decisions,
             dirty,
+            host_distances: &mut tables.host_distances,
+            kept: None,
+            logged,
         })
+    }
+
+    /// Whether these are fresh tables: every column dirty, nothing
+    /// installed — a full compute.
+    pub(crate) fn is_fresh(&self) -> bool {
+        !self.logged
+    }
+
+    /// Lends the tables' distance field to the kernel. It returns to the
+    /// tables only through [`Self::keep_host_distances`]: a commit without
+    /// it, or an `Err` once it was taken, drops it.
+    pub(crate) fn take_host_distances(&mut self) -> Option<HostDistances> {
+        self.host_distances.take()
+    }
+
+    /// The distance field the committed tables carry: exact for
+    /// [`Self::graph`].
+    pub(crate) fn keep_host_distances(&mut self, field: HostDistances) {
+        self.kept = Some(field);
     }
 
     /// The switch graph the columns are routed on.
@@ -321,6 +413,7 @@ impl<'a> Splice<'a> {
         engine: &'static str,
         decisions: u64,
     ) -> SpliceLog {
+        *self.host_distances = self.kept.take();
         SpliceLog {
             cells: (self.rows.iter_mut())
                 .flat_map(|row| row.log.take().unwrap_or_default())
@@ -355,11 +448,26 @@ impl RoutingTables {
             .switches()
             .filter_map(|n| subnet.lft(n.id).map(|lft| (n.id, lft.clone())))
             .collect();
+        Self::from_lfts(lfts, "installed")
+    }
+
+    /// Whether the tables carry the distance field their engine routed them
+    /// on — what lets the next repair visit only the cells a fault moved.
+    #[must_use]
+    pub fn carries_distances(&self) -> bool {
+        self.host_distances.is_some()
+    }
+
+    /// Tables holding `lfts` and nothing an engine derived: one lane, no
+    /// decisions, reported as `engine`.
+    #[must_use]
+    pub fn from_lfts(lfts: FxHashMap<NodeId, Lft>, engine: &'static str) -> Self {
         Self {
             lfts,
             vls: VlAssignment::SingleVl,
-            engine: "installed",
+            engine,
             decisions: 0,
+            host_distances: None,
         }
     }
 
@@ -437,6 +545,45 @@ mod tests {
         assert_eq!(vls.lane_for(0, 1, Lid::from_raw(5)).raw(), 2);
         assert_eq!(vls.lane_for(0, 1, Lid::from_raw(6)).raw(), 0);
         assert_eq!(vls.lanes_used(), 2);
+    }
+
+    #[test]
+    fn lanes_follow_a_swap_and_a_copy() {
+        let vl = |raw| VirtualLane::new(raw).unwrap();
+        let (a, b, c) = (Lid::from_raw(5), Lid::from_raw(6), Lid::from_raw(7));
+        let map = [
+            ((0u32, 5u16), vl(1)),
+            ((1, 5), vl(2)),
+            ((0, 6), vl(3)),
+            ((0, 7), vl(1)),
+        ];
+        let mut vls = VlAssignment::PerSourceDestination(map.into_iter().collect());
+        vls.apply_move(LidMove::Swap(a, b));
+        assert_eq!(vls.lane_for(0, 0, a), vl(3));
+        assert_eq!(vls.lane_for(0, 0, b), vl(1));
+        assert_eq!(vls.lane_for(1, 0, a), VirtualLane::VL0);
+        assert_eq!(vls.lane_for(1, 0, b), vl(2));
+        vls.apply_move(LidMove::Copy { from: b, to: c });
+        assert_eq!(vls.lane_for(0, 0, c), vl(1));
+        assert_eq!(vls.lane_for(1, 0, c), vl(2));
+        assert_eq!(
+            vls.lane_for(1, 0, b),
+            vl(2),
+            "a copy keeps the source's lanes"
+        );
+
+        let mut vls = VlAssignment::PerDestination([(5u16, vl(1))].into_iter().collect());
+        vls.apply_move(LidMove::Swap(a, b));
+        assert_eq!(
+            (vls.lane_for(0, 0, a), vls.lane_for(0, 0, b)),
+            (VirtualLane::VL0, vl(1))
+        );
+        vls.apply_move(LidMove::Copy { from: a, to: b });
+        assert_eq!(
+            vls.lane_for(0, 0, b),
+            VirtualLane::VL0,
+            "copying an unlisted LID clears"
+        );
     }
 
     #[test]

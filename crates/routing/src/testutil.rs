@@ -26,6 +26,39 @@ pub fn assign_lids(t: &mut BuiltTopology) {
     }
 }
 
+/// Hangs every host off a vSwitch of its own, cabled into the host's old
+/// switch port — the vSwitch architecture's shape, in which every host's
+/// delivery switch has one switch neighbour. Call before [`assign_lids`].
+pub fn virtualize_hosts(t: &mut BuiltTopology) {
+    let host_port = PortNum::new(1);
+    for (i, &h) in t.hosts.clone().iter().enumerate() {
+        let up = t.subnet.node(h).ports[1].remote.expect("cabled host");
+        t.subnet.disconnect(h, host_port).expect("host cable");
+        let vsw = t.subnet.add_vswitch(format!("vsw{i}"), 2);
+        let (uplink, down) = (PortNum::new(1), PortNum::new(2));
+        t.subnet
+            .connect(up.node, up.port, vsw, uplink)
+            .expect("vSwitch uplink");
+        t.subnet
+            .connect(vsw, down, h, host_port)
+            .expect("vSwitch downlink");
+    }
+}
+
+/// Every live switch-to-switch cable of `subnet`, named once from its
+/// lower-indexed end.
+pub fn switch_links(subnet: &Subnet) -> Vec<(ib_subnet::NodeId, PortNum)> {
+    let mut out = Vec::new();
+    for sw in subnet.switches() {
+        for (port, remote) in sw.connected_ports() {
+            if subnet.node(remote.node).is_switch() && sw.id.index() < remote.node.index() {
+                out.push((sw.id, port));
+            }
+        }
+    }
+    out
+}
+
 /// LID of a host node assigned by [`assign_lids`].
 pub fn host_lid(t: &BuiltTopology, host_index: usize) -> Lid {
     t.subnet.node(t.hosts[host_index]).ports[1]

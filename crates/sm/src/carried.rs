@@ -8,7 +8,7 @@
 //! state ends with one debug check: over what it moved, carried equals
 //! rebuilt.
 
-use ib_routing::{CellChange, RoutingTables, SwitchGraph};
+use ib_routing::{CellChange, LidMove, RoutingTables, SwitchGraph};
 use ib_subnet::{NodeId, Subnet};
 use ib_types::{IbResult, Lid, PortNum};
 use ib_verify::{ChannelDeps, ReverseRouteIndex};
@@ -119,8 +119,23 @@ impl Carried {
     /// but drop the graph: `ChannelDeps::patch` keys a column on its
     /// delivery switch, so it cannot follow a LID that moved leaves. This is
     /// the one hook migration schedules would change. A diverged baseline
-    /// is never spliced against, so nothing follows it.
-    pub(crate) fn apply(&mut self, subnet: &Subnet, whole: bool, cells: &[CellChange]) {
+    /// is never spliced against, so no cell follows it — but the lanes of
+    /// `moved` move in either, since they are what the installed columns
+    /// ride.
+    pub(crate) fn apply(
+        &mut self,
+        subnet: &Subnet,
+        whole: bool,
+        cells: &[CellChange],
+        moved: Option<LidMove>,
+    ) {
+        let baseline = match &mut self.state {
+            State::Absent => None,
+            State::Diverged(tables) | State::Mirrored(Mirror { tables, .. }) => Some(tables),
+        };
+        if let (Some(tables), Some(moved)) = (baseline, moved) {
+            tables.vls.apply_move(moved);
+        }
         let State::Mirrored(m) = &mut self.state else {
             return;
         };

@@ -17,9 +17,10 @@
 use std::collections::HashSet;
 
 use ib_mad::fault::{SmpChannel, SmpTransport};
-use ib_routing::CellChange;
+use ib_routing::{CellChange, EngineKind};
 use ib_subnet::{NodeId, Subnet};
 use ib_types::{IbResult, Lid, PortNum, LFT_BLOCK_SIZE};
+use ib_verify::InvariantClass;
 
 use crate::carried::Mirror;
 use crate::distribution::{self, FailedBlock};
@@ -48,7 +49,7 @@ enum Fallback {
     /// (or a fabric-global one); the full sweep recomputes from scratch and
     /// overwrites whatever the repair installed. Carries the class of the
     /// first violation, so the fallback counter says *why*.
-    VerifyRejected(ib_verify::InvariantClass),
+    VerifyRejected(InvariantClass),
 }
 
 impl SubnetManager {
@@ -219,7 +220,7 @@ impl SubnetManager {
             return Ok(Err(Fallback::VerifyRejected(v.class)));
         }
         observer.incr("repair.success");
-        observer.incr(&format!("repair.success.{}", self.config().engine.name()));
+        observer.incr(engine_counters(self.config().engine).0);
         self.verify_healed(subnet, &healed)?;
         let span = observer.span("repair.index_splice");
         mirror.apply(&moved, deps);
@@ -241,13 +242,36 @@ impl SubnetManager {
             Fallback::IndexMiss => "repair.index_misses",
             Fallback::EngineError => "repair.engine_error",
             Fallback::VerifyRejected(class) => {
-                observer.incr(&format!("repair.verify_rejected.{}", class.name()));
+                observer.incr(rejected_counter(class));
                 "repair.verify_rejected"
             }
         };
         observer.incr(name);
         observer.incr("repair.fallback");
-        observer.incr(&format!("repair.fallback.{}", self.config().engine.name()));
+        observer.incr(engine_counters(self.config().engine).1);
+    }
+}
+
+/// The `repair.success.<engine>` and `repair.fallback.<engine>` counter
+/// names, spelled out so a repair formats nothing.
+fn engine_counters(engine: EngineKind) -> (&'static str, &'static str) {
+    match engine {
+        EngineKind::MinHop => ("repair.success.minhop", "repair.fallback.minhop"),
+        EngineKind::FatTree => ("repair.success.fat-tree", "repair.fallback.fat-tree"),
+        EngineKind::UpDown => ("repair.success.up-down", "repair.fallback.up-down"),
+        EngineKind::Dfsssp => ("repair.success.dfsssp", "repair.fallback.dfsssp"),
+        EngineKind::Lash => ("repair.success.lash", "repair.fallback.lash"),
+    }
+}
+
+/// The `repair.verify_rejected.<class>` counter name.
+fn rejected_counter(class: InvariantClass) -> &'static str {
+    match class {
+        InvariantClass::BlackHole => "repair.verify_rejected.black-hole",
+        InvariantClass::ForwardingLoop => "repair.verify_rejected.forwarding-loop",
+        InvariantClass::DeadlockCycle => "repair.verify_rejected.deadlock-cycle",
+        InvariantClass::Addressing => "repair.verify_rejected.addressing",
+        InvariantClass::StaleRoute => "repair.verify_rejected.stale-route",
     }
 }
 
@@ -294,6 +318,25 @@ mod tests {
     use crate::testutil::*;
     use crate::traps::Trap;
     use ib_subnet::topology::fattree::two_level;
+
+    #[test]
+    fn counter_names_match_the_formatted_ones() {
+        for engine in EngineKind::all() {
+            let (success, fallback) = engine_counters(engine);
+            assert_eq!(success, format!("repair.success.{}", engine.name()));
+            assert_eq!(fallback, format!("repair.fallback.{}", engine.name()));
+        }
+        for class in [
+            InvariantClass::BlackHole,
+            InvariantClass::ForwardingLoop,
+            InvariantClass::DeadlockCycle,
+            InvariantClass::Addressing,
+            InvariantClass::StaleRoute,
+        ] {
+            let formatted = format!("repair.verify_rejected.{}", class.name());
+            assert_eq!(rejected_counter(class), formatted);
+        }
+    }
 
     #[test]
     fn repair_sweep_fixes_link_down_and_counts_success() {
@@ -448,7 +491,7 @@ mod tests {
             old: good,
             new: drop,
         };
-        sm.note_cells_changed(&t.subnet, &[told]);
+        sm.note_cells_changed(&t.subnet, &[told], None);
         t.subnet.lft_mut(leaf0).unwrap().assign(victim, good);
 
         let trap = down_first_uplink(&mut t);

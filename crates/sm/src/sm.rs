@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use ib_mad::{SmpLedger, SmpTransport};
 use ib_observe::Observer;
-use ib_routing::{CellChange, EngineKind, RoutingOptions};
+use ib_routing::{CellChange, EngineKind, LidMove, RoutingOptions};
 use ib_subnet::{lft::min_blocks_for, NodeId, Subnet};
 use ib_types::{IbResult, Lid, LidSpace};
 use std::collections::HashSet;
@@ -336,9 +336,20 @@ impl SubnetManager {
     /// changed): debug builds cross-check every column it names against
     /// `subnet`'s installed rows. The carried channel dependency graph is
     /// dropped — the next repair gate rebuilds it.
-    pub fn note_cells_changed(&mut self, subnet: &Subnet, cells: &[CellChange]) {
+    ///
+    /// `moved` names the LID move that wrote the cells, when one did: the
+    /// lanes of the baseline's VL assignment move the same way, so
+    /// [`Self::installed_vls`] keeps describing the lanes the moved columns
+    /// ride. Under a per-path layering (DFSSSP) that means the SA now
+    /// answers a new SL for a swapped LID.
+    pub fn note_cells_changed(
+        &mut self,
+        subnet: &Subnet,
+        cells: &[CellChange],
+        moved: Option<LidMove>,
+    ) {
         let whole = self.lost_nodes.is_empty();
-        self.carried.apply(subnet, whole, cells);
+        self.carried.apply(subnet, whole, cells, moved);
     }
 
     /// Audits the reverse route index against the installed tables,

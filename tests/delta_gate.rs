@@ -132,7 +132,7 @@ fn apply<C: SmpChannel>(
                 old: good,
                 new: Some(PortNum::DROP),
             };
-            sm.note_cells_changed(subnet, &[told]);
+            sm.note_cells_changed(subnet, &[told], None);
             subnet.lft_mut(switch).expect("LFT").assign(lid, good);
         }
         Event::Corrupt(switch, lid) => subnet.lft_mut(switch).expect("LFT").set(lid, PortNum::DROP),
