@@ -131,13 +131,14 @@ pub trait RoutingEngine: Send + Sync {
     /// rebalance, so the result approximates (it is not byte-equal to) a
     /// full recompute of the degraded fabric.
     ///
-    /// Tables a fat-tree compute returned carry its distance field. Their
-    /// repair follows the field to `graph` when `graph` only lost links
-    /// since (else the field is dropped and the repair recomputes its
-    /// distances), and visits a dirty host column only at the switches
-    /// whose pick those removals can have moved — the same cells the full
-    /// visit would change. An `Err` restores the LFTs and may drop the
-    /// field (the next full compute builds a new one).
+    /// A fat-tree or Min-Hop compute carries its distance field in the
+    /// tables it returns. Their repair follows the field to `graph` when
+    /// `graph` only lost links since (else the field is dropped and the
+    /// repair recomputes its distances); the fat-tree repair then visits a
+    /// dirty host column only at the switches whose pick those removals
+    /// can have moved — the same cells the full visit would change. An
+    /// `Err` restores the LFTs and may drop the field (the next full
+    /// compute builds a new one).
     ///
     /// `graph` must be [`SwitchGraph::build`]'s output for the subnet in
     /// its *current* fault state — the SM caches it across repair sweeps in
@@ -163,9 +164,7 @@ pub trait RoutingEngine: Send + Sync {
         // carried distance field stays as it was (the next repair follows
         // it to its graph).
         let (vls, decisions) = if splice.is_clean() {
-            if let Some(field) = splice.take_host_distances() {
-                splice.keep_host_distances(field);
-            }
+            splice.keep_carried_host_distances();
             (splice.vls().clone(), 0)
         } else {
             self.route(&mut splice, opts, observer)?

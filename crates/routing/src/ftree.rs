@@ -81,17 +81,7 @@ impl RoutingEngine for FatTree {
         let workers = opts.effective_workers(g.len());
         let (field, carried) = {
             let _span = observer.span("routing.fat-tree.distances");
-            let carried = splice
-                .take_host_distances()
-                .and_then(|field| field.follow(g, workers))
-                .filter(|field| {
-                    let host = |d: &&Destination| d.port != PortNum::MANAGEMENT;
-                    (dirty_dests.iter().filter(host)).all(|d| field.toward(d.switch).is_some())
-                });
-            match carried {
-                Some(field) => (field, true),
-                None => (HostDistances::build(g, &dirty_dests, workers), false),
-            }
+            splice.host_distances(&dirty_dests, workers)
         };
         let toward: Vec<Option<HostRow>> = dirty_dests
             .iter()
@@ -104,9 +94,9 @@ impl RoutingEngine for FatTree {
         // Switch-destined columns are valley-routed via the hub on
         // their own lane instead of d-mod-k: a spine-to-spine route
         // must dip through a leaf, and two such valleys through
-        // different leaves close a credit loop (see `swcols`). The hub
-        // BFS is fault-stable, so the sticky picks churn only near a
-        // lost link; those columns keep their full visit.
+        // different leaves close a credit loop (see `swcols`). The hub's
+        // orientation is fault-stable, so the sticky picks churn only
+        // near a lost link; those columns keep their full visit.
         let swcols = SwitchColumns::new(g, workers, &dirty_dests);
 
         // The pick for one cell: the delivery port at the delivery switch,
@@ -173,9 +163,7 @@ impl RoutingEngine for FatTree {
                 }
             }
         }
-        if carried || splice.is_fresh() {
-            splice.keep_host_distances(field);
-        }
+        splice.keep_host_distances(field, carried);
         let decisions = (g.len() * dirty_dests.len()) as u64;
         Ok((switch_dest_vls(g), decisions))
     }

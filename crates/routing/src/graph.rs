@@ -1,10 +1,10 @@
 //! The switch-level view of a subnet that routing engines compute over,
 //! plus the flat-array compute substrate every engine's hot path runs on:
 //! a CSR adjacency, a reusable zero-allocation BFS workspace
-//! ([`BfsScratch`]), a row-major [`DistanceMatrix`], a deterministic
-//! scoped-thread fan-out ([`parallel_for_each`]), and the fat-tree
-//! engine's host distance field, which a repair patches per lost link
-//! instead of recomputing (`HostDistances`).
+//! (`BfsScratch`), a row-major `DistanceMatrix`, a deterministic
+//! scoped-thread fan-out (`parallel_for_each`), and the host distance
+//! field the fat-tree and Min-Hop engines route on, which a repair patches
+//! per lost link instead of recomputing (`HostDistances`).
 
 use std::collections::VecDeque;
 
@@ -186,8 +186,8 @@ impl SwitchGraph {
     }
 
     /// BFS hop distances from switch `from` to every switch
-    /// (`u32::MAX` = unreachable). Allocates; hot paths use [`BfsScratch`]
-    /// or [`DistanceMatrix`] instead.
+    /// (`u32::MAX` = unreachable). Allocates; the engines' hot paths fill
+    /// reused rows instead.
     #[must_use]
     pub fn bfs_distances(&self, from: usize) -> Vec<u32> {
         let mut dist = vec![u32::MAX; self.len()];
@@ -417,13 +417,11 @@ fn resolve_destination(
     })
 }
 
-/// Reusable BFS workspace: a distance buffer plus a flat FIFO queue (each
-/// switch enters once, so a `Vec` with a head cursor is the ring). One
-/// scratch serves every source a worker sweeps — per-source BFS allocates
-/// nothing.
+/// Reusable BFS workspace: a flat FIFO queue (each switch enters once, so a
+/// `Vec` with a head cursor is the ring). One scratch serves every source a
+/// worker sweeps — per-source BFS allocates nothing.
 #[derive(Clone, Debug)]
-pub struct BfsScratch {
-    dist: Vec<u32>,
+pub(crate) struct BfsScratch {
     queue: Vec<u32>,
 }
 
@@ -432,17 +430,8 @@ impl BfsScratch {
     #[must_use]
     pub fn for_graph(g: &SwitchGraph) -> Self {
         Self {
-            dist: vec![u32::MAX; g.len()],
             queue: Vec::with_capacity(g.len()),
         }
-    }
-
-    /// Hop distances from `from`, valid until the next call.
-    pub fn distances(&mut self, g: &SwitchGraph, from: usize) -> &[u32] {
-        let mut dist = std::mem::take(&mut self.dist);
-        self.fill_into(g, from, &mut dist);
-        self.dist = dist;
-        &self.dist
     }
 
     /// Computes hop distances from `from` directly into `dist`
@@ -471,7 +460,7 @@ impl BfsScratch {
 /// the `i`-th requested source to every switch. One contiguous allocation
 /// replaces the `Vec<Vec<u32>>` the engines used to build per sweep.
 #[derive(Clone, Debug)]
-pub struct DistanceMatrix {
+pub(crate) struct DistanceMatrix {
     cols: usize,
     data: Vec<u32>,
 }
@@ -495,31 +484,6 @@ impl DistanceMatrix {
         Self { cols, data }
     }
 
-    /// Distances for the HCA-destined columns among `dests` — one BFS per
-    /// distinct delivery switch — plus, per entry of `dests`, the index of
-    /// its row
-    /// (distances are symmetric: `row[s]` = hops from `s` to the delivery
-    /// switch). Switch-destined entries get no row (`usize::MAX`): those
-    /// columns route by `swcols`.
-    pub(crate) fn for_host_dests(
-        g: &SwitchGraph,
-        dests: &[Destination],
-        workers: usize,
-    ) -> (Self, Vec<usize>) {
-        let is_host = |d: &&Destination| d.port != PortNum::MANAGEMENT;
-        let mut sources: Vec<usize> = dests.iter().filter(is_host).map(|d| d.switch).collect();
-        sources.sort_unstable();
-        sources.dedup();
-        let row_of = dests
-            .iter()
-            .map(|d| match sources.binary_search(&d.switch) {
-                Ok(i) if is_host(&d) => i,
-                _ => usize::MAX,
-            })
-            .collect();
-        (Self::for_sources(g, &sources, workers), row_of)
-    }
-
     /// Number of rows (sources).
     #[must_use]
     pub fn rows(&self) -> usize {
@@ -534,9 +498,10 @@ impl DistanceMatrix {
 }
 
 /// The hop distances toward the delivery switches of host (HCA-destined)
-/// LIDs — the fat-tree kernel's distance field — together with the
-/// adjacency they describe, so they can ride with the tables routed on them
-/// and follow the fabric as links go down instead of being recomputed.
+/// LIDs — the distance field of the fat-tree and Min-Hop kernels —
+/// together with the adjacency they describe, so they can ride with the
+/// tables routed on them and follow the fabric as links go down instead of
+/// being recomputed.
 ///
 /// One row per *source*. A delivery switch whose cables all lead to one
 /// switch is a *stub* (a vSwitch under its leaf): it reads that neighbour's
@@ -938,8 +903,10 @@ mod tests {
         crate::testutil::assign_lids(&mut t);
         let g = SwitchGraph::build(&t.subnet).unwrap();
         let mut scratch = BfsScratch::for_graph(&g);
+        let mut dist = vec![0; g.len()];
         for s in 0..g.len() {
-            assert_eq!(scratch.distances(&g, s), g.bfs_distances(s).as_slice());
+            scratch.fill_into(&g, s, &mut dist);
+            assert_eq!(dist, g.bfs_distances(s));
         }
     }
 

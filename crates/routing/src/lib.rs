@@ -49,5 +49,5 @@ pub mod testutil;
 pub mod updn;
 
 pub use engine::{EngineKind, RoutingEngine, RoutingOptions};
-pub use graph::{BfsScratch, Components, Destination, DistanceMatrix, SwitchGraph};
+pub use graph::{Components, Destination, SwitchGraph};
 pub use tables::{CellChange, LidMove, RoutingTables, SpliceLog, VlAssignment};

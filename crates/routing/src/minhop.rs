@@ -1,14 +1,14 @@
 //! Min-Hop routing: OpenSM's default engine.
 //!
-//! Shortest switch distances — one BFS per delivery switch (hop distance
-//! is symmetric, so the distances *to* a destination's switch are the
-//! distances *from* it), fanned across the configured workers since each
-//! row is independent — then for every destination LID each switch picks
-//! the least-loaded among its minimal next-hop ports. Load balancing is the
-//! sequential, destination-ordered port-counting scheme OpenSM uses, so the
-//! computation has an inherently serial phase on top of the parallel
-//! distance matrix — one reason Min-Hop costs more than structured fat-tree
-//! routing in Fig. 7.
+//! Shortest switch distances — the host distance field the fat-tree
+//! engine routes on too (`HostDistances`: one BFS per delivery switch,
+//! fanned across the configured workers, carried with the tables and
+//! followed per lost link by a repair) — then for every destination LID
+//! each switch picks the least-loaded among its minimal next-hop ports.
+//! Load balancing is the sequential, destination-ordered port-counting
+//! scheme OpenSM uses, so the computation has an inherently serial phase
+//! on top of the parallel distance rows — one reason Min-Hop costs more
+//! than structured fat-tree routing in Fig. 7.
 //!
 //! Switch-destined LIDs are routed up*/down*-legally on a dedicated
 //! lane (see [`crate::swcols`]) — least-loaded valleys between sibling
@@ -18,7 +18,7 @@ use ib_observe::Observer;
 use ib_types::{IbError, IbResult, PortNum};
 
 use crate::engine::{RoutingEngine, RoutingOptions};
-use crate::graph::{Destination, DistanceMatrix};
+use crate::graph::{Destination, HostRow};
 use crate::swcols::{switch_dest_vls, SwitchColumns};
 use crate::tables::{Splice, VlAssignment};
 
@@ -31,11 +31,15 @@ impl RoutingEngine for MinHop {
         "minhop"
     }
 
-    /// BFS from the dirty destinations' delivery switches, then the
-    /// destination-ordered least-loaded assignment of the dirty columns.
+    /// The distance field toward the dirty destinations' delivery
+    /// switches, then the destination-ordered least-loaded assignment of
+    /// the dirty columns.
     ///
     /// Port loads are seeded from the clean columns, so repaired picks
-    /// balance against the traffic that stays put.
+    /// balance against the traffic that stays put. Every cell of a dirty
+    /// column is visited: a pick reads the loads of every earlier pick of
+    /// its switch, so the fat-tree engine's scoped visit does not carry
+    /// over as it is.
     fn route(
         &self,
         splice: &mut Splice<'_>,
@@ -52,12 +56,19 @@ impl RoutingEngine for MinHop {
         let mut clean_hosts: Vec<Destination> = splice.clean_dests();
         clean_hosts.retain(|d| d.port != PortNum::MANAGEMENT);
 
-        // Rows depend only on their source, so the matrix is identical for
-        // any worker count.
-        let (dist, dist_row) = {
+        // Carried and followed, or built: exact for `g` either way, so
+        // the picks do not depend on which.
+        let (field, carried) = {
             let _span = observer.span("routing.minhop.distances");
-            DistanceMatrix::for_host_dests(g, &dirty_dests, workers)
+            splice.host_distances(&dirty_dests, workers)
         };
+        let toward: Vec<Option<HostRow>> = dirty_dests
+            .iter()
+            .map(|d| match d.port {
+                PortNum::MANAGEMENT => None,
+                _ => field.toward(d.switch),
+            })
+            .collect();
 
         // Switch-destined columns are valley-routed via the hub on their
         // own lane instead of load-balanced: a spine-to-spine route must
@@ -86,48 +97,47 @@ impl RoutingEngine for MinHop {
                     *load += 1;
                 }
             }
-            for (dest, &dist_row) in dirty_dests.iter().zip(&dist_row) {
+            for (dest, toward) in dirty_dests.iter().zip(&toward) {
                 let installed = row.get(dest.lid);
-                let pick = if s == dest.switch {
-                    Some(dest.port)
-                } else if dest.port == PortNum::MANAGEMENT {
-                    swcols.sticky_pick(dest.switch, dest.lid, s, installed)
-                } else if dist.row(dist_row)[s] == u32::MAX {
+                let pick = match toward {
+                    _ if s == dest.switch => Some(dest.port),
+                    None => swcols.sticky_pick(dest.switch, dest.lid, s, installed),
                     // The destination sits in another component (a split
                     // fabric): the entry is cleared — an explicit hole, not
                     // a stale route into the lost component — and routing
                     // proceeds for every reachable pair.
-                    None
-                } else {
-                    let drow = dist.row(dist_row);
-                    // Minimal candidates: neighbors exactly one hop
-                    // closer. Sticky selection: a repair's job is the
-                    // smallest diff, not a global rebalance — keep the
-                    // installed port whenever it is still on a shortest
-                    // path (a port into a failed link never is: the link
-                    // is gone from the graph), and fall back to
-                    // least-loaded only when not.
-                    let mut best: Option<(u64, PortNum)> = None;
-                    for &(v, p) in g.neighbors(s) {
-                        if drow[v as usize] + 1 == drow[s] {
-                            if installed == Some(p) {
-                                best = Some((0, p));
-                                break;
-                            }
-                            let load = port_load[p.raw() as usize];
-                            if best.is_none_or(|(bl, bp)| load < bl || (load == bl && p < bp)) {
-                                best = Some((load, p));
+                    Some(d) if d.at(s) == u32::MAX => None,
+                    Some(d) => {
+                        // Minimal candidates: neighbors exactly one hop
+                        // closer. Sticky selection: a repair's job is the
+                        // smallest diff, not a global rebalance — keep the
+                        // installed port whenever it is still on a shortest
+                        // path (a port into a failed link never is: the
+                        // link is gone from the graph), and fall back to
+                        // least-loaded only when not.
+                        let mut best: Option<(u64, PortNum)> = None;
+                        for &(v, p) in g.neighbors(s) {
+                            if d.at(v as usize).wrapping_add(1) == d.at(s) {
+                                if installed == Some(p) {
+                                    best = Some((0, p));
+                                    break;
+                                }
+                                let load = port_load[p.raw() as usize];
+                                if best.is_none_or(|(bl, bp)| load < bl || (load == bl && p < bp)) {
+                                    best = Some((load, p));
+                                }
                             }
                         }
+                        let (_, port) =
+                            best.ok_or_else(|| IbError::Topology("distance inversion".into()))?;
+                        port_load[port.raw() as usize] += 1;
+                        Some(port)
                     }
-                    let (_, port) =
-                        best.ok_or_else(|| IbError::Topology("distance inversion".into()))?;
-                    port_load[port.raw() as usize] += 1;
-                    Some(port)
                 };
                 row.set(dest.lid, pick);
             }
         }
+        splice.keep_host_distances(field, carried);
         let decisions = (g.len() * dirty_dests.len()) as u64;
         Ok((switch_dest_vls(g), decisions))
     }

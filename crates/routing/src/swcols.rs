@@ -11,25 +11,18 @@
 //! same caveat for its ftree engine: switch-to-switch paths are not
 //! guaranteed credit-loop-free.
 //!
-//! The cure is an *inverted* Up*/Down* on a dedicated lane:
-//!
-//! * every component designates a hub (its highest-index switch — see
-//!   [`SwitchColumns::new`] for why highest) and orients itself by BFS
-//!   distance to it;
-//! * a switch-destined route runs in two phases: *inbound* steps that
-//!   strictly decrease the hub distance, then *outbound* steps that
-//!   strictly increase it while closing in on the destination's
-//!   outbound cone — exactly a valley, which is the natural shape of
-//!   switch-to-switch traffic (the classic Up*/Down* shape, with the
-//!   root at the bottom);
-//! * those LIDs ride a dedicated virtual lane ([`SWITCH_VL`]), so no
-//!   dependency can span a valley and a minimal host column.
-//!
-//! The lane's channel-dependency graph is acyclic on *any* topology:
-//! every channel either strictly decreases the hub distance or strictly
-//! increases it, a route only ever chains in→in, in→out, or out→out —
-//! outbound-cone switches always continue outbound, so no route turns
-//! back inbound — and a cycle would need the missing out→in edge.
+//! The cure is Up*/Down* rooted at a hub, on its own lane: switch LIDs
+//! follow [`LegalRows`] (the orientation the Up*/Down* engine routes on)
+//! and ride [`SWITCH_VL`], so their dependencies are acyclic by the
+//! Up*/Down* theorem on any topology and never chain into a minimal host
+//! column. Each component's hub is its *highest-index* switch: indices
+//! are stable across faults (nothing renumbers), and topology builders
+//! register leaves before spines, so a spine hub keeps its orientation
+//! under the leaf-edge faults that dominate — which keeps incremental
+//! repair's spliced switch columns byte-identical outside the fault's
+//! neighbourhood. On a tree the routes are valleys (the classic shape
+//! with the root at the bottom), the natural shape of switch-to-switch
+//! traffic.
 //!
 //! Within the legal candidate sets the picks spread modularly, like the
 //! engines' host columns, and the repair path keeps an installed port
@@ -45,8 +38,9 @@
 use ib_types::{Lid, PortNum, VirtualLane};
 use rustc_hash::FxHashMap;
 
-use crate::graph::{parallel_for_each, Destination, SwitchGraph};
+use crate::graph::{Destination, SwitchGraph};
 use crate::tables::VlAssignment;
+use crate::updn::{LegalRow, LegalRows};
 
 /// The data lane reserved for switch-destined LIDs (hosts stay on VL0).
 const SWITCH_VL: VirtualLane = VirtualLane::VL1;
@@ -69,85 +63,22 @@ pub(crate) fn switch_dest_vls(g: &SwitchGraph) -> VlAssignment {
     }
 }
 
-/// Precomputed valley-legal distances toward the switch-destined
-/// delivery switches it was asked for, shared by the Min-Hop and fat-tree
-/// engines.
-///
-/// One hub BFS per component plus, per delivery switch, one outbound
-/// cone sweep and one inbound relaxation — fanned across workers (rows
-/// are independent and pure functions of the graph, so a row is
-/// byte-identical for any worker count and any set of sibling rows).
+/// The hub-rooted up*/down* rows toward the delivery switches of the
+/// switch-destined LIDs it was asked for, shared by the Min-Hop and
+/// fat-tree engines.
 pub(crate) struct SwitchColumns<'g> {
     /// The graph the rows were built on; its neighbour lists are in port
     /// order, which keeps the modular picks deterministic.
     g: &'g SwitchGraph,
-    /// Delivery switch -> row index into `ddist`/`full`; `NO_ROW` for a
-    /// switch no row was built for.
-    row_of: Vec<u32>,
-    /// Row r: length of the shortest strictly-outbound path to delivery
-    /// switch r (`u32::MAX` outside its outbound cone).
-    ddist: Vec<u32>,
-    /// Row r: length of the shortest valley-legal path to delivery
-    /// switch r.
-    full: Vec<u32>,
-    /// BFS distance to the component hub.
-    dist: Vec<u32>,
-    /// Component label per switch; cross-component picks are `None`.
-    comp: Vec<u32>,
-    n: usize,
+    rows: LegalRows,
 }
 
-const NO_ROW: u32 = u32::MAX;
-
 impl<'g> SwitchColumns<'g> {
-    /// Builds the valley-legal distance rows for the delivery switches of
-    /// the switch-destined LIDs among `dests` (deduplicated, in index
-    /// order): all of `g.destinations()` on a full compute, the dirty
-    /// columns on a repair. Splits are not errors: cross-component
-    /// entries stay `u32::MAX` and [`Self::sticky_pick`] turns them into
-    /// explicit `None` holes.
+    /// Builds the rows for the delivery switches of the switch-destined
+    /// LIDs among `dests`: all of `g.destinations()` on a full compute,
+    /// the dirty columns on a repair. Splits are not errors:
+    /// cross-component picks are explicit `None` holes.
     pub fn new(g: &'g SwitchGraph, workers: usize, dests: &[Destination]) -> Self {
-        let n = g.len();
-        let comps = g.components();
-        let comp: Vec<u32> = (0..n).map(|s| comps.label_of(s)).collect();
-
-        // Hub BFS per component. The hub is the component's *highest*
-        // switch index: indices are stable across faults (nothing
-        // renumbers), and topology builders register leaves before
-        // spines, so a spine hub keeps its distance field intact under
-        // the leaf-edge faults that dominate — which keeps incremental
-        // repair's spliced switch columns byte-identical outside the
-        // fault's neighborhood.
-        let mut dist = vec![u32::MAX; n];
-        let mut queue: Vec<u32> = Vec::with_capacity(n);
-        for c in 0..comps.count() as u32 {
-            let Some(hub) = (0..n).rev().find(|&s| comp[s] == c) else {
-                continue;
-            };
-            dist[hub] = 0;
-            queue.clear();
-            queue.push(hub as u32);
-            let mut head = 0;
-            while head < queue.len() {
-                let u = queue[head] as usize;
-                head += 1;
-                for &(v, _) in g.neighbors(u) {
-                    if dist[v as usize] == u32::MAX {
-                        dist[v as usize] = dist[u] + 1;
-                        queue.push(v);
-                    }
-                }
-            }
-        }
-
-        // Inbound relaxation order: hub-closest first, so a switch's
-        // inbound neighbors are final before it is processed.
-        let order = {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_unstable_by_key(|&s| (dist[s], s));
-            order
-        };
-
         let mut dsws: Vec<usize> = dests
             .iter()
             .filter(|d| d.port == PortNum::MANAGEMENT)
@@ -155,88 +86,8 @@ impl<'g> SwitchColumns<'g> {
             .collect();
         dsws.sort_unstable();
         dsws.dedup();
-        let mut row_of = vec![NO_ROW; n];
-        for (i, &s) in dsws.iter().enumerate() {
-            row_of[s] = i as u32;
-        }
-
-        // One work item per delivery switch: its index plus its
-        // (cone-distance, full-distance) row slices.
-        type Row<'a> = (usize, (&'a mut [u32], &'a mut [u32]));
-        let mut ddist = vec![u32::MAX; dsws.len() * n];
-        let mut full = vec![u32::MAX; dsws.len() * n];
-        let mut rows: Vec<Row> = dsws
-            .iter()
-            .copied()
-            .zip(ddist.chunks_mut(n).zip(full.chunks_mut(n)))
-            .collect();
-        parallel_for_each(
-            &mut rows,
-            workers,
-            || Vec::<u32>::with_capacity(n),
-            |queue, _, (dsw, (ddist, full))| {
-                // Outbound cone: reverse BFS from the delivery switch
-                // along strictly hub-ward predecessors, so the y..dsw
-                // suffix is strictly outbound. The BFS property (every
-                // non-hub switch has a neighbor one step closer to the
-                // hub) guarantees the cone always reaches the hub.
-                ddist[*dsw] = 0;
-                queue.clear();
-                queue.push(*dsw as u32);
-                let mut head = 0;
-                while head < queue.len() {
-                    let x = queue[head] as usize;
-                    head += 1;
-                    for &(y, _) in g.neighbors(x) {
-                        let y = y as usize;
-                        if dist[y].wrapping_add(1) == dist[x] && ddist[y] == u32::MAX {
-                            ddist[y] = ddist[x] + 1;
-                            queue.push(y as u32);
-                        }
-                    }
-                }
-                // Inbound phase: a switch outside the cone heads
-                // hub-ward; a switch inside it must stay outbound (an
-                // inbound turn there would hand out→in dependencies to
-                // routes already descending the cone).
-                full.copy_from_slice(ddist);
-                for &x in &order {
-                    if ddist[x] != u32::MAX {
-                        continue;
-                    }
-                    for &(v, _) in g.neighbors(x) {
-                        let v = v as usize;
-                        if dist[v].wrapping_add(1) == dist[x] && full[v] != u32::MAX {
-                            full[x] = full[x].min(full[v].saturating_add(1));
-                        }
-                    }
-                }
-            },
-        );
-
-        Self {
-            g,
-            row_of,
-            ddist,
-            full,
-            dist,
-            comp,
-            n,
-        }
-    }
-
-    /// Whether the hop `s -> v` legally continues a route toward the
-    /// row's delivery switch: outbound (hub distance up, cone distance
-    /// down) inside the cone, inbound (hub distance down, staying
-    /// minimal) outside it.
-    fn legal(&self, ddist: &[u32], full: &[u32], s: usize, v: usize) -> bool {
-        if ddist[s] != u32::MAX {
-            self.dist[v] == self.dist[s].wrapping_add(1) && ddist[v].wrapping_add(1) == ddist[s]
-        } else {
-            self.dist[v].wrapping_add(1) == self.dist[s]
-                && full[v] != u32::MAX
-                && full[v] + 1 == full[s]
-        }
+        let rows = LegalRows::new(g, &g.components(), |s| s, &dsws, workers);
+        Self { g, rows }
     }
 
     /// The legal egress at `s` toward the switch LID `lid` delivered at
@@ -254,46 +105,35 @@ impl<'g> SwitchColumns<'g> {
         s: usize,
         installed: Option<PortNum>,
     ) -> Option<PortNum> {
-        let (ddist, full) = self.row(dsw, s)?;
-        let legal = |v: usize| self.legal(ddist, full, s, v);
+        let row = self.row(dsw, s)?;
+        let legal = |v: usize| row.legal_hop(s, v);
         if let Some(p) = installed.filter(|&p| self.g.peer(s, p).is_some_and(legal)) {
             return Some(p);
         }
-        let ports = || {
-            let neighbors = self.g.neighbors(s).iter();
-            neighbors
-                .filter(|&&(v, _)| legal(v as usize))
-                .map(|&(_, p)| p)
-        };
         // No legal port is unreachable on a connected component; be
         // defensive — the verifier reports the hole if it ever happens.
-        let want = (lid.raw() as usize + s) % ports().count().max(1);
-        ports().nth(want)
+        let want = (lid.raw() as usize + s) % row.ports(self.g, s).count().max(1);
+        row.ports(self.g, s).nth(want)
     }
 
-    /// The `dsw` row slices, or `None` when `s` cannot reach `dsw` (a
-    /// split). Asking for a delivery switch no row was built for is a bug
-    /// in the calling engine — it would otherwise read as a silent hole.
-    fn row(&self, dsw: usize, s: usize) -> Option<(&[u32], &[u32])> {
-        let gi = self.row_of[dsw];
-        assert!(gi != NO_ROW, "no valley row was built for switch {dsw}");
-        let gi = gi as usize;
-        if self.comp[s] != self.comp[dsw] {
-            return None;
-        }
-        let ddist = &self.ddist[gi * self.n..(gi + 1) * self.n];
-        let full = &self.full[gi * self.n..(gi + 1) * self.n];
-        if full[s] == u32::MAX {
-            return None;
-        }
-        Some((ddist, full))
+    /// The `dsw` rows, or `None` when `s` cannot reach `dsw` (a split).
+    /// Asking for a delivery switch no row was built for is a bug in the
+    /// calling engine — it would otherwise read as a silent hole.
+    fn row(&self, dsw: usize, s: usize) -> Option<LegalRow<'_>> {
+        let row = self.rows.row(dsw);
+        let row = row.unwrap_or_else(|| panic!("no valley row was built for switch {dsw}"));
+        (row.full(s) != u32::MAX).then_some(row)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cdg::Cdg;
+    use crate::ftree::FatTree;
     use crate::testutil::assign_lids;
+    use crate::{RoutingEngine, RoutingOptions};
+    use ib_observe::Observer;
     use ib_subnet::topology::fattree::three_level;
 
     /// `three_level(4,4,4,4)` with one mid-core cable down, and — when
@@ -368,5 +208,82 @@ mod tests {
             .collect();
         let cols = SwitchColumns::new(&g, 1, &only);
         let _ = cols.sticky_pick(1, Lid::from_raw(2), 0, None);
+    }
+
+    /// The mechanism behind the gate's rejection of a leaf's last uplink
+    /// (`three_level(4,4,4,4)`, fat-tree, leaf-0-1 port 8): the repair
+    /// re-routes only the columns whose paths crossed the lost link, but
+    /// the lost cable moves the hub's orientation, so switch columns the
+    /// fault did not cross keep picks that are no longer legal — and the
+    /// VL1 cycle of the repaired tables runs through one of them.
+    #[test]
+    fn a_leafs_last_uplink_leaves_stale_switch_picks_on_the_vl1_cycle() {
+        let mut t = three_level(4, 4, 4, 4);
+        assign_lids(&mut t);
+        let mut tables = FatTree.compute(&t.subnet).unwrap();
+        let (leaf, port) = (t.switch_levels[0][1], PortNum::new(8));
+        t.subnet.set_link_down(leaf, port).unwrap();
+        let g = SwitchGraph::build(&t.subnet).unwrap();
+        let lft =
+            |tables: &crate::RoutingTables, s: usize, lid: Lid| tables.lfts[&g.node_id(s)].get(lid);
+
+        // The two-row scan: the columns forwarded into either end of the
+        // lost cable.
+        let far = t.subnet.node(leaf).ports[port.raw() as usize]
+            .remote
+            .unwrap();
+        let ends = [(leaf, port), (far.node, far.port)];
+        let dirty: Vec<Lid> = (t.subnet.lids().into_iter())
+            .filter(|&lid| (ends.iter()).any(|&(n, p)| tables.lfts[&n].get(lid) == Some(p)))
+            .collect();
+        FatTree
+            .repair_with_graph(
+                &g,
+                RoutingOptions::default(),
+                &mut tables,
+                &dirty,
+                &Observer::disabled(),
+            )
+            .unwrap();
+
+        let switch_lid = |d: &Destination| d.port == PortNum::MANAGEMENT;
+        let cycle = Cdg::from_tables(&g, &tables, switch_lid)
+            .find_cycle(0)
+            .expect("the repaired VL1 is cyclic");
+
+        // The switch-LID cells outside the dirty columns whose installed
+        // pick the degraded graph's orientation no longer allows.
+        let cols = SwitchColumns::new(&g, 1, g.destinations());
+        let mut stale: Vec<(usize, Lid, PortNum)> = Vec::new();
+        for d in g.destinations().iter().filter(|d| switch_lid(d)) {
+            if dirty.contains(&d.lid) {
+                continue;
+            }
+            let row = cols.rows.row(d.switch).unwrap();
+            for s in (0..g.len()).filter(|&s| s != d.switch) {
+                let pick = lft(&tables, s, d.lid);
+                let peer = pick.and_then(|p| g.peer(s, p));
+                if !peer.is_some_and(|v| row.legal_hop(s, v)) {
+                    stale.push((s, d.lid, pick.unwrap()));
+                }
+            }
+        }
+        assert!(!stale.is_empty(), "every kept switch pick is still legal");
+
+        // Some dependency of the cycle, held -> wanted, is booked by a
+        // column with a stale cell at either end of it.
+        let books = |(a, pa): (u32, u8), (s, p): (u32, u8)| {
+            stale.iter().any(|&(x, lid, _)| {
+                let at =
+                    |sw: u32, port: u8| lft(&tables, sw as usize, lid) == Some(PortNum::new(port));
+                (x == a as usize || x == s as usize) && at(a, pa) && at(s, p)
+            })
+        };
+        let links = cycle.iter().zip(cycle.iter().cycle().skip(1));
+        assert!(
+            links.clone().any(|(&held, &wanted)| books(held, wanted)),
+            "the VL1 cycle {cycle:?} avoids all {} stale cells",
+            stale.len()
+        );
     }
 }

@@ -140,9 +140,10 @@ pub struct RoutingTables {
     /// would flake.
     pub decisions: u64,
     /// The distance field the engine routed these tables on, when it keeps
-    /// one (the fat-tree engine's host rows): it moves with the tables, a
-    /// repair follows it to the degraded graph instead of recomputing it,
-    /// and any engine that routes the tables without it drops it.
+    /// one (the fat-tree and Min-Hop engines' host rows): it moves with the
+    /// tables, a repair follows it to the degraded graph instead of
+    /// recomputing it, and any engine that routes the tables without it
+    /// drops it.
     pub(crate) host_distances: Option<HostDistances>,
 }
 
@@ -329,17 +330,45 @@ impl<'a> Splice<'a> {
         !self.logged
     }
 
-    /// Lends the tables' distance field to the kernel. It returns to the
-    /// tables only through [`Self::keep_host_distances`]: a commit without
-    /// it, or an `Err` once it was taken, drops it.
-    pub(crate) fn take_host_distances(&mut self) -> Option<HostDistances> {
-        self.host_distances.take()
+    /// Lends the kernel the distance field toward the delivery switches of
+    /// the host columns among `dests`, and says whether it was carried: the
+    /// tables' own field followed to [`Self::graph`] when that graph only
+    /// lost links since and the field has a row for each of them, else a
+    /// fresh build for `dests`. The field returns to the tables only
+    /// through [`Self::keep_host_distances`]: a commit without it, or an
+    /// `Err` once it was lent, drops it.
+    pub(crate) fn host_distances(
+        &mut self,
+        dests: &[Destination],
+        workers: usize,
+    ) -> (HostDistances, bool) {
+        let g = self.g;
+        let carried = (self.host_distances.take())
+            .and_then(|field| field.follow(g, workers))
+            .filter(|field| {
+                let host = |d: &&Destination| d.port != PortNum::MANAGEMENT;
+                (dests.iter().filter(host)).all(|d| field.toward(d.switch).is_some())
+            });
+        match carried {
+            Some(field) => (field, true),
+            None => (HostDistances::build(g, dests, workers), false),
+        }
     }
 
-    /// The distance field the committed tables carry: exact for
-    /// [`Self::graph`].
-    pub(crate) fn keep_host_distances(&mut self, field: HostDistances) {
-        self.kept = Some(field);
+    /// Hands back the field [`Self::host_distances`] lent: the committed
+    /// tables carry it (it is exact for [`Self::graph`]) when it was
+    /// carried or the tables are fresh. A field built for a repair's dirty
+    /// columns only is dropped; the next full compute builds one for all.
+    pub(crate) fn keep_host_distances(&mut self, field: HostDistances, carried: bool) {
+        if carried || self.is_fresh() {
+            self.kept = Some(field);
+        }
+    }
+
+    /// Keeps the tables' field as it came in: a splice with no column to
+    /// route moves nothing it describes (the next repair follows it).
+    pub(crate) fn keep_carried_host_distances(&mut self) {
+        self.kept = self.host_distances.take();
     }
 
     /// The switch graph the columns are routed on.

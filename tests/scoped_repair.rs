@@ -1,6 +1,8 @@
 //! The fat-tree engine's scoped repair: the distance field rides with the
 //! tables, a repair follows it to the degraded graph and visits a host
-//! column only where a removed link can have moved its pick. In debug
+//! column only where a removed link can have moved its pick. (Min-Hop
+//! carries and follows the same field, and is checked against fresh BFSs
+//! through the same fault sequences.) In debug
 //! builds every scoped repair also runs the kernel's oracle (a full visit
 //! afterwards changes nothing); these tests drive it over single faults,
 //! fault sequences that split the fabric, a coalesced burst against its
@@ -14,6 +16,7 @@ use ib_core::{DataCenter, DataCenterConfig, VirtArch};
 use ib_mad::SmpTransport;
 use ib_observe::Observer;
 use ib_routing::ftree::FatTree;
+use ib_routing::minhop::MinHop;
 use ib_routing::testutil::{assign_lids, switch_links, virtualize_hosts};
 use ib_routing::{
     CellChange, EngineKind, RoutingEngine, RoutingOptions, RoutingTables, SwitchGraph,
@@ -47,9 +50,12 @@ fn crossing(subnet: &Subnet, tables: &RoutingTables, node: NodeId, port: PortNum
 /// A named fabric builder.
 type Fabric = (&'static str, fn() -> BuiltTopology);
 
-/// Random switch-link removals, one repair each, until the tree breaks:
-/// every scoped repair equals the full visit of the same columns on tables
-/// without a distance field — cells, order and all — and keeps its field.
+/// Random switch-link removals, one repair each, until the tree breaks
+/// (fat-tree) or every cable is gone (Min-Hop): every repair on followed
+/// rows equals the repair of the same columns on tables without a distance
+/// field — cells, order and all — and keeps its field. For the fat-tree
+/// engine that is the scoped visit against the full one; Min-Hop visits
+/// every cell either way, so it pins the followed rows against fresh BFSs.
 #[test]
 fn scoped_repairs_equal_full_visits_through_splits() {
     let fabrics: [Fabric; 3] = [
@@ -61,44 +67,49 @@ fn scoped_repairs_equal_full_visits_through_splits() {
             t
         }),
     ];
+    let engines: [&dyn RoutingEngine; 2] = [&FatTree, &MinHop];
     let (opts, obs) = (RoutingOptions::default(), Observer::disabled());
-    let mut splits = 0;
-    for (seed, (name, build)) in fabrics.into_iter().enumerate() {
-        let mut t = build();
-        assign_lids(&mut t);
-        let mut tables = FatTree.compute(&t.subnet).expect("compute");
-        assert!(
-            tables.carries_distances(),
-            "{name}: a full compute keeps its rows"
-        );
-        let mut links = switch_links(&t.subnet);
-        let mut rng = StdRng::seed_from_u64(seed as u64);
-        let mut repaired = 0;
-        while !links.is_empty() {
-            let (node, port) = links.swap_remove(rng.gen_range(0..links.len()));
-            t.subnet.set_link_down(node, port).unwrap();
-            let g = SwitchGraph::build(&t.subnet).unwrap();
-            let dirty = crossing(&t.subnet, &tables, node, port);
-            let mut full = RoutingTables::from_lfts(tables.lfts.clone(), "fat-tree");
-            let scoped = FatTree.repair_with_graph(&g, opts, &mut tables, &dirty, &obs);
-            let visited = FatTree.repair_with_graph(&g, opts, &mut full, &dirty, &obs);
-            let (Ok(scoped), Ok(visited)) = (scoped, visited) else {
-                // The tree lost its layering: both refuse, and the
-                // sequence ends where a fresh compute would take over.
-                break;
-            };
-            assert_eq!(scoped.cells, visited.cells, "{name}, repair {repaired}");
-            assert_eq!(tables.lfts, full.lfts, "{name}, repair {repaired}");
+    for engine in engines {
+        let mut splits = 0;
+        for (seed, (name, build)) in fabrics.into_iter().enumerate() {
+            let name = format!("{name}, {}", engine.name());
+            let mut t = build();
+            assign_lids(&mut t);
+            let mut tables = engine.compute(&t.subnet).expect("compute");
             assert!(
                 tables.carries_distances(),
-                "{name}: a removal keeps the rows"
+                "{name}: a full compute keeps its rows"
             );
-            splits += usize::from(g.components().is_partitioned());
-            repaired += 1;
+            let mut links = switch_links(&t.subnet);
+            let mut rng = StdRng::seed_from_u64(seed as u64);
+            let mut repaired = 0;
+            while !links.is_empty() {
+                let (node, port) = links.swap_remove(rng.gen_range(0..links.len()));
+                t.subnet.set_link_down(node, port).unwrap();
+                let g = SwitchGraph::build(&t.subnet).unwrap();
+                let dirty = crossing(&t.subnet, &tables, node, port);
+                let mut full = RoutingTables::from_lfts(tables.lfts.clone(), engine.name());
+                let scoped = engine.repair_with_graph(&g, opts, &mut tables, &dirty, &obs);
+                let visited = engine.repair_with_graph(&g, opts, &mut full, &dirty, &obs);
+                let (Ok(scoped), Ok(visited)) = (scoped, visited) else {
+                    // The tree lost its layering: both refuse, and the
+                    // sequence ends where a fresh compute would take over.
+                    assert_eq!(engine.name(), "fat-tree", "{name}: a refused repair");
+                    break;
+                };
+                assert_eq!(scoped.cells, visited.cells, "{name}, repair {repaired}");
+                assert_eq!(tables.lfts, full.lfts, "{name}, repair {repaired}");
+                assert!(
+                    tables.carries_distances(),
+                    "{name}: a removal keeps the rows"
+                );
+                splits += usize::from(g.components().is_partitioned());
+                repaired += 1;
+            }
+            assert!(repaired >= 3, "{name}: only {repaired} repairs ran");
         }
-        assert!(repaired >= 3, "{name}: only {repaired} repairs ran");
+        assert!(splits > 0, "{}: no sequence split a fabric", engine.name());
     }
-    assert!(splits > 0, "no sequence split a fabric");
 }
 
 /// A repairing fat-tree SM, brought up on `t`; `verify` adds the deadlock
