@@ -15,8 +15,16 @@
 //! destination columns) induce the dependency. A booking can be retracted
 //! as well as added — DFSSSP lifts paths out of a lane by retracting them
 //! instead of rebuilding the lane, the transition analysis takes `R_old`
-//! back out of `R_old ∪ R_new`, and `ib_verify`'s repair gate retracts a
-//! moved column's old dependencies before booking its new ones.
+//! back out of `R_old ∪ R_new`, and `ib_verify`'s repair gate books a
+//! moved column's new dependencies before retracting its old ones.
+//!
+//! The cycle search is one depth-first sweep from a given set of start
+//! channels ([`Cdg::find_cycle_from`]); from every channel in id order it
+//! is the lane-wide search ([`Cdg::find_cycle`]). A sweep from a subset
+//! finds a cycle exactly when one is reachable from it, so a caller that
+//! knows its graph was acyclic can search from the heads of the
+//! dependencies it booked since — [`Cdg::book`] reports which bookings
+//! took a dependency from zero — instead of from every channel.
 //!
 //! This module is the one place that knows the layout and the search
 //! order. Users differ only in how wide a counter is, fixed by the type's
@@ -69,8 +77,9 @@ mod store {
         fn cells(&self) -> &[Self::Cell];
         /// Bookings of the slot at `at`.
         fn get(&self, at: usize) -> u32;
-        /// Adds (`up`) or retracts one booking of the slot at `at`.
-        fn bump(&mut self, at: usize, up: bool);
+        /// Adds (`up`) or retracts one booking of the slot at `at`;
+        /// returns whether it took the slot from zero bookings to one.
+        fn bump(&mut self, at: usize, up: bool) -> bool;
     }
 }
 
@@ -297,13 +306,15 @@ impl<S: CountStore> Cdg<S> {
     /// whose `wanted` leaves the switch `held` leads to by construction.
     /// Debug builds assert that; release builds check only that `wanted`'s
     /// rank falls among `held`'s slots and book nothing otherwise (a port
-    /// that leads to no switch has no rank).
+    /// that leads to no switch has no rank). Returns whether the booking
+    /// took the dependency from zero bookings to one: a dependency the
+    /// graph did not have before.
     ///
     /// # Panics
     ///
     /// When `held` or `wanted` is not a channel id of this graph.
     #[inline]
-    pub fn book(&mut self, lane: usize, held: u32, wanted: u32, up: bool) {
+    pub fn book(&mut self, lane: usize, held: u32, wanted: u32, up: bool) -> bool {
         let (held, wanted) = (held as usize, wanted as usize);
         debug_assert!(
             self.layout.depends(held, wanted),
@@ -313,7 +324,9 @@ impl<S: CountStore> Cdg<S> {
         let (from, to) = (self.layout.base[held], self.layout.base[held + 1]);
         if r != NO_RANK && from + u32::from(r) < to {
             let at = lane * self.layout.per_lane() + (from + u32::from(r)) as usize;
-            self.counts.bump(at, up);
+            self.counts.bump(at, up)
+        } else {
+            false
         }
     }
 
@@ -351,8 +364,20 @@ impl<S: CountStore> Cdg<S> {
     /// and the last on the first — or `None` when the lane is acyclic.
     #[must_use]
     pub fn find_cycle(&self, lane: usize) -> Option<Vec<Channel>> {
+        self.find_cycle_from(lane, 0..self.channels())
+    }
+
+    /// A dependency cycle on `lane` that the channel ids `starts` reach, or
+    /// `None` when none of them reaches one. From every channel in id
+    /// order this is [`Self::find_cycle`].
+    #[must_use]
+    pub fn find_cycle_from(
+        &self,
+        lane: usize,
+        starts: impl IntoIterator<Item = u32>,
+    ) -> Option<Vec<Channel>> {
         let mut found = None;
-        self.visit_cycles(lane, |cycle| {
+        self.visit_cycles(lane, starts, |cycle| {
             found = Some(cycle.iter().map(|&c| self.layout.channel(c)).collect());
             false
         });
@@ -360,11 +385,16 @@ impl<S: CountStore> Cdg<S> {
     }
 
     /// Hands `visit` every cycle one depth-first sweep of `lane` closes. The
-    /// sweep starts from channels in id order and tries successors in port
-    /// order; each back edge `u → v` yields the gray path `v ..= u` as
-    /// channel ids (each depends on the next, `u` on `v`). `visit` returns
-    /// false to stop the sweep.
-    pub(crate) fn visit_cycles(&self, lane: usize, mut visit: impl FnMut(&[u32]) -> bool) {
+    /// sweep starts from the channel ids `starts`, in that order, and tries
+    /// successors in port order; each back edge `u → v` yields the gray
+    /// path `v ..= u` as channel ids (each depends on the next, `u` on
+    /// `v`). `visit` returns false to stop the sweep.
+    pub(crate) fn visit_cycles(
+        &self,
+        lane: usize,
+        starts: impl IntoIterator<Item = u32>,
+        mut visit: impl FnMut(&[u32]) -> bool,
+    ) {
         const WHITE: u32 = u32::MAX;
         const BLACK: u32 = u32::MAX - 1;
         let per_lane = self.layout.per_lane();
@@ -375,12 +405,12 @@ impl<S: CountStore> Cdg<S> {
         let mut path: Vec<u32> = Vec::new();
         // `tried[d]`: the next successor rank to try from `path[d]`.
         let mut tried: Vec<usize> = Vec::new();
-        for start in 0..layout.head.len() {
-            if state[start] != WHITE {
+        for start in starts {
+            if state[start as usize] != WHITE {
                 continue;
             }
-            state[start] = 0;
-            path.push(start as u32);
+            state[start as usize] = 0;
+            path.push(start);
             tried.push(0);
             while let Some(&held) = path.last() {
                 let depth = path.len() - 1;
@@ -430,6 +460,11 @@ impl<S: CountStore> Cdg<S> {
     /// the switch `held` leads to).
     pub(crate) fn slot(&self, held: u32, wanted: u32) -> usize {
         self.layout.slot(held as usize, wanted as usize)
+    }
+
+    /// Number of channel ids: every `(switch, port)` slot of the layout.
+    pub(crate) fn channels(&self) -> u32 {
+        self.layout.head.len() as u32
     }
 
     /// Slots per lane.
@@ -632,8 +667,10 @@ impl store::Store for WideCounts {
     }
 
     #[inline]
-    fn bump(&mut self, at: usize, up: bool) {
+    fn bump(&mut self, at: usize, up: bool) -> bool {
+        let rose = up && self.count[at] == 0;
         self.book(at, false, up);
+        rose
     }
 }
 
@@ -666,10 +703,13 @@ impl store::Store for ByteCounts {
     }
 
     #[inline]
-    fn bump(&mut self, at: usize, up: bool) {
+    fn bump(&mut self, at: usize, up: bool) -> bool {
         let count = &mut self.count[at];
         match (*count, up) {
-            (n, true) if n < SPILLED - 1 => *count += 1,
+            (n, true) if n < SPILLED - 1 => {
+                *count += 1;
+                return n == 0;
+            }
             (n, false) if n != SPILLED => {
                 debug_assert!(n > 0, "retracting a dependency that was never booked");
                 *count = n.saturating_sub(1);
@@ -690,6 +730,7 @@ impl store::Store for ByteCounts {
                 }
             }
         }
+        false
     }
 }
 
@@ -889,17 +930,7 @@ mod tests {
     /// fresh graph.
     fn against_a_model<S: CountStore>(rng: &mut StdRng, stride: usize, far: &[u32]) {
         const LANES: usize = 2;
-        let switches = far.len() / stride;
-        let to_switch = |c: usize| (far[c] as usize) < switches;
-        let pairs: Vec<(usize, usize)> = (0..far.len())
-            .filter(|&c| to_switch(c))
-            .flat_map(|c| {
-                let t = far[c] as usize;
-                (t * stride..(t + 1) * stride)
-                    .filter(|&w| to_switch(w))
-                    .map(move |w| (c, w))
-            })
-            .collect();
+        let pairs = dependency_pairs(stride, far);
         let channel = |c: usize| ((c / stride) as u32, (c % stride) as u8);
         let fresh = Cdg::<S>::with_far_ends(stride, far, LANES);
         let mut cdg = fresh.clone();
@@ -950,6 +981,74 @@ mod tests {
         );
     }
 
+    /// Every `(held, wanted)` channel-id pair that can depend on each other
+    /// over a far-end table.
+    fn dependency_pairs(stride: usize, far: &[u32]) -> Vec<(usize, usize)> {
+        let switches = far.len() / stride;
+        let to_switch = |c: usize| (far[c] as usize) < switches;
+        (0..far.len())
+            .filter(|&c| to_switch(c))
+            .flat_map(|c| {
+                let t = far[c] as usize;
+                (t * stride..(t + 1) * stride)
+                    .filter(|&w| to_switch(w))
+                    .map(move |w| (c, w))
+            })
+            .collect()
+    }
+
+    /// A lane booked acyclic (every dependency ascends a random order of
+    /// the channels), then a few random dependencies more: the search from
+    /// the heads of the ones booked from zero finds a cycle exactly when
+    /// Kahn's sort cannot finish, and `book` reports a rise from zero
+    /// exactly when the dependency was not booked.
+    fn scoped_against_a_model<S: CountStore>(rng: &mut StdRng, stride: usize, far: &[u32]) {
+        let pairs = dependency_pairs(stride, far);
+        if pairs.is_empty() {
+            return;
+        }
+        let mut order: Vec<usize> = (0..far.len()).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..i + 1));
+        }
+        let mut rank = vec![0; far.len()];
+        for (r, &c) in order.iter().enumerate() {
+            rank[c] = r;
+        }
+        let mut cdg = Cdg::<S>::with_far_ends(stride, far, 1);
+        let mut model: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+        let mut book = |cdg: &mut Cdg<S>, (h, w): (usize, usize)| {
+            let n = model.entry((h as u32, w as u32)).or_insert(0);
+            let rose = cdg.book(0, h as u32, w as u32, true);
+            assert_eq!(rose, *n == 0, "{h} -> {w}");
+            *n += 1;
+            rose
+        };
+        for _ in 0..rng.gen_range(0..3 * pairs.len()) {
+            let (h, w) = pairs[rng.gen_range(0..pairs.len())];
+            if rank[h] < rank[w] {
+                book(&mut cdg, (h, w));
+            }
+        }
+        assert!(cdg.find_cycle(0).is_none(), "booked along an order");
+        let mut heads = Vec::new();
+        for _ in 0..rng.gen_range(1..6) {
+            let (h, w) = pairs[rng.gen_range(0..pairs.len())];
+            if book(&mut cdg, (h, w)) {
+                heads.push(w as u32);
+            }
+        }
+        let cycle = cdg.find_cycle_from(0, heads.iter().copied());
+        let cyclic = kahn_leaves_a_channel(&model, far.len());
+        assert_eq!(cycle.is_some(), cyclic, "from {heads:?}");
+        assert_eq!(cdg.find_cycle(0).is_some(), cyclic);
+        let cycle = cycle.unwrap_or_default();
+        for (i, &held) in cycle.iter().enumerate() {
+            let wanted = cycle[(i + 1) % cycle.len()];
+            assert!(cdg.count(0, held, wanted) > 0, "{cycle:?}");
+        }
+    }
+
     #[test]
     fn cycle_search_agrees_with_kahn_on_random_bookings() {
         let mut t = torus_2d(4, 4, 1, true);
@@ -965,6 +1064,10 @@ mod tests {
             };
             against_a_model::<WideCounts>(&mut rng, stride, &far);
             against_a_model::<ByteCounts>(&mut rng, stride, &far);
+            for _ in 0..8 {
+                scoped_against_a_model::<WideCounts>(&mut rng, stride, &far);
+                scoped_against_a_model::<ByteCounts>(&mut rng, stride, &far);
+            }
         }
     }
 }

@@ -298,7 +298,7 @@ fn lift_lanes(
         bookings.index(&cdg, pairs.iter().map(|&pair| path(pair)));
         let mut lifted = vec![false; pairs.len()];
         loop {
-            cdg.visit_cycles(0, |cycle| {
+            cdg.visit_cycles(0, 0..cdg.channels(), |cycle| {
                 let edges =
                     (0..cycle.len()).map(|i| cdg.slot(cycle[i], cycle[(i + 1) % cycle.len()]));
                 if !edges.clone().any(|at| broken[at]) {

@@ -13,7 +13,7 @@
 //! What that buys, measured on the 5832-node tree (972 switches, 6804
 //! LIDs, a mid–core cable with 684 dirty columns): the two-row scan takes
 //! 118–120 µs, the index read 11.5–11.8 µs — against a repair that spends
-//! ≈ 20 ms before its verifier gate — while building the index costs
+//! ≈ 10 ms before its verifier gate — while building the index costs
 //! 145–150 ms on every full sweep and ≈ 31 MB of resident memory. Whether
 //! it earns that is an open decision (ROADMAP); until it is taken the index
 //! stays the SM's runtime dirty-set source and the scan its oracle.

@@ -5,9 +5,8 @@ use ib_observe::Observer;
 use ib_routing::{CellChange, SwitchGraph, VlAssignment};
 use ib_subnet::{NodeId, Subnet};
 use ib_types::{IbResult, Lid, PortNum};
-use rustc_hash::FxHashMap;
 
-use crate::deps::{Changed, ChannelDeps};
+use crate::deps::{Changed, ChannelDeps, Rebuild};
 use crate::view::DeadEnd::{Drop, MissingRow, NoLft};
 use crate::view::{FabricView, NextHop};
 
@@ -238,7 +237,7 @@ impl FabricVerifier {
             .transpose()?;
 
         let mut violations = Vec::new();
-        self.check_addressing(subnet, observer, &mut violations);
+        self.check_addressing(subnet, &lids, observer, &mut violations);
         // One pass over the destination columns, each gathered and
         // classified once: the forwarding walks read it, and — with the
         // deadlock check on — so do the channel dependencies it induces.
@@ -269,7 +268,7 @@ impl FabricVerifier {
                 }
             }
         }
-        if let Some(deps) = &deps {
+        if let Some(deps) = &mut deps {
             let _span = observer.span("verify.deadlock");
             deps.report_cycles(&view, &mut violations);
         }
@@ -283,14 +282,19 @@ impl FabricVerifier {
     /// forwarding into a repaired link, so every finding is the repair's
     /// own; the deadlock check runs on `carried` — the graph an earlier
     /// [`Self::audit`] or gate left behind — with exactly those cells'
-    /// dependencies retracted and re-added. A full dependency pass (walks
-    /// still scoped) replaces the patch, counted as
-    /// `verify.full_deps.<reason>`, when nothing is carried (`no-state`),
-    /// the fabric is split (`split`), the VL layering changed (`vls`), or
-    /// the fabric differs from the carried graph's by more than the
-    /// repaired links going down (`topology`). Returns the report and —
-    /// with the deadlock check on — the graph of the installed rows, for
-    /// the next gate to carry.
+    /// dependencies re-added and retracted. If the carried graph's last
+    /// search found every lane acyclic, any cycle now runs through a
+    /// dependency this patch booked from zero, so the cycle search starts
+    /// from those dependencies' heads alone; only when it meets a cycle
+    /// does the lane-wide search run and name it, as a full audit would.
+    /// A full dependency pass (walks still scoped) replaces the patch,
+    /// counted as `verify.full_deps.<reason>`, when nothing is carried
+    /// (`no-state`), the fabric is split (`split`), the VL layering
+    /// changed (`vls`), or the fabric differs from the carried graph's by
+    /// more than the repaired links going down (`topology`); a rebuilt
+    /// graph is searched lane-wide. Returns the report and — with the
+    /// deadlock check on — the graph of the installed rows, for the next
+    /// gate to carry.
     pub fn verify_moved(
         &self,
         subnet: &Subnet,
@@ -306,7 +310,7 @@ impl FabricVerifier {
         let (changed, cut) = changed_cells(&view, &lids, moved, faults);
 
         let mut violations = Vec::new();
-        self.check_addressing(subnet, observer, &mut violations);
+        self.check_addressing(subnet, &lids, observer, &mut violations);
         {
             let _span = observer.span("verify.forwarding");
             let mut walk = WalkScratch::new(&view, self.viewpoint);
@@ -332,9 +336,8 @@ impl FabricVerifier {
         }
         let deps = if self.deadlock {
             let _span = observer.span("verify.deadlock");
-            let deps = self.gate_deps(&view, vls, &lids, &changed, &cut, carried, observer)?;
-            deps.report_cycles(&view, &mut violations);
-            Some(deps)
+            let out = &mut violations;
+            Some(self.gate_deps(&view, vls, &lids, &changed, &cut, carried, observer, out)?)
         } else {
             None
         };
@@ -360,9 +363,10 @@ impl FabricVerifier {
         Ok(deps)
     }
 
-    /// The gate's dependency graph: `carried` patched by `changed`, or —
-    /// when it cannot be — rebuilt, with the reason counted. The carried
-    /// graph is dropped before a rebuild allocates the next one.
+    /// The gate's dependency graph — `carried` patched by `changed`, or,
+    /// when it cannot be, rebuilt with the reason counted — with its
+    /// cycles reported into `out`. The carried graph is dropped before a
+    /// rebuild allocates the next one.
     #[allow(clippy::too_many_arguments)]
     fn gate_deps(
         &self,
@@ -373,26 +377,36 @@ impl FabricVerifier {
         cut: &[u32],
         carried: Option<ChannelDeps>,
         observer: &Observer,
+        out: &mut Vec<Violation>,
     ) -> IbResult<ChannelDeps> {
         let reason = match carried {
-            None => "no-state",
+            None => Rebuild::NoState,
             Some(mut deps) => match deps.blocker(view, vls, lids, cut) {
                 None => {
                     deps.patch(view, changed, self.max_hops);
                     observer.add("verify.cdg_patched_cells", changed.len() as u64);
                     // Derived state is never trusted: debug builds recount
-                    // every column and demand the patch got the same graph.
+                    // every column and demand the patch got the same graph,
+                    // and back a clean search from the fresh heads with the
+                    // lane-wide one.
                     debug_assert!(
                         self.deps_of(view, vls).is_ok_and(|fresh| fresh == deps),
                         "patched channel dependencies diverged from the installed rows"
+                    );
+                    let scoped = deps.report_cycles(view, out);
+                    debug_assert!(
+                        !scoped || deps.is_acyclic(),
+                        "the search from the fresh dependencies missed a cycle"
                     );
                     return Ok(deps);
                 }
                 Some(reason) => reason,
             },
         };
-        observer.incr(&format!("verify.full_deps.{reason}"));
-        self.deps_of(view, vls)
+        observer.incr(reason.counter());
+        let mut deps = self.deps_of(view, vls)?;
+        deps.report_cycles(view, out);
+        Ok(deps)
     }
 
     /// Assembles a pass's report and mirrors it into `verify.*` counters.
@@ -440,46 +454,71 @@ impl FabricVerifier {
 
     /// Invariant 4: LID ownership. Every LID is held by exactly one node,
     /// the registry resolves it to that node, and the owner is alive.
-    fn check_addressing(&self, subnet: &Subnet, observer: &Observer, out: &mut Vec<Violation>) {
+    /// `lids` is every registered LID, ascending.
+    fn check_addressing(
+        &self,
+        subnet: &Subnet,
+        lids: &[Lid],
+        observer: &Observer,
+        out: &mut Vec<Violation>,
+    ) {
         let _span = observer.span("verify.addressing");
         // Ownership scan over every node (dead ones included: a dead node
-        // still holding a LID is exactly the corruption we want to catch).
-        let mut owners: FxHashMap<u16, Vec<NodeId>> = FxHashMap::default();
+        // still holding a LID is exactly the corruption we want to catch):
+        // each raw LID's first holder in its slot, every later holding of
+        // an already-held LID aside, both in node order.
+        let top = lids.last().map_or(0, |lid| lid.raw() as usize + 1);
+        let mut first: Vec<Option<NodeId>> = vec![None; top];
+        let mut more: Vec<(u16, NodeId)> = Vec::new();
         for node in subnet.nodes() {
             for lid in node.lids() {
-                owners.entry(lid.raw()).or_default().push(node.id);
+                let raw = lid.raw() as usize;
+                if raw >= first.len() {
+                    first.resize(raw + 1, None);
+                }
+                match first[raw] {
+                    None => first[raw] = Some(node.id),
+                    Some(_) => more.push((lid.raw(), node.id)),
+                }
             }
         }
-        let mut owned: Vec<(u16, Vec<NodeId>)> = owners.into_iter().collect();
-        owned.sort_unstable_by_key(|&(raw, _)| raw);
-        for (raw, who) in &owned {
-            if who.len() > 1 {
-                let names: Vec<&str> = who.iter().map(|&n| subnet.name_of(n)).collect();
+        // Stable, so each LID's later holders stay in node order.
+        more.sort_by_key(|&(raw, _)| raw);
+        let mut more = more.as_slice();
+        for (raw, holder) in first.iter().enumerate() {
+            let Some(holder) = *holder else { continue };
+            let raw = raw as u16;
+            let others = more.iter().take_while(|&&(r, _)| r == raw).count();
+            let (others, rest) = more.split_at(others);
+            more = rest;
+            if !others.is_empty() {
+                let who = std::iter::once(holder).chain(others.iter().map(|&(_, n)| n));
+                let names: Vec<&str> = who.map(|n| subnet.name_of(n)).collect();
                 out.push(Violation {
                     class: InvariantClass::Addressing,
                     detail: format!(
                         "LID {raw} owned by {} nodes: {}",
-                        who.len(),
+                        names.len(),
                         names.join(", ")
                     ),
                     lid: None,
                 });
             }
             // Every held LID must be registered back to its holder.
-            match subnet.endpoint_of(Lid::from_raw(*raw)) {
+            match subnet.endpoint_of(Lid::from_raw(raw)) {
                 None => out.push(Violation {
                     class: InvariantClass::Addressing,
                     detail: format!(
                         "LID {raw} held by {} but absent from the registry",
-                        subnet.name_of(who[0])
+                        subnet.name_of(holder)
                     ),
                     lid: None,
                 }),
-                Some(ep) if who.len() == 1 && ep.node != who[0] => out.push(Violation {
+                Some(ep) if others.is_empty() && ep.node != holder => out.push(Violation {
                     class: InvariantClass::Addressing,
                     detail: format!(
                         "LID {raw} held by {} but registered to {}",
-                        subnet.name_of(who[0]),
+                        subnet.name_of(holder),
                         subnet.name_of(ep.node)
                     ),
                     lid: None,
@@ -488,7 +527,7 @@ impl FabricVerifier {
             }
         }
         // Every registered LID must resolve to a live owner.
-        for lid in subnet.lids() {
+        for &lid in lids {
             match subnet.endpoint_of(lid) {
                 None => out.push(Violation {
                     class: InvariantClass::Addressing,
@@ -721,8 +760,8 @@ fn changed_cells(
 mod tests {
     use super::*;
     use ib_routing::testutil::{assign_lids, host_lid};
-    use ib_routing::EngineKind;
-    use ib_subnet::topology::fattree::two_level;
+    use ib_routing::{EngineKind, RoutingOptions};
+    use ib_subnet::topology::fattree::{three_level, two_level};
     use ib_subnet::topology::torus::torus_2d;
     use ib_types::PortNum;
 
@@ -735,6 +774,112 @@ mod tests {
         let tables = engine.build().compute(&t.subnet).unwrap();
         tables.install(&mut t.subnet).unwrap();
         (t, tables.vls)
+    }
+
+    /// The deadlock violations of a report, as printed.
+    fn cycles(report: &VerifyReport) -> Vec<String> {
+        (report.violations.iter())
+            .filter(|v| v.class == InvariantClass::DeadlockCycle)
+            .map(Violation::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn counter_names_match_the_formatted_ones() {
+        for (reason, name) in [
+            (Rebuild::NoState, "no-state"),
+            (Rebuild::Split, "split"),
+            (Rebuild::Vls, "vls"),
+            (Rebuild::Topology, "topology"),
+        ] {
+            assert_eq!(reason.counter(), format!("verify.full_deps.{name}"));
+        }
+    }
+
+    /// On `three_level(4,4,4,4)`, leaf-0-1's last uplink (port 8) going down
+    /// makes the fat-tree repair close a VL1 cycle (`swcols`' stale switch
+    /// picks). The gate patches the carried graph, meets the cycle from the
+    /// dependencies the repair booked from zero, and names it exactly as a
+    /// fresh audit of the repaired fabric does.
+    #[test]
+    fn a_gated_repair_that_closes_a_cycle_is_rejected_in_the_audits_words() {
+        let mut t = three_level(4, 4, 4, 4);
+        assign_lids(&mut t);
+        let engine = EngineKind::FatTree.build();
+        let mut tables = engine.compute(&t.subnet).unwrap();
+        tables.install(&mut t.subnet).unwrap();
+        let verifier = FabricVerifier::new();
+        let (report, carried) = verifier
+            .audit(&t.subnet, &tables.vls, &Observer::disabled())
+            .unwrap();
+        assert!(report.is_clean(), "{report}");
+
+        let (leaf, port) = (t.switch_levels[0][1], PortNum::new(8));
+        let far = t.subnet.node(leaf).ports[8].remote.unwrap();
+        t.subnet.set_link_down(leaf, port).unwrap();
+        let ends = [(leaf, port), (far.node, far.port)];
+        let dirty: Vec<Lid> = (t.subnet.lids().into_iter())
+            .filter(|&lid| (ends.iter()).any(|&(n, p)| tables.lfts[&n].get(lid) == Some(p)))
+            .collect();
+        let g = SwitchGraph::build(&t.subnet).unwrap();
+        let opts = RoutingOptions::default();
+        let log = engine
+            .repair_with_graph(&g, opts, &mut tables, &dirty, &Observer::disabled())
+            .unwrap();
+        tables.install(&mut t.subnet).unwrap();
+
+        let observer = Observer::metrics();
+        let faults = [(leaf, port)];
+        let (gated, _) = verifier
+            .verify_moved(
+                &t.subnet,
+                &tables.vls,
+                &log.cells,
+                &faults,
+                carried,
+                &observer,
+            )
+            .unwrap();
+        let snap = observer.snapshot().unwrap();
+        assert!(snap.counter("verify.cdg_patched_cells") > 0, "patched");
+        let audit = verifier.verify_with_vls(&t.subnet, &tables.vls).unwrap();
+        assert!(!cycles(&audit).is_empty(), "{audit}");
+        assert_eq!(cycles(&gated), cycles(&audit));
+    }
+
+    /// A graph that was never searched, or whose last search met a cycle,
+    /// is searched lane-wide even when nothing was booked since; only a
+    /// graph searched clean lets the next search start from what is fresh.
+    #[test]
+    fn an_unsearched_or_cyclic_graph_takes_the_lane_wide_search() {
+        let mut t = torus_2d(4, 4, 1, true);
+        assign_lids(&mut t);
+        let tables = EngineKind::MinHop.build().compute(&t.subnet).unwrap();
+        tables.install(&mut t.subnet).unwrap();
+        let (verifier, vls) = (FabricVerifier::new(), VlAssignment::SingleVl);
+        let audit = verifier.verify_with_vls(&t.subnet, &vls).unwrap();
+        assert!(!cycles(&audit).is_empty(), "{audit}");
+
+        let view = FabricView::new(&t.subnet);
+        let mut built = verifier.channel_deps(&t.subnet, &vls).unwrap();
+        let mut out = Vec::new();
+        assert!(!built.report_cycles(&view, &mut out), "never searched");
+        let found: Vec<String> = out.iter().map(Violation::to_string).collect();
+        assert_eq!(found, cycles(&audit));
+        let observer = Observer::disabled();
+        let (gated, _) = verifier
+            .verify_moved(&t.subnet, &vls, &[], &[], Some(built), &observer)
+            .unwrap();
+        assert_eq!(cycles(&gated), cycles(&audit), "last search met a cycle");
+
+        let (t, vls) = installed(EngineKind::FatTree);
+        let (report, deps) = verifier.audit(&t.subnet, &vls, &observer).unwrap();
+        assert!(report.is_clean(), "{report}");
+        let mut out = Vec::new();
+        let scoped = deps
+            .unwrap()
+            .report_cycles(&FabricView::new(&t.subnet), &mut out);
+        assert!(scoped && out.is_empty(), "searched clean, nothing fresh");
     }
 
     #[test]
@@ -846,6 +991,46 @@ mod tests {
         let report = FabricVerifier::new().verify(&t.subnet).unwrap();
         assert!(report.count(InvariantClass::Addressing) >= 1, "{report}");
         assert!(report.summary().contains("owned by 2 nodes"));
+    }
+
+    /// Addressing violations come in raw-LID order, a clash's holders in
+    /// node order: a LID held twice, a LID held by one node but registered
+    /// to another, and a LID held above every registered one.
+    #[test]
+    fn addressing_violations_come_in_lid_order_with_holders_in_node_order() {
+        let (mut t, _) = installed(EngineKind::MinHop);
+        let [h0, h1, h3, h4] = [0, 1, 3, 4].map(|i| t.hosts[i]);
+        assert!(h0.index() < h1.index());
+        let (stolen, moved) = (host_lid(&t, 0), host_lid(&t, 3));
+        let unregistered = Lid::from_raw(t.subnet.lids().last().unwrap().raw() + 7);
+        t.subnet.node_mut(h1).ports[1].lid = Some(stolen);
+        t.subnet.node_mut(h3).ports[1].lid = Some(unregistered);
+        t.subnet.node_mut(h4).ports[1].lid = Some(moved);
+        let report = FabricVerifier::new().verify(&t.subnet).unwrap();
+        let name = |n: NodeId| t.subnet.name_of(n);
+        let mut expected = [
+            (
+                stolen,
+                format!("owned by 2 nodes: {}, {}", name(h0), name(h1)),
+            ),
+            (
+                moved,
+                format!("held by {} but registered to {}", name(h4), name(h3)),
+            ),
+            (
+                unregistered,
+                format!("held by {} but absent from the registry", name(h3)),
+            ),
+        ];
+        expected.sort_by_key(|&(lid, _)| lid);
+        let expected: Vec<String> = (expected.iter())
+            .map(|(lid, what)| format!("[addressing] LID {} {what}", lid.raw()))
+            .collect();
+        let found: Vec<String> = (report.violations.iter())
+            .filter(|v| v.class == InvariantClass::Addressing)
+            .map(Violation::to_string)
+            .collect();
+        assert_eq!(found, expected);
     }
 
     /// Isolates leaf 1 (every switch-switch uplink downed) and recomputes
