@@ -441,8 +441,15 @@ fn emulation() {
     }
 }
 
-/// §VI-C: transition-deadlock demonstration via the credit simulator.
+/// §VI-C: the Min-Hop torus's cyclic CDG, the credit simulator wedging on
+/// it and draining under timeouts or DFSSSP's lanes, and the `R_old ∪
+/// R_new` check of one fat-tree LID swap.
 fn deadlock() {
+    use ib_core::deadlock::{analyze_transition, LftSnapshot};
+    use ib_core::migration::swap_on_fabric;
+    use ib_mad::{RouteTree, SmpTransport};
+    use ib_routing::cdg::Cdg;
+    use ib_routing::graph::SwitchGraph;
     use ib_routing::EngineKind;
     use ib_sim::credit::{run, CreditSimConfig, Flow};
     use ib_sm::{SmConfig, SmpMode, SubnetManager};
@@ -465,6 +472,14 @@ fn deadlock() {
         .build()
         .compute(&t.subnet)
         .expect("routing");
+    let graph = SwitchGraph::build(&t.subnet).expect("graph");
+    let cdg = Cdg::from_tables(&graph, &tables, |_| true);
+    println!(
+        "  min-hop CDG               : {} dependencies, cycle: {}",
+        cdg.dependencies(0),
+        cdg.find_cycle(0)
+            .map_or("none".into(), |c| format!("{} channels", c.len()))
+    );
     let mut flows = Vec::new();
     for &a in &t.hosts {
         for &b in &t.hosts {
@@ -537,6 +552,37 @@ fn deadlock() {
         clean.deadlocked,
         clean.delivered,
         clean.dropped
+    );
+
+    // One LID swap on the 324-node fat tree, checked in §VI-C's terms.
+    let mut ft = fattree::paper_324();
+    let mut sm3 = SubnetManager::new(
+        ft.hosts[0],
+        SmConfig {
+            engine: EngineKind::FatTree,
+            ..SmConfig::default()
+        },
+    );
+    sm3.bring_up(&mut ft.subnet).expect("bring-up");
+    let before = LftSnapshot::capture(&ft.subnet);
+    let lid = |h: usize| ft.subnet.node(ft.hosts[h]).ports[1].lid.unwrap();
+    let (a, b) = (lid(1), lid(200));
+    let tree = RouteTree::build(&ft.subnet, sm3.sm_node);
+    swap_on_fabric(
+        &mut ft.subnet,
+        &tree,
+        a,
+        b,
+        &MigrationOptions::default(),
+        None,
+        &mut SmpTransport::assumed(sm3.sm_node),
+        &mut sm3.ledger,
+    )
+    .expect("swap");
+    let analysis = analyze_transition(&ft.subnet, &before).expect("analysis");
+    println!(
+        "  fat-tree 324, swap hosts 1 <-> 200: R_old acyclic={} R_new acyclic={} union acyclic={}",
+        analysis.old_acyclic, analysis.new_acyclic, analysis.union_acyclic
     );
 }
 

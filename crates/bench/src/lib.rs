@@ -1,4 +1,5 @@
-//! Shared helpers for the benchmark harness and Criterion benches.
+//! The paper-reproduction harness: Fig. 7 timing, the repair and soak
+//! grids, and their `BENCH_*.json` output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,17 +68,11 @@ pub struct EngineTiming {
 }
 
 /// Times `runs` engine runs on a fabric (at least one), reporting the min
-/// and median. The engine is built once, outside the timed region.
-#[must_use]
-pub fn time_engine_stats(fabric: &ManagedFabric, engine: EngineKind, runs: usize) -> EngineTiming {
-    time_engine_stats_opts(fabric, engine, runs, RoutingOptions::default())
-}
-
-/// Like [`time_engine_stats`], but with explicit [`RoutingOptions`] — the
-/// knob for timing an engine's own internal parallelism (as opposed to
+/// and median. The engine is built once, outside the timed region;
+/// `routing` sets its own internal parallelism (as opposed to
 /// [`fig7_grid`]'s `workers`, which runs whole cells concurrently).
 #[must_use]
-pub fn time_engine_stats_opts(
+pub fn time_engine_stats(
     fabric: &ManagedFabric,
     engine: EngineKind,
     runs: usize,
@@ -105,12 +100,6 @@ pub fn time_engine_stats_opts(
     }
 }
 
-/// Times one engine run on a fabric, returning `(elapsed, decisions)`.
-pub fn time_engine(fabric: &ManagedFabric, engine: EngineKind) -> (Duration, u64) {
-    let stats = time_engine_stats(fabric, engine, 1);
-    (stats.min, stats.decisions)
-}
-
 /// One cell of the Fig. 7 grid: a `(topology, engine)` pair with its
 /// timing stats and the topology's full-reconfiguration SMP floor for
 /// context.
@@ -128,10 +117,10 @@ pub struct Fig7Cell {
     pub min_smps_full_rc: usize,
 }
 
-/// The topology constructors behind [`fig7_topologies`], so callers can
-/// build the fabrics themselves (e.g. in parallel).
-#[must_use]
-pub fn fig7_builders(level: u8) -> Vec<fn() -> BuiltTopology> {
+/// The Fig. 7 topology constructors, gated by size so debug/CI runs stay
+/// fast: level 0 = the two 2-level trees; level 1 adds 5832; level 2 adds
+/// 11664.
+fn fig7_builders(level: u8) -> Vec<fn() -> BuiltTopology> {
     let mut out: Vec<fn() -> BuiltTopology> = vec![fattree::paper_324, fattree::paper_648];
     if level >= 1 {
         out.push(fattree::paper_5832);
@@ -140,16 +129,6 @@ pub fn fig7_builders(level: u8) -> Vec<fn() -> BuiltTopology> {
         out.push(fattree::paper_11664);
     }
     out
-}
-
-/// The Fig. 7 topology set, gated by size so debug/CI runs stay fast:
-/// level 0 = the two 2-level trees; level 1 adds 5832; level 2 adds 11664.
-#[must_use]
-pub fn fig7_topologies(level: u8) -> Vec<ManagedFabric> {
-    fig7_builders(level)
-        .into_iter()
-        .map(|b| manage(b()))
-        .collect()
 }
 
 /// Which engines Fig. 7 runs at a given subnet size. The expensive
@@ -180,7 +159,7 @@ pub fn fig7_engines(switches: usize, force: bool) -> Vec<EngineKind> {
 /// alone on its thread; cells on the same machine still contend for memory
 /// bandwidth, which is why the per-cell *min* of several runs is the
 /// number to trust. The returned vector is always in deterministic
-/// `fig7_topologies` × `fig7_engines` order regardless of `workers`, and
+/// `fig7_builders` × `fig7_engines` order regardless of `workers`, and
 /// the decision counts (and tables) are invariant under `routing.workers`.
 #[must_use]
 pub fn fig7_grid(
@@ -207,7 +186,7 @@ pub fn fig7_grid(
             topology: fabric.name.clone(),
             switches: fabric.switches,
             engine: engine.name().to_string(),
-            timing: time_engine_stats_opts(fabric, engine, runs, routing),
+            timing: time_engine_stats(fabric, engine, runs, routing),
             min_smps_full_rc: fabric.switches
                 * fabric.subnet.topmost_lid().map_or(0, min_blocks_for),
         }
@@ -268,9 +247,10 @@ mod tests {
     #[test]
     fn time_engine_stats_clamps_runs_and_orders_quantiles() {
         let fabric = manage(fattree::two_level(2, 2, 2));
-        let stats = time_engine_stats(&fabric, EngineKind::MinHop, 0);
+        let routing = RoutingOptions::default();
+        let stats = time_engine_stats(&fabric, EngineKind::MinHop, 0, routing);
         assert_eq!(stats.runs, 1);
-        let stats = time_engine_stats(&fabric, EngineKind::MinHop, 3);
+        let stats = time_engine_stats(&fabric, EngineKind::MinHop, 3, routing);
         assert_eq!(stats.runs, 3);
         assert!(stats.min <= stats.median);
         assert!(stats.decisions > 0);

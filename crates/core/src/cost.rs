@@ -45,7 +45,7 @@ impl Table1Row {
         }
     }
 
-    /// Builds the row from raw counts (for the analytic sweep benches).
+    /// Builds the row from raw counts (`harness cost-model`'s sweep).
     #[must_use]
     pub fn from_counts(nodes: usize, switches: usize, lids: usize) -> Self {
         let m = lids.div_ceil(ib_types::LFT_BLOCK_SIZE);

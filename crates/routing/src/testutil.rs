@@ -1,4 +1,4 @@
-//! Test support shared by engine unit tests, integration tests, and benches.
+//! Test support shared by engine unit tests and integration tests.
 
 #![allow(missing_docs)]
 

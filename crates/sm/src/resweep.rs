@@ -29,7 +29,7 @@ use crate::sm::SubnetManager;
 /// Maximum resume passes over failed blocks before a sweep gives up. With
 /// the default 4-attempt retry policy this bounds the per-block attempt
 /// budget at 68 sends — plenty for any loss rate the harness sweeps, while
-/// still terminating against a structurally unreachable switch.
+/// still terminating against a transport that loses every SMP.
 const MAX_RETRY_PASSES: usize = 16;
 
 /// How deep a re-sweep went.
@@ -249,7 +249,9 @@ impl SubnetManager {
     /// On a split fabric, switches beyond the cut are not served (counted
     /// as `sm.switches_unserved`) instead of burning all
     /// [`MAX_RETRY_PASSES`] against links no SMP can cross; the heal sweep
-    /// rewrites their rows wholesale.
+    /// rewrites their rows wholesale. A pass that sends no SMP at all ends
+    /// the retries too: its failed blocks all sit on switches no SMP can
+    /// address, and nothing a further pass sees has changed.
     ///
     /// `candidates` narrows the first pass's diff to the blocks a repair
     /// changed (`None`: every block of every switch); the retry passes
@@ -279,6 +281,7 @@ impl SubnetManager {
                 _ => ("lft-distribution-retry", Some(failed.as_slice())),
             };
             self.ledger.begin_phase(phase);
+            let sent_before = self.ledger.total();
             let (pass, still_failed) = distribution::push_blocks(
                 subnet,
                 self.sm_node,
@@ -292,7 +295,11 @@ impl SubnetManager {
             )?;
             acct.merge(pass);
             failed = still_failed;
-            if failed.is_empty() || passes == MAX_RETRY_PASSES {
+            // A pass that sent nothing (every failed block's switch was
+            // unaddressable) changed neither the subnet nor the transport,
+            // so the next pass would plan the same blocks again.
+            let silent = self.ledger.total() == sent_before;
+            if failed.is_empty() || silent || passes == MAX_RETRY_PASSES {
                 break;
             }
             passes += 1;
@@ -473,6 +480,40 @@ mod tests {
         for lid in all_lids(&t.subnet) {
             assert!(leaf2_lft.get(lid).is_some(), "leaf2 routes LID {lid}");
         }
+    }
+
+    /// A switch no SMP can address fails its blocks without sending
+    /// anything. A pass that sent nothing ends the retries: the next one
+    /// would plan against the same subnet and transport.
+    #[test]
+    fn an_unaddressable_switch_ends_the_retries_after_a_silent_pass() {
+        let mut t = ib_subnet::topology::fattree::two_level(3, 2, 2);
+        let config = crate::sm::SmConfig {
+            smp_mode: crate::SmpMode::Destination,
+            ..crate::sm::SmConfig::default()
+        };
+        let mut sm = SubnetManager::new(t.hosts[0], config);
+        sm.bring_up(&mut t.subnet).unwrap();
+        // Destination-routed SMPs need the target's LID: without one, leaf
+        // 1 stays dirty and unaddressable for good.
+        let leaf1 = t.switch_levels[0][1];
+        let lid = t.subnet.node(leaf1).lids().next().unwrap();
+        t.subnet.clear_lid(lid).unwrap();
+        let mut transport = SmpTransport::assumed(sm.sm_node);
+
+        // Every switch's column for the cleared LID is dirty: the first
+        // pass installs the reachable ones, the retry sends nothing.
+        let report = sm.light_sweep(&mut t.subnet, &mut transport).unwrap();
+        assert!(report.distribution.lft_smps > 0);
+        assert!(!report.failed_blocks.is_empty());
+        assert_eq!(report.retry_passes, 1);
+
+        // Now only leaf 1 is dirty, and the first pass sends nothing.
+        let report = sm.light_sweep(&mut t.subnet, &mut transport).unwrap();
+        assert_eq!(report.distribution.lft_smps, 0);
+        assert!(report.failed_blocks.iter().all(|b| b.switch == leaf1));
+        assert!(!report.failed_blocks.is_empty());
+        assert_eq!(report.retry_passes, 0);
     }
 
     #[test]

@@ -185,7 +185,7 @@ pub fn paper_11664() -> BuiltTopology {
 pub type PaperPreset = (&'static str, fn() -> BuiltTopology, usize, usize);
 
 /// All four paper presets as (constructor, expected hosts, expected
-/// switches), for sweep-style benches and tests.
+/// switches), for sweeps and tests.
 pub const PAPER_PRESETS: [PaperPreset; 4] = [
     ("fat-tree-2L-324", paper_324, 324, 36),
     ("fat-tree-2L-648", paper_648, 648, 54),

@@ -3,7 +3,7 @@
 //! Irregular fabrics are where "topology agnostic" earns its name: the
 //! builder produces a random connected switch graph (random spanning tree
 //! plus extra chords) with hosts spread round-robin, deterministically from a
-//! seed so tests and benches are reproducible.
+//! seed so tests and sweeps are reproducible.
 
 use ib_types::PortNum;
 use rand::rngs::StdRng;
