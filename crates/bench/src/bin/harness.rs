@@ -6,7 +6,7 @@
 //! cargo run --release -p ib-bench --bin harness -- fig7 --json bench-out
 //! ```
 //!
-//! Subcommands: `table1`, `fig7 [--level N] [--lash]`, `fig5`, `fig6`,
+//! Subcommands: `table1`, `fig7 [--level N] [--force-engines]`, `fig5`, `fig6`,
 //! `cost-model`, `capacity`, `emulation`, `deadlock`, `sa-cache`,
 //! `balance`, `faults`, `repair`, `soak`, `all`.
 //!
@@ -61,7 +61,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     let level: u8 = flag_value(&args, "--level").unwrap_or(0);
-    let force_lash = args.iter().any(|a| a == "--lash" || a == "--force-engines");
+    let force = args.iter().any(|a| a == "--force-engines");
     let workers: usize = flag_value(&args, "--workers").unwrap_or_else(|| {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     });
@@ -74,7 +74,7 @@ fn main() {
 
     match cmd {
         "table1" => table1(json),
-        "fig7" => fig7(level, force_lash, workers, routing_workers, json),
+        "fig7" => fig7(level, force, workers, routing_workers, json),
         "fig5" => fig5(),
         "fig6" => fig6(),
         "cost-model" => cost_model(),
@@ -102,7 +102,7 @@ fn main() {
         "dot" => dot(),
         "all" => {
             table1(json);
-            fig7(level, force_lash, workers, routing_workers, json);
+            fig7(level, force, workers, routing_workers, json);
             fig5();
             fig6();
             cost_model();
@@ -210,19 +210,19 @@ fn table1(json: Option<&Path>) {
 /// `(topology, engine)` grid runs across `workers` threads; each engine
 /// computes on `routing_workers` threads internally; each cell is
 /// timed [`FIG7_RUNS`] times and reports min and median.
-fn fig7(level: u8, force_lash: bool, workers: usize, routing_workers: usize, json: Option<&Path>) {
-    println!("\n===== FIG. 7: path computation time (this machine; paper shape: ftree < minhop << dfsssp << lash) =====");
-    println!("level {level}: 324/648 always; 5832 at --level 1; 11664 at --level 2; LASH on the 2-level trees and DFSSSP through 5832 unless --force-engines");
+fn fig7(level: u8, force: bool, workers: usize, routing_workers: usize, json: Option<&Path>) {
+    println!("\n===== FIG. 7: path computation time (this machine; the paper's order: ftree < minhop << dfsssp << lash) =====");
+    println!("level {level}: 324/648 always; 5832 at --level 1; 11664 at --level 2; DFSSSP through 5832 unless --force-engines; every LASH cell verified acyclic");
     println!(
         "{workers} grid worker(s), {routing_workers} routing worker(s) per engine, min/median of {FIG7_RUNS} runs per cell; fabric construction untimed"
     );
     println!(
-        "{:>18} {:>10} {:>12} {:>12} {:>14} {:>14}",
-        "topology", "engine", "sec (min)", "sec (med)", "decisions", "LID swap/copy"
+        "{:>18} {:>10} {:>12} {:>12} {:>14} {:>6} {:>14}",
+        "topology", "engine", "sec (min)", "sec (med)", "decisions", "lanes", "LID swap/copy"
     );
     let cells = fig7_grid(
         level,
-        force_lash,
+        force,
         workers,
         FIG7_RUNS,
         RoutingOptions::default().with_workers(routing_workers),
@@ -230,12 +230,13 @@ fn fig7(level: u8, force_lash: bool, workers: usize, routing_workers: usize, jso
     let mut json_cells = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
         println!(
-            "{:>18} {:>10} {:>12.4} {:>12.4} {:>14} {:>14}",
+            "{:>18} {:>10} {:>12.4} {:>12.4} {:>14} {:>6} {:>14}",
             cell.topology,
             cell.engine,
             cell.timing.min.as_secs_f64(),
             cell.timing.median.as_secs_f64(),
             cell.timing.decisions,
+            cell.timing.lanes,
             "0 (none)"
         );
         // The vSwitch reconfiguration's path-computation time is zero by
@@ -246,8 +247,8 @@ fn fig7(level: u8, force_lash: bool, workers: usize, routing_workers: usize, jso
             .is_none_or(|next| next.topology != cell.topology)
         {
             println!(
-                "{:>18} {:>10} {:>12.4} {:>12.4} {:>14} {:>14}",
-                cell.topology, "lid-swap", 0.0, 0.0, 0, "-"
+                "{:>18} {:>10} {:>12.4} {:>12.4} {:>14} {:>6} {:>14}",
+                cell.topology, "lid-swap", 0.0, 0.0, 0, "-", "-"
             );
         }
         json_cells.push(Json::obj(vec![
@@ -260,6 +261,7 @@ fn fig7(level: u8, force_lash: bool, workers: usize, routing_workers: usize, jso
                 Json::from(cell.timing.median.as_secs_f64()),
             ),
             ("decisions", Json::from(cell.timing.decisions)),
+            ("lanes", Json::from(cell.timing.lanes)),
             ("min_smps_full_rc", Json::from(cell.min_smps_full_rc)),
         ]));
     }

@@ -14,7 +14,8 @@ use std::time::{Duration, Instant};
 
 use ib_mad::SmpLedger;
 use ib_observe::Observer;
-use ib_routing::{EngineKind, RoutingOptions};
+use ib_routing::lash::verify_pair_layers_acyclic;
+use ib_routing::{EngineKind, RoutingOptions, RoutingTables};
 use ib_sm::{discovery, lids};
 use ib_subnet::lft::min_blocks_for;
 use ib_subnet::topology::{fattree, BuiltTopology};
@@ -65,39 +66,46 @@ pub struct EngineTiming {
     pub runs: usize,
     /// Routing decisions taken (identical across runs).
     pub decisions: u64,
+    /// Virtual lanes the tables use (identical across runs).
+    pub lanes: usize,
 }
 
 /// Times `runs` engine runs on a fabric (at least one), reporting the min
-/// and median. The engine is built once, outside the timed region;
-/// `routing` sets its own internal parallelism (as opposed to
-/// [`fig7_grid`]'s `workers`, which runs whole cells concurrently).
+/// and median, and hands back the last run's tables. The engine is built
+/// once, outside the timed region; `routing` sets its own internal
+/// parallelism (as opposed to [`fig7_grid`]'s `workers`, which runs whole
+/// cells concurrently).
 #[must_use]
 pub fn time_engine_stats(
     fabric: &ManagedFabric,
     engine: EngineKind,
     runs: usize,
     routing: RoutingOptions,
-) -> EngineTiming {
+) -> (EngineTiming, RoutingTables) {
     let e = engine.build();
     let observer = Observer::disabled();
     let runs = runs.max(1);
     let mut samples = Vec::with_capacity(runs);
-    let mut decisions = 0;
+    let mut last = None;
     for _ in 0..runs {
+        drop(last.take()); // untimed, and one set of tables alive at a time
         let started = Instant::now();
         let tables = e
             .compute_with(&fabric.subnet, routing, &observer)
             .expect("engine");
         samples.push(started.elapsed());
-        decisions = tables.decisions;
+        last = Some(tables);
     }
+    let tables = last.expect("at least one run");
     samples.sort_unstable();
-    EngineTiming {
+    let timing = EngineTiming {
         min: samples[0],
         median: samples[runs / 2],
         runs,
-        decisions,
-    }
+        decisions: tables.decisions,
+        lanes: tables.vls.lanes_used(),
+    };
+    (timing, tables)
 }
 
 /// One cell of the Fig. 7 grid: a `(topology, engine)` pair with its
@@ -131,22 +139,19 @@ fn fig7_builders(level: u8) -> Vec<fn() -> BuiltTopology> {
     out
 }
 
-/// Which engines Fig. 7 runs at a given subnet size. The expensive
-/// engines are capped by default, mirroring the paper's own data: LASH is
-/// quadratic in switches with a cycle check per pair (39145 s at 11664
-/// nodes in the paper) and runs on the 2-level trees only; DFSSSP runs
-/// through the 5832-node tree (972 switches: ≈ 37 s per run, 13 lanes,
-/// ≈ 350 MB peak on a 2-vCPU x86 box) and is capped at 1000 switches,
-/// which leaves out the 11664-node tree. `force` lifts both caps.
+/// Which engines Fig. 7 runs at a given subnet size. LASH runs at every
+/// size: its per-pair check searches only from the dependencies a
+/// placement adds. DFSSSP runs through the 5832-node tree (972 switches:
+/// ≈ 37 s per run, 13 lanes, ≈ 350 MB peak on a 2-vCPU x86 box) and is
+/// capped at 1000 switches, which leaves out the 11664-node tree; `force`
+/// lifts that cap.
 #[must_use]
 pub fn fig7_engines(switches: usize, force: bool) -> Vec<EngineKind> {
     let mut engines = vec![EngineKind::FatTree, EngineKind::MinHop];
     if switches <= 1000 || force {
         engines.push(EngineKind::Dfsssp);
     }
-    if switches <= 54 || force {
-        engines.push(EngineKind::Lash);
-    }
+    engines.push(EngineKind::Lash);
     engines
 }
 
@@ -161,6 +166,11 @@ pub fn fig7_engines(switches: usize, force: bool) -> Vec<EngineKind> {
 /// number to trust. The returned vector is always in deterministic
 /// `fig7_builders` × `fig7_engines` order regardless of `workers`, and
 /// the decision counts (and tables) are invariant under `routing.workers`.
+///
+/// # Panics
+///
+/// When a LASH cell's layers are not acyclic; the last timed run's tables
+/// are checked, outside the timed region.
 #[must_use]
 pub fn fig7_grid(
     level: u8,
@@ -182,11 +192,17 @@ pub fn fig7_grid(
     parallel_map(cells.len(), workers, |ci| {
         let (fi, engine) = cells[ci];
         let fabric = &fabrics[fi];
+        let (timing, tables) = time_engine_stats(fabric, engine, runs, routing);
+        if engine == EngineKind::Lash {
+            if let Err(e) = verify_pair_layers_acyclic(&fabric.subnet, &tables) {
+                panic!("fig7 {} lash: {e}", fabric.name);
+            }
+        }
         Fig7Cell {
             topology: fabric.name.clone(),
             switches: fabric.switches,
             engine: engine.name().to_string(),
-            timing: time_engine_stats(fabric, engine, runs, routing),
+            timing,
             min_smps_full_rc: fabric.switches
                 * fabric.subnet.topmost_lid().map_or(0, min_blocks_for),
         }
@@ -248,12 +264,19 @@ mod tests {
     fn time_engine_stats_clamps_runs_and_orders_quantiles() {
         let fabric = manage(fattree::two_level(2, 2, 2));
         let routing = RoutingOptions::default();
-        let stats = time_engine_stats(&fabric, EngineKind::MinHop, 0, routing);
+        let (stats, _) = time_engine_stats(&fabric, EngineKind::MinHop, 0, routing);
         assert_eq!(stats.runs, 1);
-        let stats = time_engine_stats(&fabric, EngineKind::MinHop, 3, routing);
+        let (stats, _) = time_engine_stats(&fabric, EngineKind::MinHop, 3, routing);
         assert_eq!(stats.runs, 3);
         assert!(stats.min <= stats.median);
         assert!(stats.decisions > 0);
+    }
+
+    #[test]
+    fn fig7_runs_lash_on_the_three_level_trees() {
+        for switches in [972, 1620] {
+            assert!(fig7_engines(switches, false).contains(&EngineKind::Lash));
+        }
     }
 
     #[test]
@@ -268,6 +291,7 @@ mod tests {
             assert_eq!(a.topology, b.topology);
             assert_eq!(a.engine, b.engine);
             assert_eq!(a.timing.decisions, b.timing.decisions);
+            assert_eq!(a.timing.lanes, b.timing.lanes);
             assert_eq!(a.min_smps_full_rc, b.min_smps_full_rc);
         }
         // Table I cross-check: 36 switches x 6 blocks, 54 x 11.

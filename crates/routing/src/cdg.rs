@@ -24,16 +24,17 @@
 //! finds a cycle exactly when one is reachable from it, so a caller that
 //! knows its graph was acyclic can search from the heads of the
 //! dependencies it booked since — [`Cdg::book`] reports which bookings
-//! took a dependency from zero — instead of from every channel.
+//! took a dependency from zero — instead of from every channel. LASH
+//! checks every pair placement that way, and the repair gate every patch.
 //!
 //! This module is the one place that knows the layout and the search
 //! order. Users differ only in how wide a counter is, fixed by the type's
-//! [`CountStore`]: routing and the analyses count in `u32`s
-//! ([`WideCounts`], with the switch-LID counts and touched list DFSSSP's
-//! lifting reads); the verifier's graph, which the SM carries from repair
-//! to repair, counts in bytes with a spill map ([`ByteCounts`]) — on the
-//! 5832-node tree that is 0.63 M one-byte slots per lane, and no
-//! dependency is booked by more than a few dozen columns.
+//! [`CountStore`]: routing — DFSSSP's lanes and LASH's layers — and the
+//! analyses count in `u32`s ([`WideCounts`], with the switch-LID counts and
+//! touched list DFSSSP's lifting reads); the verifier's graph, which the SM
+//! carries from repair to repair, counts in bytes with a spill map
+//! ([`ByteCounts`]) — on the 5832-node tree that is 0.63 M one-byte slots
+//! per lane, and no dependency is booked by more than a few dozen columns.
 
 use std::fmt;
 

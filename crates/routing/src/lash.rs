@@ -8,19 +8,21 @@
 //!
 //! The per-destination in-tree extraction and the LFT fill fan across the
 //! configured workers (each tree and each switch row is independent); the
-//! pair packing cannot — each placement depends on every earlier one. That
-//! per-pair packing with cycle checks is why LASH is by far the most
-//! expensive engine in the paper's Fig. 7 (39145 s at 11664 nodes) — the
-//! same quadratic-in-switches, cycle-check-per-pair structure is faithfully
-//! reproduced here, and its cost lands in the `routing.lash.vl_partition`
-//! span.
+//! pair packing cannot — each placement depends on every earlier one. Each
+//! lane is a one-lane [`Cdg`], acyclic before every placement, so a
+//! placement's cycle search starts only from the dependencies it adds (any
+//! new cycle runs through one of them). The packing's cost is the
+//! placements plus those scoped searches, and it lands in the
+//! `routing.lash.vl_partition` span. The paper's LASH cost (39145 s at
+//! 11664 nodes in its Fig. 7) is OpenSM's dense per-pair check, which is
+//! not reproduced here.
 
 use ib_observe::Observer;
 use ib_subnet::Subnet;
 use ib_types::{IbError, IbResult, PortNum, VirtualLane};
 use rustc_hash::FxHashMap;
 
-use crate::cdg::{Cdg, Channel};
+use crate::cdg::Cdg;
 use crate::engine::{RoutingEngine, RoutingOptions};
 use crate::graph::{parallel_for_each, Destination, SwitchGraph};
 use crate::tables::{RoutingTables, Splice, VlAssignment};
@@ -48,14 +50,15 @@ impl RoutingEngine for Lash {
     /// BFS in-trees for the dirty delivery switches, their columns
     /// written, then just the re-routed switch pairs placed into the lane
     /// structure. Each layer's CDG is first re-seeded from the clean
-    /// pairs' installed paths — they coexisted acyclically before, so no
-    /// cycle check is run (or wanted: the O(channels²) check is LASH's
-    /// cost). A dirty pair first tries its prior lane, escalates to the
-    /// CDG-checked first-fit search on conflict, opens a new lane within
-    /// the budget, and only errors out (for a repair: a *counted* fallback
-    /// at the SM, the columns put back) when the budget is exhausted — a
-    /// repair never re-layers the whole fabric. With no clean pair and no
-    /// prior lane that is exactly first-fit packing from lane 0.
+    /// pairs' installed paths — they coexisted acyclically before, so the
+    /// seed is booked unchecked (debug builds check every seeded layer,
+    /// since a placement searches only from what it adds). A dirty pair
+    /// first tries its prior lane, escalates to the CDG-checked first-fit
+    /// search on conflict, opens a new lane within the budget, and only
+    /// errors out (for a repair: a *counted* fallback at the SM, the
+    /// columns put back) when the budget is exhausted — a repair never
+    /// re-layers the whole fabric. With no clean pair and no prior lane
+    /// that is exactly first-fit packing from lane 0.
     fn route(
         &self,
         splice: &mut Splice<'_>,
@@ -174,26 +177,14 @@ impl RoutingEngine for Lash {
 
         // Pack each dirty ordered switch pair into a lane that stays
         // acyclic. Strictly serial: whether a pair fits lane l depends on
-        // every pair placed before it. Layers use the classic dense-matrix
-        // CDG representation (see [`MatrixCdg`]) so the per-pair cycle
-        // check carries LASH's characteristic quadratic-in-channels cost.
+        // every pair placed before it. Each layer is a one-lane `Cdg`.
         let _span = observer.span("routing.lash.vl_partition");
-        let mut channel_ids: FxHashMap<Channel, usize> = FxHashMap::default();
-        for s in 0..n {
-            for &(_, p) in g.neighbors(s) {
-                let next = channel_ids.len();
-                channel_ids.entry((s as u32, p.raw())).or_insert(next);
-            }
-        }
-        let num_channels = channel_ids.len();
         let mut pair_lane: FxHashMap<(u32, u32), VirtualLane> = match splice.vls() {
             VlAssignment::PerSwitchPair(map) => map.clone(),
             _ => FxHashMap::default(),
         };
         let max_lane = pair_lane.values().map(|l| l.raw()).max().unwrap_or(0);
-        let mut layers: Vec<MatrixCdg> = (0..=max_lane)
-            .map(|_| MatrixCdg::new(num_channels))
-            .collect();
+        let mut layers: Vec<Cdg> = (0..=max_lane).map(|_| Cdg::new(g, 1)).collect();
 
         // Re-seed the layers from the clean pairs' installed paths. A walk
         // that dead-ends — the entry is cleared, or the port leads into a
@@ -207,39 +198,29 @@ impl RoutingEngine for Lash {
         // corrupt: error out so the SM takes its counted fallback and
         // rebuilds from scratch (keeping the reverse route index honest —
         // a silent internal recompute here would be misread as a splice).
-        let mut ids: Vec<usize> = Vec::new();
         for dsw in (0..n).filter(|&dsw| tree_of[dsw] == NO_TREE) {
             let dest = first_dest[dsw].expect("a switch with no column is dirty");
+            let next = |s: usize| g.next_hop(s, splice.get(s, dest.lid));
             for src in (0..n).filter(|&src| src != dsw) {
-                ids.clear();
-                let mut cur = src;
-                let mut hops = 0;
-                while cur != dsw {
-                    let Some(p) = splice.get(cur, dest.lid) else {
-                        break;
-                    };
-                    let Some(&cid) = channel_ids.get(&(cur as u32, p.raw())) else {
-                        break;
-                    };
-                    let Some(next_sw) = g.peer(cur, p) else {
-                        break;
-                    };
-                    ids.push(cid);
-                    cur = next_sw;
-                    hops += 1;
-                    if hops > n {
-                        return Err(IbError::Topology(
-                            "forwarding loop in the lash repair baseline".into(),
-                        ));
-                    }
-                }
                 let lane = splice.vls().lane_for(src as u32, dsw as u32, dest.lid);
-                layers[lane.raw() as usize].add_path(&ids);
+                if !layers[lane.raw() as usize].book_path(0, (src, dsw), next, false, true) {
+                    return Err(IbError::Topology(
+                        "forwarding loop in the lash repair baseline".into(),
+                    ));
+                }
             }
         }
+        // The placements below search only from what they add, so they
+        // rely on every seeded layer being acyclic.
+        debug_assert!(
+            layers.iter().all(|layer| layer.find_cycle(0).is_none()),
+            "the lash repair baseline seeds a cyclic layer"
+        );
 
         // Place the dirty pairs: prior lane first (most repaired paths
         // still fit where they lived), then first-fit, then a new lane.
+        let stride = g.peer_table().0;
+        let (mut path, mut heads) = (Vec::new(), Vec::new());
         for (tree, &dsw) in trees.chunks(n).zip(&dirty_switches) {
             for src in (0..n).filter(|&src| src != dsw) {
                 let pair = (src as u32, dsw as u32);
@@ -249,21 +230,22 @@ impl RoutingEngine for Lash {
                     // no path and holds no lane.
                     continue;
                 }
-                // Materialize the channel-id path src -> dsw along the tree.
+                // The channel ids of the path src -> dsw along the tree.
                 // (Every switch on the walk is reachable once src is: the
                 // in-tree is connected toward dsw.)
-                ids.clear();
+                path.clear();
                 let mut cur = src;
                 while cur != dsw {
                     let p = tree[cur].expect("on the in-tree toward dsw");
-                    ids.push(channel_ids[&(cur as u32, p.raw())]);
+                    path.push((cur * stride + p.raw() as usize) as u32);
                     decisions += 1;
                     cur = g.peer(cur, p).expect("port leads somewhere");
                 }
-                let placed = if layers[prior_lane].try_add_path(&ids) {
+                let mut fits = |layer: &mut Cdg| place(layer, &path, &mut heads);
+                let placed = if fits(&mut layers[prior_lane]) {
                     Some(prior_lane)
                 } else {
-                    (0..layers.len()).find(|&l| l != prior_lane && layers[l].try_add_path(&ids))
+                    (0..layers.len()).find(|&l| l != prior_lane && fits(&mut layers[l]))
                 };
                 let lane = match placed {
                     Some(l) => l,
@@ -274,8 +256,8 @@ impl RoutingEngine for Lash {
                                 self.max_vls
                             )));
                         }
-                        let mut fresh = MatrixCdg::new(num_channels);
-                        let ok = fresh.try_add_path(&ids);
+                        let mut fresh = Cdg::new(g, 1);
+                        let ok = fits(&mut fresh);
                         debug_assert!(ok, "single path cannot be cyclic");
                         layers.push(fresh);
                         layers.len() - 1
@@ -296,105 +278,24 @@ impl RoutingEngine for Lash {
     }
 }
 
-/// A channel dependency graph stored as a dense adjacency matrix, the
-/// representation classic LASH implementations use: the cycle check after
-/// each tentative pair placement walks matrix rows, costing
-/// O(channels²) per pair. That quadratic check, run for every ordered
-/// switch pair, is precisely what makes LASH the most expensive engine in
-/// the paper's Fig. 7 (39145 s at 11664 nodes) — an incremental
-/// reachability test from the new dependency's head would be
-/// algorithmically equivalent but would not reproduce that cost profile.
-struct MatrixCdg {
-    n: usize,
-    adj: Vec<bool>,
-}
-
-impl MatrixCdg {
-    fn new(n: usize) -> Self {
-        Self {
-            n,
-            adj: vec![false; n * n],
+/// Books the consecutive dependencies of a channel-id path on an acyclic
+/// layer and keeps them when the layer stays acyclic; otherwise retracts
+/// exactly what it booked. Any new cycle runs through a dependency the
+/// path took from zero, so the search starts only from those heads.
+fn place(layer: &mut Cdg, path: &[u32], heads: &mut Vec<u32>) -> bool {
+    heads.clear();
+    for w in path.windows(2) {
+        if layer.book(0, w[0], w[1], true) {
+            heads.push(w[1]);
         }
     }
-
-    #[inline]
-    fn has(&self, a: usize, b: usize) -> bool {
-        self.adj[a * self.n + b]
-    }
-
-    /// Full-matrix DFS cycle search (three-color, iterative).
-    fn has_cycle(&self) -> bool {
-        const WHITE: u8 = 0;
-        const GRAY: u8 = 1;
-        const BLACK: u8 = 2;
-        let mut color = vec![WHITE; self.n];
-        let mut stack: Vec<(usize, usize)> = Vec::new();
-        for start in 0..self.n {
-            if color[start] != WHITE {
-                continue;
-            }
-            color[start] = GRAY;
-            stack.push((start, 0));
-            while let Some(&mut (u, ref mut next)) = stack.last_mut() {
-                // Scan the row for the next successor.
-                let mut advanced = false;
-                while *next < self.n {
-                    let v = *next;
-                    *next += 1;
-                    if !self.has(u, v) {
-                        continue;
-                    }
-                    match color[v] {
-                        WHITE => {
-                            color[v] = GRAY;
-                            stack.push((v, 0));
-                            advanced = true;
-                            break;
-                        }
-                        GRAY => return true,
-                        _ => {}
-                    }
-                }
-                if !advanced && stack.last().map(|&(u2, n2)| (u2, n2 >= self.n)) == Some((u, true))
-                {
-                    color[u] = BLACK;
-                    stack.pop();
-                }
-            }
-        }
-        false
-    }
-
-    /// Adds the consecutive dependencies of a channel-id path with **no**
-    /// cycle check — for re-seeding a layer from paths that already
-    /// coexisted acyclically in an installed assignment, where re-running
-    /// the quadratic check would defeat the point of incremental repair.
-    fn add_path(&mut self, ids: &[usize]) {
-        for w in ids.windows(2) {
-            self.adj[w[0] * self.n + w[1]] = true;
+    let cyclic = !heads.is_empty() && layer.find_cycle_from(0, heads.iter().copied()).is_some();
+    if cyclic {
+        for w in path.windows(2) {
+            layer.book(0, w[0], w[1], false);
         }
     }
-
-    /// Adds the consecutive dependencies of a channel-id path, runs the
-    /// full cycle check, and rolls back if a cycle appeared.
-    fn try_add_path(&mut self, ids: &[usize]) -> bool {
-        let mut new_edges = Vec::new();
-        for w in ids.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            if !self.has(a, b) {
-                self.adj[a * self.n + b] = true;
-                new_edges.push((a, b));
-            }
-        }
-        if self.has_cycle() {
-            for (a, b) in new_edges {
-                self.adj[a * self.n + b] = false;
-            }
-            false
-        } else {
-            true
-        }
-    }
+    !cyclic
 }
 
 /// Verifies deadlock freedom of a LASH result: for every lane, re-derive
