@@ -447,11 +447,12 @@ fn emulation() {
 /// it and draining under timeouts or DFSSSP's lanes, and the `R_old ∪
 /// R_new` check of one fat-tree LID swap.
 fn deadlock() {
-    use ib_core::deadlock::{analyze_transition, LftSnapshot};
+    use ib_core::deadlock::analyze_transition;
     use ib_core::migration::swap_on_fabric;
     use ib_mad::{RouteTree, SmpTransport};
     use ib_routing::cdg::Cdg;
     use ib_routing::graph::SwitchGraph;
+    use ib_routing::tables::RoutingTables;
     use ib_routing::EngineKind;
     use ib_sim::credit::{run, CreditSimConfig, Flow};
     use ib_sm::{SmConfig, SmpMode, SubnetManager};
@@ -566,7 +567,7 @@ fn deadlock() {
         },
     );
     sm3.bring_up(&mut ft.subnet).expect("bring-up");
-    let before = LftSnapshot::capture(&ft.subnet);
+    let before = RoutingTables::from_installed(&ft.subnet);
     let lid = |h: usize| ft.subnet.node(ft.hosts[h]).ports[1].lid.unwrap();
     let (a, b) = (lid(1), lid(200));
     let tree = RouteTree::build(&ft.subnet, sm3.sm_node);
@@ -588,7 +589,7 @@ fn deadlock() {
     );
 }
 
-/// §I / reference [10]: SA query load with and without address-preserving
+/// §I / reference \[10\]: SA query load with and without address-preserving
 /// migration.
 fn sa_cache() {
     use ib_sm::{PathRecordCache, SaService};

@@ -19,10 +19,8 @@
 pub mod inventory;
 pub mod placement;
 pub mod scenarios;
-pub mod topology_aware;
 pub mod workflow;
 
 pub use inventory::{Inventory, NodeResources, VmFlavor};
 pub use placement::{PackPolicy, PlacementPolicy, RoundRobinPolicy, SpreadPolicy};
-pub use topology_aware::{migrate_cheapest, rank_destinations, MigrationCandidate};
 pub use workflow::{LiveMigrationWorkflow, WorkflowTrace};

@@ -9,38 +9,14 @@
 //! of `n'` extra SMPs and dropped packets.
 //!
 //! This module makes the hazard *observable*: snapshot the LFTs before a
-//! migration, and ask whether the union of old and new routing functions
-//! has a cyclic channel dependency graph.
+//! migration ([`RoutingTables::from_installed`]), and ask whether the union
+//! of old and new routing functions has a cyclic channel dependency graph.
 
 use ib_routing::cdg::Cdg;
 use ib_routing::graph::{Destination, SwitchGraph};
 use ib_routing::tables::RoutingTables;
-use ib_subnet::{Lft, NodeId, Subnet};
+use ib_subnet::Subnet;
 use ib_types::IbResult;
-use rustc_hash::FxHashMap;
-
-/// A frozen copy of every switch LFT (physical and virtual).
-#[derive(Clone, Debug)]
-pub struct LftSnapshot {
-    lfts: FxHashMap<NodeId, Lft>,
-}
-
-impl LftSnapshot {
-    /// Captures the current LFTs of all switches.
-    #[must_use]
-    pub fn capture(subnet: &Subnet) -> Self {
-        Self {
-            lfts: subnet
-                .switches()
-                .filter_map(|n| n.lft().map(|lft| (n.id, lft.clone())))
-                .collect(),
-        }
-    }
-
-    fn as_tables(&self, label: &'static str) -> RoutingTables {
-        RoutingTables::from_lfts(self.lfts.clone(), label)
-    }
-}
 
 /// Outcome of a transition analysis.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -63,20 +39,20 @@ impl TransitionAnalysis {
     }
 }
 
-/// Compares the pre-migration snapshot with the subnet's current LFTs.
-pub fn analyze_transition(subnet: &Subnet, before: &LftSnapshot) -> IbResult<TransitionAnalysis> {
+/// Compares the pre-migration tables (`RoutingTables::from_installed`
+/// before the change) with the subnet's current LFTs.
+pub fn analyze_transition(subnet: &Subnet, old: &RoutingTables) -> IbResult<TransitionAnalysis> {
     let g = SwitchGraph::build(subnet)?;
-    let old = before.as_tables("old");
-    let new = LftSnapshot::capture(subnet).as_tables("new");
+    let new = RoutingTables::from_installed(subnet);
 
     // One lane, three questions: `R_old`, then `R_old ∪ R_new` by booking
     // `R_new` on top, then `R_new` alone by retracting `R_old`.
     let every = |_: &Destination| Some(0);
-    let mut cdg = Cdg::from_tables(&g, &old, |_| true);
+    let mut cdg = Cdg::from_tables(&g, old, |_| true);
     let old_acyclic = cdg.find_cycle(0).is_none();
     cdg.add_tables(&g, &new, every);
     let cycle = cdg.find_cycle(0);
-    cdg.retract_tables(&g, &old, every);
+    cdg.retract_tables(&g, old, every);
 
     Ok(TransitionAnalysis {
         old_acyclic,
@@ -93,6 +69,7 @@ mod tests {
     use ib_mad::{RouteTree, SmpTransport};
     use ib_sm::{SmConfig, SubnetManager};
     use ib_subnet::topology::fattree::two_level;
+    use ib_subnet::NodeId;
     use ib_types::Lid;
 
     #[test]
@@ -104,7 +81,7 @@ mod tests {
         let mut sm = SubnetManager::new(t.hosts[0], SmConfig::default());
         sm.bring_up(&mut t.subnet).unwrap();
 
-        let before = LftSnapshot::capture(&t.subnet);
+        let before = RoutingTables::from_installed(&t.subnet);
         let a = t.subnet.node(t.hosts[1]).ports[1].lid.unwrap();
         let b = t.subnet.node(t.hosts[4]).ports[1].lid.unwrap();
         let tree = RouteTree::build(&t.subnet, sm.sm_node);
@@ -172,7 +149,7 @@ mod tests {
                 }
             }
         }
-        let before = LftSnapshot::capture(&s);
+        let before = RoutingTables::from_installed(&s);
         // R_new: reverse the ring direction for every LID.
         let ccw = ib_types::PortNum::new(2);
         for i in 0..4usize {
@@ -198,7 +175,7 @@ mod tests {
         let mut t = two_level(2, 2, 2);
         let mut sm = SubnetManager::new(t.hosts[0], SmConfig::default());
         sm.bring_up(&mut t.subnet).unwrap();
-        let before = LftSnapshot::capture(&t.subnet);
+        let before = RoutingTables::from_installed(&t.subnet);
         let analysis = analyze_transition(&t.subnet, &before).unwrap();
         assert!(analysis.union_acyclic);
     }

@@ -37,12 +37,10 @@ pub mod cost;
 pub mod datacenter;
 pub mod deadlock;
 pub mod migration;
-pub mod partition;
 pub mod virtualize;
 pub mod vm;
 
 pub use datacenter::{DataCenter, DataCenterConfig};
 pub use migration::{MigrationOptions, MigrationReport, TxStats};
-pub use partition::{Membership, Partition, Tenancy};
 pub use virtualize::{Hypervisor, VfSlot, VirtArch};
 pub use vm::{VmId, VmRecord};

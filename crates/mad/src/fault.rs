@@ -83,15 +83,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (one attempt, fail fast).
-    #[must_use]
-    pub fn no_retry() -> Self {
-        Self {
-            max_attempts: 1,
-            ..Self::default()
-        }
-    }
-
     /// The response timeout charged to attempt number `attempt` (0-based).
     #[must_use]
     pub fn timeout_ns(&self, attempt: u32) -> u64 {
@@ -312,11 +303,6 @@ impl<C: SmpChannel> SmpTransport<C> {
     #[must_use]
     pub fn clock_ns(&self) -> u64 {
         self.clock_ns
-    }
-
-    /// Resets the virtual clock (the channel RNG stream is untouched).
-    pub fn reset_clock(&mut self) {
-        self.clock_ns = 0;
     }
 
     /// Sends one SMP with retries. Returns the 0-based attempt number that

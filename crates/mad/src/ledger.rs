@@ -17,7 +17,6 @@ fn kind_label(kind: AttributeKind) -> &'static str {
         AttributeKind::PortInfo => "port_info",
         AttributeKind::GuidInfo => "guid_info",
         AttributeKind::LftBlock => "lft_block",
-        AttributeKind::PKeyTable => "pkey_table",
     }
 }
 
@@ -174,15 +173,6 @@ impl SmpLedger {
             .count()
     }
 
-    /// *Delivered* SMPs with a given attribute kind.
-    #[must_use]
-    pub fn count_attribute(&self, kind: AttributeKind) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.status.is_delivered() && r.attribute == kind)
-            .count()
-    }
-
     /// Delivered `SubnSet(LinearForwardingTable)` SMPs — the quantity
     /// Table I reports. Failed attempts are excluded: an update the fabric
     /// never applied is not an update.
@@ -311,7 +301,9 @@ mod tests {
 
         assert_eq!(ledger.total(), 4);
         assert_eq!(ledger.lft_updates(), 3);
-        assert_eq!(ledger.count_attribute(AttributeKind::PortInfo), 1);
+        let records = ledger.records().iter();
+        let port_infos = records.filter(|r| r.attribute == AttributeKind::PortInfo);
+        assert_eq!(port_infos.count(), 1);
         assert_eq!(ledger.switches_updated(), 2);
         let per = ledger.lft_updates_per_switch();
         assert_eq!(per[&NodeId::from_index(0)], 2);

@@ -47,13 +47,6 @@ pub enum SmpAttribute {
         /// 64 forwarding entries (`None` = unreachable).
         payload: Vec<Option<PortNum>>,
     },
-    /// `P_KeyTable` — the partition keys programmed on an HCA port.
-    PKeyTable {
-        /// The port the table belongs to.
-        port: PortNum,
-        /// Keys installed (raw 16-bit values).
-        keys: Vec<u16>,
-    },
 }
 
 impl SmpAttribute {
@@ -83,7 +76,6 @@ impl SmpAttribute {
             Self::PortInfo { .. } => AttributeKind::PortInfo,
             Self::GuidInfo { .. } => AttributeKind::GuidInfo,
             Self::LftBlock { .. } => AttributeKind::LftBlock,
-            Self::PKeyTable { .. } => AttributeKind::PKeyTable,
         }
     }
 }
@@ -101,8 +93,6 @@ pub enum AttributeKind {
     GuidInfo,
     /// `LinearForwardingTable`.
     LftBlock,
-    /// `P_KeyTable`.
-    PKeyTable,
 }
 
 /// A subnet management packet.
@@ -158,22 +148,6 @@ impl Smp {
         Self {
             method: SmpMethod::Set,
             attribute: SmpAttribute::GuidInfo { guid, index },
-            routing,
-            target,
-        }
-    }
-
-    /// A `SubnSet(P_KeyTable)` partition-table install.
-    #[must_use]
-    pub fn set_pkey_table(
-        target: NodeId,
-        routing: SmpRouting,
-        port: PortNum,
-        keys: Vec<u16>,
-    ) -> Self {
-        Self {
-            method: SmpMethod::Set,
-            attribute: SmpAttribute::PKeyTable { port, keys },
             routing,
             target,
         }

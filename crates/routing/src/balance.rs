@@ -47,24 +47,6 @@ impl LinkLoad {
         })
     }
 
-    /// Like [`LinkLoad::from_subnet`], but counting only the given
-    /// destination LIDs — the right instrument for comparing architectures
-    /// whose *total* LID populations differ (prepopulated mode routes
-    /// every idle VF LID; dynamic mode routes none of them).
-    pub fn from_subnet_for_lids(subnet: &Subnet, lids: &[ib_types::Lid]) -> IbResult<Self> {
-        let wanted: rustc_hash::FxHashSet<u16> = lids.iter().map(|l| l.raw()).collect();
-        let g = SwitchGraph::build(subnet)?;
-        Self::compute(subnet, &g, |s, lid| {
-            if !wanted.contains(&lid.raw()) {
-                return None;
-            }
-            subnet
-                .lft(g.node_id(s))
-                .and_then(|lft| lft.get(lid))
-                .map(|p| p.raw())
-        })
-    }
-
     fn compute(
         subnet: &Subnet,
         g: &SwitchGraph,

@@ -4,7 +4,7 @@
 //! dependency `A → B` exists when some routed packet may hold channel `A`
 //! while requesting channel `B`. Deadlock freedom on a virtual lane is
 //! equivalent to the acyclicity of that lane's CDG (Duato, 1996 — reference
-//! [20] of the paper); DFSSSP and LASH both enforce it constructively, and
+//! \[20\] of the paper); DFSSSP and LASH both enforce it constructively, and
 //! §VI-C's transition analysis asks the same question of the *union*
 //! `R_old ∪ R_new` while a live migration is in flight.
 //!

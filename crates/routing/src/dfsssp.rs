@@ -1,6 +1,6 @@
 //! DFSSSP: deadlock-free single-source-shortest-path routing.
 //!
-//! Two phases, mirroring Domke et al. (reference [28] of the paper, the
+//! Two phases, mirroring Domke et al. (reference \[28\] of the paper, the
 //! same work the paper cites for multi-minute path computation times):
 //!
 //! 1. **SSSP routing** — one weighted Dijkstra per delivery switch, with

@@ -252,7 +252,7 @@ pub struct Splice<'a> {
     /// `dirty[di]`: whether `g.destinations()[di]` is a column to route.
     dirty: Vec<bool>,
     /// The tables' distance field: lent to the kernel by
-    /// [`Self::take_host_distances`], back in the tables at commit only if
+    /// [`Self::host_distances`], back in the tables at commit only if
     /// the kernel kept it ([`Self::keep_host_distances`]).
     host_distances: &'a mut Option<HostDistances>,
     kept: Option<HostDistances>,

@@ -109,13 +109,6 @@ impl<E> EventQueue<E> {
         self.schedule(self.now + delay, event);
     }
 
-    /// Timestamp of the next pending event without popping it (the clock
-    /// does not advance).
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((at, _))| *at)
-    }
-
     /// Pops the next event, advancing the clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse((at, id)) = self.heap.pop()?;
@@ -125,18 +118,6 @@ impl<E> EventQueue<E> {
         // panicking mid-simulation.
         let payload = self.payloads.remove(&id)?;
         Some((at, payload))
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is drained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 

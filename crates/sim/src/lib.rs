@@ -12,10 +12,15 @@
 //! * [`downtime`] — the end-to-end live-migration timeline (detach, memory
 //!   copy, reconfiguration, attach) that lets the three architectures be
 //!   compared on VM downtime.
-//! * [`faults`] — seeded fault injection: a [`faults::FaultPlan`] describes
-//!   SMP loss/jitter plus timed topology faults, and a
-//!   [`faults::FaultDriver`] applies them to the subnet as simulated time
-//!   advances, emitting the traps a real fabric would raise.
+//! * [`credit`] — credit-gated forwarding that turns a cyclic channel
+//!   dependency graph into an observed deadlock, and IB timeouts into its
+//!   drain (§VI-C).
+//! * [`fairness`] — max-min fair flow rates, what routing imbalance costs
+//!   running traffic (§V-A/§V-B).
+//!
+//! SMP loss itself is injected below this crate, by
+//! [`ib_mad::SmpTransport::lossy`]'s seeded channel; [`smp_sim`] replays
+//! the attempts it leaves in the ledger.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,12 +30,10 @@ pub mod credit;
 pub mod des;
 pub mod downtime;
 pub mod fairness;
-pub mod faults;
 pub mod smp_sim;
 
 pub use credit::{CreditSimConfig, CreditSimReport, Flow};
 pub use des::{EventQueue, SimTime};
 pub use downtime::{DowntimeModel, MigrationTimeline};
 pub use fairness::{max_min_fair, FairFlow, FairnessReport};
-pub use faults::{FaultDriver, FaultEvent, FaultPlan, TimedFault};
 pub use smp_sim::{SmpLatencyModel, SmpReplay};

@@ -9,7 +9,7 @@
 //! Distribution runs in two phases. **Planning** is read-only over the
 //! subnet: per switch, read SMP addressing off one route tree searched from
 //! the SM ([`route_tree`], built per plan) and diff the installed LFT
-//! against a borrowed padded view of the target ([`PaddedLftView`]),
+//! against a borrowed padded view of the target ([`ib_subnet::PaddedLftView`]),
 //! materializing one payload per dirty block. A caller that knows where
 //! the changes are — a repair holding its changed cells, a retry pass
 //! holding its failed blocks — hands the planner those `(switch, block)`s

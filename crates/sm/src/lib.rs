@@ -25,7 +25,6 @@
 mod carried;
 pub mod discovery;
 pub mod distribution;
-pub mod failover;
 pub mod lids;
 pub mod quarantine;
 pub mod repair;
@@ -38,7 +37,6 @@ mod testutil;
 pub mod traps;
 
 pub use distribution::{FailedBlock, ResumeAccounting};
-pub use failover::{SmGroup, SmInstance, SmState};
 pub use ib_routing::RoutingOptions;
 pub use quarantine::{LinkQuarantine, QuarantineOptions};
 pub use report::{BringUpReport, DistributionReport};

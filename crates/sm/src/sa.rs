@@ -5,7 +5,7 @@
 //! communicating with the VM-in-migration lose connectivity and try to
 //! find the new address to reconnect to by sending Subnet Administration
 //! (SA) path record queries to the IB Subnet Manager" — a query storm that
-//! loads the SM and the fabric. The authors' prior work (reference [10],
+//! loads the SM and the fabric. The authors' prior work (reference \[10\],
 //! *A Novel Query Caching Scheme for Dynamic InfiniBand Subnets*) showed
 //! that caching path records keyed by the peer's *GID* removes the
 //! repetitive queries — **provided** the VM keeps its addresses across the
@@ -97,7 +97,7 @@ impl SaService {
     }
 }
 
-/// Client-side path-record cache (the reference-[10] scheme): records are
+/// Client-side path-record cache (the reference-\[10\] scheme): records are
 /// keyed by destination GID, so they stay valid exactly as long as the
 /// peer's addresses do.
 #[derive(Clone, Debug, Default)]

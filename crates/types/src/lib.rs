@@ -27,7 +27,6 @@ pub mod error;
 pub mod gid;
 pub mod guid;
 pub mod lid;
-pub mod pkey;
 pub mod port;
 pub mod vl;
 
@@ -35,7 +34,6 @@ pub use error::{AddressError, IbError, IbResult};
 pub use gid::Gid;
 pub use guid::Guid;
 pub use lid::{Lid, LidSpace, Lmc, MAX_UNICAST_LID, MULTICAST_LID_BASE};
-pub use pkey::{PKey, DEFAULT_PKEY};
 pub use port::PortNum;
 pub use vl::VirtualLane;
 

@@ -129,6 +129,10 @@ impl std::fmt::Display for VerifyReport {
     }
 }
 
+/// Hop budget per (switch, destination) walk; beyond it the walk is a loop
+/// by definition (matches `trace_route` callers).
+const MAX_HOPS: usize = 64;
+
 /// Checks the four fabric invariants against a subnet's *installed* LFTs.
 ///
 /// Construction is free; every check is read-only. The verifier is
@@ -136,9 +140,6 @@ impl std::fmt::Display for VerifyReport {
 /// planned, installed, or corrupted by a chaos schedule.
 #[derive(Clone, Copy, Debug)]
 pub struct FabricVerifier {
-    /// Hop budget per (switch, destination) walk; beyond it the walk is a
-    /// loop by definition. Defaults to 64 (matches `trace_route` callers).
-    pub max_hops: usize,
     /// Whether to run the CDG deadlock check (invariant 3). On by default;
     /// callers verifying a fabric whose VL layering is unknown (e.g. a
     /// torus routed by an engine that relies on lanes they cannot supply)
@@ -156,7 +157,6 @@ pub struct FabricVerifier {
 impl Default for FabricVerifier {
     fn default() -> Self {
         Self {
-            max_hops: 64,
             deadlock: true,
             viewpoint: None,
         }
@@ -168,13 +168,6 @@ impl FabricVerifier {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Builder-style hop budget override.
-    #[must_use]
-    pub fn with_max_hops(mut self, max_hops: usize) -> Self {
-        self.max_hops = max_hops;
-        self
     }
 
     /// Builder-style deadlock-check toggle.
@@ -264,7 +257,7 @@ impl FabricVerifier {
                     &mut violations,
                 );
                 if let (Some(deps), Some(g)) = (&mut deps, &graph) {
-                    deps.absorb(&view, &g.destinations()[i], &col, self.max_hops);
+                    deps.absorb(&view, &g.destinations()[i], &col, MAX_HOPS);
                 }
             }
         }
@@ -357,7 +350,7 @@ impl FabricVerifier {
         for dest in graph.destinations() {
             if let Some(target) = view.subnet.endpoint_of(dest.lid) {
                 view.gather(dest.lid, target.node, &mut col);
-                deps.absorb(view, dest, &col, self.max_hops);
+                deps.absorb(view, dest, &col, MAX_HOPS);
             }
         }
         Ok(deps)
@@ -383,7 +376,7 @@ impl FabricVerifier {
             None => Rebuild::NoState,
             Some(mut deps) => match deps.blocker(view, vls, lids, cut) {
                 None => {
-                    deps.patch(view, changed, self.max_hops);
+                    deps.patch(view, changed, MAX_HOPS);
                     observer.add("verify.cdg_patched_cells", changed.len() as u64);
                     // Derived state is never trusted: debug builds recount
                     // every column and demand the patch got the same graph,
@@ -657,14 +650,14 @@ impl FabricVerifier {
                             break BAD;
                         }
                         _ => {
-                            if path.len() > self.max_hops {
+                            if path.len() > MAX_HOPS {
                                 if report(cur) {
                                     out.push(Violation {
                                         class: InvariantClass::ForwardingLoop,
                                         detail: format!(
                                             "LID {lid}: walk from {} exceeded {} hops",
                                             name(start),
-                                            self.max_hops
+                                            MAX_HOPS
                                         ),
                                         lid: Some(lid),
                                     });

@@ -1,13 +1,14 @@
-//! The fault layer's zero-cost property: running any pipeline under an
-//! empty [`FaultPlan`] is byte-identical to running it over the assumed
+//! The fault layer's zero-cost property: running any pipeline over a
+//! [`SmpTransport::lossy`] channel with zero drop probability and no jitter
+//! (the empty plan) is byte-identical to running it over the assumed
 //! channel — same ledger records (per-attempt accounting included), same
-//! LFT contents, same replayed timings — for any plan seed. The channel is
+//! LFT contents, same replayed timings — for any loss seed. The channel is
 //! the only difference between the entry points that take a transport and
 //! the ones that do not.
 
 use ib_core::{DataCenter, DataCenterConfig, MigrationOptions, MigrationReport, VirtArch};
 use ib_mad::{AssumedChannel, SmpChannel, SmpRecord, SmpTransport};
-use ib_sim::{FaultPlan, SmpLatencyModel, SmpReplay};
+use ib_sim::{SmpLatencyModel, SmpReplay};
 use ib_sm::{DistributionReport, SmpMode, Trap};
 use ib_subnet::topology::fattree::two_level;
 use ib_subnet::{Lft, NodeId};
@@ -48,11 +49,9 @@ fn empty_plan_migration_is_byte_identical_for_any_seed() {
 
         // The seed must not matter when the drop probability is zero.
         for seed in [0u64, 1, 42, 0xdead_beef] {
-            let plan = FaultPlan::lossy(seed, 0.0);
-            assert!(plan.is_fault_free());
             let mut faulty = dc(arch);
             let vm = faulty.create_vm("vm", 0).expect("create");
-            let mut transport = plan.transport(faulty.sm.sm_node);
+            let mut transport = SmpTransport::lossy(faulty.sm.sm_node, seed, 0.0, 0);
             let report = faulty
                 .migrate_vm_resilient(vm, 4, &mut transport)
                 .expect("resilient migration");
@@ -127,7 +126,7 @@ fn empty_plan_resweep_matches_perfect_transport() {
             &mut perfect,
         )
         .expect("re-sweep");
-    let mut planned = FaultPlan::none().transport(b.sm.sm_node);
+    let mut planned = SmpTransport::lossy(b.sm.sm_node, 0, 0.0, 0);
     let rb =
         b.sm.handle_trap(
             &mut b.subnet,
@@ -141,32 +140,6 @@ fn empty_plan_resweep_matches_perfect_transport() {
     for sw in a.subnet.physical_switches() {
         assert_eq!(b.subnet.lft(sw.id).unwrap(), sw.lft().unwrap());
     }
-}
-
-#[test]
-fn empty_plan_driver_never_touches_the_subnet() {
-    let mut dcx = dc(VirtArch::VSwitchDynamic);
-    let before: Vec<_> = dcx
-        .subnet
-        .physical_switches()
-        .map(|n| (n.id, n.lft().unwrap().clone()))
-        .collect();
-    let plan = FaultPlan::none();
-    let mut driver = plan.driver();
-    assert!(driver.is_done());
-    assert_eq!(driver.next_fault_at(), None);
-    let fired = driver
-        .advance(&mut dcx.subnet, ib_sim::SimTime(u64::MAX))
-        .expect("advance");
-    assert!(fired.is_empty());
-    for (id, lft) in before {
-        assert_eq!(dcx.subnet.lft(id).unwrap(), &lft);
-    }
-    // (`validate(true)` would reject the dormant, uncabled VFs of dynamic
-    // mode — the degraded validator checks exactly what matters here.)
-    dcx.subnet
-        .validate_degraded()
-        .expect("untouched fabric still validates");
 }
 
 /// Everything one [`stream`] leaves behind that a channel could have changed.
@@ -278,7 +251,7 @@ fn the_channel_is_the_only_difference() {
                 // Host 0's PF runs the SM on every fabric `stream` builds.
                 let sm_node = two_level(3, 3, 2).hosts[0];
                 let mut perfect = SmpTransport::perfect(sm_node);
-                let mut lossless = FaultPlan::lossy(7, 0.0).transport(sm_node);
+                let mut lossless = SmpTransport::lossy(sm_node, 7, 0.0, 0);
                 assert_eq!(stream(config, Some(&mut perfect)), assumed, "{tag}");
                 assert_eq!(stream(config, Some(&mut lossless)), assumed, "{tag}");
                 assert_eq!(perfect.clock_ns(), lossless.clock_ns(), "{tag}");

@@ -16,8 +16,10 @@ use ib_routing::lash::verify_pair_layers_acyclic;
 use ib_routing::testutil::{assert_full_reachability, assign_lids};
 use ib_routing::{EngineKind, RoutingTables, VlAssignment};
 use ib_subnet::topology::fattree::two_level;
+use ib_subnet::topology::hypercube::hypercube;
 use ib_subnet::topology::irregular::{irregular, IrregularSpec};
 use ib_subnet::topology::torus::torus_2d;
+use ib_subnet::topology::BuiltTopology;
 use ib_subnet::Subnet;
 use ib_verify::{FabricVerifier, InvariantClass, Violation};
 
@@ -69,33 +71,47 @@ fn engines_route_random_fat_trees() {
 }
 
 /// Deadlock-free engines stay deadlock-free on random irregular
-/// fabrics, verified by re-deriving the CDGs per lane. Min-Hop rides
+/// fabrics and on small hypercubes (2–4 dimensions, 1–2 hosts per
+/// switch), verified by re-deriving the CDGs per lane. Min-Hop rides
 /// along with its lanes: its switch LIDs take the hub-rooted up*/down*
 /// lane, which is acyclic on any topology.
 #[test]
 fn deadlock_free_engines_on_random_irregular() {
     let mut rng = StdRng::seed_from_u64(0xF7_02);
-    for _ in 0..16 {
-        let seed = rng.gen_range(0u64..1000);
-        let spec = IrregularSpec {
-            num_switches: 7,
-            num_hosts: 10,
-            extra_links: 5,
-            seed,
-        };
+    let mut inputs: Vec<(String, BuiltTopology)> = (0..16)
+        .map(|_| {
+            let seed = rng.gen_range(0u64..1000);
+            let spec = IrregularSpec {
+                num_switches: 7,
+                num_hosts: 10,
+                extra_links: 5,
+                seed,
+            };
+            (format!("seed {seed}"), irregular(spec))
+        })
+        .collect();
+    for dims in 2..=4 {
+        for hosts in 1..=2 {
+            inputs.push((
+                format!("hypercube({dims}, {hosts})"),
+                hypercube(dims, hosts),
+            ));
+        }
+    }
+    for (what, topology) in inputs {
         for engine in [engines_for_all_topologies(), vec![EngineKind::MinHop]].concat() {
-            let mut t = irregular(spec);
+            let mut t = topology.clone();
             assign_lids(&mut t);
             let tables = engine.build().compute(&t.subnet).unwrap();
             assert_full_reachability(&t.subnet, &tables);
             match engine {
                 EngineKind::MinHop => {
-                    assert_switch_lane_verified(&t.subnet, &tables, &format!("seed {seed}"));
+                    assert_switch_lane_verified(&t.subnet, &tables, &what);
                 }
                 EngineKind::UpDown => {
                     let g = SwitchGraph::build(&t.subnet).unwrap();
                     let cdg = Cdg::from_tables(&g, &tables, |_| true);
-                    assert!(cdg.find_cycle(0).is_none(), "seed {seed}");
+                    assert!(cdg.find_cycle(0).is_none(), "{what}");
                 }
                 EngineKind::Dfsssp => {
                     verify_layers_acyclic(&t.subnet, &tables).unwrap();
