@@ -846,7 +846,7 @@ fn repair(level: u8, batch: bool, json: Option<&Path>) {
         "level {level}: 324-node fat tree (fat-tree/minhop/up-down) + 4x4 torus (dfsssp/lash) always; 648-node fat tree x 3 engines at --level 1+"
     );
     println!(
-        "{:>18} {:>10} {:>7} {:>12} {:>10} {:>11} {:>7} {:>9} {:>12} {:>10} {:>9}",
+        "{:>18} {:>10} {:>7} {:>12} {:>10} {:>11} {:>7} {:>9} {:>12} {:>10} {:>9} {:>10} {:>10} {:>10} {:>10}",
         "topology",
         "engine",
         "faults",
@@ -857,13 +857,17 @@ fn repair(level: u8, batch: bool, json: Option<&Path>) {
         "vs fullRC",
         "repair sec",
         "full sec",
-        "fallbacks"
+        "fallbacks",
+        "heal SMPs",
+        "full heal",
+        "heal sec",
+        "fheal sec"
     );
     let rows = repair_grid(level);
     let mut json_rows = Vec::new();
     for row in &rows {
         println!(
-            "{:>18} {:>10} {:>7} {:>12} {:>10} {:>11} {:>7.3} {:>9.3} {:>12.4} {:>10.4} {:>9}",
+            "{:>18} {:>10} {:>7} {:>12} {:>10} {:>11} {:>7.3} {:>9.3} {:>12.4} {:>10.4} {:>9} {:>10} {:>10} {:>10.4} {:>10.4}",
             row.topology,
             row.engine,
             row.faults,
@@ -875,6 +879,15 @@ fn repair(level: u8, batch: bool, json: Option<&Path>) {
             row.repair_wall.as_secs_f64(),
             row.full_wall.as_secs_f64(),
             row.repair_fallbacks,
+            row.heal_smps,
+            row.full_heal_smps,
+            row.heal_wall.as_secs_f64(),
+            row.full_heal_wall.as_secs_f64(),
+        );
+        assert!(
+            row.healed_exactly,
+            "{} {} faults={}: the heals did not restore the pre-fault LFTs",
+            row.topology, row.engine, row.faults
         );
         json_rows.push(Json::obj(vec![
             ("topology", Json::from(row.topology.as_str())),
@@ -893,9 +906,19 @@ fn repair(level: u8, batch: bool, json: Option<&Path>) {
                 Json::from(row.full_rc_wall.as_secs_f64()),
             ),
             ("repair_fallbacks", Json::from(row.repair_fallbacks)),
+            ("heal_smps", Json::from(row.heal_smps)),
+            ("full_heal_smps", Json::from(row.full_heal_smps)),
+            ("heal_seconds", Json::from(row.heal_wall.as_secs_f64())),
+            (
+                "full_heal_seconds",
+                Json::from(row.full_heal_wall.as_secs_f64()),
+            ),
+            ("heals_no_debt", Json::from(row.heals_no_debt)),
+            ("healed_exactly", Json::from(row.healed_exactly)),
         ]));
     }
-    println!("(SMPs cover only the fault responses; every arm diffs against installed blocks, so the gap is the repair path's column splicing)");
+    println!("(repair..fallbacks cover only the fault responses; every arm diffs against installed blocks, so the gap is the repair path's column splicing)");
+    println!("(heal: the same links back up, last down first up — the repair arm undoes its repairs, the full arm recomputes; the repair arm's pre-fault LFTs are asserted back)");
     let mut batch_json_rows = Vec::new();
     if batch {
         println!("\n----- REPAIR --batch: one coalesced sweep vs k serial repairs of the same all-down burst -----");
@@ -957,11 +980,12 @@ fn repair(level: u8, batch: bool, json: Option<&Path>) {
     }
     if let Some(dir) = json {
         let doc = Json::obj(vec![
-            // v3: the grid crosses every topology with its engine matrix
-            // (per-engine rows for fat-tree/minhop/up-down on the trees,
-            // dfsssp/lash on the torus); `repair_fallbacks` now reads the
-            // per-engine `repair.fallback.<engine>` counter tag.
-            ("schema", Json::from("ib-vswitch/bench-repair/v3")),
+            // v4: each row adds the heal of its faults (`heal_*`,
+            // `full_heal_*`, `heals_no_debt`, `healed_exactly`). v3: the
+            // grid crosses every topology with its engine matrix; and
+            // `repair_fallbacks` reads the per-engine
+            // `repair.fallback.<engine>` counter tag.
+            ("schema", Json::from("ib-vswitch/bench-repair/v4")),
             ("level", Json::from(u64::from(level))),
             ("batched", Json::from(batch)),
             ("rows", Json::Array(json_rows)),
@@ -1085,14 +1109,16 @@ fn print_soak_report(report: &ib_bench::soak::SoakReport, partitions: bool) {
         .collect::<Vec<_>>()
         .join(", ");
     println!(
-        "  repair: {} incremental sweeps, {} fell back to a full sweep{}",
+        "  repair: {} incremental sweeps, {} fell back to a full sweep{}; {} heals undid their repair, {} found no debt",
         report.repair_sweeps,
         report.repair_fallbacks,
         if by_engine.is_empty() {
             String::new()
         } else {
             format!(" (by engine: {by_engine})")
-        }
+        },
+        report.debt_heals,
+        report.heals_no_debt,
     );
     println!(
         "  verifier: {} post-event runs, all four invariants + quarantine absence",
@@ -1149,6 +1175,8 @@ fn write_soak_json(
         ("migration_aborts", Json::from(sum(&|r| r.migration_aborts))),
         ("repair_sweeps", Json::from(sum(&|r| r.repair_sweeps))),
         ("repair_fallbacks", Json::from(sum(&|r| r.repair_fallbacks))),
+        ("debt_heals", Json::from(sum(&|r| r.debt_heals))),
+        ("heals_no_debt", Json::from(sum(&|r| r.heals_no_debt))),
         (
             "repair_fallbacks_by_engine",
             Json::Object(

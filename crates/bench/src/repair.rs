@@ -8,7 +8,10 @@
 //! Link state is the only input to the fault schedule and sweeps never
 //! change link state, so a shared RNG seed makes every arm fail the exact
 //! same cables in the exact same order: the SMP delta is purely the
-//! repair path's doing.
+//! repair path's doing. The repair arm and the full-sweep arm then bring
+//! the cables back, last down first up: the repair arm heals by undoing
+//! its repairs, the full-sweep arm recomputes, and the repair arm must be
+//! back on its pre-fault tables.
 
 use std::time::{Duration, Instant};
 
@@ -60,6 +63,20 @@ pub struct RepairRow {
     pub full_rc_wall: Duration,
     /// Repairs that fell back to a full sweep (`repair.fallback`).
     pub repair_fallbacks: u64,
+    /// LFT SMPs the repair arm sent answering the link-up traps.
+    pub heal_smps: usize,
+    /// LFT SMPs the full-sweep arm sent answering the same link-ups.
+    pub full_heal_smps: usize,
+    /// Wall time the repair arm spent inside the link-up traps.
+    pub heal_wall: Duration,
+    /// Wall time the full-sweep arm spent answering the link-ups.
+    pub full_heal_wall: Duration,
+    /// Link-ups the repair arm answered with a full sweep
+    /// (`repair.heal_no_debt`).
+    pub heals_no_debt: u64,
+    /// The repair arm's installed LFTs after the heals are byte-identical
+    /// to its pre-fault ones.
+    pub healed_exactly: bool,
     /// `repair_smps / full_smps` — below 1.0 means repair won.
     pub smp_ratio: f64,
     /// `repair_smps / full_rc_smps` — the acceptance-criterion ratio.
@@ -92,9 +109,23 @@ fn torus_4x4() -> BuiltTopology {
     torus::torus_2d(4, 4, 1, true)
 }
 
+/// What one arm did: the fault responses, then (repair and full-sweep
+/// arms) the heals.
+#[derive(Default)]
+struct ArmRun {
+    smps: usize,
+    wall: Duration,
+    fallbacks: u64,
+    heal_smps: usize,
+    heal_wall: Duration,
+    heals_no_debt: u64,
+    healed_exactly: bool,
+}
+
 /// Runs one arm: fresh fabric, bring-up, then `faults` seeded
-/// connectivity-preserving link-downs each answered per `arm`.
-/// Returns `(lft_smps, wall_in_responses, repair_fallbacks)`.
+/// connectivity-preserving link-downs each answered per `arm` — and, but
+/// for the `full_reconfiguration` arm, the same links brought back up in
+/// reverse order, each link-up trap answered as the arm's SM answers it.
 ///
 /// **Timer coverage.** Every arm's wall timer starts after the link-down
 /// and covers route compute + LFT distribution + one invariant
@@ -102,14 +133,15 @@ fn torus_4x4() -> BuiltTopology {
 /// `handle_trap` (its acceptance gate); the full arms have no gate, so
 /// they run the same verifier (deadlock check off, matching the gate's
 /// default) explicitly inside the timer. Without that, the repair arm
-/// would be billed for verification the other arms skip.
+/// would be billed for verification the other arms skip. The heal timer
+/// covers the link-up responses the same way.
 fn run_arm(
     build: fn() -> BuiltTopology,
     engine: EngineKind,
     faults: usize,
     seed: u64,
     arm: Arm,
-) -> (usize, Duration, u64) {
+) -> ArmRun {
     let mut t = build();
     let mut sm = SubnetManager::new(
         t.hosts[0],
@@ -121,11 +153,31 @@ fn run_arm(
     );
     sm.set_observer(Observer::metrics());
     sm.bring_up(&mut t.subnet).expect("bench bring-up");
+    let pristine = installed_lfts(&t.subnet);
     let links = core_links(&t.subnet);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut transport = SmpTransport::perfect(sm.sm_node);
-    let mut smps = 0;
-    let mut wall = Duration::ZERO;
+    let mut run = ArmRun::default();
+    let mut downed = Vec::new();
+    let mut answer = |sm: &mut SubnetManager, subnet: &mut Subnet, node, port| {
+        let started = Instant::now();
+        let trap = Trap::LinkStateChange { node, port };
+        let report = sm
+            .handle_trap(subnet, trap, &mut transport)
+            .expect("bench trap");
+        if arm == Arm::Sweep {
+            let _ = ib_verify::FabricVerifier::new()
+                .with_deadlock(false)
+                .verify(subnet)
+                .expect("bench verify");
+        }
+        let wall = started.elapsed();
+        assert!(
+            report.failed_blocks.is_empty(),
+            "bench sweep did not converge"
+        );
+        (report.distribution.lft_smps, wall)
+    };
     for _ in 0..faults {
         let cands = safe_to_down(&t.subnet, &links);
         if cands.is_empty() {
@@ -133,62 +185,40 @@ fn run_arm(
         }
         let (a, p, _) = cands[rng.gen_range(0..cands.len())];
         t.subnet.set_link_down(a, p).expect("bench link-down");
-        let started = Instant::now();
-        match arm {
-            Arm::FullRc => {
-                let report = sm
-                    .full_reconfiguration(&mut t.subnet)
-                    .expect("bench full reconfiguration");
-                let _ = ib_verify::FabricVerifier::new()
-                    .with_deadlock(false)
-                    .verify(&t.subnet)
-                    .expect("bench verify");
-                wall += started.elapsed();
-                smps += report.distribution.lft_smps;
-            }
-            Arm::Repair => {
-                let report = sm
-                    .handle_trap(
-                        &mut t.subnet,
-                        Trap::LinkStateChange { node: a, port: p },
-                        &mut transport,
-                    )
-                    .expect("bench trap");
-                wall += started.elapsed();
-                assert!(
-                    report.failed_blocks.is_empty(),
-                    "bench sweep did not converge"
-                );
-                smps += report.distribution.lft_smps;
-            }
-            Arm::Sweep => {
-                let report = sm
-                    .handle_trap(
-                        &mut t.subnet,
-                        Trap::LinkStateChange { node: a, port: p },
-                        &mut transport,
-                    )
-                    .expect("bench trap");
-                let _ = ib_verify::FabricVerifier::new()
-                    .with_deadlock(false)
-                    .verify(&t.subnet)
-                    .expect("bench verify");
-                wall += started.elapsed();
-                assert!(
-                    report.failed_blocks.is_empty(),
-                    "bench sweep did not converge"
-                );
-                smps += report.distribution.lft_smps;
-            }
+        downed.push((a, p));
+        let (smps, wall) = if arm == Arm::FullRc {
+            let started = Instant::now();
+            let report = sm
+                .full_reconfiguration(&mut t.subnet)
+                .expect("bench full reconfiguration");
+            let _ = ib_verify::FabricVerifier::new()
+                .with_deadlock(false)
+                .verify(&t.subnet)
+                .expect("bench verify");
+            (report.distribution.lft_smps, started.elapsed())
+        } else {
+            answer(&mut sm, &mut t.subnet, a, p)
+        };
+        run.smps += smps;
+        run.wall += wall;
+    }
+    if arm != Arm::FullRc {
+        for &(a, p) in downed.iter().rev() {
+            t.subnet.set_link_up(a, p).expect("bench link-up");
+            let (smps, wall) = answer(&mut sm, &mut t.subnet, a, p);
+            run.heal_smps += smps;
+            run.heal_wall += wall;
         }
+        run.healed_exactly = installed_lfts(&t.subnet) == pristine;
     }
     // Read the per-engine tag rather than the aggregate: a single-engine
     // arm sees the same number either way, and this keeps the tagged
     // counters BENCH reports on exercised end to end.
-    let fallbacks = sm.observer().snapshot().map_or(0, |s| {
-        s.counter(&format!("repair.fallback.{}", engine.name()))
-    });
-    (smps, wall, fallbacks)
+    if let Some(snap) = sm.observer().snapshot() {
+        run.fallbacks = snap.counter(&format!("repair.fallback.{}", engine.name()));
+        run.heals_no_debt = snap.counter("repair.heal_no_debt");
+    }
+    run
 }
 
 fn ratio(num: usize, den: usize) -> f64 {
@@ -212,24 +242,29 @@ pub fn repair_grid(level: u8) -> Vec<RepairRow> {
         drop(probe);
         for (fi, &faults) in fault_counts.iter().enumerate() {
             let seed = 0xFA_B1C ^ ((fi as u64) << 8);
-            let (repair_smps, repair_wall, repair_fallbacks) =
-                run_arm(build, engine, faults, seed, Arm::Repair);
-            let (full_smps, full_wall, _) = run_arm(build, engine, faults, seed, Arm::Sweep);
-            let (full_rc_smps, full_rc_wall, _) = run_arm(build, engine, faults, seed, Arm::FullRc);
+            let repair = run_arm(build, engine, faults, seed, Arm::Repair);
+            let full = run_arm(build, engine, faults, seed, Arm::Sweep);
+            let full_rc = run_arm(build, engine, faults, seed, Arm::FullRc);
             rows.push(RepairRow {
                 topology: name.clone(),
                 switches,
                 engine: engine.name(),
                 faults,
-                repair_smps,
-                full_smps,
-                full_rc_smps,
-                repair_wall,
-                full_wall,
-                full_rc_wall,
-                repair_fallbacks,
-                smp_ratio: ratio(repair_smps, full_smps),
-                smp_ratio_vs_full_rc: ratio(repair_smps, full_rc_smps),
+                repair_smps: repair.smps,
+                full_smps: full.smps,
+                full_rc_smps: full_rc.smps,
+                repair_wall: repair.wall,
+                full_wall: full.wall,
+                full_rc_wall: full_rc.wall,
+                repair_fallbacks: repair.fallbacks,
+                heal_smps: repair.heal_smps,
+                full_heal_smps: full.heal_smps,
+                heal_wall: repair.heal_wall,
+                full_heal_wall: full.heal_wall,
+                heals_no_debt: repair.heals_no_debt,
+                healed_exactly: repair.healed_exactly,
+                smp_ratio: ratio(repair.smps, full.smps),
+                smp_ratio_vs_full_rc: ratio(repair.smps, full_rc.smps),
             });
         }
     }
@@ -452,6 +487,19 @@ mod tests {
                 row.faults,
                 row.repair_smps,
                 row.full_rc_smps
+            );
+            // Every repair left a debt, and the heals, last down first up,
+            // paid them all off: the pre-fault tables, at the repairs' SMPs.
+            assert!(row.healed_exactly, "{} faults={}", row.topology, row.faults);
+            assert_eq!(
+                row.heals_no_debt, 0,
+                "{} faults={}",
+                row.topology, row.faults
+            );
+            assert_eq!(
+                row.heal_smps, row.repair_smps,
+                "{} faults={}",
+                row.topology, row.faults
             );
         }
     }

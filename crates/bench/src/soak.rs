@@ -162,6 +162,11 @@ pub struct SoakReport {
     pub repair_sweeps: u64,
     /// ... of which fell back to a full sweep (`repair.fallback`).
     pub repair_fallbacks: u64,
+    /// Link-up traps that undid their repair (`repair.heal_debt`).
+    pub debt_heals: u64,
+    /// Link-up traps no repair debt matched, answered by a full sweep
+    /// (`repair.heal_no_debt`).
+    pub heals_no_debt: u64,
     /// The fallbacks keyed by engine name (`repair.fallback.<engine>`,
     /// sorted) — which engine degraded, not just that one did.
     pub repair_fallbacks_by_engine: Vec<(String, u64)>,
@@ -579,6 +584,8 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         report.migration_aborts = snap.counter("migration.abort.unreachable");
         report.repair_sweeps = snap.counter("repair.attempts");
         report.repair_fallbacks = snap.counter("repair.fallback");
+        report.debt_heals = snap.counter("repair.heal_debt");
+        report.heals_no_debt = snap.counter("repair.heal_no_debt");
         report.repair_fallbacks_by_engine = snap
             .counters
             .iter()

@@ -20,7 +20,7 @@
 //! follows at the cost of the `n'·m'` cells that moved.
 //!
 //! Step (b) is **plan, then apply**. A read-only planner per variant states
-//! which cells change ([`plan_swap`], [`plan_copy`] — also what
+//! which cells change (`plan_swap`, `plan_copy` — also what
 //! [`crate::affected`] predicts from); one `apply` installs any plan switch
 //! by switch through an [`SmpTransport`], journaling as it goes and rolling
 //! the fabric back from the journal when an SMP persistently fails. Which

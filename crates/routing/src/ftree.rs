@@ -14,7 +14,7 @@
 //! leaves); callers fall back to Min-Hop in that case.
 //!
 //! Switch-destined LIDs are routed up*/down*-legally on a dedicated
-//! lane (see [`crate::swcols`]) — d-mod-k valleys between sibling
+//! lane (see `swcols`) — d-mod-k valleys between sibling
 //! spines would otherwise close credit loops, the caveat OpenSM's own
 //! ftree documents for switch-to-switch paths.
 
@@ -54,7 +54,7 @@ impl RoutingEngine for FatTree {
     /// rows it built, and a repair follows them to its graph (removed links
     /// only) instead of re-running the BFSs, then visits a host column only
     /// at the switches whose pick the removals can have moved
-    /// ([`HostDistances::scope`]). Sound because every carried column is
+    /// (`HostDistances::scope`). Sound because every carried column is
     /// minimal on some graph between the rows' build and this one, and only
     /// links were removed in between: outside the scope a switch and its
     /// installed next hop keep their distances and their cable, so the

@@ -11,7 +11,7 @@
 //! than structured fat-tree routing in Fig. 7.
 //!
 //! Switch-destined LIDs are routed up*/down*-legally on a dedicated
-//! lane (see [`crate::swcols`]) — least-loaded valleys between sibling
+//! lane (see `swcols`) — least-loaded valleys between sibling
 //! spines would otherwise close credit loops on the host lane.
 
 use ib_observe::Observer;

@@ -4,6 +4,7 @@ use ib_subnet::{Lft, NodeId, Subnet};
 use ib_types::{IbResult, Lid, PortNum, VirtualLane};
 use rustc_hash::{FxHashMap, FxHashSet};
 
+use crate::engine::RoutingOptions;
 use crate::graph::{Destination, HostDistances, SwitchGraph};
 
 /// How flows are spread across virtual lanes for deadlock freedom.
@@ -169,8 +170,9 @@ pub struct SpliceLog {
     /// once. Nothing else in the LFTs moved.
     pub cells: Vec<CellChange>,
     /// The `(vls, engine, decisions)` the first splice of this log
-    /// displaced; `None` when no splice ran.
-    displaced: Option<(VlAssignment, &'static str, u64)>,
+    /// displaced, and whether those tables carried a distance field;
+    /// `None` when no splice ran.
+    displaced: Option<(VlAssignment, &'static str, u64, bool)>,
 }
 
 impl SpliceLog {
@@ -182,18 +184,46 @@ impl SpliceLog {
     }
 
     /// Reverts the logged repair: `tables` are again what they were before
-    /// it, VL assignment included.
-    pub fn undo(self, tables: &mut RoutingTables) {
+    /// it, VL assignment included. Returns the reverted cells, each as the
+    /// change the revert made.
+    pub fn undo(self, tables: &mut RoutingTables) -> Vec<CellChange> {
+        let mut reverted = Vec::with_capacity(self.cells.len());
         for cell in self.cells.iter().rev() {
             if let Some(lft) = tables.lfts.get_mut(&cell.switch) {
                 lft.assign(cell.lid, cell.old);
             }
+            reverted.push(CellChange {
+                old: cell.new,
+                new: cell.old,
+                ..*cell
+            });
         }
-        if let Some((vls, engine, decisions)) = self.displaced {
+        if let Some((vls, engine, decisions, _)) = self.displaced {
             tables.vls = vls;
             tables.engine = engine;
             tables.decisions = decisions;
         }
+        reverted
+    }
+
+    /// Reverts the logged repair once the links it routed around are back
+    /// up: `g` is the graph the tables were routed on before it. The LFTs
+    /// and lanes come back as [`Self::undo`] restores them, and a distance
+    /// field the tables carried is rebuilt on `g` — what a full compute
+    /// there leaves — since a field only follows links going down.
+    pub fn heal(
+        self,
+        tables: &mut RoutingTables,
+        g: &SwitchGraph,
+        opts: RoutingOptions,
+    ) -> Vec<CellChange> {
+        let rebuild = matches!(self.displaced, Some((.., true)));
+        let reverted = self.undo(tables);
+        if rebuild {
+            let workers = opts.effective_workers(g.len());
+            tables.host_distances = Some(HostDistances::build(g, g.destinations(), workers));
+        }
+        reverted
     }
 }
 
@@ -256,6 +286,8 @@ pub struct Splice<'a> {
     /// the kernel kept it ([`Self::keep_host_distances`]).
     host_distances: &'a mut Option<HostDistances>,
     kept: Option<HostDistances>,
+    /// Whether the tables came in carrying a distance field.
+    carried_distances: bool,
     logged: bool,
 }
 
@@ -318,6 +350,7 @@ impl<'a> Splice<'a> {
             engine: &mut tables.engine,
             decisions: &mut tables.decisions,
             dirty,
+            carried_distances: tables.host_distances.is_some(),
             host_distances: &mut tables.host_distances,
             kept: None,
             logged,
@@ -451,6 +484,7 @@ impl<'a> Splice<'a> {
                 std::mem::replace(self.vls, vls),
                 std::mem::replace(self.engine, engine),
                 std::mem::replace(self.decisions, decisions),
+                self.carried_distances,
             )),
         }
     }

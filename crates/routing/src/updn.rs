@@ -6,7 +6,7 @@
 //! turns upward again. The up/down restriction breaks every cycle in the
 //! channel dependency graph, making Up*/Down* deadlock-free on a single
 //! virtual lane on any topology — the baseline deadlock argument the
-//! paper's §VI-C discussion builds on. [`LegalRows`] owns that
+//! paper's §VI-C discussion builds on. `LegalRows` owns that
 //! orientation and its legal distance rows: the Up*/Down* engine routes
 //! every column on them, Min-Hop and the fat-tree engine their switch
 //! lane (`swcols`), each with its own root.

@@ -4,11 +4,12 @@
 //! hold the repair baseline (the next link-down is a counted
 //! `repair.index_misses` full sweep); *mirrored* when a reverse route index
 //! equal to the installed rows — and, when the SM verifies, their channel
-//! dependency graph — rides with the baseline. A writer that moves carried
-//! state ends with one debug check: over what it moved, carried equals
-//! rebuilt.
+//! dependency graph — rides with the baseline. A mirror also keeps the heal
+//! debts of the repairs since its sweep: a link that comes back pays off
+//! its repair by undoing it. A writer that moves carried state ends with
+//! one debug check: over what it moved, carried equals rebuilt.
 
-use ib_routing::{CellChange, LidMove, RoutingTables, SwitchGraph};
+use ib_routing::{CellChange, LidMove, RoutingTables, SpliceLog, SwitchGraph};
 use ib_subnet::{NodeId, Subnet};
 use ib_types::{IbResult, Lid, PortNum};
 use ib_verify::{ChannelDeps, ReverseRouteIndex};
@@ -39,6 +40,21 @@ pub(crate) struct Mirror {
     deps: Option<ChannelDeps>,
     /// SMPs went out that [`Mirror::apply`] has not accounted for.
     in_flight: bool,
+    /// The topology epoch whose graph every baseline column is routed on:
+    /// set by a full sweep, moved by a repair of exactly the links that
+    /// went down since and by a heal, `None` once anything else moved the
+    /// baseline. The top debt's repair ran at it.
+    routed_at: Option<u64>,
+    /// The heal debts of the repairs since, oldest first.
+    debts: Vec<Debt>,
+}
+
+/// What one repair owes its faults' return: the cells it changed (with the
+/// header it displaced) and the links it routed around.
+#[derive(Debug)]
+pub(crate) struct Debt {
+    pub(crate) log: SpliceLog,
+    pub(crate) faults: Vec<(NodeId, PortNum)>,
 }
 
 impl Mirror {
@@ -60,6 +76,47 @@ impl Mirror {
         self.index.apply_changes(moved);
         self.deps = deps;
         self.in_flight = false;
+    }
+
+    /// Books an applied repair of `faults` as a heal debt, when undoing it
+    /// will be exact: it ran on the graph the baseline was routed on minus
+    /// `faults` alone (the epoch moved once per fault since). After any
+    /// other repair there is no routed graph to return to, and the stack
+    /// goes.
+    pub(crate) fn owe(&mut self, subnet: &Subnet, log: SpliceLog, faults: &[(NodeId, PortNum)]) {
+        let epoch = subnet.topology_epoch();
+        if self.routed_at.map(|at| at + faults.len() as u64) == Some(epoch) {
+            self.routed_at = Some(epoch);
+            let faults = faults.to_vec();
+            self.debts.push(Debt { log, faults });
+        } else {
+            self.routed_at = None;
+            self.debts.clear();
+        }
+    }
+
+    /// The debt the return of `faults` pays off, popped: the top one, when
+    /// each of `faults` is one of its links, all of those are up again and
+    /// nothing else moved the topology since its repair (the epoch moved
+    /// once per link). Undoing its log — which the caller must do — brings
+    /// the baseline back to the graph it was routed on, the one the debt
+    /// below it was repaired on.
+    pub(crate) fn pay(&mut self, subnet: &Subnet, faults: &[(NodeId, PortNum)]) -> Option<Debt> {
+        let epoch = subnet.topology_epoch();
+        let routed_at = self.routed_at?;
+        let same_link = |(a, p): (NodeId, PortNum), (b, q): (NodeId, PortNum)| {
+            (a, p) == (b, q)
+                || subnet
+                    .cabled_neighbor(a, p)
+                    .is_some_and(|r| (r.node, r.port) == (b, q))
+        };
+        let debt = self.debts.pop_if(|debt| {
+            routed_at + debt.faults.len() as u64 == epoch
+                && (faults.iter()).all(|&f| debt.faults.iter().any(|&d| same_link(f, d)))
+                && (debt.faults.iter()).all(|&(n, p)| subnet.neighbor(n, p).is_some())
+        })?;
+        self.routed_at = Some(epoch);
+        Some(debt)
     }
 }
 
@@ -102,6 +159,8 @@ impl Carried {
             index,
             deps,
             in_flight: false,
+            routed_at: Some(subnet.topology_epoch()),
+            debts: Vec::new(),
         });
     }
 
@@ -116,8 +175,9 @@ impl Carried {
     }
 
     /// Cells written behind the sweeps move a mirrored baseline and index
-    /// but drop the graph: `ChannelDeps::patch` keys a column on its
-    /// delivery switch, so it cannot follow a LID that moved leaves. This is
+    /// but drop the graph — `ChannelDeps::patch` keys a column on its
+    /// delivery switch, so it cannot follow a LID that moved leaves — and
+    /// the heal debts, whose logs no longer undo to these rows. This is
     /// the one hook migration schedules would change. A diverged baseline
     /// is never spliced against, so no cell follows it — but the lanes of
     /// `moved` move in either, since they are what the installed columns
@@ -140,6 +200,8 @@ impl Carried {
             return;
         };
         m.apply(cells, None);
+        m.routed_at = None;
+        m.debts.clear();
         for cell in cells {
             if let Some(lft) = m.tables.lfts.get_mut(&cell.switch) {
                 lft.assign(cell.lid, cell.new);

@@ -1,4 +1,4 @@
-//! The incremental repair pipeline: the SM's answer to link-down traps.
+//! The incremental repair pipeline: the SM's answer to link-state traps.
 //!
 //! One pipeline serves a single trap (a one-element fault list) and a
 //! coalesced burst (k elements) alike: guards → per-fault dirty groups →
@@ -8,31 +8,39 @@
 //! list of changed cells ([`ib_routing::SpliceLog`]) sizes every stage up
 //! to the wire, and the installed cells the wire moved size every stage
 //! after it, so a repair costs what it changes, not what the fabric holds.
-//! Whatever the pipeline cannot absorb leaves through **one** counted
-//! fallback into [`SubnetManager::light_sweep`]; once SMPs went out, it
-//! leaves the carried state diverged. The engine side is splice-or-`Err`
-//! ([`ib_routing::RoutingEngine::repair_with_graph`]), so an `Ok` here
-//! always means "only the dirty columns moved".
+//!
+//! A link that comes back is a repair in reverse: each applied repair
+//! leaves its log as a heal debt, and a link-up trap that settles the top
+//! debt undoes that log on the baseline and sends the reverted cells down
+//! the same distribution, gate and index stages. Whatever the pipeline
+//! cannot absorb — a heal no debt matches included — leaves through **one**
+//! counted fallback into [`SubnetManager::light_sweep`]; once SMPs went
+//! out, it leaves the carried state diverged. The engine side is
+//! splice-or-`Err` ([`ib_routing::RoutingEngine::repair_with_graph`]), so
+//! an `Ok` here always means "only the dirty columns moved".
 
 use std::collections::HashSet;
 
 use ib_mad::fault::{SmpChannel, SmpTransport};
-use ib_routing::{CellChange, EngineKind};
+use ib_routing::{CellChange, EngineKind, SpliceLog};
 use ib_subnet::{NodeId, Subnet};
 use ib_types::{IbResult, Lid, PortNum, LFT_BLOCK_SIZE};
 use ib_verify::InvariantClass;
 
-use crate::carried::Mirror;
+use crate::carried::{Debt, Mirror};
 use crate::distribution::{self, FailedBlock};
 use crate::resweep::{ResweepReport, SweepKind};
 use crate::sm::SubnetManager;
 
 /// Why a repair was handed to the full sweep instead.
 enum Fallback {
-    /// A fault's link is live: the trap is an *up* event, and folding a
-    /// link back in rebalances paths fabric-wide — a recompute by design,
-    /// so it is counted but not as a `repair.fallback`.
-    LinkUp,
+    /// A fault's link is live — the trap is an *up* event — but no heal
+    /// debt matches it ([`Mirror::pay`]): the link came back out of order,
+    /// the baseline moved since its repair (a migration, a full sweep, a
+    /// repair of links that were already down), or other links of its
+    /// coalesced batch are still down. Only a full compute knows the
+    /// tables of that graph; counted, but not as a `repair.fallback`.
+    NoDebt,
     /// No tables computed yet (adopted fabric): nothing to splice into.
     NoBaseline,
     /// The carried state is diverged (stranded blocks, or SMPs a failed
@@ -77,17 +85,20 @@ impl SubnetManager {
         self.repair_faults(subnet, faults, "resweep.batch", transport)
     }
 
-    /// The repair pipeline for the downed links `faults`: finds the
+    /// The repair pipeline for the links `faults`. Downed links: finds the
     /// destination LIDs whose installed paths crossed them, asks the engine
     /// to re-route only those columns spliced into the last computed
     /// tables, distributes the dirty blocks, and gates the result behind
     /// the fabric verifier, scoped to the installed cells the SMPs moved —
     /// black holes and forwarding loops always, the CDG deadlock check
-    /// when `config.verify` asks for it. Every obstacle
-    /// ([`Fallback`]) is counted and answered by the full sweep; the repair
-    /// itself emits `repair.*` counters and a `span_name` span that closes
-    /// before any fallback sweep starts. The carried state is lent to the
-    /// pipeline and settled back before anything else can look at it.
+    /// when `config.verify` asks for it. A live link among them makes the
+    /// trap a heal: the repair it settles is undone and the reverted cells
+    /// take the same distribution and gate. Every obstacle ([`Fallback`])
+    /// is counted and answered by the full sweep; the pipeline emits
+    /// `repair.*` counters and a `span_name` (a heal: `resweep.heal`) span
+    /// that closes before any fallback sweep starts. The carried state is
+    /// lent to the pipeline and settled back before anything else can look
+    /// at it.
     pub(crate) fn repair_faults<C: SmpChannel>(
         &mut self,
         subnet: &mut Subnet,
@@ -95,41 +106,40 @@ impl SubnetManager {
         span_name: &str,
         transport: &mut SmpTransport<C>,
     ) -> IbResult<ResweepReport> {
-        let mut span = None;
-        let outcome = if faults.iter().any(|&(n, p)| subnet.neighbor(n, p).is_some()) {
-            Err(Fallback::LinkUp)
-        } else if self.carried.baseline().is_none() {
-            Err(Fallback::NoBaseline)
-        } else {
-            span = Some(self.ledger.observer().span(span_name));
-            if let Some(mut mirror) = self.carried.lend() {
-                let outcome = self.splice_faults(subnet, faults, &mut mirror, transport);
+        let heal = faults.iter().any(|&(n, p)| subnet.neighbor(n, p).is_some());
+        let outcome = match self.carried.lend() {
+            Some(mut mirror) => {
+                let outcome = if heal {
+                    self.heal_faults(subnet, faults, &mut mirror, transport)
+                } else {
+                    self.splice_faults(subnet, faults, span_name, &mut mirror, transport)
+                };
                 self.carried.settle(subnet, mirror, faults);
                 outcome?
-            } else {
-                Err(Fallback::IndexMiss)
             }
+            None if heal => Err(Fallback::NoDebt),
+            None if self.carried.baseline().is_none() => Err(Fallback::NoBaseline),
+            None => Err(Fallback::IndexMiss),
         };
         outcome.or_else(|reason| {
-            drop(span);
             self.count_repair_fallback(reason);
             self.light_sweep(subnet, transport)
         })
     }
 
-    /// The pipeline past its guards. After the engine's splice it
-    /// distributes the blocks the log's cells fall in, gates exactly the
-    /// installed cells those blocks moved — normally the log's cells, plus
-    /// any baseline ≠ installed divergence a sent block carried — and moves
-    /// the mirror by them.
+    /// The pipeline for downed links, past its guards: the dirty groups,
+    /// the engine's splice, then [`Self::send_cells`]. An applied repair
+    /// becomes a heal debt.
     fn splice_faults<C: SmpChannel>(
         &mut self,
         subnet: &mut Subnet,
         faults: &[(NodeId, PortNum)],
+        span_name: &str,
         mirror: &mut Mirror,
         transport: &mut SmpTransport<C>,
     ) -> IbResult<Result<ResweepReport, Fallback>> {
         let observer = self.ledger.observer();
+        let _span = observer.span(span_name);
         // Disjoint per-fault dirty groups off the shared baseline: a column
         // already claimed by an earlier fault will be re-routed around
         // *all* downed links in one go, so later faults must not re-route
@@ -152,8 +162,9 @@ impl SubnetManager {
         observer.add("repair.dirty_dests", claimed.len() as u64);
         if claimed.is_empty() {
             // No installed path crossed the links: the tables are already
-            // correct and there is nothing to distribute.
+            // correct and there is nothing to distribute (nor to undo).
             observer.incr("repair.clean_noop");
+            mirror.owe(subnet, SpliceLog::default(), faults);
             return Ok(Ok(ResweepReport::idle(SweepKind::Repair)));
         }
         #[cfg(debug_assertions)]
@@ -175,24 +186,84 @@ impl SubnetManager {
         let Ok(log) = log else {
             return Ok(Err(Fallback::EngineError));
         };
-        observer.add("repair.changed_cells", log.cells.len() as u64);
+        // Distribution plans from the log alone, so it is trusted only as
+        // far as the next debug build: every block the splice changed must
+        // be in the plan.
+        #[cfg(debug_assertions)]
+        {
+            let planned: HashSet<_> = (log.cells.iter())
+                .map(|c| (c.switch, c.lid.lft_block()))
+                .collect();
+            for (&switch, lft) in &mirror.tables.lfts {
+                for block in unspliced[&switch].dirty_blocks(lft) {
+                    let named = (switch, block);
+                    debug_assert!(planned.contains(&named), "the log misses {named:?}");
+                }
+            }
+        }
+        let outcome = self.send_cells(subnet, &log.cells, faults, mirror, transport)?;
+        if outcome.as_ref().is_ok_and(|r| r.failed_blocks.is_empty()) {
+            let observer = self.ledger.observer();
+            observer.incr("repair.success");
+            observer.incr(engine_counters(config.engine).0);
+            mirror.owe(subnet, log, faults);
+        }
+        Ok(outcome)
+    }
+
+    /// A heal, past its guards: pays off the debt the links' return
+    /// settles by undoing its log on the baseline — the distance field
+    /// rebuilt on the healed graph — then [`Self::send_cells`] with the
+    /// reverted cells and the debt's links.
+    fn heal_faults<C: SmpChannel>(
+        &mut self,
+        subnet: &mut Subnet,
+        faults: &[(NodeId, PortNum)],
+        mirror: &mut Mirror,
+        transport: &mut SmpTransport<C>,
+    ) -> IbResult<Result<ResweepReport, Fallback>> {
+        let routing = self.config().routing;
+        let Ok((graph, _)) = self.carried.switch_graph(subnet) else {
+            return Ok(Err(Fallback::EngineError));
+        };
+        let Some(Debt { log, faults, .. }) = mirror.pay(subnet, faults) else {
+            return Ok(Err(Fallback::NoDebt));
+        };
+        let observer = self.ledger.observer();
+        let _span = observer.span("resweep.heal");
+        let cells = {
+            let _span = observer.span("repair.undo");
+            log.heal(&mut mirror.tables, graph, routing)
+        };
+        let outcome = self.send_cells(subnet, &cells, &faults, mirror, transport)?;
+        if outcome.as_ref().is_ok_and(|r| r.failed_blocks.is_empty()) {
+            self.ledger.observer().incr("repair.heal_debt");
+        }
+        Ok(outcome)
+    }
+
+    /// What a repair and a heal share once the baseline holds their cells:
+    /// distributes the blocks `cells` fall in, gates exactly the installed
+    /// cells those blocks moved — normally `cells`, plus any baseline ≠
+    /// installed divergence a sent block carried — with `faults` the links
+    /// that went down or came back, and moves the mirror by them.
+    fn send_cells<C: SmpChannel>(
+        &mut self,
+        subnet: &mut Subnet,
+        cells: &[CellChange],
+        faults: &[(NodeId, PortNum)],
+        mirror: &mut Mirror,
+        transport: &mut SmpTransport<C>,
+    ) -> IbResult<Result<ResweepReport, Fallback>> {
+        let observer = self.ledger.observer();
+        observer.add("repair.changed_cells", cells.len() as u64);
         // The switches hold the padded baseline (the live index vouches for
         // it), so only blocks containing a changed cell can be dirty.
-        let candidates = distribution::sorted_blocks(log.cells.iter().map(|c| FailedBlock {
+        let candidates = distribution::sorted_blocks(cells.iter().map(|c| FailedBlock {
             switch: c.switch,
             block: c.lid.lft_block(),
         }));
         observer.add("repair.planned_blocks", candidates.len() as u64);
-        // Distribution plans from the log alone, so it is trusted only as
-        // far as the next debug build: every block the splice changed must
-        // be a candidate.
-        #[cfg(debug_assertions)]
-        for (&switch, lft) in &mirror.tables.lfts {
-            for block in unspliced[&switch].dirty_blocks(lft) {
-                let named = FailedBlock { switch, block };
-                debug_assert!(candidates.contains(&named), "the log misses {named:?}");
-            }
-        }
         let healed = self.refresh_partition_state(subnet);
         let before = installed_blocks(subnet, &candidates);
         let carried_deps = mirror.send();
@@ -219,8 +290,6 @@ impl SubnetManager {
         if let Some(v) = verdict.violations.first() {
             return Ok(Err(Fallback::VerifyRejected(v.class)));
         }
-        observer.incr("repair.success");
-        observer.incr(engine_counters(self.config().engine).0);
         self.verify_healed(subnet, &healed)?;
         let span = observer.span("repair.index_splice");
         mirror.apply(&moved, deps);
@@ -237,7 +306,7 @@ impl SubnetManager {
     fn count_repair_fallback(&self, reason: Fallback) {
         let observer = self.ledger.observer();
         let name = match reason {
-            Fallback::LinkUp => return observer.incr("repair.skipped_up"),
+            Fallback::NoDebt => return observer.incr("repair.heal_no_debt"),
             Fallback::NoBaseline => "repair.no_baseline",
             Fallback::IndexMiss => "repair.index_misses",
             Fallback::EngineError => "repair.engine_error",
@@ -562,32 +631,59 @@ mod tests {
         assert_eq!(snap.counter("repair.fallback.minhop"), 1);
     }
 
+    /// A link that comes back settles its repair's debt: the trap undoes
+    /// the repair — the same blocks go back out — instead of recomputing,
+    /// and the fabric is the bring-up's again. Counted as a heal, not as a
+    /// fallback.
     #[test]
-    fn repair_skips_link_up_events() {
+    fn a_link_up_trap_heals_by_undoing_its_repair() {
         let mut t = two_level(3, 2, 2);
         let mut sm = SubnetManager::new(
             t.hosts[0],
             SmConfig {
                 repair: true,
+                verify: true,
                 ..SmConfig::default()
             },
         );
         sm.set_observer(ib_observe::Observer::metrics());
         sm.bring_up(&mut t.subnet).unwrap();
+        let pristine = sm.carried.baseline().unwrap().lfts.clone();
         let mut transport = SmpTransport::perfect(sm.sm_node);
         let trap = down_first_uplink(&mut t);
-        sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
-        // The link comes back: folding it in is a rebalance, not a repair.
+        let repair = sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
+        assert_eq!(repair.kind, SweepKind::Repair);
         let Trap::LinkStateChange { node, port } = trap else {
             unreachable!()
         };
         t.subnet.set_link_up(node, port).unwrap();
-        let report = sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
-        assert_eq!(report.kind, SweepKind::Light);
+        let heal = sm.handle_trap(&mut t.subnet, trap, &mut transport).unwrap();
+        assert_eq!(heal.kind, SweepKind::Repair);
+        assert_eq!(heal.distribution.lft_smps, repair.distribution.lft_smps);
         assert_all_pairs_connected(&t, &[]);
+        assert_eq!(sm.carried.baseline().unwrap().lfts, pristine);
+        for (sw, lft) in &pristine {
+            assert_eq!(t.subnet.lft(*sw), Some(lft), "{sw:?}");
+        }
+        assert!(sm.verify_route_index(&t.subnet).is_empty());
         let snap = sm.observer().snapshot().unwrap();
-        assert_eq!(snap.counter("repair.skipped_up"), 1);
+        assert_eq!(snap.counter("repair.heal_debt"), 1);
+        assert_eq!(snap.counter("repair.heal_no_debt"), 0);
         assert_eq!(snap.counter("repair.fallback"), 0);
+        assert_eq!(snap.counter("resweep.light"), 0);
+        assert_eq!(snap.spans_named("resweep.heal").len(), 1);
+        // The link's return is a patch of the carried dependency graph.
+        for reason in ["no-state", "topology", "vls", "split"] {
+            assert_eq!(snap.counter(&format!("verify.full_deps.{reason}")), 0);
+        }
+        assert_eq!(
+            sm.channel_deps(),
+            Some(
+                &ib_verify::FabricVerifier::new()
+                    .channel_deps(&t.subnet, sm.installed_vls().unwrap())
+                    .unwrap()
+            )
+        );
     }
 
     #[test]
@@ -637,11 +733,11 @@ mod tests {
         assert_eq!(snap.counter("repair.graph_reused"), 1);
     }
 
-    /// Satellite regression: a link-up trap takes the `repair.skipped_up`
-    /// light sweep, which must refresh the repair baseline — a later
-    /// link-down repair has to splice against the rebalanced tables, not
-    /// the pre-up ones. Pinned against a twin fabric that only ever sees
-    /// the second fault: same SMP count, byte-identical tables.
+    /// A link-up trap heals by undoing its repair, which must refresh the
+    /// repair baseline — a later link-down repair has to splice against
+    /// the healed tables, not the repaired ones. Pinned against a twin
+    /// fabric that only ever sees the second fault: same SMP count,
+    /// byte-identical tables.
     #[test]
     fn link_up_light_sweep_refreshes_the_repair_baseline() {
         let config = SmConfig {
@@ -664,7 +760,7 @@ mod tests {
         let up = sma
             .handle_trap(&mut ta.subnet, trap_l, &mut transport)
             .unwrap();
-        assert_eq!(up.kind, SweepKind::Light);
+        assert_eq!(up.kind, SweepKind::Repair);
         let trap_m = down_uplink(&mut ta, 1, 0);
         let repair_a = sma
             .handle_trap(&mut ta.subnet, trap_m, &mut transport)

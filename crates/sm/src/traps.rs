@@ -36,8 +36,9 @@ pub enum Trap {
 impl SubnetManager {
     /// Reacts to a trap: link-state changes get a light sweep (escalating
     /// if the known topology no longer routes) or, with
-    /// [`crate::SmConfig::repair`], the incremental repair pipeline; a
-    /// switch death goes straight to a heavy sweep.
+    /// [`crate::SmConfig::repair`], the incremental repair pipeline — for
+    /// a link coming back, the heal that undoes its repair; a switch death
+    /// goes straight to a heavy sweep.
     pub fn handle_trap<C: SmpChannel>(
         &mut self,
         subnet: &mut Subnet,
@@ -98,8 +99,9 @@ impl SubnetManager {
             }
             // Trap coalescing: a link-*down* trap inside the batching
             // window joins the pending batch instead of sweeping now. Up
-            // events never defer — folding a link back in is a fabric-wide
-            // rebalance the batch's column splice cannot express.
+            // events never defer: a heal undoes the repair that routed
+            // around the link, which is exact only while nothing else has
+            // moved the topology since, and a batch would move it.
             let config = self.config();
             if config.repair && config.coalesce.enabled && subnet.neighbor(node, port).is_none() {
                 return Ok(self.defer_trap(node, port, now_ns));

@@ -79,7 +79,7 @@ pub(crate) enum Rebuild {
     /// The VL layering changed.
     Vls,
     /// The fabric differs from the carried graph's by more than the
-    /// repaired links going down.
+    /// gate's links going down or coming back.
     Topology,
 }
 
@@ -168,8 +168,11 @@ impl ChannelDeps {
     /// Why these counts cannot be patched up to `view`, if they cannot:
     /// the fabric is split, the layering changed, or the live far ends
     /// differ from the counted ones by more than the channels in `cut`
-    /// (the ones the repair's faults took down) going dark — a new link,
-    /// a switch or LID that came or went, another fault.
+    /// (the links of the gate's faults) going dark or — cut since the
+    /// layout — coming back to their old far end: a new link, a switch or
+    /// LID that came or went, another fault. Every cell forwarding into a
+    /// `cut` channel is among the patch's changed cells, so its dependencies
+    /// are recounted whichever way its link went.
     pub(crate) fn blocker(
         &self,
         view: &FabricView<'_>,
@@ -185,7 +188,9 @@ impl ChannelDeps {
         }
         let same_far_ends = view.peer.len() == self.peers.layout.len()
             && view.peer.iter().enumerate().all(|(at, &live)| {
-                live == self.peers.far(at) || (live == NO_PEER && cut.contains(&(at as u32)))
+                live == self.peers.far(at)
+                    || (cut.contains(&(at as u32))
+                        && (live == NO_PEER || live == self.peers.layout[at]))
             });
         let same_fabric =
             self.switches == view.switches && self.peers.stride == view.stride && self.lids == lids;

@@ -270,7 +270,7 @@ impl FabricVerifier {
 
     /// The repair gate: the invariants as far as one repair can have moved
     /// them. `moved` is every installed cell the repair's SMPs changed and
-    /// `faults` the links it repaired. Addressing is checked whole; the
+    /// `faults` the links it repaired (down) or healed (back up). Addressing is checked whole; the
     /// forwarding walks start only at the moved cells and at cells still
     /// forwarding into a repaired link, so every finding is the repair's
     /// own; the deadlock check runs on `carried` — the graph an earlier
@@ -284,7 +284,7 @@ impl FabricVerifier {
     /// counted as `verify.full_deps.<reason>`, when nothing is carried
     /// (`no-state`), the fabric is split (`split`), the VL layering
     /// changed (`vls`), or the fabric differs from the carried graph's by
-    /// more than the repaired links going down (`topology`); a rebuilt
+    /// more than `faults` going down or coming back (`topology`); a rebuilt
     /// graph is searched lane-wide. Returns the report and — with the
     /// deadlock check on — the graph of the installed rows, for the next
     /// gate to carry.

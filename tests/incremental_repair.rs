@@ -765,10 +765,15 @@ fn three_level_fabrics_repair_and_heal_clean() {
 
             t.subnet.set_link_up(node, port).expect("link up");
             let heal = answer_trap(&mut t, &mut sm, node, port);
-            assert_eq!(heal.kind, SweepKind::Light, "{tag}");
+            assert_eq!(heal.kind, SweepKind::Repair, "{tag}");
+            assert_eq!(
+                heal.distribution.lft_smps, repair.distribution.lft_smps,
+                "{tag}: the heal sends back what the repair sent"
+            );
             assert_converged(&t, &sm, &format!("{tag} healed"));
             let snap = sm.observer().snapshot().expect("metrics on");
             assert_eq!(snap.counter("repair.success"), 1, "{tag}");
+            assert_eq!(snap.counter("repair.heal_debt"), 1, "{tag}");
             assert_eq!(snap.counter("repair.fallback"), 0, "{tag}");
         }
     }
