@@ -111,12 +111,6 @@ impl Inventory {
             && n.used.ram_gb + flavor.ram_gb <= n.total.ram_gb
     }
 
-    /// Free cores on node `idx`.
-    #[must_use]
-    pub fn free_cores(&self, idx: usize) -> u32 {
-        self.nodes[idx].total.cores - self.nodes[idx].used.cores
-    }
-
     /// Claims `flavor` on node `idx`.
     pub fn allocate(&mut self, idx: usize, flavor: &VmFlavor) -> IbResult<()> {
         if !self.fits(idx, flavor) {
@@ -160,7 +154,6 @@ mod tests {
         let f = VmFlavor::medium();
         assert!(inv.fits(0, &f));
         inv.allocate(0, &f).unwrap();
-        assert_eq!(inv.free_cores(0), 2);
         inv.allocate(0, &f).unwrap();
         assert!(!inv.fits(0, &f), "node full");
         assert!(inv.allocate(0, &f).is_err());
@@ -193,7 +186,12 @@ mod tests {
                 ram_gb: 32,
             },
         ]);
-        assert_eq!(inv.free_cores(0), 8);
-        assert_eq!(inv.free_cores(1), 4);
+        let five = VmFlavor {
+            name: "five".into(),
+            cores: 5,
+            ram_gb: 8,
+        };
+        assert!(inv.fits(0, &five));
+        assert!(!inv.fits(1, &five));
     }
 }

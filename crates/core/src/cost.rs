@@ -5,7 +5,6 @@
 //! switch, the `n·m` SMP floor of a full reconfiguration, and the
 //! one-to-`2n` range of the vSwitch method.
 
-use ib_mad::CostModel;
 use ib_subnet::{lft::min_blocks_for, Subnet};
 
 /// One row of the paper's Table I.
@@ -70,19 +69,6 @@ impl Table1Row {
         }
         self.max_smps_vswitch as f64 / self.min_smps_full_rc as f64
     }
-
-    /// Serial time of the full distribution vs the vSwitch worst case under
-    /// a cost model (equations 2 and 4/5): `(full_us, vswitch_us)`.
-    #[must_use]
-    pub fn distribution_times_us(&self, model: &CostModel, destination_routed: bool) -> (f64, f64) {
-        let full = model.full_distribution_us(self.switches, self.min_lft_blocks_per_switch);
-        let vsw = if destination_routed {
-            model.vswitch_reconfig_destination_us(self.switches, 2)
-        } else {
-            model.vswitch_reconfig_directed_us(self.switches, 2)
-        };
-        (full, vsw)
-    }
 }
 
 /// The paper's Table I, as published, for regression-testing our derived
@@ -98,6 +84,7 @@ pub const PAPER_TABLE1: [(usize, usize, usize, usize, usize, usize, usize); 4] =
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ib_mad::CostModel;
 
     #[test]
     fn from_counts_reproduces_published_table() {
@@ -136,9 +123,10 @@ mod tests {
         let model = CostModel::default();
         for &(n, s, l, ..) in &PAPER_TABLE1 {
             let row = Table1Row::from_counts(n, s, l);
-            let (full, vsw) = row.distribution_times_us(&model, true);
+            let full = model.full_distribution_us(row.switches, row.min_lft_blocks_per_switch);
+            let vsw = model.vswitch_reconfig_destination_us(row.switches, 2);
             assert!(vsw < full);
-            let (_, vsw_directed) = row.distribution_times_us(&model, false);
+            let vsw_directed = model.vswitch_reconfig_directed_us(row.switches, 2);
             assert!(vsw < vsw_directed, "destination routing must win");
         }
     }

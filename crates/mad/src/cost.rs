@@ -75,18 +75,6 @@ impl CostModel {
         debug_assert!(m_prime == 1 || m_prime == 2);
         (switches_updated * m_prime) as f64 * self.per_smp_us(false)
     }
-
-    /// Distribution time when the SM pipelines SMPs `depth`-deep (§VI-B's
-    /// closing remark): the serial cost divides by the pipeline depth,
-    /// floored at the cost of a single directed SMP — but never above the
-    /// serial cost itself, since a distribution cheaper than one model SMP
-    /// (e.g. an empty or sub-SMP workload) cannot be made *slower* by
-    /// pipelining. A `depth` of 0 is treated as no pipelining (depth 1).
-    #[must_use]
-    pub fn pipelined_us(&self, serial_us: f64, depth: usize) -> f64 {
-        let depth = depth.max(1) as f64;
-        (serial_us / depth).max(self.per_smp_us(true).min(serial_us))
-    }
 }
 
 #[cfg(test)]
@@ -130,38 +118,5 @@ mod tests {
                 assert!(vsw <= full, "n={n} m={m}");
             }
         }
-    }
-
-    #[test]
-    fn pipelining_never_below_single_smp() {
-        let serial = MODEL.full_distribution_us(36, 6);
-        let piped = MODEL.pipelined_us(serial, 1_000_000);
-        assert!(piped >= MODEL.per_smp_us(true));
-        assert!(MODEL.pipelined_us(serial, 4) < serial);
-        assert_eq!(MODEL.pipelined_us(serial, 0), MODEL.pipelined_us(serial, 1));
-    }
-
-    #[test]
-    fn pipelining_depth_zero_is_no_pipelining() {
-        // depth 0 must behave exactly like depth 1 for any workload size.
-        for serial in [0.0, 3.0, 9.0, 1944.0] {
-            assert_eq!(MODEL.pipelined_us(serial, 0), MODEL.pipelined_us(serial, 1));
-            assert_eq!(MODEL.pipelined_us(serial, 1), serial.max(0.0));
-        }
-    }
-
-    #[test]
-    fn pipelining_never_exceeds_serial_cost() {
-        // A workload cheaper than one model SMP (serial < k + r = 9 µs)
-        // stays at its serial cost: pipelining cannot slow it down to the
-        // single-SMP floor.
-        let tiny = 3.0;
-        assert!(tiny < MODEL.per_smp_us(true));
-        for depth in [0usize, 1, 2, 64] {
-            assert_eq!(MODEL.pipelined_us(tiny, depth), tiny);
-        }
-        assert_eq!(MODEL.pipelined_us(0.0, 16), 0.0);
-        // At or above one SMP of serial work the floor is per_smp_us(true).
-        assert_eq!(MODEL.pipelined_us(9.0, 1_000), MODEL.per_smp_us(true));
     }
 }

@@ -69,15 +69,6 @@ impl SmpLedger {
         Self::default()
     }
 
-    /// An empty ledger that mirrors every record into `observer`.
-    #[must_use]
-    pub fn with_observer(observer: Observer) -> Self {
-        Self {
-            observer,
-            ..Self::default()
-        }
-    }
-
     /// The metrics sink (disabled unless one was attached).
     #[must_use]
     pub fn observer(&self) -> &Observer {
@@ -247,21 +238,6 @@ impl SmpLedger {
             .sum()
     }
 
-    /// Serial cost with per-hop resolution: each SMP pays `hops · k_hop`,
-    /// plus `hops · r_hop` if directed (the finer-grained model `ib-sim`
-    /// uses; footnote 4 of the paper notes switches nearer the SM are
-    /// cheaper to reach).
-    #[must_use]
-    pub fn per_hop_cost_us(&self, k_hop_us: f64, r_hop_us: f64) -> f64 {
-        self.records
-            .iter()
-            .map(|r| {
-                let hops = r.hops as f64;
-                hops * k_hop_us + if r.directed { hops * r_hop_us } else { 0.0 }
-            })
-            .sum()
-    }
-
     /// Clears records and phases. The attached observer (and its
     /// accumulated metrics) is kept: metrics are cumulative across resets.
     pub fn reset(&mut self) {
@@ -333,8 +309,6 @@ mod tests {
         ledger.record(&lft_smp(0, true, 0), 2);
         ledger.record(&lft_smp(1, false, 0), 2);
         assert!((ledger.paper_cost_us(&model) - 14.0).abs() < 1e-9);
-        // Per-hop model: directed 2*(1+0.5), destination 2*1.
-        assert!((ledger.per_hop_cost_us(1.0, 0.5) - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -342,7 +316,8 @@ mod tests {
         use ib_observe::{FakeClock, Observer};
 
         let obs = Observer::with_clock(Box::new(FakeClock::new()));
-        let mut ledger = SmpLedger::with_observer(obs.clone());
+        let mut ledger = SmpLedger::new();
+        ledger.set_observer(obs.clone());
         ledger.begin_phase("bring-up");
         ledger.record(&lft_smp(0, true, 0), 2);
         ledger.record_attempt(&lft_smp(0, true, 1), 2, 0, SmpStatus::Dropped { hop: 1 });
@@ -369,7 +344,8 @@ mod tests {
     #[test]
     fn disabled_observer_leaves_records_identical() {
         let mut plain = SmpLedger::new();
-        let mut observed = SmpLedger::with_observer(ib_observe::Observer::disabled());
+        let mut observed = SmpLedger::new();
+        observed.set_observer(ib_observe::Observer::disabled());
         for ledger in [&mut plain, &mut observed] {
             ledger.begin_phase("p");
             ledger.record(&lft_smp(0, true, 0), 1);

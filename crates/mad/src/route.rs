@@ -205,17 +205,6 @@ impl SmpRouting {
     pub fn is_directed(&self) -> bool {
         matches!(self, Self::Directed(_))
     }
-
-    /// Link traversals for cost accounting: directed routes know their
-    /// length; destination routes are measured against the subnet by the
-    /// ledger at record time.
-    #[must_use]
-    pub fn known_hop_count(&self) -> Option<usize> {
-        match self {
-            Self::Directed(r) => Some(r.hop_count()),
-            Self::Destination(_) => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -356,13 +345,5 @@ mod tests {
     fn routing_kind_flags() {
         assert!(SmpRouting::Directed(DirectedRoute::local()).is_directed());
         assert!(!SmpRouting::Destination(Lid::from_raw(1)).is_directed());
-        assert_eq!(
-            SmpRouting::Directed(DirectedRoute::from_hops(vec![PortNum::new(1)])).known_hop_count(),
-            Some(1)
-        );
-        assert_eq!(
-            SmpRouting::Destination(Lid::from_raw(1)).known_hop_count(),
-            None
-        );
     }
 }

@@ -99,25 +99,6 @@ impl LinkLoad {
         self.per_channel.values().sum::<u64>() as f64 / self.per_channel.len() as f64
     }
 
-    /// Population standard deviation of channel loads.
-    #[must_use]
-    pub fn stddev(&self) -> f64 {
-        if self.per_channel.is_empty() {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let var = self
-            .per_channel
-            .values()
-            .map(|&v| {
-                let d = v as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / self.per_channel.len() as f64;
-        var.sqrt()
-    }
-
     /// Sorted multiset of loads — two routings with equal multisets are
     /// equally balanced, which is exactly what a LID swap preserves.
     #[must_use]
@@ -168,7 +149,6 @@ mod tests {
         let tables = MinHop.compute(&t.subnet).unwrap();
         let load = LinkLoad::from_tables(&t.subnet, &tables).unwrap();
         assert!(load.mean() > 0.0);
-        assert!(load.stddev() >= 0.0);
         assert!(load.max() as f64 >= load.mean());
     }
 }

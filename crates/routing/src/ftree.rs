@@ -104,7 +104,7 @@ impl RoutingEngine for FatTree {
         // full visit.
         let swcols = {
             let _span = observer.span("routing.fat-tree.switch-lane");
-            SwitchColumns::new(splice, workers, &dirty_dests)
+            SwitchColumns::new(splice, workers, &dirty_dests)?
         };
 
         // The pick for one cell: the delivery port at the delivery switch,
@@ -160,19 +160,25 @@ impl RoutingEngine for FatTree {
         );
         // The scope's oracle: a full visit after the scoped one changes
         // nothing — the switch lane checked cell by cell, by the rule its
-        // column kernel computes.
+        // column kernel computes, on one hub row per lane column.
         #[cfg(debug_assertions)]
         if carried {
-            let hub = crate::swcols::hub_rows(g, &dirty_dests, workers);
+            use crate::{swcols, updn};
+            let orient = updn::Orientation::new(g, &g.components(), swcols::hub);
             let mut cands = Candidates::default();
-            for s in 0..g.len() {
-                for (di, dest) in dirty_dests.iter().enumerate() {
+            for (di, dest) in dirty_dests.iter().enumerate() {
+                let lane = dest.port == PortNum::MANAGEMENT;
+                let rows = lane.then(|| orient.rows_toward(dest.switch));
+                for s in 0..g.len() {
                     let now = splice.get(s, dest.lid);
-                    let full = match dest.port {
-                        PortNum::MANAGEMENT => crate::swcols::sticky_pick(g, &hub, dest, s, now),
-                        _ => pick(&mut cands, s, di, now),
+                    let want = match &rows {
+                        Some((down, full)) => {
+                            let row = orient.row(down, full);
+                            updn::sticky_pick(g, row, dest, s, now, swcols::stagger)
+                        }
+                        None => pick(&mut cands, s, di, now),
                     };
-                    debug_assert_eq!(full, now, "scoped visit missed switch {s}, {dest:?}");
+                    debug_assert_eq!(want, now, "scoped visit missed switch {s}, {dest:?}");
                 }
             }
         }

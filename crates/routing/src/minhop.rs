@@ -5,10 +5,12 @@
 //! fanned across the configured workers, carried with the tables and
 //! followed per lost link by a repair) — then for every destination LID
 //! each switch picks the least-loaded among its minimal next-hop ports.
-//! Load balancing is the sequential, destination-ordered port-counting
-//! scheme OpenSM uses, so the computation has an inherently serial phase
-//! on top of the parallel distance rows — one reason Min-Hop costs more
-//! than structured fat-tree routing in Fig. 7.
+//! Load balancing is the destination-ordered port-counting scheme OpenSM
+//! uses. The pass runs in one thread on top of the parallel distance rows
+//! — one reason Min-Hop costs more than structured fat-tree routing in
+//! Fig. 7 — but its rows are independent: each pick reads only its own
+//! switch's port loads, so the rows could be fanned across workers like
+//! the fat-tree engine's (ROADMAP item 4).
 //!
 //! Switch-destined LIDs are routed up*/down*-legally on a dedicated
 //! lane (see `swcols`) — least-loaded valleys between sibling
@@ -78,7 +80,7 @@ impl RoutingEngine for MinHop {
         // the serial fill below only copies them.
         let swcols = {
             let _span = observer.span("routing.minhop.switch-lane");
-            SwitchColumns::new(splice, workers, &dirty_dests)
+            SwitchColumns::new(splice, workers, &dirty_dests)?
         };
 
         // Serial assignment: OpenSM's destination-ordered port-load

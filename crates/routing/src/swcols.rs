@@ -12,17 +12,17 @@
 //! guaranteed credit-loop-free.
 //!
 //! The cure is Up*/Down* rooted at a hub, on its own lane: switch LIDs
-//! follow an [`Orientation`] (the one the Up*/Down* engine routes on)
-//! and ride [`SWITCH_VL`], so their dependencies are acyclic by the
-//! Up*/Down* theorem on any topology and never chain into a minimal host
-//! column. Each component's hub is its *highest-index* switch: indices
-//! are stable across faults (nothing renumbers), and topology builders
-//! register leaves before spines, so a spine hub keeps its orientation
-//! under the leaf-edge faults that dominate — which keeps incremental
-//! repair's spliced switch columns byte-identical outside the fault's
-//! neighbourhood. On a tree the routes are valleys (the classic shape
-//! with the root at the bottom), the natural shape of switch-to-switch
-//! traffic.
+//! follow an up*/down* orientation (`updn::Orientation`, the one the
+//! Up*/Down* engine routes on) and ride [`SWITCH_VL`], so their
+//! dependencies are acyclic by the Up*/Down* theorem on any topology and
+//! never chain into a minimal host column. Each component's hub is its
+//! *highest-index* switch: indices are stable across faults (nothing
+//! renumbers), and topology builders register leaves before spines, so a
+//! spine hub keeps its orientation under the leaf-edge faults that
+//! dominate — which keeps incremental repair's spliced switch columns
+//! byte-identical outside the fault's neighbourhood. On a tree the routes
+//! are valleys (the classic shape with the root at the bottom), the
+//! natural shape of switch-to-switch traffic.
 //!
 //! Within the legal candidate sets the picks spread modularly, like the
 //! engines' host columns, and the repair path keeps an installed port
@@ -32,28 +32,37 @@
 //! reshuffles every modular pick in the affected columns, while the
 //! sticky splice rewrites only the entries the fault actually broke.
 //!
-//! The lane is filled one column at a time ([`SwitchColumns::new`]): a
-//! worker builds one delivery switch's legal row (two `u32` per switch)
-//! and walks every switch against it while it is in cache. No n × n
-//! matrix of rows is ever held; the engines then copy the finished
-//! columns into their switch-major rows. Walking switch-major instead —
-//! each cell reading its own delivery switch's row — touches the whole
-//! matrix for every switch and misses cache on nearly every pick.
+//! The lane is routed by the Up*/Down* engine's own column kernel
+//! ([`Columns`]): the two differ only in the root order ([`hub`]) and the
+//! spread ([`stagger`]) they pass it. The kernel fills one delivery
+//! switch's legal row at a time and walks every switch against it; the
+//! engines then copy the finished columns into their switch-major rows.
 //!
 //! Switch LIDs carry management-plane traffic (SMPs ride VL15 anyway);
 //! the valley detour costs nothing the paper's Fig. 7 measures.
 
-use ib_types::{Lid, PortNum, VirtualLane};
+use ib_types::{IbResult, Lid, PortNum, VirtualLane};
 use rustc_hash::FxHashMap;
 
-use crate::graph::{parallel_for_each, Destination, SwitchGraph};
+use crate::graph::{Destination, SwitchGraph};
 use crate::tables::{Splice, VlAssignment};
-#[cfg(any(test, debug_assertions))]
-use crate::updn::LegalRows;
-use crate::updn::{LegalRow, Orientation};
+use crate::updn::Columns;
 
 /// The data lane reserved for switch-destined LIDs (hosts stay on VL0).
 const SWITCH_VL: VirtualLane = VirtualLane::VL1;
+
+/// The lane's root order: every component rooted at its highest-index
+/// switch (the hub).
+pub(crate) fn hub(s: usize) -> usize {
+    s
+}
+
+/// The lane's spread: the host columns' modular spread, staggered by
+/// source so uniformly-cabled switches don't all break the same column
+/// when one cable dies.
+pub(crate) fn stagger(lid: Lid, s: usize) -> usize {
+    lid.raw() as usize + s
+}
 
 /// The VL layering that isolates switch-destined LIDs on [`SWITCH_VL`]:
 /// `SingleVl` when the fabric registers no switch LIDs at all, the
@@ -76,175 +85,40 @@ pub(crate) fn switch_dest_vls(g: &SwitchGraph) -> VlAssignment {
 /// The switch-lane picks of the switch-destined columns among a set of
 /// destinations, shared by the Min-Hop and fat-tree engines.
 pub(crate) struct SwitchColumns {
-    n: usize,
-    /// `column[di]`: the column of `dests[di]` in `picks`; `NO_COLUMN` for
-    /// a host column.
+    /// `column[di]`: the lane column of `dests[di]`; `NO_COLUMN` for a
+    /// host column.
     column: Vec<u32>,
-    /// Column-major: `picks[c * n + s]` is column `c`'s entry at switch `s`.
-    picks: Vec<Option<PortNum>>,
+    lane: Columns,
 }
 
 const NO_COLUMN: u32 = u32::MAX;
 
 impl SwitchColumns {
     /// Routes the switch-destined LIDs among `dests` — all of the graph's
-    /// destinations on a full compute, the dirty columns on a repair — one
-    /// column at a time, fanned across workers, against the entries the
-    /// cells of `splice` hold now. Each column is a pure function of the
-    /// graph and its installed entries, so the picks are byte-identical
-    /// for any worker count. Splits are not errors: cross-component picks
-    /// are explicit `None` holes.
-    pub fn new(splice: &Splice<'_>, workers: usize, dests: &[Destination]) -> Self {
-        let g = splice.graph();
-        let n = g.len();
-        let lane: Vec<usize> = (0..dests.len())
-            .filter(|&di| dests[di].port == PortNum::MANAGEMENT)
+    /// destinations on a full compute, the dirty columns on a repair —
+    /// with the column kernel on the hub orientation, fanned across
+    /// workers, against the entries the cells of `splice` hold now.
+    pub fn new(splice: &Splice<'_>, workers: usize, dests: &[Destination]) -> IbResult<Self> {
+        let mut lane = Vec::new();
+        let column = (dests.iter())
+            .map(|d| match d.port {
+                PortNum::MANAGEMENT => {
+                    lane.push(*d);
+                    lane.len() as u32 - 1
+                }
+                _ => NO_COLUMN,
+            })
             .collect();
-        let mut column = vec![NO_COLUMN; dests.len()];
-        for (c, &di) in lane.iter().enumerate() {
-            column[di] = c as u32;
-        }
-        let mut picks = vec![None; lane.len() * n];
-        if !picks.is_empty() {
-            // The hub orientation: every component rooted at its
-            // highest-index switch.
-            let orient = Orientation::new(g, &g.components(), |s| s);
-            let mut cols: Vec<&mut [Option<PortNum>]> = picks.chunks_mut(n).collect();
-            parallel_for_each(
-                &mut cols,
-                workers,
-                || Scratch::new(n),
-                |scratch, c, out| scratch.fill(splice, &orient, &dests[lane[c]], out),
-            );
-        }
-        Self { n, column, picks }
+        let lane = Columns::new(splice, &lane, hub, stagger, workers)?;
+        Ok(Self { column, lane })
     }
 
     /// The entry of the switch-destined column `dests[di]` at switch `s`.
     pub fn pick(&self, di: usize, s: usize) -> Option<PortNum> {
         let c = self.column[di];
         debug_assert_ne!(c, NO_COLUMN, "column {di} is a host column");
-        self.picks[c as usize * self.n + s]
+        self.lane.pick(c as usize, s)
     }
-}
-
-/// One worker's legal row and candidate buffer.
-struct Scratch {
-    queue: Vec<u32>,
-    down: Vec<u32>,
-    full: Vec<u32>,
-    ports: Vec<PortNum>,
-}
-
-impl Scratch {
-    fn new(n: usize) -> Self {
-        Self {
-            queue: Vec::with_capacity(n),
-            down: vec![0; n],
-            full: vec![0; n],
-            ports: Vec::new(),
-        }
-    }
-
-    /// Writes `dest`'s entry at every switch into `out`: the delivery port
-    /// at the delivery switch, a hole across a split, the installed port
-    /// while it is still legal, else the modular pick of one neighbour
-    /// scan — [`sticky_pick`]'s rule, a column at a time.
-    fn fill(
-        &mut self,
-        splice: &Splice<'_>,
-        orient: &Orientation,
-        dest: &Destination,
-        out: &mut [Option<PortNum>],
-    ) {
-        let g = splice.graph();
-        let Self {
-            queue,
-            down,
-            full,
-            ports,
-        } = self;
-        orient.fill_row(dest.switch, queue, down, full);
-        let row = orient.row(down, full);
-        for (s, out) in out.iter_mut().enumerate() {
-            *out = if s == dest.switch {
-                Some(dest.port)
-            } else if row.full(s) == u32::MAX {
-                None
-            } else if let Some(p) = splice.get(s, dest.lid).filter(|&p| legal(g, row, s, p)) {
-                Some(p)
-            } else {
-                ports.clear();
-                ports.extend(row.ports(s));
-                ports.get(spread(dest.lid, s, ports.len())).copied()
-            };
-        }
-    }
-}
-
-/// Whether port `p` of `s` is a legal hop of `row`.
-fn legal(g: &SwitchGraph, row: LegalRow<'_>, s: usize, p: PortNum) -> bool {
-    g.peer(s, p).is_some_and(|v| row.legal_hop(s, v))
-}
-
-/// Which of `k` legal candidates `s` picks for `lid`: the host columns'
-/// modular spread, staggered by source so uniformly-cabled switches don't
-/// all break the same column when one cable dies. (No legal port is
-/// unreachable on a connected component; be defensive — the verifier
-/// reports the hole if it ever happens.)
-fn spread(lid: Lid, s: usize, k: usize) -> usize {
-    (lid.raw() as usize + s) % k.max(1)
-}
-
-/// The hub orientation's rows toward the delivery switches of the
-/// switch-destined LIDs among `dests`, built on `workers` workers.
-#[cfg(any(test, debug_assertions))]
-pub(crate) fn hub_rows(g: &SwitchGraph, dests: &[Destination], workers: usize) -> LegalRows {
-    let mut dsws: Vec<usize> = dests
-        .iter()
-        .filter(|d| d.port == PortNum::MANAGEMENT)
-        .map(|d| d.switch)
-        .collect();
-    dsws.sort_unstable();
-    dsws.dedup();
-    LegalRows::new(g, &g.components(), |s| s, &dsws, workers)
-}
-
-/// The switch lane's rule for one cell, the reference
-/// [`SwitchColumns::new`] computes a column at a time: the delivery port
-/// at the delivery switch; `installed` whenever it is still a legal
-/// candidate — so a splice rewrites only the entries a fault actually
-/// broke; else the [`spread`]-th legal port in port order; `None` when
-/// `s` sits across a split from the delivery switch (an explicit hole).
-/// Asking for a delivery switch `rows` holds no row for is a bug in the
-/// caller — it would otherwise read as a silent hole.
-#[cfg(any(test, debug_assertions))]
-pub(crate) fn sticky_pick(
-    g: &SwitchGraph,
-    rows: &LegalRows,
-    dest: &Destination,
-    s: usize,
-    installed: Option<PortNum>,
-) -> Option<PortNum> {
-    if s == dest.switch {
-        return Some(dest.port);
-    }
-    let row = (rows.row(dest.switch))
-        .unwrap_or_else(|| panic!("no valley row was built for switch {}", dest.switch));
-    if row.full(s) == u32::MAX {
-        return None;
-    }
-    if let Some(p) = installed.filter(|&p| legal(g, row, s, p)) {
-        return Some(p);
-    }
-    // The candidates by definition: every neighbour `legal_hop` allows.
-    let ports = || {
-        (g.neighbors(s).iter())
-            .filter(move |&&(v, _)| row.legal_hop(s, v as usize))
-            .map(|&(_, p)| p)
-    };
-    let want = spread(dest.lid, s, ports().count());
-    ports().nth(want)
 }
 
 #[cfg(test)]
@@ -254,6 +128,7 @@ mod tests {
     use crate::ftree::FatTree;
     use crate::minhop::MinHop;
     use crate::testutil::{assign_lids, switch_links};
+    use crate::updn::{by_lid, root_key, sticky_pick, Orientation};
     use crate::{RoutingEngine, RoutingOptions, RoutingTables};
     use ib_observe::Observer;
     use ib_subnet::topology::fattree::three_level;
@@ -311,13 +186,40 @@ mod tests {
     fn fresh_columns(g: &SwitchGraph, workers: usize, dests: &[Destination]) -> SwitchColumns {
         let mut tables = RoutingTables::from_lfts(Default::default(), "fresh");
         let splice = Splice::fresh(g, &mut tables);
-        SwitchColumns::new(&splice, workers, dests)
+        SwitchColumns::new(&splice, workers, dests).unwrap()
     }
 
-    /// The column kernel computes exactly the per-cell rule, for every
-    /// (switch, switch LID): from empty rows, and from the pre-fault
-    /// tables — some of whose picks the fault made illegal — for any
-    /// worker count.
+    /// The column kernel's picks of `dests`, `[column][switch]`, as the
+    /// Up*/Down* engine (`updn`) or the switch lane routes them on
+    /// `splice`.
+    fn kernel_picks(
+        splice: &Splice<'_>,
+        workers: usize,
+        dests: &[Destination],
+        updn: bool,
+    ) -> Vec<Vec<Option<PortNum>>> {
+        let n = splice.graph().len();
+        let table = |pick: &dyn Fn(usize, usize) -> Option<PortNum>| {
+            (0..dests.len())
+                .map(|i| (0..n).map(|s| pick(i, s)).collect())
+                .collect()
+        };
+        if updn {
+            let ranks = splice.graph().ranks();
+            let cols = Columns::new(splice, dests, root_key(&ranks), by_lid, workers).unwrap();
+            table(&|i, s| cols.pick(i, s))
+        } else {
+            let cols = SwitchColumns::new(splice, workers, dests).unwrap();
+            table(&|i, s| cols.pick(i, s))
+        }
+    }
+
+    /// The column kernel computes exactly the per-cell rule for both its
+    /// callers — the switch lane (hub root, staggered spread) over the
+    /// switch LIDs, and the Up*/Down* engine (ranked root, `lid mod k`)
+    /// over every destination — for every (switch, column): from empty
+    /// rows, and from the pre-fault tables — some of whose picks the
+    /// fault made illegal — for any worker count.
     #[test]
     fn the_column_kernel_is_the_per_cell_rule() {
         let fabrics = [
@@ -325,80 +227,79 @@ mod tests {
             ("split tree", degraded_tree(true)),
             ("torus", degraded_torus()),
         ];
-        for (name, (g, before)) in &fabrics {
-            let lane = switch_lane(g);
-            let rows = hub_rows(g, &lane, 1);
+        for (fabric, (g, before)) in &fabrics {
+            let (comps, ranks) = (g.components(), g.ranks());
             let lft = |s: usize, lid: Lid| before.lfts[&g.node_id(s)].get(lid);
-            let (mut kept, mut broken) = (0, 0);
-            for d in &lane {
-                for s in (0..g.len()).filter(|&s| s != d.switch) {
-                    let Some(p) = lft(s, d.lid) else { continue };
-                    match rows.row(d.switch) {
-                        Some(row) if row.full(s) != u32::MAX && legal(g, row, s, p) => kept += 1,
-                        _ => broken += 1,
+            for updn in [false, true] {
+                let name = format!("{fabric}, {}", if updn { "up-down" } else { "lane" });
+                let (orient, spread, dests): (_, fn(Lid, usize) -> usize, _) = if updn {
+                    let orient = Orientation::new(g, &comps, root_key(&ranks));
+                    (orient, by_lid, g.destinations().to_vec())
+                } else {
+                    (Orientation::new(g, &comps, hub), stagger, switch_lane(g))
+                };
+                let rows: Vec<(Vec<u32>, Vec<u32>)> = (dests.iter())
+                    .map(|d| orient.rows_toward(d.switch))
+                    .collect();
+                let (mut kept, mut broken) = (0, 0);
+                for (d, (down, full)) in dests.iter().zip(&rows) {
+                    let row = orient.row(down, full);
+                    for s in (0..g.len()).filter(|&s| s != d.switch) {
+                        let Some(p) = lft(s, d.lid) else { continue };
+                        let legal = g.peer(s, p).is_some_and(|v| row.legal_hop(s, v));
+                        match row.full(s) != u32::MAX && legal {
+                            true => kept += 1,
+                            false => broken += 1,
+                        }
                     }
                 }
-            }
-            assert!(
-                kept > 0 && broken > 0,
-                "{name}: {kept} kept, {broken} broken"
-            );
-            let lids: Vec<Lid> = lane.iter().map(|d| d.lid).collect();
-            for workers in [1, 3] {
-                let empty = fresh_columns(g, workers, &lane);
-                let mut installed = before.clone();
-                let splice = Splice::begin(g, &mut installed, &lids).unwrap();
-                let sticky = SwitchColumns::new(&splice, workers, &lane);
-                for (di, d) in lane.iter().enumerate() {
-                    for s in 0..g.len() {
-                        let what = format!("{name}, {workers} workers, {d:?} at {s}");
-                        let rule = sticky_pick(g, &rows, d, s, None);
-                        assert_eq!(empty.pick(di, s), rule, "{what}, nothing installed");
-                        let rule = sticky_pick(g, &rows, d, s, lft(s, d.lid));
-                        assert_eq!(sticky.pick(di, s), rule, "{what}, installed");
+                assert!(
+                    kept > 0 && broken > 0,
+                    "{name}: {kept} kept, {broken} broken"
+                );
+                let lids: Vec<Lid> = dests.iter().map(|d| d.lid).collect();
+                for workers in [1, 3] {
+                    let mut fresh = RoutingTables::from_lfts(Default::default(), "fresh");
+                    let empty = kernel_picks(&Splice::fresh(g, &mut fresh), workers, &dests, updn);
+                    let mut installed = before.clone();
+                    let splice = Splice::begin(g, &mut installed, &lids).unwrap();
+                    let sticky = kernel_picks(&splice, workers, &dests, updn);
+                    for (i, (d, (down, full))) in dests.iter().zip(&rows).enumerate() {
+                        let row = orient.row(down, full);
+                        for s in 0..g.len() {
+                            let what = format!("{name}, {workers} workers, {d:?} at {s}");
+                            let rule = sticky_pick(g, row, d, s, None, spread);
+                            assert_eq!(empty[i][s], rule, "{what}, nothing installed");
+                            let rule = sticky_pick(g, row, d, s, lft(s, d.lid), spread);
+                            assert_eq!(sticky[i][s], rule, "{what}, installed");
+                        }
                     }
                 }
             }
         }
     }
 
-    /// Rows and columns are pure functions of the graph: building a
-    /// subset on two workers gives the same rows — orientation, down cone
-    /// and full row — and routing it the same columns, as building them
-    /// all on one.
+    /// Columns are pure functions of the graph: routing a subset on two
+    /// workers gives the same columns as routing them all on one.
     #[test]
     fn subset_rows_equal_the_full_builds() {
         for split in [false, true] {
             let (g, _) = degraded_tree(split);
             let lane = switch_lane(&g);
-            let (full_rows, full) = (hub_rows(&g, &lane, 1), fresh_columns(&g, 1, &lane));
+            let full = fresh_columns(&g, 1, &lane);
             let subset: Vec<Destination> = (lane.iter().copied())
                 .filter(|d| d.switch % 5 == 0)
                 .collect();
             assert!(subset.len() > 2);
-            let (some_rows, some) = (hub_rows(&g, &subset, 2), fresh_columns(&g, 2, &subset));
+            let some = fresh_columns(&g, 2, &subset);
             for (si, d) in subset.iter().enumerate() {
                 let di = lane.iter().position(|l| l == d).unwrap();
-                let row = some_rows.row(d.switch);
-                assert!(row.is_some());
-                assert_eq!(row, full_rows.row(d.switch), "split={split} {d:?}");
                 for s in 0..g.len() {
                     let what = format!("split={split} {d:?} at {s}");
                     assert_eq!(some.pick(si, s), full.pick(di, s), "{what}");
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "no valley row was built")]
-    fn asking_for_an_unbuilt_row_is_not_a_silent_hole() {
-        let (g, _) = degraded_tree(false);
-        let lane = switch_lane(&g);
-        let (only, other): (Vec<Destination>, Vec<Destination>) =
-            lane.iter().partition(|d| d.switch == 0);
-        let rows = hub_rows(&g, &only, 1);
-        let _ = sticky_pick(&g, &rows, &other[0], 0, None);
     }
 
     /// The mechanism behind the gate's rejection of a leaf's last uplink
@@ -444,13 +345,14 @@ mod tests {
 
         // The switch-LID cells outside the dirty columns whose installed
         // pick the degraded graph's orientation no longer allows.
-        let rows = hub_rows(&g, g.destinations(), 1);
+        let orient = Orientation::new(&g, &g.components(), hub);
         let mut stale: Vec<(usize, Lid, PortNum)> = Vec::new();
         for d in g.destinations().iter().filter(|d| switch_lid(d)) {
             if dirty.contains(&d.lid) {
                 continue;
             }
-            let row = rows.row(d.switch).unwrap();
+            let (down, full) = orient.rows_toward(d.switch);
+            let row = orient.row(&down, &full);
             for s in (0..g.len()).filter(|&s| s != d.switch) {
                 let pick = lft(&tables, s, d.lid);
                 let peer = pick.and_then(|p| g.peer(s, p));

@@ -1,4 +1,4 @@
-//! Up*/Down* routing, and the one up*/down* orientation every engine that
+//! Up*/Down* routing, and the one up*/down* router every engine that
 //! routes by it shares.
 //!
 //! Links are oriented toward a root switch; a legal path climbs zero or
@@ -8,21 +8,25 @@
 //! virtual lane on any topology — the baseline deadlock argument the
 //! paper's §VI-C discussion builds on. `Orientation` owns that
 //! orientation and fills the legal distance rows toward a delivery
-//! switch: the Up*/Down* engine holds every row it routes on at once
-//! (`LegalRows`), Min-Hop and the fat-tree engine fill one at a time for
-//! their switch lane (`swcols`), each with its own root.
+//! switch; `Columns` is the one column kernel over it. Its two callers
+//! differ only in the root order and the spread they pass: this engine
+//! roots each component at a switch of maximal rank and picks the
+//! `lid mod k`-th legal port; the switch lane of Min-Hop and the
+//! fat-tree engine (`swcols`) roots at the highest index and staggers
+//! the spread by source.
 //!
-//! Both hot phases fan across the configured workers: the per-delivery-
-//! switch legal-distance sweeps (each row depends only on the labels) and
-//! the per-switch LFT fill (each switch's row is independent).
+//! A worker of the kernel fills one delivery switch's legal row into
+//! scratch and walks every switch against it while it is in cache; no
+//! matrix of rows is held. The engines then copy the finished columns
+//! into their switch-major rows, each row independent.
 
 use std::cmp::Reverse;
 
 use ib_observe::Observer;
-use ib_types::{IbError, IbResult, PortNum};
+use ib_types::{IbError, IbResult, Lid, PortNum};
 
 use crate::engine::{RoutingEngine, RoutingOptions};
-use crate::graph::{parallel_for_each, Components, SwitchGraph};
+use crate::graph::{parallel_for_each, Components, Destination, SwitchGraph};
 use crate::tables::{Splice, VlAssignment};
 
 /// The Up*/Down* engine. Every component is rooted at a switch of maximal
@@ -33,8 +37,14 @@ pub struct UpDown;
 /// The engine's root order: ranked switches above unranked ones, higher
 /// rank first, then *lower* index — so a component with no ranked switch
 /// is rooted at its lowest index.
-fn root_key(ranks: &[u32]) -> impl Fn(usize) -> (Option<u32>, Reverse<usize>) + '_ {
+pub(crate) fn root_key(ranks: &[u32]) -> impl Fn(usize) -> (Option<u32>, Reverse<usize>) + '_ {
     |s| ((ranks[s] != u32::MAX).then_some(ranks[s]), Reverse(s))
+}
+
+/// The engine's spread: the `lid mod k`-th of `k` legal ports, the same
+/// at every switch.
+pub(crate) fn by_lid(lid: Lid, _: usize) -> usize {
+    lid.raw() as usize
 }
 
 impl RoutingEngine for UpDown {
@@ -42,9 +52,9 @@ impl RoutingEngine for UpDown {
         "up-down"
     }
 
-    /// Orient the graph (one ranks pass plus one BFS per component), run
-    /// the legal-distance sweep for the dirty delivery-switch groups, and
-    /// fill their columns.
+    /// Orient the graph (one ranks pass plus one BFS per component), route
+    /// the dirty columns with the column kernel, and copy them into the
+    /// rows.
     ///
     /// The pick is *sticky*: the installed port is kept wherever it is
     /// still a legal minimal candidate, and the modular spread decides
@@ -63,71 +73,30 @@ impl RoutingEngine for UpDown {
         // The orientation is computed from scratch on the graph as it is:
         // reusing a root or label set from before a fault would silently
         // diverge from what a full sweep would install.
-        let comps = g.components();
         let ranks = g.ranks();
-        // Legal distances are computed once per delivery switch.
-        let groups = splice.dirty_groups();
+        // Grouped by delivery switch, in switch order: the order each row
+        // writes, and a repair logs, its cells in.
+        let dests: Vec<Destination> = (splice.dirty_groups().into_iter())
+            .flat_map(|(_, group)| group.into_iter().map(|di| g.destinations()[di]))
+            .collect();
         let workers = opts.effective_workers(n);
-
-        // Phase 1, fanned per delivery switch.
-        let legal = {
-            let _span = observer.span("routing.up-down.distances");
-            let delivery: Vec<usize> = groups.iter().map(|&(dsw, _)| dsw).collect();
-            LegalRows::new(g, &comps, root_key(&ranks), &delivery, workers)
+        let columns = {
+            let _span = observer.span("routing.up-down.columns");
+            Columns::new(splice, &dests, root_key(&ranks), by_lid, workers)?
         };
-        // A cross-component `MAX` is an honest hole (the column entry stays
-        // `None`); one inside the delivery switch's component would be a
-        // broken orientation.
-        for &(dsw, _) in &groups {
-            let row = legal.row(dsw).expect("a row per group");
-            if (0..n).any(|s| comps.same(s, dsw) && row.full(s) == u32::MAX) {
-                return Err(IbError::Topology(format!(
-                    "no legal up*/down* path to switch {dsw}"
-                )));
-            }
-        }
-
-        // Phase 2, fanned per switch: each switch fills its own row from
-        // the read-only rows. The candidate set for a (switch, delivery
-        // switch) pair is shared by every LID the group delivers, so it is
-        // built once per pair.
+        // Each switch copies its own row from the finished columns.
         let _span = observer.span("routing.up-down.assign");
         parallel_for_each(
             splice.rows(),
             workers,
-            Vec::<PortNum>::new,
-            |candidates, s, row| {
-                for (dsw, dest_indices) in &groups {
-                    let legal = legal.row(*dsw).expect("a row per group");
-                    // Split fabric: a group whose delivery switch lives in
-                    // another component is cleared — explicit holes, not
-                    // stale routes into the lost component. Neighbours come
-                    // in port order, so the candidates are sorted.
-                    candidates.clear();
-                    if s != *dsw && legal.full(s) != u32::MAX {
-                        candidates.extend(legal.ports(s));
-                    }
-                    for &di in dest_indices {
-                        let dest = g.destinations()[di];
-                        let pick = if s == *dsw {
-                            Some(dest.port)
-                        } else {
-                            // Keep the installed port while it is still a
-                            // legal minimal candidate (a port into a
-                            // failed link never is); the modular spread
-                            // decides the rest.
-                            let spread = dest.lid.raw() as usize % candidates.len().max(1);
-                            row.get(dest.lid)
-                                .filter(|p| candidates.binary_search(p).is_ok())
-                                .or_else(|| candidates.get(spread).copied())
-                        };
-                        row.set(dest.lid, pick);
-                    }
+            || (),
+            |(), s, row| {
+                for (i, dest) in dests.iter().enumerate() {
+                    row.set(dest.lid, columns.pick(i, s));
                 }
             },
         );
-        let dirty: usize = groups.iter().map(|(_, dests)| dests.len()).sum();
-        Ok((VlAssignment::SingleVl, (dirty * n) as u64))
+        Ok((VlAssignment::SingleVl, (dests.len() * n) as u64))
     }
 }
 
@@ -272,74 +241,6 @@ impl Orientation {
     }
 }
 
-/// An [`Orientation`] plus, per requested delivery switch, the legal
-/// distance rows toward it, held together.
-///
-/// Rows are fanned across workers and are pure functions of the graph and
-/// the root order: a row is byte-identical for any worker count and any
-/// set of sibling rows.
-pub(crate) struct LegalRows {
-    orient: Orientation,
-    /// Delivery switch -> row index into `down`/`full`; `NO_ROW` for a
-    /// switch no row was built for.
-    row_of: Vec<u32>,
-    /// Row r: length of the shortest all-down path to delivery switch r
-    /// (`u32::MAX` outside its *down cone*).
-    down: Vec<u32>,
-    /// Row r: length of the legal route the composed rows take to delivery
-    /// switch r (`u32::MAX` = another component).
-    full: Vec<u32>,
-    n: usize,
-}
-
-const NO_ROW: u32 = u32::MAX;
-
-impl LegalRows {
-    /// Orients `g` from each component's switch of greatest `root_key` and
-    /// builds the rows toward each switch of `delivery` (sorted, distinct).
-    pub fn new<K: Ord>(
-        g: &SwitchGraph,
-        comps: &Components,
-        root_key: impl Fn(usize) -> K,
-        delivery: &[usize],
-        workers: usize,
-    ) -> Self {
-        let n = g.len();
-        let orient = Orientation::new(g, comps, root_key);
-        let mut row_of = vec![NO_ROW; n];
-        for (r, &dsw) in delivery.iter().enumerate() {
-            row_of[dsw] = r as u32;
-        }
-        // `fill_row` overwrites every slot.
-        let mut down = vec![0; delivery.len() * n];
-        let mut full = vec![0; delivery.len() * n];
-        let mut rows: Vec<(&mut [u32], &mut [u32])> =
-            down.chunks_mut(n).zip(full.chunks_mut(n)).collect();
-        parallel_for_each(
-            &mut rows,
-            workers,
-            || Vec::<u32>::with_capacity(n),
-            |queue, r, (down, full)| orient.fill_row(delivery[r], queue, down, full),
-        );
-        Self {
-            orient,
-            row_of,
-            down,
-            full,
-            n,
-        }
-    }
-
-    /// The rows toward delivery switch `dsw`; `None` when none was built.
-    pub fn row(&self, dsw: usize) -> Option<LegalRow<'_>> {
-        let r = *self.row_of.get(dsw)?;
-        (r != NO_ROW).then(|| {
-            let span = r as usize * self.n..(r as usize + 1) * self.n;
-            self.orient.row(&self.down[span.clone()], &self.full[span])
-        })
-    }
-}
-
 /// One delivery switch's rows, as [`Orientation::row`] reads them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct LegalRow<'a> {
@@ -392,12 +293,239 @@ impl<'a> LegalRow<'a> {
     }
 }
 
+/// The column kernel's picks for a set of destination columns. Each
+/// delivery switch's columns sit in one switch-major block of `picks`, so
+/// a row copy reads a block's entries for its switch side by side.
+pub(crate) struct Columns {
+    /// `dests[i]`'s entry at switch `s` is `picks[start + s * stride]`,
+    /// with `(start, stride) = at[i]`.
+    at: Vec<(usize, usize)>,
+    picks: Vec<Option<PortNum>>,
+}
+
+impl Columns {
+    /// Routes the columns of `dests` against the entries the cells of
+    /// `splice` hold now, on the orientation rooted at each component's
+    /// switch of greatest `root_key`, picking the `spread(lid, s) mod k`-th
+    /// of `k` legal ports: byte-identical for any worker count. A
+    /// cross-component pick is an explicit `None` hole; a switch its own
+    /// delivery switch's component cannot reach is an `Err`.
+    pub fn new<K: Ord>(
+        splice: &Splice<'_>,
+        dests: &[Destination],
+        root_key: impl Fn(usize) -> K,
+        spread: impl Fn(Lid, usize) -> usize + Sync,
+        workers: usize,
+    ) -> IbResult<Self> {
+        let g = splice.graph();
+        let n = g.len();
+        let mut at = vec![(0, 0); dests.len()];
+        let mut picks = vec![None; dests.len() * n];
+        if dests.is_empty() {
+            return Ok(Self { at, picks });
+        }
+        let comps = g.components();
+        let orient = Orientation::new(g, &comps, root_key);
+        let mut order: Vec<usize> = (0..dests.len()).collect();
+        order.sort_by_key(|&i| dests[i].switch);
+        let mut blocks = Vec::new();
+        let (mut start, mut rest) = (0, picks.as_mut_slice());
+        for group in order.chunk_by(|&a, &b| dests[a].switch == dests[b].switch) {
+            for (j, &i) in group.iter().enumerate() {
+                at[i] = (start + j, group.len());
+            }
+            let (block, tail) = rest.split_at_mut(group.len() * n);
+            blocks.push((group, block, false));
+            (start, rest) = (start + group.len() * n, tail);
+        }
+        // One block per worker at a time: fill the delivery switch's rows,
+        // then walk every switch against them.
+        parallel_for_each(
+            &mut blocks,
+            workers,
+            || Scratch::new(n),
+            |scratch, _, (group, block, broken)| {
+                let dsw = dests[group[0]].switch;
+                let Scratch {
+                    queue,
+                    down,
+                    full,
+                    ports,
+                } = scratch;
+                orient.fill_row(dsw, queue, down, full);
+                let row = orient.row(down, full);
+                ports.clear();
+                let holes = walk(splice, row, dests, group, &spread, ports, block);
+                // A cross-component hole is honest; one inside the delivery
+                // switch's component, a broken orientation.
+                *broken = holes && (0..n).any(|s| row.full(s) == u32::MAX && comps.same(s, dsw));
+            },
+        );
+        if let Some((group, ..)) = blocks.iter().find(|&&(.., broken)| broken) {
+            let dsw = dests[group[0]].switch;
+            return Err(IbError::Topology(format!(
+                "no legal up*/down* path to switch {dsw}"
+            )));
+        }
+        Ok(Self { at, picks })
+    }
+
+    /// The entry of column `dests[i]` at switch `s`.
+    pub fn pick(&self, i: usize, s: usize) -> Option<PortNum> {
+        let (start, stride) = self.at[i];
+        self.picks[start + s * stride]
+    }
+}
+
+/// Writes [`sticky_pick`] for the columns `dests[i]`, `i` in `group`, of
+/// one delivery switch into `block`, column by column; returns whether
+/// some switch has no legal route. A function of its own, with `block` a
+/// parameter: the same loop over a block borrowed inside the kernel's
+/// closure measured about 1.5× slower.
+fn walk(
+    splice: &Splice<'_>,
+    row: LegalRow<'_>,
+    dests: &[Destination],
+    group: &[usize],
+    spread: impl Fn(Lid, usize) -> usize,
+    ports: &mut Ports,
+    block: &mut [Option<PortNum>],
+) -> bool {
+    let g = splice.graph();
+    // Fresh rows hold nothing yet: not reading them spares a pass over
+    // every LFT.
+    let fresh = splice.is_fresh();
+    let mut holes = false;
+    for (j, dest) in group.iter().map(|&i| &dests[i]).enumerate() {
+        let installed = |s| if fresh { None } else { splice.get(s, dest.lid) };
+        let cells = block.iter_mut().skip(j).step_by(group.len());
+        for (s, out) in cells.enumerate() {
+            *out = if s == dest.switch {
+                Some(dest.port)
+            } else if row.full(s) == u32::MAX {
+                holes = true;
+                None
+            } else if let Some(p) = installed(s).filter(|&p| legal(g, row, s, p)) {
+                Some(p)
+            } else {
+                let ports = ports.of(s, row);
+                ports.get(spread(dest.lid, s) % ports.len().max(1)).copied()
+            };
+        }
+    }
+    holes
+}
+
+/// One worker's rows toward one delivery switch, and its switches' legal
+/// ports under them.
+struct Scratch {
+    queue: Vec<u32>,
+    down: Vec<u32>,
+    full: Vec<u32>,
+    ports: Ports,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Self {
+            queue: Vec::with_capacity(n),
+            down: vec![0; n],
+            full: vec![0; n],
+            ports: Ports {
+                at: vec![NOT_SCANNED; n],
+                list: Vec::new(),
+            },
+        }
+    }
+}
+
+/// Each switch's legal ports toward one delivery switch, scanned on first
+/// use: switch `s`'s are `list[at[s].0..at[s].1]`.
+struct Ports {
+    at: Vec<(u32, u32)>,
+    list: Vec<PortNum>,
+}
+
+/// The `at` entry of a switch not scanned yet.
+const NOT_SCANNED: (u32, u32) = (u32::MAX, 0);
+
+impl Ports {
+    /// Forgets every scan, for the next delivery switch.
+    fn clear(&mut self) {
+        self.at.fill(NOT_SCANNED);
+        self.list.clear();
+    }
+
+    /// `s`'s legal ports under `row`, in port order.
+    fn of(&mut self, s: usize, row: LegalRow<'_>) -> &[PortNum] {
+        if self.at[s] == NOT_SCANNED {
+            let start = self.list.len() as u32;
+            self.list.extend(row.ports(s));
+            self.at[s] = (start, self.list.len() as u32);
+        }
+        let (start, end) = self.at[s];
+        &self.list[start as usize..end as usize]
+    }
+}
+
+/// Whether port `p` of `s` is a legal hop of `row`.
+fn legal(g: &SwitchGraph, row: LegalRow<'_>, s: usize, p: PortNum) -> bool {
+    g.peer(s, p).is_some_and(|v| row.legal_hop(s, v))
+}
+
+/// The kernel's rule for one cell, on the row toward `dest`'s delivery
+/// switch: the delivery port there; `None` across a split (an explicit
+/// hole); `installed` while it is still legal — so a splice rewrites only
+/// the entries a fault broke; else the `spread(lid, s) mod k`-th of the
+/// `k` legal ports in port order.
+#[cfg(any(test, debug_assertions))]
+pub(crate) fn sticky_pick(
+    g: &SwitchGraph,
+    row: LegalRow<'_>,
+    dest: &Destination,
+    s: usize,
+    installed: Option<PortNum>,
+    spread: impl Fn(Lid, usize) -> usize,
+) -> Option<PortNum> {
+    assert_eq!(row.full(dest.switch), 0, "not the row toward {dest:?}");
+    if s == dest.switch {
+        return Some(dest.port);
+    }
+    if row.full(s) == u32::MAX {
+        return None;
+    }
+    if let Some(p) = installed.filter(|&p| legal(g, row, s, p)) {
+        return Some(p);
+    }
+    // The candidates by definition: every neighbour `legal_hop` allows.
+    let ports = || {
+        (g.neighbors(s).iter())
+            .filter(move |&&(v, _)| row.legal_hop(s, v as usize))
+            .map(|&(_, p)| p)
+    };
+    let want = spread(dest.lid, s) % ports().count().max(1);
+    ports().nth(want)
+}
+
+#[cfg(any(test, debug_assertions))]
+impl Orientation {
+    /// The rows toward `dsw`, `(down, full)`, as [`Self::fill_row`]
+    /// writes them, in fresh buffers.
+    pub fn rows_toward(&self, dsw: usize) -> (Vec<u32>, Vec<u32>) {
+        let n = self.pos.len();
+        let (mut down, mut full) = (vec![0; n], vec![0; n]);
+        self.fill_row(dsw, &mut Vec::new(), &mut down, &mut full);
+        (down, full)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cdg::Cdg;
     use crate::graph::Destination;
     use crate::minhop::MinHop;
+    use crate::swcols::hub;
     use crate::tables::RoutingTables;
     use crate::testutil::{assert_full_reachability, assign_lids, switch_links};
     use ib_subnet::topology::fattree::two_level;
@@ -469,9 +597,9 @@ mod tests {
                 > 1,
             "test needs a real tie among core switches"
         );
-        let legal = LegalRows::new(&g, &g.components(), root_key(&ranks), &[], 1);
+        let orient = Orientation::new(&g, &g.components(), root_key(&ranks));
         // One component: its root is first in label order.
-        let roots: Vec<usize> = (0..g.len()).filter(|&s| legal.orient.pos[s] == 0).collect();
+        let roots: Vec<usize> = (0..g.len()).filter(|&s| orient.pos[s] == 0).collect();
         assert_eq!(roots, vec![lowest_core]);
     }
 
@@ -522,29 +650,24 @@ mod tests {
             let comps = g.components();
             let ranks = g.ranks();
             let switch_lid = |d: &&Destination| d.port == PortNum::MANAGEMENT;
-            let delivery = |dests: &[Destination]| {
-                let mut dsws: Vec<usize> = dests.iter().map(|d| d.switch).collect();
-                dsws.sort_unstable();
-                dsws.dedup();
-                dsws
-            };
             let all = g.destinations().to_vec();
             let lane: Vec<Destination> = all.iter().filter(switch_lid).copied().collect();
             let runs = [
                 (
                     UpDown.compute(&t.subnet).unwrap(),
-                    LegalRows::new(&g, &comps, root_key(&ranks), &delivery(&all), 1),
+                    Orientation::new(&g, &comps, root_key(&ranks)),
                     &all,
                 ),
                 (
                     MinHop.compute(&t.subnet).unwrap(),
-                    LegalRows::new(&g, &comps, |s| s, &delivery(&lane), 1),
+                    Orientation::new(&g, &comps, hub),
                     &lane,
                 ),
             ];
-            for (tables, legal, dests) in &runs {
+            for (tables, orient, dests) in &runs {
                 for d in dests.iter() {
-                    let row = legal.row(d.switch).unwrap();
+                    let (down, full) = orient.rows_toward(d.switch);
+                    let row = orient.row(&down, &full);
                     for s in (0..g.len()).filter(|&s| s != d.switch) {
                         let what = format!("{name}, {}: {d:?} from {s}", tables.engine);
                         assert_eq!(walk(&g, tables, s, d), row.full(s), "{what}");

@@ -11,8 +11,6 @@
 //!            partially: reconfiguration starts when the SM is signalled.
 //! ```
 
-use ib_observe::Observer;
-
 use crate::des::SimTime;
 use crate::smp_sim::{SmpLatencyModel, SmpReplay};
 
@@ -78,31 +76,6 @@ impl MigrationTimeline {
         }
     }
 
-    /// Like [`Self::compose`], but mirrors every phase duration into
-    /// `observer` as `downtime.phase.{name}_ns` histograms, plus the
-    /// `downtime.total_ns` and `downtime.reconfiguration_ns` aggregates —
-    /// one observation per composed migration, so the histograms read as
-    /// per-migration downtime distributions across a whole experiment.
-    #[must_use]
-    pub fn compose_observed(
-        model: &DowntimeModel,
-        smps: &[(usize, bool)],
-        observer: &Observer,
-    ) -> Self {
-        let timeline = Self::compose(model, smps);
-        if observer.is_enabled() {
-            for (name, duration) in &timeline.phases {
-                observer.record(&format!("downtime.phase.{name}_ns"), duration.as_ns());
-            }
-            observer.record("downtime.total_ns", timeline.downtime.as_ns());
-            observer.record(
-                "downtime.reconfiguration_ns",
-                timeline.reconfiguration.as_ns(),
-            );
-        }
-        timeline
-    }
-
     /// The reconfiguration share of total downtime, in `[0, 1]`.
     #[must_use]
     pub fn reconfiguration_share(&self) -> f64 {
@@ -138,26 +111,6 @@ mod tests {
         let timeline = MigrationTimeline::compose(&model, &smps);
         assert!(timeline.reconfiguration_share() > 0.9);
         assert!(timeline.downtime > SimTime::from_us(60_000_000.0));
-    }
-
-    #[test]
-    fn observed_compose_matches_plain_and_records_phases() {
-        let model = DowntimeModel::default();
-        let observer = Observer::with_clock(Box::new(ib_observe::FakeClock::new()));
-        let observed = MigrationTimeline::compose_observed(&model, &[(3, false)], &observer);
-        let plain = MigrationTimeline::compose(&model, &[(3, false)]);
-        assert_eq!(observed, plain, "observation must not change the model");
-
-        let snap = observer.snapshot().unwrap();
-        let total = snap.histogram("downtime.total_ns").unwrap();
-        assert_eq!(total.count, 1);
-        assert_eq!(total.sum, plain.downtime.as_ns());
-        let detach = snap.histogram("downtime.phase.detach-vf_ns").unwrap();
-        assert_eq!(detach.sum, model.detach.as_ns());
-        assert_eq!(
-            snap.histogram("downtime.reconfiguration_ns").unwrap().sum,
-            plain.reconfiguration.as_ns()
-        );
     }
 
     #[test]

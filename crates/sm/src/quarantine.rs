@@ -297,12 +297,6 @@ impl LinkQuarantine {
         held
     }
 
-    /// Number of links currently holding a strike history.
-    #[must_use]
-    pub fn tracked_links(&self) -> usize {
-        self.links.len()
-    }
-
     /// Proves quarantined links are absent from the installed tables: scans
     /// every switch LFT for a row that forwards over a link currently in
     /// hold-down, returning a description of each offending row. Empty
@@ -428,7 +422,7 @@ mod tests {
             .unwrap();
         q.note_link_event(&mut t.subnet, leaf, port, 2).unwrap();
         assert!(q.is_quarantined(&t.subnet, remote.node, remote.port, 2));
-        assert_eq!(q.tracked_links(), 1);
+        assert_eq!(q.quarantined_links(2).len(), 1, "one record for both ends");
     }
 
     #[test]

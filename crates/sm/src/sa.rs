@@ -57,11 +57,6 @@ impl SaService {
         self.directory.insert(gid.as_u128(), lid);
     }
 
-    /// Removes a GID from the directory.
-    pub fn deregister(&mut self, gid: Gid) {
-        self.directory.remove(&gid.as_u128());
-    }
-
     /// Serves one `SubnAdmGet(PathRecord)` query.
     ///
     /// The hop count is measured by walking the installed LFTs from the
@@ -88,12 +83,6 @@ impl SaService {
             slid: src_lid,
             hops: path.len() - 1,
         })
-    }
-
-    /// Number of registered GIDs.
-    #[must_use]
-    pub fn directory_size(&self) -> usize {
-        self.directory.len()
     }
 }
 
@@ -144,11 +133,6 @@ impl PathRecordCache {
             None => false,
             Some(rec) => subnet.endpoint_of(rec.dlid).is_none(),
         }
-    }
-
-    /// Drops a record (a consumer reacting to a connection error).
-    pub fn invalidate(&mut self, dgid: Gid) {
-        self.records.remove(&dgid.as_u128());
     }
 
     /// Cached record count.
@@ -251,7 +235,8 @@ mod tests {
             cache.is_stale(&t.subnet, dgid),
             "cached LID no longer answers"
         );
-        cache.invalidate(dgid);
+        // The consumer drops its stale record and asks again.
+        cache = PathRecordCache::new();
         let rec = cache
             .resolve(&mut sa, &t.subnet, lid_of(&t, 0), dgid)
             .unwrap();
@@ -260,15 +245,5 @@ mod tests {
             sa.queries_served, 2,
             "the re-query the paper wants to avoid"
         );
-    }
-
-    #[test]
-    fn deregistered_gid_disappears() {
-        let (t, mut sa) = fabric();
-        let dgid = gid_of(&t, 3);
-        assert_eq!(sa.directory_size(), 6);
-        sa.deregister(dgid);
-        assert_eq!(sa.directory_size(), 5);
-        assert!(sa.path_record(&t.subnet, lid_of(&t, 0), dgid).is_err());
     }
 }

@@ -281,36 +281,6 @@ impl PaddedLftView<'_> {
     }
 }
 
-/// A recorded difference between two LFT states of one switch, expressed in
-/// blocks — exactly the payloads the SM must push to materialize the change.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LftDelta {
-    /// Dirty block indices in ascending order.
-    pub blocks: Vec<usize>,
-}
-
-impl LftDelta {
-    /// Computes the delta needed to turn `from` into `to`.
-    #[must_use]
-    pub fn between(from: &Lft, to: &Lft) -> Self {
-        Self {
-            blocks: from.dirty_blocks(to),
-        }
-    }
-
-    /// Number of SMPs required to apply this delta to the switch.
-    #[must_use]
-    pub fn smp_count(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Whether the delta is empty (no SMP needed).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-}
-
 /// Minimum number of LFT blocks a switch must hold to cover `topmost`.
 ///
 /// Table I's "Min LFT Blocks/Switch" column: `ceil((topmost_lid + 1) / 64)`
@@ -414,7 +384,6 @@ mod tests {
         let mut b = a.clone();
         b.swap(lid(2), lid(6));
         assert!(a.dirty_blocks(&b).is_empty());
-        assert_eq!(LftDelta::between(&a, &b).smp_count(), 0);
     }
 
     #[test]

@@ -20,6 +20,6 @@ pub mod node;
 pub mod subnet;
 pub mod topology;
 
-pub use lft::{Lft, LftDelta, PaddedLftView};
+pub use lft::{Lft, PaddedLftView};
 pub use node::{Endpoint, Node, NodeId, NodeKind, PortState};
 pub use subnet::Subnet;

@@ -37,7 +37,6 @@ use crate::node::{Endpoint, Node, NodeId, NodeKind, PortState};
 pub struct Subnet {
     nodes: Vec<Node>,
     lid_map: FxHashMap<u16, Endpoint>,
-    guid_map: FxHashMap<u64, NodeId>,
     switch_guids: GuidFactory,
     hca_guids: GuidFactory,
     vguid_factory: GuidFactory,
@@ -57,7 +56,6 @@ impl Subnet {
         Self {
             nodes: Vec::new(),
             lid_map: FxHashMap::default(),
-            guid_map: FxHashMap::default(),
             switch_guids: GuidFactory::new(NAMESPACE_SWITCH),
             hca_guids: GuidFactory::new(NAMESPACE_HCA),
             vguid_factory: GuidFactory::new(NAMESPACE_VGUID),
@@ -140,7 +138,6 @@ impl Subnet {
             ports: vec![PortState::default(); usize::from(num_external_ports) + 1],
             dead: false,
         });
-        self.guid_map.insert(guid.raw(), id);
         self.topology_epoch += 1;
         id
     }
@@ -428,12 +425,6 @@ impl Subnet {
     #[must_use]
     pub fn endpoint_of(&self, lid: Lid) -> Option<Endpoint> {
         self.lid_map.get(&lid.raw()).copied()
-    }
-
-    /// The node that owns `guid`.
-    #[must_use]
-    pub fn node_by_guid(&self, guid: Guid) -> Option<NodeId> {
-        self.guid_map.get(&guid.raw()).copied()
     }
 
     /// Every registered LID, ascending.
@@ -946,16 +937,6 @@ mod tests {
         assert_eq!(s.endpoint_of(Lid::from_raw(10)), None);
         assert!(s.endpoint_of(Lid::from_raw(20)).is_some());
         s.validate(true).unwrap();
-    }
-
-    #[test]
-    fn guid_lookup() {
-        let (s, sw0, _, h0, _) = two_switch_subnet();
-        let sw_guid = s.node(sw0).guid;
-        let h_guid = s.node(h0).guid;
-        assert_eq!(s.node_by_guid(sw_guid), Some(sw0));
-        assert_eq!(s.node_by_guid(h_guid), Some(h0));
-        assert_ne!(sw_guid, h_guid);
     }
 
     #[test]

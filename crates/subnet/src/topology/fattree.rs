@@ -181,18 +181,6 @@ pub fn paper_11664() -> BuiltTopology {
     three_level(36, 18, 18, 18)
 }
 
-/// A preset row: (name, constructor, expected hosts, expected switches).
-pub type PaperPreset = (&'static str, fn() -> BuiltTopology, usize, usize);
-
-/// All four paper presets as (constructor, expected hosts, expected
-/// switches), for sweeps and tests.
-pub const PAPER_PRESETS: [PaperPreset; 4] = [
-    ("fat-tree-2L-324", paper_324, 324, 36),
-    ("fat-tree-2L-648", paper_648, 648, 54),
-    ("fat-tree-3L-5832", paper_5832, 5832, 972),
-    ("fat-tree-3L-11664", paper_11664, 11664, 1620),
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -88,12 +88,6 @@ pub fn torus_2d(rows: usize, cols: usize, hosts_per_switch: usize, wrap: bool) -
     built
 }
 
-/// A 2-D mesh (torus without wraparound links).
-#[must_use]
-pub fn mesh_2d(rows: usize, cols: usize, hosts_per_switch: usize) -> BuiltTopology {
-    torus_2d(rows, cols, hosts_per_switch, false)
-}
-
 /// Builds a 3-D torus of `x * y * z` switches with `hosts_per_switch`
 /// hosts each. Dimension rings use ports 1-2 (x), 3-4 (y), 5-6 (z); hosts
 /// start at port 7. Rings of length 2 get a single link.
@@ -185,7 +179,7 @@ mod tests {
 
     #[test]
     fn mesh_3x3_link_count() {
-        let t = mesh_2d(3, 3, 1);
+        let t = torus_2d(3, 3, 1, false);
         t.subnet.validate(true).unwrap();
         // 6 row links + 6 col links + 9 host links.
         assert_eq!(t.subnet.num_links(), 21);
