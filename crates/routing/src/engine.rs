@@ -9,9 +9,10 @@ use crate::tables::{RoutingTables, Splice, SpliceLog, VlAssignment};
 
 /// Parallelism knobs for one routing computation, mirroring `ib-sm`'s
 /// `SweepOptions`: `workers` bounds how many scoped threads the engine may
-/// fan its embarrassingly parallel phases across (per-delivery-switch BFS,
-/// per-switch LFT fill). `0` means "use the machine's available
-/// parallelism". The order-sensitive serial phases (port-load balancing,
+/// fan its independent phases across (per-delivery-switch BFS, per-switch
+/// LFT fill — Min-Hop's port-load balancing included, since each switch
+/// counts only its own row's loads). `0` means "use the machine's
+/// available parallelism". The order-sensitive serial phases (DFSSSP's
 /// weight updates, VL lifting) never parallelize, so the produced
 /// [`RoutingTables`] are identical for every worker count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -788,8 +788,9 @@ impl PatchScratch {
 
 /// Runs `f(state, index, item)` over every item, fanned across up to
 /// `workers` scoped threads in contiguous chunks; `init` builds one
-/// per-worker scratch state. `workers == 0` resolves to the machine's
-/// available parallelism. Deterministic by construction: `f` sees only its
+/// per-worker scratch state. `workers` is a resolved count
+/// ([`crate::RoutingOptions::effective_workers`]); it is only clamped to
+/// `1..=items.len()` here. Deterministic by construction: `f` sees only its
 /// own item and index, never the partition, so outputs are identical for
 /// every worker count.
 pub(crate) fn parallel_for_each<T, S, I, F>(items: &mut [T], workers: usize, init: I, f: F)
@@ -803,13 +804,7 @@ where
     if jobs == 0 {
         return;
     }
-    let workers = if workers == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        workers
-    }
-    .min(jobs)
-    .max(1);
+    let workers = workers.min(jobs).max(1);
     if workers <= 1 {
         let mut state = init();
         for (i, item) in items.iter_mut().enumerate() {
@@ -1183,6 +1178,8 @@ mod tests {
         let n = 23;
         let mut reference: Vec<u64> = vec![0; n];
         parallel_for_each(&mut reference, 1, || (), |(), i, out| *out = (i * i) as u64);
+        // `0` is not resolved here (callers pass `effective_workers`): it
+        // is clamped to one worker.
         for workers in [2, 4, 0] {
             let mut items: Vec<u64> = vec![0; n];
             parallel_for_each(

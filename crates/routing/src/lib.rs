@@ -40,6 +40,7 @@ pub mod dfsssp;
 pub mod engine;
 pub mod ftree;
 pub mod graph;
+pub(crate) mod hostcols;
 pub mod lash;
 pub mod minhop;
 pub(crate) mod swcols;

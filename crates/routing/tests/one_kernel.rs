@@ -398,3 +398,79 @@ fn repeating_a_repair_moves_nothing() {
         }
     }
 }
+
+/// `(fabric/engine/workers, LFT hash, log length)` of the sticky repair in
+/// [`sticky_repairs_match_their_fingerprints`], generated at commit
+/// d32ccc8, before the fat-tree and Min-Hop engines shared one host-lane
+/// fill.
+#[rustfmt::skip]
+const REPAIR_GOLDEN: &[(&str, u64, usize)] = &[
+    ("paper_324/fat-tree/1", 0x124c29f7c747a67e, 104),
+    ("paper_324/fat-tree/2", 0x124c29f7c747a67e, 104),
+    ("paper_324/minhop/1", 0x429b2efc6a27d946, 40),
+    ("paper_324/minhop/2", 0x429b2efc6a27d946, 40),
+    ("two_level_4_3_2/fat-tree/1", 0xea7ce23bb7bb284d, 25),
+    ("two_level_4_3_2/fat-tree/2", 0xea7ce23bb7bb284d, 25),
+    ("two_level_4_3_2/minhop/1", 0xf0619831093f884d, 25),
+    ("two_level_4_3_2/minhop/2", 0xf0619831093f884d, 25),
+    ("three_level_4_4_4_4/fat-tree/1", 0x458ead84c58dc6c3, 109),
+    ("three_level_4_4_4_4/fat-tree/2", 0x458ead84c58dc6c3, 109),
+    ("three_level_4_4_4_4/minhop/1", 0x7a0bc24ec5355c5c, 105),
+    ("three_level_4_4_4_4/minhop/2", 0x7a0bc24ec5355c5c, 105),
+    ("torus_4x4/minhop/1", 0x9437579a0a39fd9a, 34),
+    ("torus_4x4/minhop/2", 0x9437579a0a39fd9a, 34),
+];
+
+/// The repair the SM answers a link-down with, pinned byte for byte: the
+/// pristine tables of every tree fixture (and the 4×4 torus for Min-Hop)
+/// repaired on the `three_cables_down` graph, with every destination dirty
+/// except every third — the clean host columns seed Min-Hop's port loads,
+/// and the carried distance field scopes the fat-tree's visit. At 1 and 2
+/// workers.
+#[test]
+fn sticky_repairs_match_their_fingerprints() {
+    let mut actual: Vec<(String, u64, usize)> = Vec::new();
+    for (name, pristine, engines) in fabrics() {
+        let degraded = {
+            let mut t = pristine.clone();
+            down(&mut t, &three_cables(&pristine));
+            t
+        };
+        let g = SwitchGraph::build(&degraded.subnet).unwrap();
+        let lids = degraded.subnet.lids();
+        let dirty: Vec<Lid> = (lids.iter().enumerate())
+            .filter(|(i, _)| i % 3 != 0)
+            .map(|(_, &lid)| lid)
+            .collect();
+        let kinds = [EngineKind::FatTree, EngineKind::MinHop];
+        for kind in kinds.into_iter().filter(|k| engines.contains(k)) {
+            let before = kind.build().compute(&pristine.subnet).unwrap();
+            for workers in [1usize, 2] {
+                let mut tables = before.clone();
+                let log = kind
+                    .build()
+                    .repair_with_graph(
+                        &g,
+                        RoutingOptions::default().with_workers(workers),
+                        &mut tables,
+                        &dirty,
+                        &Observer::disabled(),
+                    )
+                    .unwrap_or_else(|e| panic!("{name}/{kind}/{workers}: {e}"));
+                let tag = format!("{name}/{kind}/{workers}");
+                actual.push((tag, lft_hash(&g, &tables), log.cells.len()));
+            }
+        }
+    }
+    let golden: Vec<(String, u64, usize)> = REPAIR_GOLDEN
+        .iter()
+        .map(|&(k, lfts, cells)| (k.to_string(), lfts, cells))
+        .collect();
+    if actual != golden {
+        let table: String = actual
+            .iter()
+            .map(|(k, lfts, cells)| format!("    (\"{k}\", {lfts:#018x}, {cells}),\n"))
+            .collect();
+        panic!("repair fingerprints moved; the table as computed now:\n{table}");
+    }
+}

@@ -60,16 +60,12 @@ impl SweepOptions {
     }
 
     /// The thread count to actually spawn for `jobs` independent units:
-    /// resolves `0` to the available parallelism and never exceeds the job
-    /// count.
+    /// the routing engines' rule, [`RoutingOptions::effective_workers`].
     #[must_use]
     pub fn effective_workers(&self, jobs: usize) -> usize {
-        let requested = if self.workers == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.workers
-        };
-        requested.min(jobs).max(1)
+        RoutingOptions::default()
+            .with_workers(self.workers)
+            .effective_workers(jobs)
     }
 }
 

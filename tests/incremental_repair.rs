@@ -723,6 +723,56 @@ fn a_leafs_last_uplink_down_is_rejected_by_the_gate_and_swept_clean() {
     assert!(last.distribution.lft_smps <= neighbour.distribution.lft_smps);
 }
 
+/// A known limit, pinned so that its fix shows: on `three_level(6,6,6,6)`
+/// two leaf uplinks downed one after the other leave a host-lane (VL0)
+/// valley that closes a channel dependency cycle. The first fault is a
+/// clean `Repair`; the second makes `handle_trap` fail, because the gate
+/// rejects the repair and the full sweep it falls back to fails its own
+/// audit. Both engines fill their host columns by one rule, and a minimal
+/// next hop there may still descend and climb back up on a degraded tree.
+/// ROADMAP item 2's legal-hop filter in that rule's one candidate test
+/// turns this pin into a clean repair.
+#[test]
+fn two_leaf_uplinks_down_leave_a_vl0_cycle_that_stops_the_sm() {
+    let name = |t: &BuiltTopology, s: NodeId| t.subnet.node(s).name.clone();
+    let cases = [
+        (EngineKind::FatTree, "leaf-1-1"),
+        (EngineKind::MinHop, "leaf-1-1"),
+        (EngineKind::MinHop, "leaf-0-1"),
+    ];
+    for (engine, second) in cases {
+        let tag = format!("{} then {second}", engine.name());
+        let config = SmConfig {
+            engine,
+            repair: true,
+            verify: true,
+            ..SmConfig::default()
+        };
+        let (mut t, mut sm) = bring_up(three_level(6, 6, 6, 6), config);
+        let leaf = |t: &BuiltTopology, want: &str| {
+            let leaves = &t.switch_levels[0];
+            *leaves.iter().find(|&&s| name(t, s) == want).unwrap()
+        };
+        let first = leaf(&t, "leaf-0-0");
+        let repair = down_and_trap(&mut t, &mut sm, first, PortNum::new(7));
+        assert_eq!(repair.kind, SweepKind::Repair, "{tag}");
+        assert_converged(&t, &sm, &format!("{tag}: first fault"));
+
+        let (node, port) = (leaf(&t, second), PortNum::new(8));
+        t.subnet.set_link_down(node, port).expect("link down");
+        let mut transport = SmpTransport::perfect(sm.sm_node);
+        let err = sm
+            .handle_trap(
+                &mut t.subnet,
+                Trap::LinkStateChange { node, port },
+                &mut transport,
+            )
+            .expect_err("the known VL0 valley stops the SM");
+        let err = err.to_string();
+        assert!(err.contains("[deadlock-cycle] VL0"), "{tag}: {err}");
+    }
+}
+
 /// Three-level fabrics in tier-1: on `three_level(6,6,6,6)` (216 hosts,
 /// 108 switches) the tree-shaped engines bring up clean, answer a mid-core
 /// and a leaf-mid link-down with a `Repair` sweep no costlier than the
