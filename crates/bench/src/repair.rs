@@ -272,7 +272,7 @@ pub fn repair_grid(level: u8) -> Vec<RepairRow> {
 }
 
 /// One cell of the batched-vs-serial comparison: the same k-fault burst
-/// (every link down before any response — the coalescing window's view)
+/// (every link down before any response)
 /// answered once as a single `repair_sweep_batch` and once as k serial
 /// repair sweeps.
 #[derive(Clone, Debug)]
@@ -283,7 +283,7 @@ pub struct BatchRow {
     pub switches: usize,
     /// Routing engine both arms use.
     pub engine: &'static str,
-    /// Burst size: link-downs coalesced into (or serialized over) repairs.
+    /// Burst size: link-downs batched into (or serialized over) repairs.
     pub faults: usize,
     /// LFT SMPs the one batched sweep sent.
     pub batched_smps: usize,
@@ -297,7 +297,7 @@ pub struct BatchRow {
     pub batched_wall: Duration,
     /// Wall time of the k serial responses, summed.
     pub serial_wall: Duration,
-    /// `batched_smps / serial_smps` — below 1.0 means coalescing won.
+    /// `batched_smps / serial_smps` — below 1.0 means batching won.
     pub smp_ratio: f64,
     /// Final installed LFTs byte-identical across the two arms (must
     /// always hold: batching changes cost, never routes).
@@ -320,9 +320,9 @@ fn installed_lfts(subnet: &Subnet) -> LftFingerprint {
 }
 
 /// One sub-arm of the batch comparison. All `faults` links go down
-/// *before* any response runs (the burst a coalescing window collects),
-/// then the arm answers: one `repair_sweep_batch` when `batched`, else
-/// one repair sweep per trap in arrival order.
+/// *before* any response runs, then the arm answers: one
+/// `repair_sweep_batch` when `batched`, else one repair sweep per trap in
+/// arrival order.
 ///
 /// **Timer coverage.** The timer starts after the last link-down and
 /// covers the responses only — engine splice(s), dirty-block

@@ -14,7 +14,7 @@ use ib_core::{DataCenter, DataCenterConfig, VirtArch};
 use ib_mad::SmpTransport;
 use ib_observe::Observer;
 use ib_routing::{EngineKind, RoutingOptions};
-use ib_sm::{QuarantineOptions, Trap};
+use ib_sm::Trap;
 use ib_subnet::topology::fattree;
 use ib_subnet::{NodeId, Subnet};
 use ib_types::{IbResult, PortNum};
@@ -268,7 +268,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             // whole leaves, so there every engine qualifies.
             engine: cfg.engine,
             verify: true,
-            quarantine: QuarantineOptions::enabled(),
+            quarantine: true,
             routing: RoutingOptions::default().with_workers(cfg.workers),
             ..DataCenterConfig::default()
         },

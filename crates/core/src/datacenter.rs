@@ -6,7 +6,7 @@ use ib_mad::{RouteTree, Routes, Smp};
 use ib_observe::Observer;
 use ib_routing::{CellChange, EngineKind, LidMove, RoutingOptions, VlAssignment};
 use ib_sm::distribution::{address, route_tree};
-use ib_sm::{BringUpReport, QuarantineOptions, SmConfig, SmpMode, SubnetManager};
+use ib_sm::{BringUpReport, SmConfig, SmpMode, SubnetManager};
 use ib_subnet::topology::BuiltTopology;
 use ib_subnet::{NodeId, Subnet};
 use ib_types::{IbError, IbResult, Lid, PortNum};
@@ -38,9 +38,9 @@ pub struct DataCenterConfig {
     /// every migration commit/rollback, failing the operation on any
     /// violation. Off by default.
     pub verify: bool,
-    /// Link flap damping policy for the data center's SM. Disabled by
-    /// default.
-    pub quarantine: QuarantineOptions,
+    /// Damp flapping links in the data center's SM ([`SmConfig::quarantine`]).
+    /// Off by default.
+    pub quarantine: bool,
 }
 
 impl Default for DataCenterConfig {
@@ -52,7 +52,7 @@ impl Default for DataCenterConfig {
             routing: RoutingOptions::default(),
             migration: MigrationOptions::default(),
             verify: false,
-            quarantine: QuarantineOptions::default(),
+            quarantine: false,
         }
     }
 }
@@ -632,8 +632,11 @@ impl DataCenter {
     /// to the pre-migration `snapshot`, and the full fabric invariants
     /// (black holes, forwarding loops, addressing) must hold. The deadlock
     /// check is left to sweep-time verification, which has the engine's VL
-    /// layering in hand — a swap/copy only re-homes existing paths, so it
-    /// cannot introduce a new channel dependency cycle.
+    /// layering in hand. A committed swap of whole columns cannot introduce
+    /// a new channel dependency cycle: it leaves every lane's graph equal to
+    /// the one before (`tests/migration_lanes.rs` pins this under all five
+    /// engines). Copies and the intra-leaf shortcut are outside that pin
+    /// (ROADMAP item 6).
     fn verify_after_migration(
         &mut self,
         snapshot: Option<&LftSnapshot>,

@@ -35,7 +35,6 @@ pub mod capacity;
 pub mod concurrent;
 pub mod cost;
 pub mod datacenter;
-pub mod deadlock;
 pub mod migration;
 pub mod virtualize;
 pub mod vm;

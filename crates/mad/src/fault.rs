@@ -58,36 +58,33 @@ impl SmpStatus {
 
 /// Retry discipline for unacknowledged SMPs: a bounded number of attempts
 /// with exponential backoff on the response timeout, mirroring OpenSM's
-/// `transaction_timeout` / `transaction_retries` pair.
+/// `transaction_timeout` / `transaction_retries` pair. The first attempt
+/// waits 100 µs — an order of magnitude above the worst-case RTT of the
+/// latency model defaults — and each retry doubles the wait.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts (first try + retries). Must be at least 1.
     pub max_attempts: u32,
-    /// Response timeout for the first attempt, in nanoseconds of simulated
-    /// time.
-    pub base_timeout_ns: u64,
-    /// Timeout multiplier per retry (1 = constant, 2 = doubling).
-    pub backoff: u32,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        // 100 µs base timeout — an order of magnitude above the worst-case
-        // RTT of the latency model defaults — doubled per retry, 4 tries.
-        Self {
-            max_attempts: 4,
-            base_timeout_ns: 100_000,
-            backoff: 2,
-        }
+        Self { max_attempts: 4 }
     }
 }
 
 impl RetryPolicy {
+    /// Response timeout of the first attempt, in nanoseconds of simulated
+    /// time.
+    const BASE_TIMEOUT_NS: u64 = 100_000;
+    /// Timeout multiplier per retry.
+    const BACKOFF: u64 = 2;
+
     /// The response timeout charged to attempt number `attempt` (0-based).
     #[must_use]
     pub fn timeout_ns(&self, attempt: u32) -> u64 {
-        let factor = u64::from(self.backoff).saturating_pow(attempt);
-        self.base_timeout_ns.saturating_mul(factor)
+        let factor = Self::BACKOFF.saturating_pow(attempt);
+        Self::BASE_TIMEOUT_NS.saturating_mul(factor)
     }
 }
 
@@ -504,14 +501,11 @@ mod tests {
 
     #[test]
     fn retry_policy_backoff() {
-        let p = RetryPolicy {
-            max_attempts: 5,
-            base_timeout_ns: 10,
-            backoff: 3,
-        };
-        assert_eq!(p.timeout_ns(0), 10);
-        assert_eq!(p.timeout_ns(1), 30);
-        assert_eq!(p.timeout_ns(2), 90);
+        let p = RetryPolicy::default();
+        assert_eq!(p.timeout_ns(0), 100_000);
+        assert_eq!(p.timeout_ns(1), 200_000);
+        assert_eq!(p.timeout_ns(2), 400_000);
+        assert_eq!(p.timeout_ns(3), 800_000);
     }
 
     #[test]

@@ -245,26 +245,6 @@ impl<S: CountStore> Cdg<S> {
         tables: &RoutingTables,
         lane_of: impl Fn(&Destination) -> Option<usize>,
     ) {
-        self.book_tables(g, tables, lane_of, true);
-    }
-
-    /// Retracts what [`Self::add_tables`] booked for the same arguments.
-    pub fn retract_tables(
-        &mut self,
-        g: &SwitchGraph,
-        tables: &RoutingTables,
-        lane_of: impl Fn(&Destination) -> Option<usize>,
-    ) {
-        self.book_tables(g, tables, lane_of, false);
-    }
-
-    fn book_tables(
-        &mut self,
-        g: &SwitchGraph,
-        tables: &RoutingTables,
-        lane_of: impl Fn(&Destination) -> Option<usize>,
-        up: bool,
-    ) {
         let mut next: Vec<Option<(u8, usize)>> = Vec::with_capacity(g.len());
         for dest in g.destinations() {
             let Some(lane) = lane_of(dest) else { continue };
@@ -276,7 +256,7 @@ impl<S: CountStore> Cdg<S> {
                 // (v, p2).
                 let held = self.layout.id(s, p);
                 let at = self.at(lane, held, self.layout.id(v, p2));
-                self.counts.bump(at, up);
+                self.counts.bump(at, true);
             }
         }
     }
@@ -875,16 +855,13 @@ mod tests {
         assign_lids(&mut t);
         let tables = MinHop.compute(&t.subnet).unwrap();
         let g = SwitchGraph::build(&t.subnet).unwrap();
-        let mut cdg = Cdg::from_tables(&g, &tables, |_| true);
+        let cdg = Cdg::from_tables(&g, &tables, |_| true);
         let cycle = cdg
             .find_cycle(0)
             .expect("min-hop on a 4x4 torus should produce a cyclic CDG");
         for i in 0..cycle.len() {
             assert!(cdg.count(0, cycle[i], cycle[(i + 1) % cycle.len()]) > 0);
         }
-        // Retracting the same tables leaves nothing booked.
-        cdg.retract_tables(&g, &tables, |_| Some(0));
-        assert_eq!(cdg, Cdg::new(&g, 1));
     }
 
     /// A far-end table over 2–7 switches with 2–5 ports each: ports lead

@@ -404,8 +404,8 @@ mod tests {
     /// groups subtracted) must produce tables byte-identical to repairing
     /// the faults one trap at a time, each serial step re-scanning against
     /// the tables the previous repair produced. Valid because every faulted
-    /// link is down before either arm starts — the theorem the SM's trap
-    /// coalescing rests on.
+    /// link is down before either arm starts — the theorem the SM's
+    /// batched repair of a burst rests on.
     #[test]
     fn batch_fold_matches_serial_trap_at_a_time_repairs() {
         use crate::testutil::assign_lids;

@@ -6,13 +6,13 @@
 //! equal to the installed rows — and, when the SM verifies, their channel
 //! dependency graph — rides with the baseline. A mirror also keeps the heal
 //! debts of the repairs since its sweep: a link that comes back pays off
-//! its repair by undoing it. A writer that moves carried state ends with
-//! one debug check: over what it moved, carried equals rebuilt.
+//! its repair by undoing it. A writer that moves carried state ends with a
+//! debug check: over what it moved, carried equals rebuilt.
 
 use ib_routing::{CellChange, LidMove, RoutingTables, SpliceLog, SwitchGraph};
 use ib_subnet::{NodeId, Subnet};
 use ib_types::{IbResult, Lid, PortNum};
-use ib_verify::{ChannelDeps, ReverseRouteIndex};
+use ib_verify::{ChannelDeps, FabricVerifier, ReverseRouteIndex};
 
 /// The SM's derived state, plus the switch graph of one topology epoch.
 #[derive(Debug, Default)]
@@ -174,10 +174,12 @@ impl Carried {
         };
     }
 
-    /// Cells written behind the sweeps move a mirrored baseline and index
-    /// but drop the graph — `ChannelDeps::patch` keys a column on its
-    /// delivery switch, so it cannot follow a LID that moved leaves — and
-    /// the heal debts, whose logs no longer undo to these rows. This is
+    /// Cells written behind the sweeps move a mirrored baseline and index,
+    /// and drop the heal debts, whose logs no longer undo to these rows.
+    /// The graph survives a swap of whole columns on a whole fabric, with
+    /// the two LIDs' lanes traded ([`ChannelDeps::swap_lids`]); it goes
+    /// after anything else: a copy re-cables a VF, the intra-leaf shortcut
+    /// names no move, and a split swaps only one component's rows. This is
     /// the one hook migration schedules would change. A diverged baseline
     /// is never spliced against, so no cell follows it — but the lanes of
     /// `moved` move in either, since they are what the installed columns
@@ -199,7 +201,14 @@ impl Carried {
         let State::Mirrored(m) = &mut self.state else {
             return;
         };
-        m.apply(cells, None);
+        let deps = match (m.deps.take(), moved) {
+            (Some(mut deps), Some(LidMove::Swap(a, b))) if whole => {
+                deps.swap_lids(a, b);
+                Some(deps)
+            }
+            _ => None,
+        };
+        m.apply(cells, deps);
         m.routed_at = None;
         m.debts.clear();
         for cell in cells {
@@ -213,6 +222,7 @@ impl Carried {
             columns.sort_unstable();
             columns.dedup();
             self.check(subnet, &columns, &[]);
+            self.check_deps(subnet);
         }
     }
 
@@ -251,7 +261,22 @@ impl Carried {
         Ok((&self.graph.insert((epoch, graph)).1, cached))
     }
 
-    /// The one debug check, over what a writer moved: at `ports` the index
+    /// The debug check of a graph kept across a migration: it equals the
+    /// graph rebuilt from the installed rows, as a gate's patch must.
+    fn check_deps(&self, subnet: &Subnet) {
+        let Some(m) = self.mirror().filter(|_| cfg!(debug_assertions)) else {
+            return;
+        };
+        if let Some(deps) = &m.deps {
+            debug_assert!(
+                (FabricVerifier::new().channel_deps(subnet, &m.tables.vls))
+                    .is_ok_and(|fresh| fresh == *deps),
+                "kept channel dependencies diverged from the installed rows"
+            );
+        }
+    }
+
+    /// The debug check over what a writer moved: at `ports` the index
     /// equals the two-row scan; over `columns` the baseline, padded as
     /// distribution sends it, equals the installed rows.
     fn check(&self, subnet: &Subnet, columns: &[Lid], ports: &[(NodeId, PortNum)]) {

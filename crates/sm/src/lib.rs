@@ -38,8 +38,8 @@ pub mod traps;
 
 pub use distribution::{FailedBlock, ResumeAccounting};
 pub use ib_routing::RoutingOptions;
-pub use quarantine::{LinkQuarantine, QuarantineOptions};
+pub use quarantine::LinkQuarantine;
 pub use report::{BringUpReport, DistributionReport};
 pub use sa::{PathRecord, PathRecordCache, SaService};
-pub use sm::{CoalesceOptions, SmConfig, SmpMode, SubnetManager, SweepOptions};
+pub use sm::{SmConfig, SmpMode, SubnetManager, SweepOptions};
 pub use traps::{ResweepReport, SweepKind, Trap};

@@ -4,63 +4,34 @@
 //! through a full re-sweep per transition and thrash the fabric's routes
 //! each time. Borrowing BGP route-flap damping, the SM instead keeps a
 //! per-link penalty counter: every state-change trap on a link adds a
-//! penalty, and when the penalty crosses the configured threshold the link
-//! is **quarantined** — administratively held down for an exponentially
-//! growing hold-down window (`base << (strikes - 1)`, capped), regardless
-//! of what the physical layer reports. Because the routing engines only
-//! route over *up* links, a quarantined link is naturally absent from every
-//! LFT the SM installs until its hold-down expires and the link is released
-//! back into the topology.
+//! penalty, and when the penalty reaches three the link is **quarantined**
+//! — administratively held down for an exponentially growing hold-down
+//! window (1 s doubling per strike, capped at 64 s), regardless of what
+//! the physical layer reports. Because the routing engines only route over
+//! *up* links, a quarantined link is naturally absent from every LFT the
+//! SM installs until its hold-down expires and the link is released back
+//! into the topology.
 
 use ib_subnet::{NodeId, Subnet};
 use ib_types::{IbResult, PortNum};
 use rustc_hash::FxHashMap;
 
-/// Flap-damping policy knobs, part of [`crate::SmConfig`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QuarantineOptions {
-    /// Master switch; when off, traps pass straight through to re-sweeps.
-    pub enabled: bool,
-    /// State-change events on one link that trigger a quarantine.
-    pub flap_threshold: u32,
-    /// Hold-down of the first quarantine, in nanoseconds.
-    pub base_hold_down_ns: u64,
-    /// Ceiling on the exponentially growing hold-down.
-    pub max_hold_down_ns: u64,
-}
+/// State-change events on one link that trigger a quarantine.
+pub(crate) const FLAP_THRESHOLD: u32 = 3;
+/// Hold-down of a link's first quarantine, in nanoseconds (1 s).
+pub(crate) const BASE_HOLD_DOWN_NS: u64 = 1_000_000_000;
+/// Ceiling on the exponentially growing hold-down (64 s).
+const MAX_HOLD_DOWN_NS: u64 = 64_000_000_000;
 
-impl Default for QuarantineOptions {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            flap_threshold: 3,
-            base_hold_down_ns: 1_000_000_000, // 1 s
-            max_hold_down_ns: 64_000_000_000, // 64 s
-        }
+/// The hold-down for the `strikes`-th quarantine (1-based):
+/// `BASE_HOLD_DOWN_NS << (strikes - 1)`, saturating at `MAX_HOLD_DOWN_NS`.
+fn hold_down_for(strikes: u32) -> u64 {
+    let shift = strikes.saturating_sub(1);
+    // A shift that would drop set bits has already passed the cap.
+    if shift >= BASE_HOLD_DOWN_NS.leading_zeros() {
+        return MAX_HOLD_DOWN_NS;
     }
-}
-
-impl QuarantineOptions {
-    /// Enabled with the default damping curve.
-    #[must_use]
-    pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// The hold-down for the `strikes`-th quarantine (1-based):
-    /// `base << (strikes - 1)`, saturating at the configured maximum.
-    #[must_use]
-    pub fn hold_down_for(&self, strikes: u32) -> u64 {
-        let shift = strikes.saturating_sub(1);
-        // A shift that would drop set bits has already passed the cap.
-        if shift >= self.base_hold_down_ns.leading_zeros() {
-            return self.max_hold_down_ns;
-        }
-        (self.base_hold_down_ns << shift).min(self.max_hold_down_ns)
-    }
+    (BASE_HOLD_DOWN_NS << shift).min(MAX_HOLD_DOWN_NS)
 }
 
 /// Damping state of one link.
@@ -83,7 +54,8 @@ struct LinkRecord {
 /// (lower) end of each cable.
 #[derive(Clone, Debug)]
 pub struct LinkQuarantine {
-    options: QuarantineOptions,
+    /// When off, traps pass straight through to re-sweeps.
+    enabled: bool,
     links: FxHashMap<(NodeId, PortNum), LinkRecord>,
     /// Times the bridge guard blocked an admin-down that would have split
     /// the fabric (see [`Self::bridge_refusals`]).
@@ -91,20 +63,14 @@ pub struct LinkQuarantine {
 }
 
 impl LinkQuarantine {
-    /// Fresh damping state under `options`.
+    /// Fresh damping state, damping only when `enabled`.
     #[must_use]
-    pub fn new(options: QuarantineOptions) -> Self {
+    pub fn new(enabled: bool) -> Self {
         Self {
-            options,
+            enabled,
             links: FxHashMap::default(),
             bridge_refusals: 0,
         }
-    }
-
-    /// The active policy.
-    #[must_use]
-    pub fn options(&self) -> QuarantineOptions {
-        self.options
     }
 
     /// Canonical key of the cable behind `(node, port)`: the end with the
@@ -159,7 +125,7 @@ impl LinkQuarantine {
         port: PortNum,
         now_ns: u64,
     ) -> IbResult<bool> {
-        if !self.options.enabled {
+        if !self.enabled {
             return Ok(false);
         }
         let key = Self::canonical(subnet, node, port);
@@ -188,7 +154,7 @@ impl LinkQuarantine {
             return Ok(true);
         }
 
-        if rec.penalty >= self.options.flap_threshold {
+        if rec.penalty >= FLAP_THRESHOLD {
             if subnet.is_link_up(key.0, key.1) {
                 if Self::downing_would_split(subnet, key) {
                     // Refuse the quarantine outright: taking this link down
@@ -204,7 +170,7 @@ impl LinkQuarantine {
             }
             rec.strikes += 1;
             rec.penalty = 0;
-            rec.held_until = Some(now_ns + self.options.hold_down_for(rec.strikes));
+            rec.held_until = Some(now_ns + hold_down_for(rec.strikes));
             self.links.insert(key, rec);
             // Absorbed as far as damping goes, but the topology just
             // changed (the link went administratively down), so the caller
@@ -389,7 +355,7 @@ mod tests {
     #[test]
     fn disabled_damper_absorbs_nothing() {
         let (mut t, leaf, port) = fabric();
-        let mut q = LinkQuarantine::new(QuarantineOptions::default());
+        let mut q = LinkQuarantine::new(false);
         for _ in 0..10 {
             assert!(!q.note_link_event(&mut t.subnet, leaf, port, 0).unwrap());
         }
@@ -399,7 +365,7 @@ mod tests {
     #[test]
     fn threshold_crossing_quarantines_and_downs_the_link() {
         let (mut t, leaf, port) = fabric();
-        let mut q = LinkQuarantine::new(QuarantineOptions::enabled());
+        let mut q = LinkQuarantine::new(true);
         assert!(t.subnet.is_link_up(leaf, port));
         // Two events: still below the threshold of 3.
         assert!(!q.note_link_event(&mut t.subnet, leaf, port, 0).unwrap());
@@ -416,7 +382,7 @@ mod tests {
     fn both_ends_share_one_record() {
         let (mut t, leaf, port) = fabric();
         let remote = t.subnet.cabled_neighbor(leaf, port).unwrap();
-        let mut q = LinkQuarantine::new(QuarantineOptions::enabled());
+        let mut q = LinkQuarantine::new(true);
         q.note_link_event(&mut t.subnet, leaf, port, 0).unwrap();
         q.note_link_event(&mut t.subnet, remote.node, remote.port, 1)
             .unwrap();
@@ -428,7 +394,7 @@ mod tests {
     #[test]
     fn resurrection_during_hold_down_is_suppressed() {
         let (mut t, leaf, port) = fabric();
-        let mut q = LinkQuarantine::new(QuarantineOptions::enabled());
+        let mut q = LinkQuarantine::new(true);
         for at in 0..3 {
             q.note_link_event(&mut t.subnet, leaf, port, at).unwrap();
         }
@@ -442,12 +408,11 @@ mod tests {
     #[test]
     fn release_restores_the_link_and_strikes_escalate() {
         let (mut t, leaf, port) = fabric();
-        let opts = QuarantineOptions::enabled();
-        let mut q = LinkQuarantine::new(opts);
+        let mut q = LinkQuarantine::new(true);
         for at in 0..3 {
             q.note_link_event(&mut t.subnet, leaf, port, at).unwrap();
         }
-        let release_at = 2 + opts.base_hold_down_ns;
+        let release_at = 2 + BASE_HOLD_DOWN_NS;
         // Still held one tick before the deadline.
         assert!(q
             .release_expired(&mut t.subnet, release_at - 1)
@@ -463,22 +428,21 @@ mod tests {
         }
         let held = q.quarantined_links(release_at + 2);
         assert_eq!(held.len(), 1);
-        assert_eq!(held[0].1, release_at + 2 + 2 * opts.base_hold_down_ns);
+        assert_eq!(held[0].1, release_at + 2 + 2 * BASE_HOLD_DOWN_NS);
     }
 
     #[test]
     fn hold_down_curve_is_exponential_and_capped() {
-        let opts = QuarantineOptions::enabled();
-        assert_eq!(opts.hold_down_for(1), opts.base_hold_down_ns);
-        assert_eq!(opts.hold_down_for(2), 2 * opts.base_hold_down_ns);
-        assert_eq!(opts.hold_down_for(3), 4 * opts.base_hold_down_ns);
-        assert_eq!(opts.hold_down_for(60), opts.max_hold_down_ns);
+        assert_eq!(hold_down_for(1), BASE_HOLD_DOWN_NS);
+        assert_eq!(hold_down_for(2), 2 * BASE_HOLD_DOWN_NS);
+        assert_eq!(hold_down_for(3), 4 * BASE_HOLD_DOWN_NS);
+        assert_eq!(hold_down_for(60), MAX_HOLD_DOWN_NS);
     }
 
     #[test]
     fn physically_down_link_is_not_resurrected_on_release() {
         let (mut t, leaf, port) = fabric();
-        let mut q = LinkQuarantine::new(QuarantineOptions::enabled());
+        let mut q = LinkQuarantine::new(true);
         // The link is already physically down when the flapping starts.
         t.subnet.set_link_down(leaf, port).unwrap();
         for at in 0..3 {
@@ -513,7 +477,7 @@ mod tests {
         // On a tree every switch-switch link is a bridge: however hard a
         // link flaps, the damper must never be the one to split the fabric.
         let (mut s, sw) = line_fabric();
-        let mut q = LinkQuarantine::new(QuarantineOptions::enabled());
+        let mut q = LinkQuarantine::new(true);
         for trunk in [(sw[0], PortNum::new(1)), (sw[1], PortNum::new(2))] {
             for at in 0..10 {
                 assert!(!q.note_link_event(&mut s, trunk.0, trunk.1, at).unwrap());
@@ -530,7 +494,7 @@ mod tests {
     fn resurrected_bridge_is_released_early_instead_of_re_split() {
         let (mut s, sw) = line_fabric();
         let (node, port) = (sw[0], PortNum::new(1));
-        let mut q = LinkQuarantine::new(QuarantineOptions::enabled());
+        let mut q = LinkQuarantine::new(true);
         // The trunk goes physically down first: holding it down changes
         // nothing (the split already exists), so the quarantine may trip.
         s.set_link_down(node, port).unwrap();
@@ -553,7 +517,7 @@ mod tests {
         // The fat tree's leaf-spine link has a redundant twin through the
         // other spine: not a bridge, so damping proceeds as ever.
         let (mut t, leaf, port) = fabric();
-        let mut q = LinkQuarantine::new(QuarantineOptions::enabled());
+        let mut q = LinkQuarantine::new(true);
         for at in 0..3 {
             q.note_link_event(&mut t.subnet, leaf, port, at).unwrap();
         }
@@ -572,7 +536,7 @@ mod tests {
             .unwrap();
         tables.install(&mut t.subnet).unwrap();
 
-        let mut q = LinkQuarantine::new(QuarantineOptions::enabled());
+        let mut q = LinkQuarantine::new(true);
         for at in 0..3 {
             q.note_link_event(&mut t.subnet, leaf, port, at).unwrap();
         }

@@ -1,7 +1,7 @@
 //! The incremental repair pipeline: the SM's answer to link-state traps.
 //!
 //! One pipeline serves a single trap (a one-element fault list) and a
-//! coalesced burst (k elements) alike: guards → per-fault dirty groups →
+//! burst (k elements) alike: guards → per-fault dirty groups →
 //! cached switch graph → engine fold over the baseline *in place* →
 //! distribution of the blocks the changed cells fall in → verifier gate on
 //! the cells those blocks moved → reverse-index maintenance. The engine's
@@ -38,7 +38,7 @@ enum Fallback {
     /// debt matches it ([`Mirror::pay`]): the link came back out of order,
     /// the baseline moved since its repair (a migration, a full sweep, a
     /// repair of links that were already down), or other links of its
-    /// coalesced batch are still down. Only a full compute knows the
+    /// batch are still down. Only a full compute knows the
     /// tables of that graph; counted, but not as a `repair.fallback`.
     NoDebt,
     /// No tables computed yet (adopted fabric): nothing to splice into.

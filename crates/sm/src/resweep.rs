@@ -42,11 +42,6 @@ pub enum SweepKind {
     /// Incremental repair: only the destination columns whose installed
     /// paths crossed the failed link were re-routed and redistributed.
     Repair,
-    /// Nothing yet: the trap was queued by coalescing
-    /// ([`crate::CoalesceOptions`]) and will be answered, together with
-    /// every other trap in its window, by one batched repair sweep when
-    /// the driver calls [`SubnetManager::flush_coalesced`].
-    Deferred,
 }
 
 /// What a trap-driven re-sweep did.
@@ -72,7 +67,7 @@ pub struct ResweepReport {
 
 impl ResweepReport {
     /// The report of a trap answered without sending anything: absorbed,
-    /// deferred, or a repair that found no dirty column.
+    /// or a repair that found no dirty column.
     pub(crate) fn idle(kind: SweepKind) -> Self {
         Self {
             kind,
@@ -227,8 +222,6 @@ impl SubnetManager {
             }
             deps = graph;
         }
-        // A full distribution covers every fault a deferred trap reported.
-        self.subsume_pending();
         if converged {
             self.verify_healed(subnet, &healed)?;
             self.carried.install(subnet, tables, deps);

@@ -13,7 +13,7 @@ use crate::carried::Carried;
 use crate::discovery;
 use crate::distribution;
 use crate::lids;
-use crate::quarantine::{LinkQuarantine, QuarantineOptions};
+use crate::quarantine::LinkQuarantine;
 use crate::report::BringUpReport;
 use crate::resweep::SweepKind;
 
@@ -69,42 +69,6 @@ impl SweepOptions {
     }
 }
 
-/// Trap-coalescing policy: link-down traps arriving within `window_ns` of
-/// the first pending trap are *deferred* and answered together by one
-/// batched repair sweep ([`crate::SubnetManager`] unions their dirty sets,
-/// runs one engine repair fold, one verifier gate, and one dirty-block
-/// distribution) when the driver calls `flush_coalesced` past the deadline.
-/// Requires [`SmConfig::repair`]; disabled by default so single traps keep
-/// their immediate-response semantics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CoalesceOptions {
-    /// Master switch. When off, every trap is swept immediately.
-    pub enabled: bool,
-    /// How long after the *first* deferred trap the batch keeps absorbing
-    /// further traps before a flush is due.
-    pub window_ns: u64,
-}
-
-impl Default for CoalesceOptions {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            window_ns: 200_000_000, // 200 ms, on the order of a damping window
-        }
-    }
-}
-
-impl CoalesceOptions {
-    /// Coalescing on, with the default window.
-    #[must_use]
-    pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-}
-
 /// Subnet manager configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SmConfig {
@@ -124,9 +88,8 @@ pub struct SmConfig {
     /// deadlock guarantee (Min-Hop) on a cyclic fabric will fail by
     /// design. Off by default.
     pub verify: bool,
-    /// Link flap damping policy (see [`QuarantineOptions`]). Disabled by
-    /// default.
-    pub quarantine: QuarantineOptions,
+    /// Damp flapping links (see [`crate::quarantine`]). Off by default.
+    pub quarantine: bool,
     /// Answer link-down traps with an *incremental repair* sweep: re-route
     /// only the destination columns whose installed paths crossed the
     /// failed link (read off the [`ib_verify::ReverseRouteIndex`], re-routed
@@ -137,10 +100,6 @@ pub struct SmConfig {
     /// counts `repair.fallback`. Off by default — the traditional
     /// full-recompute path.
     pub repair: bool,
-    /// Batch link-down traps arriving within a damping window into one
-    /// repair sweep (see [`CoalesceOptions`]). Only consulted when
-    /// `repair` is on.
-    pub coalesce: CoalesceOptions,
 }
 
 impl Default for SmConfig {
@@ -151,9 +110,8 @@ impl Default for SmConfig {
             sweep: SweepOptions::default(),
             routing: RoutingOptions::default(),
             verify: false,
-            quarantine: QuarantineOptions::default(),
+            quarantine: false,
             repair: false,
-            coalesce: CoalesceOptions::default(),
         }
     }
 }
@@ -169,19 +127,12 @@ pub struct SubnetManager {
     pub lid_space: LidSpace,
     /// Every SMP this SM ever sent.
     pub ledger: SmpLedger,
-    /// Per-link flap damping state (active when
-    /// `config.quarantine.enabled`).
+    /// Per-link flap damping state (active when `config.quarantine`).
     pub quarantine: LinkQuarantine,
     /// The state derived from the installed LFTs — repair baseline, reverse
     /// route index, channel dependency graph, switch graph — and the one
     /// owner of when it moves, stays or goes.
     pub(crate) carried: Carried,
-    /// Link-down traps deferred by coalescing, in arrival order,
-    /// deduplicated per (node, port).
-    pub(crate) pending_traps: Vec<(NodeId, ib_types::PortNum)>,
-    /// When the pending batch is due: first-deferred-trap time plus the
-    /// coalescing window.
-    pub(crate) batch_deadline_ns: Option<u64>,
     /// Degraded-mode ledger: LIDs the last sweep proved unreachable from
     /// the SM (the far side of a fabric split), in ascending order. Empty
     /// when the fabric is whole. A heal sweep must show every one of these
@@ -205,8 +156,6 @@ impl SubnetManager {
             ledger: SmpLedger::new(),
             quarantine: LinkQuarantine::new(config.quarantine),
             carried: Carried::default(),
-            pending_traps: Vec::new(),
-            batch_deadline_ns: None,
             unreachable_lids: Vec::new(),
             lost_nodes: HashSet::new(),
         }
@@ -308,18 +257,6 @@ impl SubnetManager {
         })
     }
 
-    /// Drops every deferred link-down trap because a full-table
-    /// distribution just covered them, counting `repair.batch_subsumed`.
-    pub(crate) fn subsume_pending(&mut self) {
-        if !self.pending_traps.is_empty() {
-            self.ledger
-                .observer()
-                .add("repair.batch_subsumed", self.pending_traps.len() as u64);
-            self.pending_traps.clear();
-        }
-        self.batch_deadline_ns = None;
-    }
-
     /// Tells the SM which cells were rewritten on the fabric *behind its
     /// back* — an Algorithm-1 LID swap/copy or a vSwitch route update writes
     /// LFT rows without a sweep. Each cell's new value goes into the repair
@@ -330,14 +267,17 @@ impl SubnetManager {
     ///
     /// The list must be exact (one entry per cell whose installed value
     /// changed): debug builds cross-check every column it names against
-    /// `subnet`'s installed rows. The carried channel dependency graph is
-    /// dropped — the next repair gate rebuilds it.
+    /// `subnet`'s installed rows.
     ///
     /// `moved` names the LID move that wrote the cells, when one did: the
     /// lanes of the baseline's VL assignment move the same way, so
     /// [`Self::installed_vls`] keeps describing the lanes the moved columns
     /// ride. Under a per-path layering (DFSSSP) that means the SA now
-    /// answers a new SL for a swapped LID.
+    /// answers a new SL for a swapped LID. The carried channel dependency
+    /// graph survives a [`LidMove::Swap`] on a whole fabric, whose lanes'
+    /// graphs it leaves unchanged (debug builds check it against a
+    /// rebuild); after any other write it is dropped, and the next repair
+    /// gate rebuilds it.
     pub fn note_cells_changed(
         &mut self,
         subnet: &Subnet,
@@ -377,13 +317,6 @@ impl SubnetManager {
     #[must_use]
     pub fn channel_deps(&self) -> Option<&ib_verify::ChannelDeps> {
         self.carried.deps()
-    }
-
-    /// The link-down traps currently deferred by coalescing, in arrival
-    /// order.
-    #[must_use]
-    pub fn pending_repairs(&self) -> &[(NodeId, ib_types::PortNum)] {
-        &self.pending_traps
     }
 
     /// The virtual-lane assignment of the last computed tables, for

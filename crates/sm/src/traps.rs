@@ -3,10 +3,10 @@
 //! IBA switches report port-state changes to the SM with unsolicited trap
 //! MADs (traps 128/129-131). Intake decides whether a trap can have reached
 //! the master at all (a split fabric absorbs the far side's), feeds link
-//! events to flap damping ([`crate::LinkQuarantine`]) and trap coalescing
-//! ([`crate::CoalesceOptions`]), and hands what is left to the full
-//! re-sweeps of [`crate::resweep`] or the incremental pipeline of
-//! [`crate::repair`].
+//! events to flap damping ([`crate::LinkQuarantine`]), and answers what is
+//! left at once: with the full re-sweeps of [`crate::resweep`] or the
+//! incremental pipeline of [`crate::repair`]. A driver that holds a burst
+//! of link-downs answers it with one [`SubnetManager::repair_sweep_batch`].
 
 use ib_mad::fault::{SmpChannel, SmpTransport};
 use ib_subnet::{NodeId, Subnet};
@@ -58,7 +58,7 @@ impl SubnetManager {
     /// installed rows still forward across the held link, which only a
     /// sweep can fix (`quarantine.held_rerouted`); every other trap
     /// proceeds to the usual sweep over the — possibly just-quarantined —
-    /// topology, unless coalescing defers it.
+    /// topology.
     pub fn handle_trap_at<C: SmpChannel>(
         &mut self,
         subnet: &mut Subnet,
@@ -69,42 +69,31 @@ impl SubnetManager {
         if !self.admit_trap(subnet, &trap) {
             return Ok(ResweepReport::idle(SweepKind::Light));
         }
-        if let Trap::LinkStateChange { node, port } = trap {
-            if self.config().quarantine.enabled {
-                let was_held = self.quarantine.is_quarantined(subnet, node, port, now_ns);
-                let refusals_before = self.quarantine.bridge_refusals();
-                let absorbed = self
-                    .quarantine
-                    .note_link_event(subnet, node, port, now_ns)?;
-                let observer = self.ledger.observer();
-                observer.incr("quarantine.events");
-                observer.add(
-                    "quarantine.bridge_refused",
-                    self.quarantine.bridge_refusals() - refusals_before,
-                );
-                // Absorbing assumes nothing routes over the held link. A
-                // sweep that ran while it was physically up (a heal raises
-                // several cables, the first one's trap sweeps) installed
-                // rows across it, and the damper just re-downed it under
-                // them: that trap needs its sweep after all.
-                if absorbed && self.held_link_strands_routes(subnet, node, port) {
-                    observer.incr("quarantine.held_rerouted");
-                } else if absorbed {
-                    observer.incr("quarantine.absorbed");
-                    return Ok(ResweepReport::idle(SweepKind::Light));
-                }
-                if !was_held && self.quarantine.is_quarantined(subnet, node, port, now_ns) {
-                    observer.incr("quarantine.entered");
-                }
+        if let (true, Trap::LinkStateChange { node, port }) = (self.config().quarantine, trap) {
+            let was_held = self.quarantine.is_quarantined(subnet, node, port, now_ns);
+            let refusals_before = self.quarantine.bridge_refusals();
+            let absorbed = self
+                .quarantine
+                .note_link_event(subnet, node, port, now_ns)?;
+            let observer = self.ledger.observer();
+            observer.incr("quarantine.events");
+            observer.add(
+                "quarantine.bridge_refused",
+                self.quarantine.bridge_refusals() - refusals_before,
+            );
+            // Absorbing assumes nothing routes over the held link. A
+            // sweep that ran while it was physically up (a heal raises
+            // several cables, the first one's trap sweeps) installed
+            // rows across it, and the damper just re-downed it under
+            // them: that trap needs its sweep after all.
+            if absorbed && self.held_link_strands_routes(subnet, node, port) {
+                observer.incr("quarantine.held_rerouted");
+            } else if absorbed {
+                observer.incr("quarantine.absorbed");
+                return Ok(ResweepReport::idle(SweepKind::Light));
             }
-            // Trap coalescing: a link-*down* trap inside the batching
-            // window joins the pending batch instead of sweeping now. Up
-            // events never defer: a heal undoes the repair that routed
-            // around the link, which is exact only while nothing else has
-            // moved the topology since, and a batch would move it.
-            let config = self.config();
-            if config.repair && config.coalesce.enabled && subnet.neighbor(node, port).is_none() {
-                return Ok(self.defer_trap(node, port, now_ns));
+            if !was_held && self.quarantine.is_quarantined(subnet, node, port, now_ns) {
+                observer.incr("quarantine.entered");
             }
         }
         self.answer_trap(subnet, trap, transport)
@@ -177,44 +166,6 @@ impl SubnetManager {
         }
     }
 
-    /// Queues one link-down trap for the pending batch (deduplicated per
-    /// link) and arms the flush deadline off the *first* deferred trap.
-    fn defer_trap(&mut self, node: NodeId, port: PortNum, now_ns: u64) -> ResweepReport {
-        if !self.pending_traps.contains(&(node, port)) {
-            self.pending_traps.push((node, port));
-        }
-        if self.batch_deadline_ns.is_none() {
-            self.batch_deadline_ns = Some(now_ns + self.config().coalesce.window_ns);
-        }
-        self.ledger.observer().incr("repair.deferred");
-        ResweepReport::idle(SweepKind::Deferred)
-    }
-
-    /// Runs the batched repair sweep if the coalescing window has closed by
-    /// `now_ns`. `Ok(None)` means nothing was due — no traps pending, or
-    /// the window is still absorbing. Drivers call this from their event
-    /// loop alongside [`SubnetManager::release_quarantined`].
-    pub fn flush_coalesced<C: SmpChannel>(
-        &mut self,
-        subnet: &mut Subnet,
-        transport: &mut SmpTransport<C>,
-        now_ns: u64,
-    ) -> IbResult<Option<ResweepReport>> {
-        let Some(deadline) = self.batch_deadline_ns else {
-            return Ok(None);
-        };
-        if now_ns < deadline {
-            return Ok(None);
-        }
-        let faults = std::mem::take(&mut self.pending_traps);
-        self.batch_deadline_ns = None;
-        if faults.is_empty() {
-            return Ok(None);
-        }
-        self.repair_sweep_batch(subnet, &faults, transport)
-            .map(Some)
-    }
-
     /// Releases quarantined links whose hold-down expired by `now_ns` and,
     /// if any link came back up, runs a light sweep to fold them back into
     /// routing. Returns the number of links released.
@@ -242,6 +193,8 @@ mod tests {
     use crate::testutil::*;
     use ib_subnet::topology::fattree::two_level;
 
+    /// A burst of link-downs is one repair: one engine fold, one
+    /// distribution and one verifier pass answer both faults.
     #[test]
     fn coalesced_traps_batch_into_one_repair_sweep() {
         let mut t = two_level(3, 2, 2);
@@ -249,50 +202,31 @@ mod tests {
             t.hosts[0],
             SmConfig {
                 repair: true,
-                coalesce: crate::CoalesceOptions::enabled(),
                 ..SmConfig::default()
             },
         );
         sm.set_observer(ib_observe::Observer::metrics());
         sm.bring_up(&mut t.subnet).unwrap();
-        let window = sm.config().coalesce.window_ns;
         let mut transport = SmpTransport::perfect(sm.sm_node);
 
-        // Two faults land inside one window: both deferred, no SMPs yet.
-        let t0 = 1_000;
-        for (i, trap) in [down_uplink(&mut t, 0, 0), down_uplink(&mut t, 1, 0)]
+        let faults: Vec<(NodeId, PortNum)> = [down_uplink(&mut t, 0, 0), down_uplink(&mut t, 1, 0)]
             .into_iter()
-            .enumerate()
-        {
-            let report = sm
-                .handle_trap_at(&mut t.subnet, trap, &mut transport, t0 + i as u64)
-                .unwrap();
-            assert_eq!(report.kind, SweepKind::Deferred);
-            assert_eq!(report.distribution.lft_smps, 0);
-        }
-        assert_eq!(sm.pending_repairs().len(), 2);
-
-        // Window still open: nothing flushes.
-        assert!(sm
-            .flush_coalesced(&mut t.subnet, &mut transport, t0 + window - 1)
-            .unwrap()
-            .is_none());
-
-        // Window closed: one batched repair answers both traps.
+            .map(|trap| match trap {
+                Trap::LinkStateChange { node, port } => (node, port),
+                Trap::SwitchDeath { .. } => unreachable!(),
+            })
+            .collect();
         let report = sm
-            .flush_coalesced(&mut t.subnet, &mut transport, t0 + window)
-            .unwrap()
-            .expect("batch was due");
+            .repair_sweep_batch(&mut t.subnet, &faults, &mut transport)
+            .unwrap();
         assert_eq!(report.kind, SweepKind::Repair);
         assert!(report.failed_blocks.is_empty());
         assert!(report.distribution.lft_smps > 0);
-        assert!(sm.pending_repairs().is_empty());
         assert_all_pairs_connected(&t, &[]);
         t.subnet.validate_degraded().unwrap();
         assert!(sm.verify_route_index(&t.subnet).is_empty());
 
         let snap = sm.observer().snapshot().unwrap();
-        assert_eq!(snap.counter("repair.deferred"), 2);
         assert_eq!(snap.counter("repair.batched"), 1);
         assert_eq!(snap.counter("repair.batch_size"), 2);
         assert_eq!(snap.counter("repair.fallback"), 0);
@@ -300,54 +234,6 @@ mod tests {
         assert_eq!(snap.spans_named("resweep.batch").len(), 1);
         // One verifier pass for the whole burst.
         assert_eq!(snap.counter("verify.runs"), 1);
-
-        // Re-flushing with nothing pending is a no-op.
-        assert!(sm
-            .flush_coalesced(&mut t.subnet, &mut transport, t0 + 2 * window)
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
-    fn full_sweeps_subsume_pending_batches() {
-        let mut t = two_level(3, 2, 2);
-        let mut sm = SubnetManager::new(
-            t.hosts[0],
-            SmConfig {
-                repair: true,
-                coalesce: crate::CoalesceOptions::enabled(),
-                ..SmConfig::default()
-            },
-        );
-        sm.set_observer(ib_observe::Observer::metrics());
-        sm.bring_up(&mut t.subnet).unwrap();
-        let mut transport = SmpTransport::perfect(sm.sm_node);
-        let trap = down_uplink(&mut t, 0, 0);
-        sm.handle_trap_at(&mut t.subnet, trap, &mut transport, 0)
-            .unwrap();
-        assert_eq!(sm.pending_repairs().len(), 1);
-
-        // A switch death forces a heavy sweep, whose full distribution
-        // also routes around the pending fault: the batch dissolves.
-        // (Spine 0 already lost its leaf-0 link, so every leaf keeps an
-        // uplink through spine 1.)
-        let spine0 = t.switch_levels[1][0];
-        sm.handle_trap_at(
-            &mut t.subnet,
-            Trap::SwitchDeath { node: spine0 },
-            &mut transport,
-            1,
-        )
-        .unwrap();
-        assert!(sm.pending_repairs().is_empty());
-        let snap = sm.observer().snapshot().unwrap();
-        assert_eq!(snap.counter("repair.batch_subsumed"), 1);
-        assert!(sm
-            .flush_coalesced(&mut t.subnet, &mut transport, u64::MAX)
-            .unwrap()
-            .is_none());
-        assert_all_pairs_connected(&t, &[]);
-        assert!(sm.verify_route_index(&t.subnet).is_empty());
     }
 
     /// Satellite regression: traps absorbed inside a quarantine hold-down
@@ -358,12 +244,11 @@ mod tests {
     #[test]
     fn quarantine_release_rebuilds_baseline_and_index() {
         let mut t = two_level(3, 2, 2);
-        let opts = crate::QuarantineOptions::enabled();
         let mut sm = SubnetManager::new(
             t.hosts[0],
             SmConfig {
                 repair: true,
-                quarantine: opts,
+                quarantine: true,
                 ..SmConfig::default()
             },
         );
@@ -401,7 +286,7 @@ mod tests {
 
         // Hold-down expires: the fold-back light sweep must leave the
         // baseline and index mirroring the full-topology tables.
-        let release_at = 2 + opts.base_hold_down_ns + 1;
+        let release_at = 2 + crate::quarantine::BASE_HOLD_DOWN_NS + 1;
         let released = sm
             .release_quarantined(&mut t.subnet, &mut transport, release_at)
             .unwrap();
@@ -456,7 +341,7 @@ mod tests {
         let mut sm = SubnetManager::new(
             t.hosts[0],
             SmConfig {
-                quarantine: crate::QuarantineOptions::enabled(),
+                quarantine: true,
                 ..SmConfig::default()
             },
         );
@@ -509,9 +394,8 @@ mod tests {
     }
 
     /// One trap of each intake fate through `handle_trap_at` — absorbed by
-    /// flap damping, deferred by coalescing, swept, and lost beyond a split
-    /// — is counted `trap.received` exactly once, and only its own fate's
-    /// counter moves.
+    /// flap damping, swept, and lost beyond a split — is counted
+    /// `trap.received` exactly once, and only its own fate's counter moves.
     #[test]
     fn each_intake_fate_counts_its_trap_exactly_once() {
         let mut t = two_level(3, 2, 2);
@@ -519,15 +403,14 @@ mod tests {
             t.hosts[0],
             SmConfig {
                 repair: true,
-                quarantine: crate::QuarantineOptions::enabled(),
-                coalesce: crate::CoalesceOptions::enabled(),
+                quarantine: true,
                 ..SmConfig::default()
             },
         );
         sm.set_observer(ib_observe::Observer::metrics());
         sm.bring_up(&mut t.subnet).unwrap();
         let mut transport = SmpTransport::perfect(sm.sm_node);
-        let flaps = sm.config().quarantine.flap_threshold;
+        let flaps = crate::quarantine::FLAP_THRESHOLD;
 
         // Quarantined: the damper already holds leaf0 -> spine0 down (fed
         // directly, so no trap was involved) and the routes already avoid
@@ -548,15 +431,10 @@ mod tests {
             .unwrap();
         assert_eq!(report, ResweepReport::idle(SweepKind::Light));
 
-        // Deferred: a fresh link-down joins the coalescing batch.
-        let down = down_uplink(&mut t, 1, 0);
-        let report = sm
-            .handle_trap_at(&mut t.subnet, down, &mut transport, now)
-            .unwrap();
-        assert_eq!(report.kind, SweepKind::Deferred);
-
-        // Swept: a trap about a live link is an up event — never deferred,
-        // answered by a light sweep that also routes around both faults.
+        // Swept: a trap about a live link is an up event with no heal debt,
+        // answered by a light sweep — which also routes around a fault
+        // whose own trap is still in flight.
+        down_uplink(&mut t, 1, 0);
         let leaf2 = t.switch_levels[0][2];
         let (up_port, _) = t.subnet.node(leaf2).connected_ports().next().unwrap();
         let up = Trap::LinkStateChange {
@@ -583,12 +461,11 @@ mod tests {
         assert_eq!(report, ResweepReport::idle(SweepKind::Light));
 
         let snap = sm.observer().snapshot().unwrap();
-        assert_eq!(snap.counter("trap.received"), 4);
+        assert_eq!(snap.counter("trap.received"), 3);
         assert_eq!(snap.counter("quarantine.absorbed"), 1);
-        assert_eq!(snap.counter("repair.deferred"), 1);
         assert_eq!(snap.counter("sm.trap_absorbed_lost"), 1);
-        // The lost trap never reached the damper; the other three did.
-        assert_eq!(snap.counter("quarantine.events"), 3);
+        // The lost trap never reached the damper; the other two did.
+        assert_eq!(snap.counter("quarantine.events"), 2);
         assert_eq!(snap.counter("quarantine.held_rerouted"), 0);
         // The fixture's own sweep, the swept trap, the split's sweep.
         assert_eq!(snap.counter("resweep.light"), 3);

@@ -25,7 +25,7 @@
 use std::fmt;
 
 use ib_routing::cdg::{ByteCounts, Cdg};
-use ib_routing::{Destination, VlAssignment};
+use ib_routing::{Destination, LidMove, VlAssignment};
 use ib_subnet::NodeId;
 use ib_types::{Lid, PortNum};
 
@@ -49,7 +49,7 @@ pub(crate) struct Changed {
 /// VL layering, as per-lane dependency counts — built by a full audit
 /// ([`crate::FabricVerifier::audit`]) and patched by each repair gate
 /// ([`crate::FabricVerifier::verify_moved`]) with the cells that repair
-/// moved. Equality is semantic: the same lanes and the same counted
+/// moved. Equality is semantic: the same VL assignment, lanes and counted
 /// dependencies, however the counts are laid out.
 pub struct ChannelDeps {
     lanes: Lanes,
@@ -287,6 +287,15 @@ impl ChannelDeps {
         false
     }
 
+    /// Follows a LID swap that exchanged the whole columns of `a` and `b`
+    /// on every switch, each column with its delivery switch: the two
+    /// LIDs trade lanes, and every lane's dependency counts, which sum
+    /// over the columns, stay as they are (`tests/migration_lanes.rs`
+    /// pins this under every engine).
+    pub fn swap_lids(&mut self, a: Lid, b: Lid) {
+        self.lanes.vls.apply_move(LidMove::Swap(a, b));
+    }
+
     /// Whether the lane-wide search finds every lane acyclic — what a
     /// clean [`Self::report_cycles`] from the fresh heads must agree with.
     pub(crate) fn is_acyclic(&self) -> bool {
@@ -296,7 +305,8 @@ impl ChannelDeps {
 
 impl PartialEq for ChannelDeps {
     fn eq(&self, other: &Self) -> bool {
-        self.lanes.lanes == other.lanes.lanes
+        self.lanes.vls == other.lanes.vls
+            && self.lanes.lanes == other.lanes.lanes
             && self.switches == other.switches
             && self.peers.stride == other.peers.stride
             && (0..self.lanes.lanes.len()).all(|k| self.graph.edges(k).eq(other.graph.edges(k)))

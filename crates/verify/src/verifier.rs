@@ -840,6 +840,62 @@ mod tests {
         assert_eq!(cycles(&gated), cycles(&audit));
     }
 
+    /// A LID swap of two whole columns under DFSSSP's per-path lanes: the
+    /// graph rebuilt afterwards equals the one before once `swap_lids` has
+    /// traded the two LIDs' lanes, and the next gate takes the kept graph
+    /// instead of rebuilding it for a changed layering.
+    #[test]
+    fn a_swapped_graph_is_patched_under_the_swapped_lanes() {
+        let mut t = torus_2d(4, 4, 2, true);
+        assign_lids(&mut t);
+        let tables = EngineKind::Dfsssp.build().compute(&t.subnet).unwrap();
+        tables.install(&mut t.subnet).unwrap();
+        let (verifier, mut vls) = (FabricVerifier::new(), tables.vls);
+        let mut deps = verifier.channel_deps(&t.subnet, &vls).unwrap();
+
+        let (a, b) = (host_lid(&t, 0), host_lid(&t, 9));
+        let mut moved = 0;
+        let switches: Vec<NodeId> = t.subnet.switches().map(|n| n.id).collect();
+        for sw in switches {
+            let lft = t.subnet.lft_mut(sw).unwrap();
+            let (to_a, to_b) = (lft.get(a), lft.get(b));
+            moved += usize::from(to_a != to_b);
+            lft.assign(a, to_b);
+            lft.assign(b, to_a);
+        }
+        t.subnet.clear_lid(a).unwrap();
+        t.subnet.clear_lid(b).unwrap();
+        t.subnet
+            .assign_port_lid(t.hosts[0], PortNum::new(1), b)
+            .unwrap();
+        t.subnet
+            .assign_port_lid(t.hosts[9], PortNum::new(1), a)
+            .unwrap();
+        vls.apply_move(ib_routing::LidMove::Swap(a, b));
+        assert!(moved > 0);
+        assert!(verifier.channel_deps(&t.subnet, &vls).unwrap() != deps);
+        deps.swap_lids(a, b);
+        assert!(verifier.channel_deps(&t.subnet, &vls).unwrap() == deps);
+
+        // The kept graph already counts the installed rows: the next gate
+        // (here one with nothing moved since) takes it as it is.
+        let observer = Observer::metrics();
+        let (report, gated) = verifier
+            .verify_moved(&t.subnet, &vls, &[], &[], Some(deps), &observer)
+            .unwrap();
+        assert!(report.is_clean(), "{report}");
+        let snap = observer.snapshot().unwrap();
+        for reason in [
+            Rebuild::NoState,
+            Rebuild::Split,
+            Rebuild::Vls,
+            Rebuild::Topology,
+        ] {
+            assert_eq!(snap.counter(reason.counter()), 0, "{reason:?}");
+        }
+        assert!(gated == Some(verifier.channel_deps(&t.subnet, &vls).unwrap()));
+    }
+
     /// A graph that was never searched, or whose last search met a cycle,
     /// is searched lane-wide even when nothing was booked since; only a
     /// graph searched clean lets the next search start from what is fresh.

@@ -16,7 +16,7 @@ use ib_core::{DataCenter, DataCenterConfig};
 use ib_mad::SmpTransport;
 use ib_observe::Observer;
 use ib_routing::{EngineKind, VlAssignment};
-use ib_sm::{CoalesceOptions, ResweepReport, SmConfig, SubnetManager, SweepKind, Trap};
+use ib_sm::{ResweepReport, SmConfig, SubnetManager, SweepKind, Trap};
 use ib_subnet::topology::fattree::{three_level, two_level};
 use ib_subnet::topology::torus::torus_2d;
 use ib_subnet::topology::BuiltTopology;
@@ -354,8 +354,9 @@ fn a_migration_between_a_fault_and_its_heal_is_a_counted_full_sweep() {
     dc.verify_connectivity().expect("every VM reachable");
 }
 
-/// A coalesced batch owes one debt for all its links: the first of them
-/// to come back cannot settle it while the others are still down.
+/// A burst repaired as one batch owes one debt for all its links: the
+/// first of them to come back cannot settle it while the others are still
+/// down.
 #[test]
 fn the_first_link_of_a_coalesced_batch_coming_back_is_a_counted_full_sweep() {
     let mut t = tree();
@@ -365,7 +366,6 @@ fn the_first_link_of_a_coalesced_batch_coming_back_is_a_counted_full_sweep() {
             engine: EngineKind::FatTree,
             repair: true,
             verify: true,
-            coalesce: CoalesceOptions::enabled(),
             ..SmConfig::default()
         },
     );
@@ -374,19 +374,13 @@ fn the_first_link_of_a_coalesced_batch_coming_back_is_a_counted_full_sweep() {
     let links = inter_switch_links(&t.subnet);
     let burst = [links[0], links[6]];
     let mut transport = SmpTransport::perfect(sm.sm_node);
-    for (i, (node, port)) in burst.into_iter().enumerate() {
+    for (node, port) in burst {
         t.subnet.set_link_down(node, port).expect("link down");
-        let trap = Trap::LinkStateChange { node, port };
-        let report = sm
-            .handle_trap_at(&mut t.subnet, trap, &mut transport, i as u64)
-            .expect("trap");
-        assert_eq!(report.kind, SweepKind::Deferred);
     }
-    let window = sm.config().coalesce.window_ns;
     let batch = sm
-        .flush_coalesced(&mut t.subnet, &mut transport, window)
-        .expect("flush");
-    assert_eq!(batch.expect("batch was due").kind, SweepKind::Repair);
+        .repair_sweep_batch(&mut t.subnet, &burst, &mut transport)
+        .expect("batch");
+    assert_eq!(batch.kind, SweepKind::Repair);
 
     let heal = toggle(&mut t, &mut sm, burst[0], true);
     assert_no_debt_heal(&t, &sm, &heal, "first of a batch");

@@ -5,7 +5,7 @@
 //! through the same fault sequences.) In debug
 //! builds every scoped repair also runs the kernel's oracle (a full visit
 //! afterwards changes nothing); these tests drive it over single faults,
-//! fault sequences that split the fabric, a coalesced burst against its
+//! fault sequences that split the fabric, a batched burst against its
 //! serial twin, LID-swap migrations between repairs, and a gate-rejected
 //! repair followed by the next fault — and check the results against a
 //! full visit, the twin, or the verifier.
