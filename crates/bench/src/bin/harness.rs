@@ -936,7 +936,7 @@ fn repair(level: u8, batch: bool, json: Option<&Path>) {
     println!("(heal: the same links back up, last down first up — the repair arm undoes its repairs, the full arm recomputes; the repair arm's pre-fault LFTs are asserted back)");
     let mut batch_json_rows = Vec::new();
     if batch {
-        println!("\n----- REPAIR --batch: one coalesced sweep vs k serial repairs of the same all-down burst -----");
+        println!("\n----- REPAIR --batch: one batched repair sweep vs k serial repairs of the same all-down burst -----");
         println!(
             "{:>18} {:>10} {:>7} {:>11} {:>12} {:>7} {:>9} {:>10} {:>11} {:>10} {:>9}",
             "topology",
@@ -1066,8 +1066,7 @@ fn soak(
             ..SoakConfig::default()
         };
         println!(
-            "seed {seed}, {events} events on a 2-level fat tree ({} leaves x {} hypervisors, {} spines), engine: {engine}, partitions: {partitions}, injection: {inject:?}, repair sweeps: {repair}",
-            config.leaves, config.hosts_per_leaf, config.spines
+            "seed {seed}, {events} events on a 2-level fat tree (4 leaves x 2 hypervisors, 2 spines), engine: {engine}, partitions: {partitions}, injection: {inject:?}, repair sweeps: {repair}"
         );
         let report = run_soak(&config);
         print_soak_report(&report, partitions);

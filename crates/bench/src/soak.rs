@@ -55,20 +55,15 @@ impl std::str::FromStr for Inject {
     }
 }
 
-/// Soak scenario parameters. The defaults are the CI profile: a small
-/// 2-level fat tree, 200 events, mild SMP loss on migrations.
+/// Soak scenario parameters. The defaults are the CI profile: 200 events,
+/// mild SMP loss on migrations. Every soak runs on one fabric, the 2-level
+/// fat tree `two_level(4, 2, 2)`: 4 leaves of 2 hypervisors, 2 spines.
 #[derive(Clone, Copy, Debug)]
 pub struct SoakConfig {
     /// Seed for the event schedule (and every derived RNG stream).
     pub seed: u64,
     /// How many top-level events to run.
     pub events: usize,
-    /// Leaf switches in the fat tree.
-    pub leaves: usize,
-    /// Hypervisors per leaf.
-    pub hosts_per_leaf: usize,
-    /// Spine switches.
-    pub spines: usize,
     /// VMs booted before the chaos starts.
     pub vms: usize,
     /// Per-hop SMP drop probability on migration transports.
@@ -99,9 +94,6 @@ impl Default for SoakConfig {
         Self {
             seed: 0xC0FFEE,
             events: 200,
-            leaves: 4,
-            hosts_per_leaf: 2,
-            spines: 2,
             vms: 4,
             drop_probability: 0.05,
             workers: 1,
@@ -255,7 +247,7 @@ pub(crate) fn safe_to_down(
 pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     let observer = Observer::metrics();
     let mut dc = DataCenter::from_topology_observed(
-        fattree::two_level(cfg.leaves, cfg.hosts_per_leaf, cfg.spines),
+        fattree::two_level(4, 2, 2),
         DataCenterConfig {
             arch: VirtArch::VSwitchPrepopulated,
             vfs_per_hypervisor: 2,
@@ -268,7 +260,6 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             // whole leaves, so there every engine qualifies.
             engine: cfg.engine,
             verify: true,
-            quarantine: true,
             routing: RoutingOptions::default().with_workers(cfg.workers),
             ..DataCenterConfig::default()
         },

@@ -38,9 +38,6 @@ pub struct DataCenterConfig {
     /// every migration commit/rollback, failing the operation on any
     /// violation. Off by default.
     pub verify: bool,
-    /// Damp flapping links in the data center's SM ([`SmConfig::quarantine`]).
-    /// Off by default.
-    pub quarantine: bool,
 }
 
 impl Default for DataCenterConfig {
@@ -52,7 +49,6 @@ impl Default for DataCenterConfig {
             routing: RoutingOptions::default(),
             migration: MigrationOptions::default(),
             verify: false,
-            quarantine: false,
         }
     }
 }
@@ -110,7 +106,6 @@ impl DataCenter {
                 smp_mode: SmpMode::Directed,
                 routing: config.routing,
                 verify: config.verify,
-                quarantine: config.quarantine,
                 ..SmConfig::default()
             },
         );

@@ -4,10 +4,14 @@
 //! hold the repair baseline (the next link-down is a counted
 //! `repair.index_misses` full sweep); *mirrored* when a reverse route index
 //! equal to the installed rows — and, when the SM verifies, their channel
-//! dependency graph — rides with the baseline. A mirror also keeps the heal
-//! debts of the repairs since its sweep: a link that comes back pays off
-//! its repair by undoing it. A writer that moves carried state ends with a
-//! debug check: over what it moved, carried equals rebuilt.
+//! dependency graph — rides with the baseline. Every sweep moves it the
+//! same way: it borrows a [`Mirror`] — a repair the carried one, a full
+//! sweep a fresh one of its computed tables — sends through the SM's one
+//! tail, and settles it back, mirrored if the tail applied what it sent,
+//! else diverged. A mirror also keeps the heal debts of the repairs since
+//! its sweep: a link that comes back pays off its repair by undoing it. A
+//! writer that moves carried state ends with a debug check: over what it
+//! moved, carried equals rebuilt.
 
 use ib_routing::{CellChange, LidMove, RoutingTables, SpliceLog, SwitchGraph};
 use ib_subnet::{NodeId, Subnet};
@@ -70,10 +74,19 @@ impl Mirror {
         self.deps.take()
     }
 
-    /// Moves the index by `moved`, the installed cells that changed, and
-    /// carries `deps`, the graph of the rows now installed (if known).
-    pub(crate) fn apply(&mut self, moved: &[CellChange], deps: Option<ChannelDeps>) {
-        self.index.apply_changes(moved);
+    /// Moves the index by `moved`, the installed cells that changed — or,
+    /// with `None`, rebuilds it from the installed rows — and carries
+    /// `deps`, the graph of the rows now installed (if known).
+    pub(crate) fn apply(
+        &mut self,
+        subnet: &Subnet,
+        moved: Option<&[CellChange]>,
+        deps: Option<ChannelDeps>,
+    ) {
+        match moved {
+            Some(moved) => self.index.apply_changes(moved),
+            None => self.index = ReverseRouteIndex::from_installed(subnet),
+        }
         self.deps = deps;
         self.in_flight = false;
     }
@@ -144,36 +157,6 @@ impl Carried {
         self.mirror()?.deps.as_ref()
     }
 
-    /// A converged full sweep installed `tables`; `deps` is its audit's
-    /// graph. The sweep diverged before distributing, so the index rebuilt
-    /// here is the only one.
-    pub(crate) fn install(
-        &mut self,
-        subnet: &Subnet,
-        tables: RoutingTables,
-        deps: Option<ChannelDeps>,
-    ) {
-        let index = ReverseRouteIndex::from_installed(subnet);
-        self.state = State::Mirrored(Mirror {
-            tables,
-            index,
-            deps,
-            in_flight: false,
-            routed_at: Some(subnet.topology_epoch()),
-            debts: Vec::new(),
-        });
-    }
-
-    /// Drops the index and graph; `baseline`, if given, replaces the one
-    /// carried.
-    pub(crate) fn diverge(&mut self, baseline: Option<RoutingTables>) {
-        self.state = match (baseline, std::mem::take(&mut self.state)) {
-            (Some(tables), _) | (None, State::Diverged(tables)) => State::Diverged(tables),
-            (None, State::Mirrored(m)) => State::Diverged(m.tables),
-            (None, State::Absent) => State::Absent,
-        };
-    }
-
     /// Cells written behind the sweeps move a mirrored baseline and index,
     /// and drop the heal debts, whose logs no longer undo to these rows.
     /// The graph survives a swap of whole columns on a whole fabric, with
@@ -208,7 +191,7 @@ impl Carried {
             }
             _ => None,
         };
-        m.apply(cells, deps);
+        m.apply(subnet, Some(cells), deps);
         m.routed_at = None;
         m.debts.clear();
         for cell in cells {
@@ -226,6 +209,22 @@ impl Carried {
         }
     }
 
+    /// Lends a full sweep a fresh mirror of its computed `tables`: routed on
+    /// this topology epoch, no debts, no graph, an empty index. What was
+    /// carried goes now, before the sweep's first SMP, so the sweep never
+    /// holds two indexes or graphs.
+    pub(crate) fn lend_fresh(&mut self, subnet: &Subnet, tables: RoutingTables) -> Mirror {
+        self.state = State::Absent;
+        Mirror {
+            tables,
+            index: ReverseRouteIndex::default(),
+            deps: None,
+            in_flight: false,
+            routed_at: Some(subnet.topology_epoch()),
+            debts: Vec::new(),
+        }
+    }
+
     /// Lends the mirrored state to a repair, if there is one.
     pub(crate) fn lend(&mut self) -> Option<Mirror> {
         match std::mem::take(&mut self.state) {
@@ -237,7 +236,7 @@ impl Carried {
         }
     }
 
-    /// Takes back the mirror a repair of `faults` borrowed.
+    /// Takes back the mirror a sweep of `faults` borrowed.
     pub(crate) fn settle(&mut self, subnet: &Subnet, mirror: Mirror, faults: &[(NodeId, PortNum)]) {
         self.state = if mirror.in_flight {
             State::Diverged(mirror.tables)

@@ -52,10 +52,8 @@ struct LinkRecord {
 
 /// Per-link flap damping state for a whole fabric, keyed by the canonical
 /// (lower) end of each cable.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LinkQuarantine {
-    /// When off, traps pass straight through to re-sweeps.
-    enabled: bool,
     links: FxHashMap<(NodeId, PortNum), LinkRecord>,
     /// Times the bridge guard blocked an admin-down that would have split
     /// the fabric (see [`Self::bridge_refusals`]).
@@ -63,16 +61,6 @@ pub struct LinkQuarantine {
 }
 
 impl LinkQuarantine {
-    /// Fresh damping state, damping only when `enabled`.
-    #[must_use]
-    pub fn new(enabled: bool) -> Self {
-        Self {
-            enabled,
-            links: FxHashMap::default(),
-            bridge_refusals: 0,
-        }
-    }
-
     /// Canonical key of the cable behind `(node, port)`: the end with the
     /// smaller (node index, port) pair, so both ends' traps hit one record.
     fn canonical(subnet: &Subnet, node: NodeId, port: PortNum) -> (NodeId, PortNum) {
@@ -125,9 +113,6 @@ impl LinkQuarantine {
         port: PortNum,
         now_ns: u64,
     ) -> IbResult<bool> {
-        if !self.enabled {
-            return Ok(false);
-        }
         let key = Self::canonical(subnet, node, port);
         let mut rec = self.links.get(&key).copied().unwrap_or_default();
         rec.penalty += 1;
@@ -353,19 +338,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_damper_absorbs_nothing() {
-        let (mut t, leaf, port) = fabric();
-        let mut q = LinkQuarantine::new(false);
-        for _ in 0..10 {
-            assert!(!q.note_link_event(&mut t.subnet, leaf, port, 0).unwrap());
-        }
-        assert!(q.quarantined_links(0).is_empty());
-    }
-
-    #[test]
     fn threshold_crossing_quarantines_and_downs_the_link() {
         let (mut t, leaf, port) = fabric();
-        let mut q = LinkQuarantine::new(true);
+        let mut q = LinkQuarantine::default();
         assert!(t.subnet.is_link_up(leaf, port));
         // Two events: still below the threshold of 3.
         assert!(!q.note_link_event(&mut t.subnet, leaf, port, 0).unwrap());
@@ -382,7 +357,7 @@ mod tests {
     fn both_ends_share_one_record() {
         let (mut t, leaf, port) = fabric();
         let remote = t.subnet.cabled_neighbor(leaf, port).unwrap();
-        let mut q = LinkQuarantine::new(true);
+        let mut q = LinkQuarantine::default();
         q.note_link_event(&mut t.subnet, leaf, port, 0).unwrap();
         q.note_link_event(&mut t.subnet, remote.node, remote.port, 1)
             .unwrap();
@@ -394,7 +369,7 @@ mod tests {
     #[test]
     fn resurrection_during_hold_down_is_suppressed() {
         let (mut t, leaf, port) = fabric();
-        let mut q = LinkQuarantine::new(true);
+        let mut q = LinkQuarantine::default();
         for at in 0..3 {
             q.note_link_event(&mut t.subnet, leaf, port, at).unwrap();
         }
@@ -408,7 +383,7 @@ mod tests {
     #[test]
     fn release_restores_the_link_and_strikes_escalate() {
         let (mut t, leaf, port) = fabric();
-        let mut q = LinkQuarantine::new(true);
+        let mut q = LinkQuarantine::default();
         for at in 0..3 {
             q.note_link_event(&mut t.subnet, leaf, port, at).unwrap();
         }
@@ -442,7 +417,7 @@ mod tests {
     #[test]
     fn physically_down_link_is_not_resurrected_on_release() {
         let (mut t, leaf, port) = fabric();
-        let mut q = LinkQuarantine::new(true);
+        let mut q = LinkQuarantine::default();
         // The link is already physically down when the flapping starts.
         t.subnet.set_link_down(leaf, port).unwrap();
         for at in 0..3 {
@@ -477,7 +452,7 @@ mod tests {
         // On a tree every switch-switch link is a bridge: however hard a
         // link flaps, the damper must never be the one to split the fabric.
         let (mut s, sw) = line_fabric();
-        let mut q = LinkQuarantine::new(true);
+        let mut q = LinkQuarantine::default();
         for trunk in [(sw[0], PortNum::new(1)), (sw[1], PortNum::new(2))] {
             for at in 0..10 {
                 assert!(!q.note_link_event(&mut s, trunk.0, trunk.1, at).unwrap());
@@ -494,7 +469,7 @@ mod tests {
     fn resurrected_bridge_is_released_early_instead_of_re_split() {
         let (mut s, sw) = line_fabric();
         let (node, port) = (sw[0], PortNum::new(1));
-        let mut q = LinkQuarantine::new(true);
+        let mut q = LinkQuarantine::default();
         // The trunk goes physically down first: holding it down changes
         // nothing (the split already exists), so the quarantine may trip.
         s.set_link_down(node, port).unwrap();
@@ -517,7 +492,7 @@ mod tests {
         // The fat tree's leaf-spine link has a redundant twin through the
         // other spine: not a bridge, so damping proceeds as ever.
         let (mut t, leaf, port) = fabric();
-        let mut q = LinkQuarantine::new(true);
+        let mut q = LinkQuarantine::default();
         for at in 0..3 {
             q.note_link_event(&mut t.subnet, leaf, port, at).unwrap();
         }
@@ -536,7 +511,7 @@ mod tests {
             .unwrap();
         tables.install(&mut t.subnet).unwrap();
 
-        let mut q = LinkQuarantine::new(true);
+        let mut q = LinkQuarantine::default();
         for at in 0..3 {
             q.note_link_event(&mut t.subnet, leaf, port, at).unwrap();
         }

@@ -1,34 +1,35 @@
 //! The incremental repair pipeline: the SM's answer to link-state traps.
 //!
 //! One pipeline serves a single trap (a one-element fault list) and a
-//! burst (k elements) alike: guards → per-fault dirty groups →
-//! cached switch graph → engine fold over the baseline *in place* →
-//! distribution of the blocks the changed cells fall in → verifier gate on
-//! the cells those blocks moved → reverse-index maintenance. The engine's
-//! list of changed cells ([`ib_routing::SpliceLog`]) sizes every stage up
-//! to the wire, and the installed cells the wire moved size every stage
-//! after it, so a repair costs what it changes, not what the fabric holds.
+//! burst (k elements) alike: guards → per-fault dirty groups → cached
+//! switch graph → engine fold over the baseline *in place* → the SM's one
+//! sweep tail (`send_tables`): distribution of the blocks the changed
+//! cells fall in → verifier gate on the cells those blocks moved →
+//! reverse-index maintenance. The engine's list of changed cells
+//! ([`ib_routing::SpliceLog`]) sizes every stage up to the wire, and the
+//! installed cells the wire moved size every stage after it, so a repair
+//! costs what it changes, not what the fabric holds.
 //!
 //! A link that comes back is a repair in reverse: each applied repair
 //! leaves its log as a heal debt, and a link-up trap that settles the top
 //! debt undoes that log on the baseline and sends the reverted cells down
 //! the same distribution, gate and index stages. Whatever the pipeline
 //! cannot absorb — a heal no debt matches included — leaves through **one**
-//! counted fallback into [`SubnetManager::light_sweep`]; once SMPs went
-//! out, it leaves the carried state diverged. The engine side is
+//! counted fallback into [`SubnetManager::light_sweep`], whose fresh tables
+//! take the same tail with every block in scope; a repair whose SMPs went
+//! out settles the carried state diverged before it. The engine side is
 //! splice-or-`Err` ([`ib_routing::RoutingEngine::repair_with_graph`]), so
 //! an `Ok` here always means "only the dirty columns moved".
 
 use std::collections::HashSet;
 
 use ib_mad::fault::{SmpChannel, SmpTransport};
-use ib_routing::{CellChange, EngineKind, SpliceLog};
+use ib_routing::{EngineKind, SpliceLog};
 use ib_subnet::{NodeId, Subnet};
-use ib_types::{IbResult, Lid, PortNum, LFT_BLOCK_SIZE};
-use ib_verify::InvariantClass;
+use ib_types::{IbResult, Lid, PortNum};
+use ib_verify::{InvariantClass, VerifyReport};
 
 use crate::carried::{Debt, Mirror};
-use crate::distribution::{self, FailedBlock};
 use crate::resweep::{ResweepReport, SweepKind};
 use crate::sm::SubnetManager;
 
@@ -55,9 +56,10 @@ enum Fallback {
     EngineError,
     /// The gate found a violation reachable from a cell the repair moved
     /// (or a fabric-global one); the full sweep recomputes from scratch and
-    /// overwrites whatever the repair installed. Carries the class of the
-    /// first violation, so the fallback counter says *why*.
-    VerifyRejected(InvariantClass),
+    /// overwrites whatever the repair installed. Carries the gate's
+    /// verdict: the class of its first violation names the fallback
+    /// counter, so it says *why*.
+    VerifyRejected(VerifyReport),
 }
 
 impl SubnetManager {
@@ -128,7 +130,7 @@ impl SubnetManager {
     }
 
     /// The pipeline for downed links, past its guards: the dirty groups,
-    /// the engine's splice, then [`Self::send_cells`]. An applied repair
+    /// the engine's splice, then [`Self::send_tables`]. An applied repair
     /// becomes a heal debt.
     fn splice_faults<C: SmpChannel>(
         &mut self,
@@ -201,7 +203,10 @@ impl SubnetManager {
                 }
             }
         }
-        let outcome = self.send_cells(subnet, &log.cells, faults, mirror, transport)?;
+        let scope = Some(log.cells.as_slice());
+        let outcome =
+            self.send_tables(subnet, scope, faults, SweepKind::Repair, mirror, transport)?;
+        let outcome = outcome.map_err(Fallback::VerifyRejected);
         if outcome.as_ref().is_ok_and(|r| r.failed_blocks.is_empty()) {
             let observer = self.ledger.observer();
             observer.incr("repair.success");
@@ -213,7 +218,7 @@ impl SubnetManager {
 
     /// A heal, past its guards: pays off the debt the links' return
     /// settles by undoing its log on the baseline — the distance field
-    /// rebuilt on the healed graph — then [`Self::send_cells`] with the
+    /// rebuilt on the healed graph — then [`Self::send_tables`] with the
     /// reverted cells and the debt's links.
     fn heal_faults<C: SmpChannel>(
         &mut self,
@@ -235,66 +240,14 @@ impl SubnetManager {
             let _span = observer.span("repair.undo");
             log.heal(&mut mirror.tables, graph, routing)
         };
-        let outcome = self.send_cells(subnet, &cells, &faults, mirror, transport)?;
+        let scope = Some(cells.as_slice());
+        let outcome =
+            self.send_tables(subnet, scope, &faults, SweepKind::Repair, mirror, transport)?;
+        let outcome = outcome.map_err(Fallback::VerifyRejected);
         if outcome.as_ref().is_ok_and(|r| r.failed_blocks.is_empty()) {
             self.ledger.observer().incr("repair.heal_debt");
         }
         Ok(outcome)
-    }
-
-    /// What a repair and a heal share once the baseline holds their cells:
-    /// distributes the blocks `cells` fall in, gates exactly the installed
-    /// cells those blocks moved — normally `cells`, plus any baseline ≠
-    /// installed divergence a sent block carried — with `faults` the links
-    /// that went down or came back, and moves the mirror by them.
-    fn send_cells<C: SmpChannel>(
-        &mut self,
-        subnet: &mut Subnet,
-        cells: &[CellChange],
-        faults: &[(NodeId, PortNum)],
-        mirror: &mut Mirror,
-        transport: &mut SmpTransport<C>,
-    ) -> IbResult<Result<ResweepReport, Fallback>> {
-        let observer = self.ledger.observer();
-        observer.add("repair.changed_cells", cells.len() as u64);
-        // The switches hold the padded baseline (the live index vouches for
-        // it), so only blocks containing a changed cell can be dirty.
-        let candidates = distribution::sorted_blocks(cells.iter().map(|c| FailedBlock {
-            switch: c.switch,
-            block: c.lid.lft_block(),
-        }));
-        observer.add("repair.planned_blocks", candidates.len() as u64);
-        let healed = self.refresh_partition_state(subnet);
-        let before = installed_blocks(subnet, &candidates);
-        let carried_deps = mirror.send();
-        let report = self.distribute_resumably(
-            subnet,
-            &mirror.tables,
-            Some(&candidates),
-            SweepKind::Repair,
-            transport,
-        )?;
-        let observer = self.ledger.observer();
-        if !report.failed_blocks.is_empty() {
-            // As after a full sweep: tables with stranded blocks are
-            // expected to be inconsistent, so the gate is deferred.
-            observer.incr("repair.unconverged");
-            return Ok(Ok(report));
-        }
-        let moved = moved_cells(subnet, &candidates, &before);
-        let vls = &mirror.tables.vls;
-        let (verdict, deps) = ib_verify::FabricVerifier::new()
-            .with_deadlock(self.config().verify)
-            .with_viewpoint(self.sm_node)
-            .verify_moved(subnet, vls, &moved, faults, carried_deps, observer)?;
-        if let Some(v) = verdict.violations.first() {
-            return Ok(Err(Fallback::VerifyRejected(v.class)));
-        }
-        self.verify_healed(subnet, &healed)?;
-        let span = observer.span("repair.index_splice");
-        mirror.apply(&moved, deps);
-        span.end();
-        Ok(Ok(report))
     }
 
     /// Counts one fallback three ways: the named reason, the aggregate
@@ -310,8 +263,8 @@ impl SubnetManager {
             Fallback::NoBaseline => "repair.no_baseline",
             Fallback::IndexMiss => "repair.index_misses",
             Fallback::EngineError => "repair.engine_error",
-            Fallback::VerifyRejected(class) => {
-                observer.incr(rejected_counter(class));
+            Fallback::VerifyRejected(verdict) => {
+                observer.incr(rejected_counter(verdict.violations[0].class));
                 "repair.verify_rejected"
             }
         };
@@ -342,42 +295,6 @@ fn rejected_counter(class: InvariantClass) -> &'static str {
         InvariantClass::Addressing => "repair.verify_rejected.addressing",
         InvariantClass::StaleRoute => "repair.verify_rejected.stale-route",
     }
-}
-
-/// The installed contents of `blocks`, concatenated in order; a switch
-/// without an LFT reads as unset.
-fn installed_blocks(subnet: &Subnet, blocks: &[FailedBlock]) -> Vec<Option<PortNum>> {
-    let mut cells = vec![None; blocks.len() * LFT_BLOCK_SIZE];
-    for (b, out) in blocks.iter().zip(cells.chunks_mut(LFT_BLOCK_SIZE)) {
-        if let Some(src) = subnet.lft(b.switch).and_then(|lft| lft.block(b.block)) {
-            out.copy_from_slice(src);
-        }
-    }
-    cells
-}
-
-/// Every cell by which `blocks`' installed contents moved since `before`
-/// was read — what the SMPs that were sent actually changed.
-fn moved_cells(
-    subnet: &Subnet,
-    blocks: &[FailedBlock],
-    before: &[Option<PortNum>],
-) -> Vec<CellChange> {
-    let after = installed_blocks(subnet, blocks);
-    let mut moved = Vec::new();
-    for (i, (&old, &new)) in before.iter().zip(&after).enumerate() {
-        let FailedBlock { switch, block } = blocks[i / LFT_BLOCK_SIZE];
-        let raw = (block * LFT_BLOCK_SIZE + i % LFT_BLOCK_SIZE) as u16;
-        if let (true, Ok(lid)) = (old != new, Lid::new(raw)) {
-            moved.push(CellChange {
-                switch,
-                lid,
-                old,
-                new,
-            });
-        }
-    }
-    moved
 }
 
 #[cfg(test)]
@@ -554,7 +471,7 @@ mod tests {
         let good = lft.get(victim);
         let drop = Some(PortNum::DROP);
         t.subnet.lft_mut(leaf0).unwrap().assign(victim, drop);
-        let told = CellChange {
+        let told = ib_routing::CellChange {
             switch: leaf0,
             lid: victim,
             old: good,

@@ -1,4 +1,4 @@
-//! Full re-sweeps: the SM's answer when the whole table set is recomputed.
+//! Full re-sweeps, and the one tail every sweep takes to the switches.
 //!
 //! OpenSM reacts to a fault with a *light sweep* — reroute and redistribute
 //! over the topology it already knows — and escalates to a *heavy sweep*
@@ -9,18 +9,28 @@
 //! **adopts** the surviving LID and LFT state rather than renumbering. LIDs
 //! of nodes that fell off the fabric are pruned and released; every
 //! surviving node keeps its LID, so live connections (§II-C: "the LID is
-//! part of the connection state") are undisturbed. Distribution is
-//! resumable: blocks whose `Set` SMPs exhaust their retries are retried in
-//! follow-up passes without resending what already landed.
+//! part of the connection state") are undisturbed.
+//!
+//! A full sweep and a repair are the same operation at two sizes (§VI-A's
+//! `n·m` blocks against §V-C's few rows), so once tables exist both go
+//! through one tail, `send_tables`: distribute, gate what converged, move
+//! the carried mirror. A repair scopes it to the cells it changed; a full
+//! sweep lends a fresh mirror of its computed tables and sends every
+//! block. Distribution is resumable: blocks whose `Set` SMPs exhaust their
+//! retries are retried in follow-up passes without resending what already
+//! landed.
 //!
 //! Discovery `Get`s are modeled fault-free: the SM retries discovery
 //! indefinitely in practice, and the interesting accounting — extra `Set`
 //! SMPs, retries, rollbacks — is all on the configuration side.
 
 use ib_mad::fault::{SmpChannel, SmpTransport};
+use ib_routing::CellChange;
 use ib_subnet::{NodeId, Subnet};
-use ib_types::{IbResult, Lid};
+use ib_types::{IbError, IbResult, Lid, PortNum, LFT_BLOCK_SIZE};
+use ib_verify::{FabricVerifier, VerifyReport};
 
+use crate::carried::Mirror;
 use crate::discovery;
 use crate::distribution::{self, FailedBlock, ResumeAccounting};
 use crate::report::DistributionReport;
@@ -101,7 +111,7 @@ impl SubnetManager {
         match engine.compute_with(subnet, routing, self.ledger.observer()) {
             Ok(tables) => {
                 self.ledger.observer().incr("resweep.light");
-                self.install_full_tables(subnet, tables, SweepKind::Light, transport)
+                self.send_fresh(subnet, tables, SweepKind::Light, transport)
             }
             Err(_) => {
                 span.end();
@@ -180,55 +190,96 @@ impl SubnetManager {
         Ok(ResweepReport {
             pruned_lids,
             removed_nodes,
-            ..self.install_full_tables(subnet, tables, SweepKind::Heavy, transport)?
+            ..self.send_fresh(subnet, tables, SweepKind::Heavy, transport)?
         })
     }
 
-    /// The tail every full sweep shares once fresh `tables` exist — bring-up
-    /// and full reconfiguration over the assumed channel included: refresh
-    /// the partition ledger, distribute resumably, audit what converged
-    /// (with `config.verify`: any violation is a hard error; stranded blocks
-    /// are *expected* to leave the fabric inconsistent, so they skip the
-    /// audit and count it), prove a heal, and install `tables` — with the
-    /// audit's channel dependency graph — as the next repair's baseline.
-    pub(crate) fn install_full_tables<C: SmpChannel>(
+    /// A full sweep once fresh `tables` exist — bring-up and full
+    /// reconfiguration over the assumed channel included: lends a fresh
+    /// mirror of `tables`, sends every block through [`Self::send_tables`]
+    /// and settles it. A gate rejection is a hard error.
+    pub(crate) fn send_fresh<C: SmpChannel>(
         &mut self,
         subnet: &mut Subnet,
         tables: ib_routing::RoutingTables,
         kind: SweepKind,
         transport: &mut SmpTransport<C>,
     ) -> IbResult<ResweepReport> {
+        let mut mirror = self.carried.lend_fresh(subnet, tables);
+        let outcome = self.send_tables(subnet, None, &[], kind, &mut mirror, transport);
+        self.carried.settle(subnet, mirror, &[]);
+        let failed = |v: VerifyReport| format!("fabric verification failed: {}", v.summary());
+        outcome?.map_err(|verdict| IbError::Management(failed(verdict)))
+    }
+
+    /// The SM's one path from tables to switches, once `mirror`'s baseline
+    /// holds what is to go out: refreshes the partition ledger, distributes
+    /// resumably, gates what converged, proves a heal and moves the mirror.
+    /// A repair's `scope` is the cells it changed and `faults` its links:
+    /// it sends the blocks those cells fall in, gates exactly the installed
+    /// cells the blocks moved (its cells, plus any baseline ≠ installed
+    /// divergence a block carried) on the carried graph, and moves the
+    /// index by them. A full sweep's (`None`) is every block of fresh
+    /// tables: with `config.verify` the gate is the full audit of the SM's
+    /// component, and the index is rebuilt from the installed rows.
+    /// Stranded blocks leave the fabric inconsistent by design, so they skip
+    /// the gate and count it. A rejection returns the gate's verdict; it,
+    /// stranded blocks and an `Err` leave the mirror to settle diverged.
+    pub(crate) fn send_tables<C: SmpChannel>(
+        &mut self,
+        subnet: &mut Subnet,
+        scope: Option<&[CellChange]>,
+        faults: &[(NodeId, PortNum)],
+        kind: SweepKind,
+        mirror: &mut Mirror,
+        transport: &mut SmpTransport<C>,
+    ) -> IbResult<Result<ResweepReport, VerifyReport>> {
+        let observer = self.ledger.observer();
+        // The switches hold the padded baseline (the live index vouches for
+        // it), so only blocks containing a changed cell can be dirty.
+        let blocks = scope.map(|cells| {
+            observer.add("repair.changed_cells", cells.len() as u64);
+            let blocks = distribution::sorted_blocks(cells.iter().map(|c| FailedBlock {
+                switch: c.switch,
+                block: c.lid.lft_block(),
+            }));
+            observer.add("repair.planned_blocks", blocks.len() as u64);
+            blocks
+        });
         let healed = self.refresh_partition_state(subnet);
-        // The rows the index and the dependency graph mirror are about to
-        // be rewritten wholesale: both go now, so the sweep never holds two
-        // of either at once, and any early exit leaves the state diverged.
-        self.carried.diverge(None);
-        let report = self.distribute_resumably(subnet, &tables, None, kind, transport)?;
-        let converged = report.failed_blocks.is_empty();
-        let mut deps = None;
-        if self.config().verify && !converged {
-            self.ledger.observer().incr("verify.skipped_unconverged");
-        } else if self.config().verify {
-            // Scoped to the SM's own component: rows beyond a split keep
-            // what was last installed until a heal sweep rewrites them.
-            let (audit, graph) = ib_verify::FabricVerifier::new()
-                .with_viewpoint(self.sm_node)
-                .audit(subnet, &tables.vls, self.ledger.observer())?;
-            if !audit.is_clean() {
-                return Err(ib_types::IbError::Management(format!(
-                    "fabric verification failed: {}",
-                    audit.summary()
-                )));
+        let before = (blocks.as_deref()).map(|blocks| installed_blocks(subnet, blocks));
+        let carried = mirror.send();
+        let tables = &mirror.tables;
+        let report =
+            self.distribute_resumably(subnet, tables, blocks.as_deref(), kind, transport)?;
+        let (observer, verify) = (self.ledger.observer(), self.config().verify);
+        if !report.failed_blocks.is_empty() {
+            match scope {
+                Some(_) => observer.incr("repair.unconverged"),
+                None if verify => observer.incr("verify.skipped_unconverged"),
+                None => {}
             }
-            deps = graph;
+            return Ok(Ok(report));
         }
-        if converged {
-            self.verify_healed(subnet, &healed)?;
-            self.carried.install(subnet, tables, deps);
-        } else {
-            self.carried.diverge(Some(tables));
+        let gate = FabricVerifier::new().with_deadlock(verify);
+        let (gate, vls) = (gate.with_viewpoint(self.sm_node), &tables.vls);
+        let (moved, gated) = match blocks.zip(before) {
+            Some((blocks, before)) => {
+                let moved = moved_cells(subnet, &blocks, &before);
+                let gated = gate.verify_moved(subnet, vls, &moved, faults, carried, observer)?;
+                (Some(moved), Some(gated))
+            }
+            None if verify => (None, Some(gate.audit(subnet, vls, observer)?)),
+            None => (None, None),
+        };
+        let (verdict, deps) = gated.unzip();
+        if let Some(verdict) = verdict.filter(|v| !v.is_clean()) {
+            return Ok(Err(verdict));
         }
-        Ok(report)
+        self.verify_healed(subnet, &healed)?;
+        let _span = moved.as_ref().map(|_| observer.span("repair.index_splice"));
+        mirror.apply(subnet, moved.as_deref(), deps.flatten());
+        Ok(Ok(report))
     }
 
     /// Distribution with bounded resume passes: failed blocks are retried
@@ -309,6 +360,42 @@ impl SubnetManager {
             ..ResweepReport::idle(kind)
         })
     }
+}
+
+/// The installed contents of `blocks`, concatenated in order; a switch
+/// without an LFT reads as unset.
+fn installed_blocks(subnet: &Subnet, blocks: &[FailedBlock]) -> Vec<Option<PortNum>> {
+    let mut cells = vec![None; blocks.len() * LFT_BLOCK_SIZE];
+    for (b, out) in blocks.iter().zip(cells.chunks_mut(LFT_BLOCK_SIZE)) {
+        if let Some(src) = subnet.lft(b.switch).and_then(|lft| lft.block(b.block)) {
+            out.copy_from_slice(src);
+        }
+    }
+    cells
+}
+
+/// Every cell by which `blocks`' installed contents moved since `before`
+/// was read — what the SMPs that were sent actually changed.
+fn moved_cells(
+    subnet: &Subnet,
+    blocks: &[FailedBlock],
+    before: &[Option<PortNum>],
+) -> Vec<CellChange> {
+    let after = installed_blocks(subnet, blocks);
+    let mut moved = Vec::new();
+    for (i, (&old, &new)) in before.iter().zip(&after).enumerate() {
+        let FailedBlock { switch, block } = blocks[i / LFT_BLOCK_SIZE];
+        let raw = (block * LFT_BLOCK_SIZE + i % LFT_BLOCK_SIZE) as u16;
+        if let (true, Ok(lid)) = (old != new, Lid::new(raw)) {
+            moved.push(CellChange {
+                switch,
+                lid,
+                old,
+                new,
+            });
+        }
+    }
+    moved
 }
 
 #[cfg(test)]
@@ -507,6 +594,71 @@ mod tests {
         assert!(report.failed_blocks.iter().all(|b| b.switch == leaf1));
         assert!(!report.failed_blocks.is_empty());
         assert_eq!(report.retry_passes, 0);
+    }
+
+    /// Every full-sweep entry leaves a mirror the next repair can patch:
+    /// the carried graph and index equal the installed rows', and the next
+    /// link-down is a repair whose gate patches that graph, never
+    /// rebuilding it.
+    #[test]
+    fn every_full_sweep_entry_leaves_a_patchable_mirror() {
+        type Entry = fn(&mut ib_subnet::topology::BuiltTopology, &mut SubnetManager);
+        let entries: [(&str, Entry); 5] = [
+            ("bring_up", |_, _| {}),
+            ("full_reconfiguration", |t, sm| {
+                sm.full_reconfiguration(&mut t.subnet).unwrap();
+            }),
+            ("light_sweep", |t, sm| {
+                let mut transport = SmpTransport::perfect(sm.sm_node);
+                sm.light_sweep(&mut t.subnet, &mut transport).unwrap();
+            }),
+            ("heavy_sweep", |t, sm| {
+                let mut transport = SmpTransport::perfect(sm.sm_node);
+                let trap = Trap::SwitchDeath {
+                    node: t.switch_levels[1][2],
+                };
+                let report = sm.handle_trap(&mut t.subnet, trap, &mut transport);
+                assert_eq!(report.unwrap().kind, SweepKind::Heavy);
+            }),
+            ("repair.heal_no_debt", |t, sm| {
+                // A trap about a live link is a heal no repair owes.
+                let mut transport = SmpTransport::perfect(sm.sm_node);
+                let leaf = t.switch_levels[0][0];
+                let (port, _) = t.subnet.node(leaf).connected_ports().next().unwrap();
+                let trap = Trap::LinkStateChange { node: leaf, port };
+                let report = sm.handle_trap(&mut t.subnet, trap, &mut transport);
+                assert_eq!(report.unwrap().kind, SweepKind::Light);
+                let snap = sm.observer().snapshot().unwrap();
+                assert_eq!(snap.counter("repair.heal_no_debt"), 1);
+            }),
+        ];
+        for (name, entry) in entries {
+            let mut t = ib_subnet::topology::fattree::two_level(3, 2, 3);
+            let config = crate::sm::SmConfig {
+                repair: true,
+                verify: true,
+                ..crate::sm::SmConfig::default()
+            };
+            let mut sm = SubnetManager::new(t.hosts[0], config);
+            sm.set_observer(ib_observe::Observer::metrics());
+            sm.bring_up(&mut t.subnet).unwrap();
+            entry(&mut t, &mut sm);
+            let vls = sm.installed_vls().unwrap();
+            let installed = FabricVerifier::new().channel_deps(&t.subnet, vls);
+            assert_eq!(sm.channel_deps(), Some(&installed.unwrap()), "{name}");
+            assert!(sm.verify_route_index(&t.subnet).is_empty(), "{name}");
+
+            let mut transport = SmpTransport::perfect(sm.sm_node);
+            let trap = down_uplink(&mut t, 1, 0);
+            let report = sm.handle_trap(&mut t.subnet, trap, &mut transport);
+            assert_eq!(report.unwrap().kind, SweepKind::Repair, "{name}");
+            let snap = sm.observer().snapshot().unwrap();
+            assert!(snap.counter("verify.cdg_patched_cells") > 0, "{name}");
+            for reason in ["no-state", "topology", "vls", "split"] {
+                let counter = format!("verify.full_deps.{reason}");
+                assert_eq!(snap.counter(&counter), 0, "{name}: {counter}");
+            }
+        }
     }
 
     #[test]

@@ -70,6 +70,10 @@ impl SweepOptions {
 }
 
 /// Subnet manager configuration.
+///
+/// Flap damping is not a setting: a driver with a clock feeds traps to
+/// [`SubnetManager::handle_trap_at`], which always damps, and
+/// [`SubnetManager::handle_trap`] never does.
 #[derive(Clone, Copy, Debug)]
 pub struct SmConfig {
     /// Which routing engine computes paths.
@@ -88,8 +92,6 @@ pub struct SmConfig {
     /// deadlock guarantee (Min-Hop) on a cyclic fabric will fail by
     /// design. Off by default.
     pub verify: bool,
-    /// Damp flapping links (see [`crate::quarantine`]). Off by default.
-    pub quarantine: bool,
     /// Answer link-down traps with an *incremental repair* sweep: re-route
     /// only the destination columns whose installed paths crossed the
     /// failed link (read off the [`ib_verify::ReverseRouteIndex`], re-routed
@@ -110,7 +112,6 @@ impl Default for SmConfig {
             sweep: SweepOptions::default(),
             routing: RoutingOptions::default(),
             verify: false,
-            quarantine: false,
             repair: false,
         }
     }
@@ -127,7 +128,7 @@ pub struct SubnetManager {
     pub lid_space: LidSpace,
     /// Every SMP this SM ever sent.
     pub ledger: SmpLedger,
-    /// Per-link flap damping state (active when `config.quarantine`).
+    /// Per-link flap damping state, fed by [`Self::handle_trap_at`].
     pub quarantine: LinkQuarantine,
     /// The state derived from the installed LFTs — repair baseline, reverse
     /// route index, channel dependency graph, switch graph — and the one
@@ -154,7 +155,7 @@ impl SubnetManager {
             sm_node,
             lid_space: LidSpace::new(),
             ledger: SmpLedger::new(),
-            quarantine: LinkQuarantine::new(config.quarantine),
+            quarantine: LinkQuarantine::default(),
             carried: Carried::default(),
             unreachable_lids: Vec::new(),
             lost_nodes: HashSet::new(),
@@ -238,7 +239,7 @@ impl SubnetManager {
         let decisions = tables.decisions;
 
         let mut transport = SmpTransport::assumed(self.sm_node);
-        let sweep = self.install_full_tables(subnet, tables, SweepKind::Light, &mut transport)?;
+        let sweep = self.send_fresh(subnet, tables, SweepKind::Light, &mut transport)?;
         distribution::refuse_stranded(
             subnet,
             self.sm_node,

@@ -51,8 +51,9 @@ impl SubnetManager {
         self.answer_trap(subnet, trap, transport)
     }
 
-    /// Time-aware trap handling with flap damping: link state-change traps
-    /// are first fed to the [`crate::LinkQuarantine`]. A trap on a link
+    /// Time-aware trap handling, always with flap damping (untimed
+    /// [`Self::handle_trap`] never damps): link state-change traps are
+    /// first fed to the [`crate::LinkQuarantine`]. A trap on a link
     /// already inside its hold-down window is absorbed without a re-sweep
     /// (the damper re-asserts the administrative down state) — unless
     /// installed rows still forward across the held link, which only a
@@ -69,7 +70,7 @@ impl SubnetManager {
         if !self.admit_trap(subnet, &trap) {
             return Ok(ResweepReport::idle(SweepKind::Light));
         }
-        if let (true, Trap::LinkStateChange { node, port }) = (self.config().quarantine, trap) {
+        if let Trap::LinkStateChange { node, port } = trap {
             let was_held = self.quarantine.is_quarantined(subnet, node, port, now_ns);
             let refusals_before = self.quarantine.bridge_refusals();
             let absorbed = self
@@ -248,7 +249,6 @@ mod tests {
             t.hosts[0],
             SmConfig {
                 repair: true,
-                quarantine: true,
                 ..SmConfig::default()
             },
         );
@@ -341,7 +341,6 @@ mod tests {
         let mut sm = SubnetManager::new(
             t.hosts[0],
             SmConfig {
-                quarantine: true,
                 ..SmConfig::default()
             },
         );
@@ -403,7 +402,6 @@ mod tests {
             t.hosts[0],
             SmConfig {
                 repair: true,
-                quarantine: true,
                 ..SmConfig::default()
             },
         );
